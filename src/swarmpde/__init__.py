@@ -46,7 +46,6 @@ from .solver_core import (
     step,
 )
 from .spatial_grid import (
-    Field,
     SpatialGrid,
     div_flux,
     grad_sq_root,

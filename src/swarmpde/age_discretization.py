@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolation, NegativeInitialData
-from .model_spec import ModelSpec, smoothstep, smoothstep_prime
+from .model_spec import ModelSpec, smoothstep
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,6 @@ __all__ = [
     "RegularizedModel",
     "DiscreteHypothesesReport",
     "theta_cutoff",
-    "theta_cutoff_prime",
     "build_age_grid",
     "check_discrete_hypotheses",
     "regularize",
@@ -45,10 +44,6 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 def theta_cutoff(r):
     """C^2 cutoff: exactly 1 for r <= 1/2, exactly 0 for r >= 1, non-increasing."""
     return 1.0 - smoothstep((np.asarray(r, dtype=float) - 0.5) / 0.5)
-
-
-def theta_cutoff_prime(r):
-    return -smoothstep_prime((np.asarray(r, dtype=float) - 0.5) / 0.5) / 0.5
 
 
 def entropy_phi(r):
@@ -201,7 +196,6 @@ class RegularizedModel:
         self.alpha = alpha
         self.clamp = 1.0 / alpha
         self.theta = theta_cutoff
-        self.theta_prime = theta_cutoff_prime
         s = np.unique(np.concatenate([
             [0.0],
             self.clamp * 2.0 ** (-np.arange(1, 40, dtype=float)),

@@ -264,7 +264,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--levels", type=int, default=3,
                         help="number of refinement levels (sweep)")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -282,8 +281,6 @@ def main(argv=None) -> int:
             pass
     try:
         cfg = config_mod.parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
         if out_dir is None:
             out_dir = Path(cfg.output.dir)
         if args.command == "run":

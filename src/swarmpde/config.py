@@ -98,7 +98,6 @@ class TimeConfig:
 class DiagnosticsConfig:
     tail_A: tuple = (2.0,)
     test_k_max: int = 2
-    weak_residual: bool = False
     store_u: bool = True
 
 
@@ -119,7 +118,6 @@ class RunConfig:
     time: TimeConfig = field(default_factory=TimeConfig)
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 0
     crossval_tolerance: float = 0.05
 
     def to_dict(self) -> dict:

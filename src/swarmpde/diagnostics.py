@@ -263,8 +263,8 @@ class DiagnosticsRecorder:
         return self._zeta1
 
     def on_step(self, sres) -> None:
-        self._min_u = min(self._min_u, sres.min_cell)
-        self._min_v = min(self._min_v, sres.min_cell)
+        self._min_u = min(self._min_u, sres.min_u)
+        self._min_v = min(self._min_v, sres.min_v)
         self._cons = max(self._cons, sres.conservation_residual)
         self._courant = max(self._courant, sres.courant)
 

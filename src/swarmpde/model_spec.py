@@ -118,9 +118,9 @@ class HypothesisReport:
     B0: float              # growth constant of b
     L0: float              # two-sided growth constant of lam
     beta0: float           # constant coupling mu*b, lam and b
-    kappa1: Callable       # R -> sup of D'/zeta1' on [0, R]
-    kappa2: Callable       # R -> inf of E/zeta2'^2 on [0, R]^2
-    kappa3: Callable       # R -> sup of E/zeta2' on [0, R]^2
+    kappa1: float          # sup of D'/zeta1' on [0, R_max]
+    kappa2: float          # inf of E/zeta2'^2 on [0, R_max]^2
+    kappa3: float          # sup of E/zeta2' on [0, R_max]^2
     passed: dict = field(default_factory=dict)     # name -> bool
     witnesses: dict = field(default_factory=dict)  # name -> (point, message)
     n_samples: int = 0
@@ -137,9 +137,9 @@ class HypothesisReport:
             "B0": self.B0,
             "L0": self.L0,
             "beta0": self.beta0,
-            "kappa1_Rmax": self.kappa1(self.R_max),
-            "kappa2_Rmax": self.kappa2(self.R_max),
-            "kappa3_Rmax": self.kappa3(self.R_max),
+            "kappa1_Rmax": self.kappa1,
+            "kappa2_Rmax": self.kappa2,
+            "kappa3_Rmax": self.kappa3,
             "passed": dict(sorted(self.passed.items())),
             "witnesses": {k: str(v) for k, v in sorted(self.witnesses.items())},
             "n_samples": self.n_samples,
@@ -483,23 +483,14 @@ def validate_hypotheses(
     if has_drift and np.any(z2p_pos <= 0.0):
         fail("drift", rs[pos][z2p_pos <= 0.0][0], "zeta2'(r) <= 0 for r > 0")
 
-    def kappa1_fn(R, _spec=spec, _n=n_samples):
-        return estimate_kappas(_spec, R, _n).kappa1
-
-    def kappa2_fn(R, _spec=spec, _n=n_samples):
-        return estimate_kappas(_spec, R, _n).kappa2
-
-    def kappa3_fn(R, _spec=spec, _n=n_samples):
-        return estimate_kappas(_spec, R, _n).kappa3
-
     return HypothesisReport(
         ell0=ell0,
         B0=B0,
         L0=L0,
         beta0=beta0,
-        kappa1=kappa1_fn,
-        kappa2=kappa2_fn,
-        kappa3=kappa3_fn,
+        kappa1=kap.kappa1,
+        kappa2=kap.kappa2,
+        kappa3=kap.kappa3,
         passed=passed,
         witnesses=witnesses,
         n_samples=_next_pow2(n_samples),

@@ -26,14 +26,8 @@ import numpy as np
 
 from .errors import ConfigMismatch, UnstableStep
 from .model_spec import ModelSpec
-from .solver_core import RunSetup, _sample_times, run
-from .spatial_grid import (
-    SpatialGrid,
-    apply_face_flux,
-    face_diff,
-    face_mean,
-    _sl,
-)
+from .solver_core import RunSetup, _sample_times, initial_state, run
+from .spatial_grid import SpatialGrid, drift_diffusion_div, face_mean
 from . import diagnostics as diag
 
 __all__ = [
@@ -41,7 +35,6 @@ __all__ = [
     "ReducedSample",
     "ReducedResult",
     "CrossValResult",
-    "medvedev_diffusivity",
     "reduced_from_model",
     "run_reduced",
     "cross_validate_setups",
@@ -71,19 +64,6 @@ class ReducedSpec:
         return np.asarray(self.D(r), dtype=float) + r * np.asarray(self.E(r, s), dtype=float)
 
 
-def medvedev_diffusivity(D0: float, k: float) -> Callable:
-    """Saturating effective diffusivity D0*r/(r + k*s); D0 at s=0 for r>0."""
-
-    def eff(r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        denom = r + k * s
-        with np.errstate(all="ignore"):
-            return np.where(denom > 0.0, D0 * r / np.where(denom > 0.0, denom, 1.0), 0.0)
-
-    return eff
-
-
 def reduced_from_model(spec: ModelSpec, mu_const: float, m0: float,
                        tau: float) -> ReducedSpec:
     return ReducedSpec(
@@ -107,16 +87,8 @@ class ReducedResult:
 def _reduced_div(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> np.ndarray:
     # same face treatment as the full solver's bin fluxes: arithmetic mean
     # of D, upwind donor biomass against the drift face velocity
-    D_cell = np.asarray(rspec.D(lam), dtype=float)
-    E_cell = np.asarray(rspec.E(lam, v), dtype=float)
-    out = np.zeros_like(lam)
-    for ax in range(sgrid.dim):
-        axis = ax - sgrid.dim
-        g = face_diff(lam, sgrid, ax)
-        w = face_mean(E_cell, sgrid, ax) * g
-        q = np.where(w > 0.0, _sl(lam, axis, slice(1, None)), _sl(lam, axis, slice(None, -1)))
-        apply_face_flux(out, face_mean(D_cell, sgrid, ax) * g + q * w, sgrid, ax)
-    return out
+    return drift_diffusion_div(lam, lam, np.asarray(rspec.D(lam), dtype=float),
+                               np.asarray(rspec.E(lam, v), dtype=float), lam, sgrid)
 
 
 def _reduced_dt(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
@@ -246,9 +218,7 @@ def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
         bound = 0.8 * s.agegrid.a_max
         if bound < 4.0 * s.agegrid.alpha:
             raise ConfigMismatch("age range too short for the tail precondition")
-        state0 = type("S", (), {})()
-        state0.u = s.u0
-        state0.v = s.v0
+        state0 = initial_state(s.u0, s.v0, s.agegrid)
         total = diag.mass_b(state0, s.agegrid, s.sgrid)
         tail0 = diag.tail_mass(state0, bound, s.agegrid, s.sgrid)
         if total > 0.0 and tail0 > 1e-8 * total:

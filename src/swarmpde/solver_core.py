@@ -8,11 +8,19 @@ system telescopes to arithmetic means, so the sup-norm gap between the
 two is a genuine second-order consistency metric instead of collapsing
 to roundoff.
 
-Updates are explicit Euler under a step-size bound that keeps every
-update a convex combination of nonnegative quantities; nonnegativity
-then holds without clipping beyond roundoff.  The bound includes the
-age-transport stiffness alpha/2 alongside the usual diffusion and drift
-terms.
+Updates are explicit Euler under one step-size bound, ``stable_dt``,
+that keeps every update a convex combination of nonnegative quantities;
+nonnegativity then holds without clipping beyond roundoff.  The bound
+evaluates the coefficients once and is 0.9 times the smallest of four
+limits: the age-transport stiffness alpha/2, the per-axis diffusion
+limit dx^2/(2 dim max D_face) (it can bind on anisotropic 2D meshes),
+the strict convex-combination rate (diffusion and drift outflow, age
+transport and decay), and the rate of the shadow biomass, whose drift
+acts as diffusion with coefficient D_a + biomass*E.  Two published
+terms are left out because they can never bind: the drift CFL
+dx/max|w| is at least twice the convex-combination limit, and the
+swimmer limit dx^2/(2 dim alpha) is never below the diffusion limit
+since D_face >= alpha.
 
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
@@ -22,8 +30,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,12 +41,12 @@ from .errors import UnstableStep
 from .model_spec import ModelSpec
 from .spatial_grid import (
     SpatialGrid,
-    apply_face_flux,
     div_flux,
+    drift_diffusion_div,
     face_diff,
     face_mean,
+    harmonic_mean,
     laplacian,
-    _sl,
 )
 
 logger = logging.getLogger(__name__)
@@ -51,7 +59,6 @@ __all__ = [
     "RunResult",
     "boundary_inflow",
     "stable_dt",
-    "positivity_dt",
     "step",
     "monitor_tstar",
     "run",
@@ -59,6 +66,7 @@ __all__ = [
 ]
 
 _NEG_TOL = -1e-12
+_SAFETY = 0.9  # fraction of the stability limit a step may use
 
 
 @dataclass
@@ -74,21 +82,13 @@ class SimState:
     tstar_crossed: bool = False
     theta_activations: int = 0
 
-    def copy(self) -> "SimState":
-        return SimState(
-            u=self.u.copy(), v=self.v.copy(),
-            lambda_rec=self.lambda_rec.copy(), lambda_ev=self.lambda_ev.copy(),
-            t=self.t, step_count=self.step_count,
-            tstar_crossed=self.tstar_crossed,
-            theta_activations=self.theta_activations,
-        )
-
 
 @dataclass(frozen=True)
 class StepResult:
     dt: float
-    courant: float            # dt over the convex-combination limit, <= 1
-    min_cell: float           # raw minimum before the roundoff clip
+    courant: float            # dt over the stability limit stable_dt/0.9; <= 0.9 in run
+    min_u: float              # raw minima before the roundoff clip
+    min_v: float
     identity_residual: float  # sup |reconstructed - shadow biomass|
     conservation_residual: float
 
@@ -131,80 +131,42 @@ def boundary_inflow(v: np.ndarray, reg: RegularizedModel) -> np.ndarray:
     return np.where(v > 0.0, reg.xi_alpha(v) * v, 0.0)
 
 
-def _face_maxima(lam: np.ndarray, v: np.ndarray, reg: RegularizedModel,
-                 sgrid: SpatialGrid):
-    """Per-axis maxima of the face diffusivity and face drift speed."""
-    Da = reg.D_alpha(lam)
-    E_cell = reg.E_alpha(lam, v)
-    d_max, w_max = [], []
-    for ax in range(sgrid.dim):
-        D_face = face_mean(Da, sgrid, ax)
-        w = face_mean(E_cell, sgrid, ax) * face_diff(lam, sgrid, ax)
-        d_max.append(float(np.max(D_face)))
-        w_max.append(float(np.max(np.abs(w), initial=0.0)))
-    return d_max, w_max
-
-
 def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
               sgrid: SpatialGrid) -> float:
-    """Step-size bound: diffusion, drift CFL, age transport, swimmer diffusion.
+    """The one step-size bound: 0.9 times the smallest stability limit.
 
-    dt = 0.9 * min( dx^2/(2 dim max_face D_a), dx/max_face |w|, alpha/2,
-    dx^2/(2 dim alpha) ) with w the drift face velocity.
+    dt = 0.9 * min( alpha/2, dx^2/(2 dim max D_face) per axis,
+    1/max(rate, rate_shadow) ) where rate = 1/alpha + M + sum over axes
+    of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
+    rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the shadow
+    biomass' limit.  D_alpha and E_alpha are evaluated once.
     """
-    alpha = reg.alpha
-    dim = sgrid.dim
-    d_max, w_max = _face_maxima(state.lambda_rec, state.v, reg, sgrid)
-    bounds = [alpha / 2.0]
-    for ax in range(dim):
-        dx = sgrid.dx[ax]
-        bounds.append(dx * dx / (2.0 * dim * max(d_max[ax], 1e-300)))
-        bounds.append(dx / w_max[ax] if w_max[ax] > 0.0 else math.inf)
-        bounds.append(dx * dx / (2.0 * dim * alpha))
-    return 0.9 * min(bounds)
-
-
-def positivity_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
-                  sgrid: SpatialGrid) -> float:
-    """Strict convex-combination bound: dt times the worst-case loss rate
-    (diffusion outflow + drift outflow + age transport + decay) stays at 0.9.
-
-    The biomass equation is integrated alongside the bins and its drift
-    enters it as nonlinear diffusion with coefficient biomass * E, so its
-    stability limit (effective diffusivity D_a + biomass*E) is included.
-    """
-    d_max, w_max = _face_maxima(state.lambda_rec, state.v, reg, sgrid)
     lam = state.lambda_rec
-    eff = reg.D_alpha(lam) + np.maximum(lam, 0.0) * reg.E_alpha(lam, state.v)
-    eff_max = float(np.max(eff))
+    Da = reg.D_alpha(lam)
+    E_cell = reg.E_alpha(lam, state.v)
+    eff_max = float(np.max(Da + np.maximum(lam, 0.0) * E_cell))
+    bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
     for ax in range(sgrid.dim):
         dx = sgrid.dx[ax]
-        rate += 2.0 * d_max[ax] / (dx * dx) + 2.0 * w_max[ax] / dx
+        d_max = float(np.max(face_mean(Da, sgrid, ax)))
+        w = face_mean(E_cell, sgrid, ax) * face_diff(lam, sgrid, ax)
+        w_max = float(np.max(np.abs(w), initial=0.0))
+        bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
+        rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
-    return 0.9 / max(rate, rate_shadow)
+    return min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
 
 
 def _shadow_div(lam_ev, lam_rec, v, reg, sgrid: SpatialGrid) -> np.ndarray:
     # Independent discretization of the biomass equation: harmonic face
-    # diffusivity (the bin sum telescopes to arithmetic), drift transporting
-    # the reconstructed biomass with the shadow's own face velocity.
-    Da = reg.D_alpha(lam_ev)
-    E_cell = reg.E_alpha(lam_ev, v)
-    out = np.zeros_like(lam_ev)
-    for ax in range(sgrid.dim):
-        axis = ax - sgrid.dim
-        DL = _sl(Da, axis, slice(None, -1))
-        DR = _sl(Da, axis, slice(1, None))
-        D_face = 2.0 * DL * DR / (DL + DR)  # D_a >= alpha > 0
-        g_ev = face_diff(lam_ev, sgrid, ax)
-        w = face_mean(E_cell, sgrid, ax) * g_ev
-        q_face = np.where(
-            w > 0.0, _sl(lam_rec, axis, slice(1, None)), _sl(lam_rec, axis, slice(None, -1))
-        )
-        apply_face_flux(out, D_face * g_ev + q_face * w, sgrid, ax)
-    return out
+    # diffusivity (the bin sum telescopes to arithmetic; D_a >= alpha > 0),
+    # drift transporting the reconstructed biomass with the shadow's own
+    # face velocity.
+    return drift_diffusion_div(lam_ev, lam_rec, reg.D_alpha(lam_ev),
+                               reg.E_alpha(lam_ev, v), lam_ev, sgrid,
+                               mean=harmonic_mean)
 
 
 def _reconstruct(u: np.ndarray, grid: AgeGrid) -> np.ndarray:
@@ -219,8 +181,12 @@ def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid) -> SimState:
 
 
 def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
-         sgrid: SpatialGrid) -> tuple:
-    """One explicit Euler update of the full system; requires dt <= stable_dt."""
+         sgrid: SpatialGrid, dt_max: float) -> tuple:
+    """One explicit Euler update of the full system.
+
+    ``dt_max`` is ``stable_dt`` of ``state``; it only scales the reported
+    Courant number, and nonnegativity requires dt <= dt_max.
+    """
     I, alpha = grid.I, grid.alpha
     u, v = state.u, state.v
     lam_rec, lam_ev = state.lambda_rec, state.lambda_ev
@@ -245,7 +211,8 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     source_ev -= grid.lam[I] * u[I - 1]
     new_ev = lam_ev + dt * (div_ev + source_ev)
 
-    min_cell = min(float(new_u.min()), float(new_v.min()))
+    min_u, min_v = float(new_u.min()), float(new_v.min())
+    min_cell = min(min_u, min_v)
     if not (np.all(np.isfinite(new_u)) and np.all(np.isfinite(new_v))
             and np.all(np.isfinite(new_ev))):
         raise UnstableStep(f"non-finite state at t={state.t + dt:.6g}")
@@ -281,8 +248,9 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     monitor_tstar(new_state, alpha)
     result = StepResult(
         dt=dt,
-        courant=dt / max(positivity_dt(state, grid, reg, sgrid) / 0.9, 1e-300),
-        min_cell=min_cell,
+        courant=_SAFETY * dt / dt_max,
+        min_u=min_u,
+        min_v=min_v,
         identity_residual=float(np.max(np.abs(new_rec - new_ev))),
         conservation_residual=cons / cons_scale,
     )
@@ -315,10 +283,9 @@ def _sample_times(T: float, sample_dt: float) -> np.ndarray:
 def run(setup: RunSetup) -> RunResult:
     """Integrate to the horizon with adaptive steps, sampling diagnostics.
 
-    The step size is the minimum of the published bound, the strict
-    convex-combination bound, and the distance to the next sample time,
-    so samples land exactly on the cadence grid and runs are
-    deterministic.
+    The step size is the minimum of ``stable_dt``, the fixed step if one
+    is set, and the distance to the next sample time, so samples land
+    exactly on the cadence grid and runs are deterministic.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     state = initial_state(setup.u0, setup.v0, grid)
@@ -342,14 +309,11 @@ def run(setup: RunSetup) -> RunResult:
 
     for t_target in _sample_times(setup.T, setup.sample_dt):
         while state.t < t_target - 1e-12 * max(setup.T, 1.0):
-            dt = min(
-                stable_dt(state, grid, reg, sgrid),
-                positivity_dt(state, grid, reg, sgrid),
-            )
+            dt_max = stable_dt(state, grid, reg, sgrid)
+            dt = min(dt_max, t_target - state.t)
             if setup.fixed_dt is not None:
                 dt = min(dt, setup.fixed_dt)
-            dt = min(dt, t_target - state.t)
-            state, sres = step(state, dt, grid, reg, sgrid)
+            state, sres = step(state, dt, grid, reg, sgrid, dt_max)
             recorder.on_step(sres)
             if not clamp_warned:
                 reach = max(float(state.lambda_rec.max()), float(state.v.max()))

@@ -17,8 +17,7 @@ disjoint outputs are safe.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +25,15 @@ from .errors import GridMismatch, NegativeField
 
 __all__ = [
     "SpatialGrid",
-    "Field",
     "div_flux",
+    "drift_diffusion_div",
     "laplacian",
     "grad_sq",
     "grad_sq_root",
     "grad_cell",
     "face_diff",
     "face_mean",
+    "harmonic_mean",
     "apply_face_flux",
     "conservation_residual",
     "field_to_csv",
@@ -100,19 +100,6 @@ class SpatialGrid:
         return values
 
 
-@dataclass
-class Field:
-    """One scalar value per cell plus a semantic unit tag."""
-
-    values: np.ndarray
-    unit: str = "density"
-    name: str = "field"
-
-
-def _unwrap(f):
-    return f.values if isinstance(f, Field) else f
-
-
 def _sl(arr: np.ndarray, axis: int, sl: slice) -> np.ndarray:
     idx = [slice(None)] * arr.ndim
     idx[axis] = sl
@@ -130,6 +117,13 @@ def face_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     return 0.5 * (_sl(f, axis, slice(None, -1)) + _sl(f, axis, slice(1, None)))
 
 
+def harmonic_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
+    """Harmonic face mean; needs f > 0 on both sides of every face."""
+    axis = ax - grid.dim
+    left, right = _sl(f, axis, slice(None, -1)), _sl(f, axis, slice(1, None))
+    return 2.0 * left * right / (left + right)
+
+
 def apply_face_flux(out: np.ndarray, flux: np.ndarray, grid: SpatialGrid, ax: int) -> None:
     """Accumulate the divergence of an interior-face flux into ``out``."""
     axis = ax - grid.dim
@@ -138,38 +132,43 @@ def apply_face_flux(out: np.ndarray, flux: np.ndarray, grid: SpatialGrid, ax: in
     _sl(out, axis, slice(1, None))[...] -= flux * inv_dx
 
 
-def div_flux(u, lam_total, v, reg, grid: SpatialGrid) -> np.ndarray:
-    """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
+def drift_diffusion_div(f, q, D_cell, E_cell, lam, grid: SpatialGrid,
+                        mean=face_mean) -> np.ndarray:
+    """Divergence of the face flux mean(D) grad f + q_donor * w.
 
-    Diffusive part: arithmetic face mean of the diffusivity, centered
-    gradient of u.  Drift part: the transported quantity u*Theta is taken
-    from the donor cell selected by the sign of the face velocity
-    w = E * grad(biomass); a face with w > 0 feeds the left cell.
+    The drift face velocity is w = face_mean(E) * grad(lam); the
+    transported quantity q is taken from the donor cell selected by the
+    sign of w, so a face with w > 0 feeds the left cell.  ``f`` and ``q``
+    may carry leading (per-bin) axes; the coefficients are grid fields.
     """
-    u = grid.check_field(_unwrap(u), "u")
-    lam = grid.check_field(_unwrap(lam_total), "biomass")
-    vv = grid.check_field(_unwrap(v), "v")
-    if lam.shape != grid.shape or vv.shape != grid.shape:
-        raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
-
-    Da = reg.D_alpha(lam)
-    E_cell = reg.E_alpha(lam, vv)
-    q = u * reg.theta(reg.alpha**2 * u)
-    out = np.zeros_like(u)
+    out = np.zeros_like(f)
     for ax in range(grid.dim):
         axis = ax - grid.dim
-        D_face = face_mean(Da, grid, ax)
-        E_face = face_mean(E_cell, grid, ax)
-        w = E_face * face_diff(lam, grid, ax)
+        w = face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax)
         q_face = np.where(w > 0.0, _sl(q, axis, slice(1, None)), _sl(q, axis, slice(None, -1)))
-        flux = D_face * face_diff(u, grid, ax) + q_face * w
+        flux = mean(D_cell, grid, ax) * face_diff(f, grid, ax) + q_face * w
         apply_face_flux(out, flux, grid, ax)
     return out
 
 
+def div_flux(u, lam_total, v, reg, grid: SpatialGrid) -> np.ndarray:
+    """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
+
+    Arithmetic face mean of the diffusivity; the drift transports the
+    cutoff-weighted density u*Theta upwind (see ``drift_diffusion_div``).
+    """
+    u = grid.check_field(u, "u")
+    lam = grid.check_field(lam_total, "biomass")
+    vv = grid.check_field(v, "v")
+    if lam.shape != grid.shape or vv.shape != grid.shape:
+        raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
+    q = u * reg.theta(reg.alpha**2 * u)
+    return drift_diffusion_div(u, q, reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid)
+
+
 def laplacian(f, grid: SpatialGrid) -> np.ndarray:
     """Zero-flux Laplacian (unit diffusivity, no drift)."""
-    f = grid.check_field(_unwrap(f), "f")
+    f = grid.check_field(f, "f")
     out = np.zeros_like(f)
     for ax in range(grid.dim):
         apply_face_flux(out, face_diff(f, grid, ax), grid, ax)
@@ -182,7 +181,7 @@ def grad_sq(f, grid: SpatialGrid) -> np.ndarray:
     Face gradients are squared and averaged back onto the two adjacent
     cells; boundary faces contribute zero (zero-flux data).
     """
-    f = grid.check_field(_unwrap(f), "f")
+    f = grid.check_field(f, "f")
     out = np.zeros_like(f)
     for ax in range(grid.dim):
         axis = ax - grid.dim
@@ -195,7 +194,7 @@ def grad_sq(f, grid: SpatialGrid) -> np.ndarray:
 def grad_sq_root(u, grid: SpatialGrid) -> np.ndarray:
     """Squared gradient of sqrt(u); the square root is taken on cell values
     so the result stays defined at u = 0."""
-    u = grid.check_field(_unwrap(u), "u")
+    u = grid.check_field(u, "u")
     if float(u.min()) < -1e-12:
         raise NegativeField(f"grad_sq_root needs u >= 0 (min {float(u.min()):.3e})")
     return grad_sq(np.sqrt(np.maximum(u, 0.0)), grid)
@@ -203,7 +202,7 @@ def grad_sq_root(u, grid: SpatialGrid) -> np.ndarray:
 
 def grad_cell(f, grid: SpatialGrid) -> list:
     """Cell-centered gradient components (mirror ghost cells at boundaries)."""
-    f = grid.check_field(_unwrap(f), "f")
+    f = grid.check_field(f, "f")
     comps = []
     for ax in range(grid.dim):
         axis = ax - grid.dim
@@ -228,7 +227,7 @@ def conservation_residual(out: np.ndarray, grid: SpatialGrid) -> float:
 # serialization
 
 def field_to_csv(values, grid: SpatialGrid, path) -> None:
-    values = grid.check_field(_unwrap(values), "field")
+    values = grid.check_field(values, "field")
     coords = grid.centers()
     flat = values.reshape(-1)
     cols = ["index"] + [f"x{ax}" for ax in range(grid.dim)] + ["value"]
@@ -249,7 +248,7 @@ def field_from_csv(path, grid: SpatialGrid) -> np.ndarray:
 
 def field_to_binary(values, grid: SpatialGrid, path) -> None:
     """Little-endian columnar dump: magic, version, dims, extents, float64 data."""
-    values = grid.check_field(_unwrap(values), "field")
+    values = grid.check_field(values, "field")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", 1, grid.dim))

@@ -13,7 +13,6 @@ from swarmpde.age_discretization import (
     entropy_phi,
     regularize,
     theta_cutoff,
-    theta_cutoff_prime,
 )
 from swarmpde.errors import HypothesisViolation, NegativeInitialData
 from swarmpde.spatial_grid import SpatialGrid
@@ -124,7 +123,6 @@ def test_cutoff_monotone_bounded():
     th = theta_cutoff(r)
     assert np.all(th >= 0.0) and np.all(th <= 1.0)
     assert np.all(np.diff(th) <= 1e-15)
-    assert np.all(theta_cutoff_prime(r) <= 1e-15)
 
 
 def test_regularize_identity_region(rng):

@@ -83,6 +83,10 @@ def test_validate_exponential_passes():
     closed = math.exp(0.5) - 1.0
     assert rep.L0 <= closed + 1e-12
     assert rep.L0 == pytest.approx(closed, abs=0.01)
+    # the report stores the kappas measured at R_max
+    kap = estimate_kappas(spec, 4.0, 256)
+    d = rep.to_dict()
+    assert (d["kappa1_Rmax"], d["kappa2_Rmax"], d["kappa3_Rmax"]) == tuple(kap)
 
 
 def test_validate_zero_lam_fails_h3():
@@ -168,6 +172,10 @@ def test_kappas_ratio_undefined():
     )
     with pytest.raises(RatioUndefined):
         estimate_kappas(spec, 2.0, 128)
+    # the report records the failure once; serializing it does not re-raise
+    rep = validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=64)
+    assert not rep.passed["drift"]
+    assert math.isnan(rep.to_dict()["kappa2_Rmax"])
 
 
 def test_kappas_finite_for_power_family(rng):

@@ -8,7 +8,6 @@ from swarmpde.errors import ConfigMismatch
 from swarmpde.reduced_system import (
     ReducedSpec,
     cross_validate_setups,
-    medvedev_diffusivity,
     reduced_from_model,
     run_reduced,
 )
@@ -54,14 +53,6 @@ def test_homogeneous_swimmer_oracle():
                          np.full(sgrid.shape, v0), T, sample_dt=T, fixed_dt=T / 800.0)
     exact = v0 + (1.0 * m2 / m0) * lam0 * (math.exp(gamma * T) - 1.0) / gamma
     assert np.allclose(result.samples[-1].v, exact, rtol=1e-3)
-
-
-def test_medvedev_diffusivity_limits():
-    eff = medvedev_diffusivity(D0=0.4, k=2.0)
-    assert float(eff(1.0, 0.0)) == pytest.approx(0.4)
-    assert float(eff(0.5, 0.0)) == pytest.approx(0.4)
-    assert float(eff(0.0, 0.0)) == 0.0
-    assert float(eff(1.0, 1.0)) == pytest.approx(0.4 / 3.0)
 
 
 def test_reduced_spec_validation():

@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.errors import UnstableStep
+from swarmpde.model_spec import exponential_family
 from swarmpde.solver_core import (
     RunSetup,
     boundary_inflow,
     initial_state,
     monitor_tstar,
-    positivity_dt,
     run,
     stable_dt,
     step,
 )
-from swarmpde.spatial_grid import SpatialGrid
+from swarmpde.spatial_grid import SpatialGrid, face_diff, face_mean
 
 from conftest import make_spec, steep_switch
 
@@ -46,34 +47,46 @@ def test_boundary_inflow_plateau():
     assert np.all(boundary_inflow(np.zeros(4), reg) == 0.0)
 
 
+def _const(value):
+    return lambda r, *rest: np.full(np.broadcast(np.asarray(r), *rest).shape, value)
+
+
 def test_stable_dt_formula():
-    # D_a = 1 via D = 0.5 and alpha = 0.5; dx = 0.1; no drift
-    spec = make_spec(D=lambda r: np.full_like(np.asarray(r, dtype=float), 0.5))
+    # coarse mesh, D_a = alpha: the age-transport term alpha/2 binds
+    spec = make_spec(D=_const(0.0))
     alpha = 0.5
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     reg = regularize(spec, alpha)
-    sgrid = SpatialGrid(extents=(1.0,), cells=(10,))
-    state = initial_state(np.zeros((grid.I, 10)), np.zeros(10), grid)
-    dt = stable_dt(state, grid, reg, sgrid)
-    assert dt == pytest.approx(0.9 * min(0.005, math.inf, 0.25, 0.01), rel=1e-12)
-    assert dt == pytest.approx(0.0045, rel=1e-12)
+    sgrid = SpatialGrid(extents=(8.0,), cells=(4,))
+    state = initial_state(np.zeros((grid.I, 4)), np.zeros(4), grid)
+    dx = 2.0
+    assert 1.0 / (1.0 / alpha + 0.3 + 2.0 * alpha / dx**2) > alpha / 2.0
+    assert stable_dt(state, grid, reg, sgrid) == pytest.approx(0.9 * alpha / 2.0, rel=1e-12)
 
 
 def test_stable_dt_quadruples_with_dx():
-    spec = make_spec(D=lambda r: np.full_like(np.asarray(r, dtype=float), 0.5))
+    # constant drift coefficient E = 1 on a homogeneous biomass: no face
+    # velocity, but the shadow's effective diffusivity D_a + biomass*E
+    # binds, so the bound scales with dx^2
+    spec = make_spec(D=_const(0.5), E=_const(1.0))
     alpha = 0.5
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     reg = regularize(spec, alpha)
     dts = []
     for cells in (10, 5):
         sgrid = SpatialGrid(extents=(1.0,), cells=(cells,))
-        state = initial_state(np.zeros((grid.I, cells)), np.zeros(cells), grid)
-        dts.append(stable_dt(state, grid, reg, sgrid))
+        state = initial_state(np.ones((grid.I, cells)), np.zeros(cells), grid)
+        lam = float(state.lambda_rec[0])
+        dx = 1.0 / cells
+        dt = stable_dt(state, grid, reg, sgrid)
+        assert dt == pytest.approx(0.9 * dx**2 / (2.0 * (1.0 + lam)), rel=1e-12)
+        dts.append(dt)
     assert dts[1] / dts[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_stable_dt_zero_state():
-    # no drift contribution: the bound is diffusion at D(0)+alpha and alpha/2
+    # D_a = alpha at zero biomass, no drift: the strict convex-combination
+    # rate 1/alpha + M + 2 D_a/dx^2 binds
     spec = make_spec(D=lambda r: np.maximum(r, 0.0))
     alpha = 0.5
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
@@ -81,8 +94,69 @@ def test_stable_dt_zero_state():
     sgrid = SpatialGrid(extents=(1.0,), cells=(10,))
     state = initial_state(np.zeros((grid.I, 10)), np.zeros(10), grid)
     dx = 0.1
-    expected = 0.9 * min(dx**2 / (2 * alpha), alpha / 2, dx**2 / (2 * alpha))
+    expected = 0.9 / (1.0 / alpha + 0.3 + 2.0 * alpha / dx**2)
     assert stable_dt(state, grid, reg, sgrid) == pytest.approx(expected, rel=1e-12)
+
+
+def test_stable_dt_anisotropic_2d():
+    # dx0 = 0.1, dx1 = 1: the per-axis diffusion term of the fine axis binds
+    spec = make_spec(D=_const(0.5))
+    alpha = 0.5
+    grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(1.0, 4.0), cells=(10, 4))
+    state = initial_state(np.zeros((grid.I, 10, 4)), np.zeros((10, 4)), grid)
+    dx0 = 0.1
+    expected = 0.9 * dx0**2 / (2.0 * 2 * 1.0)
+    assert 1.0 / (1.0 / alpha + 0.3 + 2.0 / dx0**2 + 2.0 / 1.0) > dx0**2 / 4.0
+    assert stable_dt(state, grid, reg, sgrid) == pytest.approx(expected, rel=1e-12)
+
+
+def _old_bounds(state, grid, reg, sgrid):
+    """The two bounds the solver used to intersect, written out."""
+    lam, v, dim = state.lambda_rec, state.v, sgrid.dim
+    Da, E_cell = reg.D_alpha(lam), reg.E_alpha(lam, v)
+    d_max = [float(np.max(face_mean(Da, sgrid, ax))) for ax in range(dim)]
+    w_max = [float(np.max(np.abs(face_mean(E_cell, sgrid, ax) * face_diff(lam, sgrid, ax)),
+                          initial=0.0)) for ax in range(dim)]
+    published = [reg.alpha / 2.0]
+    rate = 1.0 / reg.alpha + grid.M
+    rate_shadow = 0.0
+    eff_max = float(np.max(Da + np.maximum(lam, 0.0) * E_cell))
+    for ax, dx in enumerate(sgrid.dx):
+        published.append(dx * dx / (2.0 * dim * max(d_max[ax], 1e-300)))
+        published.append(dx / w_max[ax] if w_max[ax] > 0.0 else math.inf)
+        published.append(dx * dx / (2.0 * dim * reg.alpha))
+        rate += 2.0 * d_max[ax] / (dx * dx) + 2.0 * w_max[ax] / dx
+        rate_shadow += 2.0 * eff_max / (dx * dx)
+    return 0.9 * min(published), 0.9 / max(rate, rate_shadow)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from([0.5, 0.25, 0.125]),
+    dim=st.integers(1, 2),
+    cells=st.integers(8, 20),
+    amp=st.floats(0.0, 1.0),
+    v_amp=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v_amp, seed):
+    # rough cellwise data with empty cells is the worst case for the
+    # convex-combination condition; amplitudes reach the initial cap
+    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0,) * dim, cells=(cells,) + (cells + 3,) * (dim - 1))
+    rng = np.random.default_rng(seed)
+    shape = (grid.I,) + sgrid.shape
+    u0 = amp / (4.0 * alpha**2) * rng.random(shape) * (rng.random(shape) > 0.3)
+    state = initial_state(u0, v_amp * rng.random(sgrid.shape), grid)
+    dt = stable_dt(state, grid, reg, sgrid)
+    assert dt == min(_old_bounds(state, grid, reg, sgrid))
+    _, res = step(state, dt, grid, reg, sgrid, dt)
+    assert res.min_u >= -1e-12 and res.min_v >= -1e-12
+    assert res.courant == pytest.approx(0.9, rel=1e-12)
 
 
 def test_step_hand_example():
@@ -97,7 +171,7 @@ def test_step_hand_example():
     reg = regularize(spec, alpha)
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(np.zeros((1, 4)), np.full(4, 2.0), grid)
-    new_state, res = step(state, 0.1, grid, reg, sgrid)
+    new_state, res = step(state, 0.1, grid, reg, sgrid, stable_dt(state, grid, reg, sgrid))
     assert np.allclose(new_state.u[0], 0.2, atol=1e-15)
     assert res.dt == 0.1
 
@@ -114,9 +188,8 @@ def test_growth_equals_differentiation_keeps_v():
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(0.3 * np.ones((grid.I, 4)), np.full(4, 2.0), grid)
     for _ in range(20):
-        dt = min(stable_dt(state, grid, reg, sgrid),
-                 positivity_dt(state, grid, reg, sgrid))
-        state, _ = step(state, dt, grid, reg, sgrid)
+        dt = stable_dt(state, grid, reg, sgrid)
+        state, _ = step(state, dt, grid, reg, sgrid, dt)
     assert np.allclose(state.v, 2.0, atol=1e-13)
 
 
@@ -166,7 +239,21 @@ def test_unstable_step_raises():
     state = initial_state(u0, np.zeros(16), grid)
     with pytest.raises(UnstableStep):
         for _ in range(50):
-            state, _ = step(state, 0.05, grid, reg, sgrid)
+            state, _ = step(state, 0.05, grid, reg, sgrid,
+                            stable_dt(state, grid, reg, sgrid))
+
+
+def test_run_reports_min_u_and_min_v_separately():
+    # no inflow and no bins: every bin stays exactly 0 while the swimmers
+    # decay homogeneously, so v's running minimum is its final value
+    spec = make_spec(g=lambda s: np.full_like(np.asarray(s, dtype=float), -0.5))
+    setup = _setup(spec, 0.25, 1.0, 16, v0=np.full(16, 0.8), T=0.5, sample_dt=0.25)
+    result = run(setup)
+    final_v = result.samples[-1].v
+    assert float(final_v.max()) < 0.8
+    assert result.record.min_u_run == 0.0
+    assert result.record.min_v_run > 0.0
+    assert result.record.min_v_run == float(final_v.min())
 
 
 def test_homogeneous_matches_ode_oracle():
