@@ -210,14 +210,16 @@ class RegularizedModel:
     def D_alpha(self, r):
         return np.asarray(self.spec.D(r), dtype=float) + self.alpha
 
+    def _box(self, x):
+        # np.clip's values (only a -0.0 argument comes out as +0.0) at a
+        # fraction of its call cost
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), self.clamp)
+
     def E_alpha(self, r, s):
-        r = np.clip(np.asarray(r, dtype=float), 0.0, self.clamp)
-        s = np.clip(np.asarray(s, dtype=float), 0.0, self.clamp)
-        return np.asarray(self.spec.E(r, s), dtype=float)
+        return np.asarray(self.spec.E(self._box(r), self._box(s)), dtype=float)
 
     def xi_alpha(self, s):
-        s = np.clip(np.asarray(s, dtype=float), 0.0, self.clamp)
-        return np.asarray(self.spec.xi(s), dtype=float)
+        return np.asarray(self.spec.xi(self._box(s)), dtype=float)
 
 
 def regularize(spec: ModelSpec, alpha: float) -> RegularizedModel:

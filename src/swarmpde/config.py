@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .age_discretization import AgeGrid, age_average_initial, build_age_grid, regularize
+from .age_discretization import age_average_initial, build_age_grid, regularize
 from .errors import ConfigInvalid
 from .model_spec import (
     ModelSpec,

@@ -16,7 +16,7 @@ shrink under simultaneous refinement of bin width, mesh and step size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -293,7 +293,7 @@ class DiagnosticsRecorder:
             float(np.max(np.abs(state.lambda_rec - state.lambda_ev)))
         )
         rows["max_u"].append(max_u)
-        rows["min_u"].append(float(state.u.min(initial=0.0)))
+        rows["min_u"].append(float(state.u.min()))
         rows["min_v"].append(float(state.v.min()))
         rows["min_Lambda"].append(float(lam.min()))
         rows["kbound_margin"].append(

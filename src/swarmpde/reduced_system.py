@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigMismatch, UnstableStep
 from .model_spec import ModelSpec
 from .solver_core import RunSetup, _sample_times, initial_state, run
-from .spatial_grid import SpatialGrid, drift_diffusion_div, face_mean
+from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean
 from . import diagnostics as diag
 
 __all__ = [
@@ -87,8 +87,9 @@ class ReducedResult:
 def _reduced_div(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> np.ndarray:
     # same face treatment as the full solver's bin fluxes: arithmetic mean
     # of D, upwind donor biomass against the drift face velocity
-    return drift_diffusion_div(lam, lam, np.asarray(rspec.D(lam), dtype=float),
-                               np.asarray(rspec.E(lam, v), dtype=float), lam, sgrid)
+    faces = drift_faces(np.asarray(rspec.D(lam), dtype=float),
+                        np.asarray(rspec.E(lam, v), dtype=float), lam, sgrid)
+    return drift_diffusion_div(lam, lam, faces, sgrid)
 
 
 def _reduced_dt(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:

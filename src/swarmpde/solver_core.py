@@ -8,19 +8,27 @@ system telescopes to arithmetic means, so the sup-norm gap between the
 two is a genuine second-order consistency metric instead of collapsing
 to roundoff.
 
-Updates are explicit Euler under one step-size bound, ``stable_dt``,
-that keeps every update a convex combination of nonnegative quantities;
-nonnegativity then holds without clipping beyond roundoff.  The bound
-evaluates the coefficients once and is 0.9 times the smallest of four
-limits: the age-transport stiffness alpha/2, the per-axis diffusion
-limit dx^2/(2 dim max D_face) (it can bind on anisotropic 2D meshes),
-the strict convex-combination rate (diffusion and drift outflow, age
-transport and decay), and the rate of the shadow biomass, whose drift
-acts as diffusion with coefficient D_a + biomass*E.  Two published
-terms are left out because they can never bind: the drift CFL
-dx/max|w| is at least twice the convex-combination limit, and the
-swimmer limit dx^2/(2 dim alpha) is never below the diffusion limit
-since D_face >= alpha.
+Updates are explicit Euler.  Each step starts from one coefficient
+record, ``step_coefficients``: D_alpha and E_alpha of the reconstructed
+biomass are evaluated once, turned into per-axis face diffusivities and
+drift face velocities, and reduced to the step-size bound ``dt_max``
+(``stable_dt`` returns that bound alone).  The bin flux reuses the
+record's face data, so the coefficients are never rebuilt within a
+step.  The bound keeps every update a convex combination of nonnegative
+quantities; nonnegativity then holds without clipping beyond roundoff.
+It is 0.9 times the smallest of four limits: the age-transport
+stiffness alpha/2, the per-axis diffusion limit dx^2/(2 dim max D_face)
+(it can bind on anisotropic 2D meshes), the strict convex-combination
+rate (diffusion and drift outflow, age transport and decay), and the
+rate of the shadow biomass, whose drift acts as diffusion with
+coefficient D_a + biomass*E.  Two published terms are left out because
+they can never bind: the drift CFL dx/max|w| is at least twice the
+convex-combination limit, and the swimmer limit dx^2/(2 dim alpha) is
+never below the diffusion limit since D_face >= alpha.
+
+The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2,
+so while every bin density stays on that plateau the cutoff is skipped
+and the drift transports u itself; the result is bitwise the same.
 
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
@@ -43,8 +51,7 @@ from .spatial_grid import (
     SpatialGrid,
     div_flux,
     drift_diffusion_div,
-    face_diff,
-    face_mean,
+    drift_faces,
     harmonic_mean,
     laplacian,
 )
@@ -54,10 +61,12 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "SimState",
     "StepResult",
+    "StepCoefficients",
     "TrajectorySample",
     "RunSetup",
     "RunResult",
     "boundary_inflow",
+    "step_coefficients",
     "stable_dt",
     "step",
     "monitor_tstar",
@@ -86,11 +95,24 @@ class SimState:
 @dataclass(frozen=True)
 class StepResult:
     dt: float
-    courant: float            # dt over the stability limit stable_dt/0.9; <= 0.9 in run
+    courant: float            # dt over the stability limit dt_max/0.9; <= 0.9 in run
     min_u: float              # raw minima before the roundoff clip
     min_v: float
     identity_residual: float  # sup |reconstructed - shadow biomass|
     conservation_residual: float
+
+
+@dataclass(frozen=True)
+class StepCoefficients:
+    """Coefficient data of one state, built once per step and not kept.
+
+    ``faces`` holds per axis the arithmetic face mean of D_alpha and the
+    drift face velocity w = face_mean(E_alpha) * grad(biomass), both of
+    the reconstructed biomass; ``dt_max`` is the step-size bound.
+    """
+
+    faces: tuple
+    dt_max: float
 
 
 @dataclass(frozen=True)
@@ -128,14 +150,18 @@ class RunResult:
 def boundary_inflow(v: np.ndarray, reg: RegularizedModel) -> np.ndarray:
     """Age-zero inflow xi(v)*v; zero wherever v <= 0 since xi vanishes there."""
     v = np.asarray(v, dtype=float)
-    return np.where(v > 0.0, reg.xi_alpha(v) * v, 0.0)
+    return _inflow(v, reg.xi_alpha(v))
 
 
-def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
-              sgrid: SpatialGrid) -> float:
-    """The one step-size bound: 0.9 times the smallest stability limit.
+def _inflow(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    return np.where(v > 0.0, xi * v, 0.0)
 
-    dt = 0.9 * min( alpha/2, dx^2/(2 dim max D_face) per axis,
+
+def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
+                      sgrid: SpatialGrid) -> StepCoefficients:
+    """The coefficient record of ``state``: face data and the one step-size bound.
+
+    dt_max = 0.9 * min( alpha/2, dx^2/(2 dim max D_face) per axis,
     1/max(rate, rate_shadow) ) where rate = 1/alpha + M + sum over axes
     of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
     rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the shadow
@@ -144,19 +170,25 @@ def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     lam = state.lambda_rec
     Da = reg.D_alpha(lam)
     E_cell = reg.E_alpha(lam, state.v)
+    faces = drift_faces(Da, E_cell, lam, sgrid)
     eff_max = float(np.max(Da + np.maximum(lam, 0.0) * E_cell))
     bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
-    for ax in range(sgrid.dim):
-        dx = sgrid.dx[ax]
-        d_max = float(np.max(face_mean(Da, sgrid, ax)))
-        w = face_mean(E_cell, sgrid, ax) * face_diff(lam, sgrid, ax)
+    for dx, (D_face, w) in zip(sgrid.dx, faces):
+        d_max = float(np.max(D_face))
         w_max = float(np.max(np.abs(w), initial=0.0))
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
-    return min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
+    dt_max = min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
+    return StepCoefficients(faces=faces, dt_max=dt_max)
+
+
+def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
+              sgrid: SpatialGrid) -> float:
+    """The one step-size bound of ``state`` (see ``step_coefficients``)."""
+    return step_coefficients(state, grid, reg, sgrid).dt_max
 
 
 def _shadow_div(lam_ev, lam_rec, v, reg, sgrid: SpatialGrid) -> np.ndarray:
@@ -164,13 +196,13 @@ def _shadow_div(lam_ev, lam_rec, v, reg, sgrid: SpatialGrid) -> np.ndarray:
     # diffusivity (the bin sum telescopes to arithmetic; D_a >= alpha > 0),
     # drift transporting the reconstructed biomass with the shadow's own
     # face velocity.
-    return drift_diffusion_div(lam_ev, lam_rec, reg.D_alpha(lam_ev),
-                               reg.E_alpha(lam_ev, v), lam_ev, sgrid,
-                               mean=harmonic_mean)
+    faces = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
+                        mean=harmonic_mean)
+    return drift_diffusion_div(lam_ev, lam_rec, faces, sgrid)
 
 
 def _reconstruct(u: np.ndarray, grid: AgeGrid) -> np.ndarray:
-    return grid.alpha * np.tensordot(grid.lam[: grid.I], u, axes=(0, 0))
+    return grid.alpha * (grid.lam[: grid.I] @ u.reshape(grid.I, -1)).reshape(u.shape[1:])
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid) -> SimState:
@@ -181,33 +213,36 @@ def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid) -> SimState:
 
 
 def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
-         sgrid: SpatialGrid, dt_max: float) -> tuple:
+         sgrid: SpatialGrid, coeffs: StepCoefficients) -> tuple:
     """One explicit Euler update of the full system.
 
-    ``dt_max`` is ``stable_dt`` of ``state``; it only scales the reported
-    Courant number, and nonnegativity requires dt <= dt_max.
+    ``coeffs`` is ``step_coefficients`` of ``state``; the bin flux uses
+    its face data, its ``dt_max`` scales the reported Courant number,
+    and nonnegativity requires dt <= dt_max.
     """
     I, alpha = grid.I, grid.alpha
     u, v = state.u, state.v
     lam_rec, lam_ev = state.lambda_rec, state.lambda_ev
     col = (I,) + (1,) * sgrid.dim
+    u_rows = u.reshape(I, -1)
 
-    inflow = boundary_inflow(v, reg)
-    div_u = div_flux(u, lam_rec, v, reg, sgrid)
+    xi = reg.xi_alpha(v)
+    inflow = _inflow(v, xi)
+    div_u = div_flux(u, lam_rec, v, reg, sgrid, faces=coeffs.faces)
     u_prev = np.concatenate([inflow[None], u[:-1]], axis=0)
     mu_i = grid.mu[:I].reshape(col)
     new_u = u + dt * (div_u - (u - u_prev) / alpha - mu_i * u)
 
     lap_v = laplacian(v, sgrid)
-    source_v = (np.asarray(reg.spec.g(v), dtype=float) - reg.xi_alpha(v)) * v
-    source_v += alpha * np.tensordot(grid.b[:I] * grid.mu[:I], u, axes=(0, 0))
+    source_v = (np.asarray(reg.spec.g(v), dtype=float) - xi) * v
+    source_v += alpha * ((grid.b[:I] * grid.mu[:I]) @ u_rows).reshape(v.shape)
     new_v = v + dt * (alpha * lap_v + source_v)
 
     div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid)
     source_ev = grid.lam[0] * inflow
-    source_ev += alpha * np.tensordot(
-        grid.lam_star - grid.mu[:I] * grid.lam[:I], u, axes=(0, 0)
-    )
+    source_ev += alpha * (
+        (grid.lam_star - grid.mu[:I] * grid.lam[:I]) @ u_rows
+    ).reshape(v.shape)
     source_ev -= grid.lam[I] * u[I - 1]
     new_ev = lam_ev + dt * (div_ev + source_ev)
 
@@ -238,17 +273,20 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         1e-300,
     )
 
+    # no bin is inside the cutoff while the largest is on its plateau
+    activations = 0
+    if alpha * alpha * new_u.max() > 0.5:
+        activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5))
     new_state = SimState(
         u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev,
         t=state.t + dt, step_count=state.step_count + 1,
         tstar_crossed=state.tstar_crossed,
-        theta_activations=state.theta_activations
-        + int(np.count_nonzero(alpha * alpha * new_u > 0.5)),
+        theta_activations=state.theta_activations + activations,
     )
     monitor_tstar(new_state, alpha)
     result = StepResult(
         dt=dt,
-        courant=_SAFETY * dt / dt_max,
+        courant=_SAFETY * dt / coeffs.dt_max,
         min_u=min_u,
         min_v=min_v,
         identity_residual=float(np.max(np.abs(new_rec - new_ev))),
@@ -283,9 +321,10 @@ def _sample_times(T: float, sample_dt: float) -> np.ndarray:
 def run(setup: RunSetup) -> RunResult:
     """Integrate to the horizon with adaptive steps, sampling diagnostics.
 
-    The step size is the minimum of ``stable_dt``, the fixed step if one
-    is set, and the distance to the next sample time, so samples land
-    exactly on the cadence grid and runs are deterministic.
+    The step size is the minimum of the coefficient record's ``dt_max``,
+    the fixed step if one is set, and the distance to the next sample
+    time, so samples land exactly on the cadence grid and runs are
+    deterministic.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     state = initial_state(setup.u0, setup.v0, grid)
@@ -309,11 +348,11 @@ def run(setup: RunSetup) -> RunResult:
 
     for t_target in _sample_times(setup.T, setup.sample_dt):
         while state.t < t_target - 1e-12 * max(setup.T, 1.0):
-            dt_max = stable_dt(state, grid, reg, sgrid)
-            dt = min(dt_max, t_target - state.t)
+            coeffs = step_coefficients(state, grid, reg, sgrid)
+            dt = min(coeffs.dt_max, t_target - state.t)
             if setup.fixed_dt is not None:
                 dt = min(dt, setup.fixed_dt)
-            state, sres = step(state, dt, grid, reg, sgrid, dt_max)
+            state, sres = step(state, dt, grid, reg, sgrid, coeffs)
             recorder.on_step(sres)
             if not clamp_warned:
                 reach = max(float(state.lambda_rec.max()), float(state.v.max()))

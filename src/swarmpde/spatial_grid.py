@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import GridMismatch, NegativeField
 __all__ = [
     "SpatialGrid",
     "div_flux",
+    "drift_faces",
     "drift_diffusion_div",
     "laplacian",
     "grad_sq",
@@ -62,7 +64,7 @@ class SpatialGrid:
         if any(e <= 0.0 for e in self.extents):
             raise ValueError("extents must be positive")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.cells)
 
@@ -74,11 +76,11 @@ class SpatialGrid:
     def ncells(self) -> int:
         return int(np.prod(self.cells))
 
-    @property
+    @cached_property
     def dx(self) -> tuple:
         return tuple(e / c for e, c in zip(self.extents, self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 
@@ -109,7 +111,7 @@ def _sl(arr: np.ndarray, axis: int, sl: slice) -> np.ndarray:
 def face_diff(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     """Centered gradient on interior faces along axis ax."""
     axis = ax - grid.dim
-    return np.diff(f, axis=axis) / grid.dx[ax]
+    return (_sl(f, axis, slice(1, None)) - _sl(f, axis, slice(None, -1))) / grid.dx[ax]
 
 
 def face_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
@@ -127,43 +129,68 @@ def harmonic_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
 def apply_face_flux(out: np.ndarray, flux: np.ndarray, grid: SpatialGrid, ax: int) -> None:
     """Accumulate the divergence of an interior-face flux into ``out``."""
     axis = ax - grid.dim
-    inv_dx = 1.0 / grid.dx[ax]
-    _sl(out, axis, slice(None, -1))[...] += flux * inv_dx
-    _sl(out, axis, slice(1, None))[...] -= flux * inv_dx
+    scaled = flux * (1.0 / grid.dx[ax])
+    _sl(out, axis, slice(None, -1))[...] += scaled
+    _sl(out, axis, slice(1, None))[...] -= scaled
 
 
-def drift_diffusion_div(f, q, D_cell, E_cell, lam, grid: SpatialGrid,
-                        mean=face_mean) -> np.ndarray:
-    """Divergence of the face flux mean(D) grad f + q_donor * w.
+def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
+    """Per-axis face data ``(mean(D), w)`` of the drift-diffusion flux.
 
-    The drift face velocity is w = face_mean(E) * grad(lam); the
-    transported quantity q is taken from the donor cell selected by the
-    sign of w, so a face with w > 0 feeds the left cell.  ``f`` and ``q``
-    may carry leading (per-bin) axes; the coefficients are grid fields.
+    The drift face velocity is w = face_mean(E) * grad(lam).  Built once
+    from grid fields, the faces serve every per-bin field that shares
+    the coefficients.
+    """
+    return tuple(
+        (mean(D_cell, grid, ax), face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax))
+        for ax in range(grid.dim)
+    )
+
+
+def drift_diffusion_div(f, q, faces, grid: SpatialGrid) -> np.ndarray:
+    """Divergence of the face flux D_face grad f + q_donor * w.
+
+    ``faces`` comes from ``drift_faces``; the transported quantity q is
+    taken from the donor cell selected by the sign of w, so a face with
+    w > 0 feeds the left cell.  ``f`` and ``q`` may carry leading
+    (per-bin) axes.
     """
     out = np.zeros_like(f)
-    for ax in range(grid.dim):
+    for ax, (D_face, w) in enumerate(faces):
         axis = ax - grid.dim
-        w = face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax)
         q_face = np.where(w > 0.0, _sl(q, axis, slice(1, None)), _sl(q, axis, slice(None, -1)))
-        flux = mean(D_cell, grid, ax) * face_diff(f, grid, ax) + q_face * w
-        apply_face_flux(out, flux, grid, ax)
+        apply_face_flux(out, D_face * face_diff(f, grid, ax) + q_face * w, grid, ax)
     return out
 
 
-def div_flux(u, lam_total, v, reg, grid: SpatialGrid) -> np.ndarray:
+def _cutoff_density(u, reg) -> np.ndarray:
+    """The drift's transported density u * theta(alpha^2 u).
+
+    theta is exactly 1 for alpha^2 u <= 1/2, so when the largest bin
+    density sits on that plateau the result is u itself, bit for bit,
+    and the cutoff is not evaluated.
+    """
+    if reg.alpha**2 * u.max() <= 0.5:
+        return u
+    return u * reg.theta(reg.alpha**2 * u)
+
+
+def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None) -> np.ndarray:
     """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
 
     Arithmetic face mean of the diffusivity; the drift transports the
     cutoff-weighted density u*Theta upwind (see ``drift_diffusion_div``).
+    ``faces`` are the ``drift_faces`` of ``D_a(lam_total)`` and
+    ``E_a(lam_total, v)`` when the caller has built them already.
     """
     u = grid.check_field(u, "u")
     lam = grid.check_field(lam_total, "biomass")
     vv = grid.check_field(v, "v")
     if lam.shape != grid.shape or vv.shape != grid.shape:
         raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
-    q = u * reg.theta(reg.alpha**2 * u)
-    return drift_diffusion_div(u, q, reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid)
+    if faces is None:
+        faces = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid)
+    return drift_diffusion_div(u, _cutoff_density(u, reg), faces, grid)
 
 
 def laplacian(f, grid: SpatialGrid) -> np.ndarray:

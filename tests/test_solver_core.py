@@ -5,19 +5,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from swarmpde.age_discretization import build_age_grid, regularize
+from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
 from swarmpde.errors import UnstableStep
 from swarmpde.model_spec import exponential_family
 from swarmpde.solver_core import (
     RunSetup,
+    SimState,
+    StepResult,
     boundary_inflow,
     initial_state,
     monitor_tstar,
     run,
     stable_dt,
     step,
+    step_coefficients,
 )
-from swarmpde.spatial_grid import SpatialGrid, face_diff, face_mean
+from swarmpde.spatial_grid import (
+    SpatialGrid,
+    div_flux,
+    drift_diffusion_div,
+    drift_faces,
+    face_diff,
+    face_mean,
+    harmonic_mean,
+    laplacian,
+)
 
 from conftest import make_spec, steep_switch
 
@@ -152,11 +164,112 @@ def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v
     shape = (grid.I,) + sgrid.shape
     u0 = amp / (4.0 * alpha**2) * rng.random(shape) * (rng.random(shape) > 0.3)
     state = initial_state(u0, v_amp * rng.random(sgrid.shape), grid)
-    dt = stable_dt(state, grid, reg, sgrid)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    dt = coeffs.dt_max
+    assert dt == stable_dt(state, grid, reg, sgrid)
     assert dt == min(_old_bounds(state, grid, reg, sgrid))
-    _, res = step(state, dt, grid, reg, sgrid, dt)
+    _, res = step(state, dt, grid, reg, sgrid, coeffs)
     assert res.min_u >= -1e-12 and res.min_v >= -1e-12
     assert res.courant == pytest.approx(0.9, rel=1e-12)
+
+
+def _reference_step(state, dt, grid, reg, sgrid):
+    """One explicit step written out from the public operators: the bin
+    flux rebuilds its coefficients and always evaluates the cutoff."""
+    I, alpha = grid.I, grid.alpha
+    u, v, lam, lam_ev = state.u, state.v, state.lambda_rec, state.lambda_ev
+    faces = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, v), lam, sgrid)
+    div_u = drift_diffusion_div(u, u * theta_cutoff(alpha**2 * u), faces, sgrid)
+    assert np.array_equal(div_flux(u, lam, v, reg, sgrid), div_u)
+    inflow = boundary_inflow(v, reg)
+    u_prev = np.concatenate([inflow[None], u[:-1]], axis=0)
+    mu_i = grid.mu[:I].reshape((I,) + (1,) * sgrid.dim)
+    new_u = u + dt * (div_u - (u - u_prev) / alpha - mu_i * u)
+    lap_v = laplacian(v, sgrid)
+    source_v = (np.asarray(reg.spec.g(v), dtype=float) - reg.xi_alpha(v)) * v
+    source_v += alpha * np.tensordot(grid.b[:I] * grid.mu[:I], u, axes=(0, 0))
+    new_v = v + dt * (alpha * lap_v + source_v)
+    ev_faces = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
+                           mean=harmonic_mean)
+    div_ev = drift_diffusion_div(lam_ev, lam, ev_faces, sgrid)
+    source_ev = grid.lam[0] * inflow
+    source_ev += alpha * np.tensordot(grid.lam_star - grid.mu[:I] * grid.lam[:I], u,
+                                      axes=(0, 0))
+    source_ev -= grid.lam[I] * u[I - 1]
+    new_ev = lam_ev + dt * (div_ev + source_ev)
+    min_u, min_v = float(new_u.min()), float(new_v.min())
+    new_u, new_v = np.maximum(new_u, 0.0), np.maximum(new_v, 0.0)
+    new_rec = alpha * np.tensordot(grid.lam[:I], new_u, axes=(0, 0))
+    vol = sgrid.cell_volume
+    cons = max(float(np.max(np.abs(div_u.reshape(I, -1).sum(axis=1)))),
+               abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
+    cons_scale = max(float(np.sum(np.abs(div_u))) * vol,
+                     float(np.sum(np.abs(lap_v))) * vol, 1e-300)
+    activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5))
+    result = StepResult(
+        dt=dt, courant=0.9 * dt / stable_dt(state, grid, reg, sgrid),
+        min_u=min_u, min_v=min_v,
+        identity_residual=float(np.max(np.abs(new_rec - new_ev))),
+        conservation_residual=cons / cons_scale,
+    )
+    return new_u, new_v, new_rec, new_ev, activations, result
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("top", [0.3, 0.5, 0.8], ids=["plateau", "edge", "cutoff"])
+def test_step_with_record_matches_reference_bitwise(cells, top):
+    # top is alpha^2 max(u): below, exactly at and above the cutoff plateau
+    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    alpha = 0.25
+    grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0,) * len(cells), cells=cells)
+    rng = np.random.default_rng(7)
+    shape = (grid.I,) + cells
+    u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
+    u0.reshape(-1)[3] = top / alpha**2
+    assert alpha**2 * u0.max() == top
+    seed = initial_state(u0, 0.5 * rng.random(cells), grid)
+    state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
+                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+                     theta_activations=5)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    dt = coeffs.dt_max
+    new_state, res = step(state, dt, grid, reg, sgrid, coeffs)
+    new_u, new_v, new_rec, new_ev, activations, ref = _reference_step(
+        state, dt, grid, reg, sgrid)
+    assert np.array_equal(new_state.u, new_u)
+    assert np.array_equal(new_state.v, new_v)
+    assert np.array_equal(new_state.lambda_rec, new_rec)
+    assert np.array_equal(new_state.lambda_ev, new_ev)
+    assert new_state.theta_activations == 5 + activations
+    assert np.all(theta_cutoff(alpha**2 * state.u) == 1.0) == (top <= 0.5)
+    assert res == ref
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(
+    alpha=st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32]),
+    cells=st.integers(4, 12),
+    near=st.floats(0.9, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_step_near_cap_keeps_negative_tolerance(alpha, cells, near, seed):
+    # bin densities up to the cap 1/alpha^2 (1024 at alpha = 1/32) next to
+    # empty and nearly empty cells: the absolute tolerance on negative
+    # values must not trip
+    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0,), cells=(cells,))
+    rng = np.random.default_rng(seed)
+    shape = (grid.I, cells)
+    u0 = near / alpha**2 * (0.9 + 0.1 * rng.random(shape)) * rng.choice([0.0, 1e-9, 1.0],
+                                                                         size=shape)
+    state = initial_state(u0, rng.random(cells) / alpha, grid)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    _, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs)
+    assert res.min_u >= -1e-12 and res.min_v >= -1e-12
 
 
 def test_step_hand_example():
@@ -171,7 +284,8 @@ def test_step_hand_example():
     reg = regularize(spec, alpha)
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(np.zeros((1, 4)), np.full(4, 2.0), grid)
-    new_state, res = step(state, 0.1, grid, reg, sgrid, stable_dt(state, grid, reg, sgrid))
+    new_state, res = step(state, 0.1, grid, reg, sgrid,
+                          step_coefficients(state, grid, reg, sgrid))
     assert np.allclose(new_state.u[0], 0.2, atol=1e-15)
     assert res.dt == 0.1
 
@@ -188,8 +302,8 @@ def test_growth_equals_differentiation_keeps_v():
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(0.3 * np.ones((grid.I, 4)), np.full(4, 2.0), grid)
     for _ in range(20):
-        dt = stable_dt(state, grid, reg, sgrid)
-        state, _ = step(state, dt, grid, reg, sgrid, dt)
+        coeffs = step_coefficients(state, grid, reg, sgrid)
+        state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs)
     assert np.allclose(state.v, 2.0, atol=1e-13)
 
 
@@ -240,7 +354,7 @@ def test_unstable_step_raises():
     with pytest.raises(UnstableStep):
         for _ in range(50):
             state, _ = step(state, 0.05, grid, reg, sgrid,
-                            stable_dt(state, grid, reg, sgrid))
+                            step_coefficients(state, grid, reg, sgrid))
 
 
 def test_run_reports_min_u_and_min_v_separately():
@@ -254,6 +368,18 @@ def test_run_reports_min_u_and_min_v_separately():
     assert result.record.min_u_run == 0.0
     assert result.record.min_v_run > 0.0
     assert result.record.min_v_run == float(final_v.min())
+
+
+def test_min_u_series_is_the_true_minimum():
+    # strictly positive bins: every sampled minimum is positive and is
+    # the minimum of the sampled bins
+    spec = make_spec(xi=steep_switch(0.4))
+    setup = _setup(spec, 0.25, 1.0, 16, u0=np.full((4, 16), 0.6), v0=np.full(16, 0.4),
+                   T=0.2, sample_dt=0.1)
+    result = run(setup)
+    series = result.record.series["min_u"]
+    assert np.all(series > 0.0)
+    assert list(series) == [float(s.u.min()) for s in result.samples]
 
 
 def test_homogeneous_matches_ode_oracle():
