@@ -25,7 +25,7 @@ from . import config as config_mod
 from . import diagnostics as diag
 from . import reduced_system
 from .errors import ConfigInvalid, SwarmPDEError
-from .solver_core import run
+from .solver_core import initial_state, run
 from .spatial_grid import field_to_binary, field_to_csv
 
 logger = logging.getLogger(__name__)
@@ -124,9 +124,7 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
     rspec = reduced_system.reduced_from_model(
         setup.spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau
     )
-    lam0 = setup.agegrid.alpha * np.tensordot(
-        setup.agegrid.lam[: setup.agegrid.I], setup.u0, axes=(0, 0)
-    )
+    lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
     result = reduced_system.run_reduced(
         rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
         fixed_dt=setup.fixed_dt,

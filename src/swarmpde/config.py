@@ -44,7 +44,6 @@ __all__ = [
     "parse_config",
     "config_hash",
     "build_model_spec",
-    "build_spatial_grid",
     "build_initial_data",
     "build_run_setup",
     "build_sweep_plan",
@@ -63,7 +62,6 @@ class ModelConfig:
     xi0: float = 0.4
     xi_support: tuple = (0.2, 2.0)
     g0: Optional[float] = None     # default 1/tau
-    a_max_hint: float = 4.0
     tables: dict = field(default_factory=dict)  # name -> CSV path (tables family)
 
 
@@ -283,7 +281,7 @@ def build_model_spec(cfg: RunConfig) -> ModelSpec:
         return exponential_family(
             m0=m.m0, tau=m.tau, mu_const=m.mu, D0=m.D0, theta=m.theta,
             xi0=m.xi0, xi_support=tuple(m.xi_support),
-            g0=m.g0, drift=m.drift, a_max_hint=m.a_max_hint,
+            g0=m.g0, drift=m.drift,
         )
     # tables family: 1D piecewise-linear coefficient tables from CSV
     funcs = {}
@@ -326,12 +324,7 @@ def build_model_spec(cfg: RunConfig) -> ModelSpec:
     return ModelSpec(
         lam=funcs["lam"], b=funcs["b"], mu=funcs["mu"], D=Dfun, E=Efun,
         g=gfun, xi=xifun, zeta2=z2_eval, zeta2_prime=z2p,
-        tau=m.tau, a_max_hint=m.a_max_hint,
     )
-
-
-def build_spatial_grid(cfg: RunConfig) -> SpatialGrid:
-    return SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
 
 
 def _space_profile(coords: np.ndarray, extents, eps: float, k: int) -> np.ndarray:
@@ -382,7 +375,7 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
         report = validate_hypotheses(
             spec, R_max=1.0 / cfg.alpha, A_max=cfg.a_max, n_samples=128
         )
-    sgrid = build_spatial_grid(cfg)
+    sgrid = SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
     agegrid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     reg = regularize(spec, cfg.alpha)
     u0_fun, v0 = build_initial_data(cfg, sgrid)

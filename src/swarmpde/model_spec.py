@@ -101,8 +101,6 @@ class ModelSpec:
     xi: Callable           # differentiation rate, 0 for s <= 0
     zeta2: Callable        # drift transform of the data assumptions
     zeta2_prime: Callable  # its derivative (user-supplied)
-    tau: float = 1.0       # time scale of the canonical exponential family
-    a_max_hint: float = 4.0  # age beyond which initial data is negligible
 
 
 @dataclass(frozen=True)
@@ -229,12 +227,17 @@ def zeta1(spec: ModelSpec, r: float) -> float:
         return 2.0 * math.sqrt(d)
 
     qr = math.sqrt(r)
-    pts = [qr * 2.0 ** (-j) for j in range(1, 24)]
+    # geometric break points resolve the degeneracy at 0; a tabulated D
+    # has a kink at every knot, so each knot inside (0, r) breaks too
+    knots = np.sqrt(np.maximum(getattr(spec.D, "abscissae", ()), 0.0))
+    pts = np.unique(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
+    pts = pts[(pts > 0.0) & (pts < qr)]
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         try:
             value, err = integrate.quad(
-                integrand, 0.0, qr, points=pts, limit=400, epsabs=1e-12, epsrel=1e-12
+                integrand, 0.0, qr, points=pts, limit=400 + pts.size,
+                epsabs=1e-12, epsrel=1e-12,
             )
         except Exception as exc:  # scipy signals non-integrable behaviour
             raise QuadratureDivergence(str(exc)) from exc
@@ -512,7 +515,6 @@ def exponential_family(
     xi_support: tuple = (0.2, 2.0),
     g0: float | None = None,
     drift: str = "dprime",
-    a_max_hint: float = 4.0,
 ) -> ModelSpec:
     """Reference family used throughout the simulation literature.
 
@@ -576,14 +578,15 @@ def exponential_family(
 
     return ModelSpec(
         lam=lam, b=bfun, mu=mufun, D=Dfun, E=Efun, g=gfun, xi=xifun,
-        zeta2=z2, zeta2_prime=z2p, tau=tau, a_max_hint=a_max_hint,
+        zeta2=z2, zeta2_prime=z2p,
     )
 
 
 def tabulated_function(abscissae, values) -> Callable:
     """Piecewise-linear function from a (abscissa, value) table.
 
-    Values are held constant beyond the table range.
+    Values are held constant beyond the table range.  The returned
+    function carries the table's ``abscissae``, where it has its kinks.
     """
     xs = np.asarray(abscissae, dtype=float)
     ys = np.asarray(values, dtype=float)
@@ -595,4 +598,5 @@ def tabulated_function(abscissae, values) -> Callable:
     def f(x):
         return np.interp(np.asarray(x, dtype=float), xs, ys)
 
+    f.abscissae = xs
     return f

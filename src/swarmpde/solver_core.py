@@ -30,6 +30,11 @@ The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2,
 so while every bin density stays on that plateau the cutoff is skipped
 and the drift transports u itself; the result is bitwise the same.
 
+The new fields are checked from one min and one max each: NaN and
++-inf show in those extremes, so no finiteness scan is needed; the
+minima of u and v meet the roundoff tolerance, and alpha^2 max u > 1/2
+says the cutoff acted, counts activations and latches tstar_crossed.
+
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
 """
@@ -69,7 +74,6 @@ __all__ = [
     "step_coefficients",
     "stable_dt",
     "step",
-    "monitor_tstar",
     "run",
     "initial_state",
 ]
@@ -98,7 +102,6 @@ class StepResult:
     courant: float            # dt over the stability limit dt_max/0.9; <= 0.9 in run
     min_u: float              # raw minima before the roundoff clip
     min_v: float
-    identity_residual: float  # sup |reconstructed - shadow biomass|
     conservation_residual: float
 
 
@@ -246,11 +249,14 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     source_ev -= grid.lam[I] * u[I - 1]
     new_ev = lam_ev + dt * (div_ev + source_ev)
 
-    min_u, min_v = float(new_u.min()), float(new_v.min())
-    min_cell = min(min_u, min_v)
-    if not (np.all(np.isfinite(new_u)) and np.all(np.isfinite(new_v))
-            and np.all(np.isfinite(new_ev))):
+    # one min and one max per new field: NaN propagates through both and
+    # +-inf shows in one of them, so six finite floats mean finite fields
+    min_u, max_u = float(new_u.min()), float(new_u.max())
+    min_v, max_v = float(new_v.min()), float(new_v.max())
+    extremes = (min_u, max_u, min_v, max_v, float(new_ev.min()), float(new_ev.max()))
+    if not all(map(math.isfinite, extremes)):
         raise UnstableStep(f"non-finite state at t={state.t + dt:.6g}")
+    min_cell = min(min_u, min_v)
     if min_cell < _NEG_TOL:
         raise UnstableStep(
             f"cell fell to {min_cell:.3e} < {_NEG_TOL:g} at t={state.t + dt:.6g}; "
@@ -273,39 +279,30 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         1e-300,
     )
 
-    # no bin is inside the cutoff while the largest is on its plateau
-    activations = 0
-    if alpha * alpha * new_u.max() > 0.5:
-        activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5))
+    # the cutoff acts on some bin exactly when the largest leaves its
+    # plateau alpha^2 u <= 1/2; the first such step latches tstar_crossed
+    crossed = alpha * alpha * max_u > 0.5
+    activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5)) if crossed else 0
+    if crossed and not state.tstar_crossed:
+        logger.warning(
+            "bin density crossed 1/(2 alpha^2) at t=%.6g; the cutoff keeps "
+            "the scheme defined but the biomass identity is no longer exact",
+            state.t + dt,
+        )
     new_state = SimState(
         u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev,
         t=state.t + dt, step_count=state.step_count + 1,
-        tstar_crossed=state.tstar_crossed,
+        tstar_crossed=state.tstar_crossed or crossed,
         theta_activations=state.theta_activations + activations,
     )
-    monitor_tstar(new_state, alpha)
     result = StepResult(
         dt=dt,
         courant=_SAFETY * dt / coeffs.dt_max,
         min_u=min_u,
         min_v=min_v,
-        identity_residual=float(np.max(np.abs(new_rec - new_ev))),
         conservation_residual=cons / cons_scale,
     )
     return new_state, result
-
-
-def monitor_tstar(state: SimState, alpha: float) -> bool:
-    """Latch the flag once any bin density exceeds half the cap 1/alpha^2."""
-    if not state.tstar_crossed:
-        if float(state.u.max(initial=0.0)) > 0.5 / (alpha * alpha):
-            state.tstar_crossed = True
-            logger.warning(
-                "bin density crossed 1/(2 alpha^2) at t=%.6g; the cutoff keeps "
-                "the scheme defined but the biomass identity is no longer exact",
-                state.t,
-            )
-    return state.tstar_crossed
 
 
 def _sample_times(T: float, sample_dt: float) -> np.ndarray:

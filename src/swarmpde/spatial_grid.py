@@ -84,6 +84,16 @@ class SpatialGrid:
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 
+    @cached_property
+    def face_slices(self) -> tuple:
+        """Per axis, the index tuples (lo, hi) of the cells left and right
+        of every interior face; leading per-bin axes are taken whole."""
+        return tuple(
+            tuple((..., sl) + (slice(None),) * (self.dim - 1 - ax)
+                  for sl in (slice(None, -1), slice(1, None)))
+            for ax in range(self.dim)
+        )
+
     def axis_centers(self, ax: int) -> np.ndarray:
         return (np.arange(self.cells[ax]) + 0.5) * self.dx[ax]
 
@@ -102,36 +112,29 @@ class SpatialGrid:
         return values
 
 
-def _sl(arr: np.ndarray, axis: int, sl: slice) -> np.ndarray:
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = sl
-    return arr[tuple(idx)]
-
-
 def face_diff(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     """Centered gradient on interior faces along axis ax."""
-    axis = ax - grid.dim
-    return (_sl(f, axis, slice(1, None)) - _sl(f, axis, slice(None, -1))) / grid.dx[ax]
+    lo, hi = grid.face_slices[ax]
+    return (f[hi] - f[lo]) / grid.dx[ax]
 
 
 def face_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
-    axis = ax - grid.dim
-    return 0.5 * (_sl(f, axis, slice(None, -1)) + _sl(f, axis, slice(1, None)))
+    lo, hi = grid.face_slices[ax]
+    return 0.5 * (f[lo] + f[hi])
 
 
 def harmonic_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     """Harmonic face mean; needs f > 0 on both sides of every face."""
-    axis = ax - grid.dim
-    left, right = _sl(f, axis, slice(None, -1)), _sl(f, axis, slice(1, None))
-    return 2.0 * left * right / (left + right)
+    lo, hi = grid.face_slices[ax]
+    return 2.0 * f[lo] * f[hi] / (f[lo] + f[hi])
 
 
 def apply_face_flux(out: np.ndarray, flux: np.ndarray, grid: SpatialGrid, ax: int) -> None:
     """Accumulate the divergence of an interior-face flux into ``out``."""
-    axis = ax - grid.dim
+    lo, hi = grid.face_slices[ax]
     scaled = flux * (1.0 / grid.dx[ax])
-    _sl(out, axis, slice(None, -1))[...] += scaled
-    _sl(out, axis, slice(1, None))[...] -= scaled
+    out[lo] += scaled
+    out[hi] -= scaled
 
 
 def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
@@ -157,8 +160,8 @@ def drift_diffusion_div(f, q, faces, grid: SpatialGrid) -> np.ndarray:
     """
     out = np.zeros_like(f)
     for ax, (D_face, w) in enumerate(faces):
-        axis = ax - grid.dim
-        q_face = np.where(w > 0.0, _sl(q, axis, slice(1, None)), _sl(q, axis, slice(None, -1)))
+        lo, hi = grid.face_slices[ax]
+        q_face = np.where(w > 0.0, q[hi], q[lo])
         apply_face_flux(out, D_face * face_diff(f, grid, ax) + q_face * w, grid, ax)
     return out
 
@@ -211,10 +214,10 @@ def grad_sq(f, grid: SpatialGrid) -> np.ndarray:
     f = grid.check_field(f, "f")
     out = np.zeros_like(f)
     for ax in range(grid.dim):
-        axis = ax - grid.dim
+        lo, hi = grid.face_slices[ax]
         g2 = face_diff(f, grid, ax) ** 2
-        _sl(out, axis, slice(None, -1))[...] += 0.5 * g2
-        _sl(out, axis, slice(1, None))[...] += 0.5 * g2
+        out[lo] += 0.5 * g2
+        out[hi] += 0.5 * g2
     return out
 
 
@@ -231,15 +234,11 @@ def grad_cell(f, grid: SpatialGrid) -> list:
     """Cell-centered gradient components (mirror ghost cells at boundaries)."""
     f = grid.check_field(f, "f")
     comps = []
-    for ax in range(grid.dim):
-        axis = ax - grid.dim
-        first = _sl(f, axis, slice(0, 1))
-        last = _sl(f, axis, slice(-1, None))
-        padded = np.concatenate([first, f, last], axis=axis)
-        comps.append(
-            (_sl(padded, axis, slice(2, None)) - _sl(padded, axis, slice(None, -2)))
-            / (2.0 * grid.dx[ax])
-        )
+    for ax, n in enumerate(grid.cells):
+        idx = np.arange(n)
+        right = f.take(np.minimum(idx + 1, n - 1), axis=ax - grid.dim)
+        left = f.take(np.maximum(idx - 1, 0), axis=ax - grid.dim)
+        comps.append((right - left) / (2.0 * grid.dx[ax]))
     return comps
 
 

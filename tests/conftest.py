@@ -24,7 +24,7 @@ def power_zeta(D0, theta):
 
 def make_spec(
     lam=None, b=None, mu=None, D=None, E=None, g=None, xi=None,
-    zeta2=None, zeta2_prime=None, tau=1.0,
+    zeta2=None, zeta2_prime=None,
 ):
     """ModelSpec with benign exponential-family defaults, parts overridable."""
     if lam is None:
@@ -45,7 +45,7 @@ def make_spec(
         zeta2, zeta2_prime = power_zeta(1.0, 1.0)
     return ModelSpec(
         lam=lam, b=b, mu=mu, D=D, E=E, g=g, xi=xi,
-        zeta2=zeta2, zeta2_prime=zeta2_prime, tau=tau,
+        zeta2=zeta2, zeta2_prime=zeta2_prime,
     )
 
 

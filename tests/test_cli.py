@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,31 @@ def test_sweep_plan_validation():
     assert plan.cells_for(0.03125) == (64,)
 
 
+def test_sweep_levels_nest_for_any_depth():
+    # alpha / 2^k levels scale the cells by exactly 2^k, so every level's
+    # mesh refines the one before it
+    cfg = RunConfig.from_dict(dict(
+        MINIMAL, alpha=0.3, diagnostics={"tail_A": [2.0]},
+        domain={"dim": 2, "extents": [1.0, 1.0], "cells": [12, 10]},
+    ))
+    for levels in range(3, 7):
+        plan = build_sweep_plan(cfg, levels=levels)
+        cells = [plan.cells_for(alpha) for alpha in plan.alphas]
+        assert cells == [(12 * 2**k, 10 * 2**k) for k in range(levels)]
+
+
+def test_readme_config_block_lists_every_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    data = json.loads(re.sub(r"//[^\n]*", "", block))
+    cfg = RunConfig.from_dict(data)
+    assert set(data) == {f.name for f in dataclasses.fields(cfg)}
+    for f in dataclasses.fields(cfg):
+        section = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(section):
+            assert set(data[f.name]) == {g.name for g in dataclasses.fields(section)}, f.name
+
+
 def test_cmd_run_zero_data(tmp_path):
     cfg = dict(MINIMAL)
     cfg["initial"] = {"kind": "zero"}
@@ -146,6 +173,25 @@ def test_cmd_reduced_and_crossval(tmp_path):
     payload = json.loads((tmp_path / "cv" / "crossval.json").read_text())
     assert code == 0 and payload["passed"]
     assert payload["rel_l2_Lambda"] <= payload["tolerance"]
+
+
+def test_cmd_tables_family_validate_and_run(tmp_path):
+    # CSV tables of the exponential reference family; D and E have 129 nodes
+    ages = np.linspace(0.0, 2.0, 33)
+    r = np.linspace(0.0, 16.0, 129)
+    tables = {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
+              "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2),
+              "E": (r, 0.2 * r)}
+    paths = {}
+    for name, columns in tables.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        np.savetxt(paths[name], np.column_stack(columns), delimiter=",")
+    cfg = dict(MINIMAL)
+    cfg["model"] = {"family": "tables", "tables": paths}
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 0
 
 
 def test_cmd_sweep_zero_data(tmp_path):

@@ -72,6 +72,14 @@ def test_zeta1_evaluator_matches_quadrature():
         assert float(ev(r)) == pytest.approx(zeta1(spec, r), abs=5e-7)
 
 
+def test_zeta1_tabulated_diffusivity_integrable():
+    # a piecewise-linear D has a kink at every node; with 129 nodes on
+    # [0, 16] the quadrature must still meet its 1e-10 error bound
+    r = np.linspace(0.0, 16.0, 129)
+    spec = make_spec(D=tabulated_function(r, 0.1 * r**2))
+    assert zeta1(spec, 8.0) == pytest.approx(float(Zeta1Evaluator(spec, 8.0)(8.0)), abs=1e-8)
+
+
 # --- hypothesis validation -------------------------------------------------
 
 def test_validate_exponential_passes():

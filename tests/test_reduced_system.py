@@ -88,7 +88,6 @@ def _exponential_setup(alpha, cells=64, T=1.0, tau=2.0, m2=0.3, amp=0.8, L=4.0):
         E=lambda r, s: 0.2 * np.maximum(r, 0.0)
         * np.ones_like(np.asarray(s, dtype=float)),
         g=lambda s: np.full_like(np.asarray(s, dtype=float), 1.0 / tau),
-        tau=tau,
     )
     a_max = 4.0
     grid = build_age_grid(spec, alpha=alpha, a_max=a_max)

@@ -14,7 +14,6 @@ from swarmpde.solver_core import (
     StepResult,
     boundary_inflow,
     initial_state,
-    monitor_tstar,
     run,
     stable_dt,
     step,
@@ -209,7 +208,6 @@ def _reference_step(state, dt, grid, reg, sgrid):
     result = StepResult(
         dt=dt, courant=0.9 * dt / stable_dt(state, grid, reg, sgrid),
         min_u=min_u, min_v=min_v,
-        identity_residual=float(np.max(np.abs(new_rec - new_ev))),
         conservation_residual=cons / cons_scale,
     )
     return new_u, new_v, new_rec, new_ev, activations, result
@@ -243,6 +241,7 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
     assert np.array_equal(new_state.lambda_rec, new_rec)
     assert np.array_equal(new_state.lambda_ev, new_ev)
     assert new_state.theta_activations == 5 + activations
+    assert new_state.tstar_crossed == (activations > 0)
     assert np.all(theta_cutoff(alpha**2 * state.u) == 1.0) == (top <= 0.5)
     assert res == ref
 
@@ -328,17 +327,6 @@ def test_reconstruction_identity_exact():
         assert np.array_equal(rebuilt, s.lambda_rec)
 
 
-def test_monitor_tstar_threshold():
-    spec = make_spec()
-    alpha = 0.5
-    grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
-    state = initial_state(np.full((grid.I, 4), 1.0 / (4 * alpha**2)), np.zeros(4), grid)
-    assert not monitor_tstar(state, alpha)
-    state.u[0, 0] = 1.0 / alpha**2
-    assert monitor_tstar(state, alpha)
-    assert state.tstar_crossed
-
-
 def test_unstable_step_raises():
     spec = make_spec(
         D=lambda r: np.full_like(np.asarray(r, dtype=float), 1.0),
@@ -355,6 +343,23 @@ def test_unstable_step_raises():
         for _ in range(50):
             state, _ = step(state, 0.05, grid, reg, sgrid,
                             step_coefficients(state, grid, reg, sgrid))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["u", "v", "lambda_ev"])
+def test_non_finite_step_raises(field, bad):
+    # one NaN or infinite cell in any field reaches the new state's
+    # min or max, which the post-step check reads
+    spec = make_spec(xi=steep_switch(0.4))
+    alpha = 0.25
+    grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
+    state = initial_state(np.full((grid.I, 8), 0.5), np.full(8, 0.5), grid)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    getattr(state, field).reshape(-1)[3] = bad
+    with pytest.raises(UnstableStep, match="non-finite"), np.errstate(all="ignore"):
+        step(state, coeffs.dt_max, grid, reg, sgrid, coeffs)
 
 
 def test_run_reports_min_u_and_min_v_separately():
