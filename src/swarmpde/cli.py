@@ -2,8 +2,9 @@
 
 Every command reads one JSON configuration, writes its artifacts under
 the output directory, and encodes success in the exit status: 0 only if
-no error was raised and no envelope margin came out negative, so CI can
-consume runs without parsing logs.  Failures are mirrored as a
+no error was raised, the sampled hypotheses hold (``run``, ``validate``)
+and no envelope margin came out negative, so CI can consume runs without
+parsing logs.  Failures are mirrored as a
 machine-readable failure.json.
 """
 
@@ -58,7 +59,8 @@ def _report_hash(report) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _manifest(cfg, record, report, tstar_crossed, wall_time) -> dict:
+def _manifest(cfg, result, report, wall_time) -> dict:
+    record = result.record
     margins = {
         name: (None if m.skipped else m.margin)
         for name, m in diag.envelope_report(record).items()
@@ -67,11 +69,12 @@ def _manifest(cfg, record, report, tstar_crossed, wall_time) -> dict:
     constants["K0"] = record.K0
     return {
         "config_hash": config_mod.config_hash(cfg),
-        "hypothesis_report_hash": _report_hash(report) if report is not None else None,
+        "hypothesis_report_hash": _report_hash(report),
         "constants": constants,
         "margins": margins,
-        "tstar_crossed": bool(tstar_crossed),
+        "tstar_crossed": bool(result.tstar_crossed),
         "theta_activations": int(record.theta_activations),
+        "steps": result.steps,
         "wall_time": wall_time,
     }
 
@@ -82,6 +85,12 @@ def _negative_margins(record) -> list:
         if not m.skipped and m.margin < 0.0:
             bad.append(f"{name}: margin {m.margin:.3e} at t={m.t_at_min:g}")
     return bad
+
+
+def _failed_hypotheses(report) -> list:
+    witnesses = report.to_dict()["witnesses"]
+    return [f"{name}: {witnesses[name]}"
+            for name, ok in sorted(report.passed.items()) if not ok]
 
 
 def _write_snapshots(result, cfg, out_dir: Path) -> None:
@@ -100,13 +109,18 @@ def _write_snapshots(result, cfg, out_dir: Path) -> None:
 def cmd_run(cfg, out_dir: Path) -> int:
     t0 = time.monotonic()
     setup, report = config_mod.build_run_setup(cfg)
+    if not report.all_passed:
+        # the envelopes are built from the sampled constants, which mean
+        # nothing for data that fail the hypotheses
+        _write_failure(out_dir, "hypothesis_violation", _failed_hypotheses(report))
+        return EXIT_FAIL
     result = run(setup)
     wall = time.monotonic() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
     record = result.record
     record.to_csv(out_dir / "diagnostics.csv")
     _json_dump(
-        _manifest(cfg, record, report, result.tstar_crossed, wall),
+        _manifest(cfg, result, report, wall),
         out_dir / "manifest.json",
     )
     _json_dump(record.summary_dict(), out_dir / "summary.json")

@@ -95,12 +95,10 @@ def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
     gradients difference the transformed cell values, matching how the
     limit objects are defined.
     """
-    if float(state.u.min()) < -1e-12:
-        raise NegativeField("dissipation needs nonnegative bin densities")
     I, vol = grid.I, sgrid.cell_volume
     lam = state.lambda_rec
     Da = reg.D_alpha(lam)
-    gsq = grad_sq_root(np.maximum(state.u, 0.0), sgrid)  # (I, *cells)
+    gsq = grad_sq_root(state.u, sgrid)  # (I, *cells); rejects u < -1e-12
     weights = grid.alpha * grid.lam[:I]
     d_u = float(np.sum(np.tensordot(weights, gsq, axes=(0, 0)) * Da)) * vol
     d_E = float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol

@@ -20,11 +20,22 @@ It is 0.9 times the smallest of four limits: the age-transport
 stiffness alpha/2, the per-axis diffusion limit dx^2/(2 dim max D_face)
 (it can bind on anisotropic 2D meshes), the strict convex-combination
 rate (diffusion and drift outflow, age transport and decay), and the
-rate of the shadow biomass, whose drift acts as diffusion with
-coefficient D_a + biomass*E.  Two published terms are left out because
+biomass equation's effective-diffusion limit: summed over the bins, the
+drift acts on the biomass as diffusion with coefficient biomass*E, so
+D_a + biomass*E bounds the reconstructed biomass as well as the shadow.
+Two published terms are left out because
 they can never bind: the drift CFL dx/max|w| is at least twice the
 convex-combination limit, and the swimmer limit dx^2/(2 dim alpha) is
 never below the diffusion limit since D_face >= alpha.
+
+The bins are updated in one loop over blocks of consecutive bins, each
+about _BLOCK_BYTES of u, so a block's temporaries stay in cache.  Every
+operation of the update is elementwise across bins, so the blocks give
+the whole-array result bit for bit; reductions whose summation order
+depends on the array (the reconstructed biomass, the conservation sums)
+run over the whole array, and only the order-free minimum and clip of u
+are taken per block.  Up to 32768 cell-bins (every 1D configuration in
+use) form a single block.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2,
 so while every bin density stays on that plateau the cutoff is skipped
@@ -80,6 +91,7 @@ __all__ = [
 
 _NEG_TOL = -1e-12
 _SAFETY = 0.9  # fraction of the stability limit a step may use
+_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
 
 
 @dataclass
@@ -148,6 +160,7 @@ class RunResult:
     record: "diag.DiagnosticsRecord"
     setup: RunSetup
     tstar_crossed: bool = False
+    steps: int = 0               # solver steps taken
 
 
 def boundary_inflow(v: np.ndarray, reg: RegularizedModel) -> np.ndarray:
@@ -231,10 +244,25 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
 
     xi = reg.xi_alpha(v)
     inflow = _inflow(v, xi)
-    div_u = div_flux(u, lam_rec, v, reg, sgrid, faces=coeffs.faces)
-    u_prev = np.concatenate([inflow[None], u[:-1]], axis=0)
     mu_i = grid.mu[:I].reshape(col)
-    new_u = u + dt * (div_u - (u - u_prev) / alpha - mu_i * u)
+    # the bins are updated in blocks of consecutive bins whose
+    # temporaries stay in cache; every operation is elementwise across
+    # bins, so each block is bitwise the matching rows of a whole-array
+    # update.  Only the order-free minimum and clip fold into the loop
+    nb = max(1, _BLOCK_BYTES // u[0].nbytes)
+    div_u = np.empty_like(u)
+    new_u = np.empty_like(u)
+    min_u = math.inf
+    for k0 in range(0, I, nb):
+        k1 = min(k0 + nb, I)
+        f, new_f = u[k0:k1], new_u[k0:k1]
+        d = div_flux(f, lam_rec, v, reg, sgrid, faces=coeffs.faces, out=div_u[k0:k1])
+        # each bin is fed by the one before it, the first by the inflow
+        u_prev = (np.concatenate([inflow[None], u[:k1 - 1]], axis=0) if k0 == 0
+                  else u[k0 - 1:k1 - 1])
+        np.add(f, dt * (d - (f - u_prev) / alpha - mu_i[k0:k1] * f), out=new_f)
+        min_u = min(min_u, float(new_f.min()))
+        np.maximum(new_f, 0.0, out=new_f)
 
     lap_v = laplacian(v, sgrid)
     source_v = (np.asarray(reg.spec.g(v), dtype=float) - xi) * v
@@ -250,8 +278,10 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     new_ev = lam_ev + dt * (div_ev + source_ev)
 
     # one min and one max per new field: NaN propagates through both and
-    # +-inf shows in one of them, so six finite floats mean finite fields
-    min_u, max_u = float(new_u.min()), float(new_u.max())
+    # +-inf shows in one of them, so six finite floats mean finite fields.
+    # u's minimum is taken per block before its clip and its max after:
+    # the clip keeps NaN and +inf, so the max still sees them
+    max_u = float(new_u.max())
     min_v, max_v = float(new_v.min()), float(new_v.max())
     extremes = (min_u, max_u, min_v, max_v, float(new_ev.min()), float(new_ev.max()))
     if not all(map(math.isfinite, extremes)):
@@ -262,20 +292,19 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
             f"cell fell to {min_cell:.3e} < {_NEG_TOL:g} at t={state.t + dt:.6g}; "
             "step-size contract violated"
         )
-    np.maximum(new_u, 0.0, out=new_u)
     np.maximum(new_v, 0.0, out=new_v)
 
     new_rec = _reconstruct(new_u, grid)
     vol = sgrid.cell_volume
     row_sums = div_u.reshape(I, -1).sum(axis=1)
     cons = max(
-        float(np.max(np.abs(row_sums))),
+        float(np.abs(row_sums).max()),
         abs(float(lap_v.sum())),
         abs(float(div_ev.sum())),
     ) * vol
-    cons_scale = max(
-        float(np.sum(np.abs(div_u))) * vol,
-        float(np.sum(np.abs(lap_v))) * vol,
+    cons_scale = max(  # div_u is not read again: take its magnitude in place
+        float(np.abs(div_u, out=div_u).sum()) * vol,
+        float(np.abs(lap_v).sum()) * vol,
         1e-300,
     )
 
@@ -368,4 +397,5 @@ def run(setup: RunSetup) -> RunResult:
         record=recorder.finalize(),
         setup=setup,
         tstar_crossed=state.tstar_crossed,
+        steps=state.step_count,
     )

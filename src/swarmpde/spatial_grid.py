@@ -150,19 +150,28 @@ def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple
     )
 
 
-def drift_diffusion_div(f, q, faces, grid: SpatialGrid) -> np.ndarray:
+def drift_diffusion_div(f, q, faces, grid: SpatialGrid, out=None) -> np.ndarray:
     """Divergence of the face flux D_face grad f + q_donor * w.
 
     ``faces`` comes from ``drift_faces``; the transported quantity q is
     taken from the donor cell selected by the sign of w, so a face with
-    w > 0 feeds the left cell.  ``f`` and ``q`` may carry leading
-    (per-bin) axes.
+    w > 0 feeds the left cell.  ``f`` and ``q`` have one shape and may
+    carry leading (per-bin) axes.  The result is written into ``out`` if
+    given.
     """
-    out = np.zeros_like(f)
+    if out is None:
+        out = np.zeros_like(f)
+    else:
+        out[...] = 0.0
     for ax, (D_face, w) in enumerate(faces):
         lo, hi = grid.face_slices[ax]
+        # the flux terms are formed in place: two temporaries per axis
         q_face = np.where(w > 0.0, q[hi], q[lo])
-        apply_face_flux(out, D_face * face_diff(f, grid, ax) + q_face * w, grid, ax)
+        q_face *= w
+        flux = face_diff(f, grid, ax)
+        flux *= D_face
+        flux += q_face
+        apply_face_flux(out, flux, grid, ax)
     return out
 
 
@@ -178,13 +187,14 @@ def _cutoff_density(u, reg) -> np.ndarray:
     return u * reg.theta(reg.alpha**2 * u)
 
 
-def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None) -> np.ndarray:
+def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None, out=None) -> np.ndarray:
     """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
 
     Arithmetic face mean of the diffusivity; the drift transports the
     cutoff-weighted density u*Theta upwind (see ``drift_diffusion_div``).
     ``faces`` are the ``drift_faces`` of ``D_a(lam_total)`` and
-    ``E_a(lam_total, v)`` when the caller has built them already.
+    ``E_a(lam_total, v)`` when the caller has built them already; the
+    result is written into ``out`` if given.
     """
     u = grid.check_field(u, "u")
     lam = grid.check_field(lam_total, "biomass")
@@ -193,7 +203,7 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None) -> np.ndarray:
         raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
     if faces is None:
         faces = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid)
-    return drift_diffusion_div(u, _cutoff_density(u, reg), faces, grid)
+    return drift_diffusion_div(u, _cutoff_density(u, reg), faces, grid, out)
 
 
 def laplacian(f, grid: SpatialGrid) -> np.ndarray:

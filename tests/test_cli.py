@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmpde import config as config_mod
+from swarmpde import config as config_mod, solver_core
 from swarmpde.cli import main
 from swarmpde.config import RunConfig, SweepPlan, build_sweep_plan, parse_config
 from swarmpde.errors import ConfigInvalid
@@ -192,6 +192,46 @@ def test_cmd_tables_family_validate_and_run(tmp_path):
     path = _write(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path)]) == 0
+
+
+def test_cmd_run_refuses_failed_hypotheses(tmp_path):
+    # a tabulated xi above the default g = 1/tau fails the rates hypothesis
+    ages = np.linspace(0.0, 2.0, 33)
+    r = np.linspace(0.0, 16.0, 129)
+    tables = {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
+              "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2),
+              "xi": (r, np.full_like(r, 1.0))}
+    paths = {}
+    for name, columns in tables.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        np.savetxt(paths[name], np.column_stack(columns), delimiter=",")
+    cfg = dict(MINIMAL)
+    cfg["model"] = {"family": "tables", "tables": paths}
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path)]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "hypothesis_violation"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["rates"]
+    assert "xi(s) > g(s)" in failure["messages"][0]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_manifest_steps_counts_solver_steps(tmp_path, monkeypatch):
+    calls = []
+    original = solver_core.step
+
+    def counting_step(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(solver_core, "step", counting_step)
+    cfg = dict(MINIMAL)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["steps"] == len(calls) > 0
 
 
 def test_cmd_sweep_zero_data(tmp_path):

@@ -21,10 +21,10 @@ from swarmpde.diagnostics import (
     make_test_functions,
     weak_residual,
 )
-from swarmpde.errors import InadmissibleTestFunction
+from swarmpde.errors import InadmissibleTestFunction, NegativeField
 from swarmpde.model_spec import Zeta1Evaluator
 from swarmpde.solver_core import RunSetup, initial_state, run
-from swarmpde.spatial_grid import SpatialGrid
+from swarmpde.spatial_grid import SpatialGrid, grad_sq, grad_sq_root
 
 from conftest import make_spec, steep_switch
 
@@ -80,6 +80,30 @@ def test_dissipation_nonnegative_random(rng):
         vals = dissipation(state, grid, reg, sgrid, z1, spec)
         assert all(x >= 0.0 for x in vals)
         assert entropy(state, grid, sgrid) >= 0.0
+
+
+def test_dissipation_checks_sign_once_and_keeps_values(rng):
+    # grad_sq_root alone checks and clips the bin densities; the values
+    # are bitwise those of the formula with the former outer clip
+    spec, grid, reg, sgrid = _pieces()
+    z1 = Zeta1Evaluator(spec, 16.0)
+    shape = (grid.I,) + sgrid.shape
+    u = rng.uniform(0.0, 2.0, size=shape) * (rng.random(shape) > 0.3)
+    u[0, 5] = -1e-13  # roundoff below zero, inside the tolerance
+    state = initial_state(u, rng.uniform(0.0, 1.0, size=sgrid.shape), grid)
+    lam, vol = state.lambda_rec, sgrid.cell_volume
+    gsq = grad_sq_root(np.maximum(state.u, 0.0), sgrid)
+    weights = grid.alpha * grid.lam[: grid.I]
+    expected = (
+        float(np.sum(np.tensordot(weights, gsq, axes=(0, 0)) * reg.D_alpha(lam))) * vol,
+        float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol,
+        float(np.sum(grad_sq(z1(lam), sgrid))) * vol,
+        float(np.sum(grad_sq(np.asarray(spec.zeta2(lam), dtype=float), sgrid))) * vol,
+    )
+    assert dissipation(state, grid, reg, sgrid, z1, spec) == expected
+    state.u[1, 3] = -1e-9
+    with pytest.raises(NegativeField):
+        dissipation(state, grid, reg, sgrid, z1, spec)
 
 
 def test_tail_zero_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from swarmpde import solver_core
 from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
 from swarmpde.errors import UnstableStep
 from swarmpde.model_spec import exponential_family
@@ -243,6 +245,54 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
     assert new_state.theta_activations == 5 + activations
     assert new_state.tstar_crossed == (activations > 0)
     assert np.all(theta_cutoff(alpha**2 * state.u) == 1.0) == (top <= 0.5)
+    assert res == ref
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("hot_bins", [0, 3], ids=["plateau", "cutoff_in_some_blocks"])
+@pytest.mark.parametrize("per_block", [8, 3, 1], ids=["one_block", "remainder", "one_bin"])
+def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_block):
+    # the block size decides only how the bins are grouped: 8 bins in one
+    # block, blocks of 3 bins with a remainder of 2, or one bin per block.
+    # mu grows with age so that every bin has its own decay rate
+    spec = dataclasses.replace(exponential_family(tau=2.0, D0=0.1, theta=2.0),
+                               mu=lambda a: 0.1 + 0.2 * np.asarray(a, dtype=float))
+    alpha = 0.25
+    grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
+    assert grid.I == 8
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0,) * len(cells), cells=cells)
+    rng = np.random.default_rng(11)
+    shape = (grid.I,) + cells
+    u0 = 0.3 / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
+    u0[:hot_bins] *= 0.8 / 0.3  # alpha^2 u up to 0.8 in the youngest bins only
+    hot = [alpha**2 * u0[k0:k0 + per_block].max() > 0.5 for k0 in range(0, 8, per_block)]
+    assert any(hot) == (hot_bins > 0)
+    if hot_bins and per_block < 8:
+        assert not all(hot)
+    seed = initial_state(u0, 0.5 * rng.random(cells), grid)
+    state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
+                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)))
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    dt = coeffs.dt_max
+    blocks = []
+
+    def counting_div_flux(u, *args, **kwargs):
+        blocks.append(len(u))
+        return div_flux(u, *args, **kwargs)
+
+    monkeypatch.setattr(solver_core, "_BLOCK_BYTES", per_block * state.u[0].nbytes)
+    monkeypatch.setattr(solver_core, "div_flux", counting_div_flux)
+    new_state, res = step(state, dt, grid, reg, sgrid, coeffs)
+    assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
+    new_u, new_v, new_rec, new_ev, activations, ref = _reference_step(
+        state, dt, grid, reg, sgrid)
+    assert np.array_equal(new_state.u, new_u)
+    assert np.array_equal(new_state.v, new_v)
+    assert np.array_equal(new_state.lambda_rec, new_rec)
+    assert np.array_equal(new_state.lambda_ev, new_ev)
+    assert new_state.theta_activations == activations
+    assert (activations > 0) == (hot_bins > 0)
     assert res == ref
 
 
