@@ -34,11 +34,21 @@ __all__ = [
     "check_discrete_hypotheses",
     "regularize",
     "age_average_initial",
+    "bin_blocks",
     "compute_K0",
     "entropy_phi",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+BIN_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
+
+
+def bin_blocks(u: np.ndarray) -> list:
+    """Ranges (k0, k1) of consecutive bins of ``u``, each about
+    BIN_BLOCK_BYTES, so that elementwise work on one block stays in cache."""
+    I = u.shape[0]
+    nb = max(1, BIN_BLOCK_BYTES // u[0].nbytes)
+    return [(k0, min(k0 + nb, I)) for k0 in range(0, I, nb)]
 
 
 def theta_cutoff(r):
@@ -230,18 +240,17 @@ def regularize(spec: ModelSpec, alpha: float) -> RegularizedModel:
 def age_average_initial(u0: Callable, grid: AgeGrid, sgrid) -> np.ndarray:
     """Bin-average initial swarmer data over age, per spatial cell.
 
-    ``u0(a, coords)`` must accept a scalar age and the (ncells, dim)
-    coordinate array.  Values above the cap 1/(4 alpha^2) are clamped with
-    a logged warning; negative values raise.
+    ``u0(a)`` takes a scalar age and returns the field on the grid's cells;
+    it is called once per Gauss node of every bin.  Values above the cap
+    1/(4 alpha^2) are clamped with a logged warning; negative values raise.
     """
-    coords = sgrid.centers()
     alpha, I = grid.alpha, grid.I
     out = np.zeros((I,) + sgrid.shape)
     for k in range(I):
         acc = np.zeros(sgrid.shape)
         for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
             a = (k + (node + 1.0) * 0.5) * alpha
-            acc += weight * np.asarray(u0(a, coords), dtype=float).reshape(sgrid.shape)
+            acc += weight * np.asarray(u0(a), dtype=float).reshape(sgrid.shape)
         out[k] = acc * 0.5
     if np.any(out < -1e-12):
         raise NegativeInitialData(

@@ -293,7 +293,9 @@ def build_model_spec(cfg: RunConfig) -> ModelSpec:
         Etab = funcs["E"]
 
         def Efun(r, s):
-            return np.asarray(Etab(r), dtype=float) * np.ones_like(np.asarray(s, dtype=float))
+            e = np.asarray(Etab(r), dtype=float)
+            # broadcast to the shape of s only where r does not have it
+            return e if e.shape == np.shape(s) else e * np.ones_like(np.asarray(s, dtype=float))
     else:
         def Efun(r, s):
             return np.zeros(np.broadcast(np.asarray(r), np.asarray(s)).shape)
@@ -336,11 +338,16 @@ def _space_profile(coords: np.ndarray, extents, eps: float, k: int) -> np.ndarra
 
 
 def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
-    """Initial swarmer profile (age x space callable) and swimmer field."""
+    """Initial swarmer profile and swimmer field.
+
+    The swarmer profile is separable, age profile times space profile:
+    ``u0(a)`` returns the field on the grid's cells at age ``a``, from a
+    space profile evaluated once.
+    """
     ic = cfg.initial
     if ic.kind == "zero":
-        def u0(a, coords):
-            return np.zeros(coords.shape[0])
+        def u0(a):
+            return np.zeros(sgrid.shape)
 
         v0 = np.zeros(sgrid.shape)
         return u0, v0
@@ -353,11 +360,12 @@ def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
         a = np.asarray(a, dtype=float)
         return np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
 
-    def u0(a, coords):
-        return ic.u_amp * float(age_profile(a)) \
-            * _space_profile(coords, sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
-
     coords = sgrid.centers()
+    u_space = _space_profile(coords, sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
+
+    def u0(a):
+        return ic.u_amp * float(age_profile(a)) * u_space
+
     v0 = ic.v_amp * _space_profile(coords, sgrid.extents, ic.v_cos_eps, ic.v_cos_k)
     return u0, v0.reshape(sgrid.shape)
 

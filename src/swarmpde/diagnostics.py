@@ -7,6 +7,14 @@ coefficient arrays, so each estimate becomes an assertable per-run
 inequality: envelope minus observation is the margin, and a negative
 margin is a bug somewhere.
 
+A sample checks the sign of the bin densities once, then takes the
+per-bin fields of the clipped densities, the entropy density and the
+squared gradient of the square root, in one pass over the step's bin
+blocks (``age_discretization.bin_blocks``).  Both fields are elementwise
+across bins and the weighted sums over bins run on the whole arrays, so
+the sampled entropy and dissipation are bitwise those of the standalone
+``entropy`` and ``dissipation``.
+
 The weak-formulation residual evaluates the defining integral identity of
 the continuous problem on the discrete trajectory against a catalogue of
 tensor test functions (time bump x age bump x Neumann cosine); it must
@@ -22,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .age_discretization import AgeGrid, RegularizedModel, entropy_phi
+from .age_discretization import AgeGrid, RegularizedModel, bin_blocks, entropy_phi
 from .errors import InadmissibleTestFunction, NegativeField
 from .model_spec import (
     ModelSpec,
@@ -71,34 +79,43 @@ def mass_b(state, grid: AgeGrid, sgrid: SpatialGrid) -> float:
     return float(np.sum(mass_b_integrand(state, grid))) * sgrid.cell_volume
 
 
-def entropy_integrand(state, grid: AgeGrid) -> np.ndarray:
-    """Cellwise alpha * sum_i lam_i phi(u_i)."""
-    I = grid.I
-    phi = entropy_phi(np.maximum(state.u, 0.0))
-    return grid.alpha * np.tensordot(grid.lam[:I], phi, axes=(0, 0))
+def entropy_integrand(state, grid: AgeGrid, phi=None) -> np.ndarray:
+    """Cellwise alpha * sum_i lam_i phi(u_i).
+
+    ``phi``, if given, is entropy_phi of the clipped bin densities.
+    """
+    if phi is None:
+        phi = entropy_phi(np.maximum(state.u, 0.0))
+    return grid.alpha * np.tensordot(grid.lam[:grid.I], phi, axes=(0, 0))
 
 
-def entropy(state, grid: AgeGrid, sgrid: SpatialGrid) -> float:
-    """lam-weighted entropy sum_i alpha lam_i integral phi(u_i)."""
-    if float(state.u.min()) < -1e-12:
+def entropy(state, grid: AgeGrid, sgrid: SpatialGrid, phi=None) -> float:
+    """lam-weighted entropy sum_i alpha lam_i integral phi(u_i).
+
+    With ``phi`` (entropy_phi of the clipped bin densities) given, the
+    caller has checked the sign of the densities.
+    """
+    if phi is None and float(state.u.min()) < -1e-12:
         raise NegativeField("entropy needs nonnegative bin densities")
-    return float(np.sum(entropy_integrand(state, grid))) * sgrid.cell_volume
+    return float(np.sum(entropy_integrand(state, grid, phi))) * sgrid.cell_volume
 
 
 def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
-                zeta1_eval: Callable, spec: ModelSpec) -> tuple:
+                zeta1_eval: Callable, spec: ModelSpec, gsq=None) -> tuple:
     """Instantaneous dissipation integrands.
 
     Returns (d_u, d_E, gz1, gz2): the lam-weighted sqrt-gradient term with
     the regularized diffusivity, the drift term E |grad biomass|^2, and the
     squared gradients of both transforms of the biomass.  Transform
     gradients difference the transformed cell values, matching how the
-    limit objects are defined.
+    limit objects are defined.  ``gsq``, if given, is grad_sq_root of the
+    bin densities, whose sign the caller has then checked.
     """
     I, vol = grid.I, sgrid.cell_volume
     lam = state.lambda_rec
     Da = reg.D_alpha(lam)
-    gsq = grad_sq_root(state.u, sgrid)  # (I, *cells); rejects u < -1e-12
+    if gsq is None:
+        gsq = grad_sq_root(state.u, sgrid)  # (I, *cells); rejects u < -1e-12
     weights = grid.alpha * grid.lam[:I]
     d_u = float(np.sum(np.tensordot(weights, gsq, axes=(0, 0)) * Da)) * vol
     d_E = float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol
@@ -129,14 +146,6 @@ def _eta_weights(grid: AgeGrid, A: float) -> tuple:
     eta = smoothstep((ks * grid.alpha / A - 0.5) / 0.5)
     eta_star = (eta[1:] - eta[:-1]) / grid.alpha
     return eta, float(np.max(np.abs(eta_star), initial=0.0))
-
-
-def eta_tail(state, A: float, grid: AgeGrid, sgrid: SpatialGrid) -> float:
-    """Smooth-weighted tail used by the tail envelope (dominates tail_mass)."""
-    eta, _ = _eta_weights(grid, A)
-    I = grid.I
-    u_sums = state.u.reshape(I, -1).sum(axis=1) * sgrid.cell_volume
-    return grid.alpha * float((eta[:I] * grid.b[:I]) @ u_sums)
 
 
 def comparison_bound(t, alpha: float, Xi: float):
@@ -220,7 +229,13 @@ class DiagnosticsRecorder:
         self._rows = {name: [] for name in _SERIES}
         self._tail = {A: [] for A in self.tail_A}
         self._eta = {A: [] for A in self.tail_A}
-        self._eta_star = {A: _eta_weights(grid, A)[1] for A in self.tail_A}
+        # the smooth-weighted tail (it dominates tail_mass) weighs bin i by
+        # eta_i b_i; the tail envelope needs the sup of eta's difference quotient
+        self._eta_b = {}
+        self._eta_star = {}
+        for A in self.tail_A:
+            eta, self._eta_star[A] = _eta_weights(grid, A)
+            self._eta_b[A] = eta[:grid.I] * grid.b[:grid.I]
         self._K0 = math.nan
         self._min_u = math.inf
         self._min_v = math.inf
@@ -269,15 +284,27 @@ class DiagnosticsRecorder:
     def sample(self, state) -> None:
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
         vol = sgrid.cell_volume
-        lam = state.lambda_rec
+        u, lam = state.u, state.lambda_rec
+        min_u = float(u.min())
+        if min_u < -1e-12:
+            raise NegativeField(f"bin densities must be >= 0 (min {min_u:.3e})")
+        # the entropy and the sqrt-gradient of the clipped densities in one
+        # pass over the step's bin blocks; both are elementwise across bins,
+        # so each block is bitwise the matching rows of a whole-array pass
+        phi = np.empty_like(u)
+        gsq = np.empty_like(u)
+        for k0, k1 in bin_blocks(u):
+            r = np.maximum(u[k0:k1], 0.0)
+            phi[k0:k1] = entropy_phi(r)
+            gsq[k0:k1] = grad_sq(np.sqrt(r, out=r), sgrid)
         z1 = self._zeta1_for(float(lam.max(initial=0.0)))
-        d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec)
+        d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, gsq=gsq)
         lap_v = laplacian(state.v, sgrid)
-        max_u = float(state.u.max(initial=0.0))
+        max_u = float(u.max(initial=0.0))
         rows = self._rows
         rows["t"].append(state.t)
         rows["mass_b"].append(mass_b(state, grid, sgrid))
-        rows["entropy"].append(entropy(state, grid, sgrid))
+        rows["entropy"].append(entropy(state, grid, sgrid, phi=phi))
         rows["dissipation_u"].append(d_u)
         rows["dissipation_E"].append(d_E)
         rows["grad_zeta1_sq"].append(gz1)
@@ -291,7 +318,7 @@ class DiagnosticsRecorder:
             float(np.max(np.abs(state.lambda_rec - state.lambda_ev)))
         )
         rows["max_u"].append(max_u)
-        rows["min_u"].append(float(state.u.min()))
+        rows["min_u"].append(min_u)
         rows["min_v"].append(float(state.v.min()))
         rows["min_Lambda"].append(float(lam.min()))
         rows["kbound_margin"].append(
@@ -299,9 +326,11 @@ class DiagnosticsRecorder:
         )
         rows["theta_activations"].append(float(state.theta_activations))
         rows["conservation_residual"].append(self._cons)
+        if self.tail_A:
+            u_sums = u.reshape(grid.I, -1).sum(axis=1) * vol
         for A in self.tail_A:
             self._tail[A].append(tail_mass(state, A, grid, sgrid))
-            self._eta[A].append(eta_tail(state, A, grid, sgrid))
+            self._eta[A].append(grid.alpha * float(self._eta_b[A] @ u_sums))
         if state.t == 0.0 and math.isnan(self._grad_v0):
             self._grad_v0 = float(np.sum(grad_sq(state.v, sgrid))) * vol
         self._theta = state.theta_activations

@@ -552,7 +552,9 @@ def exponential_family(
     if drift == "dprime" and theta != 0.0:
         def Efun(r, s):
             r = np.maximum(np.asarray(r, dtype=float), 0.0)
-            return theta * D0 * r ** (theta - 1.0) * np.ones_like(np.asarray(s, dtype=float))
+            e = theta * D0 * r ** (theta - 1.0)
+            # broadcast to the shape of s only where r does not have it
+            return e if e.shape == np.shape(s) else e * np.ones_like(np.asarray(s, dtype=float))
     else:
         def Efun(r, s):
             return np.zeros(np.broadcast(np.asarray(r), np.asarray(s)).shape)

@@ -29,7 +29,8 @@ convex-combination limit, and the swimmer limit dx^2/(2 dim alpha) is
 never below the diffusion limit since D_face >= alpha.
 
 The bins are updated in one loop over blocks of consecutive bins, each
-about _BLOCK_BYTES of u, so a block's temporaries stay in cache.  Every
+about BIN_BLOCK_BYTES of u (``age_discretization.bin_blocks``, which the
+diagnostics samples share), so a block's temporaries stay in cache.  Every
 operation of the update is elementwise across bins, so the blocks give
 the whole-array result bit for bit; reductions whose summation order
 depends on the array (the reconstructed biomass, the conservation sums)
@@ -60,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .age_discretization import AgeGrid, RegularizedModel, compute_K0
+from .age_discretization import AgeGrid, RegularizedModel, bin_blocks, compute_K0
 from .errors import UnstableStep
 from .model_spec import ModelSpec
 from .spatial_grid import (
@@ -91,7 +92,6 @@ __all__ = [
 
 _NEG_TOL = -1e-12
 _SAFETY = 0.9  # fraction of the stability limit a step may use
-_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
 
 
 @dataclass
@@ -249,12 +249,10 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     # temporaries stay in cache; every operation is elementwise across
     # bins, so each block is bitwise the matching rows of a whole-array
     # update.  Only the order-free minimum and clip fold into the loop
-    nb = max(1, _BLOCK_BYTES // u[0].nbytes)
     div_u = np.empty_like(u)
     new_u = np.empty_like(u)
     min_u = math.inf
-    for k0 in range(0, I, nb):
-        k1 = min(k0 + nb, I)
+    for k0, k1 in bin_blocks(u):
         f, new_f = u[k0:k1], new_u[k0:k1]
         d = div_flux(f, lam_rec, v, reg, sgrid, faces=coeffs.faces, out=div_u[k0:k1])
         # each bin is fed by the one before it, the first by the inflow

@@ -225,9 +225,9 @@ def grad_sq(f, grid: SpatialGrid) -> np.ndarray:
     out = np.zeros_like(f)
     for ax in range(grid.dim):
         lo, hi = grid.face_slices[ax]
-        g2 = face_diff(f, grid, ax) ** 2
-        out[lo] += 0.5 * g2
-        out[hi] += 0.5 * g2
+        half_g2 = 0.5 * face_diff(f, grid, ax) ** 2
+        out[lo] += half_g2
+        out[hi] += half_g2
     return out
 
 

@@ -160,7 +160,7 @@ def test_age_average_exponential_initial():
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
-    u0 = age_average_initial(lambda a, x: math.exp(-a) * np.ones(x.shape[0]), grid, sgrid)
+    u0 = age_average_initial(lambda a: math.exp(-a) * np.ones(sgrid.shape), grid, sgrid)
     expected = (1.0 - math.exp(-alpha)) / alpha
     assert np.allclose(u0[0], expected, atol=1e-12)
 
@@ -169,7 +169,7 @@ def test_age_average_zero():
     spec = make_spec()
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
-    u0 = age_average_initial(lambda a, x: np.zeros(x.shape[0]), grid, sgrid)
+    u0 = age_average_initial(lambda a: np.zeros(sgrid.shape), grid, sgrid)
     assert np.all(u0 == 0.0)
 
 
@@ -180,7 +180,7 @@ def test_age_average_clamps_with_warning(caplog):
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     level = 1.0 / (2.0 * alpha**2)
     with caplog.at_level(logging.WARNING):
-        u0 = age_average_initial(lambda a, x: level * np.ones(x.shape[0]), grid, sgrid)
+        u0 = age_average_initial(lambda a: level * np.ones(sgrid.shape), grid, sgrid)
     assert np.allclose(u0, 1.0 / (4.0 * alpha**2))
     assert any("clamping" in r.message for r in caplog.records)
 
@@ -190,7 +190,7 @@ def test_age_average_negative_raises():
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     with pytest.raises(NegativeInitialData):
-        age_average_initial(lambda a, x: -np.ones(x.shape[0]), grid, sgrid)
+        age_average_initial(lambda a: -np.ones(sgrid.shape), grid, sgrid)
 
 
 # --- initial-size constant ---------------------------------------------------

@@ -11,6 +11,7 @@ from swarmpde import config as config_mod, solver_core
 from swarmpde.cli import main
 from swarmpde.config import RunConfig, SweepPlan, build_sweep_plan, parse_config
 from swarmpde.errors import ConfigInvalid
+from swarmpde.model_spec import smoothstep
 
 
 MINIMAL = {
@@ -91,6 +92,42 @@ def test_sweep_levels_nest_for_any_depth():
         plan = build_sweep_plan(cfg, levels=levels)
         cells = [plan.cells_for(alpha) for alpha in plan.alphas]
         assert cells == [(12 * 2**k, 10 * 2**k) for k in range(levels)]
+
+
+PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]},
+             initial={"u_cos_k": 2, "u_cos_eps": 0.3})
+
+
+def test_initial_u0_bitwise_equals_per_node_space_profile():
+    # the space profile is evaluated once; the reference evaluates it at
+    # every Gauss node as the age-times-space callable used to
+    cfg = RunConfig.from_dict(PLANE)
+    setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
+    ic, sgrid = cfg.initial, setup.sgrid
+    lo, hi = ic.u_age_cut
+    coords = sgrid.centers()
+
+    def reference_u0(a):
+        age = np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
+        return ic.u_amp * float(age) * config_mod._space_profile(
+            coords, sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
+
+    expected = config_mod.age_average_initial(reference_u0, setup.agegrid, sgrid)
+    assert np.array_equal(setup.u0, expected)
+    assert np.ptp(setup.u0[0]) > 0.0  # the space profile is not constant
+
+
+def test_build_run_setup_evaluates_each_space_profile_once(monkeypatch):
+    calls = []
+    profile = config_mod._space_profile
+
+    def counting_profile(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(config_mod, "_space_profile", counting_profile)
+    config_mod.build_run_setup(RunConfig.from_dict(PLANE), check_hypotheses=False)
+    assert len(calls) == 2  # once for u, once for v
 
 
 def test_readme_config_block_lists_every_field():

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from swarmpde import age_discretization, diagnostics
 from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.diagnostics import (
     ENVELOPE_NAMES,
+    DiagnosticsRecorder,
     TestFunction,
+    _eta_weights,
     comparison_bound,
     dissipation,
     entropy,
@@ -104,6 +107,56 @@ def test_dissipation_checks_sign_once_and_keeps_values(rng):
     state.u[1, 3] = -1e-9
     with pytest.raises(NegativeField):
         dissipation(state, grid, reg, sgrid, z1, spec)
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("per_block", [1, 3, 8], ids=["one_bin", "remainder", "all_bins"])
+def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, per_block):
+    # the sample's one pass over bin blocks gives bitwise the standalone
+    # entropy and dissipation, for 8 bins in blocks of 1, of 3 with a
+    # remainder of 2, or all in one block
+    spec = make_spec(E=lambda r, s: 0.2 * np.maximum(r, 0.0)
+                     * np.ones_like(np.asarray(s, dtype=float)))
+    grid = build_age_grid(spec, alpha=0.125, a_max=1.0)
+    assert grid.I == 8
+    reg = regularize(spec, grid.alpha)
+    sgrid = SpatialGrid(extents=(1.0, 2.0)[:len(cells)], cells=cells)
+    shape = (grid.I,) + cells
+    u = rng.uniform(0.0, 2.0, size=shape) * (rng.random(shape) > 0.3)
+    u.reshape(grid.I, -1)[4, 5] = -1e-13  # roundoff below zero, inside the tolerance
+    state = initial_state(u, rng.uniform(0.0, 1.0, size=cells), grid)
+    assert float(state.lambda_rec.max()) < 1.8  # the recorder keeps zeta1's table
+    rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
+    blocks = []
+
+    def recording_bin_blocks(u):
+        out = age_discretization.bin_blocks(u)
+        blocks.extend(k1 - k0 for k0, k1 in out)
+        return out
+
+    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * u[0].nbytes)
+    monkeypatch.setattr(diagnostics, "bin_blocks", recording_bin_blocks)
+    rec.sample(state)
+    assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
+    record = rec.finalize()
+    row = {name: values[0] for name, values in record.series.items()}
+    z1 = Zeta1Evaluator(spec, 2.0)
+    d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec)
+    assert row["entropy"] == entropy(state, grid, sgrid)
+    assert (row["dissipation_u"], row["dissipation_E"]) == (d_u, d_E)
+    assert (row["grad_zeta1_sq"], row["grad_zeta2_sq"]) == (gz1, gz2)
+    assert row["min_u"] == -1e-13
+    vol = sgrid.cell_volume
+    u_sums = state.u.reshape(grid.I, -1).sum(axis=1) * vol
+    for A in (0.5, 0.75):
+        assert record.tail[A][0] == tail_mass(state, A, grid, sgrid)
+        eta, eta_star = _eta_weights(grid, A)
+        expected = grid.alpha * float((eta[:grid.I] * grid.b[:grid.I]) @ u_sums)
+        assert record.eta_tail_series[A][0] == expected
+        assert record.eta_star_inf[A] == eta_star
+    state.u.reshape(grid.I, -1)[6, 2] = -1e-9
+    with pytest.raises(NegativeField):
+        rec.sample(state)
 
 
 def test_tail_zero_cases():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from swarmpde import solver_core
+from swarmpde import age_discretization, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
 from swarmpde.errors import UnstableStep
 from swarmpde.model_spec import exponential_family
@@ -281,7 +281,7 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
         blocks.append(len(u))
         return div_flux(u, *args, **kwargs)
 
-    monkeypatch.setattr(solver_core, "_BLOCK_BYTES", per_block * state.u[0].nbytes)
+    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
     monkeypatch.setattr(solver_core, "div_flux", counting_div_flux)
     new_state, res = step(state, dt, grid, reg, sgrid, coeffs)
     assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
@@ -337,6 +337,30 @@ def test_step_hand_example():
                           step_coefficients(state, grid, reg, sgrid))
     assert np.allclose(new_state.u[0], 0.2, atol=1e-15)
     assert res.dt == 0.1
+
+
+def test_step_clips_roundoff_below_zero():
+    # an Euler update that lands in [-1e-12, 0) is roundoff: the new bin
+    # density is exactly 0 there, StepResult.min_u keeps the raw value
+    # and the step is not refused.  dt is far above the bound on purpose
+    spec = make_spec(mu=lambda a: np.zeros_like(np.asarray(a, dtype=float)))
+    alpha = 0.5
+    grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
+    assert grid.I == 2
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
+    f = 1e-13
+    u0 = np.zeros((grid.I, 4))
+    u0[0] = f  # homogeneous, no inflow (v = 0), no decay: d = 0
+    state = initial_state(u0, np.zeros(4), grid)
+    dt = 6.0 * alpha
+    raw = f + dt * (0.0 - (f - 0.0) / alpha - 0.0 * f)
+    assert -1e-12 <= raw < 0.0
+    new_state, res = step(state, dt, grid, reg, sgrid,
+                          step_coefficients(state, grid, reg, sgrid))
+    assert np.all(new_state.u[0] == 0.0)
+    assert np.all(new_state.u[1] > 0.0)
+    assert res.min_u == raw
 
 
 def test_growth_equals_differentiation_keeps_v():
