@@ -281,7 +281,12 @@ class DiagnosticsRecorder:
         self._cons = max(self._cons, sres.conservation_residual)
         self._courant = max(self._courant, sres.courant)
 
-    def sample(self, state) -> None:
+    def sample(self, state, scratch=None) -> None:
+        """Record one sample of ``state``.
+
+        ``scratch``, if given, is a float array of the shape of ``state.u``
+        that the sample may overwrite (the run's step-plan scratch).
+        """
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
         vol = sgrid.cell_volume
         u, lam = state.u, state.lambda_rec
@@ -292,11 +297,13 @@ class DiagnosticsRecorder:
         # pass over the step's bin blocks; both are elementwise across bins,
         # so each block is bitwise the matching rows of a whole-array pass
         phi = np.empty_like(u)
-        gsq = np.empty_like(u)
+        gsq = np.empty_like(u) if scratch is None else scratch
         for k0, k1 in bin_blocks(u):
             r = np.maximum(u[k0:k1], 0.0)
             phi[k0:k1] = entropy_phi(r)
             gsq[k0:k1] = grad_sq(np.sqrt(r, out=r), sgrid)
+        ent = entropy(state, grid, sgrid, phi=phi)
+        del phi  # u-sized: released before the later passes allocate theirs
         z1 = self._zeta1_for(float(lam.max(initial=0.0)))
         d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, gsq=gsq)
         lap_v = laplacian(state.v, sgrid)
@@ -304,7 +311,7 @@ class DiagnosticsRecorder:
         rows = self._rows
         rows["t"].append(state.t)
         rows["mass_b"].append(mass_b(state, grid, sgrid))
-        rows["entropy"].append(entropy(state, grid, sgrid, phi=phi))
+        rows["entropy"].append(ent)
         rows["dissipation_u"].append(d_u)
         rows["dissipation_E"].append(d_E)
         rows["grad_zeta1_sq"].append(gz1)

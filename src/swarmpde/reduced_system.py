@@ -126,9 +126,13 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
             gv = np.asarray(rspec.g(v), dtype=float)
             xv = np.where(v > 0.0, np.asarray(rspec.xi(v), dtype=float), 0.0)
             new_v = v + dt * ((gv - xv) * v + v_coef * lam)
-            if not (np.all(np.isfinite(new_lam)) and np.all(np.isfinite(new_v))):
+            # one min and one max per new field: NaN propagates through
+            # both and +-inf shows in one of them
+            extremes = (float(new_lam.min()), float(new_v.min()),
+                        float(new_lam.max()), float(new_v.max()))
+            if not all(map(math.isfinite, extremes)):
                 raise UnstableStep(f"non-finite reduced state at t={t + dt:.6g}")
-            if min(float(new_lam.min()), float(new_v.min())) < -1e-12:
+            if min(extremes[:2]) < -1e-12:
                 raise UnstableStep(
                     f"reduced state fell below tolerance at t={t + dt:.6g}"
                 )

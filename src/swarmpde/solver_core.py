@@ -33,10 +33,22 @@ about BIN_BLOCK_BYTES of u (``age_discretization.bin_blocks``, which the
 diagnostics samples share), so a block's temporaries stay in cache.  Every
 operation of the update is elementwise across bins, so the blocks give
 the whole-array result bit for bit; reductions whose summation order
-depends on the array (the reconstructed biomass, the conservation sums)
-run over the whole array, and only the order-free minimum and clip of u
-are taken per block.  Up to 32768 cell-bins (every 1D configuration in
-use) form a single block.
+depends on the array (the reconstructed biomass, the source matvecs, the
+|div u| sum) run over the whole array.  Work whose result does not
+depend on the blocking is done per block: the minimum, clip and maximum
+of the new u, each bin's divergence row sum and the cutoff-activation
+count.  Up to 32768 cell-bins (every 1D configuration in use) form a
+single block.
+
+``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
+step: the frozen weights (the mu column, b*mu, lam_star - mu*lam), the
+block layout, one u-sized scratch array for the bin divergence and two
+flat block-sized work buffers.  The flux kernel writes into the scratch
+through the work buffers, which allocates no array, and the Euler update
+runs in the work buffers with the operation order of the whole-array
+expression, so the new u is the only u-sized array a step allocates.
+Between steps the diagnostics sample borrows the scratch array for its
+sqrt-gradient field; ``run`` releases the plan before ``finalize``.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2,
 so while every bin density stays on that plateau the cutoff is skipped
@@ -79,12 +91,14 @@ __all__ = [
     "SimState",
     "StepResult",
     "StepCoefficients",
+    "StepPlan",
     "TrajectorySample",
     "RunSetup",
     "RunResult",
     "boundary_inflow",
     "step_coefficients",
     "stable_dt",
+    "step_plan",
     "step",
     "run",
     "initial_state",
@@ -121,13 +135,35 @@ class StepResult:
 class StepCoefficients:
     """Coefficient data of one state, built once per step and not kept.
 
-    ``faces`` holds per axis the arithmetic face mean of D_alpha and the
+    ``faces`` holds per axis the arithmetic face mean of D_alpha, the
     drift face velocity w = face_mean(E_alpha) * grad(biomass), both of
-    the reconstructed biomass; ``dt_max`` is the step-size bound.
+    the reconstructed biomass, and the upwind mask w > 0, in the flat
+    layout of ``drift_faces``; ``dt_max`` is the step-size bound.
     """
 
     faces: tuple
     dt_max: float
+
+
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """Loop invariants and scratch of one run's steps, built once per run.
+
+    The frozen weights are the decay column ``mu`` (shape (I, 1, ...)),
+    the swimmer source weights b*mu and the shadow source weights
+    lam_star - mu*lam; ``blocks`` is the bin-block layout.  ``div_u`` is
+    one u-sized scratch array (the bin divergence; a diagnostics sample
+    borrows it between steps) and ``work`` two flat buffers of the
+    largest block's size.  The scratch holds nothing from one step to
+    the next.
+    """
+
+    mu: np.ndarray
+    b_mu: np.ndarray
+    lam_source: np.ndarray
+    blocks: tuple
+    div_u: np.ndarray
+    work: tuple
 
 
 @dataclass(frozen=True)
@@ -191,7 +227,9 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
-    for dx, (D_face, w) in zip(sgrid.dx, faces):
+    # the last axis' row-wrap faces carry D = w = 0, which moves neither
+    # maximum: D_face >= alpha > 0 and |w| >= 0
+    for dx, (D_face, w, _) in zip(sgrid.dx, faces):
         d_max = float(np.max(D_face))
         w_max = float(np.max(np.abs(w), initial=0.0))
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
@@ -207,14 +245,14 @@ def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     return step_coefficients(state, grid, reg, sgrid).dt_max
 
 
-def _shadow_div(lam_ev, lam_rec, v, reg, sgrid: SpatialGrid) -> np.ndarray:
+def _shadow_div(lam_ev, lam_rec, v, reg, sgrid: SpatialGrid, work) -> np.ndarray:
     # Independent discretization of the biomass equation: harmonic face
     # diffusivity (the bin sum telescopes to arithmetic; D_a >= alpha > 0),
     # drift transporting the reconstructed biomass with the shadow's own
     # face velocity.
     faces = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
                         mean=harmonic_mean)
-    return drift_diffusion_div(lam_ev, lam_rec, faces, sgrid)
+    return drift_diffusion_div(lam_ev, lam_rec, faces, sgrid, work=work)
 
 
 def _reconstruct(u: np.ndarray, grid: AgeGrid) -> np.ndarray:
@@ -228,62 +266,96 @@ def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid) -> SimState:
     return SimState(u=u0, v=v0, lambda_rec=lam0, lambda_ev=lam0.copy())
 
 
+def step_plan(grid: AgeGrid, sgrid: SpatialGrid) -> StepPlan:
+    """The step plan of a run on ``grid`` x ``sgrid`` (see ``StepPlan``)."""
+    I = grid.I
+    div_u = np.empty((I,) + sgrid.shape)
+    blocks = tuple(bin_blocks(div_u))
+    size = max(k1 - k0 for k0, k1 in blocks) * sgrid.ncells
+    return StepPlan(
+        mu=grid.mu[:I].reshape((I,) + (1,) * sgrid.dim),
+        b_mu=grid.b[:I] * grid.mu[:I],
+        lam_source=grid.lam_star - grid.mu[:I] * grid.lam[:I],
+        blocks=blocks,
+        div_u=div_u,
+        work=(np.empty(size), np.empty(size)),
+    )
+
+
 def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
-         sgrid: SpatialGrid, coeffs: StepCoefficients) -> tuple:
+         sgrid: SpatialGrid, coeffs: StepCoefficients, plan: StepPlan) -> tuple:
     """One explicit Euler update of the full system.
 
     ``coeffs`` is ``step_coefficients`` of ``state``; the bin flux uses
     its face data, its ``dt_max`` scales the reported Courant number,
-    and nonnegativity requires dt <= dt_max.
+    and nonnegativity requires dt <= dt_max.  ``plan`` is
+    ``step_plan(grid, sgrid)``; its scratch is overwritten, and the new
+    state shares no memory with it.
     """
     I, alpha = grid.I, grid.alpha
     u, v = state.u, state.v
     lam_rec, lam_ev = state.lambda_rec, state.lambda_ev
-    col = (I,) + (1,) * sgrid.dim
     u_rows = u.reshape(I, -1)
 
     xi = reg.xi_alpha(v)
     inflow = _inflow(v, xi)
-    mu_i = grid.mu[:I].reshape(col)
     # the bins are updated in blocks of consecutive bins whose
     # temporaries stay in cache; every operation is elementwise across
     # bins, so each block is bitwise the matching rows of a whole-array
-    # update.  Only the order-free minimum and clip fold into the loop
-    div_u = np.empty_like(u)
+    # update.  Order-free reductions fold into the loop
+    div_u, work = plan.div_u, plan.work
     new_u = np.empty_like(u)
-    min_u = math.inf
-    for k0, k1 in bin_blocks(u):
+    mins, maxs = [], []    # per block: u's min before its clip, max after it
+    row_sum_max = 0.0      # largest |sum| of a bin's divergence
+    activations = 0
+    for k0, k1 in plan.blocks:
         f, new_f = u[k0:k1], new_u[k0:k1]
-        d = div_flux(f, lam_rec, v, reg, sgrid, faces=coeffs.faces, out=div_u[k0:k1])
-        # each bin is fed by the one before it, the first by the inflow
-        u_prev = (np.concatenate([inflow[None], u[:k1 - 1]], axis=0) if k0 == 0
-                  else u[k0 - 1:k1 - 1])
-        np.add(f, dt * (d - (f - u_prev) / alpha - mu_i[k0:k1] * f), out=new_f)
-        min_u = min(min_u, float(new_f.min()))
+        d = div_flux(f, lam_rec, v, reg, sgrid, faces=coeffs.faces, out=div_u[k0:k1],
+                     work=work)
+        # f + dt (d - (f - u_prev)/alpha - mu f) in the order of that
+        # expression, in the two work buffers; each bin is fed by the one
+        # before it, the first by the inflow
+        lag = work[0][:f.size].reshape(f.shape)
+        decay = work[1][:f.size].reshape(f.shape)
+        if k0 == 0:
+            np.subtract(f[0], inflow, out=lag[0])
+            np.subtract(f[1:], u[:k1 - 1], out=lag[1:])
+        else:
+            np.subtract(f, u[k0 - 1:k1 - 1], out=lag)
+        lag /= alpha
+        np.subtract(d, lag, out=lag)
+        np.multiply(plan.mu[k0:k1], f, out=decay)
+        lag -= decay
+        lag *= dt
+        np.add(f, lag, out=new_f)
+        mins.append(float(new_f.min()))
         np.maximum(new_f, 0.0, out=new_f)
+        maxs.append(float(new_f.max()))
+        row_sums = d.reshape(k1 - k0, -1).sum(axis=1)
+        row_sum_max = max(row_sum_max, float(np.abs(row_sums, out=row_sums).max()))
+        if alpha * alpha * maxs[-1] > 0.5:
+            activations += int(np.count_nonzero(alpha * alpha * new_f > 0.5))
 
     lap_v = laplacian(v, sgrid)
     source_v = (np.asarray(reg.spec.g(v), dtype=float) - xi) * v
-    source_v += alpha * ((grid.b[:I] * grid.mu[:I]) @ u_rows).reshape(v.shape)
+    source_v += alpha * (plan.b_mu @ u_rows).reshape(v.shape)
     new_v = v + dt * (alpha * lap_v + source_v)
 
-    div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid)
+    div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid, work)
     source_ev = grid.lam[0] * inflow
-    source_ev += alpha * (
-        (grid.lam_star - grid.mu[:I] * grid.lam[:I]) @ u_rows
-    ).reshape(v.shape)
+    source_ev += alpha * (plan.lam_source @ u_rows).reshape(v.shape)
     source_ev -= grid.lam[I] * u[I - 1]
     new_ev = lam_ev + dt * (div_ev + source_ev)
 
-    # one min and one max per new field: NaN propagates through both and
-    # +-inf shows in one of them, so six finite floats mean finite fields.
-    # u's minimum is taken per block before its clip and its max after:
-    # the clip keeps NaN and +inf, so the max still sees them
-    max_u = float(new_u.max())
+    # one min and one max per new field (per block for u): NaN propagates
+    # through both and +-inf shows in one of them, so finite extremes mean
+    # finite fields.  u's minima are taken before its clip and its maxima
+    # after: the clip keeps NaN and +inf, so the maxima still see them
     min_v, max_v = float(new_v.min()), float(new_v.max())
-    extremes = (min_u, max_u, min_v, max_v, float(new_ev.min()), float(new_ev.max()))
+    extremes = mins + maxs + [min_v, max_v, float(new_ev.min()), float(new_ev.max())]
     if not all(map(math.isfinite, extremes)):
         raise UnstableStep(f"non-finite state at t={state.t + dt:.6g}")
+    min_u, max_u = min(mins), max(maxs)
     min_cell = min(min_u, min_v)
     if min_cell < _NEG_TOL:
         raise UnstableStep(
@@ -294,13 +366,8 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
 
     new_rec = _reconstruct(new_u, grid)
     vol = sgrid.cell_volume
-    row_sums = div_u.reshape(I, -1).sum(axis=1)
-    cons = max(
-        float(np.abs(row_sums).max()),
-        abs(float(lap_v.sum())),
-        abs(float(div_ev.sum())),
-    ) * vol
-    cons_scale = max(  # div_u is not read again: take its magnitude in place
+    cons = max(row_sum_max, abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
+    cons_scale = max(  # div_u is scratch: take its magnitude in place
         float(np.abs(div_u, out=div_u).sum()) * vol,
         float(np.abs(lap_v).sum()) * vol,
         1e-300,
@@ -309,7 +376,6 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     # the cutoff acts on some bin exactly when the largest leaves its
     # plateau alpha^2 u <= 1/2; the first such step latches tstar_crossed
     crossed = alpha * alpha * max_u > 0.5
-    activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5)) if crossed else 0
     if crossed and not state.tstar_crossed:
         logger.warning(
             "bin density crossed 1/(2 alpha^2) at t=%.6g; the cutoff keeps "
@@ -356,6 +422,7 @@ def run(setup: RunSetup) -> RunResult:
         setup.spec, grid, reg, sgrid, tail_A=setup.tail_A
     )
     recorder.set_K0(compute_K0(state.u, state.v, grid, sgrid))
+    plan = step_plan(grid, sgrid)
 
     def snapshot(s: SimState) -> TrajectorySample:
         return TrajectorySample(
@@ -366,7 +433,7 @@ def run(setup: RunSetup) -> RunResult:
             lambda_ev=s.lambda_ev.copy(),
         )
 
-    recorder.sample(state)
+    recorder.sample(state, scratch=plan.div_u)
     samples = [snapshot(state)]
     clamp_warned = False
 
@@ -376,7 +443,7 @@ def run(setup: RunSetup) -> RunResult:
             dt = min(coeffs.dt_max, t_target - state.t)
             if setup.fixed_dt is not None:
                 dt = min(dt, setup.fixed_dt)
-            state, sres = step(state, dt, grid, reg, sgrid, coeffs)
+            state, sres = step(state, dt, grid, reg, sgrid, coeffs, plan)
             recorder.on_step(sres)
             if not clamp_warned:
                 reach = max(float(state.lambda_rec.max()), float(state.v.max()))
@@ -387,9 +454,10 @@ def run(setup: RunSetup) -> RunResult:
                     )
                     clamp_warned = True
         state.t = t_target
-        recorder.sample(state)
+        recorder.sample(state, scratch=plan.div_u)
         samples.append(snapshot(state))
 
+    del plan  # its scratch is released before finalize allocates its own
     return RunResult(
         samples=samples,
         record=recorder.finalize(),

@@ -10,8 +10,16 @@ The drift flux transports the cutoff-weighted density with a first-order
 upwind donor choice.  That sacrifices formal order but makes the explicit
 update a convex combination, which is what preserves nonnegativity.
 
+``drift_diffusion_div`` is the one face-flux kernel (the bins, the shadow
+biomass and the reduced system).  It runs every axis on the fields
+flattened to rows of ``ncells`` cells, so each of its operations is one
+contiguous loop per row; ``drift_faces`` gives the face data in that
+flattened-cell order, with zero faces at the row wraps of the last axis.
+With an output array and two work buffers from the caller (the solver's
+step plan) it allocates no array.
+
 Operators are pure functions of their inputs; concurrent calls on
-disjoint outputs are safe.
+disjoint outputs and work buffers are safe.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ class SpatialGrid:
     def shape(self) -> tuple:
         return self.cells
 
-    @property
+    @cached_property
     def ncells(self) -> int:
         return int(np.prod(self.cells))
 
@@ -83,6 +91,12 @@ class SpatialGrid:
     @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
+
+    @cached_property
+    def face_strides(self) -> tuple:
+        """Per axis, the distance between neighbouring cells in the
+        flattened (C-order) cell index."""
+        return tuple(int(np.prod(self.cells[ax + 1:])) for ax in range(self.dim))
 
     @cached_property
     def face_slices(self) -> tuple:
@@ -137,41 +151,80 @@ def apply_face_flux(out: np.ndarray, flux: np.ndarray, grid: SpatialGrid, ax: in
     out[hi] -= scaled
 
 
+def _with_wraps(face: np.ndarray) -> np.ndarray:
+    """Last-axis faces (..., n - 1) in flattened-cell order: a zero face
+    follows each row, between its last cell and the next row's first."""
+    padded = np.zeros(face.shape[:-1] + (face.shape[-1] + 1,))
+    padded[..., :-1] = face
+    return padded.reshape(-1)[:-1]
+
+
 def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
-    """Per-axis face data ``(mean(D), w)`` of the drift-diffusion flux.
+    """Per-axis face data ``(mean(D), w, w > 0)`` of the drift-diffusion flux.
 
-    The drift face velocity is w = face_mean(E) * grad(lam).  Built once
-    from grid fields, the faces serve every per-bin field that shares
-    the coefficients.
+    The drift face velocity is w = face_mean(E) * grad(lam).  Each array
+    is flat, in flattened-cell order: face k of an axis with flat stride
+    s (``grid.face_strides``) lies between flattened cells k and k + s.
+    On the last axis (stride 1) the faces between the end of one row and
+    the start of the next have D = w = 0 and carry no flux; in 1D there
+    are none.  Built once from grid fields, the faces serve every
+    per-bin field that shares the coefficients.
     """
-    return tuple(
-        (mean(D_cell, grid, ax), face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax))
-        for ax in range(grid.dim)
-    )
+    faces = []
+    for ax in range(grid.dim):
+        D_face = mean(D_cell, grid, ax)
+        w = face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax)
+        if grid.dim > 1:
+            flat = _with_wraps if ax == grid.dim - 1 else np.ravel
+            D_face, w = flat(D_face), flat(w)
+        faces.append((D_face, w, w > 0.0))
+    return tuple(faces)
 
 
-def drift_diffusion_div(f, q, faces, grid: SpatialGrid, out=None) -> np.ndarray:
+def drift_diffusion_div(f, q, faces, grid: SpatialGrid, out=None, work=None) -> np.ndarray:
     """Divergence of the face flux D_face grad f + q_donor * w.
 
     ``faces`` comes from ``drift_faces``; the transported quantity q is
     taken from the donor cell selected by the sign of w, so a face with
     w > 0 feeds the left cell.  ``f`` and ``q`` have one shape and may
-    carry leading (per-bin) axes.  The result is written into ``out`` if
-    given.
+    carry leading (per-bin) axes.  Every axis runs on the fields
+    flattened to rows of ``grid.ncells`` cells, so each operation is one
+    contiguous loop per row.  A row-wrap face adds a flux of +-0 to sums
+    that start at +0.0 and so never hold -0.0, which leaves them bitwise
+    unchanged: the result equals the per-axis strided one bit for bit.
+
+    The result is written into ``out`` (contiguous) if given; ``work`` is
+    a pair of flat float buffers of at least ``f.size`` elements.  With
+    both given, no array is allocated.
     """
+    N = grid.ncells
+    lead = f.shape[:f.ndim - grid.dim]
+    rows = f.size // N
     if out is None:
         out = np.zeros_like(f)
     else:
-        out[...] = 0.0
-    for ax, (D_face, w) in enumerate(faces):
-        lo, hi = grid.face_slices[ax]
-        # the flux terms are formed in place: two temporaries per axis
-        q_face = np.where(w > 0.0, q[hi], q[lo])
+        out.fill(0.0)
+    flat = out
+    if grid.dim > 1:
+        f, q = f.reshape(lead + (N,)), q.reshape(lead + (N,))
+        flat = out.reshape(lead + (N,), copy=False)
+    if work is None:
+        work = (np.empty(f.size), np.empty(f.size))
+    for s, dx, (D_face, w, up) in zip(grid.face_strides, grid.dx, faces):
+        m = N - s  # faces between cells k and k + s
+        q_face = work[0][:rows * m].reshape(lead + (m,))
+        flux = work[1][:rows * m].reshape(lead + (m,))
+        # the donor: the left cell, replaced by the right one where w > 0
+        np.copyto(q_face, q[..., :m])
+        np.copyto(q_face, q[..., s:], where=up)
         q_face *= w
-        flux = face_diff(f, grid, ax)
+        np.subtract(f[..., s:], f[..., :m], out=flux)
+        flux /= dx
         flux *= D_face
         flux += q_face
-        apply_face_flux(out, flux, grid, ax)
+        flux *= 1.0 / dx
+        flat[..., :m] += flux
+        flat[..., s:] -= flux
     return out
 
 
@@ -187,14 +240,15 @@ def _cutoff_density(u, reg) -> np.ndarray:
     return u * reg.theta(reg.alpha**2 * u)
 
 
-def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None, out=None) -> np.ndarray:
+def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None, out=None,
+             work=None) -> np.ndarray:
     """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
 
     Arithmetic face mean of the diffusivity; the drift transports the
     cutoff-weighted density u*Theta upwind (see ``drift_diffusion_div``).
     ``faces`` are the ``drift_faces`` of ``D_a(lam_total)`` and
-    ``E_a(lam_total, v)`` when the caller has built them already; the
-    result is written into ``out`` if given.
+    ``E_a(lam_total, v)`` when the caller has built them already;
+    ``out`` and ``work`` are passed to ``drift_diffusion_div``.
     """
     u = grid.check_field(u, "u")
     lam = grid.check_field(lam_total, "biomass")
@@ -203,7 +257,7 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None, out=None) -> n
         raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
     if faces is None:
         faces = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid)
-    return drift_diffusion_div(u, _cutoff_density(u, reg), faces, grid, out)
+    return drift_diffusion_div(u, _cutoff_density(u, reg), faces, grid, out, work)
 
 
 def laplacian(f, grid: SpatialGrid) -> np.ndarray:

@@ -139,6 +139,12 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
     rec.sample(state)
     assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
     record = rec.finalize()
+    # a borrowed scratch array (a run passes its step plan's) is
+    # overwritten before it is read
+    borrowing = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
+    borrowing.sample(state, scratch=np.full_like(u, np.nan))
+    for name, values in borrowing.finalize().series.items():
+        assert np.array_equal(values, record.series[name], equal_nan=True)
     row = {name: values[0] for name, values in record.series.items()}
     z1 = Zeta1Evaluator(spec, 2.0)
     d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec)

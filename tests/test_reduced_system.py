@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmpde.age_discretization import build_age_grid, regularize
-from swarmpde.errors import ConfigMismatch
+from swarmpde.errors import ConfigMismatch, UnstableStep
 from swarmpde.reduced_system import (
     ReducedSpec,
     cross_validate_setups,
@@ -53,6 +53,30 @@ def test_homogeneous_swimmer_oracle():
                          np.full(sgrid.shape, v0), T, sample_dt=T, fixed_dt=T / 800.0)
     exact = v0 + (1.0 * m2 / m0) * lam0 * (math.exp(gamma * T) - 1.0) / gamma
     assert np.allclose(result.samples[-1].v, exact, rtol=1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["lam", "v"])
+def test_reduced_non_finite_step_raises(field, bad):
+    # one NaN or infinite cell in either initial field reaches a new
+    # field's min or max after the first step
+    rspec = _rspec()
+    sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
+    fields = {"lam": np.full(sgrid.shape, 0.7), "v": np.full(sgrid.shape, 0.5)}
+    fields[field][3] = bad
+    with pytest.raises(UnstableStep, match="non-finite reduced state"), \
+            np.errstate(all="ignore"):
+        run_reduced(rspec, sgrid, fields["lam"], fields["v"], 0.1, sample_dt=0.1)
+
+
+def test_reduced_negative_step_raises():
+    # swimmer decay g = -50 is not part of the step-size bound: one step of
+    # the bound's size drives v below zero
+    rspec = _rspec(g=lambda s: np.full_like(np.asarray(s, dtype=float), -50.0))
+    sgrid = SpatialGrid(extents=(8.0,), cells=(4,))
+    with pytest.raises(UnstableStep, match="reduced state fell below tolerance"):
+        run_reduced(rspec, sgrid, np.full(sgrid.shape, 0.1), np.full(sgrid.shape, 0.5),
+                    1.0, sample_dt=1.0)
 
 
 def test_reduced_spec_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from swarmpde import age_discretization, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
+from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import UnstableStep
 from swarmpde.model_spec import exponential_family
 from swarmpde.solver_core import (
@@ -20,6 +22,7 @@ from swarmpde.solver_core import (
     stable_dt,
     step,
     step_coefficients,
+    step_plan,
 )
 from swarmpde.spatial_grid import (
     SpatialGrid,
@@ -169,7 +172,7 @@ def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v
     dt = coeffs.dt_max
     assert dt == stable_dt(state, grid, reg, sgrid)
     assert dt == min(_old_bounds(state, grid, reg, sgrid))
-    _, res = step(state, dt, grid, reg, sgrid, coeffs)
+    _, res = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
     assert res.min_u >= -1e-12 and res.min_v >= -1e-12
     assert res.courant == pytest.approx(0.9, rel=1e-12)
 
@@ -235,7 +238,7 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
                      theta_activations=5)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
-    new_state, res = step(state, dt, grid, reg, sgrid, coeffs)
+    new_state, res = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
     new_u, new_v, new_rec, new_ev, activations, ref = _reference_step(
         state, dt, grid, reg, sgrid)
     assert np.array_equal(new_state.u, new_u)
@@ -283,7 +286,10 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
 
     monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
     monkeypatch.setattr(solver_core, "div_flux", counting_div_flux)
-    new_state, res = step(state, dt, grid, reg, sgrid, coeffs)
+    plan = step_plan(grid, sgrid)  # the layout is frozen when the plan is built
+    assert plan.blocks == tuple((k0, min(k0 + per_block, 8)) for k0 in range(0, 8, per_block))
+    assert all(len(buf) == per_block * sgrid.ncells for buf in plan.work)
+    new_state, res = step(state, dt, grid, reg, sgrid, coeffs, plan)
     assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
     new_u, new_v, new_rec, new_ev, activations, ref = _reference_step(
         state, dt, grid, reg, sgrid)
@@ -294,6 +300,87 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
     assert new_state.theta_activations == activations
     assert (activations > 0) == (hot_bins > 0)
     assert res == ref
+
+
+def _rough_state(cells, top, seed):
+    # alpha = 1/4, 8 bins whose largest alpha^2 u is ``top``; the shadow
+    # biomass is off the reconstructed one
+    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    alpha = 0.25
+    grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0,) * len(cells), cells=cells)
+    rng = np.random.default_rng(seed)
+    shape = (grid.I,) + cells
+    u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
+    seed_state = initial_state(u0, 0.5 * rng.random(cells), grid)
+    state = SimState(u=seed_state.u, v=seed_state.v, lambda_rec=seed_state.lambda_rec,
+                     lambda_ev=seed_state.lambda_rec * (1.0 + 0.01 * rng.random(cells)))
+    return state, grid, reg, sgrid
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("per_block", [8, 3], ids=["one_block", "remainder"])
+def test_plan_reused_over_two_steps_matches_reference(monkeypatch, cells, per_block):
+    # one plan serves consecutive steps: its scratch carries nothing over
+    state, grid, reg, sgrid = _rough_state(cells, top=0.8, seed=13)
+    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
+    plan = step_plan(grid, sgrid)
+    ref = state
+    for _ in range(2):
+        coeffs = step_coefficients(state, grid, reg, sgrid)
+        state, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+        new_u, new_v, new_rec, new_ev, activations, ref_res = _reference_step(
+            ref, coeffs.dt_max, grid, reg, sgrid)
+        ref = SimState(u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev,
+                       theta_activations=ref.theta_activations + activations)
+        assert res == ref_res
+        for name in ("u", "v", "lambda_rec", "lambda_ev"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name))
+        assert state.theta_activations == ref.theta_activations > 0
+
+
+def test_step_state_does_not_alias_plan_scratch():
+    state, grid, reg, sgrid = _rough_state((10, 7), top=0.3, seed=17)
+    plan = step_plan(grid, sgrid)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+    fields = {name: getattr(new_state, name).copy()
+              for name in ("u", "v", "lambda_rec", "lambda_ev")}
+    for scratch in (plan.div_u,) + plan.work:
+        scratch.fill(np.nan)
+    for name, values in fields.items():
+        assert np.array_equal(getattr(new_state, name), values)
+
+
+def test_step_and_sample_peak_memory(monkeypatch):
+    # with the plan and the recorder built, one step and one sample hold at
+    # most two u-sized arrays at once (the new u and the sample's entropy
+    # density) plus block- and grid-sized temporaries: the bin divergence
+    # and the sample's sqrt-gradient share the plan's scratch.  One bin
+    # per block keeps the block temporaries small
+    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    alpha = 1 / 32
+    grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
+    assert grid.I == 64
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0, 4.0), cells=(24, 20))
+    rng = np.random.default_rng(5)
+    u0 = 0.4 / alpha**2 * rng.random((grid.I,) + sgrid.shape)
+    state = initial_state(u0, rng.random(sgrid.shape), grid)
+    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", state.u[0].nbytes)
+    plan = step_plan(grid, sgrid)
+    recorder = DiagnosticsRecorder(spec, grid, reg, sgrid)
+    recorder.sample(state, scratch=plan.div_u)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    tracemalloc.start()
+    try:
+        new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+        recorder.sample(new_state, scratch=plan.div_u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * state.u.nbytes
 
 
 @settings(derandomize=True, max_examples=24, deadline=None)
@@ -317,7 +404,7 @@ def test_step_near_cap_keeps_negative_tolerance(alpha, cells, near, seed):
                                                                          size=shape)
     state = initial_state(u0, rng.random(cells) / alpha, grid)
     coeffs = step_coefficients(state, grid, reg, sgrid)
-    _, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs)
+    _, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
     assert res.min_u >= -1e-12 and res.min_v >= -1e-12
 
 
@@ -334,7 +421,7 @@ def test_step_hand_example():
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(np.zeros((1, 4)), np.full(4, 2.0), grid)
     new_state, res = step(state, 0.1, grid, reg, sgrid,
-                          step_coefficients(state, grid, reg, sgrid))
+                          step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))
     assert np.allclose(new_state.u[0], 0.2, atol=1e-15)
     assert res.dt == 0.1
 
@@ -357,7 +444,7 @@ def test_step_clips_roundoff_below_zero():
     raw = f + dt * (0.0 - (f - 0.0) / alpha - 0.0 * f)
     assert -1e-12 <= raw < 0.0
     new_state, res = step(state, dt, grid, reg, sgrid,
-                          step_coefficients(state, grid, reg, sgrid))
+                          step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))
     assert np.all(new_state.u[0] == 0.0)
     assert np.all(new_state.u[1] > 0.0)
     assert res.min_u == raw
@@ -374,9 +461,10 @@ def test_growth_equals_differentiation_keeps_v():
     reg = regularize(spec, alpha)
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(0.3 * np.ones((grid.I, 4)), np.full(4, 2.0), grid)
+    plan = step_plan(grid, sgrid)
     for _ in range(20):
         coeffs = step_coefficients(state, grid, reg, sgrid)
-        state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs)
+        state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
     assert np.allclose(state.v, 2.0, atol=1e-13)
 
 
@@ -413,10 +501,11 @@ def test_unstable_step_raises():
     u0 = np.zeros((grid.I, 16))
     u0[:, 8] = 1.0  # sharp spike + far-too-large dt
     state = initial_state(u0, np.zeros(16), grid)
+    plan = step_plan(grid, sgrid)
     with pytest.raises(UnstableStep):
         for _ in range(50):
             state, _ = step(state, 0.05, grid, reg, sgrid,
-                            step_coefficients(state, grid, reg, sgrid))
+                            step_coefficients(state, grid, reg, sgrid), plan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -433,7 +522,7 @@ def test_non_finite_step_raises(field, bad):
     coeffs = step_coefficients(state, grid, reg, sgrid)
     getattr(state, field).reshape(-1)[3] = bad
     with pytest.raises(UnstableStep, match="non-finite"), np.errstate(all="ignore"):
-        step(state, coeffs.dt_max, grid, reg, sgrid, coeffs)
+        step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
 
 
 def test_run_reports_min_u_and_min_v_separately():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,13 @@ from swarmpde.age_discretization import regularize
 from swarmpde.errors import GridMismatch, NegativeField
 from swarmpde.spatial_grid import (
     SpatialGrid,
+    apply_face_flux,
     conservation_residual,
     div_flux,
+    drift_diffusion_div,
+    drift_faces,
+    face_diff,
+    face_mean,
     field_from_binary,
     field_from_csv,
     field_to_binary,
@@ -205,3 +211,107 @@ def test_field_roundtrip_csv_binary(tmp_path, rng):
     assert np.array_equal(back_bin, values)
     assert grid_back == grid
     assert np.allclose(back_csv, values, rtol=0, atol=0)  # %.17g round-trips
+
+
+def _strided_faces(D_cell, E_cell, lam, grid):
+    """Per-axis face data on the grid's face shapes, as the strided
+    kernel took them: (face_mean(D), face_mean(E) * grad(lam))."""
+    return tuple((face_mean(D_cell, grid, ax),
+                  face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax))
+                 for ax in range(grid.dim))
+
+
+def _strided_div(f, q, faces, grid):
+    """Reference: the drift-diffusion divergence with every axis taken
+    strided on the grid's shape, the form the flat-row kernel replaced."""
+    out = np.zeros_like(f)
+    for ax, (D_face, w) in enumerate(faces):
+        lo, hi = grid.face_slices[ax]
+        q_face = np.where(w > 0.0, q[hi], q[lo])
+        q_face *= w
+        flux = face_diff(f, grid, ax)
+        flux *= D_face
+        flux += q_face
+        apply_face_flux(out, flux, grid, ax)
+    return out
+
+
+def _kernel_data(cells, bins, seed=3):
+    # f with exact zeros and negative zeros; q != f (a cutoff acting on
+    # some cells); a non-monotone biomass so w takes both signs
+    grid = SpatialGrid(extents=(2.0, 3.0)[:len(cells)], cells=cells)
+    rng = np.random.default_rng(seed)
+    shape = (bins,) + cells
+    f = rng.random(shape) * (rng.random(shape) > 0.25)
+    f[rng.random(shape) < 0.1] = -0.0
+    q = f * np.where(rng.random(shape) < 0.3, rng.random(shape), 1.0)
+    lam = rng.random(cells)
+    D_cell = 0.05 + rng.random(cells)
+    E_cell = rng.random(cells)
+    return grid, f, q, D_cell, E_cell, lam
+
+
+@pytest.mark.parametrize("cells", [(13,), (9, 6), (5, 11)], ids=["1d", "2d_tall", "2d_wide"])
+@pytest.mark.parametrize("per_block", [1, 3, 7], ids=["one_bin", "remainder", "all_bins"])
+@pytest.mark.parametrize("buffers", [True, False], ids=["out_work", "allocating"])
+def test_flat_kernel_matches_strided_bitwise(cells, per_block, buffers):
+    grid, f, q, D_cell, E_cell, lam = _kernel_data(cells, bins=7)
+    faces = drift_faces(D_cell, E_cell, lam, grid)
+    strided = _strided_faces(D_cell, E_cell, lam, grid)
+    assert any(np.any(w > 0.0) and np.any(w < 0.0) for _, w in strided)
+    assert np.any(q != f) and np.any(np.signbit(f) & (f == 0.0))
+    ref = _strided_div(f, q, strided, grid)
+    out = np.full_like(f, np.nan)
+    size = per_block * grid.ncells
+    work = (np.full(size, np.nan), np.full(size, np.nan))
+    for k0 in range(0, 7, per_block):
+        k1 = min(k0 + per_block, 7)
+        if buffers:
+            got = drift_diffusion_div(f[k0:k1], q[k0:k1], faces, grid,
+                                      out=out[k0:k1], work=work)
+            assert np.shares_memory(got, out)
+        else:
+            out[k0:k1] = drift_diffusion_div(f[k0:k1], q[k0:k1], faces, grid)
+    # bitwise, signs of zero included
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    one_field = drift_diffusion_div(f[2], q[2], faces, grid)
+    assert np.array_equal(one_field.view(np.int64), ref[2].view(np.int64))
+
+
+@pytest.mark.parametrize("cells", [(13,), (9, 6)], ids=["1d", "2d"])
+def test_drift_faces_flat_layout(cells):
+    # per axis: faces in flattened-cell order; the last axis carries a
+    # zero face (D = w = 0, no upwind) after every row but the last
+    grid, _, _, D_cell, E_cell, lam = _kernel_data(cells, bins=1)
+    faces = drift_faces(D_cell, E_cell, lam, grid)
+    strided = _strided_faces(D_cell, E_cell, lam, grid)
+    for s, (D_face, w, up), (D_ref, w_ref) in zip(grid.face_strides, faces, strided):
+        assert D_face.shape == w.shape == up.shape == (grid.ncells - s,)
+        assert np.array_equal(up, w > 0.0)
+        if s == 1 and grid.dim > 1:
+            n = grid.cells[-1]
+            real = np.arange(grid.ncells - 1) % n != n - 1
+            assert np.all(D_face[~real] == 0.0) and np.all(w[~real] == 0.0)
+            D_face, w = D_face[real], w[real]
+        assert np.array_equal(D_face, D_ref.reshape(-1))
+        assert np.array_equal(w, w_ref.reshape(-1))
+
+
+def test_kernel_with_buffers_allocates_no_arrays():
+    # with out and work given the kernel allocates no array: what remains
+    # are numpy's transient iterator buffers for the broadcast face data
+    # (at most getbufsize() elements per operand, whatever the field size)
+    # and the view objects, both far below the field
+    grid, f, q, D_cell, E_cell, lam = _kernel_data((128, 96), bins=4)
+    faces = drift_faces(D_cell, E_cell, lam, grid)
+    out = np.empty_like(f)
+    work = (np.empty(f.size), np.empty(f.size))
+    tracemalloc.start()
+    try:
+        drift_diffusion_div(f, q, faces, grid, out=out, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 2 * np.getbufsize() * f.itemsize + 16 * 1024
+    assert bound < f.nbytes / 2
+    assert peak < bound
