@@ -13,7 +13,10 @@ squared gradient of the square root, in one pass over the step's bin
 blocks (``age_discretization.bin_blocks``).  Both fields are elementwise
 across bins and the weighted sums over bins run on the whole arrays, so
 the sampled entropy and dissipation are bitwise those of the standalone
-``entropy`` and ``dissipation``.
+``entropy`` and ``dissipation``.  The b-weighted mass and the age tails
+are linear in the per-bin integrals, so the sample takes all of them
+from one row sum of the densities (``bin_totals``), as the standalone
+``mass_b`` and ``tail_mass`` do.
 
 The weak-formulation residual evaluates the defining integral identity of
 the continuous problem on the discrete trajectory against a catalogue of
@@ -48,6 +51,7 @@ __all__ = [
     "EnvelopeMargin",
     "TestFunction",
     "WeakResidualResult",
+    "bin_totals",
     "mass_b",
     "entropy",
     "dissipation",
@@ -75,8 +79,19 @@ def mass_b_integrand(state, grid: AgeGrid) -> np.ndarray:
     return grid.alpha * np.tensordot(grid.b[:I], state.u, axes=(0, 0)) + state.v
 
 
-def mass_b(state, grid: AgeGrid, sgrid: SpatialGrid) -> float:
-    return float(np.sum(mass_b_integrand(state, grid))) * sgrid.cell_volume
+def bin_totals(u, sgrid: SpatialGrid) -> np.ndarray:
+    """Per-bin integrals of the bin densities: each bin's cell sum times
+    the cell volume.  The b-weighted masses are linear in them."""
+    return u.reshape(u.shape[0], -1).sum(axis=1) * sgrid.cell_volume
+
+
+def mass_b(state, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
+    """Integral of alpha * sum_i b_i u_i + v, from the ``bin_totals`` of
+    the bins (computed if not given)."""
+    if totals is None:
+        totals = bin_totals(state.u, sgrid)
+    return (grid.alpha * float(grid.b[:grid.I] @ totals)
+            + float(state.v.sum()) * sgrid.cell_volume)
 
 
 def entropy_integrand(state, grid: AgeGrid, phi=None) -> np.ndarray:
@@ -135,9 +150,15 @@ def tail_integrand(state, A: float, grid: AgeGrid) -> np.ndarray:
     return grid.alpha * np.tensordot(grid.b[:I][sel], state.u[sel], axes=(0, 0))
 
 
-def tail_mass(state, A: float, grid: AgeGrid, sgrid: SpatialGrid) -> float:
-    """b-weighted mass in bins entirely above age A."""
-    return float(np.sum(tail_integrand(state, A, grid))) * sgrid.cell_volume
+def tail_mass(state, A: float, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
+    """b-weighted mass in bins entirely above age A, from the
+    ``bin_totals`` of the bins (computed if not given)."""
+    if A < 4.0 * grid.alpha:
+        raise ValueError("tail age A must be at least 4*alpha")
+    if totals is None:
+        totals = bin_totals(state.u, sgrid)
+    sel = np.arange(1, grid.I + 1) * grid.alpha > A
+    return grid.alpha * float(grid.b[:grid.I][sel] @ totals[sel])
 
 
 def _eta_weights(grid: AgeGrid, A: float) -> tuple:
@@ -309,8 +330,9 @@ class DiagnosticsRecorder:
         lap_v = laplacian(state.v, sgrid)
         max_u = float(u.max(initial=0.0))
         rows = self._rows
+        totals = bin_totals(u, sgrid)
         rows["t"].append(state.t)
-        rows["mass_b"].append(mass_b(state, grid, sgrid))
+        rows["mass_b"].append(mass_b(state, grid, sgrid, totals))
         rows["entropy"].append(ent)
         rows["dissipation_u"].append(d_u)
         rows["dissipation_E"].append(d_E)
@@ -333,11 +355,9 @@ class DiagnosticsRecorder:
         )
         rows["theta_activations"].append(float(state.theta_activations))
         rows["conservation_residual"].append(self._cons)
-        if self.tail_A:
-            u_sums = u.reshape(grid.I, -1).sum(axis=1) * vol
         for A in self.tail_A:
-            self._tail[A].append(tail_mass(state, A, grid, sgrid))
-            self._eta[A].append(grid.alpha * float(self._eta_b[A] @ u_sums))
+            self._tail[A].append(tail_mass(state, A, grid, sgrid, totals))
+            self._eta[A].append(grid.alpha * float(self._eta_b[A] @ totals))
         if state.t == 0.0 and math.isnan(self._grad_v0):
             self._grad_v0 = float(np.sum(grad_sq(state.v, sgrid))) * vol
         self._theta = state.theta_activations

@@ -86,9 +86,10 @@ class ReducedResult:
 
 def _reduced_div(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> np.ndarray:
     # same face treatment as the full solver's bin fluxes: arithmetic mean
-    # of D, upwind donor biomass against the drift face velocity
+    # of D, upwind donor biomass against the drift face velocity; the
+    # drift transports the biomass itself, so the weights merge
     faces = drift_faces(np.asarray(rspec.D(lam), dtype=float),
-                        np.asarray(rspec.E(lam, v), dtype=float), lam, sgrid)
+                        np.asarray(rspec.E(lam, v), dtype=float), lam, sgrid, merged=True)
     return drift_diffusion_div(lam, lam, faces, sgrid)
 
 

@@ -12,9 +12,10 @@ Updates are explicit Euler.  Each step starts from one coefficient
 record, ``step_coefficients``: D_alpha and E_alpha of the reconstructed
 biomass are evaluated once, turned into per-axis face diffusivities and
 drift face velocities, and reduced to the step-size bound ``dt_max``
-(``stable_dt`` returns that bound alone).  The bin flux reuses the
-record's face data, so the coefficients are never rebuilt within a
-step.  The bound keeps every update a convex combination of nonnegative
+(``stable_dt`` returns that bound alone).  The face data are then
+turned in place into the bins' flux weights
+(``spatial_grid.flux_weights``), so the coefficients are never rebuilt
+within a step.  The bound keeps every update a convex combination of nonnegative
 quantities; nonnegativity then holds without clipping beyond roundoff.
 It is 0.9 times the smallest of four limits: the age-transport
 stiffness alpha/2, the per-axis diffusion limit dx^2/(2 dim max D_face)
@@ -30,29 +31,35 @@ never below the diffusion limit since D_face >= alpha.
 
 The bins are updated in one loop over blocks of consecutive bins, each
 about BIN_BLOCK_BYTES of u (``age_discretization.bin_blocks``, which the
-diagnostics samples share), so a block's temporaries stay in cache.  Every
-operation of the update is elementwise across bins, so the blocks give
-the whole-array result bit for bit; reductions whose summation order
-depends on the array (the reconstructed biomass, the source matvecs, the
-|div u| sum) run over the whole array.  Work whose result does not
-depend on the blocking is done per block: the minimum, clip and maximum
-of the new u, each bin's divergence row sum and the cutoff-activation
-count.  Up to 32768 cell-bins (every 1D configuration in use) form a
-single block.
+diagnostics samples share), so a block's temporaries stay in cache.  Each
+block applies the record's flux weights (``spatial_grid.div_flux``) and
+then the Euler update in five passes, f (1 - dt/alpha - dt mu_i) +
+dt div + (dt/alpha) u_prev.  Every operation of the update is
+elementwise across bins, so the blocks give the whole-array result bit
+for bit.  The reductions are taken per block in forms that do not
+depend on the blocking: the minimum, clip and maximum of the new u, the
+cutoff-activation count, and per bin the sum of the divergence and the
+sum of its magnitude, which are added up bin by bin.  The reductions
+over bins (the reconstructed biomass, the source matvecs) run over the
+whole array.  Up to 32768 cell-bins (every 1D configuration in use) form
+a single block.
 
 ``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
 step: the frozen weights (the mu column, b*mu, lam_star - mu*lam), the
 block layout, one u-sized scratch array for the bin divergence and two
 flat block-sized work buffers.  The flux kernel writes into the scratch
 through the work buffers, which allocates no array, and the Euler update
-runs in the work buffers with the operation order of the whole-array
-expression, so the new u is the only u-sized array a step allocates.
-Between steps the diagnostics sample borrows the scratch array for its
-sqrt-gradient field; ``run`` releases the plan before ``finalize``.
+runs in the work buffers, so the new u is the only u-sized array a step
+allocates.  Between steps the diagnostics sample borrows the scratch
+array for its sqrt-gradient field; ``run`` releases the plan before
+``finalize``.
 
-The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2,
-so while every bin density stays on that plateau the cutoff is skipped
-and the drift transports u itself; the result is bitwise the same.
+The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2.
+``step_coefficients`` tests that plateau once per step from the largest
+bin density: on it the flux weights are merged, the drift transports u
+itself and the cutoff is not evaluated; off it every block takes the
+split weights and the cutoff-weighted density, so all blocks take one
+path.
 
 The new fields are checked from one min and one max each: NaN and
 +-inf show in those extremes, so no finiteness scan is needed; the
@@ -77,10 +84,14 @@ from .age_discretization import AgeGrid, RegularizedModel, bin_blocks, compute_K
 from .errors import UnstableStep
 from .model_spec import ModelSpec
 from .spatial_grid import (
+    FluxWeights,
     SpatialGrid,
+    cutoff_plateau,
     div_flux,
     drift_diffusion_div,
+    drift_face_data,
     drift_faces,
+    flux_weights,
     harmonic_mean,
     laplacian,
 )
@@ -135,13 +146,14 @@ class StepResult:
 class StepCoefficients:
     """Coefficient data of one state, built once per step and not kept.
 
-    ``faces`` holds per axis the arithmetic face mean of D_alpha, the
-    drift face velocity w = face_mean(E_alpha) * grad(biomass), both of
-    the reconstructed biomass, and the upwind mask w > 0, in the flat
-    layout of ``drift_faces``; ``dt_max`` is the step-size bound.
+    ``weights`` are the bins' ``flux_weights``: from the arithmetic face
+    mean of D_alpha and the drift face velocity w = face_mean(E_alpha) *
+    grad(biomass), both of the reconstructed biomass; merged when every
+    bin density lies on the cutoff plateau, split otherwise.  ``dt_max``
+    is the step-size bound.
     """
 
-    faces: tuple
+    weights: FluxWeights
     dt_max: float
 
 
@@ -217,26 +229,29 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     1/max(rate, rate_shadow) ) where rate = 1/alpha + M + sum over axes
     of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
     rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the shadow
-    biomass' limit.  D_alpha and E_alpha are evaluated once.
+    biomass' limit.  D_alpha and E_alpha are evaluated once.  The bins'
+    flux weights are merged or split after one maximum of the bin
+    densities (``cutoff_plateau``), in the memory of the face data.
     """
     lam = state.lambda_rec
     Da = reg.D_alpha(lam)
     E_cell = reg.E_alpha(lam, state.v)
-    faces = drift_faces(Da, E_cell, lam, sgrid)
+    faces = drift_face_data(Da, E_cell, lam, sgrid)
     eff_max = float(np.max(Da + np.maximum(lam, 0.0) * E_cell))
     bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
     # the last axis' row-wrap faces carry D = w = 0, which moves neither
     # maximum: D_face >= alpha > 0 and |w| >= 0
-    for dx, (D_face, w, _) in zip(sgrid.dx, faces):
+    for dx, (D_face, w) in zip(sgrid.dx, faces):
         d_max = float(np.max(D_face))
         w_max = float(np.max(np.abs(w), initial=0.0))
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
     dt_max = min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
-    return StepCoefficients(faces=faces, dt_max=dt_max)
+    weights = flux_weights(faces, sgrid, merged=cutoff_plateau(state.u, reg))
+    return StepCoefficients(weights=weights, dt_max=dt_max)
 
 
 def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
@@ -287,7 +302,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     """One explicit Euler update of the full system.
 
     ``coeffs`` is ``step_coefficients`` of ``state``; the bin flux uses
-    its face data, its ``dt_max`` scales the reported Courant number,
+    its flux weights, its ``dt_max`` scales the reported Courant number,
     and nonnegativity requires dt <= dt_max.  ``plan`` is
     ``step_plan(grid, sgrid)``; its scratch is overwritten, and the new
     state shares no memory with it.
@@ -302,37 +317,41 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     # the bins are updated in blocks of consecutive bins whose
     # temporaries stay in cache; every operation is elementwise across
     # bins, so each block is bitwise the matching rows of a whole-array
-    # update.  Order-free reductions fold into the loop
+    # update.  The reductions over the divergence fold into the loop
+    # in forms that do not depend on the blocks
     div_u, work = plan.div_u, plan.work
     new_u = np.empty_like(u)
+    # f + dt (d - (f - u_prev)/alpha - mu f) as
+    # f (1 - dt/alpha - dt mu) + dt d + (dt/alpha) u_prev
+    keep = 1.0 - dt / alpha - dt * plan.mu
+    feed = dt / alpha
     mins, maxs = [], []    # per block: u's min before its clip, max after it
     row_sum_max = 0.0      # largest |sum| of a bin's divergence
+    abs_sum = 0.0          # sum over the bins of each bin's sum of |divergence|
     activations = 0
     for k0, k1 in plan.blocks:
         f, new_f = u[k0:k1], new_u[k0:k1]
-        d = div_flux(f, lam_rec, v, reg, sgrid, faces=coeffs.faces, out=div_u[k0:k1],
-                     work=work)
-        # f + dt (d - (f - u_prev)/alpha - mu f) in the order of that
-        # expression, in the two work buffers; each bin is fed by the one
-        # before it, the first by the inflow
-        lag = work[0][:f.size].reshape(f.shape)
-        decay = work[1][:f.size].reshape(f.shape)
+        d = div_flux(f, lam_rec, v, reg, sgrid, weights=coeffs.weights,
+                     out=div_u[k0:k1], work=work)
+        term = work[0][:f.size].reshape(f.shape)
+        np.multiply(f, keep[k0:k1], out=new_f)
+        np.multiply(d, dt, out=term)
+        new_f += term
+        # each bin is fed by the one before it, the first by the inflow
         if k0 == 0:
-            np.subtract(f[0], inflow, out=lag[0])
-            np.subtract(f[1:], u[:k1 - 1], out=lag[1:])
+            np.multiply(inflow, feed, out=term[0])
+            np.multiply(u[:k1 - 1], feed, out=term[1:])
         else:
-            np.subtract(f, u[k0 - 1:k1 - 1], out=lag)
-        lag /= alpha
-        np.subtract(d, lag, out=lag)
-        np.multiply(plan.mu[k0:k1], f, out=decay)
-        lag -= decay
-        lag *= dt
-        np.add(f, lag, out=new_f)
+            np.multiply(u[k0 - 1:k1 - 1], feed, out=term)
+        new_f += term
         mins.append(float(new_f.min()))
         np.maximum(new_f, 0.0, out=new_f)
         maxs.append(float(new_f.max()))
         row_sums = d.reshape(k1 - k0, -1).sum(axis=1)
         row_sum_max = max(row_sum_max, float(np.abs(row_sums, out=row_sums).max()))
+        np.abs(d, out=d)  # d is scratch: not read again
+        for total in d.reshape(k1 - k0, -1).sum(axis=1).tolist():
+            abs_sum += total  # bin by bin in order, whatever the blocks
         if alpha * alpha * maxs[-1] > 0.5:
             activations += int(np.count_nonzero(alpha * alpha * new_f > 0.5))
 
@@ -367,8 +386,8 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     new_rec = _reconstruct(new_u, grid)
     vol = sgrid.cell_volume
     cons = max(row_sum_max, abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
-    cons_scale = max(  # div_u is scratch: take its magnitude in place
-        float(np.abs(div_u, out=div_u).sum()) * vol,
+    cons_scale = max(
+        abs_sum * vol,
         float(np.abs(lap_v).sum()) * vol,
         1e-300,
     )

@@ -11,12 +11,19 @@ upwind donor choice.  That sacrifices formal order but makes the explicit
 update a convex combination, which is what preserves nonnegativity.
 
 ``drift_diffusion_div`` is the one face-flux kernel (the bins, the shadow
-biomass and the reduced system).  It runs every axis on the fields
-flattened to rows of ``ncells`` cells, so each of its operations is one
-contiguous loop per row; ``drift_faces`` gives the face data in that
-flattened-cell order, with zero faces at the row wraps of the last axis.
-With an output array and two work buffers from the caller (the solver's
-step plan) it allocates no array.
+biomass and the reduced system).  Its coefficients depend on the grid
+fields only, so ``drift_faces`` forms them once from the face data
+(``drift_face_data``): the diffusion weight D_face/dx^2 and the two
+halves of the upwind drift weight w/dx.  When the drift transports the
+density itself (the bins on the cutoff plateau, the reduced system) the
+three merge into one weight per side of the face, and an axis costs
+four or five passes over the field.  Every face flux is formed once and
+goes to both of its cells, so the cell sum telescopes.  The kernel runs
+every axis on the fields flattened to rows of ``ncells`` cells, so each
+of its operations is one contiguous loop per row; the weights are in
+that flattened-cell order, with zero weights at the row wraps of the
+last axis.  With an output array and two work buffers from the caller
+(the solver's step plan) it allocates no array.
 
 Operators are pure functions of their inputs; concurrent calls on
 disjoint outputs and work buffers are safe.
@@ -34,8 +41,12 @@ from .errors import GridMismatch, NegativeField
 
 __all__ = [
     "SpatialGrid",
+    "FluxWeights",
     "div_flux",
+    "cutoff_plateau",
+    "drift_face_data",
     "drift_faces",
+    "flux_weights",
     "drift_diffusion_div",
     "laplacian",
     "grad_sq",
@@ -159,16 +170,15 @@ def _with_wraps(face: np.ndarray) -> np.ndarray:
     return padded.reshape(-1)[:-1]
 
 
-def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
-    """Per-axis face data ``(mean(D), w, w > 0)`` of the drift-diffusion flux.
+def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
+    """Per-axis face data ``(mean(D), w)`` of the drift-diffusion flux.
 
     The drift face velocity is w = face_mean(E) * grad(lam).  Each array
     is flat, in flattened-cell order: face k of an axis with flat stride
     s (``grid.face_strides``) lies between flattened cells k and k + s.
     On the last axis (stride 1) the faces between the end of one row and
     the start of the next have D = w = 0 and carry no flux; in 1D there
-    are none.  Built once from grid fields, the faces serve every
-    per-bin field that shares the coefficients.
+    are none.
     """
     faces = []
     for ax in range(grid.dim):
@@ -177,87 +187,164 @@ def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple
         if grid.dim > 1:
             flat = _with_wraps if ax == grid.dim - 1 else np.ravel
             D_face, w = flat(D_face), flat(w)
-        faces.append((D_face, w, w > 0.0))
+        faces.append((D_face, w))
     return tuple(faces)
 
 
-def drift_diffusion_div(f, q, faces, grid: SpatialGrid, out=None, work=None) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class FluxWeights:
+    """Per-axis weights of the face flux F_k between cells k and k + s.
+
+    With a = D_face/dx^2, p = max(w, 0)/dx and m = min(w, 0)/dx the flux
+    is F_k = a (f[k+s] - f[k]) + p q[k+s] + m q[k]: diffusion plus the
+    upwind drift, whose donor is the right cell where w > 0.  Split
+    weights store (a, p, m) per axis.  When the transported q is f
+    itself the two merge, F_k = A f[k+s] + B f[k] with A = a + p and
+    B = m - a, and merged weights store (A, B).  The arrays have the
+    flat layout of ``drift_face_data``; row-wrap faces have zero weights.
+    """
+
+    axes: tuple
+    merged: bool
+
+
+def flux_weights(faces, grid: SpatialGrid, merged: bool = False) -> FluxWeights:
+    """The ``FluxWeights`` of ``drift_face_data``, merged or split.
+
+    The weights are formed in the memory of the face data, which they
+    overwrite, so building them allocates one face array per axis.  Built
+    once from grid fields, they serve every per-bin field that shares the
+    coefficients.
+    """
+    axes = []
+    for dx, (D_face, w) in zip(grid.dx, faces):
+        m = np.minimum(w, 0.0)
+        m /= dx
+        p = np.maximum(w, 0.0, out=w)
+        p /= dx
+        a = np.divide(D_face, dx * dx, out=D_face)
+        if merged:
+            p += a
+            m -= a
+            axes.append((p, m))
+        else:
+            axes.append((a, p, m))
+    return FluxWeights(axes=tuple(axes), merged=merged)
+
+
+def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean,
+                merged: bool = False) -> FluxWeights:
+    """The ``FluxWeights`` of the drift-diffusion flux with diffusivity
+    ``mean(D)`` and face velocity face_mean(E) * grad(lam), split unless
+    ``merged`` (see ``drift_face_data`` and ``flux_weights``)."""
+    return flux_weights(drift_face_data(D_cell, E_cell, lam, grid, mean), grid, merged)
+
+
+def drift_diffusion_div(f, q, weights: FluxWeights, grid: SpatialGrid, out=None,
+                        work=None) -> np.ndarray:
     """Divergence of the face flux D_face grad f + q_donor * w.
 
-    ``faces`` comes from ``drift_faces``; the transported quantity q is
-    taken from the donor cell selected by the sign of w, so a face with
-    w > 0 feeds the left cell.  ``f`` and ``q`` have one shape and may
-    carry leading (per-bin) axes.  Every axis runs on the fields
-    flattened to rows of ``grid.ncells`` cells, so each operation is one
-    contiguous loop per row.  A row-wrap face adds a flux of +-0 to sums
-    that start at +0.0 and so never hold -0.0, which leaves them bitwise
-    unchanged: the result equals the per-axis strided one bit for bit.
+    ``weights`` comes from ``drift_faces``; merged weights need q to be
+    f itself.  ``f`` and ``q`` have one shape and may carry leading
+    (per-bin) axes.  Every axis runs on the fields flattened to rows of
+    ``grid.ncells`` cells, so each operation is one contiguous loop per
+    row.  Each face flux is formed once and goes to both of its cells,
+    added to the left and subtracted from the right, so the cell sum of
+    the result telescopes to roundoff.  The flux takes three passes with
+    merged weights (two products and a sum) and six with split ones.
+    The first axis then writes every cell's difference of its two face
+    fluxes in one pass; every further axis adds its fluxes in two
+    scatters.  A row-wrap face adds a flux of +-0, which changes no
+    nonzero sum: the result equals the same operations taken per axis
+    on the strided grid shape exactly, up to the sign of a zero.
 
     The result is written into ``out`` (contiguous) if given; ``work`` is
     a pair of flat float buffers of at least ``f.size`` elements.  With
     both given, no array is allocated.
     """
+    if weights.merged and q is not f:
+        raise ValueError("merged flux weights transport f itself")
     N = grid.ncells
     lead = f.shape[:f.ndim - grid.dim]
     rows = f.size // N
     if out is None:
-        out = np.zeros_like(f)
-    else:
-        out.fill(0.0)
+        out = np.empty_like(f)
     flat = out
     if grid.dim > 1:
         f, q = f.reshape(lead + (N,)), q.reshape(lead + (N,))
         flat = out.reshape(lead + (N,), copy=False)
     if work is None:
         work = (np.empty(f.size), np.empty(f.size))
-    for s, dx, (D_face, w, up) in zip(grid.face_strides, grid.dx, faces):
+    for ax, (s, axis) in enumerate(zip(grid.face_strides, weights.axes)):
         m = N - s  # faces between cells k and k + s
-        q_face = work[0][:rows * m].reshape(lead + (m,))
-        flux = work[1][:rows * m].reshape(lead + (m,))
-        # the donor: the left cell, replaced by the right one where w > 0
-        np.copyto(q_face, q[..., :m])
-        np.copyto(q_face, q[..., s:], where=up)
-        q_face *= w
-        np.subtract(f[..., s:], f[..., :m], out=flux)
-        flux /= dx
-        flux *= D_face
-        flux += q_face
-        flux *= 1.0 / dx
-        flat[..., :m] += flux
-        flat[..., s:] -= flux
+        flux = work[0][:rows * m].reshape(lead + (m,))
+        term = work[1][:rows * m].reshape(lead + (m,))
+        if weights.merged:
+            A, B = axis
+            np.multiply(A, f[..., s:], out=flux)
+            np.multiply(B, f[..., :m], out=term)
+        else:
+            a, p, mw = axis
+            np.subtract(f[..., s:], f[..., :m], out=flux)
+            flux *= a
+            np.multiply(p, q[..., s:], out=term)
+            flux += term
+            np.multiply(mw, q[..., :m], out=term)
+        flux += term
+        if ax == 0:
+            # cell k gains the flux of its face k and loses that of face
+            # k - s; the first axis writes every cell in one pass
+            np.copyto(flat[..., :s], flux[..., :s])
+            np.subtract(flux[..., s:], flux[..., :m - s], out=flat[..., s:m])
+            # 0 - flux, not np.negative: numpy 2.4's negative reads a
+            # strided (rows, 1) operand as if it were contiguous
+            np.subtract(0.0, flux[..., m - s:], out=flat[..., m:])
+        else:
+            flat[..., :m] += flux
+            flat[..., s:] -= flux
     return out
 
 
-def _cutoff_density(u, reg) -> np.ndarray:
-    """The drift's transported density u * theta(alpha^2 u).
+def cutoff_plateau(u, reg) -> bool:
+    """Whether every density of ``u`` lies on the cutoff's plateau.
 
-    theta is exactly 1 for alpha^2 u <= 1/2, so when the largest bin
-    density sits on that plateau the result is u itself, bit for bit,
-    and the cutoff is not evaluated.
+    theta is exactly 1 for alpha^2 u <= 1/2, so there the cutoff-weighted
+    density u * theta(alpha^2 u) is u itself, bit for bit.
     """
-    if reg.alpha**2 * u.max() <= 0.5:
+    return bool(reg.alpha**2 * u.max() <= 0.5)
+
+
+def _cutoff_density(u, reg) -> np.ndarray:
+    """The drift's transported density u * theta(alpha^2 u); u itself on
+    the plateau, where the cutoff is not evaluated."""
+    if cutoff_plateau(u, reg):
         return u
     return u * reg.theta(reg.alpha**2 * u)
 
 
-def div_flux(u, lam_total, v, reg, grid: SpatialGrid, faces=None, out=None,
+def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
              work=None) -> np.ndarray:
     """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
 
     Arithmetic face mean of the diffusivity; the drift transports the
     cutoff-weighted density u*Theta upwind (see ``drift_diffusion_div``).
-    ``faces`` are the ``drift_faces`` of ``D_a(lam_total)`` and
-    ``E_a(lam_total, v)`` when the caller has built them already;
-    ``out`` and ``work`` are passed to ``drift_diffusion_div``.
+    ``weights`` are the ``drift_faces`` of ``D_a(lam_total)`` and
+    ``E_a(lam_total, v)`` when the caller has built them already; merged
+    weights say that u lies on the cutoff plateau, so the drift transports
+    u itself.  Without them the weights are merged exactly when
+    ``cutoff_plateau(u, reg)``.  ``out`` and ``work`` are passed to
+    ``drift_diffusion_div``.
     """
     u = grid.check_field(u, "u")
     lam = grid.check_field(lam_total, "biomass")
     vv = grid.check_field(v, "v")
     if lam.shape != grid.shape or vv.shape != grid.shape:
         raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
-    if faces is None:
-        faces = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid)
-    return drift_diffusion_div(u, _cutoff_density(u, reg), faces, grid, out, work)
+    if weights is None:
+        weights = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid,
+                              merged=cutoff_plateau(u, reg))
+    q = u if weights.merged else _cutoff_density(u, reg)
+    return drift_diffusion_div(u, q, weights, grid, out, work)
 
 
 def laplacian(f, grid: SpatialGrid) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swarmpde.model_spec import ModelSpec, smoothstep
+from swarmpde.spatial_grid import apply_face_flux, face_diff, face_mean
 
 
 def power_zeta(D0, theta):
@@ -56,6 +57,47 @@ def steep_switch(level):
         return level * smoothstep(np.asarray(s, dtype=float) / 0.01)
 
     return xi
+
+
+def strided_faces(D_cell, E_cell, lam, grid, mean=face_mean):
+    """Per-axis face data on the grid's face shapes: (mean(D),
+    face_mean(E) * grad(lam))."""
+    return tuple((mean(D_cell, grid, ax),
+                  face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax))
+                 for ax in range(grid.dim))
+
+
+def strided_div(f, q, faces, grid):
+    """The drift-diffusion divergence in the form the solver used before
+    its face weights: per axis on the grid's shape, the donor q chosen by
+    the sign of w, the flux (D grad f + q_donor w) / dx added to the left
+    cell and subtracted from the right one."""
+    out = np.zeros_like(f)
+    for ax, (D_face, w) in enumerate(faces):
+        lo, hi = grid.face_slices[ax]
+        q_face = np.where(w > 0.0, q[hi], q[lo])
+        q_face *= w
+        flux = face_diff(f, grid, ax)
+        flux *= D_face
+        flux += q_face
+        apply_face_flux(out, flux, grid, ax)
+    return out
+
+
+def face_term_scale(f, q, faces, grid):
+    """Per cell, the summed magnitudes of the terms its face fluxes are
+    made of: |D|/dx^2 (|f_lo| + |f_hi|) + |w|/dx |q_donor| for every face
+    of the cell.  Any evaluation order of the divergence rounds within a
+    few ulp of this, whatever the cancellation between the terms."""
+    out = np.zeros_like(f)
+    for ax, (D_face, w) in enumerate(faces):
+        lo, hi = grid.face_slices[ax]
+        dx = grid.dx[ax]
+        term = np.abs(D_face) / dx**2 * (np.abs(f[lo]) + np.abs(f[hi]))
+        term += np.abs(w) / dx * np.abs(np.where(w > 0.0, q[hi], q[lo]))
+        out[lo] += term
+        out[hi] += term
+    return out
 
 
 @pytest.fixture

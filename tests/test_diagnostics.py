@@ -114,7 +114,8 @@ def test_dissipation_checks_sign_once_and_keeps_values(rng):
 def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, per_block):
     # the sample's one pass over bin blocks gives bitwise the standalone
     # entropy and dissipation, for 8 bins in blocks of 1, of 3 with a
-    # remainder of 2, or all in one block
+    # remainder of 2, or all in one block; its masses and tails come from
+    # the per-bin totals the standalone mass_b and tail_mass share
     spec = make_spec(E=lambda r, s: 0.2 * np.maximum(r, 0.0)
                      * np.ones_like(np.asarray(s, dtype=float)))
     grid = build_age_grid(spec, alpha=0.125, a_max=1.0)
@@ -149,6 +150,7 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
     z1 = Zeta1Evaluator(spec, 2.0)
     d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec)
     assert row["entropy"] == entropy(state, grid, sgrid)
+    assert row["mass_b"] == mass_b(state, grid, sgrid)
     assert (row["dissipation_u"], row["dissipation_E"]) == (d_u, d_E)
     assert (row["grad_zeta1_sq"], row["grad_zeta2_sq"]) == (gz1, gz2)
     assert row["min_u"] == -1e-13

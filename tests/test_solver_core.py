@@ -35,7 +35,7 @@ from swarmpde.spatial_grid import (
     laplacian,
 )
 
-from conftest import make_spec, steep_switch
+from conftest import face_term_scale, make_spec, steep_switch, strided_div, strided_faces
 
 
 def _setup(spec, alpha, a_max, cells, u0=None, v0=None, **kw):
@@ -178,24 +178,29 @@ def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v
 
 
 def _reference_step(state, dt, grid, reg, sgrid):
-    """One explicit step written out from the public operators: the bin
-    flux rebuilds its coefficients and always evaluates the cutoff."""
+    """One explicit step written out from the public operators in the
+    solver's operation order: the bin flux rebuilds its weights, merged
+    when every bin lies on the cutoff plateau and split with an
+    always-evaluated cutoff otherwise; the Euler update in its fused form
+    f (1 - dt/alpha - dt mu_i) + dt div + (dt/alpha) u_prev."""
     I, alpha = grid.I, grid.alpha
     u, v, lam, lam_ev = state.u, state.v, state.lambda_rec, state.lambda_ev
-    faces = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, v), lam, sgrid)
-    div_u = drift_diffusion_div(u, u * theta_cutoff(alpha**2 * u), faces, sgrid)
+    plateau = alpha**2 * u.max() <= 0.5
+    weights = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, v), lam, sgrid, merged=plateau)
+    q = u if plateau else u * theta_cutoff(alpha**2 * u)
+    div_u = drift_diffusion_div(u, q, weights, sgrid)
     assert np.array_equal(div_flux(u, lam, v, reg, sgrid), div_u)
     inflow = boundary_inflow(v, reg)
     u_prev = np.concatenate([inflow[None], u[:-1]], axis=0)
     mu_i = grid.mu[:I].reshape((I,) + (1,) * sgrid.dim)
-    new_u = u + dt * (div_u - (u - u_prev) / alpha - mu_i * u)
+    new_u = u * (1.0 - dt / alpha - dt * mu_i) + dt * div_u + (dt / alpha) * u_prev
     lap_v = laplacian(v, sgrid)
     source_v = (np.asarray(reg.spec.g(v), dtype=float) - reg.xi_alpha(v)) * v
     source_v += alpha * np.tensordot(grid.b[:I] * grid.mu[:I], u, axes=(0, 0))
     new_v = v + dt * (alpha * lap_v + source_v)
-    ev_faces = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
-                           mean=harmonic_mean)
-    div_ev = drift_diffusion_div(lam_ev, lam, ev_faces, sgrid)
+    ev_weights = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
+                             mean=harmonic_mean)
+    div_ev = drift_diffusion_div(lam_ev, lam, ev_weights, sgrid)
     source_ev = grid.lam[0] * inflow
     source_ev += alpha * np.tensordot(grid.lam_star - grid.mu[:I] * grid.lam[:I], u,
                                       axes=(0, 0))
@@ -207,8 +212,10 @@ def _reference_step(state, dt, grid, reg, sgrid):
     vol = sgrid.cell_volume
     cons = max(float(np.max(np.abs(div_u.reshape(I, -1).sum(axis=1)))),
                abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
-    cons_scale = max(float(np.sum(np.abs(div_u))) * vol,
-                     float(np.sum(np.abs(lap_v))) * vol, 1e-300)
+    abs_div = 0.0
+    for total in np.abs(div_u).reshape(I, -1).sum(axis=1).tolist():
+        abs_div += total  # bin by bin, in order
+    cons_scale = max(abs_div * vol, float(np.sum(np.abs(lap_v))) * vol, 1e-300)
     activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5))
     result = StepResult(
         dt=dt, courant=0.9 * dt / stable_dt(state, grid, reg, sgrid),
@@ -216,6 +223,53 @@ def _reference_step(state, dt, grid, reg, sgrid):
         conservation_residual=cons / cons_scale,
     )
     return new_u, new_v, new_rec, new_ev, activations, result
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("top", [0.3, 0.8], ids=["plateau", "cutoff"])
+def test_step_matches_former_formula_within_roundoff(cells, top):
+    # the step against the formula it replaced (the strided kernel with
+    # a donor mask, u + dt (div - (u - u_prev)/alpha - mu u)): v is
+    # bitwise the same, u and the shadow biomass agree within a few ulp
+    # of each cell's summed absolute terms
+    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    alpha = 0.25
+    grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(4.0,) * len(cells), cells=cells)
+    rng = np.random.default_rng(19)
+    shape = (grid.I,) + cells
+    u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
+    seed = initial_state(u0, 0.5 * rng.random(cells), grid)
+    state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
+                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)))
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    dt = coeffs.dt_max
+    new_state, _ = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
+    I, u, v, lam, lam_ev = grid.I, state.u, state.v, state.lambda_rec, state.lambda_ev
+    eps = np.finfo(float).eps
+
+    faces = strided_faces(reg.D_alpha(lam), reg.E_alpha(lam, v), lam, sgrid)
+    q = u * theta_cutoff(alpha**2 * u)
+    u_prev = np.concatenate([boundary_inflow(v, reg)[None], u[:-1]], axis=0)
+    mu_i = grid.mu[:I].reshape((I,) + (1,) * sgrid.dim)
+    former = u + dt * (strided_div(u, q, faces, sgrid) - (u - u_prev) / alpha - mu_i * u)
+    scale = (np.abs(u) * (1.0 + dt / alpha + dt * mu_i) + dt * face_term_scale(u, q, faces, sgrid)
+             + dt / alpha * np.abs(u_prev))
+    assert np.all(np.abs(new_state.u - np.maximum(former, 0.0)) <= 4 * eps * scale)
+    assert not np.array_equal(new_state.u, np.maximum(former, 0.0))
+
+    ev_faces = strided_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
+                             mean=harmonic_mean)
+    source_ev = grid.lam[0] * boundary_inflow(v, reg)
+    source_ev += alpha * np.tensordot(grid.lam_star - grid.mu[:I] * grid.lam[:I], u,
+                                      axes=(0, 0))
+    source_ev -= grid.lam[I] * u[I - 1]
+    former_ev = lam_ev + dt * (strided_div(lam_ev, lam, ev_faces, sgrid) + source_ev)
+    ev_scale = (np.abs(lam_ev) + dt * face_term_scale(lam_ev, lam, ev_faces, sgrid)
+                + dt * np.abs(source_ev))
+    assert np.all(np.abs(new_state.lambda_ev - former_ev) <= 4 * eps * ev_scale)
+    assert np.array_equal(new_state.v, _reference_step(state, dt, grid, reg, sgrid)[1])
 
 
 @pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
@@ -441,7 +495,8 @@ def test_step_clips_roundoff_below_zero():
     u0[0] = f  # homogeneous, no inflow (v = 0), no decay: d = 0
     state = initial_state(u0, np.zeros(4), grid)
     dt = 6.0 * alpha
-    raw = f + dt * (0.0 - (f - 0.0) / alpha - 0.0 * f)
+    # f (1 - dt/alpha - dt mu) + dt d + (dt/alpha) u_prev with d = u_prev = mu = 0
+    raw = f * (1.0 - dt / alpha - dt * 0.0) + dt * 0.0 + (dt / alpha) * 0.0
     assert -1e-12 <= raw < 0.0
     new_state, res = step(state, dt, grid, reg, sgrid,
                           step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))

@@ -8,13 +8,11 @@ from swarmpde.age_discretization import regularize
 from swarmpde.errors import GridMismatch, NegativeField
 from swarmpde.spatial_grid import (
     SpatialGrid,
-    apply_face_flux,
     conservation_residual,
     div_flux,
     drift_diffusion_div,
+    drift_face_data,
     drift_faces,
-    face_diff,
-    face_mean,
     field_from_binary,
     field_from_csv,
     field_to_binary,
@@ -25,7 +23,7 @@ from swarmpde.spatial_grid import (
     laplacian,
 )
 
-from conftest import make_spec, power_zeta
+from conftest import face_term_scale, make_spec, power_zeta, strided_div, strided_faces
 
 
 def _grid1d(n, L=1.0):
@@ -213,26 +211,35 @@ def test_field_roundtrip_csv_binary(tmp_path, rng):
     assert np.allclose(back_csv, values, rtol=0, atol=0)  # %.17g round-trips
 
 
-def _strided_faces(D_cell, E_cell, lam, grid):
-    """Per-axis face data on the grid's face shapes, as the strided
-    kernel took them: (face_mean(D), face_mean(E) * grad(lam))."""
-    return tuple((face_mean(D_cell, grid, ax),
-                  face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax))
-                 for ax in range(grid.dim))
+def _strided_weights(weights, grid):
+    """The flat per-axis weights on the grid's face shapes: the row-wrap
+    faces of the last axis dropped."""
+    axes = []
+    for ax, (s, arrays) in enumerate(zip(grid.face_strides, weights.axes)):
+        shape = grid.shape[:ax] + (grid.shape[ax] - 1,) + grid.shape[ax + 1:]
+        if s == 1 and grid.dim > 1:
+            n = grid.cells[-1]
+            arrays = [np.append(W, 0.0).reshape(grid.shape)[..., :n - 1] for W in arrays]
+        axes.append(tuple(W.reshape(shape) for W in arrays))
+    return axes
 
 
-def _strided_div(f, q, faces, grid):
-    """Reference: the drift-diffusion divergence with every axis taken
-    strided on the grid's shape, the form the flat-row kernel replaced."""
+def _strided_weight_div(f, q, weights, grid):
+    """Reference: the face-weight kernel's operations taken per axis on
+    the grid's shape (no flattened rows, no row-wrap faces)."""
     out = np.zeros_like(f)
-    for ax, (D_face, w) in enumerate(faces):
+    for ax, arrays in enumerate(_strided_weights(weights, grid)):
         lo, hi = grid.face_slices[ax]
-        q_face = np.where(w > 0.0, q[hi], q[lo])
-        q_face *= w
-        flux = face_diff(f, grid, ax)
-        flux *= D_face
-        flux += q_face
-        apply_face_flux(out, flux, grid, ax)
+        if weights.merged:
+            A, B = arrays
+            flux = A * f[hi] + B * f[lo]
+        else:
+            a, p, m = arrays
+            flux = (f[hi] - f[lo]) * a
+            flux += p * q[hi]
+            flux += m * q[lo]
+        out[lo] += flux
+        out[hi] -= flux
     return out
 
 
@@ -255,46 +262,116 @@ def _kernel_data(cells, bins, seed=3):
 @pytest.mark.parametrize("per_block", [1, 3, 7], ids=["one_bin", "remainder", "all_bins"])
 @pytest.mark.parametrize("buffers", [True, False], ids=["out_work", "allocating"])
 def test_flat_kernel_matches_strided_bitwise(cells, per_block, buffers):
+    # blocks of bins, with or without out/work, give bitwise the
+    # whole-array allocating kernel, signs of zero included; that equals
+    # the same operations on the strided grid shape exactly (a row-wrap
+    # face may turn a zero's sign at a row end)
     grid, f, q, D_cell, E_cell, lam = _kernel_data(cells, bins=7)
-    faces = drift_faces(D_cell, E_cell, lam, grid)
-    strided = _strided_faces(D_cell, E_cell, lam, grid)
+    weights = drift_faces(D_cell, E_cell, lam, grid)
+    assert not weights.merged
+    strided = strided_faces(D_cell, E_cell, lam, grid)
     assert any(np.any(w > 0.0) and np.any(w < 0.0) for _, w in strided)
     assert np.any(q != f) and np.any(np.signbit(f) & (f == 0.0))
-    ref = _strided_div(f, q, strided, grid)
+    whole = drift_diffusion_div(f, q, weights, grid)
+    assert np.array_equal(whole, _strided_weight_div(f, q, weights, grid))
     out = np.full_like(f, np.nan)
     size = per_block * grid.ncells
     work = (np.full(size, np.nan), np.full(size, np.nan))
     for k0 in range(0, 7, per_block):
         k1 = min(k0 + per_block, 7)
         if buffers:
-            got = drift_diffusion_div(f[k0:k1], q[k0:k1], faces, grid,
+            got = drift_diffusion_div(f[k0:k1], q[k0:k1], weights, grid,
                                       out=out[k0:k1], work=work)
             assert np.shares_memory(got, out)
         else:
-            out[k0:k1] = drift_diffusion_div(f[k0:k1], q[k0:k1], faces, grid)
-    # bitwise, signs of zero included
-    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
-    one_field = drift_diffusion_div(f[2], q[2], faces, grid)
-    assert np.array_equal(one_field.view(np.int64), ref[2].view(np.int64))
+            out[k0:k1] = drift_diffusion_div(f[k0:k1], q[k0:k1], weights, grid)
+    assert np.array_equal(out.view(np.int64), whole.view(np.int64))
+    one_field = drift_diffusion_div(f[2], q[2], weights, grid)
+    assert np.array_equal(one_field.view(np.int64), whole[2].view(np.int64))
+
+
+@pytest.mark.parametrize("cells", [(13,), (9, 6), (5, 11)], ids=["1d", "2d_tall", "2d_wide"])
+def test_face_weights_match_former_kernel_within_face_terms(cells):
+    # against the former strided kernel (q != f, split weights) and, with
+    # q = f, merged against split weights: each cell agrees within a few
+    # ulp of its summed absolute face terms, not of max |div|
+    grid, f, q, D_cell, E_cell, lam = _kernel_data(cells, bins=7)
+    faces = strided_faces(D_cell, E_cell, lam, grid)
+    eps = np.finfo(float).eps
+    for qq in (q, f):
+        scale = face_term_scale(f, qq, faces, grid)
+        former = strided_div(f, qq, faces, grid)
+        split = drift_diffusion_div(f, qq, drift_faces(D_cell, E_cell, lam, grid), grid)
+        assert np.all(np.abs(split - former) <= 4 * eps * scale)
+    merged = drift_diffusion_div(f, f, drift_faces(D_cell, E_cell, lam, grid, merged=True),
+                                 grid)
+    assert np.all(np.abs(merged - former) <= 4 * eps * scale)
+    assert np.all(np.abs(merged - split) <= 4 * eps * scale)
+    assert not np.array_equal(merged, split)  # the two orders do round apart
+
+
+def _smooth_field(grid, bins):
+    # the lowest cosine mode on an offset: the divergence is small next
+    # to the face terms, which is where a non-telescoping form shows
+    mode = np.cos(np.pi * grid.axis_centers(0) / grid.extents[0])
+    if grid.dim == 2:
+        mode = np.outer(mode, np.cos(np.pi * grid.axis_centers(1) / grid.extents[1]))
+    return np.stack([1.5 + (0.5 + 0.1 * k) * mode for k in range(bins)])
+
+
+@pytest.mark.parametrize("cells", [(128,), (48, 40)], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["random", "smooth"])
+@pytest.mark.parametrize("merged", [True, False], ids=["merged", "split"])
+def test_kernel_telescopes_to_roundoff(cells, kind, merged):
+    # every face flux is formed once and goes to both of its cells, so
+    # each bin's cell sum cancels to a few ulp of the total |div|; a
+    # per-cell stencil of the same weights leaves ~1e-14 of it
+    grid = SpatialGrid(extents=(1.0, 1.5)[:len(cells)], cells=cells)
+    rng = np.random.default_rng(29)
+    f = rng.uniform(0.0, 2.0, (4,) + cells) if kind == "random" else _smooth_field(grid, 4)
+    q = f if merged else f * rng.uniform(0.5, 1.0, f.shape)
+    lam = rng.uniform(0.0, 1.5, cells) if kind == "random" else f[0] - 0.5
+    D_cell = 0.1 + lam**2
+    E_cell = 0.2 * lam
+    weights = drift_faces(D_cell, E_cell, lam, grid, merged=merged)
+    div = drift_diffusion_div(f, q, weights, grid)
+    sums = np.abs(div.reshape(4, -1).sum(axis=1))
+    assert float(sums.max()) <= 1e-15 * float(np.abs(div).sum())
 
 
 @pytest.mark.parametrize("cells", [(13,), (9, 6)], ids=["1d", "2d"])
 def test_drift_faces_flat_layout(cells):
     # per axis: faces in flattened-cell order; the last axis carries a
-    # zero face (D = w = 0, no upwind) after every row but the last
+    # zero face (D = w = 0, zero weights) after every row but the last;
+    # the weights are D/dx^2 and the upwind halves of w/dx, merged into
+    # one weight per side of the face when q is f
     grid, _, _, D_cell, E_cell, lam = _kernel_data(cells, bins=1)
-    faces = drift_faces(D_cell, E_cell, lam, grid)
-    strided = _strided_faces(D_cell, E_cell, lam, grid)
-    for s, (D_face, w, up), (D_ref, w_ref) in zip(grid.face_strides, faces, strided):
-        assert D_face.shape == w.shape == up.shape == (grid.ncells - s,)
-        assert np.array_equal(up, w > 0.0)
+    faces = drift_face_data(D_cell, E_cell, lam, grid)
+    split = drift_faces(D_cell, E_cell, lam, grid)
+    merged = drift_faces(D_cell, E_cell, lam, grid, merged=True)
+    strided = strided_faces(D_cell, E_cell, lam, grid)
+    for s, dx, (D_face, w), (a, p, m), (A, B), (D_ref, w_ref) in zip(
+            grid.face_strides, grid.dx, faces, split.axes, merged.axes, strided):
+        assert D_face.shape == w.shape == a.shape == A.shape == (grid.ncells - s,)
+        assert np.array_equal(a, D_face / dx**2)
+        assert np.array_equal(p, np.maximum(w, 0.0) / dx)
+        assert np.array_equal(m, np.minimum(w, 0.0) / dx)
+        assert np.array_equal(A, a + p) and np.array_equal(B, m - a)
         if s == 1 and grid.dim > 1:
             n = grid.cells[-1]
             real = np.arange(grid.ncells - 1) % n != n - 1
-            assert np.all(D_face[~real] == 0.0) and np.all(w[~real] == 0.0)
+            for W in (D_face, w, a, p, m, A, B):
+                assert np.all(W[~real] == 0.0)
             D_face, w = D_face[real], w[real]
         assert np.array_equal(D_face, D_ref.reshape(-1))
         assert np.array_equal(w, w_ref.reshape(-1))
+
+
+def test_merged_weights_need_q_to_be_f():
+    grid, f, q, D_cell, E_cell, lam = _kernel_data((9,), bins=2)
+    merged = drift_faces(D_cell, E_cell, lam, grid, merged=True)
+    with pytest.raises(ValueError, match="transport f itself"):
+        drift_diffusion_div(f, q, merged, grid)
 
 
 def test_kernel_with_buffers_allocates_no_arrays():
