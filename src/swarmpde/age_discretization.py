@@ -41,13 +41,15 @@ __all__ = [
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 BIN_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
+_TINY = np.finfo(float).tiny
 
 
-def bin_blocks(u: np.ndarray) -> list:
-    """Ranges (k0, k1) of consecutive bins of ``u``, each about
-    BIN_BLOCK_BYTES, so that elementwise work on one block stays in cache."""
-    I = u.shape[0]
-    nb = max(1, BIN_BLOCK_BYTES // u[0].nbytes)
+def bin_blocks(shape: tuple) -> list:
+    """Ranges (k0, k1) of consecutive bins of a float array of ``shape``
+    (bins first), each about BIN_BLOCK_BYTES, so that elementwise work on
+    one block stays in cache."""
+    I = shape[0]
+    nb = max(1, BIN_BLOCK_BYTES // (8 * math.prod(shape[1:])))
     return [(k0, min(k0 + nb, I)) for k0 in range(0, I, nb)]
 
 
@@ -56,12 +58,24 @@ def theta_cutoff(r):
     return 1.0 - smoothstep((np.asarray(r, dtype=float) - 0.5) / 0.5)
 
 
-def entropy_phi(r):
-    """Convex entropy r*(ln r - 1) + 1 with the continuous value 1 at r = 0."""
-    r = np.asarray(r, dtype=float)
-    from scipy.special import xlogy  # xlogy(0,0) = 0 gives phi(0) = 1 exactly
+def entropy_phi(r, out=None):
+    """Convex entropy r (ln r - 1) + 1 of densities r >= 0, exactly 1 at
+    r = 0 and exactly 0 at r = 1.
 
-    return xlogy(r, r) - r + 1.0
+    The logarithm is taken of max(r, tiny), the smallest normal float:
+    at r = 0 the product 0 * ln(tiny) is zero, and below tiny the product
+    is too small to move the sum off 1.  ``out``, if given, is a float
+    array of r's shape that receives the result.
+    """
+    r = np.asarray(r, dtype=float)
+    if out is None:
+        out = np.empty_like(r)
+    np.maximum(r, _TINY, out=out)
+    np.log(out, out=out)
+    out -= 1.0
+    out *= r
+    out += 1.0
+    return out
 
 
 @dataclass(frozen=True)

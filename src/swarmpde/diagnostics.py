@@ -7,16 +7,19 @@ coefficient arrays, so each estimate becomes an assertable per-run
 inequality: envelope minus observation is the margin, and a negative
 margin is a bug somewhere.
 
-A sample checks the sign of the bin densities once, then takes the
-per-bin fields of the clipped densities, the entropy density and the
-squared gradient of the square root, in one pass over the step's bin
-blocks (``age_discretization.bin_blocks``).  Both fields are elementwise
-across bins and the weighted sums over bins run on the whole arrays, so
-the sampled entropy and dissipation are bitwise those of the standalone
-``entropy`` and ``dissipation``.  The b-weighted mass and the age tails
-are linear in the per-bin integrals, so the sample takes all of them
-from one row sum of the densities (``bin_totals``), as the standalone
-``mass_b`` and ``tail_mass`` do.
+A sample reads each block of the step's bin blocks
+(``age_discretization.bin_blocks``) once, into block-sized buffers the
+recorder owns, and reduces it in cache to per-bin sums (``bin_sums``):
+the integrals of the densities, of their entropy density and of the
+face form of their sqrt-gradient dissipation, plus the raw minimum and
+the clipped maximum.  It checks the sign of the densities once and
+takes every weighted sum over bins on the per-bin vectors, so it
+allocates no array of the densities' size.  The standalone ``entropy``
+and ``dissipation`` run ``bin_sums`` on all bins as one block; every
+per-bin sum runs over that bin's cells alone, so the sample is bitwise
+equal to them whatever the blocks.  The b-weighted mass and the age
+tails are linear in the per-bin integrals (``bin_totals``), as in the
+standalone ``mass_b`` and ``tail_mass``.
 
 The weak-formulation residual evaluates the defining integral identity of
 the continuous problem on the discrete trajectory against a catalogue of
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -43,7 +46,14 @@ from .model_spec import (
     smoothstep_prime,
     zeta1_prime,
 )
-from .spatial_grid import SpatialGrid, grad_cell, grad_sq, grad_sq_root, laplacian
+from .spatial_grid import (
+    SpatialGrid,
+    diffusion_weights,
+    face_sq_sums,
+    grad_cell,
+    grad_sq,
+    laplacian,
+)
 
 __all__ = [
     "DiagnosticsRecord",
@@ -51,6 +61,8 @@ __all__ = [
     "EnvelopeMargin",
     "TestFunction",
     "WeakResidualResult",
+    "BinSums",
+    "bin_sums",
     "bin_totals",
     "mass_b",
     "entropy",
@@ -73,10 +85,52 @@ ENVELOPE_NAMES = (
 # --------------------------------------------------------------------------
 # instantaneous quantities
 
-def mass_b_integrand(state, grid: AgeGrid) -> np.ndarray:
-    """Cellwise alpha * sum_i b_i u_i + v."""
-    I = grid.I
-    return grid.alpha * np.tensordot(grid.b[:I], state.u, axes=(0, 0)) + state.v
+class BinSums(NamedTuple):
+    """One pass over bins of ``u``: the raw minimum, the maximum after the
+    clip at 0, and per bin the integral of u (``bin_totals``), of the
+    entropy density phi(clipped u) and, if asked for, the face form of
+    the sqrt-gradient dissipation."""
+
+    min_u: float
+    max_u: float
+    totals: np.ndarray
+    entropy: np.ndarray
+    dissipation: Optional[np.ndarray]
+
+
+def bin_sums(u, sgrid: SpatialGrid, d_weights=None, work=None) -> BinSums:
+    """The ``BinSums`` of the bins ``u`` (all of them or a block of them).
+
+    Every reduction runs per bin over that bin's cells, so the sums of a
+    block are bitwise the matching entries of the whole array's.  The
+    dissipation, taken when ``d_weights`` (``diffusion_weights`` of
+    D_alpha) is given, is per bin the sum over faces of
+    (delta sqrt(r))^2 face_mean(D_alpha)/dx^2 of the clipped r; in exact
+    arithmetic it is the cell sum of D_alpha |grad sqrt(r)|^2 with the
+    face-averaged squared gradient (``grad_sq``).  ``work``, if given, is
+    a pair of flat float buffers of at least ``u.size`` elements; with it
+    no u-sized array is allocated.  The caller checks ``min_u``.
+    """
+    rows = u.reshape(u.shape[0], -1)
+    if work is None:
+        work = (np.empty(rows.size), np.empty(rows.size))
+    r = work[0][:rows.size].reshape(rows.shape)
+    low = float(rows.min())
+    totals = bin_totals(rows, sgrid)
+    np.maximum(rows, 0.0, out=r)
+    top = float(r.max())
+    ent = entropy_phi(r, out=work[1][:rows.size].reshape(rows.shape)).sum(axis=1)
+    diss = None
+    if d_weights is not None:
+        diss = face_sq_sums(np.sqrt(r, out=r), d_weights, sgrid, work=work[1])
+    return BinSums(low, top, totals, ent * sgrid.cell_volume,
+                   None if diss is None else diss * sgrid.cell_volume)
+
+
+def _checked(sums: BinSums) -> BinSums:
+    if sums.min_u < -1e-12:
+        raise NegativeField(f"bin densities must be >= 0 (min {sums.min_u:.3e})")
+    return sums
 
 
 def bin_totals(u, sgrid: SpatialGrid) -> np.ndarray:
@@ -94,60 +148,38 @@ def mass_b(state, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
             + float(state.v.sum()) * sgrid.cell_volume)
 
 
-def entropy_integrand(state, grid: AgeGrid, phi=None) -> np.ndarray:
-    """Cellwise alpha * sum_i lam_i phi(u_i).
-
-    ``phi``, if given, is entropy_phi of the clipped bin densities.
-    """
-    if phi is None:
-        phi = entropy_phi(np.maximum(state.u, 0.0))
-    return grid.alpha * np.tensordot(grid.lam[:grid.I], phi, axes=(0, 0))
-
-
-def entropy(state, grid: AgeGrid, sgrid: SpatialGrid, phi=None) -> float:
+def entropy(state, grid: AgeGrid, sgrid: SpatialGrid, sums=None) -> float:
     """lam-weighted entropy sum_i alpha lam_i integral phi(u_i).
 
-    With ``phi`` (entropy_phi of the clipped bin densities) given, the
-    caller has checked the sign of the densities.
+    ``sums`` are the ``bin_sums`` of the bins, taken if not given; given,
+    the caller has checked the sign of the densities.
     """
-    if phi is None and float(state.u.min()) < -1e-12:
-        raise NegativeField("entropy needs nonnegative bin densities")
-    return float(np.sum(entropy_integrand(state, grid, phi))) * sgrid.cell_volume
+    if sums is None:
+        sums = _checked(bin_sums(state.u, sgrid))
+    return grid.alpha * float(grid.lam[:grid.I] @ sums.entropy)
 
 
 def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
-                zeta1_eval: Callable, spec: ModelSpec, gsq=None) -> tuple:
+                zeta1_eval: Callable, spec: ModelSpec, sums=None) -> tuple:
     """Instantaneous dissipation integrands.
 
     Returns (d_u, d_E, gz1, gz2): the lam-weighted sqrt-gradient term with
-    the regularized diffusivity, the drift term E |grad biomass|^2, and the
-    squared gradients of both transforms of the biomass.  Transform
-    gradients difference the transformed cell values, matching how the
-    limit objects are defined.  ``gsq``, if given, is grad_sq_root of the
-    bin densities, whose sign the caller has then checked.
+    the regularized diffusivity (in face form, see ``bin_sums``), the
+    drift term E |grad biomass|^2, and the squared gradients of both
+    transforms of the biomass.  Transform gradients difference the
+    transformed cell values, matching how the limit objects are defined.
+    ``sums``, if given, are the ``bin_sums`` of the bins with the
+    dissipation taken; the caller has then checked their sign.
     """
     I, vol = grid.I, sgrid.cell_volume
     lam = state.lambda_rec
-    Da = reg.D_alpha(lam)
-    if gsq is None:
-        gsq = grad_sq_root(state.u, sgrid)  # (I, *cells); rejects u < -1e-12
-    weights = grid.alpha * grid.lam[:I]
-    d_u = float(np.sum(np.tensordot(weights, gsq, axes=(0, 0)) * Da)) * vol
+    if sums is None:
+        sums = _checked(bin_sums(state.u, sgrid, diffusion_weights(reg.D_alpha(lam), sgrid)))
+    d_u = grid.alpha * float(grid.lam[:I] @ sums.dissipation)
     d_E = float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol
     gz1 = float(np.sum(grad_sq(zeta1_eval(lam), sgrid))) * vol
     gz2 = float(np.sum(grad_sq(np.asarray(spec.zeta2(lam), dtype=float), sgrid))) * vol
     return d_u, d_E, gz1, gz2
-
-
-def tail_integrand(state, A: float, grid: AgeGrid) -> np.ndarray:
-    """Cellwise b-weighted density in bins entirely above age A."""
-    if A < 4.0 * grid.alpha:
-        raise ValueError("tail age A must be at least 4*alpha")
-    I = grid.I
-    sel = np.arange(1, I + 1) * grid.alpha > A
-    if not np.any(sel):
-        return np.zeros(state.u.shape[1:])
-    return grid.alpha * np.tensordot(grid.b[:I][sel], state.u[sel], axes=(0, 0))
 
 
 def tail_mass(state, A: float, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
@@ -266,6 +298,10 @@ class DiagnosticsRecorder:
         self._grad_v0 = math.nan
         self._zeta1_rmax = 2.0
         self._zeta1 = Zeta1Evaluator(spec, self._zeta1_rmax)
+        # a sample reads u block by block into these buffers
+        self._blocks = bin_blocks((grid.I,) + sgrid.shape)
+        size = max(k1 - k0 for k0, k1 in self._blocks) * sgrid.ncells
+        self._work = (np.empty(size), np.empty(size))
         # sup of g over the regularization box stands in for its global sup
         s = reg.clamp * np.arange(0, 1025) / 1024.0
         g_inf = float(np.max(np.abs(np.asarray(spec.g(s), dtype=float))))
@@ -302,38 +338,28 @@ class DiagnosticsRecorder:
         self._cons = max(self._cons, sres.conservation_residual)
         self._courant = max(self._courant, sres.courant)
 
-    def sample(self, state, scratch=None) -> None:
+    def sample(self, state) -> None:
         """Record one sample of ``state``.
 
-        ``scratch``, if given, is a float array of the shape of ``state.u``
-        that the sample may overwrite (the run's step-plan scratch).
+        The bins are read once, block by block (``bin_sums`` into the
+        recorder's block-sized buffers); the sample allocates no array of
+        u's size.
         """
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
         vol = sgrid.cell_volume
         u, lam = state.u, state.lambda_rec
-        min_u = float(u.min())
-        if min_u < -1e-12:
-            raise NegativeField(f"bin densities must be >= 0 (min {min_u:.3e})")
-        # the entropy and the sqrt-gradient of the clipped densities in one
-        # pass over the step's bin blocks; both are elementwise across bins,
-        # so each block is bitwise the matching rows of a whole-array pass
-        phi = np.empty_like(u)
-        gsq = np.empty_like(u) if scratch is None else scratch
-        for k0, k1 in bin_blocks(u):
-            r = np.maximum(u[k0:k1], 0.0)
-            phi[k0:k1] = entropy_phi(r)
-            gsq[k0:k1] = grad_sq(np.sqrt(r, out=r), sgrid)
-        ent = entropy(state, grid, sgrid, phi=phi)
-        del phi  # u-sized: released before the later passes allocate theirs
+        d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
+        lows, tops, *per_bin = zip(*(
+            bin_sums(u[k0:k1], sgrid, d_weights, self._work) for k0, k1 in self._blocks))
+        sums = _checked(BinSums(min(lows), max(tops), *map(np.concatenate, per_bin)))
+        totals, max_u = sums.totals, sums.max_u
         z1 = self._zeta1_for(float(lam.max(initial=0.0)))
-        d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, gsq=gsq)
+        d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, sums)
         lap_v = laplacian(state.v, sgrid)
-        max_u = float(u.max(initial=0.0))
         rows = self._rows
-        totals = bin_totals(u, sgrid)
         rows["t"].append(state.t)
         rows["mass_b"].append(mass_b(state, grid, sgrid, totals))
-        rows["entropy"].append(ent)
+        rows["entropy"].append(entropy(state, grid, sgrid, sums))
         rows["dissipation_u"].append(d_u)
         rows["dissipation_E"].append(d_E)
         rows["grad_zeta1_sq"].append(gz1)
@@ -347,7 +373,7 @@ class DiagnosticsRecorder:
             float(np.max(np.abs(state.lambda_rec - state.lambda_ev)))
         )
         rows["max_u"].append(max_u)
-        rows["min_u"].append(min_u)
+        rows["min_u"].append(sums.min_u)
         rows["min_v"].append(float(state.v.min()))
         rows["min_Lambda"].append(float(lam.min()))
         rows["kbound_margin"].append(

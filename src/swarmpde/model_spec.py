@@ -76,9 +76,17 @@ def smoothstep_prime(x):
 
 
 def bump(s, lo, hi, ramp_frac=0.25):
-    """C^2 bump equal to 1 on the middle of [lo, hi] and 0 outside it."""
+    """C^2 bump equal to 1 on the middle of [lo, hi] and 0 outside it.
+
+    The rising ramp's argument x and the falling ramp's y add up to
+    1/ramp_frac >= 2, so one of them is at least 1, where smoothstep is
+    exactly 1: the product of the two ramps is smoothstep(min(x, y)).
+    """
+    if ramp_frac > 0.5:
+        raise ValueError("ramp_frac must be at most 0.5: the two ramps would overlap")
+    s = np.asarray(s, dtype=float)
     w = (hi - lo) * ramp_frac
-    return smoothstep((np.asarray(s, dtype=float) - lo) / w) * smoothstep((hi - s) / w)
+    return smoothstep(np.minimum((s - lo) / w, (hi - s) / w))
 
 
 # --------------------------------------------------------------------------

@@ -46,17 +46,19 @@ a single block.
 
 ``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
 step: the frozen weights (the mu column, b*mu, lam_star - mu*lam), the
-block layout, one u-sized scratch array for the bin divergence and two
-flat block-sized work buffers.  The flux kernel writes into the scratch
-through the work buffers, which allocates no array, and the Euler update
-runs in the work buffers, so the new u is the only u-sized array a step
-allocates.  Between steps the diagnostics sample borrows the scratch
-array for its sqrt-gradient field; ``run`` releases the plan before
-``finalize``.
+block layout and three flat block-sized buffers.  The flux kernel writes
+a block's bin divergence into the first through the other two, which
+allocates no array, and the Euler update runs in the work buffers, so
+the new u is the only u-sized array a step allocates and the plan holds
+none.  The diagnostics samples between steps reduce u in block buffers
+of their own recorder and allocate no u-sized array either; ``run``
+releases the plan before ``finalize``.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2.
 ``step_coefficients`` tests that plateau once per step from the largest
-bin density: on it the flux weights are merged, the drift transports u
+bin density, which the state carries (``SimState.max_u``: the step takes
+it from its block maxima after the clip, ``initial_state`` from the
+initial data): on it the flux weights are merged, the drift transports u
 itself and the cutoff is not evaluated; off it every block takes the
 split weights and the cutoff-weighted density, so all blocks take one
 path.
@@ -127,6 +129,7 @@ class SimState:
     v: np.ndarray            # (*cells) swimmer density
     lambda_rec: np.ndarray   # alpha-weighted bin sum, rebuilt every step
     lambda_ev: np.ndarray    # shadow biomass, integrated independently
+    max_u: float             # largest bin density, taken where u is made
     t: float = 0.0
     step_count: int = 0
     tstar_crossed: bool = False
@@ -163,18 +166,17 @@ class StepPlan:
 
     The frozen weights are the decay column ``mu`` (shape (I, 1, ...)),
     the swimmer source weights b*mu and the shadow source weights
-    lam_star - mu*lam; ``blocks`` is the bin-block layout.  ``div_u`` is
-    one u-sized scratch array (the bin divergence; a diagnostics sample
-    borrows it between steps) and ``work`` two flat buffers of the
-    largest block's size.  The scratch holds nothing from one step to
-    the next.
+    lam_star - mu*lam; ``blocks`` is the bin-block layout.  ``div`` (a
+    block's bin divergence) and the pair ``work`` are flat buffers of the
+    largest block's size.  The scratch holds nothing from one step to the
+    next.
     """
 
     mu: np.ndarray
     b_mu: np.ndarray
     lam_source: np.ndarray
     blocks: tuple
-    div_u: np.ndarray
+    div: np.ndarray
     work: tuple
 
 
@@ -230,8 +232,8 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
     rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the shadow
     biomass' limit.  D_alpha and E_alpha are evaluated once.  The bins'
-    flux weights are merged or split after one maximum of the bin
-    densities (``cutoff_plateau``), in the memory of the face data.
+    flux weights are merged or split after the state's largest bin
+    density (``cutoff_plateau``), in the memory of the face data.
     """
     lam = state.lambda_rec
     Da = reg.D_alpha(lam)
@@ -250,7 +252,7 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
     dt_max = min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
-    weights = flux_weights(faces, sgrid, merged=cutoff_plateau(state.u, reg))
+    weights = flux_weights(faces, sgrid, merged=cutoff_plateau(state.max_u, reg))
     return StepCoefficients(weights=weights, dt_max=dt_max)
 
 
@@ -278,21 +280,21 @@ def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid) -> SimState:
     u0 = np.asarray(u0, dtype=float).copy()
     v0 = np.asarray(v0, dtype=float).copy()
     lam0 = _reconstruct(u0, grid)
-    return SimState(u=u0, v=v0, lambda_rec=lam0, lambda_ev=lam0.copy())
+    return SimState(u=u0, v=v0, lambda_rec=lam0, lambda_ev=lam0.copy(),
+                    max_u=float(u0.max()))
 
 
 def step_plan(grid: AgeGrid, sgrid: SpatialGrid) -> StepPlan:
     """The step plan of a run on ``grid`` x ``sgrid`` (see ``StepPlan``)."""
     I = grid.I
-    div_u = np.empty((I,) + sgrid.shape)
-    blocks = tuple(bin_blocks(div_u))
+    blocks = tuple(bin_blocks((I,) + sgrid.shape))
     size = max(k1 - k0 for k0, k1 in blocks) * sgrid.ncells
     return StepPlan(
         mu=grid.mu[:I].reshape((I,) + (1,) * sgrid.dim),
         b_mu=grid.b[:I] * grid.mu[:I],
         lam_source=grid.lam_star - grid.mu[:I] * grid.lam[:I],
         blocks=blocks,
-        div_u=div_u,
+        div=np.empty(size),
         work=(np.empty(size), np.empty(size)),
     )
 
@@ -319,7 +321,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     # bins, so each block is bitwise the matching rows of a whole-array
     # update.  The reductions over the divergence fold into the loop
     # in forms that do not depend on the blocks
-    div_u, work = plan.div_u, plan.work
+    work = plan.work
     new_u = np.empty_like(u)
     # f + dt (d - (f - u_prev)/alpha - mu f) as
     # f (1 - dt/alpha - dt mu) + dt d + (dt/alpha) u_prev
@@ -332,7 +334,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     for k0, k1 in plan.blocks:
         f, new_f = u[k0:k1], new_u[k0:k1]
         d = div_flux(f, lam_rec, v, reg, sgrid, weights=coeffs.weights,
-                     out=div_u[k0:k1], work=work)
+                     out=plan.div[:f.size].reshape(f.shape), work=work)
         term = work[0][:f.size].reshape(f.shape)
         np.multiply(f, keep[k0:k1], out=new_f)
         np.multiply(d, dt, out=term)
@@ -402,7 +404,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
             state.t + dt,
         )
     new_state = SimState(
-        u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev,
+        u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev, max_u=max_u,
         t=state.t + dt, step_count=state.step_count + 1,
         tstar_crossed=state.tstar_crossed or crossed,
         theta_activations=state.theta_activations + activations,
@@ -433,7 +435,8 @@ def run(setup: RunSetup) -> RunResult:
     The step size is the minimum of the coefficient record's ``dt_max``,
     the fixed step if one is set, and the distance to the next sample
     time, so samples land exactly on the cadence grid and runs are
-    deterministic.
+    deterministic.  One step plan serves every step; the diagnostics
+    recorder samples the initial state and every sample time.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     state = initial_state(setup.u0, setup.v0, grid)
@@ -452,7 +455,7 @@ def run(setup: RunSetup) -> RunResult:
             lambda_ev=s.lambda_ev.copy(),
         )
 
-    recorder.sample(state, scratch=plan.div_u)
+    recorder.sample(state)
     samples = [snapshot(state)]
     clamp_warned = False
 
@@ -473,7 +476,7 @@ def run(setup: RunSetup) -> RunResult:
                     )
                     clamp_warned = True
         state.t = t_target
-        recorder.sample(state, scratch=plan.div_u)
+        recorder.sample(state)
         samples.append(snapshot(state))
 
     del plan  # its scratch is released before finalize allocates its own

@@ -23,7 +23,9 @@ every axis on the fields flattened to rows of ``ncells`` cells, so each
 of its operations is one contiguous loop per row; the weights are in
 that flattened-cell order, with zero weights at the row wraps of the
 last axis.  With an output array and two work buffers from the caller
-(the solver's step plan) it allocates no array.
+(the solver's step plan) it allocates no array.  ``face_sq_sums`` reduces
+weighted squared face differences per row in the same layout (the
+diagnostics' sqrt-gradient dissipation).
 
 Operators are pure functions of their inputs; concurrent calls on
 disjoint outputs and work buffers are safe.
@@ -37,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NegativeField
+from .errors import GridMismatch
 
 __all__ = [
     "SpatialGrid",
@@ -50,7 +52,8 @@ __all__ = [
     "drift_diffusion_div",
     "laplacian",
     "grad_sq",
-    "grad_sq_root",
+    "diffusion_weights",
+    "face_sq_sums",
     "grad_cell",
     "face_diff",
     "face_mean",
@@ -170,6 +173,13 @@ def _with_wraps(face: np.ndarray) -> np.ndarray:
     return padded.reshape(-1)[:-1]
 
 
+def _flat_face(face: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
+    """Axis ``ax``'s interior faces in the flat layout of ``drift_face_data``."""
+    if grid.dim == 1:
+        return face
+    return _with_wraps(face) if ax == grid.dim - 1 else np.ravel(face)
+
+
 def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
     """Per-axis face data ``(mean(D), w)`` of the drift-diffusion flux.
 
@@ -184,10 +194,7 @@ def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> t
     for ax in range(grid.dim):
         D_face = mean(D_cell, grid, ax)
         w = face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax)
-        if grid.dim > 1:
-            flat = _with_wraps if ax == grid.dim - 1 else np.ravel
-            D_face, w = flat(D_face), flat(w)
-        faces.append((D_face, w))
+        faces.append((_flat_face(D_face, grid, ax), _flat_face(w, grid, ax)))
     return tuple(faces)
 
 
@@ -305,19 +312,20 @@ def drift_diffusion_div(f, q, weights: FluxWeights, grid: SpatialGrid, out=None,
     return out
 
 
-def cutoff_plateau(u, reg) -> bool:
-    """Whether every density of ``u`` lies on the cutoff's plateau.
+def cutoff_plateau(u_max, reg) -> bool:
+    """Whether densities whose largest is ``u_max`` all lie on the cutoff's
+    plateau.
 
     theta is exactly 1 for alpha^2 u <= 1/2, so there the cutoff-weighted
     density u * theta(alpha^2 u) is u itself, bit for bit.
     """
-    return bool(reg.alpha**2 * u.max() <= 0.5)
+    return bool(reg.alpha**2 * u_max <= 0.5)
 
 
 def _cutoff_density(u, reg) -> np.ndarray:
     """The drift's transported density u * theta(alpha^2 u); u itself on
     the plateau, where the cutoff is not evaluated."""
-    if cutoff_plateau(u, reg):
+    if cutoff_plateau(u.max(), reg):
         return u
     return u * reg.theta(reg.alpha**2 * u)
 
@@ -332,7 +340,7 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
     ``E_a(lam_total, v)`` when the caller has built them already; merged
     weights say that u lies on the cutoff plateau, so the drift transports
     u itself.  Without them the weights are merged exactly when
-    ``cutoff_plateau(u, reg)``.  ``out`` and ``work`` are passed to
+    ``cutoff_plateau(u.max(), reg)``.  ``out`` and ``work`` are passed to
     ``drift_diffusion_div``.
     """
     u = grid.check_field(u, "u")
@@ -342,7 +350,7 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
         raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
     if weights is None:
         weights = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid,
-                              merged=cutoff_plateau(u, reg))
+                              merged=cutoff_plateau(u.max(), reg))
     q = u if weights.merged else _cutoff_density(u, reg)
     return drift_diffusion_div(u, q, weights, grid, out, work)
 
@@ -372,13 +380,37 @@ def grad_sq(f, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-def grad_sq_root(u, grid: SpatialGrid) -> np.ndarray:
-    """Squared gradient of sqrt(u); the square root is taken on cell values
-    so the result stays defined at u = 0."""
-    u = grid.check_field(u, "u")
-    if float(u.min()) < -1e-12:
-        raise NegativeField(f"grad_sq_root needs u >= 0 (min {float(u.min()):.3e})")
-    return grad_sq(np.sqrt(np.maximum(u, 0.0)), grid)
+def diffusion_weights(D_cell, grid: SpatialGrid) -> tuple:
+    """Per axis, face_mean(D)/dx^2 in the flat face layout of
+    ``drift_face_data`` (zero on the row-wrap faces)."""
+    return tuple(_flat_face(face_mean(D_cell, grid, ax) / (dx * dx), grid, ax)
+                 for ax, dx in enumerate(grid.dx))
+
+
+def face_sq_sums(f, weights, grid: SpatialGrid, work=None) -> np.ndarray:
+    """Per row of ``f`` (its leading axes, cells flattened), the sum over
+    every axis and face k of weights[ax][k] (f[k + s] - f[k])^2.
+
+    ``weights`` has the flat layout of ``drift_face_data``, zero on the
+    row-wrap faces, so a row's sum depends on that row alone.  With
+    ``diffusion_weights(D)`` it is the face form of the cell sum of
+    D * grad_sq(f).  ``work``, if given, is a flat float buffer of at least
+    ``f.size`` elements; the result is the only array allocated.
+    """
+    N = grid.ncells
+    rows = f.reshape(-1, N)
+    n = rows.shape[0]
+    if work is None:
+        work = np.empty(rows.size)
+    out = np.zeros(n)
+    for s, w in zip(grid.face_strides, weights):
+        m = N - s  # faces between cells k and k + s
+        d = work[:n * m].reshape(n, m)
+        np.subtract(rows[:, s:], rows[:, :m], out=d)
+        d *= d
+        d *= w
+        out += d.sum(axis=1)
+    return out
 
 
 def grad_cell(f, grid: SpatialGrid) -> list:

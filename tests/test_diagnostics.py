@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 
 from swarmpde import age_discretization, diagnostics
-from swarmpde.age_discretization import build_age_grid, regularize
+from swarmpde.age_discretization import build_age_grid, entropy_phi, regularize
 from swarmpde.diagnostics import (
     ENVELOPE_NAMES,
     DiagnosticsRecorder,
     TestFunction,
     _eta_weights,
+    bin_sums,
     comparison_bound,
     dissipation,
     entropy,
-    entropy_integrand,
     envelope_check,
     envelope_report,
     mass_b,
-    mass_b_integrand,
-    tail_integrand,
     tail_mass,
     make_test_functions,
     weak_residual,
@@ -27,7 +25,7 @@ from swarmpde.diagnostics import (
 from swarmpde.errors import InadmissibleTestFunction, NegativeField
 from swarmpde.model_spec import Zeta1Evaluator
 from swarmpde.solver_core import RunSetup, initial_state, run
-from swarmpde.spatial_grid import SpatialGrid, grad_sq, grad_sq_root
+from swarmpde.spatial_grid import SpatialGrid, diffusion_weights, grad_sq
 
 from conftest import make_spec, steep_switch
 
@@ -86,19 +84,23 @@ def test_dissipation_nonnegative_random(rng):
 
 
 def test_dissipation_checks_sign_once_and_keeps_values(rng):
-    # grad_sq_root alone checks and clips the bin densities; the values
-    # are bitwise those of the formula with the former outer clip
+    # the bin densities' sign is checked once, on their raw minimum; the
+    # sqrt-gradient term is the face form: per bin, the sum over faces of
+    # (delta sqrt(u))^2 face_mean(D_alpha)/dx^2 of the clipped densities,
+    # weighted by alpha lam_i.  The other three terms keep their formulas
     spec, grid, reg, sgrid = _pieces()
     z1 = Zeta1Evaluator(spec, 16.0)
     shape = (grid.I,) + sgrid.shape
     u = rng.uniform(0.0, 2.0, size=shape) * (rng.random(shape) > 0.3)
     u[0, 5] = -1e-13  # roundoff below zero, inside the tolerance
     state = initial_state(u, rng.uniform(0.0, 1.0, size=sgrid.shape), grid)
-    lam, vol = state.lambda_rec, sgrid.cell_volume
-    gsq = grad_sq_root(np.maximum(state.u, 0.0), sgrid)
-    weights = grid.alpha * grid.lam[: grid.I]
+    lam, vol, dx = state.lambda_rec, sgrid.cell_volume, sgrid.dx[0]
+    root = np.sqrt(np.maximum(state.u, 0.0))
+    Da = reg.D_alpha(lam)
+    per_bin = ((root[:, 1:] - root[:, :-1]) ** 2
+               * ((0.5 * (Da[:-1] + Da[1:])) / (dx * dx))).sum(axis=1) * vol
     expected = (
-        float(np.sum(np.tensordot(weights, gsq, axes=(0, 0)) * reg.D_alpha(lam))) * vol,
+        grid.alpha * float(grid.lam[: grid.I] @ per_bin),
         float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol,
         float(np.sum(grad_sq(z1(lam), sgrid))) * vol,
         float(np.sum(grad_sq(np.asarray(spec.zeta2(lam), dtype=float), sgrid))) * vol,
@@ -109,13 +111,78 @@ def test_dissipation_checks_sign_once_and_keeps_values(rng):
         dissipation(state, grid, reg, sgrid, z1, spec)
 
 
+def _zeroed_state(rng, grid, cells):
+    # random densities with exact zeros, whole bins of them included
+    shape = (grid.I,) + cells
+    u = rng.uniform(0.0, 3.0, size=shape) * (rng.random(shape) > 0.3)
+    u[1] = 0.0
+    return initial_state(u, rng.uniform(0.0, 1.0, size=cells), grid)
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7), (3, 12)], ids=["1d", "2d", "2d_wide"])
+def test_face_form_dissipation_matches_cell_form(rng, cells):
+    # in exact arithmetic the face sum of (delta sqrt u)^2 face_mean(D)/dx^2
+    # equals the cell sum of D * grad_sq(sqrt u), the former cell form
+    spec = make_spec(D=lambda r: 0.1 + np.maximum(r, 0.0) ** 2)
+    grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
+    reg = regularize(spec, grid.alpha)
+    sgrid = SpatialGrid(extents=(1.0, 2.0)[:len(cells)], cells=cells)
+    z1 = Zeta1Evaluator(spec, 64.0)
+    for _ in range(10):
+        state = _zeroed_state(rng, grid, cells)
+        d_u = dissipation(state, grid, reg, sgrid, z1, spec)[0]
+        gsq = grad_sq(np.sqrt(state.u), sgrid)
+        cell_form = float(np.sum(np.tensordot(grid.alpha * grid.lam[: grid.I], gsq,
+                                              axes=(0, 0)) * reg.D_alpha(state.lambda_rec)))
+        cell_form *= sgrid.cell_volume
+        assert d_u > 0.0
+        assert abs(d_u - cell_form) <= 1e-13 * cell_form
+        per_bin = bin_sums(state.u, sgrid,
+                           diffusion_weights(reg.D_alpha(state.lambda_rec), sgrid)).dissipation
+        assert per_bin[1] == 0.0  # an empty bin has no gradient
+
+
+def test_entropy_phi_exact_at_zero_and_one():
+    # phi(0) = 1 and phi(1) = 0 exactly, so u = 1 has entropy exactly 0
+    assert entropy_phi(np.asarray(0.0)) == 1.0
+    assert entropy_phi(np.asarray(1.0)) == 0.0
+    assert np.all(entropy_phi(np.array([0.0, -0.0, 1.0, 5e-324])) == [1.0, 1.0, 0.0, 1.0])
+    grid = build_age_grid(make_spec(), alpha=0.25, a_max=1.0)
+    for cells in ((16,), (10, 7)):
+        sgrid = SpatialGrid(extents=(1.0, 2.0)[:len(cells)], cells=cells)
+        assert entropy(_state(grid, sgrid, u_val=1.0), grid, sgrid) == 0.0
+        sums = bin_sums(np.ones((grid.I,) + cells), sgrid)
+        assert np.all(sums.entropy == 0.0)
+
+
+def test_bin_sums_sqrt_gradient_linear_profile():
+    # sqrt(u) = c x with unit diffusivity: every face adds c^2 to its bin
+    sgrid = SpatialGrid(extents=(1.0,), cells=(32,))
+    x = sgrid.axis_centers(0)
+    weights = diffusion_weights(np.ones(sgrid.shape), sgrid)
+    sums = bin_sums(np.stack([x**2, 4.0 * x**2, np.zeros(32)]), sgrid, weights)
+    assert np.allclose(sums.dissipation, np.array([1.0, 4.0, 0.0]) * 31 * sgrid.cell_volume,
+                       rtol=1e-12)
+    assert sums.dissipation[2] == 0.0
+
+
+def test_entropy_and_dissipation_reject_negative_densities():
+    spec, grid, reg, sgrid = _pieces()
+    state = _state(grid, sgrid, u_val=-1.0)
+    with pytest.raises(NegativeField):
+        entropy(state, grid, sgrid)
+    with pytest.raises(NegativeField):
+        dissipation(state, grid, reg, sgrid, Zeta1Evaluator(spec, 4.0), spec)
+
+
 @pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
 @pytest.mark.parametrize("per_block", [1, 3, 8], ids=["one_bin", "remainder", "all_bins"])
 def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, per_block):
     # the sample's one pass over bin blocks gives bitwise the standalone
-    # entropy and dissipation, for 8 bins in blocks of 1, of 3 with a
-    # remainder of 2, or all in one block; its masses and tails come from
-    # the per-bin totals the standalone mass_b and tail_mass share
+    # entropy and dissipation (one block of all bins), for 8 bins in
+    # blocks of 1, of 3 with a remainder of 2, or all in one block; its
+    # masses and tails come from the per-bin totals the standalone mass_b
+    # and tail_mass share
     spec = make_spec(E=lambda r, s: 0.2 * np.maximum(r, 0.0)
                      * np.ones_like(np.asarray(s, dtype=float)))
     grid = build_age_grid(spec, alpha=0.125, a_max=1.0)
@@ -127,25 +194,22 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
     u.reshape(grid.I, -1)[4, 5] = -1e-13  # roundoff below zero, inside the tolerance
     state = initial_state(u, rng.uniform(0.0, 1.0, size=cells), grid)
     assert float(state.lambda_rec.max()) < 1.8  # the recorder keeps zeta1's table
-    rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
     blocks = []
 
-    def recording_bin_blocks(u):
-        out = age_discretization.bin_blocks(u)
+    def recording_bin_blocks(shape):
+        out = age_discretization.bin_blocks(shape)
         blocks.extend(k1 - k0 for k0, k1 in out)
         return out
 
     monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * u[0].nbytes)
     monkeypatch.setattr(diagnostics, "bin_blocks", recording_bin_blocks)
-    rec.sample(state)
+    rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
     assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
+    # the recorder's block buffers carry nothing from one sample to the next
+    for buf in rec._work:
+        buf.fill(np.nan)
+    rec.sample(state)
     record = rec.finalize()
-    # a borrowed scratch array (a run passes its step plan's) is
-    # overwritten before it is read
-    borrowing = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
-    borrowing.sample(state, scratch=np.full_like(u, np.nan))
-    for name, values in borrowing.finalize().series.items():
-        assert np.array_equal(values, record.series[name], equal_nan=True)
     row = {name: values[0] for name, values in record.series.items()}
     z1 = Zeta1Evaluator(spec, 2.0)
     d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec)
@@ -192,18 +256,27 @@ def test_comparison_bound_formula():
 
 
 def test_mass_additive_over_subdomains(rng):
+    # the per-bin sums of two halves of the box add up to those of the
+    # whole box, so the masses, the entropy and the tails do too
     _, grid, _, sgrid = _pieces(alpha=0.25, a_max=2.0)
     u = rng.uniform(0.0, 1.0, size=(grid.I,) + sgrid.shape)
     v = rng.uniform(0.0, 1.0, size=sgrid.shape)
-    state = initial_state(u, v, grid)
-    for density, total in (
-        (mass_b_integrand(state, grid), mass_b(state, grid, sgrid)),
-        (entropy_integrand(state, grid), entropy(state, grid, sgrid)),
-        (tail_integrand(state, 1.0, grid), tail_mass(state, 1.0, grid, sgrid)),
+    half = SpatialGrid(extents=(0.5,), cells=(8,))
+    whole, left, right = (initial_state(u[:, sl], v[sl], grid)
+                          for sl in (slice(None), slice(None, 8), slice(8, None)))
+    for quantity in (
+        lambda s, g: mass_b(s, grid, g),
+        lambda s, g: entropy(s, grid, g),
+        lambda s, g: tail_mass(s, 1.0, grid, g),
     ):
-        left = float(np.sum(density[:8])) * sgrid.cell_volume
-        right = float(np.sum(density[8:])) * sgrid.cell_volume
-        assert left + right == pytest.approx(total, rel=1e-13, abs=1e-300)
+        total = quantity(whole, sgrid)
+        assert quantity(left, half) + quantity(right, half) == pytest.approx(
+            total, rel=1e-13, abs=1e-300)
+    parts = [bin_sums(s.u, g) for s, g in ((left, half), (right, half))]
+    sums = bin_sums(u, sgrid)
+    for name in ("totals", "entropy"):
+        assert np.allclose(getattr(parts[0], name) + getattr(parts[1], name),
+                           getattr(sums, name), rtol=1e-13, atol=0.0)
 
 
 def _reference_run(T=0.4, xi_level=0.4, cells=24):

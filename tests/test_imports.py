@@ -7,6 +7,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "swarmpde"
 MODULES = sorted(SRC.glob("*.py"))
 
 
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(tree: ast.Module) -> list:
     imported = {}
     for node in ast.walk(tree):
@@ -17,10 +25,7 @@ def _unused_imports(tree: ast.Module) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # names listed in __all__ are exported, hence used
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used |= _exported(tree)  # names listed in __all__ are exported, hence used
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -39,3 +44,43 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "__all__ = ['tau']\nprint(os.sep)\n")
     assert _unused_imports(tree) == ["pi (line 2)"]
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unreferenced_definitions(trees: dict) -> list:
+    """Top-level functions and classes that no module of ``trees`` (name
+    -> parsed module) references outside their own body and no
+    ``__all__`` exports."""
+    defined, referenced, exported = [], set(), set()
+    for name, tree in trees.items():
+        exported |= _exported(tree)
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, _DEFS):
+                defined.append(f"{name}.{stmt.name}")
+                own = stmt.name  # its references to itself do not count
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    referenced.add(node.attr)
+    return sorted(d for d in defined
+                  if d.split(".")[1] not in referenced | exported)
+
+
+def test_every_definition_is_referenced_or_exported():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in MODULES}
+    assert _unreferenced_definitions(trees) == []
+
+
+def test_scan_flags_an_unreferenced_definition():
+    trees = {
+        "a": ast.parse("__all__ = ['api']\ndef api(): return _helper()\n"
+                       "def _helper(): return 1\ndef dead(): return dead()\n"
+                       "class Unused: pass\n"),
+        "b": ast.parse("from . import a\ndef used_elsewhere(): pass\nx = a.used_elsewhere\n"),
+    }
+    assert _unreferenced_definitions(trees) == ["a.Unused", "a.dead"]

@@ -242,7 +242,8 @@ def test_step_matches_former_formula_within_roundoff(cells, top):
     u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
     seed = initial_state(u0, 0.5 * rng.random(cells), grid)
     state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
-                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)))
+                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+                     max_u=seed.max_u)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
     new_state, _ = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
@@ -289,6 +290,7 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
     seed = initial_state(u0, 0.5 * rng.random(cells), grid)
     state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
                      lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+                     max_u=seed.max_u,
                      theta_activations=5)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
@@ -299,6 +301,8 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
     assert np.array_equal(new_state.v, new_v)
     assert np.array_equal(new_state.lambda_rec, new_rec)
     assert np.array_equal(new_state.lambda_ev, new_ev)
+    # the state carries its largest bin density for the next plateau test
+    assert new_state.max_u == new_u.max() and seed.max_u == u0.max()
     assert new_state.theta_activations == 5 + activations
     assert new_state.tstar_crossed == (activations > 0)
     assert np.all(theta_cutoff(alpha**2 * state.u) == 1.0) == (top <= 0.5)
@@ -329,7 +333,8 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
         assert not all(hot)
     seed = initial_state(u0, 0.5 * rng.random(cells), grid)
     state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
-                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)))
+                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+                     max_u=seed.max_u)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
     blocks = []
@@ -369,7 +374,8 @@ def _rough_state(cells, top, seed):
     u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
     seed_state = initial_state(u0, 0.5 * rng.random(cells), grid)
     state = SimState(u=seed_state.u, v=seed_state.v, lambda_rec=seed_state.lambda_rec,
-                     lambda_ev=seed_state.lambda_rec * (1.0 + 0.01 * rng.random(cells)))
+                     lambda_ev=seed_state.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+                     max_u=seed_state.max_u)
     return state, grid, reg, sgrid
 
 
@@ -387,6 +393,7 @@ def test_plan_reused_over_two_steps_matches_reference(monkeypatch, cells, per_bl
         new_u, new_v, new_rec, new_ev, activations, ref_res = _reference_step(
             ref, coeffs.dt_max, grid, reg, sgrid)
         ref = SimState(u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev,
+                       max_u=float(new_u.max()),
                        theta_activations=ref.theta_activations + activations)
         assert res == ref_res
         for name in ("u", "v", "lambda_rec", "lambda_ev"):
@@ -401,18 +408,18 @@ def test_step_state_does_not_alias_plan_scratch():
     new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
     fields = {name: getattr(new_state, name).copy()
               for name in ("u", "v", "lambda_rec", "lambda_ev")}
-    for scratch in (plan.div_u,) + plan.work:
+    for scratch in (plan.div,) + plan.work:
         scratch.fill(np.nan)
     for name, values in fields.items():
         assert np.array_equal(getattr(new_state, name), values)
 
 
 def test_step_and_sample_peak_memory(monkeypatch):
-    # with the plan and the recorder built, one step and one sample hold at
-    # most two u-sized arrays at once (the new u and the sample's entropy
-    # density) plus block- and grid-sized temporaries: the bin divergence
-    # and the sample's sqrt-gradient share the plan's scratch.  One bin
-    # per block keeps the block temporaries small
+    # with the plan and the recorder built, one step and one sample hold
+    # one u-sized array (the new u) plus block- and grid-sized
+    # temporaries: the bin divergence goes to the plan's scratch and the
+    # sample reduces u in the recorder's block buffers.  One bin per block
+    # keeps the block temporaries small; the measured peak is 1.27 u
     spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
     alpha = 1 / 32
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
@@ -425,16 +432,16 @@ def test_step_and_sample_peak_memory(monkeypatch):
     monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", state.u[0].nbytes)
     plan = step_plan(grid, sgrid)
     recorder = DiagnosticsRecorder(spec, grid, reg, sgrid)
-    recorder.sample(state, scratch=plan.div_u)
+    recorder.sample(state)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     tracemalloc.start()
     try:
         new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
-        recorder.sample(new_state, scratch=plan.div_u)
+        recorder.sample(new_state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * state.u.nbytes
+    assert peak < 1.35 * state.u.nbytes
 
 
 @settings(derandomize=True, max_examples=24, deadline=None)

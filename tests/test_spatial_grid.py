@@ -5,21 +5,22 @@ import numpy as np
 import pytest
 
 from swarmpde.age_discretization import regularize
-from swarmpde.errors import GridMismatch, NegativeField
+from swarmpde.errors import GridMismatch
 from swarmpde.spatial_grid import (
     SpatialGrid,
     conservation_residual,
+    diffusion_weights,
     div_flux,
     drift_diffusion_div,
     drift_face_data,
     drift_faces,
+    face_sq_sums,
     field_from_binary,
     field_from_csv,
     field_to_binary,
     field_to_csv,
     grad_cell,
     grad_sq,
-    grad_sq_root,
     laplacian,
 )
 
@@ -47,7 +48,7 @@ def test_operators_vanish_on_constants():
     v = np.full(grid.shape, 0.2)
     assert np.all(div_flux(u, lam, v, reg, grid) == 0.0)
     assert np.all(laplacian(u, grid) == 0.0)
-    assert np.all(grad_sq_root(u, grid) == 0.0)
+    assert np.all(face_sq_sums(np.sqrt(u), diffusion_weights(lam, grid), grid) == 0.0)
 
 
 def test_laplacian_quadratic_interior():
@@ -132,20 +133,6 @@ def test_conservation_random_fields(rng):
             for row in out.reshape(3, -1):
                 assert conservation_residual(row.reshape(grid.shape), grid) <= 1e-12
             assert conservation_residual(laplacian(v, grid), grid) <= 1e-12
-
-
-def test_grad_sq_root_linear_profile():
-    grid = _grid1d(32)
-    x = grid.axis_centers(0)
-    out = grad_sq_root(x**2, grid)  # sqrt(u) = x, gradient 1
-    assert np.allclose(out[1:-1], 1.0, atol=1e-10)
-    assert np.all(grad_sq_root(np.zeros(grid.shape), grid) == 0.0)
-
-
-def test_grad_sq_root_negative_raises():
-    grid = _grid1d(16)
-    with pytest.raises(NegativeField):
-        grad_sq_root(-np.ones(grid.shape), grid)
 
 
 def test_grid_mismatch_raises():
