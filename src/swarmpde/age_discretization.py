@@ -34,8 +34,8 @@ __all__ = [
     "check_discrete_hypotheses",
     "regularize",
     "age_average_initial",
+    "bin_averages",
     "bin_blocks",
-    "compute_K0",
     "entropy_phi",
 ]
 
@@ -122,7 +122,9 @@ class DiscreteHypothesesReport:
         return all(self.checks.values())
 
 
-def _cell_averages(f: Callable, alpha: float, count: int) -> np.ndarray:
+def bin_averages(f: Callable, alpha: float, count: int) -> np.ndarray:
+    """Averages of f over ``count`` consecutive age bins of width alpha
+    from 0, by 8-point Gauss quadrature; f takes an array of ages."""
     edges = alpha * np.arange(count + 1)
     h = edges[1:] - edges[:-1]
     a = edges[:-1, None] + (_GAUSS_NODES[None, :] + 1.0) * 0.5 * h[:, None]
@@ -140,9 +142,9 @@ def build_age_grid(spec: ModelSpec, alpha: float, a_max: float) -> AgeGrid:
     if I < 1:
         raise ValueError("no age bins; increase a_max or decrease alpha")
 
-    lam = _cell_averages(spec.lam, alpha, I + 1)
-    b = _cell_averages(spec.b, alpha, I + 1)
-    mu = _cell_averages(spec.mu, alpha, I + 1)
+    lam = bin_averages(spec.lam, alpha, I + 1)
+    b = bin_averages(spec.b, alpha, I + 1)
+    mu = bin_averages(spec.mu, alpha, I + 1)
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(b)) and np.all(np.isfinite(mu))):
         raise HypothesisViolation("non-finite cell average in the age weights")
     lam_star = (lam[1:] - lam[:-1])[:I] / alpha
@@ -281,27 +283,3 @@ def age_average_initial(u0: Callable, grid: AgeGrid, sgrid) -> np.ndarray:
         out = np.minimum(out, cap)
     return out
 
-
-def compute_K0(u0_fields: np.ndarray, v0: np.ndarray, grid: AgeGrid, sgrid) -> float:
-    """Initial-data size constant entering every Gronwall envelope.
-
-    Sum of the b-weighted mass, the swimmer mass, the lam-weighted entropy
-    of the initial bins, the first-bin weights, and the sup norms of the
-    initial biomass and swimmer fields.
-    """
-    I, alpha = grid.I, grid.alpha
-    vol = sgrid.cell_volume
-    lam_i = grid.lam[:I]
-    b_i = grid.b[:I]
-    u_sums = u0_fields.reshape(I, -1).sum(axis=1) * vol
-    phi_sums = entropy_phi(u0_fields).reshape(I, -1).sum(axis=1) * vol
-    lam0 = alpha * np.tensordot(lam_i, u0_fields, axes=(0, 0))
-    return float(
-        alpha * (b_i @ u_sums)
-        + float(np.sum(v0)) * vol
-        + alpha * (lam_i @ phi_sums)
-        + grid.b[0]
-        + grid.lam[0]
-        + float(np.max(lam0))
-        + float(np.max(v0))
-    )

@@ -59,19 +59,15 @@ def _report_hash(report) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _manifest(cfg, result, report, wall_time) -> dict:
+def _manifest(cfg, result, report, margins, wall_time) -> dict:
     record = result.record
-    margins = {
-        name: (None if m.skipped else m.margin)
-        for name, m in diag.envelope_report(record).items()
-    }
     constants = dict(record.constants)
     constants["K0"] = record.K0
     return {
         "config_hash": config_mod.config_hash(cfg),
         "hypothesis_report_hash": _report_hash(report),
         "constants": constants,
-        "margins": margins,
+        "margins": {name: (None if m.skipped else m.margin) for name, m in margins.items()},
         "tstar_crossed": bool(result.tstar_crossed),
         "theta_activations": int(record.theta_activations),
         "steps": result.steps,
@@ -79,9 +75,9 @@ def _manifest(cfg, result, report, wall_time) -> dict:
     }
 
 
-def _negative_margins(record) -> list:
+def _negative_margins(margins) -> list:
     bad = []
-    for name, m in diag.envelope_report(record).items():
+    for name, m in margins.items():
         if not m.skipped and m.margin < 0.0:
             bad.append(f"{name}: margin {m.margin:.3e} at t={m.t_at_min:g}")
     return bad
@@ -118,15 +114,16 @@ def cmd_run(cfg, out_dir: Path) -> int:
     wall = time.monotonic() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
     record = result.record
+    margins = diag.envelope_report(record)
     record.to_csv(out_dir / "diagnostics.csv")
     _json_dump(
-        _manifest(cfg, result, report, wall),
+        _manifest(cfg, result, report, margins, wall),
         out_dir / "manifest.json",
     )
-    _json_dump(record.summary_dict(), out_dir / "summary.json")
+    _json_dump(record.summary_dict(margins), out_dir / "summary.json")
     if cfg.output.write_snapshots:
         _write_snapshots(result, cfg, out_dir)
-    bad = _negative_margins(record)
+    bad = _negative_margins(margins)
     if bad:
         _write_failure(out_dir, "envelope_violation", bad)
         return EXIT_FAIL

@@ -36,7 +36,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .age_discretization import AgeGrid, RegularizedModel, bin_blocks, entropy_phi
+from .age_discretization import (
+    AgeGrid,
+    RegularizedModel,
+    bin_averages,
+    bin_blocks,
+    entropy_phi,
+)
 from .errors import InadmissibleTestFunction, NegativeField
 from .model_spec import (
     ModelSpec,
@@ -51,7 +57,6 @@ from .spatial_grid import (
     diffusion_weights,
     face_sq_sums,
     grad_cell,
-    grad_sq,
     laplacian,
 )
 
@@ -105,11 +110,10 @@ def bin_sums(u, sgrid: SpatialGrid, d_weights=None, work=None) -> BinSums:
     block are bitwise the matching entries of the whole array's.  The
     dissipation, taken when ``d_weights`` (``diffusion_weights`` of
     D_alpha) is given, is per bin the sum over faces of
-    (delta sqrt(r))^2 face_mean(D_alpha)/dx^2 of the clipped r; in exact
-    arithmetic it is the cell sum of D_alpha |grad sqrt(r)|^2 with the
-    face-averaged squared gradient (``grad_sq``).  ``work``, if given, is
-    a pair of flat float buffers of at least ``u.size`` elements; with it
-    no u-sized array is allocated.  The caller checks ``min_u``.
+    (delta sqrt(r))^2 face_mean(D_alpha)/dx^2 of the clipped r
+    (``face_sq_sums``).  ``work``, if given, is a pair of flat float
+    buffers of at least ``u.size`` elements; with it no u-sized array is
+    allocated.  The caller checks ``min_u``.
     """
     rows = u.reshape(u.shape[0], -1)
     if work is None:
@@ -164,21 +168,25 @@ def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
     """Instantaneous dissipation integrands.
 
     Returns (d_u, d_E, gz1, gz2): the lam-weighted sqrt-gradient term with
-    the regularized diffusivity (in face form, see ``bin_sums``), the
-    drift term E |grad biomass|^2, and the squared gradients of both
-    transforms of the biomass.  Transform gradients difference the
-    transformed cell values, matching how the limit objects are defined.
-    ``sums``, if given, are the ``bin_sums`` of the bins with the
-    dissipation taken; the caller has then checked their sign.
+    the regularized diffusivity (see ``bin_sums``), the drift term
+    E |grad biomass|^2, and the squared gradients of both transforms of
+    the biomass.  All four are face sums (``face_sq_sums``): the face
+    means of D_alpha and of E_alpha weigh the first two, the grid's unit
+    weights the last two.  Transform gradients difference the transformed
+    cell values, matching how the limit objects are defined.  ``sums``,
+    if given, are the ``bin_sums`` of the bins with the dissipation
+    taken; the caller has then checked their sign.
     """
     I, vol = grid.I, sgrid.cell_volume
     lam = state.lambda_rec
     if sums is None:
         sums = _checked(bin_sums(state.u, sgrid, diffusion_weights(reg.D_alpha(lam), sgrid)))
     d_u = grid.alpha * float(grid.lam[:I] @ sums.dissipation)
-    d_E = float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol
-    gz1 = float(np.sum(grad_sq(zeta1_eval(lam), sgrid))) * vol
-    gz2 = float(np.sum(grad_sq(np.asarray(spec.zeta2(lam), dtype=float), sgrid))) * vol
+    E_weights = diffusion_weights(reg.E_alpha(lam, state.v), sgrid)
+    d_E = float(face_sq_sums(lam, E_weights, sgrid)[0]) * vol
+    gz1 = float(face_sq_sums(zeta1_eval(lam), sgrid.unit_weights, sgrid)[0]) * vol
+    zeta2 = np.asarray(spec.zeta2(lam), dtype=float)
+    gz2 = float(face_sq_sums(zeta2, sgrid.unit_weights, sgrid)[0]) * vol
     return d_u, d_E, gz1, gz2
 
 
@@ -253,8 +261,8 @@ class DiagnosticsRecord:
             for k in range(self.t.size):
                 fh.write(",".join(f"{c[k]:.17g}" for c in cols) + "\n")
 
-    def summary_dict(self) -> dict:
-        margins = envelope_report(self)
+    def summary_dict(self, margins: dict) -> dict:
+        """The run summary; ``margins`` is this record's ``envelope_report``."""
         return {
             "K0": self.K0,
             "constants": {k: self.constants[k] for k in sorted(self.constants)},
@@ -289,7 +297,6 @@ class DiagnosticsRecorder:
         for A in self.tail_A:
             eta, self._eta_star[A] = _eta_weights(grid, A)
             self._eta_b[A] = eta[:grid.I] * grid.b[:grid.I]
-        self._K0 = math.nan
         self._min_u = math.inf
         self._min_v = math.inf
         self._theta = 0
@@ -321,9 +328,6 @@ class DiagnosticsRecorder:
             "g_inf": g_inf,
             "volume": sgrid.cell_volume * sgrid.ncells,
         }
-
-    def set_K0(self, value: float) -> None:
-        self._K0 = float(value)
 
     def _zeta1_for(self, lam_max: float) -> Callable:
         if lam_max > 0.9 * self._zeta1_rmax:
@@ -385,7 +389,7 @@ class DiagnosticsRecorder:
             self._tail[A].append(tail_mass(state, A, grid, sgrid, totals))
             self._eta[A].append(grid.alpha * float(self._eta_b[A] @ totals))
         if state.t == 0.0 and math.isnan(self._grad_v0):
-            self._grad_v0 = float(np.sum(grad_sq(state.v, sgrid))) * vol
+            self._grad_v0 = float(face_sq_sums(state.v, sgrid.unit_weights, sgrid)[0]) * vol
         self._theta = state.theta_activations
 
     def finalize(self) -> DiagnosticsRecord:
@@ -402,13 +406,18 @@ class DiagnosticsRecorder:
         constants = dict(self.constants)
         constants["R_obs"] = R_obs
         constants["kappa2_Robs"] = kap.kappa2
+        # the initial-data size entering every Gronwall envelope: the b-mass,
+        # entropy and sup norms of the first sample (the initial state)
+        # plus the first-bin weights
+        K0 = float(series["mass_b"][0] + series["entropy"][0] + self.grid.b[0]
+                   + self.grid.lam[0] + series["linf_Lambda"][0] + series["linf_v"][0])
         return DiagnosticsRecord(
             series=series,
             tail={A: np.asarray(v, dtype=float) for A, v in self._tail.items()},
             eta_tail_series={A: np.asarray(v, dtype=float) for A, v in self._eta.items()},
             eta_star_inf=dict(self._eta_star),
             constants=constants,
-            K0=self._K0,
+            K0=K0,
             min_u_run=self._min_u if math.isfinite(self._min_u) else 0.0,
             min_v_run=self._min_v if math.isfinite(self._min_v) else 0.0,
             theta_activations=self._theta,
@@ -648,16 +657,6 @@ class WeakResidualResult:
     terms: dict
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _bin_integrals(f: Callable, alpha: float, I: int) -> np.ndarray:
-    edges = alpha * np.arange(I + 1)
-    a = edges[:-1, None] + (_GAUSS_NODES[None, :] + 1.0) * 0.5 * alpha
-    vals = np.asarray(f(a), dtype=float)
-    return (vals * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * 0.5 * alpha
-
-
 def _safe_ratios(spec: ModelSpec, lam: np.ndarray, v: np.ndarray, R_scale: float):
     # continuous-ratio evaluation with a relative floor where the transforms
     # degenerate; continuity of both ratios is part of the data assumptions
@@ -721,11 +720,11 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
 
     pre = []
     for cf, p in parts:
-        Ci = _bin_integrals(p.chi, alpha, I)
+        Ci = alpha * bin_averages(p.chi, alpha, I)
         Cpi = np.asarray(p.chi(edges[1:]), dtype=float) \
             - np.asarray(p.chi(edges[:-1]), dtype=float)
-        Cmui = _bin_integrals(lambda a: np.asarray(p.chi(a)) * np.asarray(spec.mu(a)),
-                              alpha, I)
+        Cmui = alpha * bin_averages(lambda a: np.asarray(p.chi(a)) * np.asarray(spec.mu(a)),
+                                    alpha, I)
         omega = p.omega(sgrid).reshape(-1) * vol
         gomega = [g.reshape(-1) * vol for g in p.grad_omega(sgrid)]
         lomega = p.lap_omega(sgrid).reshape(-1) * vol

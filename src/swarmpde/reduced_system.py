@@ -95,7 +95,8 @@ def _reduced_div(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> np.ndarray:
 
 def _reduced_dt(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
     # the drift acts on the biomass as nonlinear diffusion with coefficient
-    # biomass*E, so the stability limit uses the effective diffusivity
+    # biomass*E, so the stability limit uses the effective diffusivity; its
+    # row-wrap faces are 0 and eff >= 0, so they do not move the maximum
     eff = np.asarray(rspec.effective_diffusivity(lam, v), dtype=float)
     sink = max(0.0, rspec.m2 - 1.0 / rspec.tau)
     rate = sink

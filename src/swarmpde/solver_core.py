@@ -82,7 +82,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .age_discretization import AgeGrid, RegularizedModel, bin_blocks, compute_K0
+from .age_discretization import AgeGrid, RegularizedModel, bin_blocks
 from .errors import UnstableStep
 from .model_spec import ModelSpec
 from .spatial_grid import (
@@ -443,7 +443,6 @@ def run(setup: RunSetup) -> RunResult:
     recorder = diag.DiagnosticsRecorder(
         setup.spec, grid, reg, sgrid, tail_A=setup.tail_A
     )
-    recorder.set_K0(compute_K0(state.u, state.v, grid, sgrid))
     plan = step_plan(grid, sgrid)
 
     def snapshot(s: SimState) -> TrajectorySample:

@@ -10,22 +10,31 @@ The drift flux transports the cutoff-weighted density with a first-order
 upwind donor choice.  That sacrifices formal order but makes the explicit
 update a convex combination, which is what preserves nonnegativity.
 
+Every face quantity has one layout, the flat rows of the flux kernel:
+the fields' grid axes are flattened to ``ncells`` cells, and face k of
+an axis with flat stride s lies between cells k and k + s
+(``SpatialGrid.face_rows``).  On the last axis of a 2D grid the faces
+between the end of one row and the start of the next are row wraps:
+every face helper (``face_diff``, ``face_mean``, ``harmonic_mean``)
+returns exactly +0.0 there, so they carry no flux and add nothing to a
+sum.
+
 ``drift_diffusion_div`` is the one face-flux kernel (the bins, the shadow
-biomass and the reduced system).  Its coefficients depend on the grid
-fields only, so ``drift_faces`` forms them once from the face data
+biomass, the reduced system and, with the grid's unit-diffusion weights,
+the ``laplacian``).  Its coefficients depend on the grid fields only, so
+``drift_faces`` forms them once from the face data
 (``drift_face_data``): the diffusion weight D_face/dx^2 and the two
 halves of the upwind drift weight w/dx.  When the drift transports the
 density itself (the bins on the cutoff plateau, the reduced system) the
 three merge into one weight per side of the face, and an axis costs
 four or five passes over the field.  Every face flux is formed once and
-goes to both of its cells, so the cell sum telescopes.  The kernel runs
-every axis on the fields flattened to rows of ``ncells`` cells, so each
-of its operations is one contiguous loop per row; the weights are in
-that flattened-cell order, with zero weights at the row wraps of the
-last axis.  With an output array and two work buffers from the caller
-(the solver's step plan) it allocates no array.  ``face_sq_sums`` reduces
-weighted squared face differences per row in the same layout (the
-diagnostics' sqrt-gradient dissipation).
+goes to both of its cells, so the cell sum telescopes.  Each operation
+of the kernel is one contiguous loop per row.  With an output array and
+two work buffers from the caller (the solver's step plan) it allocates
+no array.  ``face_sq_sums`` reduces weighted squared face differences
+per row in the same layout: every squared-gradient sum of the
+diagnostics (the sqrt-gradient and drift dissipations, the gradients of
+the biomass transforms and of the initial swimmers).
 
 Operators are pure functions of their inputs; concurrent calls on
 disjoint outputs and work buffers are safe.
@@ -51,14 +60,12 @@ __all__ = [
     "flux_weights",
     "drift_diffusion_div",
     "laplacian",
-    "grad_sq",
     "diffusion_weights",
     "face_sq_sums",
     "grad_cell",
     "face_diff",
     "face_mean",
     "harmonic_mean",
-    "apply_face_flux",
     "conservation_residual",
     "field_to_csv",
     "field_from_csv",
@@ -113,14 +120,37 @@ class SpatialGrid:
         return tuple(int(np.prod(self.cells[ax + 1:])) for ax in range(self.dim))
 
     @cached_property
-    def face_slices(self) -> tuple:
-        """Per axis, the index tuples (lo, hi) of the cells left and right
-        of every interior face; leading per-bin axes are taken whole."""
+    def face_rows(self) -> tuple:
+        """Per axis, the index tuples (lo, hi, wrap) of the flat face
+        layout on fields whose grid axes are flattened to ``ncells``
+        cells: the cells left and right of every face, and the row-wrap
+        faces (None but on the last axis in 2D)."""
+        N, n = self.ncells, self.cells[-1]
         return tuple(
-            tuple((..., sl) + (slice(None),) * (self.dim - 1 - ax)
-                  for sl in (slice(None, -1), slice(1, None)))
-            for ax in range(self.dim)
+            ((..., slice(None, N - s)), (..., slice(s, None)),
+             (..., slice(n - 1, None, n)) if s == 1 and self.dim > 1 else None)
+            for s in self.face_strides
         )
+
+    @cached_property
+    def unit_weights(self) -> tuple:
+        """Per axis, the unit-diffusion weight 1/dx^2 of every face: a
+        number on an axis without row wraps, else an array in the flat
+        face layout that is zero on the wraps."""
+        weights = []
+        for dx, (_, _, wrap) in zip(self.dx, self.face_rows):
+            a = 1.0 / (dx * dx)
+            if wrap is not None:
+                a = np.full(self.ncells - 1, a)
+                a[wrap] = 0.0
+            weights.append(a)
+        return tuple(weights)
+
+    @cached_property
+    def laplacian_weights(self) -> "FluxWeights":
+        """Merged flux weights of unit diffusion without drift:
+        A = ``unit_weights`` and B = -A."""
+        return FluxWeights(axes=tuple((a, -a) for a in self.unit_weights), merged=True)
 
     def axis_centers(self, ax: int) -> np.ndarray:
         return (np.arange(self.cells[ax]) + 0.5) * self.dx[ax]
@@ -140,61 +170,57 @@ class SpatialGrid:
         return values
 
 
+def _rows(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """``f`` with its grid axes flattened to one axis of ``ncells`` cells."""
+    return f.reshape(f.shape[:f.ndim - grid.dim] + (grid.ncells,))
+
+
 def face_diff(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
-    """Centered gradient on interior faces along axis ax."""
-    lo, hi = grid.face_slices[ax]
-    return (f[hi] - f[lo]) / grid.dx[ax]
+    """Centered gradient on axis ax's faces, in the flat face layout."""
+    lo, hi, wrap = grid.face_rows[ax]
+    if grid.dim > 1:
+        f = _rows(f, grid)
+    out = (f[hi] - f[lo]) / grid.dx[ax]
+    if wrap is not None:
+        out[wrap] = 0.0
+    return out
 
 
 def face_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
-    lo, hi = grid.face_slices[ax]
-    return 0.5 * (f[lo] + f[hi])
+    """Arithmetic mean on axis ax's faces, in the flat face layout."""
+    lo, hi, wrap = grid.face_rows[ax]
+    if grid.dim > 1:
+        f = _rows(f, grid)
+    out = 0.5 * (f[lo] + f[hi])
+    if wrap is not None:
+        out[wrap] = 0.0
+    return out
 
 
 def harmonic_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
-    """Harmonic face mean; needs f > 0 on both sides of every face."""
-    lo, hi = grid.face_slices[ax]
-    return 2.0 * f[lo] * f[hi] / (f[lo] + f[hi])
-
-
-def apply_face_flux(out: np.ndarray, flux: np.ndarray, grid: SpatialGrid, ax: int) -> None:
-    """Accumulate the divergence of an interior-face flux into ``out``."""
-    lo, hi = grid.face_slices[ax]
-    scaled = flux * (1.0 / grid.dx[ax])
-    out[lo] += scaled
-    out[hi] -= scaled
-
-
-def _with_wraps(face: np.ndarray) -> np.ndarray:
-    """Last-axis faces (..., n - 1) in flattened-cell order: a zero face
-    follows each row, between its last cell and the next row's first."""
-    padded = np.zeros(face.shape[:-1] + (face.shape[-1] + 1,))
-    padded[..., :-1] = face
-    return padded.reshape(-1)[:-1]
-
-
-def _flat_face(face: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
-    """Axis ``ax``'s interior faces in the flat layout of ``drift_face_data``."""
-    if grid.dim == 1:
-        return face
-    return _with_wraps(face) if ax == grid.dim - 1 else np.ravel(face)
+    """Harmonic mean on axis ax's faces, in the flat face layout; needs
+    f > 0 on both sides of every face."""
+    lo, hi, wrap = grid.face_rows[ax]
+    if grid.dim > 1:
+        f = _rows(f, grid)
+    out = 2.0 * f[lo] * f[hi] / (f[lo] + f[hi])
+    if wrap is not None:
+        out[wrap] = 0.0
+    return out
 
 
 def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:
     """Per-axis face data ``(mean(D), w)`` of the drift-diffusion flux.
 
-    The drift face velocity is w = face_mean(E) * grad(lam).  Each array
-    is flat, in flattened-cell order: face k of an axis with flat stride
-    s (``grid.face_strides``) lies between flattened cells k and k + s.
-    On the last axis (stride 1) the faces between the end of one row and
-    the start of the next have D = w = 0 and carry no flux; in 1D there
-    are none.
+    The drift face velocity is w = face_mean(E) * grad(lam).  Both arrays
+    have the flat face layout of the face helpers, so the row-wrap faces
+    have D = w = 0 and carry no flux.
     """
     faces = []
     for ax in range(grid.dim):
-        D_face = mean(D_cell, grid, ax)
-        w = face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax)
-        faces.append((_flat_face(D_face, grid, ax), _flat_face(w, grid, ax)))
+        w = face_mean(E_cell, grid, ax)
+        w *= face_diff(lam, grid, ax)
+        faces.append((mean(D_cell, grid, ax), w))
     return tuple(faces)
 
 
@@ -208,7 +234,9 @@ class FluxWeights:
     weights store (a, p, m) per axis.  When the transported q is f
     itself the two merge, F_k = A f[k+s] + B f[k] with A = a + p and
     B = m - a, and merged weights store (A, B).  The arrays have the
-    flat layout of ``drift_face_data``; row-wrap faces have zero weights.
+    flat face layout; row-wrap faces have zero weights.  A weight that is
+    one number on every face of an axis without row wraps may be that
+    number (``SpatialGrid.unit_weights``).
     """
 
     axes: tuple
@@ -356,46 +384,30 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
 
 
 def laplacian(f, grid: SpatialGrid) -> np.ndarray:
-    """Zero-flux Laplacian (unit diffusivity, no drift)."""
+    """Zero-flux Laplacian: the flux kernel with the grid's unit-diffusion
+    weights (``SpatialGrid.laplacian_weights``)."""
     f = grid.check_field(f, "f")
-    out = np.zeros_like(f)
-    for ax in range(grid.dim):
-        apply_face_flux(out, face_diff(f, grid, ax), grid, ax)
-    return out
-
-
-def grad_sq(f, grid: SpatialGrid) -> np.ndarray:
-    """Squared gradient magnitude per cell.
-
-    Face gradients are squared and averaged back onto the two adjacent
-    cells; boundary faces contribute zero (zero-flux data).
-    """
-    f = grid.check_field(f, "f")
-    out = np.zeros_like(f)
-    for ax in range(grid.dim):
-        lo, hi = grid.face_slices[ax]
-        half_g2 = 0.5 * face_diff(f, grid, ax) ** 2
-        out[lo] += half_g2
-        out[hi] += half_g2
-    return out
+    return drift_diffusion_div(f, f, grid.laplacian_weights, grid)
 
 
 def diffusion_weights(D_cell, grid: SpatialGrid) -> tuple:
-    """Per axis, face_mean(D)/dx^2 in the flat face layout of
-    ``drift_face_data`` (zero on the row-wrap faces)."""
-    return tuple(_flat_face(face_mean(D_cell, grid, ax) / (dx * dx), grid, ax)
-                 for ax, dx in enumerate(grid.dx))
+    """Per axis, face_mean(D)/dx^2 in the flat face layout (zero on the
+    row-wrap faces)."""
+    return tuple(face_mean(D_cell, grid, ax) / (dx * dx) for ax, dx in enumerate(grid.dx))
 
 
 def face_sq_sums(f, weights, grid: SpatialGrid, work=None) -> np.ndarray:
     """Per row of ``f`` (its leading axes, cells flattened), the sum over
     every axis and face k of weights[ax][k] (f[k + s] - f[k])^2.
 
-    ``weights`` has the flat layout of ``drift_face_data``, zero on the
-    row-wrap faces, so a row's sum depends on that row alone.  With
-    ``diffusion_weights(D)`` it is the face form of the cell sum of
-    D * grad_sq(f).  ``work``, if given, is a flat float buffer of at least
-    ``f.size`` elements; the result is the only array allocated.
+    ``weights`` has the flat face layout, zero on the row-wrap faces, so
+    a row's sum depends on that row alone.  With ``diffusion_weights(D)``
+    it is the sum over faces of face_mean(D) |grad f|^2, which times the
+    cell volume is the D-weighted discrete H^1 seminorm of f, squared;
+    ``SpatialGrid.unit_weights`` leave D out.  In exact arithmetic it
+    equals the cell sum of D times the squared face gradients averaged
+    onto each cell.  ``work``, if given, is a flat float buffer of at
+    least ``f.size`` elements; the result is the only array allocated.
     """
     N = grid.ncells
     rows = f.reshape(-1, N)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from swarmpde.model_spec import ModelSpec, smoothstep
-from swarmpde.spatial_grid import apply_face_flux, face_diff, face_mean
 
 
 def power_zeta(D0, theta):
@@ -59,11 +58,66 @@ def steep_switch(level):
     return xi
 
 
-def strided_faces(D_cell, E_cell, lam, grid, mean=face_mean):
+# The strided face layout the solver used before its flat rows: per axis,
+# the faces lie on the grid's own shape with one face fewer on that axis,
+# and there are no row-wrap faces.  The flat layout is checked against it.
+
+def face_slices(grid, ax):
+    """The index tuples (lo, hi) of the cells left and right of every
+    interior face of axis ``ax``; leading per-bin axes are taken whole."""
+    rest = (slice(None),) * (grid.dim - 1 - ax)
+    return (..., slice(None, -1)) + rest, (..., slice(1, None)) + rest
+
+
+def strided_diff(f, grid, ax):
+    lo, hi = face_slices(grid, ax)
+    return (f[hi] - f[lo]) / grid.dx[ax]
+
+
+def strided_mean(f, grid, ax):
+    lo, hi = face_slices(grid, ax)
+    return 0.5 * (f[lo] + f[hi])
+
+
+def strided_harmonic_mean(f, grid, ax):
+    lo, hi = face_slices(grid, ax)
+    return 2.0 * f[lo] * f[hi] / (f[lo] + f[hi])
+
+
+def apply_face_flux(out, flux, grid, ax):
+    """Accumulate the divergence of an interior-face flux into ``out``."""
+    lo, hi = face_slices(grid, ax)
+    scaled = flux * (1.0 / grid.dx[ax])
+    out[lo] += scaled
+    out[hi] -= scaled
+
+
+def strided_laplacian(f, grid):
+    """The zero-flux Laplacian as the solver formed it before the flux
+    kernel took it over."""
+    out = np.zeros_like(f)
+    for ax in range(grid.dim):
+        apply_face_flux(out, strided_diff(f, grid, ax), grid, ax)
+    return out
+
+
+def grad_sq(f, grid):
+    """Cell form of the squared gradient: face gradients squared and
+    averaged back onto the two adjacent cells; boundary faces add zero."""
+    out = np.zeros_like(f)
+    for ax in range(grid.dim):
+        lo, hi = face_slices(grid, ax)
+        half_g2 = 0.5 * strided_diff(f, grid, ax) ** 2
+        out[lo] += half_g2
+        out[hi] += half_g2
+    return out
+
+
+def strided_faces(D_cell, E_cell, lam, grid, mean=strided_mean):
     """Per-axis face data on the grid's face shapes: (mean(D),
     face_mean(E) * grad(lam))."""
     return tuple((mean(D_cell, grid, ax),
-                  face_mean(E_cell, grid, ax) * face_diff(lam, grid, ax))
+                  strided_mean(E_cell, grid, ax) * strided_diff(lam, grid, ax))
                  for ax in range(grid.dim))
 
 
@@ -74,10 +128,10 @@ def strided_div(f, q, faces, grid):
     cell and subtracted from the right one."""
     out = np.zeros_like(f)
     for ax, (D_face, w) in enumerate(faces):
-        lo, hi = grid.face_slices[ax]
+        lo, hi = face_slices(grid, ax)
         q_face = np.where(w > 0.0, q[hi], q[lo])
         q_face *= w
-        flux = face_diff(f, grid, ax)
+        flux = strided_diff(f, grid, ax)
         flux *= D_face
         flux += q_face
         apply_face_flux(out, flux, grid, ax)
@@ -91,7 +145,7 @@ def face_term_scale(f, q, faces, grid):
     few ulp of this, whatever the cancellation between the terms."""
     out = np.zeros_like(f)
     for ax, (D_face, w) in enumerate(faces):
-        lo, hi = grid.face_slices[ax]
+        lo, hi = face_slices(grid, ax)
         dx = grid.dx[ax]
         term = np.abs(D_face) / dx**2 * (np.abs(f[lo]) + np.abs(f[hi]))
         term += np.abs(w) / dx * np.abs(np.where(w > 0.0, q[hi], q[lo]))

@@ -9,12 +9,13 @@ from swarmpde.age_discretization import (
     age_average_initial,
     build_age_grid,
     check_discrete_hypotheses,
-    compute_K0,
     entropy_phi,
     regularize,
     theta_cutoff,
 )
+from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import HypothesisViolation, NegativeInitialData
+from swarmpde.solver_core import initial_state
 from swarmpde.spatial_grid import SpatialGrid
 
 from conftest import make_spec
@@ -195,6 +196,13 @@ def test_age_average_negative_raises():
 
 # --- initial-size constant ---------------------------------------------------
 
+def _K0(spec, u0, v0, grid, sgrid):
+    """The K0 of a record whose one sample is the initial state."""
+    recorder = DiagnosticsRecorder(spec, grid, regularize(spec, grid.alpha), sgrid)
+    recorder.sample(initial_state(u0, v0, grid))
+    return recorder.finalize().K0
+
+
 def test_K0_zero_data():
     spec = make_spec()
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
@@ -203,7 +211,7 @@ def test_K0_zero_data():
     v0 = np.zeros(sgrid.shape)
     # entropy term contributes phi(0) = 1 per bin-cell
     expected = grid.alpha * float(np.sum(grid.lam[: grid.I])) + grid.b[0] + grid.lam[0]
-    assert compute_K0(u0, v0, grid, sgrid) == pytest.approx(expected, rel=1e-12)
+    assert _K0(spec, u0, v0, grid, sgrid) == pytest.approx(expected, rel=1e-12)
 
 
 def test_K0_phi_vanishes_at_one():
@@ -220,7 +228,7 @@ def test_K0_phi_vanishes_at_one():
         + grid.b[0] + grid.lam[0]
         + grid.alpha * float(np.sum(grid.lam[:I]))   # sup of biomass field
     )
-    assert compute_K0(ones, v0, grid, sgrid) == pytest.approx(expected, rel=1e-12)
+    assert _K0(spec, ones, v0, grid, sgrid) == pytest.approx(expected, rel=1e-12)
 
 
 def test_K0_doubling_v_increment():
@@ -229,8 +237,8 @@ def test_K0_doubling_v_increment():
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     u0 = 0.3 * np.ones((grid.I,) + sgrid.shape)
     v0 = np.linspace(0.1, 0.5, 8)
-    k1 = compute_K0(u0, v0, grid, sgrid)
-    k2 = compute_K0(u0, 2.0 * v0, grid, sgrid)
+    k1 = _K0(spec, u0, v0, grid, sgrid)
+    k2 = _K0(spec, u0, 2.0 * v0, grid, sgrid)
     integral = float(np.sum(v0)) * sgrid.cell_volume
     assert k2 - k1 == pytest.approx(integral + float(v0.max()), rel=1e-12)
 

@@ -25,9 +25,9 @@ from swarmpde.diagnostics import (
 from swarmpde.errors import InadmissibleTestFunction, NegativeField
 from swarmpde.model_spec import Zeta1Evaluator
 from swarmpde.solver_core import RunSetup, initial_state, run
-from swarmpde.spatial_grid import SpatialGrid, diffusion_weights, grad_sq
+from swarmpde.spatial_grid import SpatialGrid, diffusion_weights
 
-from conftest import make_spec, steep_switch
+from conftest import grad_sq, make_spec, steep_switch
 
 
 def _pieces(alpha=0.25, a_max=1.0, cells=16, spec=None):
@@ -85,9 +85,10 @@ def test_dissipation_nonnegative_random(rng):
 
 def test_dissipation_checks_sign_once_and_keeps_values(rng):
     # the bin densities' sign is checked once, on their raw minimum; the
-    # sqrt-gradient term is the face form: per bin, the sum over faces of
+    # four terms are face forms: per bin, the sum over faces of
     # (delta sqrt(u))^2 face_mean(D_alpha)/dx^2 of the clipped densities,
-    # weighted by alpha lam_i.  The other three terms keep their formulas
+    # weighted by alpha lam_i; the sum over faces of (delta lam)^2
+    # face_mean(E_alpha)/dx^2; the sums of (delta zeta(lam))^2/dx^2
     spec, grid, reg, sgrid = _pieces()
     z1 = Zeta1Evaluator(spec, 16.0)
     shape = (grid.I,) + sgrid.shape
@@ -99,11 +100,17 @@ def test_dissipation_checks_sign_once_and_keeps_values(rng):
     Da = reg.D_alpha(lam)
     per_bin = ((root[:, 1:] - root[:, :-1]) ** 2
                * ((0.5 * (Da[:-1] + Da[1:])) / (dx * dx))).sum(axis=1) * vol
+    Ea = reg.E_alpha(lam, state.v)
+
+    def face_sum(f, weights):
+        return float(((f[1:] - f[:-1]) ** 2 * weights).sum()) * vol
+
     expected = (
         grid.alpha * float(grid.lam[: grid.I] @ per_bin),
-        float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol,
-        float(np.sum(grad_sq(z1(lam), sgrid))) * vol,
-        float(np.sum(grad_sq(np.asarray(spec.zeta2(lam), dtype=float), sgrid))) * vol,
+        face_sum(lam, (0.5 * (Ea[:-1] + Ea[1:])) / (dx * dx)),
+        face_sum(z1(lam), np.full(sgrid.cells[0] - 1, 1.0 / (dx * dx))),
+        face_sum(np.asarray(spec.zeta2(lam), dtype=float),
+                 np.full(sgrid.cells[0] - 1, 1.0 / (dx * dx))),
     )
     assert dissipation(state, grid, reg, sgrid, z1, spec) == expected
     state.u[1, 3] = -1e-9
@@ -121,22 +128,32 @@ def _zeroed_state(rng, grid, cells):
 
 @pytest.mark.parametrize("cells", [(16,), (10, 7), (3, 12)], ids=["1d", "2d", "2d_wide"])
 def test_face_form_dissipation_matches_cell_form(rng, cells):
-    # in exact arithmetic the face sum of (delta sqrt u)^2 face_mean(D)/dx^2
-    # equals the cell sum of D * grad_sq(sqrt u), the former cell form
-    spec = make_spec(D=lambda r: 0.1 + np.maximum(r, 0.0) ** 2)
+    # in exact arithmetic every face sum of (delta f)^2 face_mean(W)/dx^2
+    # equals the cell sum of W * grad_sq(f), the former cell form: for the
+    # D_alpha-weighted sqrt-gradient term, the E_alpha-weighted drift term
+    # and, with unit weights, the squared transform gradients
+    spec = make_spec(D=lambda r: 0.1 + np.maximum(r, 0.0) ** 2,
+                     E=lambda r, s: 0.2 + 0.1 * np.asarray(r) * np.asarray(s))
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     reg = regularize(spec, grid.alpha)
     sgrid = SpatialGrid(extents=(1.0, 2.0)[:len(cells)], cells=cells)
     z1 = Zeta1Evaluator(spec, 64.0)
+    vol = sgrid.cell_volume
     for _ in range(10):
         state = _zeroed_state(rng, grid, cells)
-        d_u = dissipation(state, grid, reg, sgrid, z1, spec)[0]
+        lam = state.lambda_rec
+        got = dissipation(state, grid, reg, sgrid, z1, spec)
         gsq = grad_sq(np.sqrt(state.u), sgrid)
-        cell_form = float(np.sum(np.tensordot(grid.alpha * grid.lam[: grid.I], gsq,
-                                              axes=(0, 0)) * reg.D_alpha(state.lambda_rec)))
-        cell_form *= sgrid.cell_volume
-        assert d_u > 0.0
-        assert abs(d_u - cell_form) <= 1e-13 * cell_form
+        cell_form = (
+            float(np.sum(np.tensordot(grid.alpha * grid.lam[: grid.I], gsq, axes=(0, 0))
+                         * reg.D_alpha(lam))) * vol,
+            float(np.sum(reg.E_alpha(lam, state.v) * grad_sq(lam, sgrid))) * vol,
+            float(np.sum(grad_sq(z1(lam), sgrid))) * vol,
+            float(np.sum(grad_sq(np.asarray(spec.zeta2(lam), dtype=float), sgrid))) * vol,
+        )
+        for face, cell in zip(got, cell_form):
+            assert face > 0.0
+            assert abs(face - cell) <= 1e-13 * cell
         per_bin = bin_sums(state.u, sgrid,
                            diffusion_weights(reg.D_alpha(state.lambda_rec), sgrid)).dissipation
         assert per_bin[1] == 0.0  # an empty bin has no gradient

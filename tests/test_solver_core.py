@@ -35,7 +35,14 @@ from swarmpde.spatial_grid import (
     laplacian,
 )
 
-from conftest import face_term_scale, make_spec, steep_switch, strided_div, strided_faces
+from conftest import (
+    face_term_scale,
+    make_spec,
+    steep_switch,
+    strided_div,
+    strided_faces,
+    strided_harmonic_mean,
+)
 
 
 def _setup(spec, alpha, a_max, cells, u0=None, v0=None, **kw):
@@ -261,7 +268,7 @@ def test_step_matches_former_formula_within_roundoff(cells, top):
     assert not np.array_equal(new_state.u, np.maximum(former, 0.0))
 
     ev_faces = strided_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
-                             mean=harmonic_mean)
+                             mean=strided_harmonic_mean)
     source_ev = grid.lam[0] * boundary_inflow(v, reg)
     source_ev += alpha * np.tensordot(grid.lam_star - grid.mu[:I] * grid.lam[:I], u,
                                       axes=(0, 0))

@@ -14,17 +14,30 @@ from swarmpde.spatial_grid import (
     drift_diffusion_div,
     drift_face_data,
     drift_faces,
+    face_diff,
+    face_mean,
     face_sq_sums,
     field_from_binary,
     field_from_csv,
     field_to_binary,
     field_to_csv,
     grad_cell,
-    grad_sq,
+    harmonic_mean,
     laplacian,
 )
 
-from conftest import face_term_scale, make_spec, power_zeta, strided_div, strided_faces
+from conftest import (
+    face_slices,
+    face_term_scale,
+    make_spec,
+    power_zeta,
+    strided_diff,
+    strided_div,
+    strided_faces,
+    strided_harmonic_mean,
+    strided_laplacian,
+    strided_mean,
+)
 
 
 def _grid1d(n, L=1.0):
@@ -176,12 +189,21 @@ def test_grad_cell_linear_exact():
     assert g[0] == pytest.approx(1.5)
 
 
-def test_grad_sq_2d_axes():
+def test_face_sq_sums_2d_axes():
+    # f = 2 x varies along the first axis only: each of its faces adds
+    # |grad f|^2 = 4 with unit weights, the faces of the second axis and
+    # the row wraps add nothing
     grid = SpatialGrid(extents=(1.0, 2.0), cells=(8, 10))
     X = grid.axis_centers(0)[:, None]
     f = np.broadcast_to(2.0 * X, grid.shape).copy()
-    out = grad_sq(f, grid)
-    assert np.allclose(out[1:-1, :], 4.0, atol=1e-12)
+    n_faces = (grid.cells[0] - 1) * grid.cells[1]
+    total = face_sq_sums(f, grid.unit_weights, grid)
+    assert total.shape == (1,)
+    assert total[0] == pytest.approx(4.0 * n_faces, rel=1e-12)
+    per_axis = [face_sq_sums(f, [w if k == ax else 0.0 * w
+                                 for k, w in enumerate(grid.unit_weights)], grid)[0]
+                for ax in range(2)]
+    assert per_axis[1] == 0.0 and per_axis[0] == total[0]
 
 
 def test_field_roundtrip_csv_binary(tmp_path, rng):
@@ -216,7 +238,7 @@ def _strided_weight_div(f, q, weights, grid):
     the grid's shape (no flattened rows, no row-wrap faces)."""
     out = np.zeros_like(f)
     for ax, arrays in enumerate(_strided_weights(weights, grid)):
-        lo, hi = grid.face_slices[ax]
+        lo, hi = face_slices(grid, ax)
         if weights.merged:
             A, B = arrays
             flux = A * f[hi] + B * f[lo]
@@ -379,3 +401,56 @@ def test_kernel_with_buffers_allocates_no_arrays():
     bound = 2 * np.getbufsize() * f.itemsize + 16 * 1024
     assert bound < f.nbytes / 2
     assert peak < bound
+
+
+def _wrap_mask(grid, ax):
+    # the row-wrap faces of an axis in the flat face layout
+    s = grid.face_strides[ax]
+    k = np.arange(grid.ncells - s)
+    if s == 1 and grid.dim > 1:
+        return k % grid.cells[-1] == grid.cells[-1] - 1
+    return np.zeros(k.size, dtype=bool)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "bins"])
+@pytest.mark.parametrize("cells", [(7,), (5, 7)], ids=["1d", "2d"])
+def test_flat_face_helpers_match_strided_and_zero_wraps(cells, lead):
+    # dx = 0.3 and 0.1 (not powers of two): every helper is bitwise the
+    # strided form on the real faces and exactly +0.0 on each row wrap
+    grid = SpatialGrid(extents=(1.5, 0.7)[:len(cells)], cells=cells)
+    rng = np.random.default_rng(11)
+    f = 0.1 + rng.random(lead + cells)
+    for flat_fn, strided_fn in ((face_diff, strided_diff), (face_mean, strided_mean),
+                                (harmonic_mean, strided_harmonic_mean)):
+        for ax in range(grid.dim):
+            got = flat_fn(f, grid, ax)
+            wrap = _wrap_mask(grid, ax)
+            assert got.shape == lead + wrap.shape
+            ref = strided_fn(f, grid, ax).reshape(lead + (-1,))
+            assert np.array_equal(got[..., ~wrap].view(np.int64), ref.view(np.int64))
+            assert np.all(got[..., wrap].view(np.int64) == 0)  # +0.0, sign bit clear
+            assert wrap.sum() == (grid.cells[0] - 1 if grid.dim == 2 and ax == 1 else 0)
+
+
+@pytest.mark.parametrize("cells", [(7,), (5, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("dyadic", [True, False], ids=["dx_pow2", "dx_other"])
+def test_laplacian_kernel_matches_strided(cells, dyadic):
+    # the flux kernel with unit weights against the strided face-flux
+    # form: within 4 ulp of each cell's summed face terms |f_lo| + |f_hi|
+    # over dx^2, and bitwise when every dx is a power of two (1/dx^2 then
+    # scales exactly)
+    spacing = (0.25, 0.125) if dyadic else (0.3, 0.1)
+    grid = SpatialGrid(extents=tuple(d * c for d, c in zip(spacing, cells)), cells=cells)
+    assert all((math.frexp(dx)[0] == 0.5) == dyadic for dx in grid.dx)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(3,) + cells)
+    ref = strided_laplacian(f, grid)
+    got = laplacian(f, grid)
+    scale = np.zeros_like(f)
+    for ax, dx in enumerate(grid.dx):
+        lo, hi = face_slices(grid, ax)
+        term = (np.abs(f[lo]) + np.abs(f[hi])) / dx**2
+        scale[lo] += term
+        scale[hi] += term
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+    assert np.array_equal(got, ref) == dyadic
