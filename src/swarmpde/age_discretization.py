@@ -28,10 +28,8 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "AgeGrid",
     "RegularizedModel",
-    "DiscreteHypothesesReport",
     "theta_cutoff",
     "build_age_grid",
-    "check_discrete_hypotheses",
     "regularize",
     "age_average_initial",
     "bin_averages",
@@ -106,22 +104,6 @@ class AgeGrid:
         return self.I * self.alpha
 
 
-@dataclass(frozen=True)
-class DiscreteHypothesesReport:
-    """Line-by-line verification of the discrete coefficient inequalities."""
-
-    checks: dict
-    ell: float
-    B: float
-    L: float
-    M: float
-    beta: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.checks.values())
-
-
 def bin_averages(f: Callable, alpha: float, count: int) -> np.ndarray:
     """Averages of f over ``count`` consecutive age bins of width alpha
     from 0, by 8-point Gauss quadrature; f takes an array of ages."""
@@ -174,32 +156,6 @@ def build_age_grid(spec: ModelSpec, alpha: float, a_max: float) -> AgeGrid:
         alpha=alpha, I=I, lam=lam, b=b, mu=mu,
         lam_star=lam_star, b_star=b_star,
         ell=ell, B=B, L=L, M=M, beta=beta,
-    )
-
-
-def check_discrete_hypotheses(grid: AgeGrid) -> DiscreteHypothesesReport:
-    """Report each discrete coefficient inequality with the measured constants.
-
-    Pure report: failures are flags, never raises.
-    """
-    I = grid.I
-    lam, b, mu = grid.lam, grid.b, grid.mu
-    tol = 1e-12
-    checks = {
-        "b_i >= 1": bool(np.all(b >= 1.0 - tol * max(1.0, float(np.max(b))))),
-        "lam_i >= ell > 0": bool(np.all(lam > 0.0)) and grid.ell > 0.0,
-        "0 <= b_i* <= B b_i": bool(
-            np.all(grid.b_star >= -tol) and np.all(grid.b_star <= grid.B * b[:I] + tol)
-        ),
-        "lam_i* <= L lam_i": bool(np.all(grid.lam_star <= grid.L * lam[:I] + tol)),
-        "mu_i <= M": bool(np.all(mu[:I] <= grid.M + tol)),
-        "mu_i b_i <= beta lam_i": bool(np.all(mu * b <= grid.beta * lam + tol)),
-        "beta lam_i <= beta^2 b_i": bool(
-            np.all(grid.beta * lam <= grid.beta**2 * b + tol)
-        ),
-    }
-    return DiscreteHypothesesReport(
-        checks=checks, ell=grid.ell, B=grid.B, L=grid.L, M=grid.M, beta=grid.beta
     )
 
 

@@ -676,25 +676,33 @@ def _safe_ratios(spec: ModelSpec, lam: np.ndarray, v: np.ndarray, R_scale: float
 
 def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
                   sgrid: SpatialGrid, zeta1_eval: Optional[Callable] = None
-                  ) -> WeakResidualResult:
+                  ) -> "WeakResidualResult | list":
     """Evaluate the weak-form identity of the continuous problem on a
     sampled trajectory.
 
     Composite trapezoid in time, exact bin sums in age, cell sums in
-    space.  ``phi`` is a TestFunction or a list of (coefficient,
+    space.  ``phi`` is a TestFunction, a list of (coefficient,
     TestFunction) pairs, evaluated jointly (the identity is linear in the
-    test function).  Terms: transport, age-zero inflow, initial data,
-    diffusion against the Laplacian of the test function, and the
-    drift/diffusion gradient pairing under the two-transform splitting.
+    test function), or a catalogue: a list of TestFunctions, which gives
+    a list of one result per function.  Terms: transport, age-zero
+    inflow, initial data, diffusion against the Laplacian of the test
+    function, and the drift/diffusion gradient pairing under the
+    two-transform splitting.
+
+    One pass over the samples serves every test function: the fields
+    that do not depend on it (D of the biomass, the transform ratios and
+    gradients, the inflow) are evaluated once per sample, and each
+    function's sums are formed as in a call of its own, so a catalogue
+    entry is bitwise its single-function result.
     """
     if isinstance(phi, TestFunction):
-        parts = [(1.0, phi)]
-    else:
-        parts = [(float(cf), p) for cf, p in phi]
+        phi = [(1.0, phi)]
+    catalogue = bool(phi) and all(isinstance(p, TestFunction) for p in phi)
+    combos = [[(1.0, p)] for p in phi] if catalogue else [[(float(cf), p) for cf, p in phi]]
 
     T_run = float(samples[-1].t)
     a_cap = grid.I * grid.alpha
-    for _, p in parts:
+    for _, p in (part for parts in combos for part in parts):
         if p.t_support > T_run + 1e-12:
             raise InadmissibleTestFunction(
                 f"time support {p.t_support:g} exceeds the horizon {T_run:g}"
@@ -718,8 +726,7 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     if zeta1_eval is None:
         zeta1_eval = Zeta1Evaluator(spec, 1.5 * R_scale + 1.0)
 
-    pre = []
-    for cf, p in parts:
+    def prepare(cf, p):
         Ci = alpha * bin_averages(p.chi, alpha, I)
         Cpi = np.asarray(p.chi(edges[1:]), dtype=float) \
             - np.asarray(p.chi(edges[:-1]), dtype=float)
@@ -729,14 +736,15 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         gomega = [g.reshape(-1) * vol for g in p.grad_omega(sgrid)]
         lomega = p.lap_omega(sgrid).reshape(-1) * vol
         chi0 = float(p.chi(0.0))
-        pre.append((cf, p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0))
+        psi_t = np.asarray(p.psi(times), dtype=float)
+        psip_t = np.asarray(p.psi_prime(times), dtype=float)
+        return cf, p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t
 
+    pre = [[prepare(cf, p) for cf, p in parts] for parts in combos]
     n = times.size
-    f_transport = np.zeros(n)
-    f_inflow = np.zeros(n)
-    f_diffusion = np.zeros(n)
-    f_drift = np.zeros(n)
-    term_initial = 0.0
+    # per combination and sample: transport, inflow, diffusion, drift
+    f = np.zeros((len(combos), 4, n))
+    term_initial = [0.0] * len(combos)
 
     for k, s in enumerate(samples):
         u_flat = s.u.reshape(I, -1)
@@ -747,30 +755,34 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         gz1 = [g.reshape(-1) for g in grad_cell(zeta1_eval(s.lambda_rec), sgrid)]
         gz2 = [g.reshape(-1)
                for g in grad_cell(np.asarray(spec.zeta2(s.lambda_rec), dtype=float), sgrid)]
+        split = [r2 * g2 - r1 * g1 for g1, g2 in zip(gz1, gz2)]
         inflow = np.where(v_flat > 0.0,
                           np.asarray(spec.xi(v_flat), dtype=float) * v_flat, 0.0)
-        for cf, p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0 in pre:
-            psi_k = float(p.psi(s.t))
-            psip_k = float(p.psi_prime(s.t))
-            proj = u_flat @ omega                       # <omega, u_i>
-            f_transport[k] += cf * float(
-                (psip_k * Ci + psi_k * (Cpi - Cmui)) @ proj
-            )
-            f_inflow[k] += cf * psi_k * chi0 * float(inflow @ omega)
-            f_diffusion[k] += cf * psi_k * float(Ci @ (u_flat @ (lomega * D_lam)))
-            W_dot = np.zeros_like(lam_flat)
-            for ax in range(sgrid.dim):
-                W_dot += (r2 * gz2[ax] - r1 * gz1[ax]) * gomega[ax]
-            f_drift[k] -= cf * psi_k * float(Ci @ (u_flat @ W_dot))
-            if k == 0:
-                term_initial += cf * float(p.psi(0.0)) * float(Ci @ proj)
+        for c, parts in enumerate(pre):
+            for cf, p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t in parts:
+                psi_k, psip_k = float(psi_t[k]), float(psip_t[k])
+                proj = u_flat @ omega                       # <omega, u_i>
+                f[c, 0, k] += cf * float(
+                    (psip_k * Ci + psi_k * (Cpi - Cmui)) @ proj
+                )
+                f[c, 1, k] += cf * psi_k * chi0 * float(inflow @ omega)
+                f[c, 2, k] += cf * psi_k * float(Ci @ (u_flat @ (lomega * D_lam)))
+                W_dot = np.zeros_like(lam_flat)
+                for ax in range(sgrid.dim):
+                    W_dot += split[ax] * gomega[ax]
+                f[c, 3, k] -= cf * psi_k * float(Ci @ (u_flat @ W_dot))
+                if k == 0:
+                    term_initial[c] += cf * float(p.psi(0.0)) * float(Ci @ proj)
 
-    terms = {
-        "transport": float(np.trapezoid(f_transport, times)),
-        "inflow": float(np.trapezoid(f_inflow, times)),
-        "initial": term_initial,
-        "diffusion": float(np.trapezoid(f_diffusion, times)),
-        "drift_split": float(np.trapezoid(f_drift, times)),
-    }
-    signed = sum(terms.values())
-    return WeakResidualResult(residual=abs(signed), signed=signed, terms=terms)
+    results = []
+    for fc, initial in zip(f, term_initial):
+        terms = {
+            "transport": float(np.trapezoid(fc[0], times)),
+            "inflow": float(np.trapezoid(fc[1], times)),
+            "initial": initial,
+            "diffusion": float(np.trapezoid(fc[2], times)),
+            "drift_split": float(np.trapezoid(fc[3], times)),
+        }
+        signed = sum(terms.values())
+        results.append(WeakResidualResult(residual=abs(signed), signed=signed, terms=terms))
+    return results if catalogue else results[0]

@@ -63,7 +63,7 @@ __all__ = [
 
 def smoothstep(x):
     """Quintic smoothstep: 0 for x<=0, 1 for x>=1, C^2 across the knots."""
-    x = np.clip(x, 0.0, 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
     return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
 
 

@@ -59,10 +59,6 @@ class ReducedSpec:
         if self.m2 < 0.0:
             raise ValueError("m2 must be nonnegative")
 
-    def effective_diffusivity(self, r, s):
-        r = np.asarray(r, dtype=float)
-        return np.asarray(self.D(r), dtype=float) + r * np.asarray(self.E(r, s), dtype=float)
-
 
 def reduced_from_model(spec: ModelSpec, mu_const: float, m0: float,
                        tau: float) -> ReducedSpec:
@@ -84,20 +80,20 @@ class ReducedResult:
     samples: list
 
 
-def _reduced_div(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> np.ndarray:
+def _reduced_div(lam, D, E, sgrid: SpatialGrid) -> np.ndarray:
     # same face treatment as the full solver's bin fluxes: arithmetic mean
     # of D, upwind donor biomass against the drift face velocity; the
     # drift transports the biomass itself, so the weights merge
-    faces = drift_faces(np.asarray(rspec.D(lam), dtype=float),
-                        np.asarray(rspec.E(lam, v), dtype=float), lam, sgrid, merged=True)
+    faces = drift_faces(D, E, lam, sgrid, merged=True)
     return drift_diffusion_div(lam, lam, faces, sgrid)
 
 
-def _reduced_dt(lam, v, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
+def _reduced_dt(lam, D, E, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
     # the drift acts on the biomass as nonlinear diffusion with coefficient
-    # biomass*E, so the stability limit uses the effective diffusivity; its
-    # row-wrap faces are 0 and eff >= 0, so they do not move the maximum
-    eff = np.asarray(rspec.effective_diffusivity(lam, v), dtype=float)
+    # biomass*E, so the stability limit uses the effective diffusivity
+    # D + biomass*E; its row-wrap faces are 0 and eff >= 0, so they do not
+    # move the maximum
+    eff = D + lam * E
     sink = max(0.0, rspec.m2 - 1.0 / rspec.tau)
     rate = sink
     for ax in range(sgrid.dim):
@@ -120,11 +116,14 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
     samples = [ReducedSample(t=0.0, lam=lam.copy(), v=v.copy())]
     for t_target in _sample_times(T, sample_dt):
         while t < t_target - 1e-12 * max(T, 1.0):
-            dt = _reduced_dt(lam, v, rspec, sgrid)
+            # D and E are evaluated once per step, for the bound and the flux
+            D = np.asarray(rspec.D(lam), dtype=float)
+            E = np.asarray(rspec.E(lam, v), dtype=float)
+            dt = _reduced_dt(lam, D, E, rspec, sgrid)
             if fixed_dt is not None:
                 dt = min(dt, fixed_dt)
             dt = min(dt, t_target - t)
-            new_lam = lam + dt * (_reduced_div(lam, v, rspec, sgrid) + growth * lam)
+            new_lam = lam + dt * (_reduced_div(lam, D, E, sgrid) + growth * lam)
             gv = np.asarray(rspec.g(v), dtype=float)
             xv = np.where(v > 0.0, np.asarray(rspec.xi(v), dtype=float), 0.0)
             new_v = v + dt * ((gv - xv) * v + v_coef * lam)
@@ -182,7 +181,7 @@ def _rel_l2(a: np.ndarray, b: np.ndarray, vol: float) -> float:
 
 
 def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
-    full = run(setup)
+    full = run(setup, record=False)
     lam0 = full.samples[0].lambda_rec
     red = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
                       fixed_dt=setup.fixed_dt)

@@ -50,9 +50,11 @@ block layout and three flat block-sized buffers.  The flux kernel writes
 a block's bin divergence into the first through the other two, which
 allocates no array, and the Euler update runs in the work buffers, so
 the new u is the only u-sized array a step allocates and the plan holds
-none.  The diagnostics samples between steps reduce u in block buffers
-of their own recorder and allocate no u-sized array either; ``run``
-releases the plan before ``finalize``.
+none; the swimmers' Laplacian runs in the idle ``div`` and ``work`` too.
+The diagnostics samples between steps reduce u in block buffers of
+their own recorder and allocate no u-sized array either; ``run``
+releases the plan before ``finalize``.  A run that is not asked for its
+diagnostics record (``run(setup, record=False)``) builds no recorder.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2.
 ``step_coefficients`` tests that plateau once per step from the largest
@@ -207,7 +209,7 @@ class RunSetup:
 @dataclass
 class RunResult:
     samples: list
-    record: "diag.DiagnosticsRecord"
+    record: Optional["diag.DiagnosticsRecord"]   # None for run(setup, record=False)
     setup: RunSetup
     tstar_crossed: bool = False
     steps: int = 0               # solver steps taken
@@ -357,7 +359,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         if alpha * alpha * maxs[-1] > 0.5:
             activations += int(np.count_nonzero(alpha * alpha * new_f > 0.5))
 
-    lap_v = laplacian(v, sgrid)
+    lap_v = laplacian(v, sgrid, out=plan.div[:v.size].reshape(v.shape), work=work)
     source_v = (np.asarray(reg.spec.g(v), dtype=float) - xi) * v
     source_v += alpha * (plan.b_mu @ u_rows).reshape(v.shape)
     new_v = v + dt * (alpha * lap_v + source_v)
@@ -429,23 +431,27 @@ def _sample_times(T: float, sample_dt: float) -> np.ndarray:
     return times
 
 
-def run(setup: RunSetup) -> RunResult:
+def run(setup: RunSetup, record: bool = True) -> RunResult:
     """Integrate to the horizon with adaptive steps, sampling diagnostics.
 
     The step size is the minimum of the coefficient record's ``dt_max``,
     the fixed step if one is set, and the distance to the next sample
     time, so samples land exactly on the cadence grid and runs are
     deterministic.  One step plan serves every step; the diagnostics
-    recorder samples the initial state and every sample time.
+    recorder samples the initial state and every sample time.  With
+    ``record`` false no recorder is built and ``RunResult.record`` is
+    None; the samples and the steps are the same.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     state = initial_state(setup.u0, setup.v0, grid)
     recorder = diag.DiagnosticsRecorder(
         setup.spec, grid, reg, sgrid, tail_A=setup.tail_A
-    )
+    ) if record else None
     plan = step_plan(grid, sgrid)
 
-    def snapshot(s: SimState) -> TrajectorySample:
+    def sample(s: SimState) -> TrajectorySample:
+        if recorder is not None:
+            recorder.sample(s)
         return TrajectorySample(
             t=s.t,
             u=s.u.copy() if setup.store_u else None,
@@ -454,8 +460,7 @@ def run(setup: RunSetup) -> RunResult:
             lambda_ev=s.lambda_ev.copy(),
         )
 
-    recorder.sample(state)
-    samples = [snapshot(state)]
+    samples = [sample(state)]
     clamp_warned = False
 
     for t_target in _sample_times(setup.T, setup.sample_dt):
@@ -465,7 +470,8 @@ def run(setup: RunSetup) -> RunResult:
             if setup.fixed_dt is not None:
                 dt = min(dt, setup.fixed_dt)
             state, sres = step(state, dt, grid, reg, sgrid, coeffs, plan)
-            recorder.on_step(sres)
+            if recorder is not None:
+                recorder.on_step(sres)
             if not clamp_warned:
                 reach = max(float(state.lambda_rec.max()), float(state.v.max()))
                 if reach > 0.999 * reg.clamp:
@@ -475,13 +481,12 @@ def run(setup: RunSetup) -> RunResult:
                     )
                     clamp_warned = True
         state.t = t_target
-        recorder.sample(state)
-        samples.append(snapshot(state))
+        samples.append(sample(state))
 
     del plan  # its scratch is released before finalize allocates its own
     return RunResult(
         samples=samples,
-        record=recorder.finalize(),
+        record=recorder.finalize() if recorder is not None else None,
         setup=setup,
         tstar_crossed=state.tstar_crossed,
         steps=state.step_count,

@@ -383,11 +383,12 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
     return drift_diffusion_div(u, q, weights, grid, out, work)
 
 
-def laplacian(f, grid: SpatialGrid) -> np.ndarray:
+def laplacian(f, grid: SpatialGrid, out=None, work=None) -> np.ndarray:
     """Zero-flux Laplacian: the flux kernel with the grid's unit-diffusion
-    weights (``SpatialGrid.laplacian_weights``)."""
+    weights (``SpatialGrid.laplacian_weights``); ``out`` and ``work`` as
+    in ``drift_diffusion_div``."""
     f = grid.check_field(f, "f")
-    return drift_diffusion_div(f, f, grid.laplacian_weights, grid)
+    return drift_diffusion_div(f, f, grid.laplacian_weights, grid, out=out, work=work)
 
 
 def diffusion_weights(D_cell, grid: SpatialGrid) -> tuple:

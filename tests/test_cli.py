@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmpde import config as config_mod, solver_core
+from swarmpde import cli, config as config_mod, diagnostics, reduced_system, solver_core
 from swarmpde.cli import main
 from swarmpde.config import RunConfig, SweepPlan, build_sweep_plan, parse_config
 from swarmpde.errors import ConfigInvalid
@@ -171,6 +172,73 @@ def test_cmd_run_degenerate_diffusion_refused(tmp_path):
     assert code != 0
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure["status"] == "error"
+
+
+def test_cmd_run_nan_margin_fails(tmp_path, monkeypatch):
+    original = diagnostics.envelope_report
+
+    def nan_report(record):
+        margins = original(record)
+        margins["mass"] = dataclasses.replace(margins["mass"], margin=math.nan)
+        return margins
+
+    monkeypatch.setattr(diagnostics, "envelope_report", nan_report)
+    cfg = dict(MINIMAL)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "envelope_violation"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["mass"]
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
+    # sweep and crossval build no diagnostics recorder, and the sweep's
+    # weak residual evaluates its per-sample fields once per sample and
+    # level, whatever the size of the test-function catalogue
+    counts = collections.Counter()
+    for name in ("DiagnosticsRecorder", "Zeta1Evaluator", "weak_residual",
+                 "_safe_ratios", "grad_cell"):
+        _count_calls(monkeypatch, counts, diagnostics, name)
+    samples = []
+    for owner in (cli, reduced_system):
+        def counting_run(setup, _run=owner.run, **kwargs):
+            result = _run(setup, **kwargs)
+            samples.append(len(result.samples))
+            return result
+        monkeypatch.setattr(owner, "run", counting_run)
+
+    cfg = dict(MINIMAL)
+    cfg["domain"] = {"dim": 1, "extents": [1.0], "cells": [8]}
+    cfg["output"] = {"dir": str(tmp_path / "sweep")}
+    assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--levels", "3"]) == 0
+    assert samples == [7, 7, 7]
+    assert counts["DiagnosticsRecorder"] == 0
+    assert counts["weak_residual"] == counts["Zeta1Evaluator"] == 3
+    assert counts["_safe_ratios"] == sum(samples)
+    assert counts["grad_cell"] == 2 * sum(samples)   # zeta1 and zeta2
+
+    cfg["model"] = {"family": "exponential", "xi0": 0.0}
+    cfg["initial"] = {"u_age_cut": [0.3, 0.6], "u_cos_eps": 0.3, "v_cos_eps": 0.2}
+    cfg["domain"] = {"dim": 1, "extents": [4.0], "cells": [16]}
+    cfg["output"] = {"dir": str(tmp_path / "cv")}
+    assert main(["crossval", "--config", str(_write(tmp_path, cfg, "cv.json"))]) == 0
+    assert len(samples) == 5
+    assert counts["DiagnosticsRecorder"] == 0
+
+    # the counters see the recorder that run builds
+    cfg = dict(MINIMAL, output={"dir": str(tmp_path / "run")})
+    assert main(["run", "--config", str(_write(tmp_path, cfg, "run.json"))]) == 0
+    assert counts["DiagnosticsRecorder"] == 1
 
 
 def test_cmd_run_exponential_margins(tmp_path):

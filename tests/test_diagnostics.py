@@ -400,6 +400,44 @@ def test_weak_residual_linear_in_test_function():
     assert joint.signed == pytest.approx(expected, abs=1e-12 * scale + 1e-15)
 
 
+def _bits(wr):
+    return [wr.residual.hex(), wr.signed.hex()] + [(k, v.hex()) for k, v in wr.terms.items()]
+
+
+def _rough_2d_run():
+    spec = make_spec(xi=steep_switch(0.3),
+                     D=lambda r: 0.1 * np.maximum(r, 0.0) ** 2,
+                     E=lambda r, s: 0.2 * np.maximum(r, 0.0)
+                     * np.ones_like(np.asarray(s, dtype=float)))
+    grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
+    sgrid = SpatialGrid(extents=(1.0, 1.5), cells=(8, 6))
+    X, Y = sgrid.axis_centers(0)[:, None], sgrid.axis_centers(1)[None, :]
+    bump = (1.0 + 0.4 * np.cos(math.pi * X)) * (1.0 + 0.3 * np.cos(math.pi * Y / 1.5))
+    ages = (np.arange(grid.I) + 0.5) * grid.alpha
+    u0 = 0.5 * np.exp(-ages)[:, None, None] * bump[None]
+    setup = RunSetup(spec=spec, agegrid=grid, reg=regularize(spec, 0.25), sgrid=sgrid,
+                     u0=u0, v0=0.4 * bump, T=0.2, sample_dt=0.05)
+    return run(setup, record=False)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weak_residual_catalogue_matches_single_calls_bitwise(dim):
+    result = _reference_run(T=0.3) if dim == 1 else _rough_2d_run()
+    setup = result.setup
+    args = (setup.spec, setup.agegrid, setup.sgrid)
+    cat = make_test_functions(setup.T, setup.agegrid.a_max, setup.sgrid, k_max=2)
+    assert len(cat) == (3 if dim == 1 else 6)
+    together = weak_residual(result.samples, cat, *args)
+    assert len(together) == len(cat)
+    for phi, wr in zip(cat, together):
+        single = weak_residual(result.samples, phi, *args)
+        assert single.residual > 0.0
+        assert _bits(wr) == _bits(single), phi.label
+    # the joint form of one unit pair is the single call too
+    joint = weak_residual(result.samples, [(1.0, cat[1])], *args)
+    assert _bits(joint) == _bits(together[1])
+
+
 def test_weak_residual_admissibility():
     result = _reference_run(T=0.2)
     setup = result.setup

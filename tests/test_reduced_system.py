@@ -89,17 +89,6 @@ def test_reduced_spec_validation():
                     D=spec.D, E=spec.E, g=spec.g, xi=spec.xi)
 
 
-def test_effective_diffusivity_combines():
-    rspec = _rspec(
-        D=lambda r: 0.1 * np.maximum(r, 0.0) ** 2,
-        E=lambda r, s: 0.2 * np.maximum(r, 0.0)
-        * np.ones_like(np.asarray(s, dtype=float)),
-    )
-    assert float(rspec.effective_diffusivity(2.0, 0.0)) == pytest.approx(
-        0.1 * 4.0 + 2.0 * 0.4
-    )
-
-
 def _exponential_setup(alpha, cells=64, T=1.0, tau=2.0, m2=0.3, amp=0.8, L=4.0):
     # differentiation off: the closed system carries no age-zero inflow.
     # the domain is wide so the O(alpha) regularization terms act in their

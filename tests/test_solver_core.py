@@ -666,7 +666,7 @@ def test_comparison_bound_holds_in_run():
     assert result.record.courant_max <= 1.0
 
 
-def test_two_dimensional_run():
+def _bump_setup(dim):
     spec = make_spec(
         xi=steep_switch(0.4),
         D=lambda r: 0.1 * np.maximum(r, 0.0) ** 2,
@@ -676,15 +676,34 @@ def test_two_dimensional_run():
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     reg = regularize(spec, alpha)
-    sgrid = SpatialGrid(extents=(1.0, 1.5), cells=(10, 12))
-    X = sgrid.axis_centers(0)[:, None]
-    Y = sgrid.axis_centers(1)[None, :]
-    bump2d = (1.0 + 0.3 * np.cos(math.pi * X / 1.0)) \
-        * (1.0 + 0.3 * np.cos(math.pi * Y / 1.5))
-    u0 = 0.5 * np.broadcast_to(bump2d, (grid.I,) + sgrid.shape).copy()
-    v0 = 0.3 * bump2d
-    setup = RunSetup(spec=spec, agegrid=grid, reg=reg, sgrid=sgrid,
-                     u0=u0, v0=v0, T=0.3, sample_dt=0.1, tail_A=(1.0,))
+    sgrid = SpatialGrid(extents=(1.0, 1.5)[:dim], cells=(10, 12)[:dim])
+    bump = np.ones(sgrid.shape)
+    for ax, L in enumerate(sgrid.extents):
+        shape = [1] * dim
+        shape[ax] = -1
+        bump = bump * (1.0 + 0.3 * np.cos(math.pi * sgrid.axis_centers(ax) / L)).reshape(shape)
+    u0 = 0.5 * np.broadcast_to(bump, (grid.I,) + sgrid.shape).copy()
+    return RunSetup(spec=spec, agegrid=grid, reg=reg, sgrid=sgrid,
+                    u0=u0, v0=0.3 * bump, T=0.3, sample_dt=0.1, tail_A=(1.0,))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_without_record_matches_run_bitwise(dim):
+    setup = _bump_setup(dim)
+    full, bare = run(setup), run(setup, record=False)
+    assert full.record is not None and bare.record is None
+    assert bare.steps == full.steps > 0
+    assert bare.tstar_crossed == full.tstar_crossed
+    assert len(bare.samples) == len(full.samples) == 4
+    for a, b in zip(full.samples, bare.samples):
+        assert a.t == b.t
+        for name in ("u", "v", "lambda_rec", "lambda_ev"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_two_dimensional_run():
+    setup = _bump_setup(2)
+    grid = setup.agegrid
     result = run(setup)
     record = result.record
     assert record.min_u_run >= -1e-12
