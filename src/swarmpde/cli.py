@@ -2,10 +2,10 @@
 
 Every command reads one JSON configuration, writes its artifacts under
 the output directory, and encodes success in the exit status: 0 only if
-no error was raised, the sampled hypotheses hold (``run``, ``validate``)
-and no envelope margin came out negative, so CI can consume runs without
-parsing logs.  Failures are mirrored as a
-machine-readable failure.json.
+no error was raised, the sampled hypotheses hold (``run``, ``validate``),
+the operators conserved mass to roundoff (``run``) and no envelope
+margin came out negative, so CI can consume runs without parsing logs.
+Failures are mirrored as a machine-readable failure.json.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+
+# the discrete operators conserve mass to roundoff (gate C8's tolerance)
+CONSERVATION_TOL = 1e-12
 
 
 def _json_dump(data, path) -> None:
@@ -123,6 +126,11 @@ def cmd_run(cfg, out_dir: Path) -> int:
     _json_dump(record.summary_dict(margins), out_dir / "summary.json")
     if cfg.output.write_snapshots:
         _write_snapshots(result, cfg, out_dir)
+    if not record.conservation_max <= CONSERVATION_TOL:  # NaN fails too
+        _write_failure(out_dir, "invariant_violation", [
+            f"conservation: residual {record.conservation_max:.3e} "
+            f"> {CONSERVATION_TOL:g}"])
+        return EXIT_FAIL
     bad = _negative_margins(margins)
     if bad:
         _write_failure(out_dir, "envelope_violation", bad)

@@ -418,6 +418,10 @@ class SweepPlan:
 
 
 def build_sweep_plan(cfg: RunConfig, levels: int = 3) -> SweepPlan:
+    if not cfg.diagnostics.store_u:
+        # every level's weak residual reads the stored bin fields
+        raise ConfigInvalid(["diagnostics.store_u: sweep evaluates the weak residual "
+                             "on the stored bins and needs true"])
     alphas = tuple(cfg.alpha / 2.0**k for k in range(levels))
     return SweepPlan(alphas=alphas, base_cells=cfg.domain.cells, base_alpha=cfg.alpha)
 

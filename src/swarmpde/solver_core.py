@@ -6,7 +6,10 @@ step) and a shadow biomass integrated from its own evolution equation.
 The shadow uses harmonic face means for its diffusivity where the bin
 system telescopes to arithmetic means, so the sup-norm gap between the
 two is a genuine second-order consistency metric instead of collapsing
-to roundoff.
+to roundoff.  The shadow and the step's conservation sums feed only the
+diagnostics record: a run without one (``run(setup, record=False)``)
+starts from a state without a shadow (``lambda_ev`` None), and its steps
+integrate no shadow and form no conservation sums.
 
 Updates are explicit Euler.  Each step starts from one coefficient
 record, ``step_coefficients``: D_alpha and E_alpha of the reconstructed
@@ -38,10 +41,10 @@ dt div + (dt/alpha) u_prev.  Every operation of the update is
 elementwise across bins, so the blocks give the whole-array result bit
 for bit.  The reductions are taken per block in forms that do not
 depend on the blocking: the minimum, clip and maximum of the new u, the
-cutoff-activation count, and per bin the sum of the divergence and the
-sum of its magnitude, which are added up bin by bin.  The reductions
-over bins (the reconstructed biomass, the source matvecs) run over the
-whole array.  Up to 32768 cell-bins (every 1D configuration in use) form
+cutoff-activation count, and, when the state carries a shadow, per bin
+the sum of the divergence and the sum of its magnitude, which are added
+up bin by bin.  The reductions over bins (the reconstructed biomass,
+the source matvecs) run over the whole array.  Up to 32768 cell-bins (every 1D configuration in use) form
 a single block.
 
 ``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
@@ -54,7 +57,8 @@ none; the swimmers' Laplacian runs in the idle ``div`` and ``work`` too.
 The diagnostics samples between steps reduce u in block buffers of
 their own recorder and allocate no u-sized array either; ``run``
 releases the plan before ``finalize``.  A run that is not asked for its
-diagnostics record (``run(setup, record=False)``) builds no recorder.
+diagnostics record (``run(setup, record=False)``) builds no recorder and
+carries no shadow.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2.
 ``step_coefficients`` tests that plateau once per step from the largest
@@ -65,10 +69,11 @@ itself and the cutoff is not evaluated; off it every block takes the
 split weights and the cutoff-weighted density, so all blocks take one
 path.
 
-The new fields are checked from one min and one max each: NaN and
-+-inf show in those extremes, so no finiteness scan is needed; the
-minima of u and v meet the roundoff tolerance, and alpha^2 max u > 1/2
-says the cutoff acted, counts activations and latches tstar_crossed.
+The new fields (u, v and the shadow if there is one) are checked from
+one min and one max each: NaN and +-inf show in those extremes, so no
+finiteness scan is needed; the minima of u and v meet the roundoff
+tolerance, and alpha^2 max u > 1/2 says the cutoff acted, counts
+activations and latches tstar_crossed.
 
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
@@ -130,7 +135,8 @@ class SimState:
     u: np.ndarray            # (I, *cells) swarmer densities per age bin
     v: np.ndarray            # (*cells) swimmer density
     lambda_rec: np.ndarray   # alpha-weighted bin sum, rebuilt every step
-    lambda_ev: np.ndarray    # shadow biomass, integrated independently
+    lambda_ev: Optional[np.ndarray]  # shadow biomass, integrated independently;
+    #                                  None in a run without a diagnostics record
     max_u: float             # largest bin density, taken where u is made
     t: float = 0.0
     step_count: int = 0
@@ -144,7 +150,7 @@ class StepResult:
     courant: float            # dt over the stability limit dt_max/0.9; <= 0.9 in run
     min_u: float              # raw minima before the roundoff clip
     min_v: float
-    conservation_residual: float
+    conservation_residual: float  # 0.0 for a state without a shadow
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ class TrajectorySample:
     u: Optional[np.ndarray]
     v: np.ndarray
     lambda_rec: np.ndarray
-    lambda_ev: np.ndarray
+    lambda_ev: Optional[np.ndarray]   # None in a run without a diagnostics record
 
 
 @dataclass
@@ -278,11 +284,15 @@ def _reconstruct(u: np.ndarray, grid: AgeGrid) -> np.ndarray:
     return grid.alpha * (grid.lam[: grid.I] @ u.reshape(grid.I, -1)).reshape(u.shape[1:])
 
 
-def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid) -> SimState:
+def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid,
+                  shadow: bool = True) -> SimState:
+    """The state of the initial data; with ``shadow`` false it carries no
+    shadow biomass (``lambda_ev`` is None)."""
     u0 = np.asarray(u0, dtype=float).copy()
     v0 = np.asarray(v0, dtype=float).copy()
     lam0 = _reconstruct(u0, grid)
-    return SimState(u=u0, v=v0, lambda_rec=lam0, lambda_ev=lam0.copy(),
+    return SimState(u=u0, v=v0, lambda_rec=lam0,
+                    lambda_ev=lam0.copy() if shadow else None,
                     max_u=float(u0.max()))
 
 
@@ -309,11 +319,15 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     its flux weights, its ``dt_max`` scales the reported Courant number,
     and nonnegativity requires dt <= dt_max.  ``plan`` is
     ``step_plan(grid, sgrid)``; its scratch is overwritten, and the new
-    state shares no memory with it.
+    state shares no memory with it.  A state without a shadow biomass
+    (``lambda_ev`` None) gives one without: the step then skips the
+    shadow and the conservation sums, and reports a
+    ``conservation_residual`` of 0.0.
     """
     I, alpha = grid.I, grid.alpha
     u, v = state.u, state.v
     lam_rec, lam_ev = state.lambda_rec, state.lambda_ev
+    shadow = lam_ev is not None
     u_rows = u.reshape(I, -1)
 
     xi = reg.xi_alpha(v)
@@ -351,11 +365,12 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         mins.append(float(new_f.min()))
         np.maximum(new_f, 0.0, out=new_f)
         maxs.append(float(new_f.max()))
-        row_sums = d.reshape(k1 - k0, -1).sum(axis=1)
-        row_sum_max = max(row_sum_max, float(np.abs(row_sums, out=row_sums).max()))
-        np.abs(d, out=d)  # d is scratch: not read again
-        for total in d.reshape(k1 - k0, -1).sum(axis=1).tolist():
-            abs_sum += total  # bin by bin in order, whatever the blocks
+        if shadow:  # the conservation sums, which only the record reads
+            row_sums = d.reshape(k1 - k0, -1).sum(axis=1)
+            row_sum_max = max(row_sum_max, float(np.abs(row_sums, out=row_sums).max()))
+            np.abs(d, out=d)  # d is scratch: not read again
+            for total in d.reshape(k1 - k0, -1).sum(axis=1).tolist():
+                abs_sum += total  # bin by bin in order, whatever the blocks
         if alpha * alpha * maxs[-1] > 0.5:
             activations += int(np.count_nonzero(alpha * alpha * new_f > 0.5))
 
@@ -364,18 +379,21 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     source_v += alpha * (plan.b_mu @ u_rows).reshape(v.shape)
     new_v = v + dt * (alpha * lap_v + source_v)
 
-    div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid, work)
-    source_ev = grid.lam[0] * inflow
-    source_ev += alpha * (plan.lam_source @ u_rows).reshape(v.shape)
-    source_ev -= grid.lam[I] * u[I - 1]
-    new_ev = lam_ev + dt * (div_ev + source_ev)
+    min_v, max_v = float(new_v.min()), float(new_v.max())
+    extremes = mins + maxs + [min_v, max_v]
+    new_ev = None
+    if shadow:
+        div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid, work)
+        source_ev = grid.lam[0] * inflow
+        source_ev += alpha * (plan.lam_source @ u_rows).reshape(v.shape)
+        source_ev -= grid.lam[I] * u[I - 1]
+        new_ev = lam_ev + dt * (div_ev + source_ev)
+        extremes += [float(new_ev.min()), float(new_ev.max())]
 
     # one min and one max per new field (per block for u): NaN propagates
     # through both and +-inf shows in one of them, so finite extremes mean
     # finite fields.  u's minima are taken before its clip and its maxima
     # after: the clip keeps NaN and +inf, so the maxima still see them
-    min_v, max_v = float(new_v.min()), float(new_v.max())
-    extremes = mins + maxs + [min_v, max_v, float(new_ev.min()), float(new_ev.max())]
     if not all(map(math.isfinite, extremes)):
         raise UnstableStep(f"non-finite state at t={state.t + dt:.6g}")
     min_u, max_u = min(mins), max(maxs)
@@ -388,13 +406,16 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     np.maximum(new_v, 0.0, out=new_v)
 
     new_rec = _reconstruct(new_u, grid)
-    vol = sgrid.cell_volume
-    cons = max(row_sum_max, abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
-    cons_scale = max(
-        abs_sum * vol,
-        float(np.abs(lap_v).sum()) * vol,
-        1e-300,
-    )
+    conservation = 0.0
+    if shadow:
+        vol = sgrid.cell_volume
+        cons = max(row_sum_max, abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
+        cons_scale = max(
+            abs_sum * vol,
+            float(np.abs(lap_v).sum()) * vol,
+            1e-300,
+        )
+        conservation = cons / cons_scale
 
     # the cutoff acts on some bin exactly when the largest leaves its
     # plateau alpha^2 u <= 1/2; the first such step latches tstar_crossed
@@ -416,7 +437,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         courant=_SAFETY * dt / coeffs.dt_max,
         min_u=min_u,
         min_v=min_v,
-        conservation_residual=cons / cons_scale,
+        conservation_residual=conservation,
     )
     return new_state, result
 
@@ -439,11 +460,14 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
     time, so samples land exactly on the cadence grid and runs are
     deterministic.  One step plan serves every step; the diagnostics
     recorder samples the initial state and every sample time.  With
-    ``record`` false no recorder is built and ``RunResult.record`` is
-    None; the samples and the steps are the same.
+    ``record`` false no recorder is built, ``RunResult.record`` is None
+    and the state carries no shadow biomass, so the steps form neither
+    the shadow nor the conservation sums and every sample's
+    ``lambda_ev`` is None; ``u``, ``v``, ``lambda_rec`` and the steps are
+    the same.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
-    state = initial_state(setup.u0, setup.v0, grid)
+    state = initial_state(setup.u0, setup.v0, grid, shadow=record)
     recorder = diag.DiagnosticsRecorder(
         setup.spec, grid, reg, sgrid, tail_A=setup.tail_A
     ) if record else None
@@ -457,7 +481,7 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
             u=s.u.copy() if setup.store_u else None,
             v=s.v.copy(),
             lambda_rec=s.lambda_rec.copy(),
-            lambda_ev=s.lambda_ev.copy(),
+            lambda_ev=s.lambda_ev.copy() if s.lambda_ev is not None else None,
         )
 
     samples = [sample(state)]

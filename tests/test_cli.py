@@ -191,6 +191,42 @@ def test_cmd_run_nan_margin_fails(tmp_path, monkeypatch):
     assert [m.split(":")[0] for m in failure["messages"]] == ["mass"]
 
 
+@pytest.mark.parametrize("residual", [1e-9, math.nan])
+def test_cmd_run_conservation_violation_fails(tmp_path, monkeypatch, residual):
+    # a run whose operators lose mass beyond roundoff (or whose residual
+    # is NaN) fails as an invariant violation
+    original = cli.run
+
+    def leaky_run(setup, **kwargs):
+        result = original(setup, **kwargs)
+        result.record.conservation_max = residual
+        return result
+
+    monkeypatch.setattr(cli, "run", leaky_run)
+    cfg = dict(MINIMAL)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "invariant_violation"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["conservation"]
+
+
+def test_cmd_sweep_refuses_unstored_bins(tmp_path, monkeypatch):
+    # the sweep's weak residual reads the stored bins: store_u false is
+    # refused before any level is integrated
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    cfg = dict(MINIMAL)
+    cfg["domain"] = {"dim": 1, "extents": [1.0], "cells": [8]}
+    cfg["diagnostics"] = {"tail_A": [1.0], "store_u": False}
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--levels", "3"]) == 2
+    assert calls == []
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert any("diagnostics.store_u" in m for m in failure["messages"])
+
+
 def _count_calls(monkeypatch, counts, owner, name):
     original = getattr(owner, name)
 
@@ -202,13 +238,15 @@ def _count_calls(monkeypatch, counts, owner, name):
 
 
 def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
-    # sweep and crossval build no diagnostics recorder, and the sweep's
-    # weak residual evaluates its per-sample fields once per sample and
-    # level, whatever the size of the test-function catalogue
+    # sweep and crossval build no diagnostics recorder and integrate no
+    # shadow biomass, and the sweep's weak residual evaluates its
+    # per-sample fields once per sample and level, whatever the size of
+    # the test-function catalogue
     counts = collections.Counter()
     for name in ("DiagnosticsRecorder", "Zeta1Evaluator", "weak_residual",
                  "_safe_ratios", "grad_cell"):
         _count_calls(monkeypatch, counts, diagnostics, name)
+    _count_calls(monkeypatch, counts, solver_core, "_shadow_div")
     samples = []
     for owner in (cli, reduced_system):
         def counting_run(setup, _run=owner.run, **kwargs):
@@ -222,7 +260,7 @@ def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
     cfg["output"] = {"dir": str(tmp_path / "sweep")}
     assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--levels", "3"]) == 0
     assert samples == [7, 7, 7]
-    assert counts["DiagnosticsRecorder"] == 0
+    assert counts["DiagnosticsRecorder"] == counts["_shadow_div"] == 0
     assert counts["weak_residual"] == counts["Zeta1Evaluator"] == 3
     assert counts["_safe_ratios"] == sum(samples)
     assert counts["grad_cell"] == 2 * sum(samples)   # zeta1 and zeta2
@@ -233,12 +271,15 @@ def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
     cfg["output"] = {"dir": str(tmp_path / "cv")}
     assert main(["crossval", "--config", str(_write(tmp_path, cfg, "cv.json"))]) == 0
     assert len(samples) == 5
-    assert counts["DiagnosticsRecorder"] == 0
+    assert counts["DiagnosticsRecorder"] == counts["_shadow_div"] == 0
 
-    # the counters see the recorder that run builds
+    # the counters see the recorder that run builds and its shadow, one
+    # shadow divergence per step
     cfg = dict(MINIMAL, output={"dir": str(tmp_path / "run")})
     assert main(["run", "--config", str(_write(tmp_path, cfg, "run.json"))]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert counts["DiagnosticsRecorder"] == 1
+    assert counts["_shadow_div"] == manifest["steps"] > 0
 
 
 def test_cmd_run_exponential_margins(tmp_path):

@@ -590,8 +590,12 @@ def test_non_finite_step_raises(field, bad):
     state = initial_state(np.full((grid.I, 8), 0.5), np.full(8, 0.5), grid)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     getattr(state, field).reshape(-1)[3] = bad
-    with pytest.raises(UnstableStep, match="non-finite"), np.errstate(all="ignore"):
-        step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
+    # a state without a shadow (a run with no record) is checked alike
+    states = [state] if field == "lambda_ev" else [
+        state, dataclasses.replace(state, lambda_ev=None)]
+    for s in states:
+        with pytest.raises(UnstableStep, match="non-finite"), np.errstate(all="ignore"):
+            step(s, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
 
 
 def test_run_reports_min_u_and_min_v_separately():
@@ -697,8 +701,35 @@ def test_run_without_record_matches_run_bitwise(dim):
     assert len(bare.samples) == len(full.samples) == 4
     for a, b in zip(full.samples, bare.samples):
         assert a.t == b.t
-        for name in ("u", "v", "lambda_rec", "lambda_ev"):
+        for name in ("u", "v", "lambda_rec"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        # the shadow biomass belongs to the record: a bare run has none
+        assert a.lambda_ev is not None and b.lambda_ev is None
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_without_shadow_skips_it_bitwise(dim, monkeypatch):
+    # a state without a shadow calls no shadow kernel and reports no
+    # conservation residual; u, v and the reconstructed biomass are
+    # bitwise those of the step with a shadow
+    setup = _bump_setup(dim)
+    grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
+    full = initial_state(setup.u0, setup.v0, grid)
+    bare = initial_state(setup.u0, setup.v0, grid, shadow=False)
+    assert bare.lambda_ev is None
+    coeffs = step_coefficients(full, grid, reg, sgrid)
+    plan = step_plan(grid, sgrid)
+    new_full, res_full = step(full, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+    calls = []
+    monkeypatch.setattr(solver_core, "_shadow_div", lambda *args: calls.append(args))
+    new_bare, res_bare = step(bare, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+    assert calls == [] and new_bare.lambda_ev is None
+    assert res_full.conservation_residual <= 1e-12
+    assert res_bare == dataclasses.replace(res_full, conservation_residual=0.0)
+    for name in ("u", "v", "lambda_rec"):
+        assert getattr(new_bare, name).tobytes() == getattr(new_full, name).tobytes()
+    assert dataclasses.replace(new_bare, u=None, v=None, lambda_rec=None) == \
+        dataclasses.replace(new_full, u=None, v=None, lambda_rec=None, lambda_ev=None)
 
 
 def test_two_dimensional_run():
