@@ -144,7 +144,7 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
         setup.spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau
     )
     lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
-    result = reduced_system.run_reduced(
+    samples = reduced_system.run_reduced(
         rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
         fixed_dt=setup.fixed_dt,
     )
@@ -152,13 +152,13 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
     with open(out_dir / "reduced.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,l2_Lambda,l2_v,max_Lambda,max_v\n")
         vol = setup.sgrid.cell_volume
-        for s in result.samples:
+        for s in samples:
             l2l = math.sqrt(float(np.sum(s.lam**2)) * vol)
             l2v = math.sqrt(float(np.sum(s.v**2)) * vol)
             fh.write(f"{s.t:.17g},{l2l:.17g},{l2v:.17g},"
                      f"{float(s.lam.max()):.17g},{float(s.v.max()):.17g}\n")
-    field_to_csv(result.samples[-1].lam, setup.sgrid, out_dir / "biomass_final.csv")
-    field_to_csv(result.samples[-1].v, setup.sgrid, out_dir / "swimmer_final.csv")
+    field_to_csv(samples[-1].lam, setup.sgrid, out_dir / "biomass_final.csv")
+    field_to_csv(samples[-1].v, setup.sgrid, out_dir / "swimmer_final.csv")
     return EXIT_OK
 
 
@@ -184,10 +184,8 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
-    plan = config_mod.build_sweep_plan(cfg, levels=levels)
     runs = []
-    for alpha in plan.alphas:
-        level_cfg = config_mod.config_for_level(cfg, plan, alpha)
+    for level_cfg in config_mod.build_sweep_plan(cfg, levels=levels):
         setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
         result = run(setup, record=False)
         catalogue = diag.make_test_functions(
@@ -196,18 +194,16 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
         )
         residual = max([0.0] + [wr.residual for wr in diag.weak_residual(
             result.samples, catalogue, setup.spec, setup.agegrid, setup.sgrid)])
-        runs.append((alpha, setup, result, residual))
+        runs.append((level_cfg.alpha, setup, result, residual))
 
     fine_cells = runs[-1][1].sgrid.cells
     vol_fine = runs[-1][1].sgrid.cell_volume
 
     def prolong(values, cells):
+        # the ladder doubles the cells per level, so the meshes nest
         out = values
         for ax, (c_from, c_to) in enumerate(zip(cells, fine_cells)):
-            factor, rem = divmod(c_to, c_from)
-            if rem:
-                raise ConfigInvalid(["sweep: level meshes do not nest"])
-            out = np.repeat(out, factor, axis=ax)
+            out = np.repeat(out, c_to // c_from, axis=ax)
         return out
 
     diffs = []
@@ -243,7 +239,7 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
         for a, b in zip(residuals, residuals[1:])
     ]
     payload = {
-        "alphas": list(plan.alphas),
+        "alphas": [r[0] for r in runs],
         "diff_Lambda": [d[0] for d in diffs],
         "diff_v": [d[1] for d in diffs],
         "cauchy_ratios_Lambda": ratios_l,
@@ -287,10 +283,10 @@ def main(argv=None) -> int:
         # configuration itself does not validate
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            if isinstance(raw, dict):
-                hint = raw.get("output", {}).get("dir")
-                if isinstance(hint, str) and hint:
-                    out_dir = Path(hint)
+            output = raw.get("output") if isinstance(raw, dict) else None
+            hint = output.get("dir") if isinstance(output, dict) else None
+            if isinstance(hint, str) and hint:
+                out_dir = Path(hint)
         except (OSError, json.JSONDecodeError):
             pass
     try:

@@ -1,9 +1,9 @@
 """Run configuration: JSON schema, validation, and pipeline assembly.
 
 A configuration round-trips losslessly through ``to_dict``/``from_dict``;
-``config_hash`` is the sha256 of the canonical JSON.  Validation collects
-every violation before failing so a bad file reports all problems at
-once.
+``config_hash`` is the sha256 of the canonical JSON.  Every value must
+have the JSON type of its field's default.  Validation collects every
+violation before failing so a bad file reports all problems at once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "DiagnosticsConfig",
     "OutputConfig",
     "RunConfig",
-    "SweepPlan",
     "parse_config",
     "config_hash",
     "build_model_spec",
@@ -126,18 +125,6 @@ class RunConfig:
         return _from_dict(data)
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "domain": DomainConfig,
-    "initial": InitialConfig,
-    "time": TimeConfig,
-    "diagnostics": DiagnosticsConfig,
-    "output": OutputConfig,
-}
-
-_TUPLE_FIELDS = {"xi_support", "extents", "cells", "u_age_cut", "tail_A"}
-
-
 def _asdict(obj) -> dict:
     out = {}
     for f in dataclasses.fields(obj):
@@ -151,47 +138,48 @@ def _asdict(obj) -> dict:
     return out
 
 
+def _has_type_of(value, default) -> bool:
+    # the JSON type of a field's default: numbers take ints and floats,
+    # counts ints only, no number a boolean; the fields with a None
+    # default are optional numbers
+    if default is None:
+        return value is None or _has_type_of(value, 0.0)
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_has_type_of(x, default[0]) for x in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def _coerce_section(cls, data: dict, prefix: str, problems: list):
-    known = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
     kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            problems.append(f"{prefix}{key}: unknown field")
+    for f in fields:
+        if f.name not in data:
             continue
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{prefix[:-1] or 'config'}: {exc}")
-        return cls()
+        value = data[f.name]
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            if not isinstance(value, dict):
+                problems.append(f"{prefix}{f.name}: must be an object")
+                continue
+            value = _coerce_section(type(default), value, f"{prefix}{f.name}.", problems)
+        elif not _has_type_of(value, default):
+            problems.append(f"{prefix}{f.name}: {json.dumps(value)} does not have the "
+                            f"JSON type of the default {json.dumps(default)}")
+            continue
+        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    known = {f.name for f in fields}
+    problems.extend(f"{prefix}{key}: unknown field" for key in data if key not in known)
+    return cls(**kwargs)
 
 
 def _from_dict(data: dict) -> RunConfig:
-    problems: list = []
     if not isinstance(data, dict):
         raise ConfigInvalid(["configuration root must be a JSON object"])
-    top_known = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in top_known:
-            problems.append(f"{key}: unknown field")
-            continue
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                problems.append(f"{key}: must be an object")
-                continue
-            kwargs[key] = _coerce_section(_SECTIONS[key], value, f"{key}.", problems)
-        else:
-            kwargs[key] = value
-    try:
-        cfg = RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(str(exc))
-        cfg = None
-    if cfg is not None:
-        problems.extend(_validate(cfg))
+    problems: list = []
+    cfg = _coerce_section(RunConfig, data, "", problems)
+    problems.extend(_validate(cfg))
     if problems:
         raise ConfigInvalid(problems)
     return cfg
@@ -243,8 +231,16 @@ def _validate(cfg: RunConfig) -> list:
                 p.append(f"model.tables.{name}: required for the tables family")
     if cfg.initial.kind not in ("cosine_bump", "zero"):
         p.append("initial.kind: must be 'cosine_bump' or 'zero'")
-    if abs(cfg.initial.u_cos_eps) > 1.0 or abs(cfg.initial.v_cos_eps) > 1.0:
+    ic = cfg.initial
+    if abs(ic.u_cos_eps) > 1.0 or abs(ic.v_cos_eps) > 1.0:
         p.append("initial: cosine amplitudes must lie in [-1, 1]")
+    for name in ("u_amp", "v_amp"):
+        if getattr(ic, name) < 0.0:
+            p.append(f"initial.{name}: must be nonnegative")
+    if ic.u_age_scale <= 0.0:
+        p.append("initial.u_age_scale: must be positive")
+    if not (len(ic.u_age_cut) == 2 and ic.u_age_cut[0] < ic.u_age_cut[1]):
+        p.append("initial.u_age_cut: must be an increasing pair")
     for A in cfg.diagnostics.tail_A:
         if A < 4.0 * cfg.alpha:
             p.append(f"diagnostics.tail_A: {A:g} is below 4*alpha")
@@ -397,38 +393,18 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
     return setup, report
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Refinement ladder: decreasing bin widths with mesh linked to them."""
-
-    alphas: tuple
-    base_cells: tuple
-    base_alpha: float
-
-    def __post_init__(self):
-        if len(self.alphas) < 3:
-            raise ConfigInvalid(["sweep: need at least 3 alpha levels"])
-        if any(a2 >= a1 for a1, a2 in zip(self.alphas, self.alphas[1:])):
-            raise ConfigInvalid(["sweep: alpha levels must be strictly decreasing"])
-
-    def cells_for(self, alpha: float) -> tuple:
-        factor = self.base_alpha / alpha
-        cells = tuple(int(round(c * factor)) for c in self.base_cells)
-        return cells
-
-
-def build_sweep_plan(cfg: RunConfig, levels: int = 3) -> SweepPlan:
+def build_sweep_plan(cfg: RunConfig, levels: int) -> list:
+    """Refinement ladder: level k has alpha/2^k and 2^k times the cells per
+    axis, so every level's mesh refines the one before it."""
     if not cfg.diagnostics.store_u:
         # every level's weak residual reads the stored bin fields
         raise ConfigInvalid(["diagnostics.store_u: sweep evaluates the weak residual "
                              "on the stored bins and needs true"])
-    alphas = tuple(cfg.alpha / 2.0**k for k in range(levels))
-    return SweepPlan(alphas=alphas, base_cells=cfg.domain.cells, base_alpha=cfg.alpha)
+    if levels < 3:
+        raise ConfigInvalid(["sweep: need at least 3 alpha levels"])
 
-
-def config_for_level(cfg: RunConfig, plan: SweepPlan, alpha: float) -> RunConfig:
-    return dataclasses.replace(
-        cfg,
-        alpha=alpha,
-        domain=dataclasses.replace(cfg.domain, cells=plan.cells_for(alpha)),
-    )
+    def level(k):
+        cells = tuple(c * 2**k for c in cfg.domain.cells)
+        return dataclasses.replace(cfg, alpha=cfg.alpha / 2.0**k,
+                                   domain=dataclasses.replace(cfg.domain, cells=cells))
+    return [level(k) for k in range(levels)]

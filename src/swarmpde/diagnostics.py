@@ -47,6 +47,7 @@ from .errors import InadmissibleTestFunction, NegativeField
 from .model_spec import (
     ModelSpec,
     Zeta1Evaluator,
+    diffusivity_slope,
     estimate_kappas,
     smoothstep,
     smoothstep_prime,
@@ -448,12 +449,12 @@ def _expm1_over(x):
     return np.where(small, 1.0, np.expm1(np.where(small, 1.0, x)) / np.where(small, 1.0, x))
 
 
-def _margin(name, t, envelope, observed, skipped=False, note="") -> EnvelopeMargin:
+def _margin(name, t, envelope, observed) -> EnvelopeMargin:
     gap = envelope - observed
     k = int(np.argmin(gap))
     return EnvelopeMargin(
         name=name, margin=float(gap[k]), t_at_min=float(t[k]),
-        skipped=skipped, note=note, envelope=envelope, observed=observed,
+        envelope=envelope, observed=observed,
     )
 
 
@@ -662,10 +663,7 @@ def _safe_ratios(spec: ModelSpec, lam: np.ndarray, v: np.ndarray, R_scale: float
     # degenerate; continuity of both ratios is part of the data assumptions
     floor = 1e-12 * max(R_scale, 1.0)
     rf = np.maximum(lam, floor)
-    h = 1e-6 * max(R_scale, 1.0)
-    Dp = (np.asarray(spec.D(rf + h), dtype=float)
-          - np.asarray(spec.D(np.maximum(rf - h, 0.0)), dtype=float)) \
-        / (rf + h - np.maximum(rf - h, 0.0))
+    Dp = diffusivity_slope(spec, rf, 1e-6 * max(R_scale, 1.0))
     z1p = zeta1_prime(spec, rf)
     z2p = np.asarray(spec.zeta2_prime(rf), dtype=float)
     with np.errstate(all="ignore"):
@@ -675,19 +673,16 @@ def _safe_ratios(spec: ModelSpec, lam: np.ndarray, v: np.ndarray, R_scale: float
 
 
 def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
-                  sgrid: SpatialGrid, zeta1_eval: Optional[Callable] = None
-                  ) -> "WeakResidualResult | list":
+                  sgrid: SpatialGrid) -> "WeakResidualResult | list":
     """Evaluate the weak-form identity of the continuous problem on a
     sampled trajectory.
 
     Composite trapezoid in time, exact bin sums in age, cell sums in
-    space.  ``phi`` is a TestFunction, a list of (coefficient,
-    TestFunction) pairs, evaluated jointly (the identity is linear in the
-    test function), or a catalogue: a list of TestFunctions, which gives
-    a list of one result per function.  Terms: transport, age-zero
-    inflow, initial data, diffusion against the Laplacian of the test
-    function, and the drift/diffusion gradient pairing under the
-    two-transform splitting.
+    space.  ``phi`` is a TestFunction, which gives one result, or a
+    catalogue: a list of TestFunctions, which gives a list of one result
+    per function.  Terms: transport, age-zero inflow, initial data,
+    diffusion against the Laplacian of the test function, and the
+    drift/diffusion gradient pairing under the two-transform splitting.
 
     One pass over the samples serves every test function: the fields
     that do not depend on it (D of the biomass, the transform ratios and
@@ -695,14 +690,12 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     function's sums are formed as in a call of its own, so a catalogue
     entry is bitwise its single-function result.
     """
-    if isinstance(phi, TestFunction):
-        phi = [(1.0, phi)]
-    catalogue = bool(phi) and all(isinstance(p, TestFunction) for p in phi)
-    combos = [[(1.0, p)] for p in phi] if catalogue else [[(float(cf), p) for cf, p in phi]]
+    single = isinstance(phi, TestFunction)
+    catalogue = [phi] if single else list(phi)
 
     T_run = float(samples[-1].t)
     a_cap = grid.I * grid.alpha
-    for _, p in (part for parts in combos for part in parts):
+    for p in catalogue:
         if p.t_support > T_run + 1e-12:
             raise InadmissibleTestFunction(
                 f"time support {p.t_support:g} exceeds the horizon {T_run:g}"
@@ -723,10 +716,9 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     edges = alpha * np.arange(I + 1)
     times = np.asarray([s.t for s in samples], dtype=float)
     R_scale = max(float(np.max([np.max(s.lambda_rec) for s in samples])), 1e-6)
-    if zeta1_eval is None:
-        zeta1_eval = Zeta1Evaluator(spec, 1.5 * R_scale + 1.0)
+    zeta1_eval = Zeta1Evaluator(spec, 1.5 * R_scale + 1.0)
 
-    def prepare(cf, p):
+    def prepare(p):
         Ci = alpha * bin_averages(p.chi, alpha, I)
         Cpi = np.asarray(p.chi(edges[1:]), dtype=float) \
             - np.asarray(p.chi(edges[:-1]), dtype=float)
@@ -738,13 +730,13 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         chi0 = float(p.chi(0.0))
         psi_t = np.asarray(p.psi(times), dtype=float)
         psip_t = np.asarray(p.psi_prime(times), dtype=float)
-        return cf, p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t
+        return p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t
 
-    pre = [[prepare(cf, p) for cf, p in parts] for parts in combos]
+    pre = [prepare(p) for p in catalogue]
     n = times.size
-    # per combination and sample: transport, inflow, diffusion, drift
-    f = np.zeros((len(combos), 4, n))
-    term_initial = [0.0] * len(combos)
+    # per test function and sample: transport, inflow, diffusion, drift
+    f = np.zeros((len(catalogue), 4, n))
+    term_initial = [0.0] * len(catalogue)
 
     for k, s in enumerate(samples):
         u_flat = s.u.reshape(I, -1)
@@ -758,21 +750,19 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         split = [r2 * g2 - r1 * g1 for g1, g2 in zip(gz1, gz2)]
         inflow = np.where(v_flat > 0.0,
                           np.asarray(spec.xi(v_flat), dtype=float) * v_flat, 0.0)
-        for c, parts in enumerate(pre):
-            for cf, p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t in parts:
-                psi_k, psip_k = float(psi_t[k]), float(psip_t[k])
-                proj = u_flat @ omega                       # <omega, u_i>
-                f[c, 0, k] += cf * float(
-                    (psip_k * Ci + psi_k * (Cpi - Cmui)) @ proj
-                )
-                f[c, 1, k] += cf * psi_k * chi0 * float(inflow @ omega)
-                f[c, 2, k] += cf * psi_k * float(Ci @ (u_flat @ (lomega * D_lam)))
-                W_dot = np.zeros_like(lam_flat)
-                for ax in range(sgrid.dim):
-                    W_dot += split[ax] * gomega[ax]
-                f[c, 3, k] -= cf * psi_k * float(Ci @ (u_flat @ W_dot))
-                if k == 0:
-                    term_initial[c] += cf * float(p.psi(0.0)) * float(Ci @ proj)
+        for c, prepared in enumerate(pre):
+            p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t = prepared
+            psi_k, psip_k = float(psi_t[k]), float(psip_t[k])
+            proj = u_flat @ omega                       # <omega, u_i>
+            f[c, 0, k] += float((psip_k * Ci + psi_k * (Cpi - Cmui)) @ proj)
+            f[c, 1, k] += psi_k * chi0 * float(inflow @ omega)
+            f[c, 2, k] += psi_k * float(Ci @ (u_flat @ (lomega * D_lam)))
+            W_dot = np.zeros_like(lam_flat)
+            for ax in range(sgrid.dim):
+                W_dot += split[ax] * gomega[ax]
+            f[c, 3, k] -= psi_k * float(Ci @ (u_flat @ W_dot))
+            if k == 0:
+                term_initial[c] += float(p.psi(0.0)) * float(Ci @ proj)
 
     results = []
     for fc, initial in zip(f, term_initial):
@@ -785,4 +775,4 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         }
         signed = sum(terms.values())
         results.append(WeakResidualResult(residual=abs(signed), signed=signed, terms=terms))
-    return results if catalogue else results[0]
+    return results[0] if single else results

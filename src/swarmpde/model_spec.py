@@ -49,6 +49,7 @@ __all__ = [
     "zeta1_prime",
     "Zeta1Evaluator",
     "estimate_kappas",
+    "diffusivity_slope",
     "smoothstep",
     "smoothstep_prime",
     "bump",
@@ -75,17 +76,16 @@ def smoothstep_prime(x):
     return np.where(inside, d, 0.0)
 
 
-def bump(s, lo, hi, ramp_frac=0.25):
-    """C^2 bump equal to 1 on the middle of [lo, hi] and 0 outside it.
+def bump(s, lo, hi):
+    """C^2 bump equal to 1 on the middle half of [lo, hi] and 0 outside it.
 
-    The rising ramp's argument x and the falling ramp's y add up to
-    1/ramp_frac >= 2, so one of them is at least 1, where smoothstep is
-    exactly 1: the product of the two ramps is smoothstep(min(x, y)).
+    Each ramp spans a quarter of [lo, hi].  The rising ramp's argument x
+    and the falling ramp's y add up to 4, so one of them is at least 1,
+    where smoothstep is exactly 1: the product of the two ramps is
+    smoothstep(min(x, y)).
     """
-    if ramp_frac > 0.5:
-        raise ValueError("ramp_frac must be at most 0.5: the two ramps would overlap")
     s = np.asarray(s, dtype=float)
-    w = (hi - lo) * ramp_frac
+    w = (hi - lo) * 0.25
     return smoothstep(np.minimum((s - lo) / w, (hi - s) / w))
 
 
@@ -190,9 +190,9 @@ def _nested_uniform(hi: float, n: int) -> np.ndarray:
     return hi * np.arange(m + 1) / m
 
 
-def _nested_geometric(hi: float, n: int, decades: int = 30) -> np.ndarray:
-    j_max = min(decades, int(math.log2(_next_pow2(n))) + decades)
-    return hi * 2.0 ** (-np.arange(1, j_max + 1, dtype=float))
+def _nested_geometric(hi: float) -> np.ndarray:
+    # thirty halvings towards 0 for every sample count, so nested trivially
+    return hi * 2.0 ** (-np.arange(1, 31, dtype=float))
 
 
 def _nested_alphas(n: int) -> np.ndarray:
@@ -268,14 +268,14 @@ def zeta1_prime(spec: ModelSpec, r):
 class Zeta1Evaluator:
     """Vectorized zeta1 on [0, r_max] via a cumulative fine-grid table.
 
-    Panel-wise Gauss quadrature of the substituted integrand; linear
-    interpolation between panel edges.  Accuracy is far below the
-    diagnostic tolerances that consume it; the scalar ``zeta1`` entry
-    point keeps the strict 1e-10 contract.
+    Gauss quadrature of the substituted integrand on 4096 equal panels
+    of 8 nodes each; linear interpolation between panel edges.  Accuracy
+    is far below the diagnostic tolerances that consume it; the scalar
+    ``zeta1`` entry point keeps the strict 1e-10 contract.
     """
 
-    def __init__(self, spec: ModelSpec, r_max: float, panels: int = 4096):
-        q_edges = math.sqrt(max(r_max, 1e-12)) * np.arange(panels + 1) / panels
+    def __init__(self, spec: ModelSpec, r_max: float):
+        q_edges = math.sqrt(max(r_max, 1e-12)) * np.arange(4097) / 4096
         nodes, weights = np.polynomial.legendre.leggauss(8)
         h = q_edges[1:] - q_edges[:-1]
         q = q_edges[:-1, None] + (nodes[None, :] + 1.0) * 0.5 * h[:, None]
@@ -289,9 +289,16 @@ class Zeta1Evaluator:
         return np.interp(np.sqrt(np.maximum(r, 0.0)), self._q, self._cum)
 
 
-def _kappa_samples(spec: ModelSpec, R: float, n_samples: int):
+def diffusivity_slope(spec: ModelSpec, r, h: float) -> np.ndarray:
+    """Central difference of D at r with step h, one-sided where r < h."""
+    r_lo = np.maximum(r - h, 0.0)
+    return (np.asarray(spec.D(r + h), dtype=float)
+            - np.asarray(spec.D(r_lo), dtype=float)) / (r + h - r_lo)
+
+
+def _kappa_samples(R: float, n_samples: int):
     r = np.unique(np.concatenate([
-        _nested_geometric(R, n_samples),
+        _nested_geometric(R),
         _nested_uniform(R, n_samples)[1:],
     ]))
     return r[r > 0.0]
@@ -305,11 +312,8 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
-    r = _kappa_samples(spec, R, n_samples)
-    h = R * 1e-6
-    Dp = (np.asarray(spec.D(r + h), dtype=float)
-          - np.asarray(spec.D(np.maximum(r - h, 0.0)), dtype=float)) / (
-        r + h - np.maximum(r - h, 0.0))
+    r = _kappa_samples(R, n_samples)
+    Dp = diffusivity_slope(spec, r, R * 1e-6)
     z1p = zeta1_prime(spec, r)
     failed = []
     with np.errstate(all="ignore"):
@@ -322,8 +326,8 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
         kappa1 = float(np.max(ratio1, initial=0.0))
 
     # box sampling for E against zeta2'
-    s_ax = np.unique(np.concatenate([[0.0], _kappa_samples(spec, R, min(n_samples, 128))]))
-    r_ax = _kappa_samples(spec, R, min(n_samples, 128))
+    s_ax = np.unique(np.concatenate([[0.0], _kappa_samples(R, min(n_samples, 128))]))
+    r_ax = _kappa_samples(R, min(n_samples, 128))
     RR, SS = np.meshgrid(r_ax, s_ax, indexing="ij")
     Ev = np.asarray(spec.E(RR, SS), dtype=float)
     z2p = np.asarray(spec.zeta2_prime(r_ax), dtype=float)[:, None]
@@ -373,7 +377,7 @@ def validate_hypotheses(
     ages = _nested_uniform(A_max, n_samples)
     alphas = _nested_alphas(n_samples)
     rs = np.unique(np.concatenate([
-        [0.0], _nested_geometric(R_max, n_samples), _nested_uniform(R_max, n_samples)[1:]
+        [0.0], _nested_geometric(R_max), _nested_uniform(R_max, n_samples)[1:]
     ]))
 
     lam_v = _check_finite("lam", spec.lam(ages), ages)

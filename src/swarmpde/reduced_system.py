@@ -5,12 +5,12 @@ with a common time scale and the dedifferentiation modulus is constant,
 the age structure integrates out exactly: the biomass obeys a single
 nonlinear diffusion equation with effective diffusivity D + biomass*E and
 linear growth 1/tau - m2, and the swimmer equation keeps only its local
-terms plus a biomass source (m1*m2/m0).  Running this two-field system on
+terms plus a biomass source (m2/m0).  Running this two-field system on
 the same mesh as the full solver cross-validates the age binning: the gap
 between the two must shrink linearly in the bin width.
 
-The weight normalization at age zero pins m1 = 1; the remaining factor
-only rescales the swimmer source and is absorbed into the coefficients.
+The dedifferentiation weight is normalized to b(0) = 1, so its amplitude
+does not enter the swimmer source.
 
 The full and reduced runs of a cross-validation are independent and may
 execute concurrently.
@@ -33,7 +33,6 @@ from . import diagnostics as diag
 __all__ = [
     "ReducedSpec",
     "ReducedSample",
-    "ReducedResult",
     "CrossValResult",
     "reduced_from_model",
     "run_reduced",
@@ -44,7 +43,6 @@ __all__ = [
 @dataclass(frozen=True)
 class ReducedSpec:
     m0: float
-    m1: float
     m2: float
     tau: float
     D: Callable
@@ -53,7 +51,7 @@ class ReducedSpec:
     xi: Callable
 
     def __post_init__(self):
-        for name in ("m0", "m1", "tau"):
+        for name in ("m0", "tau"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.m2 < 0.0:
@@ -63,7 +61,7 @@ class ReducedSpec:
 def reduced_from_model(spec: ModelSpec, mu_const: float, m0: float,
                        tau: float) -> ReducedSpec:
     return ReducedSpec(
-        m0=m0, m1=1.0, m2=mu_const, tau=tau,
+        m0=m0, m2=mu_const, tau=tau,
         D=spec.D, E=spec.E, g=spec.g, xi=spec.xi,
     )
 
@@ -73,11 +71,6 @@ class ReducedSample:
     t: float
     lam: np.ndarray
     v: np.ndarray
-
-
-@dataclass
-class ReducedResult:
-    samples: list
 
 
 def _reduced_div(lam, D, E, sgrid: SpatialGrid) -> np.ndarray:
@@ -104,14 +97,18 @@ def _reduced_dt(lam, D, E, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
 
 
 def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
-                sample_dt: float, fixed_dt: Optional[float] = None) -> ReducedResult:
-    """Explicit finite-volume integration of the closed two-field system."""
+                sample_dt: float, fixed_dt: Optional[float] = None) -> list:
+    """Explicit finite-volume integration of the closed two-field system.
+
+    Returns the list of ``ReducedSample``s at t = 0 and at every sample
+    time up to ``T``.
+    """
     lam = sgrid.check_field(np.asarray(lam0, dtype=float).copy(), "biomass")
     v = sgrid.check_field(np.asarray(v0, dtype=float).copy(), "v")
     if float(lam.min()) < -1e-12 or float(v.min()) < -1e-12:
         raise ValueError("initial data must be nonnegative")
     growth = 1.0 / rspec.tau - rspec.m2
-    v_coef = rspec.m1 * rspec.m2 / rspec.m0
+    v_coef = rspec.m2 / rspec.m0
     t = 0.0
     samples = [ReducedSample(t=0.0, lam=lam.copy(), v=v.copy())]
     for t_target in _sample_times(T, sample_dt):
@@ -142,7 +139,7 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
             t += dt
         t = t_target
         samples.append(ReducedSample(t=t, lam=lam.copy(), v=v.copy()))
-    return ReducedResult(samples=samples)
+    return samples
 
 
 # --------------------------------------------------------------------------
@@ -183,10 +180,10 @@ def _rel_l2(a: np.ndarray, b: np.ndarray, vol: float) -> float:
 def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
     full = run(setup, record=False)
     lam0 = full.samples[0].lambda_rec
-    red = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
-                      fixed_dt=setup.fixed_dt)
+    fs = full.samples
+    rs = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
+                     fixed_dt=setup.fixed_dt)
     vol = setup.sgrid.cell_volume
-    fs, rs = full.samples, red.samples
     if len(fs) != len(rs):
         raise RuntimeError("sample grids of the two solvers diverged")
     e_lam = _rel_l2(fs[-1].lambda_rec, rs[-1].lam, vol)

@@ -10,7 +10,7 @@ import pytest
 
 from swarmpde import cli, config as config_mod, diagnostics, reduced_system, solver_core
 from swarmpde.cli import main
-from swarmpde.config import RunConfig, SweepPlan, build_sweep_plan, parse_config
+from swarmpde.config import RunConfig, build_sweep_plan, parse_config
 from swarmpde.errors import ConfigInvalid
 from swarmpde.model_spec import smoothstep
 
@@ -72,14 +72,59 @@ def test_parse_missing_file(tmp_path):
         parse_config(tmp_path / "absent.json")
 
 
+def test_parse_takes_ints_for_numbers_and_null_for_optional_numbers():
+    cfg = RunConfig.from_dict(dict(MINIMAL, a_max=2, model={"g0": None},
+                                   time={"T": 1, "sample_dt": 0.5, "fixed_dt": None}))
+    assert (cfg.a_max, cfg.time.T, cfg.time.fixed_dt, cfg.model.g0) == (2, 1, None, None)
+    assert cfg.domain.cells == (16,)
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"domain": {"dim": 1, "extents": [1.0], "cells": ["16"]}}, "domain.cells"),
+    ({"domain": {"dim": 1, "extents": [1.0], "cells": [16.7]}}, "domain.cells"),
+    ({"time": {"T": "0.05", "sample_dt": 0.05}}, "time.T"),
+    ({"alpha": None}, "alpha"),
+    ({"a_max": True}, "a_max"),
+    ({"initial": {"u_cos_k": 1.0}}, "initial.u_cos_k"),
+    ({"diagnostics": {"tail_A": [1.0], "store_u": 1}}, "diagnostics.store_u"),
+    ({"output": "out"}, "output"),
+], ids=["cells-str", "cells-float", "T-str", "alpha-null", "a_max-bool", "count-float",
+        "flag-int", "section-str"])
+def test_cli_refuses_wrong_json_types(tmp_path, monkeypatch, over, field):
+    # each value must have the JSON type of its field's default; a wrong
+    # one is a config problem (exit 2), not a traceback or a silent cast.
+    # Without --out or a valid output.dir the failure lands in the cwd
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(_write(tmp_path, dict(MINIMAL, **over)))]) == 2
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert [m.split(":")[0] for m in failure["messages"]] == [field]
+
+
+@pytest.mark.parametrize("initial, field", [
+    ({"v_amp": -0.1}, "initial.v_amp"),
+    ({"u_amp": -0.1}, "initial.u_amp"),
+    ({"u_age_scale": 0.0}, "initial.u_age_scale"),
+    ({"u_age_scale": -0.5}, "initial.u_age_scale"),
+    ({"u_age_cut": [0.6, 0.6]}, "initial.u_age_cut"),
+    ({"u_age_cut": [0.8, 0.6]}, "initial.u_age_cut"),
+    ({"u_age_cut": [0.6]}, "initial.u_age_cut"),
+])
+def test_parse_refuses_initial_data_the_builder_cannot_honour(tmp_path, initial, field):
+    # collected with the other problems of the file
+    bad = dict(MINIMAL, a_max=0.1, initial=initial)
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config(_write(tmp_path, bad))
+    assert sorted(m.split(":")[0] for m in err.value.messages) == ["a_max", field]
+
+
 def test_sweep_plan_validation():
+    cfg = RunConfig.from_dict(MINIMAL)
     with pytest.raises(ConfigInvalid):
-        SweepPlan(alphas=(0.125, 0.125, 0.0625), base_cells=(16,), base_alpha=0.125)
-    with pytest.raises(ConfigInvalid):
-        SweepPlan(alphas=(0.125, 0.0625), base_cells=(16,), base_alpha=0.125)
-    plan = build_sweep_plan(RunConfig.from_dict(MINIMAL), levels=3)
-    assert plan.alphas == (0.125, 0.0625, 0.03125)
-    assert plan.cells_for(0.03125) == (64,)
+        build_sweep_plan(cfg, levels=2)
+    plan = build_sweep_plan(cfg, levels=3)
+    assert [level.alpha for level in plan] == [0.125, 0.0625, 0.03125]
+    assert plan[-1].domain.cells == (64,)
 
 
 def test_sweep_levels_nest_for_any_depth():
@@ -90,8 +135,7 @@ def test_sweep_levels_nest_for_any_depth():
         domain={"dim": 2, "extents": [1.0, 1.0], "cells": [12, 10]},
     ))
     for levels in range(3, 7):
-        plan = build_sweep_plan(cfg, levels=levels)
-        cells = [plan.cells_for(alpha) for alpha in plan.alphas]
+        cells = [level.domain.cells for level in build_sweep_plan(cfg, levels=levels)]
         assert cells == [(12 * 2**k, 10 * 2**k) for k in range(levels)]
 
 

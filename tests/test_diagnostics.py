@@ -385,21 +385,6 @@ def test_weak_residual_zero_trajectory():
     assert wr.residual == 0.0
 
 
-def test_weak_residual_linear_in_test_function():
-    result = _reference_run(T=0.3)
-    setup = result.setup
-    cat = make_test_functions(0.3, setup.agegrid.a_max, setup.sgrid, k_max=2)
-    phi1, phi2 = cat[0], cat[2]
-    r1 = weak_residual(result.samples, phi1, setup.spec, setup.agegrid, setup.sgrid)
-    r2 = weak_residual(result.samples, phi2, setup.spec, setup.agegrid, setup.sgrid)
-    a, b = 0.7, -1.3
-    joint = weak_residual(result.samples, [(a, phi1), (b, phi2)],
-                          setup.spec, setup.agegrid, setup.sgrid)
-    expected = a * r1.signed + b * r2.signed
-    scale = abs(r1.signed) + abs(r2.signed) + 1e-300
-    assert joint.signed == pytest.approx(expected, abs=1e-12 * scale + 1e-15)
-
-
 def _bits(wr):
     return [wr.residual.hex(), wr.signed.hex()] + [(k, v.hex()) for k, v in wr.terms.items()]
 
@@ -433,9 +418,6 @@ def test_weak_residual_catalogue_matches_single_calls_bitwise(dim):
         single = weak_residual(result.samples, phi, *args)
         assert single.residual > 0.0
         assert _bits(wr) == _bits(single), phi.label
-    # the joint form of one unit pair is the single call too
-    joint = weak_residual(result.samples, [(1.0, cat[1])], *args)
-    assert _bits(joint) == _bits(together[1])
 
 
 def test_weak_residual_admissibility():

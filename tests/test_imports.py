@@ -49,7 +49,8 @@ def test_scan_flags_an_unused_import():
     assert _unused_imports(tree) == ["pi (line 2)"]
 
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
 
 
 def _unreferenced_definitions(trees: dict) -> list:
@@ -101,3 +102,71 @@ def test_every_perfbench_hook_resolves(monkeypatch):
     with spans.Tracer() as tracer:
         pass
     assert set(tracer.missing) <= {"solver_core.positivity_dt"}
+
+
+def _defaulted_parameters(trees: dict) -> list:
+    """(module.function, parameter, position) of every parameter with a
+    default in the top-level functions and methods of ``trees``; an
+    ``__init__`` goes by its class name, and keyword-only parameters have
+    position None."""
+    found = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            funcs = [stmt] if isinstance(stmt, _FUNCS) else []
+            if isinstance(stmt, ast.ClassDef):
+                funcs = [f for f in stmt.body if isinstance(f, _FUNCS)]
+            for fn in funcs:
+                called = stmt.name if fn.name == "__init__" else fn.name
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if positional[:1] == ["self"]:
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                found += [(f"{name}.{called}", p, first + k)
+                          for k, p in enumerate(positional[first:])]
+                found += [(f"{name}.{called}", a.arg, None)
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _unpassed_parameters(defining: dict, calling: list) -> list:
+    """Defaulted parameters of ``defining`` that no call in the parsed
+    modules ``calling`` passes by keyword, by ``**`` or by enough
+    positional arguments (``*`` splats count for nothing).  Calls match
+    by the called name."""
+    calls = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                n_pos = sum(not isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(called, []).append(
+                    (n_pos, {k.arg for k in node.keywords}))
+    return sorted(
+        f"{func}({param}=)" for func, param, pos in _defaulted_parameters(defining)
+        if not any(param in kws or None in kws or (pos is not None and n_pos > pos)
+                   for n_pos, kws in calls.get(func.split(".")[1], ())))
+
+
+def test_every_defaulted_parameter_is_passed():
+    # tests do not count as callers: a knob only a test sets is still a knob
+    callers = sorted(MODULES) + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                                       if not p.name.startswith("test_"))
+    parse = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in callers}
+    defining = {p.stem: parse[p] for p in MODULES}
+    assert _unpassed_parameters(defining, list(parse.values())) == []
+
+
+def test_scan_flags_an_unpassed_parameter():
+    defining = {"a": ast.parse(
+        "def f(x, y=1, *, z=2): pass\n"
+        "def g(x=0, y=1): pass\n"
+        "def h(x=0): pass\n"
+        "def k(x=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, n=3): pass\n"
+        "    def m(self, p=4, q=5): pass\n")}
+    calling = [ast.parse("f(0, 1)\ng(*args)\nh(**opts)\nC(7)\nC().m(q=6)\nk.x = 1\n")]
+    assert _unpassed_parameters(defining, calling) == [
+        "a.f(z=)", "a.g(x=)", "a.g(y=)", "a.k(x=)", "a.m(p=)"]

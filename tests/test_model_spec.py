@@ -214,24 +214,18 @@ def test_tabulated_function_interpolates():
         tabulated_function([0.0, 0.0], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("ramp_frac", [0.05, 0.25, 0.4, 0.5])
-def test_bump_is_bitwise_the_product_of_its_ramps(rng, ramp_frac):
-    # without overlapping ramps one factor is exactly 1, so the single
-    # smoothstep of the smaller argument is the product bit for bit,
-    # signed zeros, NaN and infinities included
+def test_bump_is_bitwise_the_product_of_its_ramps(rng):
+    # the quarter ramps do not overlap, so one factor is exactly 1 and
+    # the single smoothstep of the smaller argument is the product bit for
+    # bit, signed zeros, NaN and infinities included
     for lo, hi in ((0.0, 1.0), (0.2, 0.7), (-3.0, 5.5), (1e-3, 2e-3)):
         w = hi - lo
         s = np.concatenate([rng.uniform(lo - 0.2 * w, hi + 0.2 * w, 5000),
                             np.linspace(lo, hi, 2001),
                             [0.0, -0.0, np.nan, np.inf, -np.inf, lo, hi]])
-        ramp = w * ramp_frac
+        ramp = w * 0.25
         product = smoothstep((s - lo) / ramp) * smoothstep((hi - s) / ramp)
-        got = bump(s, lo, hi, ramp_frac)
+        got = bump(s, lo, hi)
         assert np.array_equal(np.isnan(got), np.isnan(product))
         finite = ~np.isnan(product)
         assert np.array_equal(got[finite].view(np.uint64), product[finite].view(np.uint64))
-
-
-def test_bump_rejects_overlapping_ramps():
-    with pytest.raises(ValueError):
-        bump(0.5, 0.0, 1.0, ramp_frac=0.51)

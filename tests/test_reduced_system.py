@@ -19,7 +19,7 @@ from conftest import make_spec, steep_switch
 
 def _rspec(m0=1.0, m2=0.3, tau=2.0, D=None, E=None, g=None, xi=None):
     spec = make_spec(D=D, E=E, g=g, xi=xi)
-    return ReducedSpec(m0=m0, m1=1.0, m2=m2, tau=tau,
+    return ReducedSpec(m0=m0, m2=m2, tau=tau,
                        D=spec.D, E=spec.E, g=spec.g, xi=spec.xi)
 
 
@@ -36,8 +36,8 @@ def test_homogeneous_biomass_exponential_oracle():
     lam0 = np.full(sgrid.shape, 0.7)
     v0 = np.full(sgrid.shape, 0.5)
     T = 2.0
-    result = run_reduced(rspec, sgrid, lam0, v0, T, sample_dt=T, fixed_dt=T / 500.0)
-    final = result.samples[-1]
+    samples = run_reduced(rspec, sgrid, lam0, v0, T, sample_dt=T, fixed_dt=T / 500.0)
+    final = samples[-1]
     exact = 0.7 * math.exp(gamma * T)
     assert np.allclose(final.lam, exact, rtol=1e-3)
 
@@ -49,10 +49,10 @@ def test_homogeneous_swimmer_oracle():
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     lam0, v0 = 0.7, 0.5
     T = 2.0
-    result = run_reduced(rspec, sgrid, np.full(sgrid.shape, lam0),
-                         np.full(sgrid.shape, v0), T, sample_dt=T, fixed_dt=T / 800.0)
+    samples = run_reduced(rspec, sgrid, np.full(sgrid.shape, lam0),
+                          np.full(sgrid.shape, v0), T, sample_dt=T, fixed_dt=T / 800.0)
     exact = v0 + (1.0 * m2 / m0) * lam0 * (math.exp(gamma * T) - 1.0) / gamma
-    assert np.allclose(result.samples[-1].v, exact, rtol=1e-3)
+    assert np.allclose(samples[-1].v, exact, rtol=1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -82,10 +82,10 @@ def test_reduced_negative_step_raises():
 def test_reduced_spec_validation():
     spec = make_spec()
     with pytest.raises(ValueError):
-        ReducedSpec(m0=0.0, m1=1.0, m2=0.3, tau=1.0,
+        ReducedSpec(m0=0.0, m2=0.3, tau=1.0,
                     D=spec.D, E=spec.E, g=spec.g, xi=spec.xi)
     with pytest.raises(ValueError):
-        ReducedSpec(m0=1.0, m1=1.0, m2=-0.1, tau=1.0,
+        ReducedSpec(m0=1.0, m2=-0.1, tau=1.0,
                     D=spec.D, E=spec.E, g=spec.g, xi=spec.xi)
 
 
