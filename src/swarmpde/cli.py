@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import math
@@ -57,20 +56,16 @@ def _write_failure(out_dir: Path, kind: str, messages) -> dict:
     return payload
 
 
-def _report_hash(report) -> str:
-    canonical = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _manifest(cfg, result, report, margins, wall_time) -> dict:
+    # ``margins`` are the summary's: each margin, None where skipped
     record = result.record
     constants = dict(record.constants)
     constants["K0"] = record.K0
     return {
         "config_hash": config_mod.config_hash(cfg),
-        "hypothesis_report_hash": _report_hash(report),
+        "hypothesis_report_hash": config_mod.config_hash(report),
         "constants": constants,
-        "margins": {name: (None if m.skipped else m.margin) for name, m in margins.items()},
+        "margins": margins,
         "tstar_crossed": bool(result.tstar_crossed),
         "theta_activations": int(record.theta_activations),
         "steps": result.steps,
@@ -99,10 +94,9 @@ def _write_snapshots(result, cfg, out_dir: Path) -> None:
         if idx % stride and idx != len(result.samples) - 1:
             continue
         tag = f"{idx:05d}"
-        field_to_csv(s.lambda_rec, sgrid, out_dir / f"biomass_{tag}.csv")
-        field_to_binary(s.lambda_rec, sgrid, out_dir / f"biomass_{tag}.bin")
-        field_to_csv(s.v, sgrid, out_dir / f"swimmer_{tag}.csv")
-        field_to_binary(s.v, sgrid, out_dir / f"swimmer_{tag}.bin")
+        for name, values in (("biomass", s.lambda_rec), ("swimmer", s.v)):
+            field_to_csv(values, sgrid, out_dir / f"{name}_{tag}.csv")
+            field_to_binary(values, sgrid, out_dir / f"{name}_{tag}.bin")
 
 
 def cmd_run(cfg, out_dir: Path) -> int:
@@ -118,12 +112,13 @@ def cmd_run(cfg, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     record = result.record
     margins = diag.envelope_report(record)
+    summary = record.summary_dict(margins)
     record.to_csv(out_dir / "diagnostics.csv")
     _json_dump(
-        _manifest(cfg, result, report, margins, wall),
+        _manifest(cfg, result, report, summary["margins"], wall),
         out_dir / "manifest.json",
     )
-    _json_dump(record.summary_dict(margins), out_dir / "summary.json")
+    _json_dump(summary, out_dir / "summary.json")
     if cfg.output.write_snapshots:
         _write_snapshots(result, cfg, out_dir)
     if not record.conservation_max <= CONSERVATION_TOL:  # NaN fails too
@@ -138,11 +133,14 @@ def cmd_run(cfg, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _reduced_spec(cfg, spec) -> reduced_system.ReducedSpec:
+    return reduced_system.reduced_from_model(
+        spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau)
+
+
 def cmd_reduced(cfg, out_dir: Path) -> int:
     setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
-    rspec = reduced_system.reduced_from_model(
-        setup.spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau
-    )
+    rspec = _reduced_spec(cfg, setup.spec)
     lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
     samples = reduced_system.run_reduced(
         rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
@@ -153,11 +151,11 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
         fh.write("t,l2_Lambda,l2_v,max_Lambda,max_v\n")
         vol = setup.sgrid.cell_volume
         for s in samples:
-            l2l = math.sqrt(float(np.sum(s.lam**2)) * vol)
+            l2l = math.sqrt(float(np.sum(s.lambda_rec**2)) * vol)
             l2v = math.sqrt(float(np.sum(s.v**2)) * vol)
             fh.write(f"{s.t:.17g},{l2l:.17g},{l2v:.17g},"
-                     f"{float(s.lam.max()):.17g},{float(s.v.max()):.17g}\n")
-    field_to_csv(samples[-1].lam, setup.sgrid, out_dir / "biomass_final.csv")
+                     f"{float(s.lambda_rec.max()):.17g},{float(s.v.max()):.17g}\n")
+    field_to_csv(samples[-1].lambda_rec, setup.sgrid, out_dir / "biomass_final.csv")
     field_to_csv(samples[-1].v, setup.sgrid, out_dir / "swimmer_final.csv")
     return EXIT_OK
 
@@ -168,12 +166,10 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
         level_cfg = dataclasses.replace(cfg, alpha=alpha)
         setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
         setups.append(setup)
-    rspec = reduced_system.reduced_from_model(
-        setups[0].spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau
-    )
+    rspec = _reduced_spec(cfg, setups[0].spec)
     result = reduced_system.cross_validate_setups(setups, rspec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.to_dict()
+    payload = dataclasses.asdict(result)
     payload["tolerance"] = cfg.crossval_tolerance
     payload["passed"] = bool(
         result.rel_l2_Lambda <= cfg.crossval_tolerance
@@ -206,22 +202,16 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
             out = np.repeat(out, c_to // c_from, axis=ax)
         return out
 
-    diffs = []
+    diffs = []   # per level pair, the L2-in-time Cauchy difference of (biomass, v)
     times = np.asarray([s.t for s in runs[0][2].samples])
     for (a1, s1, r1, _), (a2, s2, r2, _) in zip(runs, runs[1:]):
-        dl = np.zeros(times.size)
-        dv = np.zeros(times.size)
+        sq = np.zeros((2, times.size))
         for k, (f1, f2) in enumerate(zip(r1.samples, r2.samples)):
-            p1 = prolong(f1.lambda_rec, s1.sgrid.cells)
-            p2 = prolong(f2.lambda_rec, s2.sgrid.cells)
-            dl[k] = float(np.sum((p1 - p2) ** 2)) * vol_fine
-            q1 = prolong(f1.v, s1.sgrid.cells)
-            q2 = prolong(f2.v, s2.sgrid.cells)
-            dv[k] = float(np.sum((q1 - q2) ** 2)) * vol_fine
-        diffs.append((
-            math.sqrt(float(np.trapezoid(dl, times))),
-            math.sqrt(float(np.trapezoid(dv, times))),
-        ))
+            for j, name in enumerate(("lambda_rec", "v")):
+                d = (prolong(getattr(f1, name), s1.sgrid.cells)
+                     - prolong(getattr(f2, name), s2.sgrid.cells))
+                sq[j, k] = float(np.sum(d ** 2)) * vol_fine
+        diffs.append(tuple(math.sqrt(float(np.trapezoid(row, times))) for row in sq))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -231,8 +221,8 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
             cells = "x".join(str(c) for c in setup.sgrid.cells)
             fh.write(f"{k},{alpha:.17g},{cells},{d_l:.17g},{d_v:.17g},{residual:.17g}\n")
 
-    ratios_l = [b[0] / a[0] if a[0] > 0 else math.nan for a, b in zip(diffs, diffs[1:])]
-    ratios_v = [b[1] / a[1] if a[1] > 0 else math.nan for a, b in zip(diffs, diffs[1:])]
+    ratios_l, ratios_v = ([b[j] / a[j] if a[j] > 0 else math.nan
+                           for a, b in zip(diffs, diffs[1:])] for j in (0, 1))
     residuals = [r[3] for r in runs]
     res_orders = [
         math.log2(a / b) if a > 0 and b > 0 else math.nan

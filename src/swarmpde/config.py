@@ -1,7 +1,8 @@
 """Run configuration: JSON schema, validation, and pipeline assembly.
 
 A configuration round-trips losslessly through ``to_dict``/``from_dict``;
-``config_hash`` is the sha256 of the canonical JSON.  Every value must
+``config_hash`` is the sha256 of the canonical JSON (of a configuration
+or of a hypothesis report).  Every value must
 have the JSON type of its field's default.  Validation collects every
 violation before failing so a bad file reports all problems at once.
 """
@@ -14,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -23,11 +23,11 @@ from .age_discretization import age_average_initial, build_age_grid, regularize
 from .errors import ConfigInvalid
 from .model_spec import (
     ModelSpec,
-    Zeta1Evaluator,
     exponential_family,
+    smoothstep,
+    tabulated_family,
     tabulated_function,
     validate_hypotheses,
-    zeta1_prime,
 )
 from .solver_core import RunSetup
 from .spatial_grid import SpatialGrid
@@ -47,6 +47,10 @@ __all__ = [
     "build_run_setup",
     "build_sweep_plan",
 ]
+
+
+# the model functions a tables-family table may give (``tabulated_family``)
+_TABLE_NAMES = ("lam", "b", "mu", "D", "E", "xi", "g")
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,12 @@ def _validate(cfg: RunConfig) -> list:
         for name in ("lam", "b", "mu", "D"):
             if name not in m.tables:
                 p.append(f"model.tables.{name}: required for the tables family")
+    for name, path in m.tables.items():
+        if name not in _TABLE_NAMES:
+            p.append(f"model.tables.{name}: unknown table, must be one of "
+                     f"{', '.join(_TABLE_NAMES)}")
+        elif not (isinstance(path, str) and Path(path).is_file()):
+            p.append(f"model.tables.{name}: {json.dumps(path)} names no existing file")
     if cfg.initial.kind not in ("cosine_bump", "zero"):
         p.append("initial.kind: must be 'cosine_bump' or 'zero'")
     ic = cfg.initial
@@ -263,8 +273,10 @@ def parse_config(path) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+def config_hash(obj) -> str:
+    """sha256 of the canonical JSON of ``obj.to_dict()``, for a
+    ``RunConfig`` or a ``HypothesisReport``."""
+    canonical = json.dumps(obj.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -279,50 +291,17 @@ def build_model_spec(cfg: RunConfig) -> ModelSpec:
             xi0=m.xi0, xi_support=tuple(m.xi_support),
             g0=m.g0, drift=m.drift,
         )
-    # tables family: 1D piecewise-linear coefficient tables from CSV
-    funcs = {}
+    # tables family: two-column CSV files (abscissa, value), one per table
+    funcs, problems = {}, []
     for name, path in m.tables.items():
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        funcs[name] = tabulated_function(data[:, 0], data[:, 1])
-    Dfun = funcs["D"]
-    if "E" in funcs:
-        Etab = funcs["E"]
-
-        def Efun(r, s):
-            e = np.asarray(Etab(r), dtype=float)
-            # broadcast to the shape of s only where r does not have it
-            return e if e.shape == np.shape(s) else e * np.ones_like(np.asarray(s, dtype=float))
-    else:
-        def Efun(r, s):
-            return np.zeros(np.broadcast(np.asarray(r), np.asarray(s)).shape)
-
-    if "xi" in funcs:
-        xitab = funcs["xi"]
-
-        def xifun(s):
-            s = np.asarray(s, dtype=float)
-            return np.where(s > 0.0, np.asarray(xitab(s), dtype=float), 0.0)
-    else:
-        def xifun(s):
-            return np.zeros_like(np.asarray(s, dtype=float))
-
-    if "g" in funcs:
-        gfun = funcs["g"]
-    else:
-        def gfun(s):
-            return np.full_like(np.asarray(s, dtype=float), 1.0 / m.tau)
-
-    # the induced transform of D serves as the drift transform
-    z2_eval = Zeta1Evaluator(SimpleNamespace(D=Dfun), max(8.0, 2.0 / cfg.alpha))
-    proxy = SimpleNamespace(D=Dfun)
-
-    def z2p(r):
-        return zeta1_prime(proxy, r)
-
-    return ModelSpec(
-        lam=funcs["lam"], b=funcs["b"], mu=funcs["mu"], D=Dfun, E=Efun,
-        g=gfun, xi=xifun, zeta2=z2_eval, zeta2_prime=z2p,
-    )
+        try:
+            xs, ys = np.loadtxt(path, delimiter=",", ndmin=2).T
+            funcs[name] = tabulated_function(xs, ys)
+        except (OSError, ValueError) as exc:
+            problems.append(f"model.tables.{name}: {path} does not load: {exc}")
+    if problems:
+        raise ConfigInvalid(problems)
+    return tabulated_family(funcs, g0=1.0 / m.tau, r_max=max(8.0, 2.0 / cfg.alpha))
 
 
 def _space_profile(coords: np.ndarray, extents, eps: float, k: int) -> np.ndarray:
@@ -347,8 +326,6 @@ def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
 
         v0 = np.zeros(sgrid.shape)
         return u0, v0
-
-    from .model_spec import smoothstep
 
     lo, hi = ic.u_age_cut
 

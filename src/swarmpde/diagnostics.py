@@ -7,9 +7,9 @@ coefficient arrays, so each estimate becomes an assertable per-run
 inequality: envelope minus observation is the margin, and a negative
 margin is a bug somewhere.
 
-A sample reads each block of the step's bin blocks
-(``age_discretization.bin_blocks``) once, into block-sized buffers the
-recorder owns, and reduces it in cache to per-bin sums (``bin_sums``):
+A sample reads each of the step plan's bin blocks (``solver_core.StepPlan``)
+once, into the plan's block-sized ``work`` pair, which is idle between
+steps, and reduces it in cache to per-bin sums (``bin_sums``):
 the integrals of the densities, of their entropy density and of the
 face form of their sqrt-gradient dissipation, plus the raw minimum and
 the clipped maximum.  It checks the sign of the densities once and
@@ -40,7 +40,6 @@ from .age_discretization import (
     AgeGrid,
     RegularizedModel,
     bin_averages,
-    bin_blocks,
     entropy_phi,
 )
 from .errors import InadmissibleTestFunction, NegativeField
@@ -306,10 +305,6 @@ class DiagnosticsRecorder:
         self._grad_v0 = math.nan
         self._zeta1_rmax = 2.0
         self._zeta1 = Zeta1Evaluator(spec, self._zeta1_rmax)
-        # a sample reads u block by block into these buffers
-        self._blocks = bin_blocks((grid.I,) + sgrid.shape)
-        size = max(k1 - k0 for k0, k1 in self._blocks) * sgrid.ncells
-        self._work = (np.empty(size), np.empty(size))
         # sup of g over the regularization box stands in for its global sup
         s = reg.clamp * np.arange(0, 1025) / 1024.0
         g_inf = float(np.max(np.abs(np.asarray(spec.g(s), dtype=float))))
@@ -343,19 +338,20 @@ class DiagnosticsRecorder:
         self._cons = max(self._cons, sres.conservation_residual)
         self._courant = max(self._courant, sres.courant)
 
-    def sample(self, state) -> None:
+    def sample(self, state, plan) -> None:
         """Record one sample of ``state``.
 
-        The bins are read once, block by block (``bin_sums`` into the
-        recorder's block-sized buffers); the sample allocates no array of
-        u's size.
+        ``plan`` is the run's ``solver_core.StepPlan``: the bins are read
+        once, block by block through ``plan.blocks`` (``bin_sums`` into
+        ``plan.work``, which no step needs between steps); the sample
+        allocates no array of u's size.
         """
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
         vol = sgrid.cell_volume
         u, lam = state.u, state.lambda_rec
         d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
         lows, tops, *per_bin = zip(*(
-            bin_sums(u[k0:k1], sgrid, d_weights, self._work) for k0, k1 in self._blocks))
+            bin_sums(u[k0:k1], sgrid, d_weights, plan.work) for k0, k1 in plan.blocks))
         sums = _checked(BinSums(min(lows), max(tops), *map(np.concatenate, per_bin)))
         totals, max_u = sums.totals, sums.max_u
         z1 = self._zeta1_for(float(lam.max(initial=0.0)))
@@ -472,11 +468,10 @@ def envelope_check(record: DiagnosticsRecord, which: str) -> EnvelopeMargin:
     alpha = c["alpha"]
     Lp = max(c["L"], 0.0)
     Bp = max(c["B"], 0.0)
+    mass_env = s["mass_b"][0] * np.exp((c["b1"] * c["g_inf"] + Bp) * t)
 
     if which == "mass":
-        gamma = c["b1"] * c["g_inf"] + Bp
-        env = s["mass_b"][0] * np.exp(gamma * t)
-        return _margin("mass", t, env, s["mass_b"])
+        return _margin("mass", t, mass_env, s["mass_b"])
 
     if which == "linf":
         int_lam = cumulative_trapezoid(s["linf_Lambda"], t, initial=0.0)
@@ -491,9 +486,7 @@ def envelope_check(record: DiagnosticsRecord, which: str) -> EnvelopeMargin:
     H0 = s["entropy"][0]
     gamma2 = Lp + c["M"]
     phi_Xi = float(entropy_phi(np.asarray(c["Xi"])))
-    mass_env_max = float(np.max(
-        s["mass_b"][0] * np.exp((c["b1"] * c["g_inf"] + Bp) * t)
-    ))
+    mass_env_max = float(np.max(mass_env))
     C_H = c["lam1"] * max(1.0, phi_Xi) * c["volume"] + c["M"] * c["beta_lam"] * mass_env_max
 
     if which == "entropy":

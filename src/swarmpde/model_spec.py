@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "smoothstep_prime",
     "bump",
     "exponential_family",
+    "tabulated_family",
     "tabulated_function",
 ]
 
@@ -326,8 +328,8 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
         kappa1 = float(np.max(ratio1, initial=0.0))
 
     # box sampling for E against zeta2'
-    s_ax = np.unique(np.concatenate([[0.0], _kappa_samples(R, min(n_samples, 128))]))
     r_ax = _kappa_samples(R, min(n_samples, 128))
+    s_ax = np.concatenate([[0.0], r_ax])
     RR, SS = np.meshgrid(r_ax, s_ax, indexing="ij")
     Ev = np.asarray(spec.E(RR, SS), dtype=float)
     z2p = np.asarray(spec.zeta2_prime(r_ax), dtype=float)[:, None]
@@ -376,9 +378,16 @@ def validate_hypotheses(
 
     ages = _nested_uniform(A_max, n_samples)
     alphas = _nested_alphas(n_samples)
-    rs = np.unique(np.concatenate([
-        [0.0], _nested_geometric(R_max), _nested_uniform(R_max, n_samples)[1:]
-    ]))
+    a_pos = ages[ages > 0.0]
+    rs = np.concatenate([[0.0], _kappa_samples(R_max, n_samples)])
+
+    def growth(fun, shifted):
+        # the growth ratio (fun(a') / fun(a) - 1) / alpha of the weight fun
+        # over the ages a > 0 and the alphas, at the shifted ages a'
+        ratio = np.asarray(fun(shifted), dtype=float)
+        base = np.asarray(fun(a_pos), dtype=float)[:, None]
+        with np.errstate(all="ignore"):
+            return (ratio / base - 1.0) / alphas[None, :]
 
     lam_v = _check_finite("lam", spec.lam(ages), ages)
     b_v = _check_finite("b", spec.b(ages), ages)
@@ -417,11 +426,7 @@ def validate_hypotheses(
     # over the window instead
     if b_v[-1] <= b0 * (1.0 + 1e-6):
         fail("weight_b", A_max, "b shows no growth over the sampled window")
-    a_pos = ages[ages > 0.0]
-    b_a = np.asarray(spec.b(a_pos), dtype=float)[:, None]
-    b_shift = np.asarray(spec.b(a_pos[:, None] + alphas[None, :]), dtype=float)
-    with np.errstate(all="ignore"):
-        ratio_b = (b_shift / b_a - 1.0) / alphas[None, :]
+    ratio_b = growth(spec.b, a_pos[:, None] + alphas[None, :])
     if not np.all(np.isfinite(ratio_b)):
         fail("weight_b", None, "b growth ratio non-finite")
         B0 = math.nan
@@ -437,13 +442,9 @@ def validate_hypotheses(
         fail("weight_mass", ages[int(np.argmin(lam_v))], "inf lam = 0")
         L0 = math.inf
     else:
-        lam_a = np.asarray(spec.lam(a_pos), dtype=float)[:, None]
-        lam_up = np.asarray(spec.lam(a_pos[:, None] + alphas[None, :]), dtype=float)
+        up = growth(spec.lam, a_pos[:, None] + alphas[None, :])
         back = a_pos[:, None] - alphas[None, :]
-        lam_dn = np.asarray(spec.lam(np.maximum(back, 0.0)), dtype=float)
-        with np.errstate(all="ignore"):
-            up = (lam_up / lam_a - 1.0) / alphas[None, :]
-            dn = np.where(back > 0.0, (lam_dn / lam_a - 1.0) / alphas[None, :], 0.0)
+        dn = np.where(back > 0.0, growth(spec.lam, np.maximum(back, 0.0)), 0.0)
         L0 = float(max(np.max(up), np.max(dn), 0.0))
         if not math.isfinite(L0):
             fail("weight_mass", None, "lam growth ratio non-finite")
@@ -517,6 +518,26 @@ def validate_hypotheses(
 # --------------------------------------------------------------------------
 # built-in families
 
+def _constant(c: float) -> Callable:
+    # the function that is c at every argument
+    def f(s):
+        return np.full_like(np.asarray(s, dtype=float), c)
+    return f
+
+
+def _drift(e: Callable) -> Callable:
+    # E(r, s) = e(r), whatever the swimmer density s
+    def E(r, s):
+        out = np.asarray(e(r), dtype=float)
+        # broadcast to the shape of s only where r does not have it
+        return out if out.shape == np.shape(s) else out * np.ones_like(np.asarray(s, dtype=float))
+    return E
+
+
+def _zero_drift(r, s):
+    return np.zeros(np.broadcast(np.asarray(r), np.asarray(s)).shape)
+
+
 def exponential_family(
     m0: float = 1.0,
     tau: float = 1.0,
@@ -554,29 +575,15 @@ def exponential_family(
     def bfun(a):
         return np.exp(np.asarray(a, dtype=float) / tau)
 
-    def mufun(a):
-        return np.full_like(np.asarray(a, dtype=float), mu_const)
-
     def Dfun(r):
         r = np.maximum(np.asarray(r, dtype=float), 0.0)
         return D0 * r**theta
 
-    if drift == "dprime" and theta != 0.0:
-        def Efun(r, s):
-            r = np.maximum(np.asarray(r, dtype=float), 0.0)
-            e = theta * D0 * r ** (theta - 1.0)
-            # broadcast to the shape of s only where r does not have it
-            return e if e.shape == np.shape(s) else e * np.ones_like(np.asarray(s, dtype=float))
-    else:
-        def Efun(r, s):
-            return np.zeros(np.broadcast(np.asarray(r), np.asarray(s)).shape)
-
-    def gfun(s):
-        return np.full_like(np.asarray(s, dtype=float), g0)
+    def Dprime(r):
+        r = np.maximum(np.asarray(r, dtype=float), 0.0)
+        return theta * D0 * r ** (theta - 1.0)
 
     def xifun(s):
-        if xi0 == 0.0:
-            return np.zeros_like(np.asarray(s, dtype=float))
         return xi0 * bump(s, s1, s2)
 
     half = (theta + 1.0) / 2.0
@@ -591,8 +598,40 @@ def exponential_family(
         return sqrtD0 * r ** ((theta - 1.0) / 2.0)
 
     return ModelSpec(
-        lam=lam, b=bfun, mu=mufun, D=Dfun, E=Efun, g=gfun, xi=xifun,
+        lam=lam, b=bfun, mu=_constant(mu_const), D=Dfun,
+        E=_drift(Dprime) if drift == "dprime" and theta != 0.0 else _zero_drift,
+        g=_constant(g0), xi=xifun if xi0 != 0.0 else _constant(0.0),
         zeta2=z2, zeta2_prime=z2p,
+    )
+
+
+def tabulated_family(tables: dict, g0: float, r_max: float) -> ModelSpec:
+    """Family of piecewise-linear tables (``tabulated_function``), keyed
+    by model function name.
+
+    lam, b, mu and D are required.  The drift coefficient is E(r, s) =
+    E(r) from its table, or zero; xi is its table's on s > 0 and 0
+    elsewhere, or zero; g is its table, or the constant g0.  zeta2 is the
+    transform induced by D (``zeta1``), tabulated on [0, r_max].
+    """
+    proxy = SimpleNamespace(D=tables["D"])
+    if "xi" in tables:
+        xitab = tables["xi"]
+
+        def xifun(s):
+            s = np.asarray(s, dtype=float)
+            return np.where(s > 0.0, np.asarray(xitab(s), dtype=float), 0.0)
+    else:
+        xifun = _constant(0.0)
+
+    def z2p(r):
+        return zeta1_prime(proxy, r)
+
+    return ModelSpec(
+        lam=tables["lam"], b=tables["b"], mu=tables["mu"], D=proxy.D,
+        E=_drift(tables["E"]) if "E" in tables else _zero_drift,
+        g=tables["g"] if "g" in tables else _constant(g0), xi=xifun,
+        zeta2=Zeta1Evaluator(proxy, r_max), zeta2_prime=z2p,
     )
 
 

@@ -26,13 +26,12 @@ import numpy as np
 
 from .errors import ConfigMismatch, UnstableStep
 from .model_spec import ModelSpec
-from .solver_core import RunSetup, _sample_times, initial_state, run
+from .solver_core import RunSetup, TrajectorySample, initial_state, run, sample_times
 from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean
 from . import diagnostics as diag
 
 __all__ = [
     "ReducedSpec",
-    "ReducedSample",
     "CrossValResult",
     "reduced_from_model",
     "run_reduced",
@@ -66,13 +65,6 @@ def reduced_from_model(spec: ModelSpec, mu_const: float, m0: float,
     )
 
 
-@dataclass(frozen=True)
-class ReducedSample:
-    t: float
-    lam: np.ndarray
-    v: np.ndarray
-
-
 def _reduced_div(lam, D, E, sgrid: SpatialGrid) -> np.ndarray:
     # same face treatment as the full solver's bin fluxes: arithmetic mean
     # of D, upwind donor biomass against the drift face velocity; the
@@ -100,8 +92,10 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
                 sample_dt: float, fixed_dt: Optional[float] = None) -> list:
     """Explicit finite-volume integration of the closed two-field system.
 
-    Returns the list of ``ReducedSample``s at t = 0 and at every sample
-    time up to ``T``.
+    Returns the ``TrajectorySample``s at t = 0 and at every sample time
+    up to ``T`` (``solver_core.sample_times``): the biomass is
+    ``lambda_rec``, and ``u`` and ``lambda_ev`` are None, as in a full
+    run that stores no u and keeps no diagnostics record.
     """
     lam = sgrid.check_field(np.asarray(lam0, dtype=float).copy(), "biomass")
     v = sgrid.check_field(np.asarray(v0, dtype=float).copy(), "v")
@@ -110,8 +104,13 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
     growth = 1.0 / rspec.tau - rspec.m2
     v_coef = rspec.m2 / rspec.m0
     t = 0.0
-    samples = [ReducedSample(t=0.0, lam=lam.copy(), v=v.copy())]
-    for t_target in _sample_times(T, sample_dt):
+
+    def sample() -> TrajectorySample:
+        return TrajectorySample(t=t, u=None, v=v.copy(), lambda_rec=lam.copy(),
+                                lambda_ev=None)
+
+    samples = [sample()]
+    for t_target in sample_times(T, sample_dt):
         while t < t_target - 1e-12 * max(T, 1.0):
             # D and E are evaluated once per step, for the bound and the flux
             D = np.asarray(rspec.D(lam), dtype=float)
@@ -138,7 +137,7 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
             v = np.maximum(new_v, 0.0)
             t += dt
         t = t_target
-        samples.append(ReducedSample(t=t, lam=lam.copy(), v=v.copy()))
+        samples.append(sample())
     return samples
 
 
@@ -157,24 +156,16 @@ class CrossValResult:
     order_Lambda: float
     order_v: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rel_l2_Lambda": self.rel_l2_Lambda,
-            "rel_l2_v": self.rel_l2_v,
-            "linf_l1_Lambda": self.linf_l1_Lambda,
-            "linf_l1_v": self.linf_l1_v,
-            "alpha_levels": list(self.alpha_levels),
-            "errors_by_level": list(self.errors_by_level),
-            "errors_v_by_level": list(self.errors_v_by_level),
-            "order_Lambda": self.order_Lambda,
-            "order_v": self.order_v,
-        }
+
+def _ratio(x: float, y: float) -> float:
+    # x/y of norms, with 0/0 = 0 and x/0 = inf otherwise
+    return x / y if y > 0.0 else (0.0 if x == 0.0 else math.inf)
 
 
 def _rel_l2(a: np.ndarray, b: np.ndarray, vol: float) -> float:
     num = math.sqrt(float(np.sum((a - b) ** 2)) * vol)
     den = math.sqrt(float(np.sum(a * a)) * vol)
-    return num / den if den > 0.0 else (0.0 if num == 0.0 else math.inf)
+    return _ratio(num, den)
 
 
 def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
@@ -186,16 +177,18 @@ def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
     vol = setup.sgrid.cell_volume
     if len(fs) != len(rs):
         raise RuntimeError("sample grids of the two solvers diverged")
-    e_lam = _rel_l2(fs[-1].lambda_rec, rs[-1].lam, vol)
-    e_v = _rel_l2(fs[-1].v, rs[-1].v, vol)
-    l1_diff_lam = max(
-        float(np.sum(np.abs(f.lambda_rec - r.lam))) * vol for f, r in zip(fs, rs)
-    )
-    l1_diff_v = max(float(np.sum(np.abs(f.v - r.v))) * vol for f, r in zip(fs, rs))
-    l1_lam = max((float(np.sum(np.abs(f.lambda_rec))) * vol for f in fs), default=0.0)
-    l1_v = max((float(np.sum(np.abs(f.v))) * vol for f in fs), default=0.0)
-    linf_lam = l1_diff_lam / l1_lam if l1_lam > 0.0 else (0.0 if l1_diff_lam == 0.0 else math.inf)
-    linf_v = l1_diff_v / l1_v if l1_v > 0.0 else (0.0 if l1_diff_v == 0.0 else math.inf)
+
+    def gaps(name: str) -> tuple:
+        # the final relative L2 gap of field ``name`` and its largest L1
+        # gap over the samples relative to the full run's largest L1 norm
+        e = _rel_l2(getattr(fs[-1], name), getattr(rs[-1], name), vol)
+        l1_diff = max(float(np.sum(np.abs(getattr(f, name) - getattr(r, name)))) * vol
+                      for f, r in zip(fs, rs))
+        l1 = max((float(np.sum(np.abs(getattr(f, name)))) * vol for f in fs), default=0.0)
+        return e, _ratio(l1_diff, l1)
+
+    e_lam, linf_lam = gaps("lambda_rec")
+    e_v, linf_v = gaps("v")
     return e_lam, e_v, linf_lam, linf_v
 
 
@@ -232,17 +225,17 @@ def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
     results = [_one_level(s, rspec) for s in setups]
     errs = tuple(r[0] for r in results)
     errs_v = tuple(r[1] for r in results)
-    if len(errs) >= 2 and errs[0] > 0.0 and errs[1] > 0.0:
-        order_lam = math.log2(errs[0] / errs[1]) / math.log2(alphas[0] / alphas[1])
-        order_v = math.log2(errs_v[0] / errs_v[1]) / math.log2(alphas[0] / alphas[1]) \
-            if errs_v[0] > 0.0 and errs_v[1] > 0.0 else math.nan
-    else:
-        order_lam = math.nan
-        order_v = math.nan
+
+    def order(errors) -> float:
+        # observed order of the first refinement; NaN without two positive errors
+        if len(errors) >= 2 and errors[0] > 0.0 and errors[1] > 0.0:
+            return math.log2(errors[0] / errors[1]) / math.log2(alphas[0] / alphas[1])
+        return math.nan
+
     return CrossValResult(
         rel_l2_Lambda=errs[0], rel_l2_v=errs_v[0],
         linf_l1_Lambda=results[0][2], linf_l1_v=results[0][3],
         alpha_levels=tuple(alphas),
         errors_by_level=errs, errors_v_by_level=errs_v,
-        order_Lambda=order_lam, order_v=order_v,
+        order_Lambda=order(errs), order_v=order(errs_v),
     )

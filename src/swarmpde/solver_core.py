@@ -48,17 +48,18 @@ the source matvecs) run over the whole array.  Up to 32768 cell-bins (every 1D c
 a single block.
 
 ``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
-step: the frozen weights (the mu column, b*mu, lam_star - mu*lam), the
-block layout and three flat block-sized buffers.  The flux kernel writes
-a block's bin divergence into the first through the other two, which
-allocates no array, and the Euler update runs in the work buffers, so
-the new u is the only u-sized array a step allocates and the plan holds
-none; the swimmers' Laplacian runs in the idle ``div`` and ``work`` too.
-The diagnostics samples between steps reduce u in block buffers of
-their own recorder and allocate no u-sized array either; ``run``
-releases the plan before ``finalize``.  A run that is not asked for its
-diagnostics record (``run(setup, record=False)``) builds no recorder and
-carries no shadow.
+step and every diagnostics sample: the frozen weights (the mu column,
+b*mu, lam_star - mu*lam), the block layout and three flat block-sized
+buffers.  The flux kernel writes a block's bin divergence into the first
+through the other two, which allocates no array, and the Euler update
+runs in the work buffers, so the new u is the only u-sized array a step
+allocates and the plan holds none; the swimmers' Laplacian runs in the
+idle ``div`` and ``work`` too.  The diagnostics samples between steps
+read u through the plan's blocks into its ``work`` pair, which a step
+leaves holding nothing, so they allocate no u-sized array either and the
+recorder holds no block buffer; ``run`` releases the plan before
+``finalize``.  A run that is not asked for its diagnostics record
+(``run(setup, record=False)``) builds no recorder and carries no shadow.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2.
 ``step_coefficients`` tests that plateau once per step from the largest
@@ -120,6 +121,7 @@ __all__ = [
     "stable_dt",
     "step_plan",
     "step",
+    "sample_times",
     "run",
     "initial_state",
 ]
@@ -177,7 +179,8 @@ class StepPlan:
     lam_star - mu*lam; ``blocks`` is the bin-block layout.  ``div`` (a
     block's bin divergence) and the pair ``work`` are flat buffers of the
     largest block's size.  The scratch holds nothing from one step to the
-    next.
+    next, so between steps the diagnostics sample reads u through
+    ``blocks`` into ``work`` (``DiagnosticsRecorder.sample``).
     """
 
     mu: np.ndarray
@@ -190,11 +193,13 @@ class StepPlan:
 
 @dataclass(frozen=True)
 class TrajectorySample:
+    """The fields of one sample time, of the full or of the reduced solver."""
+
     t: float
-    u: Optional[np.ndarray]
+    u: Optional[np.ndarray]           # None unless the run stores u, and in the reduced
     v: np.ndarray
-    lambda_rec: np.ndarray
-    lambda_ev: Optional[np.ndarray]   # None in a run without a diagnostics record
+    lambda_rec: np.ndarray            # the biomass (the reduced solver's own field)
+    lambda_ev: Optional[np.ndarray]   # None without a diagnostics record, and in the reduced
 
 
 @dataclass
@@ -442,7 +447,10 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     return new_state, result
 
 
-def _sample_times(T: float, sample_dt: float) -> np.ndarray:
+def sample_times(T: float, sample_dt: float) -> np.ndarray:
+    """The sample times after t = 0: multiples of ``sample_dt`` up to
+    ``T``, the last moved onto ``T``.  Both solvers sample on them, so
+    cross-validation compares sample against sample."""
     n = int(math.floor(T / sample_dt + 1e-9))
     times = sample_dt * np.arange(1, n + 1)
     if times.size == 0 or times[-1] < T - 1e-12 * max(T, 1.0):
@@ -458,13 +466,13 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
     The step size is the minimum of the coefficient record's ``dt_max``,
     the fixed step if one is set, and the distance to the next sample
     time, so samples land exactly on the cadence grid and runs are
-    deterministic.  One step plan serves every step; the diagnostics
-    recorder samples the initial state and every sample time.  With
-    ``record`` false no recorder is built, ``RunResult.record`` is None
-    and the state carries no shadow biomass, so the steps form neither
-    the shadow nor the conservation sums and every sample's
-    ``lambda_ev`` is None; ``u``, ``v``, ``lambda_rec`` and the steps are
-    the same.
+    deterministic.  One step plan serves every step and every sample;
+    the diagnostics recorder samples the initial state and every sample
+    time.  With ``record`` false no recorder is built,
+    ``RunResult.record`` is None and the state carries no shadow biomass,
+    so the steps form neither the shadow nor the conservation sums and
+    every sample's ``lambda_ev`` is None; ``u``, ``v``, ``lambda_rec``
+    and the steps are the same.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     state = initial_state(setup.u0, setup.v0, grid, shadow=record)
@@ -475,7 +483,7 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
 
     def sample(s: SimState) -> TrajectorySample:
         if recorder is not None:
-            recorder.sample(s)
+            recorder.sample(s, plan)
         return TrajectorySample(
             t=s.t,
             u=s.u.copy() if setup.store_u else None,
@@ -487,7 +495,7 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
     samples = [sample(state)]
     clamp_warned = False
 
-    for t_target in _sample_times(setup.T, setup.sample_dt):
+    for t_target in sample_times(setup.T, setup.sample_dt):
         while state.t < t_target - 1e-12 * max(setup.T, 1.0):
             coeffs = step_coefficients(state, grid, reg, sgrid)
             dt = min(coeffs.dt_max, t_target - state.t)

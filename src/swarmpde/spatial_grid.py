@@ -175,38 +175,32 @@ def _rows(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return f.reshape(f.shape[:f.ndim - grid.dim] + (grid.ncells,))
 
 
-def face_diff(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
-    """Centered gradient on axis ax's faces, in the flat face layout."""
+def _face_pair(f: np.ndarray, grid: SpatialGrid, ax: int, pair) -> np.ndarray:
+    """``pair(f[lo], f[hi])`` of the cells left and right of axis ax's
+    faces, in the flat face layout, with +0.0 on the row wraps."""
     lo, hi, wrap = grid.face_rows[ax]
     if grid.dim > 1:
         f = _rows(f, grid)
-    out = (f[hi] - f[lo]) / grid.dx[ax]
+    out = pair(f[lo], f[hi])
     if wrap is not None:
         out[wrap] = 0.0
     return out
+
+
+def face_diff(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
+    """Centered gradient on axis ax's faces, in the flat face layout."""
+    return _face_pair(f, grid, ax, lambda lo, hi: (hi - lo) / grid.dx[ax])
 
 
 def face_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     """Arithmetic mean on axis ax's faces, in the flat face layout."""
-    lo, hi, wrap = grid.face_rows[ax]
-    if grid.dim > 1:
-        f = _rows(f, grid)
-    out = 0.5 * (f[lo] + f[hi])
-    if wrap is not None:
-        out[wrap] = 0.0
-    return out
+    return _face_pair(f, grid, ax, lambda lo, hi: 0.5 * (lo + hi))
 
 
 def harmonic_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     """Harmonic mean on axis ax's faces, in the flat face layout; needs
     f > 0 on both sides of every face."""
-    lo, hi, wrap = grid.face_rows[ax]
-    if grid.dim > 1:
-        f = _rows(f, grid)
-    out = 2.0 * f[lo] * f[hi] / (f[lo] + f[hi])
-    if wrap is not None:
-        out[wrap] = 0.0
-    return out
+    return _face_pair(f, grid, ax, lambda lo, hi: 2.0 * lo * hi / (lo + hi))
 
 
 def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid, mean=face_mean) -> tuple:

@@ -13,7 +13,7 @@ from swarmpde.age_discretization import (
 )
 from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import HypothesisViolation, NegativeInitialData
-from swarmpde.solver_core import initial_state
+from swarmpde.solver_core import initial_state, step_plan
 from swarmpde.spatial_grid import SpatialGrid
 
 from conftest import make_spec
@@ -199,7 +199,7 @@ def test_age_average_negative_raises():
 def _K0(spec, u0, v0, grid, sgrid):
     """The K0 of a record whose one sample is the initial state."""
     recorder = DiagnosticsRecorder(spec, grid, regularize(spec, grid.alpha), sgrid)
-    recorder.sample(initial_state(u0, v0, grid))
+    recorder.sample(initial_state(u0, v0, grid), step_plan(grid, sgrid))
     return recorder.finalize().K0
 
 

@@ -384,6 +384,33 @@ def test_cmd_tables_family_validate_and_run(tmp_path):
     assert main(["run", "--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("name, entry, says", [
+    ("D", "nope.csv", "names no existing file"),
+    ("D", 5, "names no existing file"),
+    ("zeta", "lam.csv", "unknown table"),
+    ("D", "bad.csv", "does not load"),
+], ids=["missing_file", "not_a_string", "unknown_name", "malformed_csv"])
+def test_cmd_run_refuses_bad_tables(tmp_path, monkeypatch, name, entry, says):
+    # every bad tables entry is a configuration error (exit 2 with
+    # failure.json), found before or while the tables load
+    monkeypatch.chdir(tmp_path)
+    ages = np.linspace(0.0, 2.0, 33)
+    r = np.linspace(0.0, 16.0, 129)
+    for table, columns in {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
+                           "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2)}.items():
+        np.savetxt(f"{table}.csv", np.column_stack(columns), delimiter=",")
+    Path("bad.csv").write_text("0.0,1.0\n1.0,oops\n", encoding="utf-8")
+    tables = {table: f"{table}.csv" for table in ("lam", "b", "mu", "D")}
+    tables[name] = entry
+    cfg = dict(MINIMAL, model={"family": "tables", "tables": tables}, output={"dir": "out"})
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert [m.split(":")[0] for m in failure["messages"]] == [f"model.tables.{name}"]
+    assert says in failure["messages"][0]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_cmd_run_refuses_failed_hypotheses(tmp_path):
     # a tabulated xi above the default g = 1/tau fails the rates hypothesis
     ages = np.linspace(0.0, 2.0, 33)

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from swarmpde import age_discretization, diagnostics
+from swarmpde import age_discretization, solver_core
 from swarmpde.age_discretization import build_age_grid, entropy_phi, regularize
 from swarmpde.diagnostics import (
     ENVELOPE_NAMES,
@@ -24,7 +25,7 @@ from swarmpde.diagnostics import (
 )
 from swarmpde.errors import InadmissibleTestFunction, NegativeField
 from swarmpde.model_spec import Zeta1Evaluator
-from swarmpde.solver_core import RunSetup, initial_state, run
+from swarmpde.solver_core import RunSetup, initial_state, run, step_plan
 from swarmpde.spatial_grid import SpatialGrid, diffusion_weights
 
 from conftest import grad_sq, make_spec, steep_switch
@@ -219,13 +220,14 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
         return out
 
     monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * u[0].nbytes)
-    monkeypatch.setattr(diagnostics, "bin_blocks", recording_bin_blocks)
+    monkeypatch.setattr(solver_core, "bin_blocks", recording_bin_blocks)
     rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
+    plan = step_plan(grid, sgrid)
     assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)]
-    # the recorder's block buffers carry nothing from one sample to the next
-    for buf in rec._work:
+    # the plan's block buffers carry nothing from a step to the sample
+    for buf in plan.work:
         buf.fill(np.nan)
-    rec.sample(state)
+    rec.sample(state, plan)
     record = rec.finalize()
     row = {name: values[0] for name, values in record.series.items()}
     z1 = Zeta1Evaluator(spec, 2.0)
@@ -245,7 +247,25 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
         assert record.eta_star_inf[A] == eta_star
     state.u.reshape(grid.I, -1)[6, 2] = -1e-9
     with pytest.raises(NegativeField):
-        rec.sample(state)
+        rec.sample(state, plan)
+
+
+def test_recorder_holds_no_block_buffer():
+    # a sample borrows the step plan's block buffers, so a recorder keeps
+    # less than one bin block (here 8 bins of 64x64 cells, 256 KiB)
+    spec, grid, reg, _ = _pieces(alpha=0.125, a_max=1.0)
+    sgrid = SpatialGrid(extents=(1.0, 1.0), cells=(64, 64))
+    blocks = age_discretization.bin_blocks((grid.I,) + sgrid.shape)
+    block_bytes = max(k1 - k0 for k0, k1 in blocks) * sgrid.ncells * 8
+    assert block_bytes == age_discretization.BIN_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5,))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.constants["volume"] == 1.0
+    assert retained < block_bytes
 
 
 def test_tail_zero_cases():

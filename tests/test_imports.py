@@ -170,3 +170,41 @@ def test_scan_flags_an_unpassed_parameter():
     calling = [ast.parse("f(0, 1)\ng(*args)\nh(**opts)\nC(7)\nC().m(q=6)\nk.x = 1\n")]
     assert _unpassed_parameters(defining, calling) == [
         "a.f(z=)", "a.g(x=)", "a.g(y=)", "a.k(x=)", "a.m(p=)"]
+
+
+def _private_imports(trees: dict) -> list:
+    """``module: source.name`` of every underscore name that a module of
+    ``trees`` (name -> parsed module of the package) imports from another
+    module of the package, or reads off one it imported."""
+    found = []
+    for name, tree in trees.items():
+        modules = set()  # local names of the package modules it imported
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.append(f"{name}: {node.module}.{alias.name}")
+        found += [f"{name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return sorted(found)
+
+
+def test_no_module_imports_a_private_name():
+    # an underscore name is its module's own business; a rule that two
+    # modules share gets a public name
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in MODULES}
+    assert _private_imports(trees) == []
+
+
+def test_scan_flags_a_private_import():
+    trees = {
+        "a": ast.parse("from .b import _hidden, public\nfrom . import c as cc\n"
+                       "from math import _private_but_not_ours\n"
+                       "x = cc._inner + cc.outer\ny = self._own\n"),
+        "b": ast.parse("def _hidden(): pass\nfrom __future__ import annotations\n"),
+    }
+    assert _private_imports(trees) == ["a: b._hidden", "a: cc._inner"]

@@ -11,7 +11,7 @@ from swarmpde.reduced_system import (
     reduced_from_model,
     run_reduced,
 )
-from swarmpde.solver_core import RunSetup
+from swarmpde.solver_core import RunSetup, TrajectorySample
 from swarmpde.spatial_grid import SpatialGrid
 
 from conftest import make_spec, steep_switch
@@ -39,7 +39,11 @@ def test_homogeneous_biomass_exponential_oracle():
     samples = run_reduced(rspec, sgrid, lam0, v0, T, sample_dt=T, fixed_dt=T / 500.0)
     final = samples[-1]
     exact = 0.7 * math.exp(gamma * T)
-    assert np.allclose(final.lam, exact, rtol=1e-3)
+    assert np.allclose(final.lambda_rec, exact, rtol=1e-3)
+    # the full solver's sample type, without bins or shadow
+    assert [s.t for s in samples] == [0.0, T]
+    assert all(type(s) is TrajectorySample and s.u is None and s.lambda_ev is None
+               for s in samples)
 
 
 def test_homogeneous_swimmer_oracle():
@@ -126,6 +130,23 @@ def test_cross_validate_zero_data():
     rspec = reduced_from_model(setup.spec, mu_const=m2, m0=1.0, tau=tau)
     result = cross_validate_setups([setup, setup2], rspec)
     assert result.rel_l2_Lambda == 0.0 and result.rel_l2_v == 0.0
+
+
+def test_cross_validate_swimmer_order_without_biomass():
+    # no swarmers: both biomasses stay zero, so their errors are 0 and
+    # their order undefined, while the swimmers still differ by the full
+    # solver's alpha-scaled diffusion, which shrinks with alpha
+    levels = []
+    for alpha in (0.125, 0.0625):
+        setup, m2, tau = _exponential_setup(alpha)
+        setup.u0 = np.zeros_like(setup.u0)
+        levels.append(setup)
+    rspec = reduced_from_model(levels[0].spec, mu_const=m2, m0=1.0, tau=tau)
+    result = cross_validate_setups(levels, rspec)
+    assert result.errors_by_level == (0.0, 0.0)
+    assert math.isnan(result.order_Lambda)
+    assert 0.0 < result.errors_v_by_level[1] < result.errors_v_by_level[0]
+    assert math.isfinite(result.order_v) and result.order_v > 0.0
 
 
 def test_cross_validate_errors_small_and_first_order():

@@ -425,7 +425,7 @@ def test_step_and_sample_peak_memory(monkeypatch):
     # with the plan and the recorder built, one step and one sample hold
     # one u-sized array (the new u) plus block- and grid-sized
     # temporaries: the bin divergence goes to the plan's scratch and the
-    # sample reduces u in the recorder's block buffers.  One bin per block
+    # sample reduces u in the plan's block buffers.  One bin per block
     # keeps the block temporaries small; the measured peak is 1.27 u
     spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
     alpha = 1 / 32
@@ -439,12 +439,12 @@ def test_step_and_sample_peak_memory(monkeypatch):
     monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", state.u[0].nbytes)
     plan = step_plan(grid, sgrid)
     recorder = DiagnosticsRecorder(spec, grid, reg, sgrid)
-    recorder.sample(state)
+    recorder.sample(state, plan)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     tracemalloc.start()
     try:
         new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
-        recorder.sample(new_state)
+        recorder.sample(new_state, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
