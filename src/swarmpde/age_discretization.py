@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolation, NegativeInitialData
+from .errors import HypothesisViolation, NegativeInitialData, refuse
 from .model_spec import ModelSpec, smoothstep
 
 logger = logging.getLogger(__name__)
@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "AgeGrid",
     "RegularizedModel",
+    "age_grid_problems",
     "theta_cutoff",
     "build_age_grid",
     "regularize",
@@ -114,15 +115,23 @@ def bin_averages(f: Callable, alpha: float, count: int) -> np.ndarray:
     return (vals * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * 0.5
 
 
+def age_grid_problems(alpha: float, a_max: float) -> list:
+    """(config field, message) for every rule of the age grid that alpha
+    and a_max break; ``build_age_grid`` refuses them all, and
+    ``RegularizedModel`` the rule on alpha."""
+    p = [] if 0.0 < alpha < 1.0 else [("alpha", "must be in (0, 1)")]
+    if not a_max >= alpha:
+        p.append(("a_max", "must be at least alpha"))
+    return p
+
+
 def build_age_grid(spec: ModelSpec, alpha: float, a_max: float) -> AgeGrid:
-    """Cell-average the age weights over I bins and measure the constants."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if a_max < alpha:
-        raise ValueError("a_max must be at least alpha")
+    """Cell-average the age weights over I bins and measure the constants.
+
+    Both bounds on I are at least 1 under ``age_grid_problems``' rules.
+    """
+    refuse(age_grid_problems(alpha, a_max))
     I = min(int(math.floor(1.0 / alpha**2 + 1e-12)), int(math.ceil(a_max / alpha - 1e-12)))
-    if I < 1:
-        raise ValueError("no age bins; increase a_max or decrease alpha")
 
     lam = bin_averages(spec.lam, alpha, I + 1)
     b = bin_averages(spec.b, alpha, I + 1)
@@ -172,8 +181,8 @@ class RegularizedModel:
     """
 
     def __init__(self, spec: ModelSpec, alpha: float):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        # the rule on alpha: a_max = alpha breaks no other
+        refuse(age_grid_problems(alpha, a_max=alpha))
         self.spec = spec
         self.alpha = alpha
         self.clamp = 1.0 / alpha

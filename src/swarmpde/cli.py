@@ -3,8 +3,9 @@
 Every command reads one JSON configuration, writes its artifacts under
 the output directory, and encodes success in the exit status: 0 only if
 no error was raised, the sampled hypotheses hold (``run``, ``validate``),
-the operators conserved mass to roundoff (``run``) and no envelope
-margin came out negative, so CI can consume runs without parsing logs.
+the operators conserved mass to roundoff and the biomass identity held
+before the cutoff engaged (``run``) and no envelope margin came out
+negative, so CI can consume runs without parsing logs.
 Failures are mirrored as a machine-readable failure.json.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import config as config_mod
 from . import diagnostics as diag
 from . import reduced_system
-from .errors import ConfigInvalid, SwarmPDEError
+from .errors import ConfigInvalid, ConfigMismatch, SwarmPDEError
 from .solver_core import initial_state, run
 from .spatial_grid import field_to_binary, field_to_csv
 
@@ -36,6 +37,9 @@ EXIT_CONFIG = 2
 
 # the discrete operators conserve mass to roundoff (gate C8's tolerance)
 CONSERVATION_TOL = 1e-12
+# until the cutoff engages, the shadow biomass tracks the reconstructed one
+# to the scheme's error: their largest gap over linf_Lambda, per sample
+IDENTITY_TOL = 1e-3
 
 
 def _json_dump(data, path) -> None:
@@ -81,6 +85,24 @@ def _negative_margins(margins) -> list:
     return bad
 
 
+def _broken_invariants(record) -> list:
+    bad = []
+    if not record.conservation_max <= CONSERVATION_TOL:  # NaN fails too
+        bad.append(f"conservation: residual {record.conservation_max:.3e} "
+                   f"> {CONSERVATION_TOL:g}")
+    s = record.series
+    # once the cutoff has engaged the identity is not exact, so not judged;
+    # a NaN gap fails
+    held = (s["theta_activations"] > 0.0) | (
+        s["identity_residual"] <= IDENTITY_TOL * s["linf_Lambda"])
+    if not held.all():
+        k = int(np.argmin(held))
+        bad.append(f"identity: gap {s['identity_residual'][k]:.3e} > {IDENTITY_TOL:g} "
+                   f"* linf_Lambda {s['linf_Lambda'][k]:.3e} at t={s['t'][k]:g}, "
+                   f"first of {int(np.count_nonzero(~held))} samples")
+    return bad
+
+
 def _failed_hypotheses(report) -> list:
     witnesses = report.to_dict()["witnesses"]
     return [f"{name}: {witnesses[name]}"
@@ -121,10 +143,9 @@ def cmd_run(cfg, out_dir: Path) -> int:
     _json_dump(summary, out_dir / "summary.json")
     if cfg.output.write_snapshots:
         _write_snapshots(result, cfg, out_dir)
-    if not record.conservation_max <= CONSERVATION_TOL:  # NaN fails too
-        _write_failure(out_dir, "invariant_violation", [
-            f"conservation: residual {record.conservation_max:.3e} "
-            f"> {CONSERVATION_TOL:g}"])
+    broken = _broken_invariants(record)
+    if broken:
+        _write_failure(out_dir, "invariant_violation", broken)
         return EXIT_FAIL
     bad = _negative_margins(margins)
     if bad:
@@ -134,6 +155,10 @@ def cmd_run(cfg, out_dir: Path) -> int:
 
 
 def _reduced_spec(cfg, spec) -> reduced_system.ReducedSpec:
+    if cfg.model.family != "exponential":
+        # the age structure integrates out only for exponential weights
+        raise ConfigMismatch(f"the {cfg.model.family} family has no closed reduced "
+                             "system: reduced and crossval need the exponential family")
     return reduced_system.reduced_from_model(
         spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau)
 

@@ -19,18 +19,21 @@ from typing import Optional
 
 import numpy as np
 
-from .age_discretization import age_average_initial, build_age_grid, regularize
+from .age_discretization import age_average_initial, age_grid_problems, build_age_grid, regularize
+from .diagnostics import tail_problems
 from .errors import ConfigInvalid
 from .model_spec import (
     ModelSpec,
     exponential_family,
+    exponential_problems,
     smoothstep,
     tabulated_family,
     tabulated_function,
+    tabulated_problems,
     validate_hypotheses,
 )
 from .solver_core import RunSetup
-from .spatial_grid import SpatialGrid
+from .spatial_grid import SpatialGrid, box_problems
 
 __all__ = [
     "ModelConfig",
@@ -189,50 +192,36 @@ def _from_dict(data: dict) -> RunConfig:
     return cfg
 
 
+def _exponential_args(m: ModelConfig) -> dict:
+    # the exponential family's parameters, by the names model_spec gives them
+    return dict(m0=m.m0, tau=m.tau, mu_const=m.mu, D0=m.D0, theta=m.theta, xi0=m.xi0,
+                xi_support=tuple(m.xi_support), g0=m.g0, drift=m.drift)
+
+
 def _validate(cfg: RunConfig) -> list:
     p = []
     m = cfg.model
-    if m.family not in ("exponential", "tables"):
+    # each owner's rules, under the section its fields sit in
+    owned = [("", age_grid_problems(cfg.alpha, cfg.a_max)),
+             ("domain.", box_problems(cfg.domain.dim, cfg.domain.extents, cfg.domain.cells)),
+             ("diagnostics.", tail_problems(cfg.diagnostics.tail_A, cfg.alpha))]
+    if m.family == "exponential":
+        owned.append(("model.", exponential_problems(**_exponential_args(m))))
+    elif m.family == "tables":
+        owned.append(("model.", tabulated_problems(m.tau)))
+        p += [f"model.tables.{name}: required for the tables family"
+              for name in ("lam", "b", "mu", "D") if name not in m.tables]
+    else:
         p.append(f"model.family: unknown model family {m.family!r}")
-    if not 0.0 < cfg.alpha < 1.0:
-        p.append("alpha: must be in (0, 1)")
-    if cfg.a_max < cfg.alpha:
-        p.append("a_max: must be at least alpha")
-    if cfg.domain.dim not in (1, 2):
-        p.append("domain.dim: must be 1 or 2")
-    if len(cfg.domain.extents) != cfg.domain.dim or len(cfg.domain.cells) != cfg.domain.dim:
-        p.append("domain: extents/cells length must equal dim")
+    p += [f"{prefix}{name}: {message}" for prefix, pairs in owned for name, message in pairs]
     if any(c < 8 for c in cfg.domain.cells):
         p.append("domain.cells: need at least 8 cells per axis")
-    if any(e <= 0 for e in cfg.domain.extents):
-        p.append("domain.extents: must be positive")
     if cfg.time.T <= 0.0:
         p.append("time.T: must be positive")
     if cfg.time.sample_dt <= 0.0 or cfg.time.sample_dt > cfg.time.T:
         p.append("time.sample_dt: must be in (0, T]")
     if cfg.time.fixed_dt is not None and cfg.time.fixed_dt <= 0.0:
         p.append("time.fixed_dt: must be positive when set")
-    if m.family == "exponential":
-        if m.m0 <= 0.0 or m.tau <= 0.0:
-            p.append("model: m0 and tau must be positive")
-        if m.mu < 0.0:
-            p.append("model.mu: must be nonnegative")
-        if m.D0 <= 0.0:
-            p.append("model.D0: must be positive (degenerate-everywhere "
-                     "diffusion is not supported)")
-        if m.theta != 0.0 and m.theta < 1.0:
-            p.append("model.theta: must be 0 or >= 1")
-        if m.drift not in ("dprime", "none"):
-            p.append("model.drift: must be 'dprime' or 'none'")
-        g0 = m.g0 if m.g0 is not None else 1.0 / m.tau if m.tau > 0 else math.inf
-        if m.xi0 < 0.0 or m.xi0 > g0 + 1e-12:
-            p.append("model.xi0: must lie in [0, g0]")
-        if not (len(m.xi_support) == 2 and m.xi_support[0] < m.xi_support[1]):
-            p.append("model.xi_support: must be an increasing pair")
-    if m.family == "tables":
-        for name in ("lam", "b", "mu", "D"):
-            if name not in m.tables:
-                p.append(f"model.tables.{name}: required for the tables family")
     for name, path in m.tables.items():
         if name not in _TABLE_NAMES:
             p.append(f"model.tables.{name}: unknown table, must be one of "
@@ -251,9 +240,6 @@ def _validate(cfg: RunConfig) -> list:
         p.append("initial.u_age_scale: must be positive")
     if not (len(ic.u_age_cut) == 2 and ic.u_age_cut[0] < ic.u_age_cut[1]):
         p.append("initial.u_age_cut: must be an increasing pair")
-    for A in cfg.diagnostics.tail_A:
-        if A < 4.0 * cfg.alpha:
-            p.append(f"diagnostics.tail_A: {A:g} is below 4*alpha")
     if cfg.diagnostics.test_k_max < 0:
         p.append("diagnostics.test_k_max: must be >= 0")
     if cfg.output.snapshot_stride < 1:
@@ -286,11 +272,7 @@ def config_hash(obj) -> str:
 def build_model_spec(cfg: RunConfig) -> ModelSpec:
     m = cfg.model
     if m.family == "exponential":
-        return exponential_family(
-            m0=m.m0, tau=m.tau, mu_const=m.mu, D0=m.D0, theta=m.theta,
-            xi0=m.xi0, xi_support=tuple(m.xi_support),
-            g0=m.g0, drift=m.drift,
-        )
+        return exponential_family(**_exponential_args(m))
     # tables family: two-column CSV files (abscissa, value), one per table
     funcs, problems = {}, []
     for name, path in m.tables.items():
@@ -301,7 +283,7 @@ def build_model_spec(cfg: RunConfig) -> ModelSpec:
             problems.append(f"model.tables.{name}: {path} does not load: {exc}")
     if problems:
         raise ConfigInvalid(problems)
-    return tabulated_family(funcs, g0=1.0 / m.tau, r_max=max(8.0, 2.0 / cfg.alpha))
+    return tabulated_family(funcs, tau=m.tau, g0=m.g0, r_max=max(8.0, 2.0 / cfg.alpha))
 
 
 def _space_profile(coords: np.ndarray, extents, eps: float, k: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from .age_discretization import (
     bin_averages,
     entropy_phi,
 )
-from .errors import InadmissibleTestFunction, NegativeField
+from .errors import InadmissibleTestFunction, NegativeField, refuse
 from .model_spec import (
     ModelSpec,
     Zeta1Evaluator,
@@ -73,6 +73,7 @@ __all__ = [
     "entropy",
     "dissipation",
     "tail_mass",
+    "tail_problems",
     "comparison_bound",
     "envelope_check",
     "envelope_report",
@@ -190,11 +191,17 @@ def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
     return d_u, d_E, gz1, gz2
 
 
+def tail_problems(tail_A, alpha: float) -> list:
+    """(config field, message) for every tail age below 4 alpha, the
+    shortest the tail estimate takes; ``tail_mass`` and
+    ``DiagnosticsRecorder`` refuse them."""
+    return [("tail_A", f"{A:g} is below 4*alpha") for A in tail_A if not A >= 4.0 * alpha]
+
+
 def tail_mass(state, A: float, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
     """b-weighted mass in bins entirely above age A, from the
     ``bin_totals`` of the bins (computed if not given)."""
-    if A < 4.0 * grid.alpha:
-        raise ValueError("tail age A must be at least 4*alpha")
+    refuse(tail_problems((A,), grid.alpha))
     if totals is None:
         totals = bin_totals(state.u, sgrid)
     sel = np.arange(1, grid.I + 1) * grid.alpha > A
@@ -284,9 +291,7 @@ class DiagnosticsRecorder:
                  sgrid: SpatialGrid, tail_A: Sequence[float] = ()):
         self.spec, self.grid, self.reg, self.sgrid = spec, grid, reg, sgrid
         self.tail_A = tuple(float(A) for A in tail_A)
-        for A in self.tail_A:
-            if A < 4.0 * grid.alpha:
-                raise ValueError("every tail age must be at least 4*alpha")
+        refuse(tail_problems(self.tail_A, grid.alpha))
         self._rows = {name: [] for name in _SERIES}
         self._tail = {A: [] for A in self.tail_A}
         self._eta = {A: [] for A in self.tail_A}

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``refuse``, which turns
+a parameter owner's rule violations into one ``ValueError``."""
+
+
+def refuse(problems) -> None:
+    """Raise one ValueError listing the (field, message) pairs of
+    ``problems``, if there are any."""
+    if problems:
+        raise ValueError("; ".join(f"{name}: {message}" for name, message in problems))
 
 
 class SwarmPDEError(Exception):

@@ -39,6 +39,7 @@ from .errors import (
     NonFiniteEvaluation,
     QuadratureDivergence,
     RatioUndefined,
+    refuse,
 )
 
 __all__ = [
@@ -56,6 +57,9 @@ __all__ = [
     "bump",
     "exponential_family",
     "tabulated_family",
+    "exponential_problems",
+    "constant_problems",
+    "tabulated_problems",
     "tabulated_function",
 ]
 
@@ -314,18 +318,23 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
+    failed = []
+
+    def reduce(name, ratio, least=False) -> float:
+        # the sup (at least 0) or the inf of the sampled ratios, or NaN
+        # with the name in failed where one of them is not finite
+        if not np.all(np.isfinite(ratio)):
+            failed.append(name)
+            return math.nan
+        return float(np.min(ratio) if least else np.max(ratio, initial=0.0))
+
     r = _kappa_samples(R, n_samples)
     Dp = diffusivity_slope(spec, r, R * 1e-6)
     z1p = zeta1_prime(spec, r)
-    failed = []
     with np.errstate(all="ignore"):
-        ratio1 = np.where(z1p > 0.0, Dp / z1p, 0.0)
-        bad1 = (z1p <= 0.0) & (np.abs(Dp) > 0.0)
-    if np.any(bad1) or not np.all(np.isfinite(ratio1)):
-        failed.append("kappa1")
-        kappa1 = math.nan
-    else:
-        kappa1 = float(np.max(ratio1, initial=0.0))
+        # D' over a vanishing zeta1' is a blow-up unless D' vanishes too
+        ratio1 = np.where(z1p > 0.0, Dp / z1p, np.where(np.abs(Dp) > 0.0, math.nan, 0.0))
+    kappa1 = reduce("kappa1", ratio1)
 
     # box sampling for E against zeta2'
     r_ax = _kappa_samples(R, min(n_samples, 128))
@@ -339,18 +348,8 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
             f"zeta2' vanishes at r={r_ax[i]!r} while E(r,s)={Ev[i, j]!r} != 0"
         )
     with np.errstate(all="ignore"):
-        ratio2 = np.where(z2p > 0.0, Ev / z2p**2, 0.0)
-        ratio3 = np.where(z2p > 0.0, Ev / z2p, 0.0)
-    if not np.all(np.isfinite(ratio2)):
-        failed.append("kappa2")
-        kappa2 = math.nan
-    else:
-        kappa2 = float(np.min(ratio2))
-    if not np.all(np.isfinite(ratio3)):
-        failed.append("kappa3")
-        kappa3 = math.nan
-    else:
-        kappa3 = float(np.max(ratio3, initial=0.0))
+        kappa2 = reduce("kappa2", np.where(z2p > 0.0, Ev / z2p**2, 0.0), least=True)
+        kappa3 = reduce("kappa3", np.where(z2p > 0.0, Ev / z2p, 0.0))
     return Kappas(kappa1, kappa2, kappa3, failed)
 
 
@@ -538,6 +537,48 @@ def _zero_drift(r, s):
     return np.zeros(np.broadcast(np.asarray(r), np.asarray(s)).shape)
 
 
+def _g0(tau: float, g0) -> float:
+    # the swimmer growth rate: g0, by default 1/tau (inf where tau is not
+    # positive, which every family refuses)
+    return g0 if g0 is not None else 1.0 / tau if tau > 0.0 else math.inf
+
+
+def tabulated_problems(tau: float) -> list:
+    """(config field, message) for the tables family's rule that ``tau``
+    breaks: tau, which sets the default g0 = 1/tau, is positive."""
+    return [] if tau > 0.0 else [("tau", "must be positive")]
+
+
+def constant_problems(m0: float, tau: float, mu_const: float) -> list:
+    """(config field, message) for every rule on the exponential family's
+    constants that the values break: m0 and tau positive, mu nonnegative.
+    The reduced system (``reduced_system.ReducedSpec``) keeps them too."""
+    p = tabulated_problems(tau)
+    if not m0 > 0.0:
+        p.append(("m0", "must be positive"))
+    if not mu_const >= 0.0:
+        p.append(("mu", "must be nonnegative"))
+    return p
+
+
+def exponential_problems(m0: float, tau: float, mu_const: float, D0: float, theta: float,
+                         xi0: float, xi_support: tuple, g0, drift: str) -> list:
+    """(config field, message) for every rule of the exponential family
+    that the parameters break; ``exponential_family`` refuses them all."""
+    p = constant_problems(m0, tau, mu_const)
+    if not D0 > 0.0:
+        p.append(("D0", "must be positive (degenerate-everywhere diffusion is not supported)"))
+    if theta != 0.0 and theta < 1.0:
+        p.append(("theta", "must be 0 or >= 1"))
+    if drift not in ("dprime", "none"):
+        p.append(("drift", "must be 'dprime' or 'none'"))
+    if not 0.0 <= xi0 <= _g0(tau, g0) + 1e-12:
+        p.append(("xi0", "must lie in [0, g0]"))
+    if not (len(xi_support) == 2 and xi_support[0] < xi_support[1]):
+        p.append(("xi_support", "must be an increasing pair"))
+    return p
+
+
 def exponential_family(
     m0: float = 1.0,
     tau: float = 1.0,
@@ -557,16 +598,7 @@ def exponential_family(
     the transform induced by D, for which the two-sided drift bounds hold
     with constants theta and theta*sqrt(D0)*R^((theta-1)/2).
     """
-    if g0 is None:
-        g0 = 1.0 / tau
-    if xi0 > g0 + 1e-12:
-        raise ValueError("xi0 must not exceed g0 (differentiation <= growth)")
-    if D0 <= 0.0:
-        raise ValueError("D0 must be positive")
-    if theta != 0.0 and theta < 1.0:
-        raise ValueError("theta must be 0 or >= 1")
-    if drift not in ("dprime", "none"):
-        raise ValueError("drift must be 'dprime' or 'none'")
+    refuse(exponential_problems(m0, tau, mu_const, D0, theta, xi0, xi_support, g0, drift))
     s1, s2 = xi_support
 
     def lam(a):
@@ -600,20 +632,22 @@ def exponential_family(
     return ModelSpec(
         lam=lam, b=bfun, mu=_constant(mu_const), D=Dfun,
         E=_drift(Dprime) if drift == "dprime" and theta != 0.0 else _zero_drift,
-        g=_constant(g0), xi=xifun if xi0 != 0.0 else _constant(0.0),
+        g=_constant(_g0(tau, g0)), xi=xifun if xi0 != 0.0 else _constant(0.0),
         zeta2=z2, zeta2_prime=z2p,
     )
 
 
-def tabulated_family(tables: dict, g0: float, r_max: float) -> ModelSpec:
+def tabulated_family(tables: dict, tau: float, g0, r_max: float) -> ModelSpec:
     """Family of piecewise-linear tables (``tabulated_function``), keyed
     by model function name.
 
     lam, b, mu and D are required.  The drift coefficient is E(r, s) =
     E(r) from its table, or zero; xi is its table's on s > 0 and 0
-    elsewhere, or zero; g is its table, or the constant g0.  zeta2 is the
-    transform induced by D (``zeta1``), tabulated on [0, r_max].
+    elsewhere, or zero; g is its table, or the constant g0 (by default
+    1/tau).  zeta2 is the transform induced by D (``zeta1``), tabulated on
+    [0, r_max].
     """
+    refuse(tabulated_problems(tau))
     proxy = SimpleNamespace(D=tables["D"])
     if "xi" in tables:
         xitab = tables["xi"]
@@ -630,7 +664,7 @@ def tabulated_family(tables: dict, g0: float, r_max: float) -> ModelSpec:
     return ModelSpec(
         lam=tables["lam"], b=tables["b"], mu=tables["mu"], D=proxy.D,
         E=_drift(tables["E"]) if "E" in tables else _zero_drift,
-        g=tables["g"] if "g" in tables else _constant(g0), xi=xifun,
+        g=tables["g"] if "g" in tables else _constant(_g0(tau, g0)), xi=xifun,
         zeta2=Zeta1Evaluator(proxy, r_max), zeta2_prime=z2p,
     )
 

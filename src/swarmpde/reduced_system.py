@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigMismatch, UnstableStep
-from .model_spec import ModelSpec
+from .errors import ConfigMismatch, UnstableStep, refuse
+from .model_spec import ModelSpec, constant_problems
 from .solver_core import RunSetup, TrajectorySample, initial_state, run, sample_times
 from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean
 from . import diagnostics as diag
@@ -50,11 +50,7 @@ class ReducedSpec:
     xi: Callable
 
     def __post_init__(self):
-        for name in ("m0", "tau"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.m2 < 0.0:
-            raise ValueError("m2 must be nonnegative")
+        refuse(constant_problems(self.m0, self.tau, self.m2))  # m2 is the model's mu
 
 
 def reduced_from_model(spec: ModelSpec, mu_const: float, m0: float,
@@ -212,7 +208,7 @@ def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
                 "equation has no age-zero inflow term"
             )
         bound = 0.8 * s.agegrid.a_max
-        if bound < 4.0 * s.agegrid.alpha:
+        if diag.tail_problems((bound,), s.agegrid.alpha):
             raise ConfigMismatch("age range too short for the tail precondition")
         state0 = initial_state(s.u0, s.v0, s.agegrid)
         total = diag.mass_b(state0, s.agegrid, s.sgrid)

@@ -48,10 +48,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, refuse
 
 __all__ = [
     "SpatialGrid",
+    "box_problems",
     "FluxWeights",
     "div_flux",
     "cutoff_plateau",
@@ -76,6 +77,19 @@ __all__ = [
 _MAGIC = b"SWPF"
 
 
+def box_problems(dim: int, extents, cells) -> list:
+    """(config field, message) for every rule of the box that dim, extents
+    and cells break; ``SpatialGrid`` refuses them all."""
+    p = [] if dim in (1, 2) else [("dim", "must be 1 or 2")]
+    p += [(name, "length must equal dim")
+          for name, values in (("extents", extents), ("cells", cells)) if len(values) != dim]
+    if any(c < 2 for c in cells):
+        p.append(("cells", "need at least 2 cells per axis"))
+    if not all(e > 0.0 for e in extents):
+        p.append(("extents", "must be positive"))
+    return p
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     extents: tuple
@@ -84,14 +98,7 @@ class SpatialGrid:
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        if len(self.extents) != len(self.cells):
-            raise ValueError("extents and cells must have equal length")
-        if len(self.cells) not in (1, 2):
-            raise ValueError("only 1D and 2D boxes are supported")
-        if any(c < 2 for c in self.cells):
-            raise ValueError("need at least 2 cells per axis")
-        if any(e <= 0.0 for e in self.extents):
-            raise ValueError("extents must be positive")
+        refuse(box_problems(len(self.cells), self.extents, self.cells))
 
     @cached_property
     def dim(self) -> int:

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from swarmpde import cli, config as config_mod, diagnostics, reduced_system, solver_core
+from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.cli import main
 from swarmpde.config import RunConfig, build_sweep_plan, parse_config
 from swarmpde.errors import ConfigInvalid
-from swarmpde.model_spec import smoothstep
+from swarmpde.model_spec import exponential_family, smoothstep, tabulated_family
+from swarmpde.spatial_grid import SpatialGrid
 
 
 MINIMAL = {
@@ -116,6 +118,82 @@ def test_parse_refuses_initial_data_the_builder_cannot_honour(tmp_path, initial,
     with pytest.raises(ConfigInvalid) as err:
         parse_config(_write(tmp_path, bad))
     assert sorted(m.split(":")[0] for m in err.value.messages) == ["a_max", field]
+
+
+def _unvalidated(data) -> RunConfig:
+    # the RunConfig of ``data`` built without the checks of parse_config
+    fields = {}
+    for key, value in data.items():
+        default = getattr(RunConfig(), key)
+        if isinstance(value, dict):
+            value = dataclasses.replace(default, **{
+                k: tuple(v) if isinstance(v, list) else v for k, v in value.items()})
+        fields[key] = value
+    return dataclasses.replace(RunConfig(), **fields)
+
+
+def _age_grid(cfg):
+    build_age_grid(exponential_family(), cfg.alpha, cfg.a_max)
+
+
+def _alpha_owners(cfg):
+    # the age grid and the regularized model both keep the rule on alpha
+    with pytest.raises(ValueError, match="(^|; )alpha: "):
+        _age_grid(cfg)
+    regularize(exponential_family(), cfg.alpha)
+
+
+def _tail_owners(cfg):
+    spec, sgrid = exponential_family(), SpatialGrid(extents=(1.0,), cells=(16,))
+    grid = build_age_grid(spec, cfg.alpha, cfg.a_max)
+    state = solver_core.initial_state(np.zeros((grid.I,) + sgrid.shape),
+                                      np.zeros(sgrid.shape), grid)
+    with pytest.raises(ValueError, match="(^|; )tail_A: "):
+        diagnostics.tail_mass(state, cfg.diagnostics.tail_A[0], grid, sgrid)
+    diagnostics.DiagnosticsRecorder(spec, grid, regularize(spec, cfg.alpha), sgrid,
+                                    cfg.diagnostics.tail_A)
+
+
+def _box_owner(cfg):
+    SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
+
+
+@pytest.mark.parametrize("over, field, owner", [
+    ({"model": {"m0": 0.0}}, "model.m0", config_mod.build_model_spec),
+    ({"model": {"tau": 0.0}}, "model.tau", config_mod.build_model_spec),
+    ({"model": {"tau": -2.0, "g0": 0.5}}, "model.tau", config_mod.build_model_spec),
+    ({"model": {"mu": -0.1}}, "model.mu", config_mod.build_model_spec),
+    ({"model": {"D0": 0.0}}, "model.D0", config_mod.build_model_spec),
+    ({"model": {"theta": 0.5}}, "model.theta", config_mod.build_model_spec),
+    ({"model": {"drift": "curl"}}, "model.drift", config_mod.build_model_spec),
+    ({"model": {"xi0": -0.1}}, "model.xi0", config_mod.build_model_spec),
+    ({"model": {"xi0": 0.6}}, "model.xi0", config_mod.build_model_spec),
+    ({"model": {"xi0": 0.3, "g0": 0.2}}, "model.xi0", config_mod.build_model_spec),
+    ({"model": {"xi_support": [2.0, 0.2]}}, "model.xi_support", config_mod.build_model_spec),
+    ({"model": {"xi_support": [0.2]}}, "model.xi_support", config_mod.build_model_spec),
+    ({"alpha": 0.0}, "alpha", _alpha_owners),
+    ({"alpha": 1.0}, "alpha", _alpha_owners),
+    ({"a_max": 0.1}, "a_max", _age_grid),
+    ({"domain": {"dim": 3, "extents": [1.0] * 3, "cells": [16] * 3}}, "domain.dim", _box_owner),
+    ({"domain": {"dim": 1, "extents": [1.0, 1.0], "cells": [16]}}, "domain.extents",
+     _box_owner),
+    ({"domain": {"dim": 1, "extents": [0.0], "cells": [16]}}, "domain.extents", _box_owner),
+    ({"domain": {"dim": 1, "extents": [1.0], "cells": [1]}}, "domain.cells", _box_owner),
+    ({"diagnostics": {"tail_A": [0.4]}}, "diagnostics.tail_A", _tail_owners),
+], ids=["m0", "tau", "tau-with-g0", "mu", "D0", "theta", "drift", "xi0-negative",
+        "xi0-above-1/tau", "xi0-above-g0", "xi_support-decreasing", "xi_support-short",
+        "alpha-0", "alpha-1", "a_max", "dim", "extents-length", "extents-zero", "cells",
+        "tail_A"])
+def test_each_rule_is_refused_by_the_config_and_by_its_owner(tmp_path, over, field, owner):
+    # every parameter rule has one owner: parse_config reports it under the
+    # field's name, and the owner refuses the same values with a ValueError
+    # naming the same field, so the two cannot drift apart
+    data = {**MINIMAL, "diagnostics": {"tail_A": []}, **over}
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config(_write(tmp_path, data))
+    assert {m.split(":")[0] for m in err.value.messages} == {field}
+    with pytest.raises(ValueError, match=f"(^|; ){field.split('.')[-1]}: "):
+        owner(_unvalidated(data))
 
 
 def test_sweep_plan_validation():
@@ -255,6 +333,33 @@ def test_cmd_run_conservation_violation_fails(tmp_path, monkeypatch, residual):
     assert [m.split(":")[0] for m in failure["messages"]] == ["conservation"]
 
 
+def test_cmd_run_flags_a_broken_biomass_identity(tmp_path, monkeypatch):
+    # the ref1d workload's configuration (every other field at its default)
+    # with the bins' flux divergence scaled by 0.9, which the shadow biomass
+    # does not see.  No envelope notices it; the gap over linf_Lambda grows
+    # about linearly, 9.7e-4 at t = 0.26 and 1.05e-3 at t = 0.28, the
+    # shortest horizon at which the run is flagged.  The clean run stays
+    # below 1.2e-8
+    cfg = {"domain": {"dim": 1, "extents": [4.0], "cells": [128]},
+           "time": {"T": 0.28, "sample_dt": 0.02},
+           "diagnostics": {"tail_A": [2.0, 3.0], "store_u": False}}
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "clean")]) == 0
+    original = solver_core.div_flux
+
+    def weak_flux(*args, **kwargs):
+        d = original(*args, **kwargs)
+        d *= 0.9
+        return d
+
+    monkeypatch.setattr(solver_core, "div_flux", weak_flux)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "mutant")]) == 1
+    failure = json.loads((tmp_path / "mutant" / "failure.json").read_text())
+    assert failure["kind"] == "invariant_violation"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["identity"]
+    assert "at t=0.28, first of 1 samples" in failure["messages"][0]
+
+
 def test_cmd_sweep_refuses_unstored_bins(tmp_path, monkeypatch):
     # the sweep's weak residual reads the stored bins: store_u false is
     # refused before any level is integrated
@@ -365,23 +470,70 @@ def test_cmd_reduced_and_crossval(tmp_path):
     assert payload["rel_l2_Lambda"] <= payload["tolerance"]
 
 
-def test_cmd_tables_family_validate_and_run(tmp_path):
-    # CSV tables of the exponential reference family; D and E have 129 nodes
+def _tables(directory, **extra):
+    """CSV tables of the exponential reference family (tau = 2, mu = 0.3,
+    D = 0.1 r^2) in ``directory``, plus ``extra`` tables given as functions
+    on the radius nodes; returns name -> path.  D and the extra tables have
+    129 nodes."""
     ages = np.linspace(0.0, 2.0, 33)
     r = np.linspace(0.0, 16.0, 129)
-    tables = {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
-              "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2),
-              "E": (r, 0.2 * r)}
+    columns = {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
+               "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2)}
+    columns.update({name: (r, f(r)) for name, f in extra.items()})
     paths = {}
-    for name, columns in tables.items():
-        paths[name] = str(tmp_path / f"{name}.csv")
-        np.savetxt(paths[name], np.column_stack(columns), delimiter=",")
+    for name, xy in columns.items():
+        paths[name] = str(Path(directory) / f"{name}.csv")
+        np.savetxt(paths[name], np.column_stack(xy), delimiter=",")
+    return paths
+
+
+def test_cmd_tables_family_validate_and_run(tmp_path):
     cfg = dict(MINIMAL)
-    cfg["model"] = {"family": "tables", "tables": paths}
+    cfg["model"] = {"family": "tables", "tables": _tables(tmp_path, E=lambda r: 0.2 * r)}
     cfg["output"] = {"dir": str(tmp_path / "out")}
     path = _write(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 0
     assert main(["run", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("family", ["exponential", "tables"])
+def test_both_families_take_g0_and_default_to_one_over_tau(tmp_path, family):
+    model = {"family": family, "tau": 2.0, "xi0": 0.0, "tables": {}}
+    if family == "tables":
+        model["tables"] = _tables(tmp_path)
+    for g0, g in ((0.05, 0.05), (None, 0.5)):
+        cfg = RunConfig.from_dict(dict(MINIMAL, model=dict(model, g0=g0)))
+        assert float(config_mod.build_model_spec(cfg).g(1.0)) == g
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_tables_family_refuses_a_tau_that_is_not_positive(tmp_path, tau):
+    # tau sets the default g0 = 1/tau of the tables family too: a bad one is
+    # a configuration error, not a ZeroDivisionError traceback
+    tables = _tables(tmp_path)
+    cfg = dict(MINIMAL, model={"family": "tables", "tau": tau, "tables": tables},
+               output={"dir": str(tmp_path / "out")})
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(_write(tmp_path, cfg))]) == 2
+        failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert failure["kind"] == "config_invalid"
+        assert [m.split(":")[0] for m in failure["messages"]] == ["model.tau"]
+    with pytest.raises(ValueError, match="^tau: "):
+        tabulated_family({}, tau=tau, g0=None, r_max=8.0)
+
+
+@pytest.mark.parametrize("command, output", [("reduced", "reduced.csv"),
+                                             ("crossval", "crossval.json")])
+def test_reduced_and_crossval_refuse_the_tables_family(tmp_path, command, output):
+    # only the exponential family's weights close the reduced system, so no
+    # oracle is built from model constants the tables do not use
+    cfg = dict(MINIMAL, model={"family": "tables", "xi0": 0.0, "tables": _tables(tmp_path)},
+               output={"dir": str(tmp_path / "out")})
+    assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "ConfigMismatch"
+    assert "exponential family" in failure["messages"][0]
+    assert not (tmp_path / "out" / output).exists()
 
 
 @pytest.mark.parametrize("name, entry, says", [
@@ -394,13 +546,8 @@ def test_cmd_run_refuses_bad_tables(tmp_path, monkeypatch, name, entry, says):
     # every bad tables entry is a configuration error (exit 2 with
     # failure.json), found before or while the tables load
     monkeypatch.chdir(tmp_path)
-    ages = np.linspace(0.0, 2.0, 33)
-    r = np.linspace(0.0, 16.0, 129)
-    for table, columns in {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
-                           "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2)}.items():
-        np.savetxt(f"{table}.csv", np.column_stack(columns), delimiter=",")
+    tables = _tables(".")
     Path("bad.csv").write_text("0.0,1.0\n1.0,oops\n", encoding="utf-8")
-    tables = {table: f"{table}.csv" for table in ("lam", "b", "mu", "D")}
     tables[name] = entry
     cfg = dict(MINIMAL, model={"family": "tables", "tables": tables}, output={"dir": "out"})
     assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
@@ -413,17 +560,9 @@ def test_cmd_run_refuses_bad_tables(tmp_path, monkeypatch, name, entry, says):
 
 def test_cmd_run_refuses_failed_hypotheses(tmp_path):
     # a tabulated xi above the default g = 1/tau fails the rates hypothesis
-    ages = np.linspace(0.0, 2.0, 33)
-    r = np.linspace(0.0, 16.0, 129)
-    tables = {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
-              "mu": (ages, np.full_like(ages, 0.3)), "D": (r, 0.1 * r**2),
-              "xi": (r, np.full_like(r, 1.0))}
-    paths = {}
-    for name, columns in tables.items():
-        paths[name] = str(tmp_path / f"{name}.csv")
-        np.savetxt(paths[name], np.column_stack(columns), delimiter=",")
     cfg = dict(MINIMAL)
-    cfg["model"] = {"family": "tables", "tables": paths}
+    cfg["model"] = {"family": "tables",
+                    "tables": _tables(tmp_path, xi=lambda r: np.full_like(r, 1.0))}
     cfg["output"] = {"dir": str(tmp_path / "out")}
     path = _write(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 1
