@@ -154,18 +154,20 @@ def cmd_run(cfg, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _reduced_spec(cfg, spec) -> reduced_system.ReducedSpec:
+def _reduced_spec(cfg) -> reduced_system.ReducedSpec:
+    # refused from the configuration, before any set-up work
     if cfg.model.family != "exponential":
         # the age structure integrates out only for exponential weights
         raise ConfigMismatch(f"the {cfg.model.family} family has no closed reduced "
                              "system: reduced and crossval need the exponential family")
     return reduced_system.reduced_from_model(
-        spec, mu_const=cfg.model.mu, m0=cfg.model.m0, tau=cfg.model.tau)
+        config_mod.build_model_spec(cfg), mu_const=cfg.model.mu, m0=cfg.model.m0,
+        tau=cfg.model.tau)
 
 
 def cmd_reduced(cfg, out_dir: Path) -> int:
+    rspec = _reduced_spec(cfg)
     setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
-    rspec = _reduced_spec(cfg, setup.spec)
     lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
     samples = reduced_system.run_reduced(
         rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
@@ -186,12 +188,12 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
 
 
 def cmd_crossval(cfg, out_dir: Path) -> int:
-    setups = []
-    for alpha in (cfg.alpha, cfg.alpha / 2.0):
-        level_cfg = dataclasses.replace(cfg, alpha=alpha)
-        setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
-        setups.append(setup)
-    rspec = _reduced_spec(cfg, setups[0].spec)
+    rspec = _reduced_spec(cfg)
+    alphas = (cfg.alpha, cfg.alpha / 2.0)
+    for alpha in alphas:
+        reduced_system.refuse_inflow(rspec.xi, alpha)
+    setups = [config_mod.build_run_setup(dataclasses.replace(cfg, alpha=alpha),
+                                         check_hypotheses=False)[0] for alpha in alphas]
     result = reduced_system.cross_validate_setups(setups, rspec)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(result)
@@ -208,13 +210,15 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
     runs = []
     for level_cfg in config_mod.build_sweep_plan(cfg, levels=levels):
         setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
-        result = run(setup, record=False)
-        catalogue = diag.make_test_functions(
-            setup.T, setup.agegrid.a_max, setup.sgrid,
-            k_max=cfg.diagnostics.test_k_max,
-        )
+        # the weak residual reads each sample's age moments, taken while its
+        # bins are live, so the level keeps no bins
+        moments = diag.AgeMoments(diag.make_test_functions(
+            setup.T, setup.agegrid.a_max, setup.sgrid, k_max=cfg.diagnostics.test_k_max,
+        ), setup.spec, setup.agegrid)
+        result = run(dataclasses.replace(setup, store_u=False), record=False,
+                     on_sample=moments.take)
         residual = max([0.0] + [wr.residual for wr in diag.weak_residual(
-            result.samples, catalogue, setup.spec, setup.agegrid, setup.sgrid)])
+            result.samples, moments, setup.spec, setup.agegrid, setup.sgrid)])
         runs.append((level_cfg.alpha, setup, result, residual))
 
     fine_cells = runs[-1][1].sgrid.cells

@@ -355,10 +355,6 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
 def build_sweep_plan(cfg: RunConfig, levels: int) -> list:
     """Refinement ladder: level k has alpha/2^k and 2^k times the cells per
     axis, so every level's mesh refines the one before it."""
-    if not cfg.diagnostics.store_u:
-        # every level's weak residual reads the stored bin fields
-        raise ConfigInvalid(["diagnostics.store_u: sweep evaluates the weak residual "
-                             "on the stored bins and needs true"])
     if levels < 3:
         raise ConfigInvalid(["sweep: need at least 3 alpha levels"])
 

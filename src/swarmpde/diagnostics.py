@@ -25,6 +25,9 @@ The weak-formulation residual evaluates the defining integral identity of
 the continuous problem on the discrete trajectory against a catalogue of
 tensor test functions (time bump x age bump x Neumann cosine); it must
 shrink under simultaneous refinement of bin width, mesh and step size.
+It is linear in the bins, and reads them only through two age moments
+per test function (``AgeMoments``), which a run can take as each sample
+is made, so the bins need not be kept.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .spatial_grid import (
 )
 
 __all__ = [
+    "AgeMoments",
     "DiagnosticsRecord",
     "DiagnosticsRecorder",
     "EnvelopeMargin",
@@ -574,45 +578,28 @@ class TestFunction:
 
     __test__ = False  # not a pytest item
 
-    def omega(self, sgrid: SpatialGrid) -> np.ndarray:
-        out = np.ones(sgrid.shape)
+    def _axis_factors(self, sgrid: SpatialGrid) -> list:
+        # per axis: kk = k pi / extent, the factor cos(kk x) and its
+        # derivative -kk sin(kk x), both shaped to broadcast along the axis
+        table = []
         for ax, k in enumerate(self.modes):
-            if k == 0:
-                continue
-            x = sgrid.axis_centers(ax)
+            kk = k * math.pi / sgrid.extents[ax]
+            kx = kk * sgrid.axis_centers(ax)
             shape = [1] * sgrid.dim
             shape[ax] = -1
-            out = out * np.cos(k * math.pi * x / sgrid.extents[ax]).reshape(shape)
-        return out
+            table.append((kk, np.cos(kx).reshape(shape), (-kk * np.sin(kx)).reshape(shape)))
+        return table
+
+    def omega(self, sgrid: SpatialGrid) -> np.ndarray:
+        return math.prod(c for _, c, _ in self._axis_factors(sgrid))
 
     def grad_omega(self, sgrid: SpatialGrid) -> list:
-        comps = []
-        for ax in range(sgrid.dim):
-            k = self.modes[ax]
-            if k == 0:
-                comps.append(np.zeros(sgrid.shape))
-                continue
-            factor = np.ones(sgrid.shape)
-            for ax2, k2 in enumerate(self.modes):
-                x = sgrid.axis_centers(ax2)
-                shape = [1] * sgrid.dim
-                shape[ax2] = -1
-                kk = k2 * math.pi / sgrid.extents[ax2]
-                if ax2 == ax:
-                    part = -kk * np.sin(kk * x)
-                elif k2 != 0:
-                    part = np.cos(kk * x)
-                else:
-                    continue
-                factor = factor * part.reshape(shape)
-            comps.append(factor)
-        return comps
+        table = self._axis_factors(sgrid)
+        return [math.prod(d if ax2 == ax else c for ax2, (_, c, d) in enumerate(table))
+                for ax in range(sgrid.dim)]
 
     def lap_omega(self, sgrid: SpatialGrid) -> np.ndarray:
-        total = 0.0
-        for ax, k in enumerate(self.modes):
-            total += (k * math.pi / sgrid.extents[ax]) ** 2
-        return -total * self.omega(sgrid)
+        return -sum(kk**2 for kk, _, _ in self._axis_factors(sgrid)) * self.omega(sgrid)
 
 
 def _falling_bump(hi: float) -> tuple:
@@ -670,17 +657,59 @@ def _safe_ratios(spec: ModelSpec, lam: np.ndarray, v: np.ndarray, R_scale: float
     return r1, r2
 
 
+class AgeMoments:
+    """The age moments of the bins that the weak residual of a catalogue
+    reads, sample by sample.
+
+    Each test function psi(t) chi(a) omega(x) of ``catalogue`` meets the
+    bins only through two age weightings, both linear in u: C_i, the
+    integral of chi over bin i, and Cp_i - Cmu_i, the jump of chi across
+    bin i less the integral of chi mu over it.  ``weights`` stacks them,
+    an array (functions, 2, I).  ``take`` reduces the bins of one state
+    (anything with a ``u``) to its moments, an array (functions, 2,
+    cells), and appends them to ``values``.  Taken by ``run``'s
+    ``on_sample`` while each sample's bins are live, they let the residual
+    be evaluated from a run that keeps no bins.
+    """
+
+    def __init__(self, catalogue: Sequence, spec: ModelSpec, grid: AgeGrid):
+        self.catalogue = list(catalogue)
+        I, alpha = grid.I, grid.alpha
+        edges = alpha * np.arange(I + 1)
+        rows = []
+        for p in self.catalogue:
+            Ci = alpha * bin_averages(p.chi, alpha, I)
+            Cpi = np.asarray(p.chi(edges[1:]), dtype=float) \
+                - np.asarray(p.chi(edges[:-1]), dtype=float)
+            Cmui = alpha * bin_averages(
+                lambda a: np.asarray(p.chi(a)) * np.asarray(spec.mu(a)), alpha, I)
+            rows.append((Ci, Cpi - Cmui))
+        self.weights = np.asarray(rows, dtype=float).reshape(len(rows), 2, I)
+        self.values = []
+
+    def take(self, state) -> None:
+        self.values.append(self.weights @ state.u.reshape(self.weights.shape[2], -1))
+
+
 def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
                   sgrid: SpatialGrid) -> "WeakResidualResult | list":
     """Evaluate the weak-form identity of the continuous problem on a
     sampled trajectory.
 
     Composite trapezoid in time, exact bin sums in age, cell sums in
-    space.  ``phi`` is a TestFunction, which gives one result, or a
-    catalogue: a list of TestFunctions, which gives a list of one result
-    per function.  Terms: transport, age-zero inflow, initial data,
-    diffusion against the Laplacian of the test function, and the
-    drift/diffusion gradient pairing under the two-transform splitting.
+    space.  ``phi`` is a TestFunction, which gives one result; a
+    catalogue, a list of TestFunctions, which gives a list of one result
+    per function; or the ``AgeMoments`` of a catalogue taken at every
+    sample of the run, which gives the catalogue's list.  Terms:
+    transport, age-zero inflow, initial data, diffusion against the
+    Laplacian of the test function, and the drift/diffusion gradient
+    pairing under the two-transform splitting.
+
+    Every bin term is an age moment of u paired with a cell field, so the
+    residual reads each sample's ``AgeMoments`` and never its bins: the
+    moments form needs no stored bins (``sweep`` keeps none), and the
+    other two forms take the moments from each sample's stored bins and
+    then run the same arithmetic.
 
     One pass over the samples serves every test function: the fields
     that do not depend on it (D of the biomass, the transform ratios and
@@ -689,7 +718,10 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     entry is bitwise its single-function result.
     """
     single = isinstance(phi, TestFunction)
-    catalogue = [phi] if single else list(phi)
+    if isinstance(phi, AgeMoments):
+        moments, catalogue = phi, phi.catalogue
+    else:
+        moments, catalogue = None, [phi] if single else list(phi)
 
     T_run = float(samples[-1].t)
     a_cap = grid.I * grid.alpha
@@ -707,28 +739,28 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
             raise InadmissibleTestFunction("psi does not vanish beyond its support")
         if len(p.modes) != sgrid.dim:
             raise InadmissibleTestFunction("omega mode count does not match dim")
-    if any(s.u is None for s in samples):
-        raise ValueError("trajectory was stored without bin fields")
+    if moments is None:
+        if any(s.u is None for s in samples):
+            raise ValueError("trajectory was stored without bin fields")
+        moments = AgeMoments(catalogue, spec, grid)
+        for s in samples:
+            moments.take(s)
+    if len(moments.values) != len(samples):
+        raise ValueError(f"{len(moments.values)} age moments for {len(samples)} samples")
 
-    I, alpha, vol = grid.I, grid.alpha, sgrid.cell_volume
-    edges = alpha * np.arange(I + 1)
+    vol = sgrid.cell_volume
     times = np.asarray([s.t for s in samples], dtype=float)
     R_scale = max(float(np.max([np.max(s.lambda_rec) for s in samples])), 1e-6)
     zeta1_eval = Zeta1Evaluator(spec, 1.5 * R_scale + 1.0)
 
     def prepare(p):
-        Ci = alpha * bin_averages(p.chi, alpha, I)
-        Cpi = np.asarray(p.chi(edges[1:]), dtype=float) \
-            - np.asarray(p.chi(edges[:-1]), dtype=float)
-        Cmui = alpha * bin_averages(lambda a: np.asarray(p.chi(a)) * np.asarray(spec.mu(a)),
-                                    alpha, I)
         omega = p.omega(sgrid).reshape(-1) * vol
         gomega = [g.reshape(-1) * vol for g in p.grad_omega(sgrid)]
         lomega = p.lap_omega(sgrid).reshape(-1) * vol
         chi0 = float(p.chi(0.0))
         psi_t = np.asarray(p.psi(times), dtype=float)
         psip_t = np.asarray(p.psi_prime(times), dtype=float)
-        return p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t
+        return omega, gomega, lomega, chi0, psi_t, psip_t
 
     pre = [prepare(p) for p in catalogue]
     n = times.size
@@ -736,8 +768,7 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     f = np.zeros((len(catalogue), 4, n))
     term_initial = [0.0] * len(catalogue)
 
-    for k, s in enumerate(samples):
-        u_flat = s.u.reshape(I, -1)
+    for k, (s, m) in enumerate(zip(samples, moments.values)):
         lam_flat = s.lambda_rec.reshape(-1)
         v_flat = s.v.reshape(-1)
         D_lam = np.asarray(spec.D(lam_flat), dtype=float)
@@ -748,19 +779,19 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         split = [r2 * g2 - r1 * g1 for g1, g2 in zip(gz1, gz2)]
         inflow = np.where(v_flat > 0.0,
                           np.asarray(spec.xi(v_flat), dtype=float) * v_flat, 0.0)
-        for c, prepared in enumerate(pre):
-            p, Ci, Cpi, Cmui, omega, gomega, lomega, chi0, psi_t, psip_t = prepared
+        for c, (omega, gomega, lomega, chi0, psi_t, psip_t) in enumerate(pre):
             psi_k, psip_k = float(psi_t[k]), float(psip_t[k])
-            proj = u_flat @ omega                       # <omega, u_i>
-            f[c, 0, k] += float((psip_k * Ci + psi_k * (Cpi - Cmui)) @ proj)
-            f[c, 1, k] += psi_k * chi0 * float(inflow @ omega)
-            f[c, 2, k] += psi_k * float(Ci @ (u_flat @ (lomega * D_lam)))
+            chi_u, jump_u = m[c]            # per cell: C_i u_i and (Cp_i - Cmu_i) u_i
+            chi_omega = float(chi_u @ omega)
+            f[c, 0, k] = psip_k * chi_omega + psi_k * float(jump_u @ omega)
+            f[c, 1, k] = psi_k * chi0 * float(inflow @ omega)
+            f[c, 2, k] = psi_k * float(chi_u @ (lomega * D_lam))
             W_dot = np.zeros_like(lam_flat)
             for ax in range(sgrid.dim):
                 W_dot += split[ax] * gomega[ax]
-            f[c, 3, k] -= psi_k * float(Ci @ (u_flat @ W_dot))
+            f[c, 3, k] = -psi_k * float(chi_u @ W_dot)
             if k == 0:
-                term_initial[c] += float(p.psi(0.0)) * float(Ci @ proj)
+                term_initial[c] = float(catalogue[c].psi(0.0)) * chi_omega
 
     results = []
     for fc, initial in zip(f, term_initial):

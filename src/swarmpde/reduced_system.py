@@ -18,6 +18,7 @@ execute concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -36,6 +37,7 @@ __all__ = [
     "reduced_from_model",
     "run_reduced",
     "cross_validate_setups",
+    "refuse_inflow",
 ]
 
 
@@ -165,7 +167,8 @@ def _rel_l2(a: np.ndarray, b: np.ndarray, vol: float) -> float:
 
 
 def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
-    full = run(setup, record=False)
+    # only the biomass and the swimmers are compared: the run keeps no bins
+    full = run(dataclasses.replace(setup, store_u=False), record=False)
     lam0 = full.samples[0].lambda_rec
     fs = full.samples
     rs = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
@@ -188,6 +191,18 @@ def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
     return e_lam, e_v, linf_lam, linf_v
 
 
+def refuse_inflow(xi: Callable, alpha: float) -> None:
+    """Raise ``ConfigMismatch`` unless xi vanishes on the regularization
+    box [0, 1/alpha]: the closed system carries no age-zero inflow, so
+    differentiation must be inactive for the comparison to mean anything."""
+    probe = np.linspace(0.0, 1.0 / alpha, 257)
+    if float(np.max(np.asarray(xi(probe), dtype=float))) > 0.0:
+        raise ConfigMismatch(
+            "cross-validation requires xi = 0: the closed biomass "
+            "equation has no age-zero inflow term"
+        )
+
+
 def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
     """Compare full and reduced runs on matched grids over alpha levels.
 
@@ -199,14 +214,7 @@ def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ConfigMismatch("alpha levels must be strictly decreasing")
     for s in setups:
-        # the closed system carries no age-zero inflow, so differentiation
-        # must be inactive for the comparison to be meaningful
-        probe = np.linspace(0.0, s.reg.clamp, 257)
-        if float(np.max(np.asarray(s.spec.xi(probe), dtype=float))) > 0.0:
-            raise ConfigMismatch(
-                "cross-validation requires xi = 0: the closed biomass "
-                "equation has no age-zero inflow term"
-            )
+        refuse_inflow(s.spec.xi, s.agegrid.alpha)
         bound = 0.8 * s.agegrid.a_max
         if diag.tail_problems((bound,), s.agegrid.alpha):
             raise ConfigMismatch("age range too short for the tail precondition")

@@ -85,7 +85,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -460,7 +460,8 @@ def sample_times(T: float, sample_dt: float) -> np.ndarray:
     return times
 
 
-def run(setup: RunSetup, record: bool = True) -> RunResult:
+def run(setup: RunSetup, record: bool = True,
+        on_sample: Optional[Callable] = None) -> RunResult:
     """Integrate to the horizon with adaptive steps, sampling diagnostics.
 
     The step size is the minimum of the coefficient record's ``dt_max``,
@@ -472,7 +473,9 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
     ``RunResult.record`` is None and the state carries no shadow biomass,
     so the steps form neither the shadow nor the conservation sums and
     every sample's ``lambda_ev`` is None; ``u``, ``v``, ``lambda_rec``
-    and the steps are the same.
+    and the steps are the same.  ``on_sample``, if given, is called with
+    the state at every sample while its bins are live, so a run that
+    stores no u can still reduce them (``diagnostics.AgeMoments.take``).
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     state = initial_state(setup.u0, setup.v0, grid, shadow=record)
@@ -484,6 +487,8 @@ def run(setup: RunSetup, record: bool = True) -> RunResult:
     def sample(s: SimState) -> TrajectorySample:
         if recorder is not None:
             recorder.sample(s, plan)
+        if on_sample is not None:
+            on_sample(s)
         return TrajectorySample(
             t=s.t,
             u=s.u.copy() if setup.store_u else None,

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,20 +361,75 @@ def test_cmd_run_flags_a_broken_biomass_identity(tmp_path, monkeypatch):
     assert "at t=0.28, first of 1 samples" in failure["messages"][0]
 
 
-def test_cmd_sweep_refuses_unstored_bins(tmp_path, monkeypatch):
-    # the sweep's weak residual reads the stored bins: store_u false is
-    # refused before any level is integrated
-    calls = []
-    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
-    cfg = dict(MINIMAL)
-    cfg["domain"] = {"dim": 1, "extents": [1.0], "cells": [8]}
-    cfg["diagnostics"] = {"tail_A": [1.0], "store_u": False}
-    cfg["output"] = {"dir": str(tmp_path / "out")}
-    assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--levels", "3"]) == 2
-    assert calls == []
-    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
-    assert failure["kind"] == "config_invalid"
-    assert any("diagnostics.store_u" in m for m in failure["messages"])
+def _keep_results(monkeypatch, owner) -> list:
+    # the results of every run that ``owner`` starts
+    results = []
+
+    def keeping_run(setup, _run=owner.run, **kwargs):
+        results.append(_run(setup, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, "run", keeping_run)
+    return results
+
+
+CROSSVAL = dict(MINIMAL, model={"family": "exponential", "xi0": 0.0},
+                initial={"u_age_cut": [0.3, 0.6], "u_cos_eps": 0.3, "v_cos_eps": 0.2},
+                domain={"dim": 1, "extents": [4.0], "cells": [16]})
+
+
+@pytest.mark.parametrize("command, output, owner, base", [
+    ("sweep", "sweep.json", cli, dict(MINIMAL, domain={"dim": 1, "extents": [1.0],
+                                                       "cells": [8]})),
+    ("crossval", "crossval.json", reduced_system, CROSSVAL),
+], ids=["sweep", "crossval"])
+def test_sweep_and_crossval_keep_no_bins(tmp_path, monkeypatch, command, output, owner,
+                                         base):
+    # neither reads a sample's bins, so neither keeps them, and store_u
+    # changes none of their output
+    results = _keep_results(monkeypatch, owner)
+    written = []
+    for store_u in (True, False):
+        cfg = dict(base, diagnostics={"tail_A": [1.0], "store_u": store_u})
+        out = tmp_path / f"store_u_{store_u}"
+        assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+        written.append((out / output).read_bytes())
+    assert written[0] == written[1]
+    assert len(results) == (6 if command == "sweep" else 4)
+    assert all(s.u is None for r in results for s in r.samples)
+
+
+def test_sweep_keeps_no_bins_and_reads_the_residual_of_stored_bins(tmp_path, monkeypatch):
+    # the in-process 3-level ladder (the ladder workload's levels, T cut to
+    # 0.5): no sample keeps its bins, each level's residual is the one of
+    # the stored-bin catalogue form on the same run, and the traced peak
+    # stays below the bins that storing them would take (21 samples of
+    # 32x32, 64x64 and 128x128 cell-bins, 3.6 MB)
+    cfg = dict(MINIMAL, a_max=4.0, domain={"dim": 1, "extents": [4.0], "cells": [32]},
+               time={"T": 0.5, "sample_dt": 0.025},
+               diagnostics={"tail_A": [], "test_k_max": 2})
+    path = _write(tmp_path, cfg)
+    results = _keep_results(monkeypatch, cli)
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(s.u is None for r in results for s in r.samples)
+    residuals = json.loads((tmp_path / "out" / "sweep.json").read_text())["residuals"]
+    stored = 0
+    for level_cfg, residual in zip(build_sweep_plan(parse_config(path), levels=3), residuals):
+        setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
+        samples = solver_core.run(setup, record=False).samples
+        stored += sum(s.u.nbytes for s in samples)
+        catalogue = diagnostics.make_test_functions(setup.T, setup.agegrid.a_max, setup.sgrid,
+                                                    k_max=2)
+        expected = max(wr.residual for wr in diagnostics.weak_residual(
+            samples, catalogue, setup.spec, setup.agegrid, setup.sgrid))
+        assert residual == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert stored == 21 * 8 * (32 * 32 + 64 * 64 + 128 * 128)
+    assert peak < stored
 
 
 def _count_calls(monkeypatch, counts, owner, name):
@@ -524,9 +580,14 @@ def test_tables_family_refuses_a_tau_that_is_not_positive(tmp_path, tau):
 
 @pytest.mark.parametrize("command, output", [("reduced", "reduced.csv"),
                                              ("crossval", "crossval.json")])
-def test_reduced_and_crossval_refuse_the_tables_family(tmp_path, command, output):
+def test_reduced_and_crossval_refuse_the_tables_family(tmp_path, monkeypatch, command,
+                                                     output):
     # only the exponential family's weights close the reduced system, so no
-    # oracle is built from model constants the tables do not use
+    # oracle is built from model constants the tables do not use; the
+    # refusal comes from the configuration, before any initial data are
+    # age-averaged
+    calls = []
+    monkeypatch.setattr(config_mod, "age_average_initial", lambda *args: calls.append(args))
     cfg = dict(MINIMAL, model={"family": "tables", "xi0": 0.0, "tables": _tables(tmp_path)},
                output={"dir": str(tmp_path / "out")})
     assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
@@ -534,6 +595,22 @@ def test_reduced_and_crossval_refuse_the_tables_family(tmp_path, command, output
     assert failure["kind"] == "ConfigMismatch"
     assert "exponential family" in failure["messages"][0]
     assert not (tmp_path / "out" / output).exists()
+    assert calls == []
+
+
+def test_crossval_refuses_inflow_before_any_set_up(tmp_path, monkeypatch):
+    # the closed system has no age-zero inflow, so xi0 > 0 is refused from
+    # the model before any level's initial data are age-averaged
+    calls = []
+    monkeypatch.setattr(config_mod, "age_average_initial", lambda *args: calls.append(args))
+    cfg = dict(CROSSVAL, model={"family": "exponential", "xi0": 0.4},
+               output={"dir": str(tmp_path / "out")})
+    assert main(["crossval", "--config", str(_write(tmp_path, cfg))]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "ConfigMismatch"
+    assert "requires xi = 0" in failure["messages"][0]
+    assert not (tmp_path / "out" / "crossval.json").exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, entry, says", [

@@ -9,6 +9,7 @@ from swarmpde import age_discretization, solver_core
 from swarmpde.age_discretization import build_age_grid, entropy_phi, regularize
 from swarmpde.diagnostics import (
     ENVELOPE_NAMES,
+    AgeMoments,
     DiagnosticsRecorder,
     TestFunction,
     _eta_weights,
@@ -453,6 +454,11 @@ def test_weak_residual_admissibility():
     wrong_dim = dataclasses.replace(good, modes=(1, 1))
     with pytest.raises(InadmissibleTestFunction):
         weak_residual(result.samples, wrong_dim, setup.spec, setup.agegrid, setup.sgrid)
+    # the moments form needs the moments of every sample
+    moments = AgeMoments([good], setup.spec, setup.agegrid)
+    moments.take(result.samples[0])
+    with pytest.raises(ValueError, match="age moments for"):
+        weak_residual(result.samples, moments, setup.spec, setup.agegrid, setup.sgrid)
 
 
 def test_weak_residual_2d_tensor_modes():
