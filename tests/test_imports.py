@@ -1,6 +1,14 @@
+"""AST scans of the package source, and its code-line counter.
+
+Run as a script, ``python tests/test_imports.py`` prints the code count
+(``code_lines``) of each module of ``src/swarmpde`` and their total.
+"""
+
 import ast
 import importlib.util
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -208,3 +216,60 @@ def test_scan_flags_a_private_import():
         "b": ast.parse("def _hidden(): pass\nfrom __future__ import annotations\n"),
     }
     assert _private_imports(trees) == ["a: b._hidden", "a: cc._inner"]
+
+
+# tokens that hold no code: a line that has only these is not a code line
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of ``source`` that hold a token other than a
+    comment, NL, NEWLINE, INDENT or DEDENT (or the empty end marker),
+    outside the module, class and function docstrings.  A token spanning
+    lines counts on its first."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module,) + _DEFS) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    held = {tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type not in _NOT_CODE}
+    return len(held - docstrings)
+
+
+_SNIPPET = '''"""Module docstring,
+on two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class C:
+    """Class docstring."""
+
+    def f(self):
+        r"""Function
+        docstring."""
+        # a comment in a body
+        return (1 +
+                2)
+
+
+x = """not a docstring,
+still a string"""
+'''
+
+
+def test_code_lines_counts_only_code():
+    # import, class, def, both lines of the return, and the x line
+    assert code_lines(_SNIPPET) == 6
+
+
+if __name__ == "__main__":
+    counts = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in MODULES}
+    for name, n in counts.items():
+        print(f"{n:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")

@@ -229,3 +229,115 @@ def test_bump_is_bitwise_the_product_of_its_ramps(rng):
         assert np.array_equal(np.isnan(got), np.isnan(product))
         finite = ~np.isnan(product)
         assert np.array_equal(got[finite].view(np.uint64), product[finite].view(np.uint64))
+
+
+# --- one spec per rule -------------------------------------------------------
+#
+# Each case breaks one rule of ``validate_hypotheses`` (R_max = A_max = 2,
+# n_samples = 64, so ages and uniform radii lie on a 1/32 grid) and names
+# every hypothesis that fails, with its witness: the sample point as floats
+# (a pair for the drift box, None where a rule has no single point) and
+# the message.  Two rules never fail alone: "lam vanishes" under modulus
+# is the same condition as "inf lam = 0" under weight_mass, and a
+# RatioUndefined from the kappa box is always followed, within drift, by
+# "zeta2'(r) <= 0" or "E < 0" on the same samples (the report keeps the
+# first witness).
+
+def _arr(x):
+    return np.asarray(x, dtype=float)
+
+
+def _ones(r, s):
+    return np.ones(np.broadcast(np.asarray(r), np.asarray(s)).shape)
+
+
+def _nan_between_samples(r):
+    # D(r) = r, except NaN on (1, 2) away from the 1/32 sample grid (and
+    # from the difference steps around it), where only the quadrature looks
+    r = _arr(r)
+    off = np.abs(r * 32.0 - np.round(r * 32.0)) / 32.0
+    return np.where((r > 1.0) & (r < 2.0) & (off > 1e-5), np.nan, r)
+
+
+_RULE_CASES = [
+    pytest.param(dict(xi=lambda s: np.full_like(_arr(s), 0.01)),
+                 {"rates": (-0.03125, "xi(s) != 0 for s <= 0")}, id="rates-xi-nonzero-below-0"),
+    pytest.param(dict(xi=lambda s: np.where(_arr(s) > 0.5, -0.01, 0.0)),
+                 {"rates": (0.53125, "xi(s) < 0")}, id="rates-xi-negative"),
+    pytest.param(dict(xi=lambda s: np.where(_arr(s) > 0.7, 2.0, 0.0)),
+                 {"rates": (0.71875, "xi(s) > g(s)")}, id="rates-xi-above-g"),
+    pytest.param(dict(b=lambda a: 2.0 * np.exp(_arr(a) / 2.0)),
+                 {"weight_b": (0.0, "b(0) = 2.0 != 1")}, id="weight_b-b0"),
+    # a gentle dip on [0.5, 1] and a steep one at 1.25: the witness is the
+    # steepest descent, not the first flagged age
+    pytest.param(dict(b=tabulated_function([0.0, 0.5, 1.0, 1.25, 1.26, 2.0],
+                                           [1.0, 1.5, 1.4, 1.6, 1.2, 3.0])),
+                 {"weight_b": (1.25, "b not non-decreasing")}, id="weight_b-decreasing"),
+    pytest.param(dict(b=lambda a: np.ones_like(_arr(a))),
+                 {"weight_b": (2.0, "b shows no growth over the sampled window")},
+                 id="weight_b-no-growth"),
+    pytest.param(dict(b=lambda a: np.where(_arr(a) > 2.5, np.inf, np.exp(_arr(a) / 2.0))),
+                 {"weight_b": (None, "b growth ratio non-finite")}, id="weight_b-ratio"),
+    pytest.param(dict(lam=lambda a: (_arr(a) - 1.0) ** 2),
+                 {"weight_mass": (1.0, "inf lam = 0"),
+                  "modulus": (None, "lam vanishes; mu*b/lam undefined")},
+                 id="weight_mass-and-modulus-lam-vanishes"),
+    pytest.param(dict(lam=lambda a: np.where(_arr(a) > 2.5, np.inf, np.exp(_arr(a) / 2.0))),
+                 {"weight_mass": (None, "lam growth ratio non-finite")},
+                 id="weight_mass-ratio"),
+    pytest.param(dict(mu=lambda a: np.full_like(_arr(a), 1e308)),
+                 {"modulus": (None, "mu*b/lam non-finite")}, id="modulus-overflow",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+    pytest.param(dict(mu=lambda a: 0.3 - _arr(a)),
+                 {"modulus": (0.3125, "mu < 0")}, id="modulus-mu-negative"),
+    # a gentle fall on [1, 1.5] and a steep one right after 1.5
+    pytest.param(dict(D=tabulated_function([0.0, 1.0, 1.5, 1.53125, 2.0],
+                                           [0.0, 1.0, 0.9, 0.3, 2.0])),
+                 {"diffusivity": (1.5, "D not non-decreasing")}, id="diffusivity-decreasing"),
+    pytest.param(dict(D=_nan_between_samples),
+                 {"diffusivity": (2.0, "sqrt(D(r)/r) not integrable near 0: D(")},
+                 id="diffusivity-quadrature"),
+    pytest.param(dict(D=lambda r: np.where(_arr(r) > 2.0, np.inf, np.maximum(_arr(r), 0.0))),
+                 {"diffusivity": (None, "D'/zeta1' blows up on [0, R_max]")},
+                 id="diffusivity-kappa1"),
+    pytest.param(dict(E=_ones, zeta2=lambda r: np.zeros_like(_arr(r)),
+                      zeta2_prime=lambda r: np.zeros_like(_arr(r))),
+                 {"drift": (None, "zeta2' vanishes at r=")}, id="drift-ratio-undefined"),
+    # zeta2' = r^18 is positive on every sample, but its square underflows
+    # next to the smallest one, so E / zeta2'^2 overflows
+    pytest.param(dict(E=_ones, zeta2=lambda r: np.maximum(_arr(r), 0.0) ** 19 / 19.0,
+                      zeta2_prime=lambda r: np.maximum(_arr(r), 0.0) ** 18),
+                 {"drift": (None, "E/zeta2' ratios blow up on the sampled box")},
+                 id="drift-kappa23"),
+    pytest.param(dict(E=lambda r, s: np.where((_arr(r) > 1.0) & (_arr(s) > 0.5), -0.1, 0.0)),
+                 {"drift": ((1.03125, 0.53125), "E < 0")}, id="drift-E-negative"),
+    pytest.param(dict(zeta2=lambda r: _arr(r) + 0.5, zeta2_prime=lambda r: np.ones_like(_arr(r))),
+                 {"drift": (0.0, "zeta2(0) = 0.5 != 0")}, id="drift-zeta2-at-0"),
+    # E vanishes wherever zeta2' does, so the kappa box raises nothing
+    pytest.param(dict(E=lambda r, s: np.where(_arr(r) < 1.0, _arr(r), 0.0) * np.ones_like(_arr(s)),
+                      zeta2=lambda r: np.minimum(_arr(r), 1.0),
+                      zeta2_prime=lambda r: np.where(_arr(r) < 1.0, 1.0, 0.0)),
+                 {"drift": (1.0, "zeta2'(r) <= 0 for r > 0")}, id="drift-zeta2-prime"),
+]
+
+# messages that carry an evaluated value past their fixed start
+_MESSAGE_PREFIXES = ("sqrt(D(r)/r) not integrable near 0: D(", "zeta2' vanishes at r=")
+
+
+@pytest.mark.parametrize("parts, failed", _RULE_CASES)
+def test_each_rule_fails_with_its_witness(parts, failed):
+    rep = validate_hypotheses(make_spec(**parts), R_max=2.0, A_max=2.0, n_samples=64)
+    assert {name for name, ok in rep.passed.items() if not ok} == set(failed)
+    assert set(rep.witnesses) == set(failed)
+    for name, (point, message) in failed.items():
+        got_point, got_message = rep.witnesses[name]
+        if message in _MESSAGE_PREFIXES:
+            assert got_message.startswith(message)
+        else:
+            assert got_message == message
+        if point is None:
+            assert got_point is None
+        elif isinstance(point, tuple):
+            assert tuple(float(p) for p in got_point) == point
+        else:
+            assert float(got_point) == point
