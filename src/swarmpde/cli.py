@@ -129,7 +129,8 @@ def cmd_run(cfg, out_dir: Path) -> int:
         # nothing for data that fail the hypotheses
         _write_failure(out_dir, "hypothesis_violation", _failed_hypotheses(report))
         return EXIT_FAIL
-    result = run(setup)
+    # run writes nothing read from a sample's bins, so it keeps none
+    result = run(dataclasses.replace(setup, store_u=False))
     wall = time.monotonic() - t0
     out_dir.mkdir(parents=True, exist_ok=True)
     record = result.record

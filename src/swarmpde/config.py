@@ -330,7 +330,9 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
 
     Returns (RunSetup, HypothesisReport or None).  Hypothesis validation
     runs over the regularization box [0, 1/alpha] and the configured age
-    range and rejects fully degenerate diffusion.
+    range and rejects fully degenerate diffusion.  A failing report comes
+    back with no RunSetup: nothing, the age grid included, is built from
+    data that fail the hypotheses.
     """
     spec = build_model_spec(cfg)
     report = None
@@ -338,6 +340,8 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
         report = validate_hypotheses(
             spec, R_max=1.0 / cfg.alpha, A_max=cfg.a_max, n_samples=128
         )
+        if not report.all_passed:
+            return None, report
     sgrid = SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
     agegrid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     reg = regularize(spec, cfg.alpha)

@@ -5,7 +5,9 @@ integrals, sup norms, age tails, the biomass identity gap) comes with a
 Gronwall envelope rebuilt from the constants measured on the actual
 coefficient arrays, so each estimate becomes an assertable per-run
 inequality: envelope minus observation is the margin, and a negative
-margin is a bug somewhere.
+margin is a bug somewhere.  ``envelope_report`` forms all nine margins
+in one straight pass over the record, and ``_margin`` is the one place
+where an envelope meets its observation.
 
 A sample reads each of the step plan's bin blocks (``solver_core.StepPlan``)
 once, into the plan's block-sized ``work`` pair, which is idle between
@@ -33,7 +35,7 @@ is made, so the bins need not be kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,7 +81,6 @@ __all__ = [
     "tail_mass",
     "tail_problems",
     "comparison_bound",
-    "envelope_check",
     "envelope_report",
     "ENVELOPE_NAMES",
     "make_test_functions",
@@ -463,13 +464,16 @@ def _margin(name, t, envelope, observed) -> EnvelopeMargin:
     )
 
 
-def envelope_check(record: DiagnosticsRecord, which: str) -> EnvelopeMargin:
-    """Margin (envelope - observed, minimum over the run) for one estimate.
+def envelope_report(record: DiagnosticsRecord) -> dict:
+    """Margin (envelope - observed, minimum over the run) of every
+    estimate, keyed by ``ENVELOPE_NAMES``.
 
     Envelopes follow the first differential inequality of the matching
     proof, instantiated with the constants measured on the coefficient
     arrays and with observed trajectories inside the time integrals.
-    Violations are reported, never raised.
+    One pass forms the shared parts once: the mass envelope, the entropy
+    source constant C_H and the entropy integral.  Violations are
+    reported, never raised.
     """
     c = record.constants
     s = record.series
@@ -477,82 +481,56 @@ def envelope_check(record: DiagnosticsRecord, which: str) -> EnvelopeMargin:
     alpha = c["alpha"]
     Lp = max(c["L"], 0.0)
     Bp = max(c["B"], 0.0)
+
+    def integral(f):
+        return cumulative_trapezoid(f, t, initial=0.0)
+
     mass_env = s["mass_b"][0] * np.exp((c["b1"] * c["g_inf"] + Bp) * t)
+    env_v = (s["linf_v"][0] + c["beta_v"] * integral(s["linf_Lambda"])) * np.exp(c["g_inf"] * t)
+    env_l = (s["linf_Lambda"][0] + c["lam1"] * c["g_inf"] * integral(s["linf_v"])) \
+        * np.exp(Lp * t)
+    m_v = _margin("linf", t, env_v, s["linf_v"])
+    m_l = _margin("linf", t, env_l, s["linf_Lambda"])
 
-    if which == "mass":
-        return _margin("mass", t, mass_env, s["mass_b"])
-
-    if which == "linf":
-        int_lam = cumulative_trapezoid(s["linf_Lambda"], t, initial=0.0)
-        int_v = cumulative_trapezoid(s["linf_v"], t, initial=0.0)
-        env_v = (s["linf_v"][0] + c["beta_v"] * int_lam) * np.exp(c["g_inf"] * t)
-        env_l = (s["linf_Lambda"][0] + c["lam1"] * c["g_inf"] * int_v) * np.exp(Lp * t)
-        m_v = _margin("linf", t, env_v, s["linf_v"])
-        m_l = _margin("linf", t, env_l, s["linf_Lambda"])
-        return m_v if m_v.margin <= m_l.margin else m_l
-
-    # entropy-family envelopes share the source constant
+    # the entropy family shares the source constant
     H0 = s["entropy"][0]
     gamma2 = Lp + c["M"]
     phi_Xi = float(entropy_phi(np.asarray(c["Xi"])))
-    mass_env_max = float(np.max(mass_env))
-    C_H = c["lam1"] * max(1.0, phi_Xi) * c["volume"] + c["M"] * c["beta_lam"] * mass_env_max
+    C_H = c["lam1"] * max(1.0, phi_Xi) * c["volume"] \
+        + c["M"] * c["beta_lam"] * float(np.max(mass_env))
+    d_env = H0 + C_H * t + gamma2 * integral(s["entropy"])
+    kappa2 = c.get("kappa2_Robs", math.nan)
+    if not math.isfinite(kappa2) or kappa2 <= 0.0:
+        grad_zeta2 = EnvelopeMargin("grad_zeta2", math.nan, float(t[0]), skipped=True,
+                                    note="drift lower bound degenerate (kappa2 <= 0)")
+    else:
+        grad_zeta2 = _margin("grad_zeta2", t, d_env / kappa2, integral(s["grad_zeta2_sq"]))
 
-    if which == "entropy":
-        env = np.exp(gamma2 * t) * H0 + C_H * t * _expm1_over(gamma2 * t)
-        return _margin("entropy", t, env, s["entropy"])
-
-    if which in ("dissipation", "grad_zeta1", "grad_zeta2"):
-        int_H = cumulative_trapezoid(s["entropy"], t, initial=0.0)
-        d_env = H0 + C_H * t + gamma2 * int_H
-        if which == "dissipation":
-            obs = cumulative_trapezoid(
-                4.0 * s["dissipation_u"] + s["dissipation_E"], t, initial=0.0
-            )
-            return _margin("dissipation", t, d_env, obs)
-        if which == "grad_zeta1":
-            obs = cumulative_trapezoid(s["grad_zeta1_sq"], t, initial=0.0)
-            return _margin("grad_zeta1", t, d_env, obs)
-        kappa2 = c.get("kappa2_Robs", math.nan)
-        obs = cumulative_trapezoid(s["grad_zeta2_sq"], t, initial=0.0)
-        if not math.isfinite(kappa2) or kappa2 <= 0.0:
-            return EnvelopeMargin(
-                name="grad_zeta2", margin=math.nan, t_at_min=float(t[0]),
-                skipped=True, note="drift lower bound degenerate (kappa2 <= 0)",
-            )
-        return _margin("grad_zeta2", t, d_env / kappa2, obs)
-
-    if which == "kbound":
-        env = comparison_bound(t, alpha, c["Xi"]) + 1e-10
-        return _margin("kbound", t, env, s["max_u"])
-
-    if which == "tail":
-        if not record.tail:
-            return EnvelopeMargin("tail", math.nan, float(t[0]), skipped=True,
-                                  note="no tail ages configured")
+    if not record.tail:
+        tail = EnvelopeMargin("tail", math.nan, float(t[0]), skipped=True,
+                              note="no tail ages configured")
+    else:
         c1_run = float(np.max(s["mass_b"]))
-        best = None
-        for A, Y in sorted(record.eta_tail_series.items()):
-            growth = np.exp(Bp * t)
-            env = growth * Y[0] + record.eta_star_inf[A] * (1.0 + Bp) * c1_run \
-                * t * _expm1_over(Bp * t)
-            m = _margin(f"tail_{A:g}", t, env, Y)
-            if best is None or m.margin < best.margin:
-                best = m
-        return EnvelopeMargin("tail", best.margin, best.t_at_min,
-                              envelope=best.envelope, observed=best.observed)
+        tails = [_margin(f"tail_{A:g}", t, np.exp(Bp * t) * Y[0] + record.eta_star_inf[A]
+                         * (1.0 + Bp) * c1_run * t * _expm1_over(Bp * t), Y)
+                 for A, Y in sorted(record.eta_tail_series.items())]
+        tail = replace(min(tails, key=lambda m: m.margin), name="tail")
 
-    if which == "delta_v":
-        rhs = (c["g_inf"] * s["l2_v"] + c["beta_v"] * s["l2_Lambda"]) ** 2
-        env = alpha * record.grad_v0_sq + cumulative_trapezoid(rhs, t, initial=0.0)
-        obs = alpha**2 * cumulative_trapezoid(s["delta_v_sq"], t, initial=0.0)
-        return _margin("delta_v", t, env, obs)
-
-    raise ValueError(f"unknown estimate id {which!r}")
-
-
-def envelope_report(record: DiagnosticsRecord) -> dict:
-    return {name: envelope_check(record, name) for name in ENVELOPE_NAMES}
+    rhs = (c["g_inf"] * s["l2_v"] + c["beta_v"] * s["l2_Lambda"]) ** 2
+    return {m.name: m for m in (
+        _margin("mass", t, mass_env, s["mass_b"]),
+        m_v if m_v.margin <= m_l.margin else m_l,
+        _margin("entropy", t, np.exp(gamma2 * t) * H0 + C_H * t * _expm1_over(gamma2 * t),
+                s["entropy"]),
+        _margin("dissipation", t, d_env,
+                integral(4.0 * s["dissipation_u"] + s["dissipation_E"])),
+        _margin("grad_zeta1", t, d_env, integral(s["grad_zeta1_sq"])),
+        grad_zeta2,
+        _margin("kbound", t, comparison_bound(t, alpha, c["Xi"]) + 1e-10, s["max_u"]),
+        tail,
+        _margin("delta_v", t, alpha * record.grad_v0_sq + integral(rhs),
+                alpha**2 * integral(s["delta_v_sq"])),
+    )}
 
 
 # --------------------------------------------------------------------------

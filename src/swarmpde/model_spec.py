@@ -21,13 +21,21 @@ two-sided drift bounds) are verified here by dense sampling, never
 symbolically: the model functions are opaque callables.  A "pass" is a
 certificate over the sampled set only and the measured constants are
 empirical by construction.  Downstream modules treat them as such.
+
+``validate_hypotheses`` states each inequality once, as one call of a
+single witness rule: a flagged sample fails the rule's hypothesis, and
+a failed hypothesis keeps the witness (point, message) of its first
+failing rule.  The point is the first flagged sample point as plain
+floats (a pair for the drift box, None where a rule has no single
+point); the two monotonicity rules flag only the steepest descent, so
+that is their witness.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -123,43 +131,33 @@ class HypothesisReport:
 
     Constants are estimated over the recorded sampling set; suprema only
     grow and infima only shrink under refinement, so a fail can never
-    flip to a pass when ``n_samples`` increases.
+    flip to a pass when ``n_samples`` increases.  The fields carry the
+    names ``to_dict`` writes.
     """
 
     ell0: float            # inf lam over the age samples
     B0: float              # growth constant of b
     L0: float              # two-sided growth constant of lam
     beta0: float           # constant coupling mu*b, lam and b
-    kappa1: float          # sup of D'/zeta1' on [0, R_max]
-    kappa2: float          # inf of E/zeta2'^2 on [0, R_max]^2
-    kappa3: float          # sup of E/zeta2' on [0, R_max]^2
-    passed: dict = field(default_factory=dict)     # name -> bool
-    witnesses: dict = field(default_factory=dict)  # name -> (point, message)
-    n_samples: int = 0
-    R_max: float = 0.0
-    A_max: float = 0.0
+    kappa1_Rmax: float     # sup of D'/zeta1' on [0, R_max]
+    kappa2_Rmax: float     # inf of E/zeta2'^2 on [0, R_max]^2
+    kappa3_Rmax: float     # sup of E/zeta2' on [0, R_max]^2
+    passed: dict           # name -> bool
+    witnesses: dict        # name -> (point, message) of each failed name
+    n_samples: int
+    R_max: float
+    A_max: float
 
     @property
     def all_passed(self) -> bool:
         return all(self.passed.values())
 
     def to_dict(self) -> dict:
-        return {
-            "ell0": self.ell0,
-            "B0": self.B0,
-            "L0": self.L0,
-            "beta0": self.beta0,
-            "kappa1_Rmax": self.kappa1,
-            "kappa2_Rmax": self.kappa2,
-            "kappa3_Rmax": self.kappa3,
-            "passed": dict(sorted(self.passed.items())),
-            "witnesses": {k: str(v) for k, v in sorted(self.witnesses.items())},
-            "n_samples": self.n_samples,
-            "R_max": self.R_max,
-            "A_max": self.A_max,
-        }
+        return {**vars(self), "passed": dict(sorted(self.passed.items())),
+                "witnesses": {k: str(v) for k, v in sorted(self.witnesses.items())}}
 
 
+@dataclass(frozen=True)
 class Kappas:
     """Drift/diffusion ratio constants at a given radius R.
 
@@ -167,18 +165,10 @@ class Kappas:
     ``failed`` rather than as infinities.
     """
 
-    def __init__(self, kappa1, kappa2, kappa3, failed=()):
-        self.kappa1 = kappa1
-        self.kappa2 = kappa2
-        self.kappa3 = kappa3
-        self.failed = tuple(failed)
-
-    def __iter__(self):
-        return iter((self.kappa1, self.kappa2, self.kappa3))
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
+    kappa1: float
+    kappa2: float
+    kappa3: float
+    failed: tuple
 
 
 # --------------------------------------------------------------------------
@@ -345,12 +335,12 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
     if np.any((z2p <= 0.0) & (np.abs(Ev) > 0.0)):
         i, j = np.argwhere((z2p <= 0.0) & (np.abs(Ev) > 0.0))[0]
         raise RatioUndefined(
-            f"zeta2' vanishes at r={r_ax[i]!r} while E(r,s)={Ev[i, j]!r} != 0"
+            f"zeta2' vanishes at r={float(r_ax[i])!r} while E(r,s)={float(Ev[i, j])!r} != 0"
         )
     with np.errstate(all="ignore"):
         kappa2 = reduce("kappa2", np.where(z2p > 0.0, Ev / z2p**2, 0.0), least=True)
         kappa3 = reduce("kappa3", np.where(z2p > 0.0, Ev / z2p, 0.0))
-    return Kappas(kappa1, kappa2, kappa3, failed)
+    return Kappas(kappa1, kappa2, kappa3, tuple(failed))
 
 
 def validate_hypotheses(
@@ -360,20 +350,30 @@ def validate_hypotheses(
 
     The sampling grid is geometric near 0 (to probe the degeneracy of D)
     and uniform elsewhere, and is nested under doubling of ``n_samples``.
-    Any violated inequality sets a fail flag with the witnessing sample
-    point; the report is deterministic for fixed resolution.
+    Each inequality is one call of the witness rule (see the module
+    docstring); the report is deterministic for fixed resolution.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
     if R_max <= 0.0 or A_max <= 0.0:
         raise ValueError("R_max and A_max must be positive")
 
-    passed: dict = {}
+    passed = dict.fromkeys(
+        ("rates", "weight_b", "weight_mass", "modulus", "diffusivity", "drift"), True)
     witnesses: dict = {}
 
-    def fail(name, point, msg):
-        passed[name] = False
-        witnesses.setdefault(name, (point, msg))
+    def rule(name, flags, at, msg):
+        # the witness rule: ``name`` fails where ``flags`` holds.  ``at`` is
+        # the sample points of the flags (a tuple of them for a pair), the
+        # one point of a single flag, or None for a rule with no point.  A
+        # single flag is mostly a plain bool, and a plain False skips np.any
+        # (a few us a call, in the set-up of every run)
+        if flags is not False and np.any(flags):
+            passed[name] = False
+            k = int(np.argmax(flags))  # the first flagged entry
+            point = None if at is None else tuple(float(np.ravel(p)[k]) for p in at) \
+                if isinstance(at, tuple) else float(np.ravel(at)[k])
+            witnesses.setdefault(name, (point, msg))
 
     ages = _nested_uniform(A_max, n_samples)
     alphas = _nested_alphas(n_samples)
@@ -404,113 +404,76 @@ def validate_hypotheses(
         )
 
     # rate functions: xi vanishes on s <= 0 and is squeezed by g on s >= 0
-    passed["rates"] = True
     s_neg = -_nested_uniform(R_max, n_samples)[1:]
     xi_neg = _check_finite("xi", spec.xi(s_neg), s_neg)
-    if np.any(np.abs(xi_neg) > 0.0):
-        fail("rates", s_neg[np.abs(xi_neg) > 0.0][0], "xi(s) != 0 for s <= 0")
-    if np.any(xi_v < -1e-14):
-        fail("rates", rs[xi_v < -1e-14][0], "xi(s) < 0")
-    if np.any(xi_v > g_v + 1e-12):
-        fail("rates", rs[xi_v > g_v + 1e-12][0], "xi(s) > g(s)")
+    rule("rates", np.abs(xi_neg) > 0.0, s_neg, "xi(s) != 0 for s <= 0")
+    rule("rates", xi_v < -1e-14, rs, "xi(s) < 0")
+    rule("rates", xi_v > g_v + 1e-12, rs, "xi(s) > g(s)")
 
-    # dedifferentiation weight: non-decreasing, b(0)=1, growing, bounded ratio
-    passed["weight_b"] = True
+    # dedifferentiation weight: b(0)=1, non-decreasing, growing, bounded
+    # ratio.  Growth to infinity is unverifiable by sampling; strict growth
+    # over the window is certified.  A monotonicity rule flags only the
+    # steepest of the descents, which is its witness
     b0 = float(spec.b(0.0))
-    if abs(b0 - 1.0) > 1e-9:
-        fail("weight_b", 0.0, f"b(0) = {b0!r} != 1")
-    if np.any(np.diff(b_v) < -1e-12):
-        fail("weight_b", ages[np.argmin(np.diff(b_v))], "b not non-decreasing")
-    # growth to infinity is unverifiable by sampling; certify strict growth
-    # over the window instead
-    if b_v[-1] <= b0 * (1.0 + 1e-6):
-        fail("weight_b", A_max, "b shows no growth over the sampled window")
+    rule("weight_b", abs(b0 - 1.0) > 1e-9, 0.0, f"b(0) = {b0!r} != 1")
+    db = np.diff(b_v)
+    rule("weight_b", (db < -1e-12) & (db == db.min()), ages, "b not non-decreasing")
+    rule("weight_b", b_v[-1] <= b0 * (1.0 + 1e-6), A_max,
+         "b shows no growth over the sampled window")
     ratio_b = growth(spec.b, a_pos[:, None] + alphas[None, :])
-    if not np.all(np.isfinite(ratio_b)):
-        fail("weight_b", None, "b growth ratio non-finite")
-        B0 = math.nan
-    else:
-        B0 = float(np.max(ratio_b))
-        if B0 < 0.0:
-            B0 = 0.0
+    finite_b = np.all(np.isfinite(ratio_b))
+    rule("weight_b", not finite_b, None, "b growth ratio non-finite")
+    B0 = max(float(np.max(ratio_b)), 0.0) if finite_b else math.nan
 
-    # mass weight: bounded below away from 0, two-sided growth ratio
-    passed["weight_mass"] = True
+    # mass weight: bounded below away from 0, two-sided growth ratio; and
+    # the modulus: mu*b <= beta0*lam <= beta0^2*b on the samples
     ell0 = float(np.min(lam_v))
-    if ell0 <= 0.0:
-        fail("weight_mass", ages[int(np.argmin(lam_v))], "inf lam = 0")
-        L0 = math.inf
-    else:
+    rule("weight_mass", ell0 <= 0.0, ages[np.argmin(lam_v)], "inf lam = 0")
+    rule("modulus", ell0 <= 0.0, None, "lam vanishes; mu*b/lam undefined")
+    L0, beta0 = math.inf, math.nan
+    if ell0 > 0.0:
         up = growth(spec.lam, a_pos[:, None] + alphas[None, :])
         back = a_pos[:, None] - alphas[None, :]
         dn = np.where(back > 0.0, growth(spec.lam, np.maximum(back, 0.0)), 0.0)
         L0 = float(max(np.max(up), np.max(dn), 0.0))
-        if not math.isfinite(L0):
-            fail("weight_mass", None, "lam growth ratio non-finite")
-
-    # modulus: mu*b <= beta0*lam <= beta0^2*b on the samples
-    passed["modulus"] = True
-    if ell0 <= 0.0:
-        fail("modulus", None, "lam vanishes; mu*b/lam undefined")
-        beta0 = math.nan
-    else:
-        r1 = mu_v * b_v / lam_v
-        r2 = lam_v / b_v
-        beta0 = float(max(np.max(r1), np.max(r2), 1.0))
-        if not math.isfinite(beta0):
-            fail("modulus", None, "mu*b/lam non-finite")
-        if np.any(mu_v < -1e-14):
-            fail("modulus", ages[mu_v < -1e-14][0], "mu < 0")
+        rule("weight_mass", not math.isfinite(L0), None, "lam growth ratio non-finite")
+        beta0 = float(max(np.max(mu_v * b_v / lam_v), np.max(lam_v / b_v), 1.0))
+        rule("modulus", not math.isfinite(beta0), None, "mu*b/lam non-finite")
+        rule("modulus", mu_v < -1e-14, ages, "mu < 0")
 
     # diffusivity: non-decreasing, positive for r>0, transform integrable,
     # D'/zeta1' bounded on [0, R_max]
-    passed["diffusivity"] = True
-    if np.any(np.diff(D_v) < -1e-12 * max(1.0, float(np.max(np.abs(D_v))))):
-        fail("diffusivity", rs[np.argmin(np.diff(D_v))], "D not non-decreasing")
+    dD = np.diff(D_v)
+    rule("diffusivity", (dD < -1e-12 * max(1.0, float(np.max(np.abs(D_v))))) & (dD == dD.min()),
+         rs, "D not non-decreasing")
     try:
         zeta1(spec, R_max)
     except QuadratureDivergence as exc:
-        fail("diffusivity", R_max, f"sqrt(D(r)/r) not integrable near 0: {exc}")
+        rule("diffusivity", True, R_max, f"sqrt(D(r)/r) not integrable near 0: {exc}")
 
     # drift: E nonnegative and squeezed by zeta2'
-    passed["drift"] = True
     try:
         kap = estimate_kappas(spec, R_max, n_samples)
     except RatioUndefined as exc:
-        fail("drift", None, str(exc))
-        kap = Kappas(math.nan, math.nan, math.nan, ("kappa2", "kappa3"))
-    else:
-        if "kappa1" in kap.failed:
-            fail("diffusivity", None, "D'/zeta1' blows up on [0, R_max]")
-        if "kappa2" in kap.failed or "kappa3" in kap.failed:
-            fail("drift", None, "E/zeta2' ratios blow up on the sampled box")
+        rule("drift", True, None, str(exc))
+        kap = Kappas(math.nan, math.nan, math.nan, ())
+    rule("diffusivity", "kappa1" in kap.failed, None, "D'/zeta1' blows up on [0, R_max]")
+    rule("drift", "kappa2" in kap.failed or "kappa3" in kap.failed, None,
+         "E/zeta2' ratios blow up on the sampled box")
     s_box = np.unique(np.concatenate([[0.0], _nested_uniform(R_max, min(n_samples, 128))]))
     RR, SS = np.meshgrid(s_box, s_box, indexing="ij")
     E_box = _check_finite("E", spec.E(RR, SS), RR)
-    if np.any(E_box < -1e-14):
-        i, j = np.argwhere(E_box < -1e-14)[0]
-        fail("drift", (s_box[i], s_box[j]), "E < 0")
+    rule("drift", E_box < -1e-14, (RR, SS), "E < 0")
     z2_0 = float(spec.zeta2(0.0))
-    if abs(z2_0) > 1e-12:
-        fail("drift", 0.0, f"zeta2(0) = {z2_0!r} != 0")
+    rule("drift", abs(z2_0) > 1e-12, 0.0, f"zeta2(0) = {z2_0!r} != 0")
     z2p_pos = np.asarray(spec.zeta2_prime(rs[pos]), dtype=float)
-    has_drift = bool(np.any(E_box > 0.0))
-    if has_drift and np.any(z2p_pos <= 0.0):
-        fail("drift", rs[pos][z2p_pos <= 0.0][0], "zeta2'(r) <= 0 for r > 0")
+    rule("drift", np.any(E_box > 0.0) & (z2p_pos <= 0.0), rs[pos], "zeta2'(r) <= 0 for r > 0")
 
     return HypothesisReport(
-        ell0=ell0,
-        B0=B0,
-        L0=L0,
-        beta0=beta0,
-        kappa1=kap.kappa1,
-        kappa2=kap.kappa2,
-        kappa3=kap.kappa3,
-        passed=passed,
-        witnesses=witnesses,
-        n_samples=_next_pow2(n_samples),
-        R_max=R_max,
-        A_max=A_max,
+        ell0=ell0, B0=B0, L0=L0, beta0=beta0,
+        kappa1_Rmax=kap.kappa1, kappa2_Rmax=kap.kappa2, kappa3_Rmax=kap.kappa3,
+        passed=passed, witnesses=witnesses, n_samples=_next_pow2(n_samples),
+        R_max=R_max, A_max=A_max,
     )
 
 

@@ -382,10 +382,11 @@ CROSSVAL = dict(MINIMAL, model={"family": "exponential", "xi0": 0.0},
     ("sweep", "sweep.json", cli, dict(MINIMAL, domain={"dim": 1, "extents": [1.0],
                                                        "cells": [8]})),
     ("crossval", "crossval.json", reduced_system, CROSSVAL),
-], ids=["sweep", "crossval"])
+    ("run", "diagnostics.csv", cli, MINIMAL),
+], ids=["sweep", "crossval", "run"])
 def test_sweep_and_crossval_keep_no_bins(tmp_path, monkeypatch, command, output, owner,
                                          base):
-    # neither reads a sample's bins, so neither keeps them, and store_u
+    # no command reads a sample's bins, so none keeps them, and store_u
     # changes none of their output
     results = _keep_results(monkeypatch, owner)
     written = []
@@ -395,7 +396,7 @@ def test_sweep_and_crossval_keep_no_bins(tmp_path, monkeypatch, command, output,
         assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
         written.append((out / output).read_bytes())
     assert written[0] == written[1]
-    assert len(results) == (6 if command == "sweep" else 4)
+    assert len(results) == {"sweep": 6, "crossval": 4, "run": 2}[command]
     assert all(s.u is None for r in results for s in r.samples)
 
 
@@ -649,6 +650,29 @@ def test_cmd_run_refuses_failed_hypotheses(tmp_path):
     assert [m.split(":")[0] for m in failure["messages"]] == ["rates"]
     assert "xi(s) > g(s)" in failure["messages"][0]
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_cmd_run_judges_the_hypotheses_before_the_age_grid(tmp_path, monkeypatch):
+    # b falls on [1, 2], so the built grid would have b_i* < 0 and refuse
+    # the data with a message of its own; run reports the failed weight_b
+    # hypothesis with its witness, as validate does, and builds no grid
+    grids = []
+    original = config_mod.build_age_grid
+    monkeypatch.setattr(config_mod, "build_age_grid",
+                        lambda *args: grids.append(args) or original(*args))
+    cfg = dict(MINIMAL, a_max=4.0, output={"dir": str(tmp_path / "out")})
+    cfg["model"] = {"family": "tables", "tables": _tables(
+        tmp_path, b=lambda r: np.interp(r, [0.0, 1.0, 2.0, 4.0], [1.0, 1.5, 1.2, 3.0]),
+        lam=lambda r: np.interp(r, [0.0, 4.0], [1.0, 2.0]),
+        D=lambda r: np.interp(r, [0.0, 16.0], [0.01, 25.6]))}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path)]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "hypothesis_violation"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["weight_b"]
+    assert "b not non-decreasing" in failure["messages"][0]
+    assert grids == []
 
 
 def test_manifest_steps_counts_solver_steps(tmp_path, monkeypatch):

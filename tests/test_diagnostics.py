@@ -17,7 +17,6 @@ from swarmpde.diagnostics import (
     comparison_bound,
     dissipation,
     entropy,
-    envelope_check,
     envelope_report,
     mass_b,
     tail_mass,
@@ -342,6 +341,7 @@ def test_zero_run_margins_equal_envelopes():
                      T=0.2, sample_dt=0.05, tail_A=(grid.alpha * 4,))
     record = run(setup).record
     report = envelope_report(record)
+    assert tuple(report) == ENVELOPE_NAMES
     for name in ENVELOPE_NAMES:
         m = report[name]
         if m.skipped:
@@ -366,16 +366,9 @@ def test_margins_grow_with_Xi():
     inflated = dataclasses.replace(
         record, constants={**record.constants, "Xi": record.constants["Xi"] * 4.0}
     )
+    base, grown = envelope_report(record), envelope_report(inflated)
     for name in ("kbound", "entropy", "dissipation"):
-        base = envelope_check(record, name).margin
-        grown = envelope_check(inflated, name).margin
-        assert grown >= base - 1e-12
-
-
-def test_envelope_unknown_name():
-    record = _reference_run(T=0.1).record
-    with pytest.raises(ValueError):
-        envelope_check(record, "nope")
+        assert grown[name].margin >= base[name].margin - 1e-12
 
 
 # --- weak residual -----------------------------------------------------------
