@@ -2,11 +2,13 @@
 
 Every command reads one JSON configuration, writes its artifacts under
 the output directory, and encodes success in the exit status: 0 only if
-no error was raised, the sampled hypotheses hold (``run``, ``validate``),
-the operators conserved mass to roundoff and the biomass identity held
-before the cutoff engaged (``run``) and no envelope margin came out
-negative, so CI can consume runs without parsing logs.
-Failures are mirrored as a machine-readable failure.json.
+no error was raised, the sampled hypotheses hold, the operators
+conserved mass to roundoff and the biomass identity held before the
+cutoff engaged (``run``) and no envelope margin came out negative, so CI
+can consume runs without parsing logs.  Every command that integrates
+judges the hypotheses on each setup it builds before it integrates any
+of them, and fails as ``run`` does.  Failures are mirrored as a
+machine-readable failure.json.
 """
 
 from __future__ import annotations
@@ -109,6 +111,21 @@ def _failed_hypotheses(report) -> list:
             for name, ok in sorted(report.passed.items()) if not ok]
 
 
+def _judged_setups(cfgs, out_dir: Path):
+    # every config's (RunSetup, HypothesisReport), all built and judged
+    # before anything is integrated; None once the failure of the first
+    # whose data fail the hypotheses is written: the envelopes are built
+    # from the sampled constants, which mean nothing for such data
+    judged = []
+    for cfg in cfgs:
+        setup, report = config_mod.build_run_setup(cfg)
+        if not report.all_passed:
+            _write_failure(out_dir, "hypothesis_violation", _failed_hypotheses(report))
+            return None
+        judged.append((setup, report))
+    return judged
+
+
 def _write_snapshots(result, cfg, out_dir: Path) -> None:
     stride = cfg.output.snapshot_stride
     sgrid = result.setup.sgrid
@@ -123,12 +140,10 @@ def _write_snapshots(result, cfg, out_dir: Path) -> None:
 
 def cmd_run(cfg, out_dir: Path) -> int:
     t0 = time.monotonic()
-    setup, report = config_mod.build_run_setup(cfg)
-    if not report.all_passed:
-        # the envelopes are built from the sampled constants, which mean
-        # nothing for data that fail the hypotheses
-        _write_failure(out_dir, "hypothesis_violation", _failed_hypotheses(report))
+    judged = _judged_setups([cfg], out_dir)
+    if judged is None:
         return EXIT_FAIL
+    [(setup, report)] = judged
     # run writes nothing read from a sample's bins, so it keeps none
     result = run(dataclasses.replace(setup, store_u=False))
     wall = time.monotonic() - t0
@@ -168,7 +183,10 @@ def _reduced_spec(cfg) -> reduced_system.ReducedSpec:
 
 def cmd_reduced(cfg, out_dir: Path) -> int:
     rspec = _reduced_spec(cfg)
-    setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
+    judged = _judged_setups([cfg], out_dir)
+    if judged is None:
+        return EXIT_FAIL
+    [(setup, _)] = judged
     lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
     samples = reduced_system.run_reduced(
         rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
@@ -193,9 +211,11 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
     alphas = (cfg.alpha, cfg.alpha / 2.0)
     for alpha in alphas:
         reduced_system.refuse_inflow(rspec.xi, alpha)
-    setups = [config_mod.build_run_setup(dataclasses.replace(cfg, alpha=alpha),
-                                         check_hypotheses=False)[0] for alpha in alphas]
-    result = reduced_system.cross_validate_setups(setups, rspec)
+    judged = _judged_setups([dataclasses.replace(cfg, alpha=alpha) for alpha in alphas],
+                            out_dir)
+    if judged is None:
+        return EXIT_FAIL
+    result = reduced_system.cross_validate_setups([setup for setup, _ in judged], rspec)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(result)
     payload["tolerance"] = cfg.crossval_tolerance
@@ -208,9 +228,11 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
+    judged = _judged_setups(config_mod.build_sweep_plan(cfg, levels=levels), out_dir)
+    if judged is None:
+        return EXIT_FAIL
     runs = []
-    for level_cfg in config_mod.build_sweep_plan(cfg, levels=levels):
-        setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
+    for setup, _ in judged:
         # the weak residual reads each sample's age moments, taken while its
         # bins are live, so the level keeps no bins
         moments = diag.AgeMoments(diag.make_test_functions(
@@ -220,7 +242,7 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
                      on_sample=moments.take)
         residual = max([0.0] + [wr.residual for wr in diag.weak_residual(
             result.samples, moments, setup.spec, setup.agegrid, setup.sgrid)])
-        runs.append((level_cfg.alpha, setup, result, residual))
+        runs.append((setup.agegrid.alpha, setup, result, residual))
 
     fine_cells = runs[-1][1].sgrid.cells
     vol_fine = runs[-1][1].sgrid.cell_volume

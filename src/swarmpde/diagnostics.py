@@ -13,15 +13,17 @@ A sample reads each of the step plan's bin blocks (``solver_core.StepPlan``)
 once, into the plan's block-sized ``work`` pair, which is idle between
 steps, and reduces it in cache to per-bin sums (``bin_sums``):
 the integrals of the densities, of their entropy density and of the
-face form of their sqrt-gradient dissipation, plus the raw minimum and
-the clipped maximum.  It checks the sign of the densities once and
-takes every weighted sum over bins on the per-bin vectors, so it
-allocates no array of the densities' size.  The standalone ``entropy``
-and ``dissipation`` run ``bin_sums`` on all bins as one block; every
-per-bin sum runs over that bin's cells alone, so the sample is bitwise
-equal to them whatever the blocks.  The b-weighted mass and the age
-tails are linear in the per-bin integrals (``bin_totals``), as in the
-standalone ``mass_b`` and ``tail_mass``.
+face form of their sqrt-gradient dissipation, plus the raw minimum (the
+largest density is the state's own ``max_u``).  It checks the sign of
+the densities once and takes every weighted sum over bins on the
+per-bin vectors, so it allocates no array of the densities' size.  The
+standalone ``entropy`` and ``dissipation`` run ``bin_sums`` on all bins
+as one block; every per-bin sum runs over that bin's cells alone, so the
+sample is bitwise equal to them whatever the blocks.  The b-weighted
+mass and the age tails are linear in the per-bin integrals
+(``bin_totals``), as in the standalone ``mass_b`` and ``tail_mass``.
+Every sampled value, the tails included, is one column of the record's
+one table (``series``), which ``to_csv`` writes as it stands.
 
 The weak-formulation residual evaluates the defining integral identity of
 the continuous problem on the discrete trajectory against a catalogue of
@@ -35,7 +37,7 @@ is made, so the bins need not be kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -97,13 +99,12 @@ ENVELOPE_NAMES = (
 # instantaneous quantities
 
 class BinSums(NamedTuple):
-    """One pass over bins of ``u``: the raw minimum, the maximum after the
-    clip at 0, and per bin the integral of u (``bin_totals``), of the
-    entropy density phi(clipped u) and, if asked for, the face form of
-    the sqrt-gradient dissipation."""
+    """One pass over bins of ``u``: the raw minimum and per bin the
+    integral of u (``bin_totals``), of the entropy density phi(u clipped
+    at 0) and, if asked for, the face form of the sqrt-gradient
+    dissipation."""
 
     min_u: float
-    max_u: float
     totals: np.ndarray
     entropy: np.ndarray
     dissipation: Optional[np.ndarray]
@@ -128,12 +129,11 @@ def bin_sums(u, sgrid: SpatialGrid, d_weights=None, work=None) -> BinSums:
     low = float(rows.min())
     totals = bin_totals(rows, sgrid)
     np.maximum(rows, 0.0, out=r)
-    top = float(r.max())
     ent = entropy_phi(r, out=work[1][:rows.size].reshape(rows.shape)).sum(axis=1)
     diss = None
     if d_weights is not None:
         diss = face_sq_sums(np.sqrt(r, out=r), d_weights, sgrid, work=work[1])
-    return BinSums(low, top, totals, ent * sgrid.cell_volume,
+    return BinSums(low, totals, ent * sgrid.cell_volume,
                    None if diss is None else diss * sgrid.cell_volume)
 
 
@@ -198,9 +198,13 @@ def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
 
 def tail_problems(tail_A, alpha: float) -> list:
     """(config field, message) for every tail age below 4 alpha, the
-    shortest the tail estimate takes; ``tail_mass`` and
+    shortest the tail estimate takes, and for every age that names the
+    record columns of an earlier one (``tail_<A:g>``); ``tail_mass`` and
     ``DiagnosticsRecorder`` refuse them."""
-    return [("tail_A", f"{A:g} is below 4*alpha") for A in tail_A if not A >= 4.0 * alpha]
+    names = [f"{A:g}" for A in tail_A]
+    return ([("tail_A", f"{A:g} is below 4*alpha") for A in tail_A if not A >= 4.0 * alpha]
+            + [("tail_A", f"{n} repeats the column name tail_{n}")
+               for k, n in enumerate(names) if n in names[:k]])
 
 
 def tail_mass(state, A: float, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
@@ -240,34 +244,35 @@ _SERIES = (
 
 @dataclass
 class DiagnosticsRecord:
-    """Time series of every instrumented estimate plus measured constants."""
+    """Time series of every instrumented estimate plus measured constants.
+
+    ``series`` is the one table of the run, a column per name in the
+    order ``to_csv`` writes: the ``_SERIES`` columns, ``delta_v_accum``,
+    then per tail age A, sorted, ``tail_<A:g>`` (``tail_mass``) and, after
+    them, ``eta_tail_<A:g>`` (the smooth-weighted tail the envelope
+    bounds).
+    """
 
     series: dict                     # name -> ndarray over sample times
-    tail: dict                       # A -> ndarray
-    eta_tail_series: dict            # A -> ndarray
     eta_star_inf: dict               # A -> float
     constants: dict                  # measured constants for the envelopes
     K0: float
     min_u_run: float
     min_v_run: float
-    theta_activations: int
     conservation_max: float
-    courant_max: float
     grad_v0_sq: float
 
     @property
     def t(self) -> np.ndarray:
         return self.series["t"]
 
+    @property
+    def theta_activations(self) -> int:
+        """Cutoff activations over the run, as of the last sample."""
+        return int(self.series["theta_activations"][-1])
+
     def to_csv(self, path) -> None:
-        names = list(_SERIES) + ["delta_v_accum"]
-        cols = [self.series[n] for n in names]
-        for A in sorted(self.tail):
-            names.append(f"tail_{A:g}")
-            cols.append(self.tail[A])
-        for A in sorted(self.eta_tail_series):
-            names.append(f"eta_tail_{A:g}")
-            cols.append(self.eta_tail_series[A])
+        names, cols = list(self.series), list(self.series.values())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(names) + "\n")
             for k in range(self.t.size):
@@ -295,11 +300,14 @@ class DiagnosticsRecorder:
     def __init__(self, spec: ModelSpec, grid: AgeGrid, reg: RegularizedModel,
                  sgrid: SpatialGrid, tail_A: Sequence[float] = ()):
         self.spec, self.grid, self.reg, self.sgrid = spec, grid, reg, sgrid
-        self.tail_A = tuple(float(A) for A in tail_A)
-        refuse(tail_problems(self.tail_A, grid.alpha))
-        self._rows = {name: [] for name in _SERIES}
-        self._tail = {A: [] for A in self.tail_A}
-        self._eta = {A: [] for A in self.tail_A}
+        ages = tuple(float(A) for A in tail_A)
+        refuse(tail_problems(ages, grid.alpha))
+        self.tail_A = tuple(sorted(ages))
+        # the record's columns in their CSV order; finalize fills
+        # delta_v_accum in its place
+        self._rows = {name: [] for name in _SERIES + ("delta_v_accum",)
+                      + tuple(f"{kind}_{A:g}" for kind in ("tail", "eta_tail")
+                              for A in self.tail_A)}
         # the smooth-weighted tail (it dominates tail_mass) weighs bin i by
         # eta_i b_i; the tail envelope needs the sup of eta's difference quotient
         self._eta_b = {}
@@ -309,9 +317,7 @@ class DiagnosticsRecorder:
             self._eta_b[A] = eta[:grid.I] * grid.b[:grid.I]
         self._min_u = math.inf
         self._min_v = math.inf
-        self._theta = 0
         self._cons = 0.0
-        self._courant = 0.0
         self._grad_v0 = math.nan
         self._zeta1_rmax = 2.0
         self._zeta1 = Zeta1Evaluator(spec, self._zeta1_rmax)
@@ -346,7 +352,6 @@ class DiagnosticsRecorder:
         self._min_u = min(self._min_u, sres.min_u)
         self._min_v = min(self._min_v, sres.min_v)
         self._cons = max(self._cons, sres.conservation_residual)
-        self._courant = max(self._courant, sres.courant)
 
     def sample(self, state, plan) -> None:
         """Record one sample of ``state``.
@@ -360,10 +365,10 @@ class DiagnosticsRecorder:
         vol = sgrid.cell_volume
         u, lam = state.u, state.lambda_rec
         d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
-        lows, tops, *per_bin = zip(*(
+        lows, *per_bin = zip(*(
             bin_sums(u[k0:k1], sgrid, d_weights, plan.work) for k0, k1 in plan.blocks))
-        sums = _checked(BinSums(min(lows), max(tops), *map(np.concatenate, per_bin)))
-        totals, max_u = sums.totals, sums.max_u
+        sums = _checked(BinSums(min(lows), *map(np.concatenate, per_bin)))
+        totals, max_u = sums.totals, state.max_u
         z1 = self._zeta1_for(float(lam.max(initial=0.0)))
         d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, sums)
         lap_v = laplacian(state.v, sgrid)
@@ -393,11 +398,10 @@ class DiagnosticsRecorder:
         rows["theta_activations"].append(float(state.theta_activations))
         rows["conservation_residual"].append(self._cons)
         for A in self.tail_A:
-            self._tail[A].append(tail_mass(state, A, grid, sgrid, totals))
-            self._eta[A].append(grid.alpha * float(self._eta_b[A] @ totals))
+            rows[f"tail_{A:g}"].append(tail_mass(state, A, grid, sgrid, totals))
+            rows[f"eta_tail_{A:g}"].append(grid.alpha * float(self._eta_b[A] @ totals))
         if state.t == 0.0 and math.isnan(self._grad_v0):
             self._grad_v0 = float(face_sq_sums(state.v, sgrid.unit_weights, sgrid)[0]) * vol
-        self._theta = state.theta_activations
 
     def finalize(self) -> DiagnosticsRecord:
         series = {k: np.asarray(v, dtype=float) for k, v in self._rows.items()}
@@ -420,16 +424,12 @@ class DiagnosticsRecorder:
                    + self.grid.lam[0] + series["linf_Lambda"][0] + series["linf_v"][0])
         return DiagnosticsRecord(
             series=series,
-            tail={A: np.asarray(v, dtype=float) for A, v in self._tail.items()},
-            eta_tail_series={A: np.asarray(v, dtype=float) for A, v in self._eta.items()},
             eta_star_inf=dict(self._eta_star),
             constants=constants,
             K0=K0,
             min_u_run=self._min_u if math.isfinite(self._min_u) else 0.0,
             min_v_run=self._min_v if math.isfinite(self._min_v) else 0.0,
-            theta_activations=self._theta,
             conservation_max=self._cons,
-            courant_max=self._courant,
             grad_v0_sq=self._grad_v0 if math.isfinite(self._grad_v0) else 0.0,
         )
 
@@ -443,9 +443,7 @@ class EnvelopeMargin:
     margin: float
     t_at_min: float
     skipped: bool = False
-    note: str = ""
     envelope: Optional[np.ndarray] = None
-    observed: Optional[np.ndarray] = None
 
 
 def _expm1_over(x):
@@ -458,10 +456,8 @@ def _expm1_over(x):
 def _margin(name, t, envelope, observed) -> EnvelopeMargin:
     gap = envelope - observed
     k = int(np.argmin(gap))
-    return EnvelopeMargin(
-        name=name, margin=float(gap[k]), t_at_min=float(t[k]),
-        envelope=envelope, observed=observed,
-    )
+    return EnvelopeMargin(name=name, margin=float(gap[k]), t_at_min=float(t[k]),
+                          envelope=envelope)
 
 
 def envelope_report(record: DiagnosticsRecord) -> dict:
@@ -500,21 +496,20 @@ def envelope_report(record: DiagnosticsRecord) -> dict:
         + c["M"] * c["beta_lam"] * float(np.max(mass_env))
     d_env = H0 + C_H * t + gamma2 * integral(s["entropy"])
     kappa2 = c.get("kappa2_Robs", math.nan)
-    if not math.isfinite(kappa2) or kappa2 <= 0.0:
-        grad_zeta2 = EnvelopeMargin("grad_zeta2", math.nan, float(t[0]), skipped=True,
-                                    note="drift lower bound degenerate (kappa2 <= 0)")
+    if not math.isfinite(kappa2) or kappa2 <= 0.0:  # drift lower bound degenerate
+        grad_zeta2 = EnvelopeMargin("grad_zeta2", math.nan, float(t[0]), skipped=True)
     else:
         grad_zeta2 = _margin("grad_zeta2", t, d_env / kappa2, integral(s["grad_zeta2_sq"]))
 
-    if not record.tail:
-        tail = EnvelopeMargin("tail", math.nan, float(t[0]), skipped=True,
-                              note="no tail ages configured")
+    if not record.eta_star_inf:  # no tail ages configured
+        tail = EnvelopeMargin("tail", math.nan, float(t[0]), skipped=True)
     else:
         c1_run = float(np.max(s["mass_b"]))
-        tails = [_margin(f"tail_{A:g}", t, np.exp(Bp * t) * Y[0] + record.eta_star_inf[A]
-                         * (1.0 + Bp) * c1_run * t * _expm1_over(Bp * t), Y)
-                 for A, Y in sorted(record.eta_tail_series.items())]
-        tail = replace(min(tails, key=lambda m: m.margin), name="tail")
+        growth, ramp = np.exp(Bp * t), _expm1_over(Bp * t)
+        tails = [_margin("tail", t, growth * s[f"eta_tail_{A:g}"][0]
+                         + eta_star * (1.0 + Bp) * c1_run * t * ramp, s[f"eta_tail_{A:g}"])
+                 for A, eta_star in sorted(record.eta_star_inf.items())]
+        tail = min(tails, key=lambda m: m.margin)
 
     rhs = (c["g_inf"] * s["l2_v"] + c["beta_v"] * s["l2_Lambda"]) ** 2
     return {m.name: m for m in (
@@ -675,10 +670,9 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     sampled trajectory.
 
     Composite trapezoid in time, exact bin sums in age, cell sums in
-    space.  ``phi`` is a TestFunction, which gives one result; a
-    catalogue, a list of TestFunctions, which gives a list of one result
-    per function; or the ``AgeMoments`` of a catalogue taken at every
-    sample of the run, which gives the catalogue's list.  Terms:
+    space.  ``phi`` is a TestFunction, which gives one result, or the
+    ``AgeMoments`` of a catalogue taken at every sample of the run,
+    which gives a list of one result per function of the catalogue.  Terms:
     transport, age-zero inflow, initial data, diffusion against the
     Laplacian of the test function, and the drift/diffusion gradient
     pairing under the two-transform splitting.
@@ -686,20 +680,17 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     Every bin term is an age moment of u paired with a cell field, so the
     residual reads each sample's ``AgeMoments`` and never its bins: the
     moments form needs no stored bins (``sweep`` keeps none), and the
-    other two forms take the moments from each sample's stored bins and
-    then run the same arithmetic.
+    single-function form takes the moments from each sample's stored bins
+    and then runs the same arithmetic.
 
     One pass over the samples serves every test function: the fields
     that do not depend on it (D of the biomass, the transform ratios and
     gradients, the inflow) are evaluated once per sample, and each
-    function's sums are formed as in a call of its own, so a catalogue
-    entry is bitwise its single-function result.
+    function's sums are formed as in a call of its own, so a moments
+    entry is bitwise its function's single-function result.
     """
     single = isinstance(phi, TestFunction)
-    if isinstance(phi, AgeMoments):
-        moments, catalogue = phi, phi.catalogue
-    else:
-        moments, catalogue = None, [phi] if single else list(phi)
+    moments, catalogue = (None, [phi]) if single else (phi, phi.catalogue)
 
     T_run = float(samples[-1].t)
     a_cap = grid.I * grid.alpha

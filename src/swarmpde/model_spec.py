@@ -399,7 +399,7 @@ def validate_hypotheses(
     if np.any(D_v[pos] <= 0.0):
         r_bad = rs[pos][np.asarray(D_v[pos] <= 0.0)][0]
         raise DegenerateDiffusion(
-            f"D({r_bad!r}) = 0 with r > 0; fully/interval-degenerate diffusion "
+            f"D({float(r_bad)!r}) = 0 with r > 0; fully/interval-degenerate diffusion "
             "is not supported"
         )
 

@@ -73,8 +73,10 @@ path.
 The new fields (u, v and the shadow if there is one) are checked from
 one min and one max each: NaN and +-inf show in those extremes, so no
 finiteness scan is needed; the minima of u and v meet the roundoff
-tolerance, and alpha^2 max u > 1/2 says the cutoff acted, counts
-activations and latches tstar_crossed.
+tolerance, and alpha^2 max u > 1/2 says the cutoff acted and counts
+activations.  The state carries only the count: the cutoff has engaged
+once it is above 0 (``RunResult.tstar_crossed``), and the step that
+first raises it logs a warning.
 
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
@@ -142,14 +144,11 @@ class SimState:
     max_u: float             # largest bin density, taken where u is made
     t: float = 0.0
     step_count: int = 0
-    tstar_crossed: bool = False
     theta_activations: int = 0
 
 
 @dataclass(frozen=True)
 class StepResult:
-    dt: float
-    courant: float            # dt over the stability limit dt_max/0.9; <= 0.9 in run
     min_u: float              # raw minima before the roundoff clip
     min_v: float
     conservation_residual: float  # 0.0 for a state without a shadow
@@ -222,7 +221,7 @@ class RunResult:
     samples: list
     record: Optional["diag.DiagnosticsRecord"]   # None for run(setup, record=False)
     setup: RunSetup
-    tstar_crossed: bool = False
+    tstar_crossed: bool = False  # the cutoff engaged: theta_activations > 0
     steps: int = 0               # solver steps taken
 
 
@@ -321,12 +320,11 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     """One explicit Euler update of the full system.
 
     ``coeffs`` is ``step_coefficients`` of ``state``; the bin flux uses
-    its flux weights, its ``dt_max`` scales the reported Courant number,
-    and nonnegativity requires dt <= dt_max.  ``plan`` is
-    ``step_plan(grid, sgrid)``; its scratch is overwritten, and the new
-    state shares no memory with it.  A state without a shadow biomass
-    (``lambda_ev`` None) gives one without: the step then skips the
-    shadow and the conservation sums, and reports a
+    its flux weights, and nonnegativity requires dt <= its ``dt_max``.
+    ``plan`` is ``step_plan(grid, sgrid)``; its scratch is overwritten,
+    and the new state shares no memory with it.  A state without a
+    shadow biomass (``lambda_ev`` None) gives one without: the step then
+    skips the shadow and the conservation sums, and reports a
     ``conservation_residual`` of 0.0.
     """
     I, alpha = grid.I, grid.alpha
@@ -423,9 +421,8 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         conservation = cons / cons_scale
 
     # the cutoff acts on some bin exactly when the largest leaves its
-    # plateau alpha^2 u <= 1/2; the first such step latches tstar_crossed
-    crossed = alpha * alpha * max_u > 0.5
-    if crossed and not state.tstar_crossed:
+    # plateau alpha^2 u <= 1/2; the first such step warns
+    if activations and not state.theta_activations:
         logger.warning(
             "bin density crossed 1/(2 alpha^2) at t=%.6g; the cutoff keeps "
             "the scheme defined but the biomass identity is no longer exact",
@@ -434,17 +431,10 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     new_state = SimState(
         u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev, max_u=max_u,
         t=state.t + dt, step_count=state.step_count + 1,
-        tstar_crossed=state.tstar_crossed or crossed,
         theta_activations=state.theta_activations + activations,
     )
-    result = StepResult(
-        dt=dt,
-        courant=_SAFETY * dt / coeffs.dt_max,
-        min_u=min_u,
-        min_v=min_v,
-        conservation_residual=conservation,
-    )
-    return new_state, result
+    return new_state, StepResult(min_u=min_u, min_v=min_v,
+                                 conservation_residual=conservation)
 
 
 def sample_times(T: float, sample_dt: float) -> np.ndarray:
@@ -525,6 +515,6 @@ def run(setup: RunSetup, record: bool = True,
         samples=samples,
         record=recorder.finalize() if recorder is not None else None,
         setup=setup,
-        tstar_crossed=state.tstar_crossed,
+        tstar_crossed=state.theta_activations > 0,
         steps=state.step_count,
     )

@@ -144,6 +144,13 @@ def _alpha_owners(cfg):
     regularize(exponential_family(), cfg.alpha)
 
 
+def _tail_recorder(cfg):
+    spec, sgrid = exponential_family(), SpatialGrid(extents=(1.0,), cells=(16,))
+    grid = build_age_grid(spec, cfg.alpha, cfg.a_max)
+    diagnostics.DiagnosticsRecorder(spec, grid, regularize(spec, cfg.alpha), sgrid,
+                                    cfg.diagnostics.tail_A)
+
+
 def _tail_owners(cfg):
     spec, sgrid = exponential_family(), SpatialGrid(extents=(1.0,), cells=(16,))
     grid = build_age_grid(spec, cfg.alpha, cfg.a_max)
@@ -151,8 +158,7 @@ def _tail_owners(cfg):
                                       np.zeros(sgrid.shape), grid)
     with pytest.raises(ValueError, match="(^|; )tail_A: "):
         diagnostics.tail_mass(state, cfg.diagnostics.tail_A[0], grid, sgrid)
-    diagnostics.DiagnosticsRecorder(spec, grid, regularize(spec, cfg.alpha), sgrid,
-                                    cfg.diagnostics.tail_A)
+    _tail_recorder(cfg)
 
 
 def _box_owner(cfg):
@@ -181,10 +187,13 @@ def _box_owner(cfg):
     ({"domain": {"dim": 1, "extents": [0.0], "cells": [16]}}, "domain.extents", _box_owner),
     ({"domain": {"dim": 1, "extents": [1.0], "cells": [1]}}, "domain.cells", _box_owner),
     ({"diagnostics": {"tail_A": [0.4]}}, "diagnostics.tail_A", _tail_owners),
+    # two ages that name one pair of record columns, tail_2 and eta_tail_2
+    ({"diagnostics": {"tail_A": [2.0, 2.0]}}, "diagnostics.tail_A", _tail_recorder),
+    ({"diagnostics": {"tail_A": [2.0, 2.0000001]}}, "diagnostics.tail_A", _tail_recorder),
 ], ids=["m0", "tau", "tau-with-g0", "mu", "D0", "theta", "drift", "xi0-negative",
         "xi0-above-1/tau", "xi0-above-g0", "xi_support-decreasing", "xi_support-short",
         "alpha-0", "alpha-1", "a_max", "dim", "extents-length", "extents-zero", "cells",
-        "tail_A"])
+        "tail_A", "tail_A-repeated", "tail_A-same-name"])
 def test_each_rule_is_refused_by_the_config_and_by_its_owner(tmp_path, over, field, owner):
     # every parameter rule has one owner: parse_config reports it under the
     # field's name, and the owner refuses the same values with a ValueError
@@ -403,9 +412,9 @@ def test_sweep_and_crossval_keep_no_bins(tmp_path, monkeypatch, command, output,
 def test_sweep_keeps_no_bins_and_reads_the_residual_of_stored_bins(tmp_path, monkeypatch):
     # the in-process 3-level ladder (the ladder workload's levels, T cut to
     # 0.5): no sample keeps its bins, each level's residual is the one of
-    # the stored-bin catalogue form on the same run, and the traced peak
-    # stays below the bins that storing them would take (21 samples of
-    # 32x32, 64x64 and 128x128 cell-bins, 3.6 MB)
+    # the age moments taken from the stored bins of the same run, and the
+    # traced peak stays below the bins that storing them would take (21
+    # samples of 32x32, 64x64 and 128x128 cell-bins, 3.6 MB)
     cfg = dict(MINIMAL, a_max=4.0, domain={"dim": 1, "extents": [4.0], "cells": [32]},
                time={"T": 0.5, "sample_dt": 0.025},
                diagnostics={"tail_A": [], "test_k_max": 2})
@@ -424,10 +433,12 @@ def test_sweep_keeps_no_bins_and_reads_the_residual_of_stored_bins(tmp_path, mon
         setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
         samples = solver_core.run(setup, record=False).samples
         stored += sum(s.u.nbytes for s in samples)
-        catalogue = diagnostics.make_test_functions(setup.T, setup.agegrid.a_max, setup.sgrid,
-                                                    k_max=2)
+        moments = diagnostics.AgeMoments(diagnostics.make_test_functions(
+            setup.T, setup.agegrid.a_max, setup.sgrid, k_max=2), setup.spec, setup.agegrid)
+        for s in samples:
+            moments.take(s)  # from the stored bins, after the run
         expected = max(wr.residual for wr in diagnostics.weak_residual(
-            samples, catalogue, setup.spec, setup.agegrid, setup.sgrid))
+            samples, moments, setup.spec, setup.agegrid, setup.sgrid))
         assert residual == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert stored == 21 * 8 * (32 * 32 + 64 * 64 + 128 * 128)
     assert peak < stored
@@ -673,6 +684,72 @@ def test_cmd_run_judges_the_hypotheses_before_the_age_grid(tmp_path, monkeypatch
     assert [m.split(":")[0] for m in failure["messages"]] == ["weight_b"]
     assert "b not non-decreasing" in failure["messages"][0]
     assert grids == []
+
+
+def _count_integrations(monkeypatch):
+    # every entry into either solver, by the names the commands call
+    calls = []
+    for owner, name in ((cli, "run"), (reduced_system, "run"),
+                        (reduced_system, "run_reduced")):
+        monkeypatch.setattr(owner, name, lambda *args, _n=name, **kw: calls.append(_n))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["reduced", "sweep", "crossval"])
+@pytest.mark.parametrize("model, says", [
+    ({"xi_support": [-1.0, 2.0]}, "rates: "),
+    ({"xi0": 0.0, "mu": 1e308, "m0": 0.5}, "modulus: "),
+], ids=["xi_below_zero", "huge_mu"])
+def test_integrating_commands_refuse_failed_hypotheses(tmp_path, monkeypatch, command,
+                                                       model, says):
+    # reduced, sweep and crossval judge the data of every setup they build
+    # before they integrate anything, and fail as run does: exit 1 naming
+    # the failed hypothesis with its witness.  crossval refuses an inflow
+    # (xi0 > 0) from the configuration first
+    calls = _count_integrations(monkeypatch)
+    cfg = dict(MINIMAL, model=model, domain={"dim": 1, "extents": [1.0], "cells": [16]},
+               time={"T": 0.2, "sample_dt": 0.05}, diagnostics={"tail_A": []},
+               output={"dir": str(tmp_path / "out")})
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 1
+    ran = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert ran["kind"] == "hypothesis_violation" and ran["messages"][0].startswith(says)
+    (tmp_path / "out" / "failure.json").unlink()
+    assert main([command, "--config", str(path)]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    if command == "crossval" and "xi0" not in model:
+        assert failure["kind"] == "ConfigMismatch"
+        assert "requires xi = 0" in failure["messages"][0]
+    else:
+        assert failure == ran
+    assert calls == []
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["failure.json"]
+
+
+@pytest.mark.parametrize("command, levels", [("sweep", 3), ("crossval", 2)])
+def test_every_level_is_judged_before_any_is_integrated(tmp_path, monkeypatch, command,
+                                                        levels):
+    # only the last level's data fail: no level is integrated
+    calls = _count_integrations(monkeypatch)
+    bad = config_mod.validate_hypotheses(
+        exponential_family(m0=0.5, mu_const=1e308, xi0=0.0), R_max=8.0, A_max=2.0,
+        n_samples=128)
+    assert not bad.all_passed
+    judged = []
+    original = config_mod.validate_hypotheses
+
+    def last_level_fails(spec, **kwargs):
+        judged.append(kwargs["R_max"])
+        return bad if len(judged) == levels else original(spec, **kwargs)
+
+    monkeypatch.setattr(config_mod, "validate_hypotheses", last_level_fails)
+    cfg = dict(CROSSVAL, output={"dir": str(tmp_path / "out")})
+    assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "hypothesis_violation"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["modulus"]
+    assert judged == [8.0 * 2**k for k in range(levels)]
+    assert calls == []
 
 
 def test_manifest_steps_counts_solver_steps(tmp_path, monkeypatch):

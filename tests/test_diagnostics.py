@@ -237,13 +237,14 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
     assert (row["dissipation_u"], row["dissipation_E"]) == (d_u, d_E)
     assert (row["grad_zeta1_sq"], row["grad_zeta2_sq"]) == (gz1, gz2)
     assert row["min_u"] == -1e-13
+    assert row["max_u"] == state.max_u == u.max()  # the state's, not taken again
     vol = sgrid.cell_volume
     u_sums = state.u.reshape(grid.I, -1).sum(axis=1) * vol
     for A in (0.5, 0.75):
-        assert record.tail[A][0] == tail_mass(state, A, grid, sgrid)
+        assert record.series[f"tail_{A:g}"][0] == tail_mass(state, A, grid, sgrid)
         eta, eta_star = _eta_weights(grid, A)
         expected = grid.alpha * float((eta[:grid.I] * grid.b[:grid.I]) @ u_sums)
-        assert record.eta_tail_series[A][0] == expected
+        assert record.series[f"eta_tail_{A:g}"][0] == expected
         assert record.eta_star_inf[A] == eta_star
     state.u.reshape(grid.I, -1)[6, 2] = -1e-9
     with pytest.raises(NegativeField):
@@ -332,6 +333,24 @@ def _reference_run(T=0.4, xi_level=0.4, cells=24):
     setup = RunSetup(spec=spec, agegrid=grid, reg=reg, sgrid=sgrid, u0=u0, v0=v0,
                      T=T, sample_dt=0.05, tail_A=(1.0,), store_u=True)
     return run(setup)
+
+
+def test_record_is_one_table_in_csv_order(tmp_path):
+    # the tails are columns of the one table, after delta_v_accum and
+    # sorted by age, the smooth tails after the plain ones; to_csv writes
+    # the table as it stands, and the activation count is its last row's
+    setup = dataclasses.replace(_reference_run(T=0.2).setup, tail_A=(1.5, 1.0))
+    record = run(setup).record
+    names = list(record.series)
+    assert names[0] == "t"
+    assert names[names.index("delta_v_accum"):] == [
+        "delta_v_accum", "tail_1", "tail_1.5", "eta_tail_1", "eta_tail_1.5"]
+    record.to_csv(tmp_path / "diagnostics.csv")
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert lines[0].split(",") == names
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table, np.column_stack(list(record.series.values())))
+    assert record.theta_activations == int(record.series["theta_activations"][-1])
 
 
 def test_zero_run_margins_equal_envelopes():
@@ -426,7 +445,10 @@ def test_weak_residual_catalogue_matches_single_calls_bitwise(dim):
     args = (setup.spec, setup.agegrid, setup.sgrid)
     cat = make_test_functions(setup.T, setup.agegrid.a_max, setup.sgrid, k_max=2)
     assert len(cat) == (3 if dim == 1 else 6)
-    together = weak_residual(result.samples, cat, *args)
+    moments = AgeMoments(cat, setup.spec, setup.agegrid)
+    for s in result.samples:
+        moments.take(s)
+    together = weak_residual(result.samples, moments, *args)
     assert len(together) == len(cat)
     for phi, wr in zip(cat, together):
         single = weak_residual(result.samples, phi, *args)

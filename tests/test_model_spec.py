@@ -121,8 +121,12 @@ def test_validate_nonfinite_raises():
 
 def test_validate_degenerate_diffusion_raises():
     spec = make_spec(D=lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-    with pytest.raises(DegenerateDiffusion):
+    with pytest.raises(DegenerateDiffusion) as err:
         validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=64)
+    # the witness radius prints as a plain float
+    message = str(err.value)
+    assert "np." not in message
+    assert float(message[len("D("):message.index(")")]) > 0.0
 
 
 def test_validate_sampling_monotone():
