@@ -218,26 +218,36 @@ def regularize(spec: ModelSpec, alpha: float) -> RegularizedModel:
     return RegularizedModel(spec, alpha)
 
 
-def age_average_initial(u0: Callable, grid: AgeGrid, sgrid) -> np.ndarray:
-    """Bin-average initial swarmer data over age, per spatial cell.
+def age_average_initial(age_profile: Callable, space, grid: AgeGrid, sgrid) -> np.ndarray:
+    """Bin-average separable initial swarmer data over age, per spatial cell.
 
-    ``u0(a)`` takes a scalar age and returns the field on the grid's cells;
-    it is called once per Gauss node of every bin.  Values above the cap
+    The data are ``age_profile(a) * space``: ``age_profile`` takes an
+    array of ages and is called once, on every Gauss node of every bin;
+    ``space`` holds the space profile on the grid's cells.  Each bin's
+    average adds the terms ``(c * space) * w`` of its nodes in node order
+    from zeros and halves the sum, block by block of bins, so it rounds
+    as a node-by-node evaluation does.  Values above the cap
     1/(4 alpha^2) are clamped with a logged warning; negative values raise.
+    The clip at 0 and the clamp work in place on the one u-sized array.
     """
     alpha, I = grid.alpha, grid.I
-    out = np.zeros((I,) + sgrid.shape)
-    for k in range(I):
-        acc = np.zeros(sgrid.shape)
-        for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            a = (k + (node + 1.0) * 0.5) * alpha
-            acc += weight * np.asarray(u0(a), dtype=float).reshape(sgrid.shape)
-        out[k] = acc * 0.5
+    ages = (np.arange(I)[:, None] + (_GAUSS_NODES + 1.0) * 0.5) * alpha
+    c = np.asarray(age_profile(ages), dtype=float)
+    space = np.asarray(space, dtype=float).reshape(-1)
+    out = np.zeros((I, space.size))
+    for k0, k1 in bin_blocks(out.shape):
+        acc = out[k0:k1]
+        for n, weight in enumerate(_GAUSS_WEIGHTS):
+            term = c[k0:k1, n, None] * space
+            term *= weight
+            acc += term
+        acc *= 0.5
+    out = out.reshape((I,) + sgrid.shape)
     if np.any(out < -1e-12):
         raise NegativeInitialData(
             f"initial swarmer data negative (min {float(out.min()):.3e})"
         )
-    out = np.maximum(out, 0.0)
+    np.maximum(out, 0.0, out=out)
     cap = 1.0 / (4.0 * alpha**2)
     n_over = int(np.count_nonzero(out > cap))
     if n_over:
@@ -245,6 +255,5 @@ def age_average_initial(u0: Callable, grid: AgeGrid, sgrid) -> np.ndarray:
             "initial swarmer data exceeds the cap 1/(4 alpha^2)=%.4g in %d "
             "bin-cells; clamping", cap, n_over,
         )
-        out = np.minimum(out, cap)
+        np.minimum(out, cap, out=out)
     return out
-

@@ -295,34 +295,27 @@ def _space_profile(coords: np.ndarray, extents, eps: float, k: int) -> np.ndarra
 
 
 def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
-    """Initial swarmer profile and swimmer field.
+    """Initial swarmer data, as (age_profile, space), and swimmer field.
 
-    The swarmer profile is separable, age profile times space profile:
-    ``u0(a)`` returns the field on the grid's cells at age ``a``, from a
-    space profile evaluated once.
+    The swarmer data are separable: ``age_profile`` is the amplitude
+    times the age profile, taken over an array of ages, and ``space`` is
+    the space profile on the grid's cells, evaluated once.  Returns
+    ``(age_profile, space, v0)``.
     """
     ic = cfg.initial
     if ic.kind == "zero":
-        def u0(a):
-            return np.zeros(sgrid.shape)
-
-        v0 = np.zeros(sgrid.shape)
-        return u0, v0
+        return np.zeros_like, np.zeros(sgrid.shape), np.zeros(sgrid.shape)
 
     lo, hi = ic.u_age_cut
 
     def age_profile(a):
-        a = np.asarray(a, dtype=float)
-        return np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
+        age = np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
+        return ic.u_amp * age
 
     coords = sgrid.centers()
     u_space = _space_profile(coords, sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
-
-    def u0(a):
-        return ic.u_amp * float(age_profile(a)) * u_space
-
     v0 = ic.v_amp * _space_profile(coords, sgrid.extents, ic.v_cos_eps, ic.v_cos_k)
-    return u0, v0.reshape(sgrid.shape)
+    return age_profile, u_space.reshape(sgrid.shape), v0.reshape(sgrid.shape)
 
 
 def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
@@ -345,8 +338,8 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
     sgrid = SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
     agegrid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     reg = regularize(spec, cfg.alpha)
-    u0_fun, v0 = build_initial_data(cfg, sgrid)
-    u0 = age_average_initial(u0_fun, agegrid, sgrid)
+    age_profile, u_space, v0 = build_initial_data(cfg, sgrid)
+    u0 = age_average_initial(age_profile, u_space, agegrid, sgrid)
     setup = RunSetup(
         spec=spec, agegrid=agegrid, reg=reg, sgrid=sgrid,
         u0=u0, v0=v0, T=cfg.time.T, sample_dt=cfg.time.sample_dt,

@@ -437,7 +437,8 @@ def validate_hypotheses(
         dn = np.where(back > 0.0, growth(spec.lam, np.maximum(back, 0.0)), 0.0)
         L0 = float(max(np.max(up), np.max(dn), 0.0))
         rule("weight_mass", not math.isfinite(L0), None, "lam growth ratio non-finite")
-        beta0 = float(max(np.max(mu_v * b_v / lam_v), np.max(lam_v / b_v), 1.0))
+        with np.errstate(all="ignore"):  # the rule judges a non-finite ratio
+            beta0 = float(max(np.max(mu_v * b_v / lam_v), np.max(lam_v / b_v), 1.0))
         rule("modulus", not math.isfinite(beta0), None, "mu*b/lam non-finite")
         rule("modulus", mu_v < -1e-14, ages, "mu < 0")
 

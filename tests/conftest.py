@@ -154,6 +154,27 @@ def face_term_scale(f, q, faces, grid):
     return out
 
 
+# The age averaging of separable initial data as set-up formed it before
+# one vectorized pass: one scalar call of the age profile per Gauss node of
+# every bin.  The vectorized pass is checked bitwise against it.
+
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def per_node_age_average(age_profile, space, grid, sgrid):
+    """Bin averages of age_profile(a) * space, node by node: per bin the
+    terms weight * (c * space) summed from zeros and halved, then clipped
+    at 0 and clamped at the cap 1/(4 alpha^2)."""
+    out = np.zeros((grid.I,) + sgrid.shape)
+    for k in range(grid.I):
+        acc = np.zeros(sgrid.shape)
+        for node, weight in zip(GAUSS_NODES, GAUSS_WEIGHTS):
+            a = (k + (node + 1.0) * 0.5) * grid.alpha
+            acc += weight * (float(age_profile(a)) * np.reshape(space, sgrid.shape))
+        out[k] = acc * 0.5
+    return np.minimum(np.maximum(out, 0.0), 1.0 / (4.0 * grid.alpha**2))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

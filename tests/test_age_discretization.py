@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmpde.age_discretization import (
     age_average_initial,
@@ -11,12 +12,13 @@ from swarmpde.age_discretization import (
     regularize,
     theta_cutoff,
 )
+from swarmpde.config import InitialConfig, RunConfig, build_initial_data
 from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import HypothesisViolation, NegativeInitialData
 from swarmpde.solver_core import initial_state, step_plan
 from swarmpde.spatial_grid import SpatialGrid
 
-from conftest import make_spec
+from conftest import make_spec, per_node_age_average
 
 # oracle: exact cell average of exp(a) over [0, 0.5] is 2 (e^0.5 - 1)
 EXP_AVg_FIRST_BIN = 2.0 * (math.exp(0.5) - 1.0)
@@ -161,7 +163,7 @@ def test_age_average_exponential_initial():
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
-    u0 = age_average_initial(lambda a: math.exp(-a) * np.ones(sgrid.shape), grid, sgrid)
+    u0 = age_average_initial(lambda a: np.exp(-a), np.ones(sgrid.shape), grid, sgrid)
     expected = (1.0 - math.exp(-alpha)) / alpha
     assert np.allclose(u0[0], expected, atol=1e-12)
 
@@ -170,7 +172,7 @@ def test_age_average_zero():
     spec = make_spec()
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
-    u0 = age_average_initial(lambda a: np.zeros(sgrid.shape), grid, sgrid)
+    u0 = age_average_initial(np.zeros_like, np.zeros(sgrid.shape), grid, sgrid)
     assert np.all(u0 == 0.0)
 
 
@@ -181,7 +183,8 @@ def test_age_average_clamps_with_warning(caplog):
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     level = 1.0 / (2.0 * alpha**2)
     with caplog.at_level(logging.WARNING):
-        u0 = age_average_initial(lambda a: level * np.ones(sgrid.shape), grid, sgrid)
+        u0 = age_average_initial(lambda a: np.full_like(a, level), np.ones(sgrid.shape),
+                                 grid, sgrid)
     assert np.allclose(u0, 1.0 / (4.0 * alpha**2))
     assert any("clamping" in r.message for r in caplog.records)
 
@@ -191,7 +194,39 @@ def test_age_average_negative_raises():
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     with pytest.raises(NegativeInitialData):
-        age_average_initial(lambda a: -np.ones(sgrid.shape), grid, sgrid)
+        age_average_initial(lambda a: -np.ones_like(a), np.ones(sgrid.shape), grid, sgrid)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(8, 2048)),
+                    st.tuples(st.integers(8, 64), st.integers(8, 64))),
+    inv_alpha=st.sampled_from([2.0, 4.0, 8.0, 16.0]),
+    a_max=st.floats(0.5, 6.0),
+    amp=st.floats(0.0, 100.0),
+    age_scale=st.floats(0.05, 4.0),
+    cut=st.tuples(st.floats(0.0, 3.0), st.floats(0.01, 2.0)),
+    eps=st.floats(-1.0, 1.0),
+    k=st.integers(0, 3),
+    kind=st.sampled_from(["cosine_bump", "zero"]),
+)
+@example(shape=(2048,), inv_alpha=16.0, a_max=4.0, amp=0.8, age_scale=0.5,
+         cut=(0.6, 0.4), eps=0.4, k=1, kind="cosine_bump")  # 4 bin blocks
+@example(shape=(12, 10), inv_alpha=2.0, a_max=2.0, amp=100.0, age_scale=2.0,
+         cut=(1.0, 1.0), eps=0.3, k=2, kind="cosine_bump")  # clamped
+def test_age_average_bitwise_equals_per_node(shape, inv_alpha, a_max, amp, age_scale, cut,
+                                             eps, k, kind):
+    # the one vectorized pass over every Gauss node rounds as the per-node
+    # loop does, block by block of bins and through the clamp
+    alpha = 1.0 / inv_alpha
+    sgrid = SpatialGrid(extents=(4.0, 3.0)[:len(shape)], cells=shape)
+    grid = build_age_grid(make_spec(), alpha, max(a_max, alpha))
+    cfg = RunConfig(initial=InitialConfig(
+        kind=kind, u_amp=amp, u_age_scale=age_scale, u_age_cut=(cut[0], cut[0] + cut[1]),
+        u_cos_eps=eps, u_cos_k=k))
+    age_profile, space, _ = build_initial_data(cfg, sgrid)
+    u0 = age_average_initial(age_profile, space, grid, sgrid)
+    assert np.array_equal(u0, per_node_age_average(age_profile, space, grid, sgrid))
 
 
 # --- initial-size constant ---------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from swarmpde.config import RunConfig, build_sweep_plan, parse_config
 from swarmpde.errors import ConfigInvalid
 from swarmpde.model_spec import exponential_family, smoothstep, tabulated_family
 from swarmpde.spatial_grid import SpatialGrid
+
+from conftest import per_node_age_average
 
 
 MINIMAL = {
@@ -232,35 +235,40 @@ PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]
 
 
 def test_initial_u0_bitwise_equals_per_node_space_profile():
-    # the space profile is evaluated once; the reference evaluates it at
-    # every Gauss node as the age-times-space callable used to
+    # set-up takes every Gauss node in one call of the age profile; the
+    # reference, built here from the configuration, calls it per node
     cfg = RunConfig.from_dict(PLANE)
     setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
     ic, sgrid = cfg.initial, setup.sgrid
     lo, hi = ic.u_age_cut
-    coords = sgrid.centers()
+    space = config_mod._space_profile(sgrid.centers(), sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
 
-    def reference_u0(a):
+    def reference_age(a):
         age = np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
-        return ic.u_amp * float(age) * config_mod._space_profile(
-            coords, sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
+        return ic.u_amp * float(age)
 
-    expected = config_mod.age_average_initial(reference_u0, setup.agegrid, sgrid)
+    expected = per_node_age_average(reference_age, space, setup.agegrid, sgrid)
     assert np.array_equal(setup.u0, expected)
     assert np.ptp(setup.u0[0]) > 0.0  # the space profile is not constant
 
 
 def test_build_run_setup_evaluates_each_space_profile_once(monkeypatch):
-    calls = []
-    profile = config_mod._space_profile
+    calls, ages = [], []
+    profile, build = config_mod._space_profile, config_mod.build_initial_data
 
     def counting_profile(*args):
         calls.append(args)
         return profile(*args)
 
+    def counting_build(*args):
+        age_profile, space, v0 = build(*args)
+        return (lambda a: ages.append(a) or age_profile(a)), space, v0
+
     monkeypatch.setattr(config_mod, "_space_profile", counting_profile)
+    monkeypatch.setattr(config_mod, "build_initial_data", counting_build)
     config_mod.build_run_setup(RunConfig.from_dict(PLANE), check_hypotheses=False)
     assert len(calls) == 2  # once for u, once for v
+    assert len(ages) == 1  # the age profile takes every Gauss node in one call
 
 
 def test_readme_config_block_lists_every_field():
@@ -684,6 +692,24 @@ def test_cmd_run_judges_the_hypotheses_before_the_age_grid(tmp_path, monkeypatch
     assert [m.split(":")[0] for m in failure["messages"]] == ["weight_b"]
     assert "b not non-decreasing" in failure["messages"][0]
     assert grids == []
+
+
+def test_overflowing_modulus_fails_without_a_floating_point_warning(tmp_path):
+    # mu*b/lam overflows to inf; the modulus rule judges the non-finite
+    # ratio, and no NumPy warning escapes before the clean failure
+    cfg = dict(MINIMAL, model={"xi0": 0.0, "mu": 1e308, "m0": 0.5},
+               output={"dir": str(tmp_path / "out")})
+    path = _write(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path)]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    report = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
+    assert not report["passed"]["modulus"]
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "hypothesis_violation"
+    assert failure["messages"][0].startswith("modulus: ")
 
 
 def _count_integrations(monkeypatch):
