@@ -294,10 +294,7 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
 
 
 def cmd_validate(cfg, out_dir: Path) -> int:
-    spec = config_mod.build_model_spec(cfg)
-    report = config_mod.validate_hypotheses(
-        spec, R_max=1.0 / cfg.alpha, A_max=cfg.a_max, n_samples=256
-    )
+    report = config_mod.hypothesis_report(cfg, config_mod.build_model_spec(cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     _json_dump(report.to_dict(), out_dir / "hypotheses.json")
     print(json.dumps({"passed": report.all_passed, **report.to_dict()["passed"]},

@@ -2,9 +2,10 @@
 
 A configuration round-trips losslessly through ``to_dict``/``from_dict``;
 ``config_hash`` is the sha256 of the canonical JSON (of a configuration
-or of a hypothesis report).  Every value must
-have the JSON type of its field's default.  Validation collects every
-violation before failing so a bad file reports all problems at once.
+or of a hypothesis report).  Every value must have the JSON type of its
+field's default, and every number must be finite.  Validation collects
+every violation before failing so a bad file reports all problems at
+once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -46,6 +48,7 @@ __all__ = [
     "parse_config",
     "config_hash",
     "build_model_spec",
+    "hypothesis_report",
     "build_initial_data",
     "build_run_setup",
     "build_sweep_plan",
@@ -146,16 +149,19 @@ def _asdict(obj) -> dict:
 
 
 def _has_type_of(value, default) -> bool:
-    # the JSON type of a field's default: numbers take ints and floats,
-    # counts ints only, no number a boolean; the fields with a None
-    # default are optional numbers
+    # the JSON type of a field's default: numbers take ints and floats
+    # that are finite as floats (json reads NaN, Infinity and integers
+    # beyond the float range), counts ints only, no number a boolean; the
+    # fields with a None default are optional numbers
     if default is None:
         return value is None or _has_type_of(value, 0.0)
     if isinstance(default, tuple):
         return isinstance(value, list) and all(_has_type_of(x, default[0]) for x in value)
     if isinstance(default, bool) or isinstance(value, bool):
         return type(value) is type(default)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+    if isinstance(default, float):  # NaN fails the comparison too
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(default))
 
 
 def _coerce_section(cls, data: dict, prefix: str, problems: list):
@@ -173,7 +179,8 @@ def _coerce_section(cls, data: dict, prefix: str, problems: list):
             value = _coerce_section(type(default), value, f"{prefix}{f.name}.", problems)
         elif not _has_type_of(value, default):
             problems.append(f"{prefix}{f.name}: {json.dumps(value)} does not have the "
-                            f"JSON type of the default {json.dumps(default)}")
+                            f"JSON type of the default {json.dumps(default)} "
+                            "(numbers must be finite)")
             continue
         kwargs[f.name] = tuple(value) if isinstance(value, list) else value
     known = {f.name for f in fields}
@@ -318,21 +325,26 @@ def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
     return age_profile, u_space.reshape(sgrid.shape), v0.reshape(sgrid.shape)
 
 
+def hypothesis_report(cfg: RunConfig, spec: ModelSpec):
+    """The ``HypothesisReport`` of ``spec`` over the regularization box
+    [0, 1/alpha] and the configured age range, at the one resolution
+    every command judges at: ``validate`` and the integrating commands
+    pass or fail the same data."""
+    return validate_hypotheses(spec, R_max=1.0 / cfg.alpha, A_max=cfg.a_max, n_samples=256)
+
+
 def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
     """Assemble every pipeline object for a run.
 
-    Returns (RunSetup, HypothesisReport or None).  Hypothesis validation
-    runs over the regularization box [0, 1/alpha] and the configured age
-    range and rejects fully degenerate diffusion.  A failing report comes
-    back with no RunSetup: nothing, the age grid included, is built from
-    data that fail the hypotheses.
+    Returns (RunSetup, HypothesisReport or None).  The hypotheses are
+    judged by ``hypothesis_report``, which also rejects fully degenerate
+    diffusion.  A failing report comes back with no RunSetup: nothing,
+    the age grid included, is built from data that fail the hypotheses.
     """
     spec = build_model_spec(cfg)
     report = None
     if check_hypotheses:
-        report = validate_hypotheses(
-            spec, R_max=1.0 / cfg.alpha, A_max=cfg.a_max, n_samples=128
-        )
+        report = hypothesis_report(cfg, spec)
         if not report.all_passed:
             return None, report
     sgrid = SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)

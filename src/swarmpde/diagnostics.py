@@ -589,7 +589,7 @@ def _falling_bump(hi: float) -> tuple:
 
 
 def make_test_functions(T: float, age_cap: float, sgrid: SpatialGrid,
-                            k_max: int = 4) -> list:
+                            k_max: int) -> list:
     """Fixed catalogue: time bump on [0, 0.9T], age bump on [0, 0.8*age_cap],
     cosine modes up to k_max per axis (tensor cosines in 2D)."""
     psi, psi_p = _falling_bump(0.9 * T)

@@ -300,7 +300,7 @@ def _kappa_samples(R: float, n_samples: int):
     return r[r > 0.0]
 
 
-def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
+def estimate_kappas(spec: ModelSpec, R: float, n_samples: int) -> Kappas:
     """Sampled ratio constants kappa1..kappa3 on [0, R] resp. [0, R]^2.
 
     D' is a central finite difference with step R*1e-6; no derivative is
@@ -344,7 +344,7 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int = 256) -> Kappas:
 
 
 def validate_hypotheses(
-    spec: ModelSpec, R_max: float, A_max: float, n_samples: int = 256
+    spec: ModelSpec, R_max: float, A_max: float, n_samples: int
 ) -> HypothesisReport:
     """Verify the data assumptions by dense sampling and measure constants.
 

@@ -12,6 +12,11 @@ between the two must shrink linearly in the bin width.
 The dedifferentiation weight is normalized to b(0) = 1, so its amplitude
 does not enter the swimmer source.
 
+Only the closed system's equations and step-size bound live here: the
+time loop and the step guard are the full solver's
+(``solver_core.march`` and ``check_step``), so both solvers sample on
+the same times and fail a step in the same words.
+
 The full and reduced runs of a cross-validation are independent and may
 execute concurrently.
 """
@@ -25,9 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigMismatch, UnstableStep, refuse
+from .errors import ConfigMismatch, refuse
 from .model_spec import ModelSpec, constant_problems
-from .solver_core import RunSetup, TrajectorySample, initial_state, run, sample_times
+from .solver_core import RunSetup, TrajectorySample, check_step, initial_state, march, run
 from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean
 from . import diagnostics as diag
 
@@ -90,8 +95,11 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
                 sample_dt: float, fixed_dt: Optional[float] = None) -> list:
     """Explicit finite-volume integration of the closed two-field system.
 
-    Returns the ``TrajectorySample``s at t = 0 and at every sample time
-    up to ``T`` (``solver_core.sample_times``): the biomass is
+    The time loop and the step guard are the full solver's
+    (``solver_core.march`` and ``check_step``).  The state is a
+    ``TrajectorySample`` whose arrays are written once, so the samples,
+    at t = 0 and at every sample time up to ``T``
+    (``solver_core.sample_times``), are states: the biomass is
     ``lambda_rec``, and ``u`` and ``lambda_ev`` are None, as in a full
     run that stores no u and keeps no diagnostics record.
     """
@@ -101,42 +109,25 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
         raise ValueError("initial data must be nonnegative")
     growth = 1.0 / rspec.tau - rspec.m2
     v_coef = rspec.m2 / rspec.m0
-    t = 0.0
 
-    def sample() -> TrajectorySample:
-        return TrajectorySample(t=t, u=None, v=v.copy(), lambda_rec=lam.copy(),
-                                lambda_ev=None)
+    def advance(s: TrajectorySample, room: float) -> TrajectorySample:
+        lam, v = s.lambda_rec, s.v
+        # D and E are evaluated once per step, for the bound and the flux
+        D = np.asarray(rspec.D(lam), dtype=float)
+        E = np.asarray(rspec.E(lam, v), dtype=float)
+        dt = min(_reduced_dt(lam, D, E, rspec, sgrid), room)
+        new_lam = lam + dt * (_reduced_div(lam, D, E, sgrid) + growth * lam)
+        gv = np.asarray(rspec.g(v), dtype=float)
+        xv = np.where(v > 0.0, np.asarray(rspec.xi(v), dtype=float), 0.0)
+        new_v = v + dt * ((gv - xv) * v + v_coef * lam)
+        lows = (float(new_lam.min()), float(new_v.min()))
+        check_step(s.t + dt, lows + (float(new_lam.max()), float(new_v.max())), min(lows),
+                   "reduced state")
+        return TrajectorySample(t=s.t + dt, u=None, v=np.maximum(new_v, 0.0),
+                                lambda_rec=np.maximum(new_lam, 0.0), lambda_ev=None)
 
-    samples = [sample()]
-    for t_target in sample_times(T, sample_dt):
-        while t < t_target - 1e-12 * max(T, 1.0):
-            # D and E are evaluated once per step, for the bound and the flux
-            D = np.asarray(rspec.D(lam), dtype=float)
-            E = np.asarray(rspec.E(lam, v), dtype=float)
-            dt = _reduced_dt(lam, D, E, rspec, sgrid)
-            if fixed_dt is not None:
-                dt = min(dt, fixed_dt)
-            dt = min(dt, t_target - t)
-            new_lam = lam + dt * (_reduced_div(lam, D, E, sgrid) + growth * lam)
-            gv = np.asarray(rspec.g(v), dtype=float)
-            xv = np.where(v > 0.0, np.asarray(rspec.xi(v), dtype=float), 0.0)
-            new_v = v + dt * ((gv - xv) * v + v_coef * lam)
-            # one min and one max per new field: NaN propagates through
-            # both and +-inf shows in one of them
-            extremes = (float(new_lam.min()), float(new_v.min()),
-                        float(new_lam.max()), float(new_v.max()))
-            if not all(map(math.isfinite, extremes)):
-                raise UnstableStep(f"non-finite reduced state at t={t + dt:.6g}")
-            if min(extremes[:2]) < -1e-12:
-                raise UnstableStep(
-                    f"reduced state fell below tolerance at t={t + dt:.6g}"
-                )
-            lam = np.maximum(new_lam, 0.0)
-            v = np.maximum(new_v, 0.0)
-            t += dt
-        t = t_target
-        samples.append(sample())
-    return samples
+    start = TrajectorySample(t=0.0, u=None, v=v, lambda_rec=lam, lambda_ev=None)
+    return march(start, T, sample_dt, fixed_dt, advance, lambda s: s)[0]
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +165,6 @@ def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
     rs = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
                      fixed_dt=setup.fixed_dt)
     vol = setup.sgrid.cell_volume
-    if len(fs) != len(rs):
-        raise RuntimeError("sample grids of the two solvers diverged")
 
     def gaps(name: str) -> tuple:
         # the final relative L2 gap of field ``name`` and its largest L1

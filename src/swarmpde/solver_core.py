@@ -71,12 +71,19 @@ split weights and the cutoff-weighted density, so all blocks take one
 path.
 
 The new fields (u, v and the shadow if there is one) are checked from
-one min and one max each: NaN and +-inf show in those extremes, so no
-finiteness scan is needed; the minima of u and v meet the roundoff
-tolerance, and alpha^2 max u > 1/2 says the cutoff acted and counts
-activations.  The state carries only the count: the cutoff has engaged
-once it is above 0 (``RunResult.tstar_crossed``), and the step that
-first raises it logs a warning.
+one min and one max each (``check_step``, the guard the reduced solver's
+steps share): NaN and +-inf show in those extremes, so no finiteness
+scan is needed; the minima of u and v meet the roundoff tolerance, and
+alpha^2 max u > 1/2 says the cutoff acted and counts activations.  The
+state carries only the count: the cutoff has engaged once it is above 0
+(``RunResult.tstar_crossed``), and the step that first raises it logs a
+warning.
+
+The time loop is ``march``, which ``reduced_system.run_reduced`` runs
+too, so the two solvers sample on one grid of times (``sample_times``):
+it takes steps no longer than the distance to the next sample time and
+lands the state on it exactly.  A state's arrays are written once, when
+the state is made, so a sample shares them instead of copying.
 
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
@@ -84,6 +91,7 @@ mutable state and may execute concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -123,7 +131,9 @@ __all__ = [
     "stable_dt",
     "step_plan",
     "step",
+    "check_step",
     "sample_times",
+    "march",
     "run",
     "initial_state",
 ]
@@ -134,7 +144,8 @@ _SAFETY = 0.9  # fraction of the stability limit a step may use
 
 @dataclass
 class SimState:
-    """Solver state; value-like, transfer between contexts by copying."""
+    """Solver state.  Its arrays are written once, when it is made, and
+    never after: the next state gets new arrays, so samples share them."""
 
     u: np.ndarray            # (I, *cells) swarmer densities per age bin
     v: np.ndarray            # (*cells) swimmer density
@@ -393,19 +404,10 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         new_ev = lam_ev + dt * (div_ev + source_ev)
         extremes += [float(new_ev.min()), float(new_ev.max())]
 
-    # one min and one max per new field (per block for u): NaN propagates
-    # through both and +-inf shows in one of them, so finite extremes mean
-    # finite fields.  u's minima are taken before its clip and its maxima
-    # after: the clip keeps NaN and +inf, so the maxima still see them
-    if not all(map(math.isfinite, extremes)):
-        raise UnstableStep(f"non-finite state at t={state.t + dt:.6g}")
+    # u's minima are taken before its clip and its maxima after: the clip
+    # keeps NaN and +inf, so the maxima still see them
     min_u, max_u = min(mins), max(maxs)
-    min_cell = min(min_u, min_v)
-    if min_cell < _NEG_TOL:
-        raise UnstableStep(
-            f"cell fell to {min_cell:.3e} < {_NEG_TOL:g} at t={state.t + dt:.6g}; "
-            "step-size contract violated"
-        )
+    check_step(state.t + dt, extremes, min(min_u, min_v), "state")
     np.maximum(new_v, 0.0, out=new_v)
 
     new_rec = _reconstruct(new_u, grid)
@@ -437,6 +439,23 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
                                  conservation_residual=conservation)
 
 
+def check_step(t: float, extremes, low: float, what: str) -> None:
+    """Raise ``UnstableStep`` for a step to ``t`` of either solver unless
+    every value of ``extremes`` is finite and ``low`` >= -1e-12.
+
+    ``extremes`` holds one min and one max per new field: NaN propagates
+    through both and +-inf shows in one of them, so finite extremes mean
+    finite fields.  ``low`` is the smallest unclipped minimum of the
+    fields the step-size contract keeps nonnegative; ``what`` names the
+    state in the message.
+    """
+    if not all(map(math.isfinite, extremes)):
+        raise UnstableStep(f"non-finite {what} at t={t:.6g}")
+    if low < _NEG_TOL:
+        raise UnstableStep(f"{what} fell to {low:.3e} < {_NEG_TOL:g} at t={t:.6g}; "
+                           "step-size contract violated")
+
+
 def sample_times(T: float, sample_dt: float) -> np.ndarray:
     """The sample times after t = 0: multiples of ``sample_dt`` up to
     ``T``, the last moved onto ``T``.  Both solvers sample on them, so
@@ -450,25 +469,49 @@ def sample_times(T: float, sample_dt: float) -> np.ndarray:
     return times
 
 
+def march(state, T: float, sample_dt: float, fixed_dt: Optional[float],
+          advance: Callable, sample: Callable) -> tuple:
+    """The one time loop of both solvers, from ``state`` to ``T``.
+
+    Samples ``state``, then for every time of ``sample_times(T,
+    sample_dt)`` calls ``advance(state, room)`` for the next state until
+    the time is reached, ``room`` being the distance to it, capped at
+    ``fixed_dt`` when that is set.  The state is then landed on the
+    sample time exactly (``dataclasses.replace``, so runs are
+    deterministic) and sampled.  Returns ``(samples, state)``, the list
+    of ``sample(state)`` results and the state landed on ``T``.
+    """
+    samples = [sample(state)]
+    for t_target in sample_times(T, sample_dt):
+        while state.t < t_target - 1e-12 * max(T, 1.0):
+            room = t_target - state.t
+            if fixed_dt is not None:
+                room = min(room, fixed_dt)
+            state = advance(state, room)
+        state = dataclasses.replace(state, t=t_target)
+        samples.append(sample(state))
+    return samples, state
+
+
 def run(setup: RunSetup, record: bool = True,
         on_sample: Optional[Callable] = None) -> RunResult:
     """Integrate to the horizon with adaptive steps, sampling diagnostics.
 
-    The step size is the minimum of the coefficient record's ``dt_max``,
-    the fixed step if one is set, and the distance to the next sample
-    time, so samples land exactly on the cadence grid and runs are
-    deterministic.  One step plan serves every step and every sample;
-    the diagnostics recorder samples the initial state and every sample
-    time.  With ``record`` false no recorder is built,
+    The time loop is ``march``: the step size is the minimum of the
+    coefficient record's ``dt_max``, the fixed step if one is set, and
+    the distance to the next sample time, so samples land exactly on the
+    cadence grid and runs are deterministic.  One step plan serves every
+    step and every sample; the diagnostics recorder samples the initial
+    state and every sample time.  A sample shares the state's arrays,
+    which are written once.  With ``record`` false no recorder is built,
     ``RunResult.record`` is None and the state carries no shadow biomass,
     so the steps form neither the shadow nor the conservation sums and
     every sample's ``lambda_ev`` is None; ``u``, ``v``, ``lambda_rec``
     and the steps are the same.  ``on_sample``, if given, is called with
-    the state at every sample while its bins are live, so a run that
-    stores no u can still reduce them (``diagnostics.AgeMoments.take``).
+    the state at every sample, so a run that stores no u can still
+    reduce its bins (``diagnostics.AgeMoments.take``).
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
-    state = initial_state(setup.u0, setup.v0, grid, shadow=record)
     recorder = diag.DiagnosticsRecorder(
         setup.spec, grid, reg, sgrid, tail_A=setup.tail_A
     ) if record else None
@@ -479,37 +522,29 @@ def run(setup: RunSetup, record: bool = True,
             recorder.sample(s, plan)
         if on_sample is not None:
             on_sample(s)
-        return TrajectorySample(
-            t=s.t,
-            u=s.u.copy() if setup.store_u else None,
-            v=s.v.copy(),
-            lambda_rec=s.lambda_rec.copy(),
-            lambda_ev=s.lambda_ev.copy() if s.lambda_ev is not None else None,
-        )
+        return TrajectorySample(t=s.t, u=s.u if setup.store_u else None, v=s.v,
+                                lambda_rec=s.lambda_rec, lambda_ev=s.lambda_ev)
 
-    samples = [sample(state)]
     clamp_warned = False
 
-    for t_target in sample_times(setup.T, setup.sample_dt):
-        while state.t < t_target - 1e-12 * max(setup.T, 1.0):
-            coeffs = step_coefficients(state, grid, reg, sgrid)
-            dt = min(coeffs.dt_max, t_target - state.t)
-            if setup.fixed_dt is not None:
-                dt = min(dt, setup.fixed_dt)
-            state, sres = step(state, dt, grid, reg, sgrid, coeffs, plan)
-            if recorder is not None:
-                recorder.on_step(sres)
-            if not clamp_warned:
-                reach = max(float(state.lambda_rec.max()), float(state.v.max()))
-                if reach > 0.999 * reg.clamp:
-                    logger.warning(
-                        "state reached the argument clamp 1/alpha=%.3g; the "
-                        "regularized coefficients are no longer exact", reg.clamp,
-                    )
-                    clamp_warned = True
-        state.t = t_target
-        samples.append(sample(state))
+    def advance(s: SimState, room: float) -> SimState:
+        nonlocal clamp_warned
+        coeffs = step_coefficients(s, grid, reg, sgrid)
+        s, sres = step(s, min(coeffs.dt_max, room), grid, reg, sgrid, coeffs, plan)
+        if recorder is not None:
+            recorder.on_step(sres)
+        if not clamp_warned:
+            reach = max(float(s.lambda_rec.max()), float(s.v.max()))
+            if reach > 0.999 * reg.clamp:
+                logger.warning(
+                    "state reached the argument clamp 1/alpha=%.3g; the "
+                    "regularized coefficients are no longer exact", reg.clamp,
+                )
+                clamp_warned = True
+        return s
 
+    samples, state = march(initial_state(setup.u0, setup.v0, grid, shadow=record),
+                           setup.T, setup.sample_dt, setup.fixed_dt, advance, sample)
     del plan  # its scratch is released before finalize allocates its own
     return RunResult(
         samples=samples,

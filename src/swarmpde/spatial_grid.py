@@ -168,7 +168,7 @@ class SpatialGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
-    def check_field(self, values: np.ndarray, name: str = "field") -> np.ndarray:
+    def check_field(self, values: np.ndarray, name: str) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape[-self.dim:] != self.shape:
             raise GridMismatch(
@@ -244,7 +244,7 @@ class FluxWeights:
     merged: bool
 
 
-def flux_weights(faces, grid: SpatialGrid, merged: bool = False) -> FluxWeights:
+def flux_weights(faces, grid: SpatialGrid, merged: bool) -> FluxWeights:
     """The ``FluxWeights`` of ``drift_face_data``, merged or split.
 
     The weights are formed in the memory of the face data, which they

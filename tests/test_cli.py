@@ -85,6 +85,23 @@ def test_parse_takes_ints_for_numbers_and_null_for_optional_numbers():
     assert cfg.domain.cells == (16,)
 
 
+def _set(field, value) -> dict:
+    # the override of MINIMAL that sets the dotted ``field`` to ``value``
+    section, _, name = field.rpartition(".")
+    return {section: dict(MINIMAL.get(section, {}), **{name: value})} if section \
+        else {name: value}
+
+
+# json reads NaN, Infinity, -Infinity and integers beyond the float range:
+# each is refused like a wrong type
+_NON_FINITE = [(field, bad, label)
+               for field in ("time.T", "time.sample_dt", "time.fixed_dt",
+                             "initial.u_age_scale", "crossval_tolerance")
+               for bad, label in ((math.nan, "NaN"), (math.inf, "Infinity"),
+                                  (-math.inf, "-Infinity"))]
+_NON_FINITE.append(("time.fixed_dt", 10**400, "1e400-int"))
+
+
 @pytest.mark.parametrize("over, field", [
     ({"domain": {"dim": 1, "extents": [1.0], "cells": ["16"]}}, "domain.cells"),
     ({"domain": {"dim": 1, "extents": [1.0], "cells": [16.7]}}, "domain.cells"),
@@ -94,11 +111,13 @@ def test_parse_takes_ints_for_numbers_and_null_for_optional_numbers():
     ({"initial": {"u_cos_k": 1.0}}, "initial.u_cos_k"),
     ({"diagnostics": {"tail_A": [1.0], "store_u": 1}}, "diagnostics.store_u"),
     ({"output": "out"}, "output"),
+    *[(_set(field, bad), field) for field, bad, _ in _NON_FINITE],
 ], ids=["cells-str", "cells-float", "T-str", "alpha-null", "a_max-bool", "count-float",
-        "flag-int", "section-str"])
+        "flag-int", "section-str", *[f"{field}-{label}" for field, _, label in _NON_FINITE]])
 def test_cli_refuses_wrong_json_types(tmp_path, monkeypatch, over, field):
-    # each value must have the JSON type of its field's default; a wrong
-    # one is a config problem (exit 2), not a traceback or a silent cast.
+    # each value must have the JSON type of its field's default, and each
+    # number must be finite; a wrong one is a config problem (exit 2), not
+    # a traceback, a silent cast, a value ignored or a failure later on.
     # Without --out or a valid output.dir the failure lands in the cwd
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(_write(tmp_path, dict(MINIMAL, **over)))]) == 2
@@ -668,6 +687,35 @@ def test_cmd_run_refuses_failed_hypotheses(tmp_path):
     assert failure["kind"] == "hypothesis_violation"
     assert [m.split(":")[0] for m in failure["messages"]] == ["rates"]
     assert "xi(s) > g(s)" in failure["messages"][0]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_validate_and_run_judge_at_one_resolution(tmp_path):
+    # D dips between two points of a 128-sample grid, (0.09375, 0.3) to
+    # (0.125, 0.25); both commands sample at one resolution, so both
+    # fail the diffusivity hypothesis there
+    ages = np.linspace(0.0, 8.0, 65)
+    columns = {"lam": (ages, np.exp(ages / 2.0)), "b": (ages, np.exp(ages / 2.0)),
+               "mu": (ages, np.full_like(ages, 0.3)),
+               "D": ([0.0, 0.0625, 0.09375, 0.125, 8.0, 16.0],
+                     [0.0, 0.2, 0.3, 0.25, 1.0, 2.0])}
+    tables = {}
+    for name, xy in columns.items():
+        tables[name] = str(tmp_path / f"{name}.csv")
+        np.savetxt(tables[name], np.column_stack(xy), delimiter=",")
+    cfg = {"model": {"family": "tables", "tables": tables}, "alpha": 0.125, "a_max": 4.0,
+           "domain": {"dim": 1, "extents": [4.0], "cells": [16]},
+           "time": {"T": 0.1, "sample_dt": 0.05}, "diagnostics": {"tail_A": []},
+           "output": {"dir": str(tmp_path / "out")}}
+    path = _write(tmp_path, cfg)
+    witness = "(0.09375, 'D not non-decreasing')"
+    assert main(["validate", "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
+    assert report["witnesses"] == {"diffusivity": witness}
+    assert main(["run", "--config", str(path)]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "hypothesis_violation"
+    assert failure["messages"] == [f"diffusivity: {witness}"]
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -137,9 +137,10 @@ def _defaulted_parameters(trees: dict) -> list:
     return found
 
 
-def _unpassed_parameters(defining: dict, calling: list) -> list:
-    """Defaulted parameters of ``defining`` that no call in the parsed
-    modules ``calling`` passes by keyword, by ``**`` or by enough
+def _passing(defining: dict, calling: list) -> list:
+    """(``module.function(param=)``, one flag per call) for every
+    defaulted parameter of ``defining``: whether each call in the parsed
+    modules ``calling`` passes it by keyword, by ``**`` or by enough
     positional arguments (``*`` splats count for nothing).  Calls match
     by the called name."""
     calls = {}
@@ -151,10 +152,22 @@ def _unpassed_parameters(defining: dict, calling: list) -> list:
                 n_pos = sum(not isinstance(a, ast.Starred) for a in node.args)
                 calls.setdefault(called, []).append(
                     (n_pos, {k.arg for k in node.keywords}))
-    return sorted(
-        f"{func}({param}=)" for func, param, pos in _defaulted_parameters(defining)
-        if not any(param in kws or None in kws or (pos is not None and n_pos > pos)
-                   for n_pos, kws in calls.get(func.split(".")[1], ())))
+    return [(f"{func}({param}=)",
+             [param in kws or None in kws or (pos is not None and n_pos > pos)
+              for n_pos, kws in calls.get(func.split(".")[1], ())])
+            for func, param, pos in _defaulted_parameters(defining)]
+
+
+def _unpassed_parameters(defining: dict, calling: list) -> list:
+    """Defaulted parameters of ``defining`` that no call in ``calling``
+    passes (see ``_passing``)."""
+    return sorted(name for name, passed in _passing(defining, calling) if not any(passed))
+
+
+def _unrelied_defaults(defining: dict, calling: list) -> list:
+    """Defaulted parameters of ``defining`` whose default no call in
+    ``calling`` relies on: every call passes them (see ``_passing``)."""
+    return sorted(name for name, passed in _passing(defining, calling) if all(passed))
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -178,6 +191,29 @@ def test_scan_flags_an_unpassed_parameter():
     calling = [ast.parse("f(0, 1)\ng(*args)\nh(**opts)\nC(7)\nC().m(q=6)\nk.x = 1\n")]
     assert _unpassed_parameters(defining, calling) == [
         "a.f(z=)", "a.g(x=)", "a.g(y=)", "a.k(x=)", "a.m(p=)"]
+
+
+def test_every_default_is_relied_on():
+    # a default that every call overrides is a second value of the same
+    # knob; tests count as callers here, since some defaults serve only a
+    # gate (div_flux's weights=None)
+    callers = sorted(MODULES) + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "tests").glob("*.py"))
+    parse = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in callers}
+    defining = {p.stem: parse[p] for p in MODULES}
+    assert _unrelied_defaults(defining, list(parse.values())) == []
+
+
+def test_scan_flags_a_default_no_call_relies_on():
+    defining = {"a": ast.parse(
+        "def f(x, y=1, *, z=2): pass\n"
+        "def g(x=0, y=1): pass\n"
+        "def h(x=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, n=3): pass\n")}
+    calling = [ast.parse("f(0, 2)\nf(0, y=3, z=4)\ng(1)\ng(*args)\nh(**opts)\n"
+                         "C(7)\nC(n=8)\n")]
+    assert _unrelied_defaults(defining, calling) == ["a.C(n=)", "a.f(y=)", "a.h(x=)"]
 
 
 def _private_imports(trees: dict) -> list:

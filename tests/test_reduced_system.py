@@ -11,7 +11,7 @@ from swarmpde.reduced_system import (
     reduced_from_model,
     run_reduced,
 )
-from swarmpde.solver_core import RunSetup, TrajectorySample
+from swarmpde.solver_core import RunSetup, TrajectorySample, initial_state, run, sample_times
 from swarmpde.spatial_grid import SpatialGrid
 
 from conftest import make_spec, steep_switch
@@ -78,7 +78,8 @@ def test_reduced_negative_step_raises():
     # the bound's size drives v below zero
     rspec = _rspec(g=lambda s: np.full_like(np.asarray(s, dtype=float), -50.0))
     sgrid = SpatialGrid(extents=(8.0,), cells=(4,))
-    with pytest.raises(UnstableStep, match="reduced state fell below tolerance"):
+    with pytest.raises(UnstableStep, match=r"reduced state fell to -\S+ < -1e-12 at t=\S+; "
+                       "step-size contract violated"):
         run_reduced(rspec, sgrid, np.full(sgrid.shape, 0.1), np.full(sgrid.shape, 0.5),
                     1.0, sample_dt=1.0)
 
@@ -177,3 +178,23 @@ def test_cross_validate_alpha_order_check():
     rspec = reduced_from_model(setup.spec, mu_const=m2, m0=1.0, tau=tau)
     with pytest.raises(ConfigMismatch):
         cross_validate_setups([setup, setup], rspec)
+
+
+@pytest.mark.parametrize("fixed_dt", [None, 2.5e-3], ids=["adaptive", "fixed_dt"])
+def test_both_solvers_sample_on_one_grid(fixed_dt):
+    # T off the sample grid (T=0.107, sample_dt 0.05): the full and the
+    # reduced solver run one time loop, so both sample at t = 0 and at
+    # every time of sample_times, the last moved onto T
+    setup, m2, tau = _exponential_setup(0.125, cells=16, T=0.107)
+    setup.fixed_dt = fixed_dt
+    rspec = reduced_from_model(setup.spec, mu_const=m2, m0=1.0, tau=tau)
+    lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
+    reduced = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
+                          fixed_dt=fixed_dt)
+    expected = [0.0, *sample_times(0.107, 0.05)]
+    assert [s.t for s in run(setup, record=False).samples] == expected
+    assert [s.t for s in reduced] == expected
+    # the reduced samples are its states, each with arrays of its own
+    arrays = [a for s in reduced for a in (s.lambda_rec, s.v)]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from swarmpde import age_discretization, solver_core
+from swarmpde import age_discretization, diagnostics, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
 from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import UnstableStep
@@ -777,3 +777,51 @@ def test_tstar_crossed_is_any_activation_and_warns_once(amp, caplog):
     assert result.tstar_crossed == (activations > 0)
     crossed = [r for r in caplog.records if "crossed 1/(2 alpha^2)" in r.getMessage()]
     assert len(crossed) == (1 if activations else 0)
+
+
+def _frozen(state):
+    # the state with every array read-only: a later write raises
+    for name in ("u", "v", "lambda_rec", "lambda_ev"):
+        if getattr(state, name) is not None:
+            getattr(state, name).flags.writeable = False
+    return state
+
+
+@pytest.mark.parametrize("case", ["recorded_1d", "recorded_2d_store_u", "on_sample"])
+def test_state_arrays_are_written_once(monkeypatch, case):
+    # with every new state's arrays made read-only, a run completes and
+    # matches an unpatched run bitwise: nothing writes to a state's arrays
+    # after it is made, so samples may share them
+    setup = _bump_setup(2 if case == "recorded_2d_store_u" else 1)
+    assert setup.store_u
+
+    def integrate():
+        if case != "on_sample":
+            result = run(setup)
+            return result, result.record.series
+        moments = diagnostics.AgeMoments(diagnostics.make_test_functions(
+            setup.T, setup.agegrid.a_max, setup.sgrid, k_max=2), setup.spec, setup.agegrid)
+        return run(setup, record=False, on_sample=moments.take), {
+            "moments": np.asarray(moments.values)}
+
+    plain, plain_values = integrate()
+    original_step, original_initial = solver_core.step, solver_core.initial_state
+    monkeypatch.setattr(solver_core, "initial_state",
+                        lambda *args, **kw: _frozen(original_initial(*args, **kw)))
+
+    def frozen_step(*args):
+        new, res = original_step(*args)
+        return _frozen(new), res
+
+    monkeypatch.setattr(solver_core, "step", frozen_step)
+    frozen, frozen_values = integrate()
+    assert frozen.steps == plain.steps > 0
+    assert [s.t for s in frozen.samples] == [s.t for s in plain.samples]
+    for a, b in zip(plain.samples, frozen.samples):
+        assert not b.v.flags.writeable
+        for name in ("u", "v", "lambda_rec", "lambda_ev"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+    assert plain_values.keys() == frozen_values.keys()
+    for key, values in plain_values.items():
+        assert np.asarray(values).tobytes() == np.asarray(frozen_values[key]).tobytes()
