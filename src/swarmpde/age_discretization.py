@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolation, NegativeInitialData, refuse
-from .model_spec import ModelSpec, smoothstep
+from .model_spec import ModelSpec, box_blocks, smoothstep
 
 logger = logging.getLogger(__name__)
 
@@ -193,9 +193,8 @@ class RegularizedModel:
             self.clamp * np.arange(1, 513) / 512.0,
         ]))
         xi_term = float(np.max((1.0 + s) * np.asarray(spec.xi(s), dtype=float)))
-        RR, SS = np.meshgrid(s[:: max(1, s.size // 128)], s[:: max(1, s.size // 128)],
-                             indexing="ij")
-        E_term = float(np.max(np.asarray(spec.E(RR, SS), dtype=float), initial=0.0))
+        box = s[:: max(1, s.size // 128)]
+        E_term = float(np.max([np.max(E, initial=0.0) for *_, E in box_blocks(spec.E, box, box)]))
         self.Xi = xi_term + E_term
 
     def D_alpha(self, r):

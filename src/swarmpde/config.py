@@ -57,6 +57,8 @@ __all__ = [
 
 # the model functions a tables-family table may give (``tabulated_family``)
 _TABLE_NAMES = ("lam", "b", "mu", "D", "E", "xi", "g")
+# the most sample times T / sample_dt a run may ask for
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,8 @@ def _validate(cfg: RunConfig) -> list:
         p.append("time.T: must be positive")
     if cfg.time.sample_dt <= 0.0 or cfg.time.sample_dt > cfg.time.T:
         p.append("time.sample_dt: must be in (0, T]")
+    elif cfg.time.T / cfg.time.sample_dt > MAX_SAMPLES:
+        p.append(f"time.sample_dt: T / sample_dt must be at most {MAX_SAMPLES} samples")
     if cfg.time.fixed_dt is not None and cfg.time.fixed_dt <= 0.0:
         p.append("time.fixed_dt: must be positive when set")
     for name, path in m.tables.items():

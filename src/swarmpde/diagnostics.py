@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .age_discretization import (
     AgeGrid,
@@ -225,6 +224,13 @@ def _eta_weights(grid: AgeGrid, A: float) -> tuple:
     return eta, float(np.max(np.abs(eta_star), initial=0.0))
 
 
+def _cumulative_trapezoid(y, t) -> np.ndarray:
+    """Trapezoid integrals of the samples ``y`` over [t[0], t[k]] for every
+    k, 0 first; scipy's ``cumulative_trapezoid(y, t, initial=0)``, sum for
+    sum."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def comparison_bound(t, alpha: float, Xi: float):
     """Cellwise upper bound for every bin density: 1/alpha^2 + Xi*t/alpha."""
     return 1.0 / alpha**2 + Xi * np.asarray(t, dtype=float) / alpha
@@ -405,9 +411,8 @@ class DiagnosticsRecorder:
 
     def finalize(self) -> DiagnosticsRecord:
         series = {k: np.asarray(v, dtype=float) for k, v in self._rows.items()}
-        series["delta_v_accum"] = self.grid.alpha**2 * cumulative_trapezoid(
-            series["delta_v_sq"], series["t"], initial=0.0
-        )
+        series["delta_v_accum"] = self.grid.alpha**2 * _cumulative_trapezoid(
+            series["delta_v_sq"], series["t"])
         R_obs = max(
             float(np.max(series["linf_Lambda"], initial=0.0)),
             float(np.max(series["linf_v"], initial=0.0)),
@@ -479,7 +484,7 @@ def envelope_report(record: DiagnosticsRecord) -> dict:
     Bp = max(c["B"], 0.0)
 
     def integral(f):
-        return cumulative_trapezoid(f, t, initial=0.0)
+        return _cumulative_trapezoid(f, t)
 
     mass_env = s["mass_b"][0] * np.exp((c["b1"] * c["g_inf"] + Bp) * t)
     env_v = (s["linf_v"][0] + c["beta_v"] * integral(s["linf_Lambda"])) * np.exp(c["g_inf"] * t)

@@ -22,8 +22,9 @@ class DegenerateDiffusion(SwarmPDEError):
 
 
 class QuadratureDivergence(SwarmPDEError):
-    """The diffusivity transform integrand is not integrable near 0
-    at the requested tolerance."""
+    """The diffusivity transform is not computable: D is negative or not
+    finite at a quadrature node, or the adaptive quadrature leaves an
+    error above 1e-10 (sqrt(D(r)/r) not integrable near 0)."""
 
 
 class RatioUndefined(SwarmPDEError):

@@ -34,13 +34,11 @@ that is their witness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DegenerateDiffusion,
@@ -60,6 +58,7 @@ __all__ = [
     "Zeta1Evaluator",
     "estimate_kappas",
     "diffusivity_slope",
+    "box_blocks",
     "smoothstep",
     "smoothstep_prime",
     "bump",
@@ -202,54 +201,96 @@ def _nested_alphas(n: int) -> np.ndarray:
 def _check_finite(name, values, where):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
-        bad = np.asarray(where)[~np.isfinite(values).reshape(-1)][:1]
+        bad = np.ravel(where)[~np.isfinite(values).reshape(-1)][:1]
         raise NonFiniteEvaluation(f"{name} evaluated non-finite near {bad}")
     return values
+
+
+BOX_ROWS = 32  # rows of a sampled box per block (box_blocks); 64 brought the faults back
+
+
+def box_blocks(f, r, s):
+    """Evaluate f(R, S) on the box of the axes r and s (``np.meshgrid``,
+    indexing "ij") one block of BOX_ROWS rows at a time, and yield
+    (rows, R, S, values) for each block in row order; ``rows`` is the
+    block's slice of r.
+
+    An array of a whole box (129 x 129 samples and up) is above the
+    128 KiB at which glibc maps memory afresh or trims the freed top of
+    its heap, so in a process with a small heap every whole box cost page
+    faults.  The first flag of a box in C order is the first flag of its
+    first flagged block.
+    """
+    for i0 in range(0, len(r), BOX_ROWS):
+        rows = slice(i0, i0 + BOX_ROWS)
+        # meshgrid's values, at a quarter of its call cost
+        R, S = np.empty((len(r[rows]), len(s))), np.empty((len(r[rows]), len(s)))
+        R[...], S[...] = r[rows, None], s
+        yield rows, R, S, np.asarray(f(R, S), dtype=float)
 
 
 # --------------------------------------------------------------------------
 # operations
 
+# 8- and 16-point Gauss-Legendre rules on [-1, 1]: nodes of both, G8's
+# first, and the weights of each
+_G8, _G16 = np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(16)
+_G_NODES = np.concatenate([_G8[0], _G16[0]])
+
+
 def zeta1(spec: ModelSpec, r: float) -> float:
     """Diffusivity transform: integral of sqrt(D(s)/s) from 0 to r.
 
     The substitution s = q*q removes the 1/sqrt(s) factor, so the
-    integrand is continuous for any admissible D; adaptive quadrature
-    then resolves the remaining degeneracy near 0.  Absolute tolerance
-    1e-10.
+    integrand 2 sqrt(D(q*q)) is continuous for any admissible D.
+    Adaptive Gauss quadrature (QUADPACK's strategy, Piessens et al. 1983)
+    resolves the remaining degeneracy near 0: each round evaluates D
+    once, on the 8- and 16-point Gauss-Legendre nodes of every open
+    panel, takes |G16 - G8| as a panel's error and halves the panels
+    whose error exceeds their length's share of the tolerance
+    max(1e-12, 1e-12 |total|), within a budget of 400 panels beyond the
+    break points.  A total that is not finite, or an error left above
+    1e-10, raises ``QuadratureDivergence``.
     """
     r = float(r)
     if r < 0.0:
         raise ValueError("zeta1 requires r >= 0")
     if r == 0.0:
         return 0.0
-
-    def integrand(q):
-        d = float(spec.D(q * q))
-        if not math.isfinite(d) or d < 0.0:
-            raise QuadratureDivergence(f"D({q * q!r}) = {d!r} not admissible")
-        return 2.0 * math.sqrt(d)
-
     qr = math.sqrt(r)
     # geometric break points resolve the degeneracy at 0; a tabulated D
     # has a kink at every knot, so each knot inside (0, r) breaks too
     knots = np.sqrt(np.maximum(getattr(spec.D, "abscissae", ()), 0.0))
     pts = np.unique(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
     pts = pts[(pts > 0.0) & (pts < qr)]
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(
-                integrand, 0.0, qr, points=pts, limit=400 + pts.size,
-                epsabs=1e-12, epsrel=1e-12,
-            )
-        except Exception as exc:  # scipy signals non-integrable behaviour
-            raise QuadratureDivergence(str(exc)) from exc
-    if not math.isfinite(value) or err > 1e-10:
+    lo, hi = np.concatenate([[0.0], pts]), np.append(pts, qr)
+    done = np.zeros((2, 0))  # value and error estimate of each closed panel
+    while True:
+        half = 0.5 * (hi - lo)[:, None]
+        q = 0.5 * (lo + hi)[:, None] + half * _G_NODES  # a row per open panel
+        with np.errstate(all="ignore"):
+            d = np.broadcast_to(np.asarray(spec.D(q * q), dtype=float), q.shape)
+        k = np.argmin((d >= 0.0) & (d < math.inf))  # the first inadmissible node, if any
+        if not 0.0 <= d.flat[k] < math.inf:
+            raise QuadratureDivergence(
+                f"D({float((q * q).flat[k])!r}) = {float(d.flat[k])!r} not admissible")
+        f = 2.0 * np.sqrt(d) * half
+        g16 = f[:, 8:] @ _G16[1]
+        err = np.abs(g16 - f[:, :8] @ _G8[1])
+        total, err_sum = done[0].sum() + g16.sum(), done[1].sum() + err.sum()
+        tol = max(1e-12, 1e-12 * abs(total))
+        split = err > tol * (hi - lo) / qr
+        if err_sum <= tol or not np.any(split) \
+                or done.shape[1] + lo.size + np.count_nonzero(split) > 400 + pts.size:
+            break
+        done = np.concatenate([done, [g16[~split], err[~split]]], axis=1)
+        mid = 0.5 * (lo + hi)[split]
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    if not math.isfinite(total) or err_sum > 1e-10:
         raise QuadratureDivergence(
-            f"quadrature error {err:.2e} above tolerance for r={r!r}"
+            f"quadrature error {err_sum:.2e} above tolerance for r={r!r}"
         )
-    return value
+    return float(total)
 
 
 def zeta1_prime(spec: ModelSpec, r):
@@ -326,20 +367,25 @@ def estimate_kappas(spec: ModelSpec, R: float, n_samples: int) -> Kappas:
         ratio1 = np.where(z1p > 0.0, Dp / z1p, np.where(np.abs(Dp) > 0.0, math.nan, 0.0))
     kappa1 = reduce("kappa1", ratio1)
 
-    # box sampling for E against zeta2'
+    # box sampling for E against zeta2', block by block (box_blocks), each
+    # block kept as its least and greatest ratio: a NaN shows in both, an
+    # infinity in one, and the extremes of the extremes are the box's
     r_ax = _kappa_samples(R, min(n_samples, 128))
-    s_ax = np.concatenate([[0.0], r_ax])
-    RR, SS = np.meshgrid(r_ax, s_ax, indexing="ij")
-    Ev = np.asarray(spec.E(RR, SS), dtype=float)
-    z2p = np.asarray(spec.zeta2_prime(r_ax), dtype=float)[:, None]
-    if np.any((z2p <= 0.0) & (np.abs(Ev) > 0.0)):
-        i, j = np.argwhere((z2p <= 0.0) & (np.abs(Ev) > 0.0))[0]
-        raise RatioUndefined(
-            f"zeta2' vanishes at r={float(r_ax[i])!r} while E(r,s)={float(Ev[i, j])!r} != 0"
-        )
-    with np.errstate(all="ignore"):
-        kappa2 = reduce("kappa2", np.where(z2p > 0.0, Ev / z2p**2, 0.0), least=True)
-        kappa3 = reduce("kappa3", np.where(z2p > 0.0, Ev / z2p, 0.0))
+    z2p_ax = np.asarray(spec.zeta2_prime(r_ax), dtype=float)
+    ext2, ext3 = [], []
+    for rows, RR, _, Ev in box_blocks(spec.E, r_ax, np.concatenate([[0.0], r_ax])):
+        z2p = z2p_ax[rows, None]
+        if np.any((z2p <= 0.0) & (np.abs(Ev) > 0.0)):
+            i, j = np.argwhere((z2p <= 0.0) & (np.abs(Ev) > 0.0))[0]
+            raise RatioUndefined(
+                f"zeta2' vanishes at r={float(RR[i, j])!r} while E(r,s)={float(Ev[i, j])!r} != 0"
+            )
+        with np.errstate(all="ignore"):
+            r2, r3 = np.where(z2p > 0.0, Ev / z2p**2, 0.0), np.where(z2p > 0.0, Ev / z2p, 0.0)
+            ext2 += [np.min(r2), np.max(r2)]
+            ext3 += [np.min(r3), np.max(r3)]
+    kappa2 = reduce("kappa2", np.array(ext2), least=True)
+    kappa3 = reduce("kappa3", np.array(ext3))
     return Kappas(kappa1, kappa2, kappa3, tuple(failed))
 
 
@@ -462,13 +508,15 @@ def validate_hypotheses(
     rule("drift", "kappa2" in kap.failed or "kappa3" in kap.failed, None,
          "E/zeta2' ratios blow up on the sampled box")
     s_box = np.unique(np.concatenate([[0.0], _nested_uniform(R_max, min(n_samples, 128))]))
-    RR, SS = np.meshgrid(s_box, s_box, indexing="ij")
-    E_box = _check_finite("E", spec.E(RR, SS), RR)
-    rule("drift", E_box < -1e-14, (RR, SS), "E < 0")
+    E_pos = False  # whether E > 0 somewhere on the box
+    for _, RR, SS, E_box in box_blocks(spec.E, s_box, s_box):
+        _check_finite("E", E_box, RR)
+        rule("drift", E_box < -1e-14, (RR, SS), "E < 0")
+        E_pos = E_pos or bool(np.any(E_box > 0.0))
     z2_0 = float(spec.zeta2(0.0))
     rule("drift", abs(z2_0) > 1e-12, 0.0, f"zeta2(0) = {z2_0!r} != 0")
     z2p_pos = np.asarray(spec.zeta2_prime(rs[pos]), dtype=float)
-    rule("drift", np.any(E_box > 0.0) & (z2p_pos <= 0.0), rs[pos], "zeta2'(r) <= 0 for r > 0")
+    rule("drift", E_pos & (z2p_pos <= 0.0), rs[pos], "zeta2'(r) <= 0 for r > 0")
 
     return HypothesisReport(
         ell0=ell0, B0=B0, L0=L0, beta0=beta0,

@@ -126,6 +126,18 @@ def test_cli_refuses_wrong_json_types(tmp_path, monkeypatch, over, field):
     assert [m.split(":")[0] for m in failure["messages"]] == [field]
 
 
+@pytest.mark.parametrize("time", [{"T": 1e300, "sample_dt": 0.05},
+                                  {"T": 0.3, "sample_dt": 1e-300}], ids=["huge-T", "tiny-sample_dt"])
+def test_cli_refuses_a_huge_sample_count(tmp_path, time):
+    # T / sample_dt beyond MAX_SAMPLES is a config problem naming sample_dt,
+    # not a ValueError from allocating the sample times
+    cfg = dict(MINIMAL, time=time, output={"dir": str(tmp_path / "out")})
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["time.sample_dt"]
+
+
 @pytest.mark.parametrize("initial, field", [
     ({"v_amp": -0.1}, "initial.v_amp"),
     ({"u_amp": -0.1}, "initial.u_amp"),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from swarmpde import age_discretization, solver_core
 from swarmpde.age_discretization import build_age_grid, entropy_phi, regularize
@@ -12,6 +13,7 @@ from swarmpde.diagnostics import (
     AgeMoments,
     DiagnosticsRecorder,
     TestFunction,
+    _cumulative_trapezoid,
     _eta_weights,
     bin_sums,
     comparison_bound,
@@ -287,6 +289,17 @@ def test_tail_additive_and_positive():
     ks = np.arange(1, grid.I + 1)
     expected = grid.alpha * 0.5 * float(np.sum(grid.b[: grid.I][ks * grid.alpha > A]))
     assert tail_mass(state, A, grid, sgrid) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 101])
+def test_cumulative_trapezoid_is_scipys_bitwise(rng, n):
+    # the time integrals of finalize and envelope_report, on uneven steps
+    # and values spanning sixteen decades
+    t = np.cumsum(rng.uniform(1e-3, 0.1, n))
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    ours = _cumulative_trapezoid(y, t)
+    assert ours.shape == (n,) and ours[0] == 0.0
+    assert np.array_equal(ours, cumulative_trapezoid(y, t, initial=0.0))
 
 
 def test_comparison_bound_formula():

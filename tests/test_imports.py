@@ -7,6 +7,9 @@ Run as a script, ``python tests/test_imports.py`` prints the code count
 import ast
 import importlib.util
 import io
+import json
+import os
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -39,6 +42,22 @@ def _unused_imports(tree: ast.Module) -> list:
     used |= _exported(tree)  # names listed in __all__ are exported, hence used
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # the runtime needs numpy only.  Judged after a whole run in a fresh
+    # process, not after the import alone, so a lazy import at run time shows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.125, "a_max": 2.0, "time": {"T": 0.1, "sample_dt": 0.05},
+                               "domain": {"dim": 1, "extents": [1.0], "cells": [16]},
+                               "diagnostics": {"tail_A": [1.0]}}), encoding="utf-8")
+    script = ("import json, sys\nfrom swarmpde import cli\n"
+              f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_every_module_is_scanned():

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from swarmpde.errors import (
     DegenerateDiffusion,
@@ -9,12 +11,15 @@ from swarmpde.errors import (
     QuadratureDivergence,
     RatioUndefined,
 )
+from swarmpde.age_discretization import regularize
 from swarmpde.model_spec import (
     Zeta1Evaluator,
+    box_blocks,
     bump,
     estimate_kappas,
     exponential_family,
     smoothstep,
+    tabulated_family,
     tabulated_function,
     validate_hypotheses,
     zeta1,
@@ -80,6 +85,152 @@ def test_zeta1_tabulated_diffusivity_integrable():
     r = np.linspace(0.0, 16.0, 129)
     spec = make_spec(D=tabulated_function(r, 0.1 * r**2))
     assert zeta1(spec, 8.0) == pytest.approx(float(Zeta1Evaluator(spec, 8.0)(8.0)), abs=1e-8)
+
+
+def _quadpack_zeta1(spec, r):
+    """The reference transform: QUADPACK's adaptive quadrature
+    (``scipy.integrate.quad``) of the same integrand over the same break
+    points and budget, raising QuadratureDivergence where it fails."""
+    qr = math.sqrt(r)
+
+    def integrand(q):
+        d = float(spec.D(q * q))
+        if not math.isfinite(d) or d < 0.0:
+            raise QuadratureDivergence(f"D({q * q!r}) = {d!r} not admissible")
+        return 2.0 * math.sqrt(d)
+
+    knots = np.sqrt(np.maximum(getattr(spec.D, "abscissae", ()), 0.0))
+    pts = np.unique(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
+    pts = pts[(pts > 0.0) & (pts < qr)]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, err = integrate.quad(integrand, 0.0, qr, points=pts, limit=400 + pts.size,
+                                    epsabs=1e-12, epsrel=1e-12)
+    if not math.isfinite(value) or err > 1e-10:
+        raise QuadratureDivergence(f"quadrature error {err:.2e} above tolerance for r={r!r}")
+    return value
+
+
+def test_zeta1_agrees_with_quadpack(rng):
+    cases = [(make_spec(D=lambda r: np.asarray(r, dtype=float)), r) for r in (0.3, 1.0, 2.5)]
+    cases.append((make_spec(D=lambda r: np.asarray(r, dtype=float) ** 3), 1.3))
+    for _ in range(8):
+        D0, theta = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.0, 4.0))
+        cases.append((make_spec(D=lambda r, D0=D0, th=theta: D0 * np.maximum(r, 0.0) ** th),
+                      float(rng.uniform(0.1, 16.0))))
+    knots = np.linspace(0.0, 16.0, 129)
+    cases.append((make_spec(D=tabulated_function(knots, 0.1 * knots**2)), 8.0))
+    for spec, r in cases:
+        assert abs(zeta1(spec, r) - _quadpack_zeta1(spec, r)) <= 1e-10
+
+
+def _nan_off_grid(r):
+    # D(r) = r, except NaN on (1, 2) away from the 1/32 grid
+    r = np.asarray(r, dtype=float)
+    off = np.abs(r * 32.0 - np.round(r * 32.0)) / 32.0
+    return np.where((r > 1.0) & (r < 2.0) & (off > 1e-5), np.nan, r)
+
+
+@pytest.mark.parametrize("D, message", [
+    (lambda r: 1.0 / np.maximum(np.asarray(r, dtype=float), 1e-300), "quadrature error "),
+    (lambda r: np.maximum(np.asarray(r, dtype=float), 1e-300) ** -2.0, "quadrature error "),
+    (_nan_off_grid, "D("),
+    (lambda r: np.asarray(r, dtype=float) - 1.0, "D("),
+    (lambda r: np.where(np.asarray(r) > 1.5, np.inf, 1.0), "D("),
+], ids=["one-over-r", "one-over-r-squared", "nan-between-samples", "negative", "infinite"])
+def test_zeta1_diverges_where_quadpack_does(D, message):
+    spec = make_spec(D=D)
+    with pytest.raises(QuadratureDivergence):
+        _quadpack_zeta1(spec, 2.0)
+    with pytest.raises(QuadratureDivergence) as err:
+        zeta1(spec, 2.0)
+    assert str(err.value).startswith(message)
+
+
+def test_zeta1_names_the_first_inadmissible_node():
+    # D < 0 on (0, 1): the first node of the first panel is the smallest
+    spec = make_spec(D=lambda r: np.asarray(r, dtype=float) - 1.0)
+    with pytest.raises(QuadratureDivergence, match=r"^D\((\S+)\) = (\S+) not admissible$") as err:
+        zeta1(spec, 2.0)
+    s = float(str(err.value)[2:].split(")")[0])
+    assert 0.0 < s < 1e-13 and str(err.value).endswith(f"= {s - 1.0!r} not admissible")
+
+
+# --- blocked boxes ----------------------------------------------------------
+#
+# A sampled box of E is evaluated in blocks of rows (box_blocks); every
+# value read off it must be the whole box's, bit for bit
+
+def _gate_spec():
+    # the acceptance gates' model (tau = 2, mu = 0.3, D = 0.1 r^2, E = D')
+    return exponential_family(tau=2.0, mu_const=0.3, D0=0.1, theta=2.0, xi0=0.4)
+
+
+def _tables_spec():
+    ages, r = np.linspace(0.0, 2.0, 33), np.linspace(0.0, 16.0, 129)
+    tables = {"lam": tabulated_function(ages, np.exp(ages / 2.0)),
+              "b": tabulated_function(ages, np.exp(ages / 2.0)),
+              "mu": tabulated_function(ages, np.full_like(ages, 0.3)),
+              "D": tabulated_function(r, 0.1 * r**2),
+              "E": tabulated_function(r, 0.2 * r + 0.01 * np.sin(r))}
+    return tabulated_family(tables, tau=2.0, g0=None, r_max=16.0)
+
+
+@pytest.mark.parametrize("make", [_gate_spec, _tables_spec], ids=["gate", "tables"])
+def test_blocked_boxes_equal_the_whole_box_bitwise(make):
+    spec, alpha = make(), 0.125
+    # the box itself, on an axis that is no multiple of the block height
+    ax = np.linspace(0.0, 8.0, 139)
+    whole = spec.E(*np.meshgrid(ax, ax, indexing="ij"))
+    blocks = list(box_blocks(spec.E, ax, ax))
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate([E for *_, E in blocks]), whole)
+    # Xi: the sup of E over the regularized model's box
+    s = np.unique(np.concatenate([[0.0], 8.0 * 2.0 ** (-np.arange(1, 40, dtype=float)),
+                                  8.0 * np.arange(1, 513) / 512.0]))
+    box = s[:: s.size // 128]
+    E_whole = float(np.max(spec.E(*np.meshgrid(box, box, indexing="ij")), initial=0.0))
+    xi_term = float(np.max((1.0 + s) * spec.xi(s)))
+    assert regularize(spec, alpha).Xi == xi_term + E_whole
+    # kappa2 and kappa3: the inf and the sup of the ratios on the kappa box
+    kap = estimate_kappas(spec, 8.0, 256)
+    r_ax = np.unique(np.concatenate([8.0 * 2.0 ** -np.arange(1, 31, dtype=float),
+                                     8.0 * np.arange(1, 129) / 128]))
+    RR, SS = np.meshgrid(r_ax, np.concatenate([[0.0], r_ax]), indexing="ij")
+    Ev, z2p = spec.E(RR, SS), spec.zeta2_prime(r_ax)[:, None]
+    assert kap.kappa2 == float(np.min(np.where(z2p > 0.0, Ev / z2p**2, 0.0)))
+    assert kap.kappa3 == float(np.max(np.where(z2p > 0.0, Ev / z2p, 0.0), initial=0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kappa_box_fails_on_a_nonfinite_ratio_in_a_later_block(bad):
+    # E is not finite where r > 5 and s > 5 only, so the blocks that hold
+    # those samples hold finite ones too: an infinity shows in one of a
+    # block's extremes, a NaN in both, and either fails kappa2 and kappa3
+    spec = make_spec(E=lambda r, s: np.where((np.asarray(r) > 5.0) & (np.asarray(s) > 5.0),
+                                             bad, 1.0))
+    kap = estimate_kappas(spec, 8.0, 256)
+    assert kap.failed == ("kappa2", "kappa3")
+    assert math.isnan(kap.kappa2) and math.isnan(kap.kappa3)
+
+
+def test_ratio_undefined_names_the_first_flag_of_a_later_block():
+    # zeta2' vanishes from r = 5 on while E does not: the first flag in C
+    # order lies in a later block than the first
+    spec = make_spec(E=lambda r, s: np.ones(np.broadcast(np.asarray(r), np.asarray(s)).shape),
+                     zeta2_prime=lambda r: np.where(np.asarray(r) < 5.0, 1.0, 0.0))
+    with pytest.raises(RatioUndefined, match=r"^zeta2' vanishes at r=5\.0 while E\(r,s\)=1\.0 != 0$"):
+        estimate_kappas(spec, 8.0, 256)
+
+
+def test_nonfinite_drift_on_the_box_names_its_first_point():
+    # E is finite on the kappa box's radii up to 1 but infinite beyond:
+    # the hypothesis box names its first non-finite sample, not an
+    # IndexError of a flat mask on a 2D array
+    spec = make_spec(E=lambda r, s: np.where(np.asarray(r) > 1.0, np.inf, 0.0)
+                     * np.ones_like(np.asarray(s, dtype=float)))
+    with pytest.raises(NonFiniteEvaluation, match=r"^E evaluated non-finite near \[1\.03125\]$"):
+        validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=64)
 
 
 # --- hypothesis validation -------------------------------------------------
