@@ -100,8 +100,7 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
     ``TrajectorySample`` whose arrays are written once, so the samples,
     at t = 0 and at every sample time up to ``T``
     (``solver_core.sample_times``), are states: the biomass is
-    ``lambda_rec``, and ``u`` and ``lambda_ev`` are None, as in a full
-    run that stores no u and keeps no diagnostics record.
+    ``lambda_rec``, and ``u`` is None, as in a full run that stores no u.
     """
     lam = sgrid.check_field(np.asarray(lam0, dtype=float).copy(), "biomass")
     v = sgrid.check_field(np.asarray(v0, dtype=float).copy(), "v")
@@ -124,9 +123,9 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
         check_step(s.t + dt, lows + (float(new_lam.max()), float(new_v.max())), min(lows),
                    "reduced state")
         return TrajectorySample(t=s.t + dt, u=None, v=np.maximum(new_v, 0.0),
-                                lambda_rec=np.maximum(new_lam, 0.0), lambda_ev=None)
+                                lambda_rec=np.maximum(new_lam, 0.0))
 
-    start = TrajectorySample(t=0.0, u=None, v=v, lambda_rec=lam, lambda_ev=None)
+    start = TrajectorySample(t=0.0, u=None, v=v, lambda_rec=lam)
     return march(start, T, sample_dt, fixed_dt, advance, lambda s: s)[0]
 
 

@@ -32,34 +32,42 @@ they can never bind: the drift CFL dx/max|w| is at least twice the
 convex-combination limit, and the swimmer limit dx^2/(2 dim alpha) is
 never below the diffusion limit since D_face >= alpha.
 
-The bins are updated in one loop over blocks of consecutive bins, each
-about BIN_BLOCK_BYTES of u (``age_discretization.bin_blocks``, which the
-diagnostics samples share), so a block's temporaries stay in cache.  Each
-block applies the record's flux weights (``spatial_grid.div_flux``) and
-then the Euler update in five passes, f (1 - dt/alpha - dt mu_i) +
-dt div + (dt/alpha) u_prev.  Every operation of the update is
-elementwise across bins, so the blocks give the whole-array result bit
-for bit.  The reductions are taken per block in forms that do not
-depend on the blocking: the minimum, clip and maximum of the new u, the
-cutoff-activation count, and, when the state carries a shadow, per bin
-the sum of the divergence and the sum of its magnitude, which are added
-up bin by bin.  The reductions over bins (the reconstructed biomass,
-the source matvecs) run over the whole array.  Up to 32768 cell-bins (every 1D configuration in use) form
-a single block.
+The bins are updated in place, in one loop over blocks of consecutive
+bins, each about BIN_BLOCK_BYTES of u (``age_discretization.bin_blocks``,
+which the diagnostics samples share), so a block's temporaries stay in
+cache.  The loop runs from the last block to the first: a block is fed
+by the last bin of the block before it, which is then still old.  Each
+block applies the record's flux weights (``spatial_grid.div_flux``),
+takes its feed (dt/alpha) u_prev while its bins are old, and then
+overwrites them with the Euler update f (1 - dt/alpha - dt mu_i) +
+dt div + (dt/alpha) u_prev in that order of operations.  Every
+operation of the update is elementwise across bins, so the blocks give
+the whole-array result bit for bit in any order.  The reductions are
+taken per block in forms that do not depend on the blocking: the
+minimum, clip and maximum of the new u, the cutoff-activation count,
+and, when the state carries a shadow, per bin the sum of the divergence
+and the sum of its magnitude, which are added up bin by bin in bin
+order after the loop.  The reads of the old bins beyond a block's feed
+(the source matvecs b*mu u and (lam_star - mu*lam) u, and the last bin,
+the shadow's outflow) come before the loop, and the reconstructed
+biomass is taken from the new bins after it.  Up to 32768 cell-bins
+(every 1D configuration in use) form a single block.
 
 ``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
 step and every diagnostics sample: the frozen weights (the mu column,
 b*mu, lam_star - mu*lam), the block layout and three flat block-sized
 buffers.  The flux kernel writes a block's bin divergence into the first
-through the other two, which allocates no array, and the Euler update
-runs in the work buffers, so the new u is the only u-sized array a step
-allocates and the plan holds none; the swimmers' Laplacian runs in the
-idle ``div`` and ``work`` too.  The diagnostics samples between steps
-read u through the plan's blocks into its ``work`` pair, which a step
-leaves holding nothing, so they allocate no u-sized array either and the
-recorder holds no block buffer; ``run`` releases the plan before
-``finalize``.  A run that is not asked for its diagnostics record
-(``run(setup, record=False)``) builds no recorder and carries no shadow.
+through the other two, which allocates no array, and the feed and the
+update's terms are formed in the work buffers, so a step allocates no
+u-sized array and the plan holds none; the swimmers' Laplacian runs in
+the idle ``div`` and ``work`` too.  A run holds its bins once, besides
+``RunSetup.u0`` (``initial_state`` copies it, and the caller may read it
+after the run).  The diagnostics samples between steps read u through
+the plan's blocks into its ``work`` pair, which a step leaves holding
+nothing, so they allocate no u-sized array either and the recorder holds
+no block buffer; ``run`` releases the plan before ``finalize``.  A run
+that is not asked for its diagnostics record (``run(setup,
+record=False)``) builds no recorder and carries no shadow.
 
 The drift's cutoff theta(alpha^2 u) is exactly 1 for alpha^2 u <= 1/2.
 ``step_coefficients`` tests that plateau once per step from the largest
@@ -82,8 +90,11 @@ warning.
 The time loop is ``march``, which ``reduced_system.run_reduced`` runs
 too, so the two solvers sample on one grid of times (``sample_times``):
 it takes steps no longer than the distance to the next sample time and
-lands the state on it exactly.  A state's arrays are written once, when
-the state is made, so a sample shares them instead of copying.
+lands the state on it exactly.  A step consumes its input state's u: the
+new state owns that same array, so a sample that keeps the bins copies
+them, and an ``on_sample`` hook that keeps u must copy it.  The other
+arrays of a state (v and both biomasses) are written once, when the
+state is made, so a sample shares them instead of copying.
 
 A run is single-threaded in its time loop; independent runs share no
 mutable state and may execute concurrently.
@@ -144,8 +155,9 @@ _SAFETY = 0.9  # fraction of the stability limit a step may use
 
 @dataclass
 class SimState:
-    """Solver state.  Its arrays are written once, when it is made, and
-    never after: the next state gets new arrays, so samples share them."""
+    """Solver state.  ``step`` updates u in place, so the next state owns
+    this state's u; v and both biomasses are written once, when the state
+    is made, and never after, so samples share them."""
 
     u: np.ndarray            # (I, *cells) swarmer densities per age bin
     v: np.ndarray            # (*cells) swimmer density
@@ -187,10 +199,12 @@ class StepPlan:
     The frozen weights are the decay column ``mu`` (shape (I, 1, ...)),
     the swimmer source weights b*mu and the shadow source weights
     lam_star - mu*lam; ``blocks`` is the bin-block layout.  ``div`` (a
-    block's bin divergence) and the pair ``work`` are flat buffers of the
-    largest block's size.  The scratch holds nothing from one step to the
-    next, so between steps the diagnostics sample reads u through
-    ``blocks`` into ``work`` (``DiagnosticsRecorder.sample``).
+    block's bin divergence) and the pair ``work`` (the update's term and
+    the block's feed) are flat buffers of the largest block's size; with
+    them ``step`` updates u in place, last block first, and allocates no
+    u-sized array.  The scratch holds nothing from one step to the next,
+    so between steps the diagnostics sample reads u through ``blocks``
+    into ``work`` (``DiagnosticsRecorder.sample``).
     """
 
     mu: np.ndarray
@@ -209,7 +223,6 @@ class TrajectorySample:
     u: Optional[np.ndarray]           # None unless the run stores u, and in the reduced
     v: np.ndarray
     lambda_rec: np.ndarray            # the biomass (the reduced solver's own field)
-    lambda_ev: Optional[np.ndarray]   # None without a diagnostics record, and in the reduced
 
 
 @dataclass
@@ -333,10 +346,12 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     ``coeffs`` is ``step_coefficients`` of ``state``; the bin flux uses
     its flux weights, and nonnegativity requires dt <= its ``dt_max``.
     ``plan`` is ``step_plan(grid, sgrid)``; its scratch is overwritten,
-    and the new state shares no memory with it.  A state without a
-    shadow biomass (``lambda_ev`` None) gives one without: the step then
-    skips the shadow and the conservation sums, and reports a
-    ``conservation_residual`` of 0.0.
+    and the new state shares no memory with it.  The step consumes
+    ``state.u``: the new bins are written into that array, and the new
+    state owns it.  After ``UnstableStep`` it holds the failed update.  A
+    state without a shadow biomass (``lambda_ev`` None) gives one without:
+    the step then skips the shadow and the conservation sums, and reports
+    a ``conservation_residual`` of 0.0.
     """
     I, alpha = grid.I, grid.alpha
     u, v = state.u, state.v
@@ -346,51 +361,55 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
 
     xi = reg.xi_alpha(v)
     inflow = _inflow(v, xi)
-    # the bins are updated in blocks of consecutive bins whose
-    # temporaries stay in cache; every operation is elementwise across
-    # bins, so each block is bitwise the matching rows of a whole-array
-    # update.  The reductions over the divergence fold into the loop
-    # in forms that do not depend on the blocks
+    # the sources read the old bins, which the loop overwrites
+    b_source = plan.b_mu @ u_rows
+    if shadow:
+        lam_source = plan.lam_source @ u_rows
+        outflow = u[I - 1].copy()
+    # the bins are updated in place, in blocks whose temporaries stay in
+    # cache, the last block first: a block is fed by the last bin of the
+    # block before it, which is then still old.  Every operation is
+    # elementwise across bins and every reduction is taken per bin or per
+    # block, so the blocks give the whole-array result bit for bit
     work = plan.work
-    new_u = np.empty_like(u)
     # f + dt (d - (f - u_prev)/alpha - mu f) as
     # f (1 - dt/alpha - dt mu) + dt d + (dt/alpha) u_prev
     keep = 1.0 - dt / alpha - dt * plan.mu
     feed = dt / alpha
     mins, maxs = [], []    # per block: u's min before its clip, max after it
     row_sum_max = 0.0      # largest |sum| of a bin's divergence
-    abs_sum = 0.0          # sum over the bins of each bin's sum of |divergence|
+    abs_rows = np.empty(I) if shadow else None  # each bin's sum of |divergence|
     activations = 0
-    for k0, k1 in plan.blocks:
-        f, new_f = u[k0:k1], new_u[k0:k1]
+    for k0, k1 in reversed(plan.blocks):
+        f = u[k0:k1]
         d = div_flux(f, lam_rec, v, reg, sgrid, weights=coeffs.weights,
                      out=plan.div[:f.size].reshape(f.shape), work=work)
-        term = work[0][:f.size].reshape(f.shape)
-        np.multiply(f, keep[k0:k1], out=new_f)
-        np.multiply(d, dt, out=term)
-        new_f += term
-        # each bin is fed by the one before it, the first by the inflow
+        term, fed = (w[:f.size].reshape(f.shape) for w in work)
+        # each bin is fed by the one before it, the first by the inflow;
+        # taken before the block is overwritten
         if k0 == 0:
-            np.multiply(inflow, feed, out=term[0])
-            np.multiply(u[:k1 - 1], feed, out=term[1:])
+            np.multiply(inflow, feed, out=fed[0])
+            np.multiply(u[:k1 - 1], feed, out=fed[1:])
         else:
-            np.multiply(u[k0 - 1:k1 - 1], feed, out=term)
-        new_f += term
-        mins.append(float(new_f.min()))
-        np.maximum(new_f, 0.0, out=new_f)
-        maxs.append(float(new_f.max()))
+            np.multiply(u[k0 - 1:k1 - 1], feed, out=fed)
+        f *= keep[k0:k1]
+        np.multiply(d, dt, out=term)
+        f += term
+        f += fed
+        mins.append(float(f.min()))
+        np.maximum(f, 0.0, out=f)
+        maxs.append(float(f.max()))
         if shadow:  # the conservation sums, which only the record reads
             row_sums = d.reshape(k1 - k0, -1).sum(axis=1)
             row_sum_max = max(row_sum_max, float(np.abs(row_sums, out=row_sums).max()))
             np.abs(d, out=d)  # d is scratch: not read again
-            for total in d.reshape(k1 - k0, -1).sum(axis=1).tolist():
-                abs_sum += total  # bin by bin in order, whatever the blocks
+            d.reshape(k1 - k0, -1).sum(axis=1, out=abs_rows[k0:k1])
         if alpha * alpha * maxs[-1] > 0.5:
-            activations += int(np.count_nonzero(alpha * alpha * new_f > 0.5))
+            activations += int(np.count_nonzero(alpha * alpha * f > 0.5))
 
     lap_v = laplacian(v, sgrid, out=plan.div[:v.size].reshape(v.shape), work=work)
     source_v = (np.asarray(reg.spec.g(v), dtype=float) - xi) * v
-    source_v += alpha * (plan.b_mu @ u_rows).reshape(v.shape)
+    source_v += alpha * b_source.reshape(v.shape)
     new_v = v + dt * (alpha * lap_v + source_v)
 
     min_v, max_v = float(new_v.min()), float(new_v.max())
@@ -399,8 +418,8 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     if shadow:
         div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid, work)
         source_ev = grid.lam[0] * inflow
-        source_ev += alpha * (plan.lam_source @ u_rows).reshape(v.shape)
-        source_ev -= grid.lam[I] * u[I - 1]
+        source_ev += alpha * lam_source.reshape(v.shape)
+        source_ev -= grid.lam[I] * outflow
         new_ev = lam_ev + dt * (div_ev + source_ev)
         extremes += [float(new_ev.min()), float(new_ev.max())]
 
@@ -410,11 +429,14 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     check_step(state.t + dt, extremes, min(min_u, min_v), "state")
     np.maximum(new_v, 0.0, out=new_v)
 
-    new_rec = _reconstruct(new_u, grid)
+    new_rec = _reconstruct(u, grid)
     conservation = 0.0
     if shadow:
         vol = sgrid.cell_volume
         cons = max(row_sum_max, abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
+        abs_sum = 0.0
+        for total in abs_rows.tolist():
+            abs_sum += total  # bin by bin in order, whatever the blocks
         cons_scale = max(
             abs_sum * vol,
             float(np.abs(lap_v).sum()) * vol,
@@ -431,7 +453,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
             state.t + dt,
         )
     new_state = SimState(
-        u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev, max_u=max_u,
+        u=u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev, max_u=max_u,
         t=state.t + dt, step_count=state.step_count + 1,
         theta_activations=state.theta_activations + activations,
     )
@@ -502,14 +524,18 @@ def run(setup: RunSetup, record: bool = True,
     the distance to the next sample time, so samples land exactly on the
     cadence grid and runs are deterministic.  One step plan serves every
     step and every sample; the diagnostics recorder samples the initial
-    state and every sample time.  A sample shares the state's arrays,
-    which are written once.  With ``record`` false no recorder is built,
+    state and every sample time.  The steps update one array of bins in
+    place, so a sample copies u, and only when ``setup.store_u`` is set;
+    it shares v and the reconstructed biomass, which are written once.
+    ``initial_state`` works on a copy of ``setup.u0``, which the run
+    leaves as it was.  With ``record`` false no recorder is built,
     ``RunResult.record`` is None and the state carries no shadow biomass,
-    so the steps form neither the shadow nor the conservation sums and
-    every sample's ``lambda_ev`` is None; ``u``, ``v``, ``lambda_rec``
-    and the steps are the same.  ``on_sample``, if given, is called with
-    the state at every sample, so a run that stores no u can still
-    reduce its bins (``diagnostics.AgeMoments.take``).
+    so the steps form neither the shadow nor the conservation sums;
+    ``u``, ``v``, ``lambda_rec`` and the steps are the same.
+    ``on_sample``, if given, is called with the state at every sample, so
+    a run that stores no u can still reduce its bins
+    (``diagnostics.AgeMoments.take``); a hook that keeps u must copy it,
+    since the next step overwrites it.
     """
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     recorder = diag.DiagnosticsRecorder(
@@ -522,8 +548,8 @@ def run(setup: RunSetup, record: bool = True,
             recorder.sample(s, plan)
         if on_sample is not None:
             on_sample(s)
-        return TrajectorySample(t=s.t, u=s.u if setup.store_u else None, v=s.v,
-                                lambda_rec=s.lambda_rec, lambda_ev=s.lambda_ev)
+        return TrajectorySample(t=s.t, u=s.u.copy() if setup.store_u else None, v=s.v,
+                                lambda_rec=s.lambda_rec)
 
     clamp_warned = False
 

@@ -40,10 +40,9 @@ def test_homogeneous_biomass_exponential_oracle():
     final = samples[-1]
     exact = 0.7 * math.exp(gamma * T)
     assert np.allclose(final.lambda_rec, exact, rtol=1e-3)
-    # the full solver's sample type, without bins or shadow
+    # the full solver's sample type, without bins
     assert [s.t for s in samples] == [0.0, T]
-    assert all(type(s) is TrajectorySample and s.u is None and s.lambda_ev is None
-               for s in samples)
+    assert all(type(s) is TrajectorySample and s.u is None for s in samples)
 
 
 def test_homogeneous_swimmer_oracle():
