@@ -13,6 +13,7 @@ disables the drift for bin densities above the cap 1/alpha^2.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolation, NegativeInitialData, refuse
-from .model_spec import ModelSpec, box_blocks, smoothstep
+from .model_spec import GAUSS8, ModelSpec, box_blocks, smoothstep
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +39,7 @@ __all__ = [
     "entropy_phi",
 ]
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GAUSS_NODES, _GAUSS_WEIGHTS = GAUSS8
 BIN_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
 _TINY = np.finfo(float).tiny
 
@@ -174,8 +175,9 @@ class RegularizedModel:
     ``D_alpha = D + alpha`` has positive lower bound alpha; E and xi keep
     their values on the box [0, 1/alpha] and are argument-clamped outside
     it (trajectories are certified in-box by the sup-norm diagnostic, so
-    the clamp kink is never active in valid runs).  ``Xi`` is a sampled
-    upper bound for (1+s)*xi(s) + E(r,s) over the box.
+    the clamp kink is never active in valid runs).  ``Xi``, the sampled
+    constant of the bins' comparison bound, is computed on first read;
+    only the diagnostics recorder reads it.
 
     Treat instances as immutable once built.
     """
@@ -187,15 +189,22 @@ class RegularizedModel:
         self.alpha = alpha
         self.clamp = 1.0 / alpha
         self.theta = theta_cutoff
+
+    @functools.cached_property
+    def Xi(self) -> float:
+        """A sampled upper bound for (1+s)*xi(s) + E(r,s) over the box,
+        computed on first read and kept, so a set-up whose run records
+        nothing never samples the box."""
         s = np.unique(np.concatenate([
             [0.0],
             self.clamp * 2.0 ** (-np.arange(1, 40, dtype=float)),
             self.clamp * np.arange(1, 513) / 512.0,
         ]))
-        xi_term = float(np.max((1.0 + s) * np.asarray(spec.xi(s), dtype=float)))
+        xi_term = float(np.max((1.0 + s) * np.asarray(self.spec.xi(s), dtype=float)))
         box = s[:: max(1, s.size // 128)]
-        E_term = float(np.max([np.max(E, initial=0.0) for *_, E in box_blocks(spec.E, box, box)]))
-        self.Xi = xi_term + E_term
+        E_term = float(np.max([np.max(E, initial=0.0)
+                               for *_, E in box_blocks(self.spec.E, box, box)]))
+        return xi_term + E_term
 
     def D_alpha(self, r):
         return np.asarray(self.spec.D(r), dtype=float) + self.alpha

@@ -232,10 +232,27 @@ def box_blocks(f, r, s):
 # --------------------------------------------------------------------------
 # operations
 
-# 8- and 16-point Gauss-Legendre rules on [-1, 1]: nodes of both, G8's
-# first, and the weights of each
-_G8, _G16 = np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(16)
-_G_NODES = np.concatenate([_G8[0], _G16[0]])
+def _symmetric_rule(nodes, weights):
+    # (nodes, weights) on [-1, 1] from the positive nodes, ascending
+    x, w = np.array(nodes), np.array(weights)
+    rule = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+# 8- and 16-point Gauss-Legendre rules (nodes, weights) on [-1, 1], bit
+# for bit numpy 2.4.6's leggauss, which would import numpy.polynomial into
+# every process and make a LAPACK eigenvalue call
+GAUSS8 = _symmetric_rule(
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+GAUSS16 = _symmetric_rule(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_G_NODES = np.concatenate([GAUSS8[0], GAUSS16[0]])  # both rules' nodes, G8's first
 
 
 def zeta1(spec: ModelSpec, r: float) -> float:
@@ -275,8 +292,8 @@ def zeta1(spec: ModelSpec, r: float) -> float:
             raise QuadratureDivergence(
                 f"D({float((q * q).flat[k])!r}) = {float(d.flat[k])!r} not admissible")
         f = 2.0 * np.sqrt(d) * half
-        g16 = f[:, 8:] @ _G16[1]
-        err = np.abs(g16 - f[:, :8] @ _G8[1])
+        g16 = f[:, 8:] @ GAUSS16[1]
+        err = np.abs(g16 - f[:, :8] @ GAUSS8[1])
         total, err_sum = done[0].sum() + g16.sum(), done[1].sum() + err.sum()
         tol = max(1e-12, 1e-12 * abs(total))
         split = err > tol * (hi - lo) / qr
@@ -313,7 +330,7 @@ class Zeta1Evaluator:
 
     def __init__(self, spec: ModelSpec, r_max: float):
         q_edges = math.sqrt(max(r_max, 1e-12)) * np.arange(4097) / 4096
-        nodes, weights = np.polynomial.legendre.leggauss(8)
+        nodes, weights = GAUSS8
         h = q_edges[1:] - q_edges[:-1]
         q = q_edges[:-1, None] + (nodes[None, :] + 1.0) * 0.5 * h[:, None]
         vals = 2.0 * np.sqrt(np.maximum(np.asarray(spec.D(q * q), dtype=float), 0.0))

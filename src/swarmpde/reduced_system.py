@@ -86,7 +86,7 @@ def _reduced_dt(lam, D, E, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
     rate = sink
     for ax in range(sgrid.dim):
         dx = sgrid.dx[ax]
-        k_max = float(np.max(face_mean(eff, sgrid, ax)))
+        k_max = float(face_mean(eff, sgrid, ax).max())
         rate += 2.0 * k_max / (dx * dx)
     return 0.9 / max(rate, 1e-300)
 

@@ -275,15 +275,15 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     Da = reg.D_alpha(lam)
     E_cell = reg.E_alpha(lam, state.v)
     faces = drift_face_data(Da, E_cell, lam, sgrid)
-    eff_max = float(np.max(Da + np.maximum(lam, 0.0) * E_cell))
+    eff_max = float((Da + np.maximum(lam, 0.0) * E_cell).max())
     bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
     # the last axis' row-wrap faces carry D = w = 0, which moves neither
     # maximum: D_face >= alpha > 0 and |w| >= 0
     for dx, (D_face, w) in zip(sgrid.dx, faces):
-        d_max = float(np.max(D_face))
-        w_max = float(np.max(np.abs(w), initial=0.0))
+        d_max = float(D_face.max())
+        w_max = float(np.abs(w).max(initial=0.0))
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)

@@ -154,6 +154,18 @@ def face_term_scale(f, q, faces, grid):
     return out
 
 
+def whole_box_Xi(spec, alpha):
+    """The regularized model's Xi with E evaluated on its whole box at
+    once: max (1+s) xi(s) over the sampled s in [0, 1/alpha] plus the sup
+    of E (at least 0) on the box of every (len(s)//128)-th s."""
+    clamp = 1.0 / alpha
+    s = np.unique(np.concatenate([[0.0], clamp * 2.0 ** (-np.arange(1, 40, dtype=float)),
+                                  clamp * np.arange(1, 513) / 512.0]))
+    box = s[:: s.size // 128]
+    E_whole = float(np.max(spec.E(*np.meshgrid(box, box, indexing="ij")), initial=0.0))
+    return float(np.max((1.0 + s) * spec.xi(s))) + E_whole
+
+
 # The age averaging of separable initial data as set-up formed it before
 # one vectorized pass: one scalar call of the age profile per Gauss node of
 # every bin.  The vectorized pass is checked bitwise against it.

@@ -44,20 +44,35 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
-def test_a_run_loads_no_scipy(tmp_path):
-    # the runtime needs numpy only.  Judged after a whole run in a fresh
-    # process, not after the import alone, so a lazy import at run time shows
+@pytest.fixture(scope="module")
+def loaded_by_a_run(tmp_path_factory):
+    """The modules loaded in a fresh process after a whole ``swarmpde
+    run``, judged after the run and not after the import alone, so that a
+    lazy import at run time shows."""
+    tmp_path = tmp_path_factory.mktemp("run")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.125, "a_max": 2.0, "time": {"T": 0.1, "sample_dt": 0.05},
                                "domain": {"dim": 1, "extents": [1.0], "cells": [16]},
                                "diagnostics": {"tail_A": [1.0]}}), encoding="utf-8")
     script = ("import json, sys\nfrom swarmpde import cli\n"
               f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-              "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+              "print(json.dumps([code, sorted(sys.modules)]))")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    return modules
+
+
+def test_a_run_loads_no_scipy(loaded_by_a_run):
+    # the runtime needs numpy only
+    assert [m for m in loaded_by_a_run if m.split(".")[0] == "scipy"] == []
+
+
+def test_a_run_loads_no_numpy_polynomial(loaded_by_a_run):
+    # the Gauss-Legendre rules are literal tables, not leggauss calls
+    assert [m for m in loaded_by_a_run if m.startswith("numpy.polynomial")] == []
 
 
 def test_every_module_is_scanned():

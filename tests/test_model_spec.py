@@ -13,6 +13,8 @@ from swarmpde.errors import (
 )
 from swarmpde.age_discretization import regularize
 from swarmpde.model_spec import (
+    GAUSS8,
+    GAUSS16,
     Zeta1Evaluator,
     box_blocks,
     bump,
@@ -25,7 +27,7 @@ from swarmpde.model_spec import (
     zeta1,
 )
 
-from conftest import make_spec, power_zeta
+from conftest import make_spec, power_zeta, whole_box_Xi
 
 # oracle: closed-form antiderivatives of sqrt(D(r)/r)
 #   D(r) = r    -> integrand 1      -> zeta1(r) = r
@@ -70,6 +72,27 @@ def test_zeta1_divergence_raises():
     spec = make_spec(D=lambda r: 1.0 / np.maximum(np.asarray(r, dtype=float), 1e-300))
     with pytest.raises(QuadratureDivergence):
         zeta1(spec, 1.0)
+
+
+@pytest.mark.parametrize("rule, n", [(GAUSS8, 8), (GAUSS16, 16)], ids=["8", "16"])
+def test_gauss_tables_are_leggauss_bitwise(rule, n):
+    # the literal tables stand in for numpy's leggauss, which the
+    # runtime no longer calls; they were taken from numpy 2.4.6, and
+    # leggauss's last bits (an eigvalsh call and one Newton step) may
+    # differ on another numpy or BLAS build
+    for table, ref in zip(rule, np.polynomial.legendre.leggauss(n)):
+        assert table.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rule", [GAUSS8, GAUSS16], ids=["8", "16"])
+def test_gauss_tables_integrate_every_degree_below_2n_exactly(rule):
+    # the rule itself, whatever numpy build is at hand
+    x, w = rule
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    for k in range(2 * len(x)):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(w @ x**k) == pytest.approx(exact, abs=4e-15)
 
 
 def test_zeta1_evaluator_matches_quadrature():
@@ -186,12 +209,7 @@ def test_blocked_boxes_equal_the_whole_box_bitwise(make):
     assert len(blocks) > 1
     assert np.array_equal(np.concatenate([E for *_, E in blocks]), whole)
     # Xi: the sup of E over the regularized model's box
-    s = np.unique(np.concatenate([[0.0], 8.0 * 2.0 ** (-np.arange(1, 40, dtype=float)),
-                                  8.0 * np.arange(1, 513) / 512.0]))
-    box = s[:: s.size // 128]
-    E_whole = float(np.max(spec.E(*np.meshgrid(box, box, indexing="ij")), initial=0.0))
-    xi_term = float(np.max((1.0 + s) * spec.xi(s)))
-    assert regularize(spec, alpha).Xi == xi_term + E_whole
+    assert regularize(spec, alpha).Xi == whole_box_Xi(spec, alpha)
     # kappa2 and kappa3: the inf and the sup of the ratios on the kappa box
     kap = estimate_kappas(spec, 8.0, 256)
     r_ax = np.unique(np.concatenate([8.0 * 2.0 ** -np.arange(1, 31, dtype=float),

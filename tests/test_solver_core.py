@@ -42,6 +42,7 @@ from conftest import (
     strided_div,
     strided_faces,
     strided_harmonic_mean,
+    whole_box_Xi,
 )
 
 
@@ -737,6 +738,15 @@ def test_run_without_record_matches_run_bitwise(dim):
         assert a.t == b.t
         for name in ("u", "v", "lambda_rec"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_only_a_recorded_run_samples_Xi():
+    # Xi feeds only the record's kbound envelope, so a run without a
+    # record leaves the regularized model's box unsampled
+    setup = _bump_setup(1)
+    run(setup, record=False)
+    assert "Xi" not in vars(setup.reg)
+    assert run(setup).record.constants["Xi"] == whole_box_Xi(setup.spec, setup.reg.alpha)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
