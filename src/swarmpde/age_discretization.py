@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolation, NegativeInitialData, refuse
-from .model_spec import GAUSS8, ModelSpec, box_blocks, smoothstep
+from .model_spec import ModelSpec, bin_averages, box_blocks, smoothstep
 
 logger = logging.getLogger(__name__)
 
@@ -34,23 +34,10 @@ __all__ = [
     "build_age_grid",
     "regularize",
     "age_average_initial",
-    "bin_averages",
-    "bin_blocks",
     "entropy_phi",
 ]
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = GAUSS8
-BIN_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
 _TINY = np.finfo(float).tiny
-
-
-def bin_blocks(shape: tuple) -> list:
-    """Ranges (k0, k1) of consecutive bins of a float array of ``shape``
-    (bins first), each about BIN_BLOCK_BYTES, so that elementwise work on
-    one block stays in cache."""
-    I = shape[0]
-    nb = max(1, BIN_BLOCK_BYTES // (8 * math.prod(shape[1:])))
-    return [(k0, min(k0 + nb, I)) for k0 in range(0, I, nb)]
 
 
 def theta_cutoff(r):
@@ -104,16 +91,6 @@ class AgeGrid:
     @property
     def a_max(self) -> float:
         return self.I * self.alpha
-
-
-def bin_averages(f: Callable, alpha: float, count: int) -> np.ndarray:
-    """Averages of f over ``count`` consecutive age bins of width alpha
-    from 0, by 8-point Gauss quadrature; f takes an array of ages."""
-    edges = alpha * np.arange(count + 1)
-    h = edges[1:] - edges[:-1]
-    a = edges[:-1, None] + (_GAUSS_NODES[None, :] + 1.0) * 0.5 * h[:, None]
-    vals = np.asarray(f(a), dtype=float)
-    return (vals * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * 0.5
 
 
 def age_grid_problems(alpha: float, a_max: float) -> list:
@@ -226,31 +203,19 @@ def regularize(spec: ModelSpec, alpha: float) -> RegularizedModel:
     return RegularizedModel(spec, alpha)
 
 
-def age_average_initial(age_profile: Callable, space, grid: AgeGrid, sgrid) -> np.ndarray:
+def age_average_initial(age_profile: Callable, space, grid: AgeGrid) -> np.ndarray:
     """Bin-average separable initial swarmer data over age, per spatial cell.
 
     The data are ``age_profile(a) * space``: ``age_profile`` takes an
-    array of ages and is called once, on every Gauss node of every bin;
-    ``space`` holds the space profile on the grid's cells.  Each bin's
-    average adds the terms ``(c * space) * w`` of its nodes in node order
-    from zeros and halves the sum, block by block of bins, so it rounds
-    as a node-by-node evaluation does.  Values above the cap
+    array of ages, and ``space`` holds the space profile in the spatial
+    grid's shape.  Bin i's values are the bin average of the age profile
+    (``bin_averages``) times the space profile.  Values above the cap
     1/(4 alpha^2) are clamped with a logged warning; negative values raise.
     The clip at 0 and the clamp work in place on the one u-sized array.
     """
-    alpha, I = grid.alpha, grid.I
-    ages = (np.arange(I)[:, None] + (_GAUSS_NODES + 1.0) * 0.5) * alpha
-    c = np.asarray(age_profile(ages), dtype=float)
-    space = np.asarray(space, dtype=float).reshape(-1)
-    out = np.zeros((I, space.size))
-    for k0, k1 in bin_blocks(out.shape):
-        acc = out[k0:k1]
-        for n, weight in enumerate(_GAUSS_WEIGHTS):
-            term = c[k0:k1, n, None] * space
-            term *= weight
-            acc += term
-        acc *= 0.5
-    out = out.reshape((I,) + sgrid.shape)
+    alpha = grid.alpha
+    out = np.multiply.outer(bin_averages(age_profile, alpha, grid.I),
+                            np.asarray(space, dtype=float))
     if np.any(out < -1e-12):
         raise NegativeInitialData(
             f"initial swarmer data negative (min {float(out.min()):.3e})"

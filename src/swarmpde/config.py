@@ -11,7 +11,6 @@ once.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -273,6 +272,8 @@ def parse_config(path) -> RunConfig:
 def config_hash(obj) -> str:
     """sha256 of the canonical JSON of ``obj.to_dict()``, for a
     ``RunConfig`` or a ``HypothesisReport``."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which only manifests need
+
     canonical = json.dumps(obj.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -355,7 +356,7 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
     agegrid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     reg = regularize(spec, cfg.alpha)
     age_profile, u_space, v0 = build_initial_data(cfg, sgrid)
-    u0 = age_average_initial(age_profile, u_space, agegrid, sgrid)
+    u0 = age_average_initial(age_profile, u_space, agegrid)
     setup = RunSetup(
         spec=spec, agegrid=agegrid, reg=reg, sgrid=sgrid,
         u0=u0, v0=v0, T=cfg.time.T, sample_dt=cfg.time.sample_dt,

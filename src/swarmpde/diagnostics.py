@@ -9,9 +9,10 @@ margin is a bug somewhere.  ``envelope_report`` forms all nine margins
 in one straight pass over the record, and ``_margin`` is the one place
 where an envelope meets its observation.
 
-A sample reads each of the step plan's bin blocks (``solver_core.StepPlan``)
-once, into the plan's block-sized ``work`` pair, which is idle between
-steps, and reduces it in cache to per-bin sums (``bin_sums``):
+A sample reads each of the step plan's bin blocks (``solver_core.StepPlan``;
+the solver alone lays them out, with ``solver_core.bin_blocks``) once,
+into the plan's block-sized ``work`` pair, which is idle between steps,
+and reduces it in cache to per-bin sums (``bin_sums``):
 the integrals of the densities, of their entropy density and of the
 face form of their sqrt-gradient dissipation, plus the raw minimum (the
 largest density is the state's own ``max_u``).  It checks the sign of
@@ -42,16 +43,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .age_discretization import (
-    AgeGrid,
-    RegularizedModel,
-    bin_averages,
-    entropy_phi,
-)
+from .age_discretization import AgeGrid, RegularizedModel, entropy_phi
 from .errors import InadmissibleTestFunction, NegativeField, refuse
 from .model_spec import (
     ModelSpec,
     Zeta1Evaluator,
+    bin_averages,
     diffusivity_slope,
     estimate_kappas,
     smoothstep,
@@ -265,7 +262,6 @@ class DiagnosticsRecord:
     K0: float
     min_u_run: float
     min_v_run: float
-    conservation_max: float
     grad_v0_sq: float
 
     @property
@@ -276,6 +272,12 @@ class DiagnosticsRecord:
     def theta_activations(self) -> int:
         """Cutoff activations over the run, as of the last sample."""
         return int(self.series["theta_activations"][-1])
+
+    @property
+    def conservation_max(self) -> float:
+        """Largest conservation residual of the run's steps, as of the
+        last sample (the column holds the running maximum)."""
+        return float(self.series["conservation_residual"][-1])
 
     def to_csv(self, path) -> None:
         names, cols = list(self.series), list(self.series.values())
@@ -434,7 +436,6 @@ class DiagnosticsRecorder:
             K0=K0,
             min_u_run=self._min_u if math.isfinite(self._min_u) else 0.0,
             min_v_run=self._min_v if math.isfinite(self._min_v) else 0.0,
-            conservation_max=self._cons,
             grad_v0_sq=self._grad_v0 if math.isfinite(self._grad_v0) else 0.0,
         )
 

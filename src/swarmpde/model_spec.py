@@ -56,6 +56,7 @@ __all__ = [
     "zeta1",
     "zeta1_prime",
     "Zeta1Evaluator",
+    "bin_averages",
     "estimate_kappas",
     "diffusivity_slope",
     "box_blocks",
@@ -255,6 +256,22 @@ GAUSS16 = _symmetric_rule(
 _G_NODES = np.concatenate([GAUSS8[0], GAUSS16[0]])  # both rules' nodes, G8's first
 
 
+def bin_averages(f: Callable, h: float, count: int) -> np.ndarray:
+    """Averages of f over ``count`` consecutive cells of width h from 0,
+    by the 8-point Gauss rule; f takes an array of points, a row of eight
+    per cell.
+
+    The package's one fixed-rule cell average: the age weights and the
+    initial bins (``age_discretization``), the weak residual's age
+    moments (``diagnostics``) and the ``Zeta1Evaluator`` table.
+    """
+    edges = h * np.arange(count + 1)
+    widths = edges[1:] - edges[:-1]
+    x = edges[:-1, None] + (GAUSS8[0][None, :] + 1.0) * 0.5 * widths[:, None]
+    vals = np.asarray(f(x), dtype=float)
+    return (vals * GAUSS8[1][None, :]).sum(axis=1) * 0.5
+
+
 def zeta1(spec: ModelSpec, r: float) -> float:
     """Diffusivity transform: integral of sqrt(D(s)/s) from 0 to r.
 
@@ -322,21 +339,21 @@ def zeta1_prime(spec: ModelSpec, r):
 class Zeta1Evaluator:
     """Vectorized zeta1 on [0, r_max] via a cumulative fine-grid table.
 
-    Gauss quadrature of the substituted integrand on 4096 equal panels
-    of 8 nodes each; linear interpolation between panel edges.  Accuracy
-    is far below the diagnostic tolerances that consume it; the scalar
-    ``zeta1`` entry point keeps the strict 1e-10 contract.
+    The substituted integrand 2 sqrt(D(q*q)) is integrated over 4096
+    equal panels of [0, sqrt(r_max)], each as its width times its
+    ``bin_averages`` cell average; linear interpolation between panel
+    edges.  Accuracy is far below the diagnostic tolerances that consume
+    it; the scalar ``zeta1`` entry point keeps the strict 1e-10 contract.
     """
 
     def __init__(self, spec: ModelSpec, r_max: float):
-        q_edges = math.sqrt(max(r_max, 1e-12)) * np.arange(4097) / 4096
-        nodes, weights = GAUSS8
-        h = q_edges[1:] - q_edges[:-1]
-        q = q_edges[:-1, None] + (nodes[None, :] + 1.0) * 0.5 * h[:, None]
-        vals = 2.0 * np.sqrt(np.maximum(np.asarray(spec.D(q * q), dtype=float), 0.0))
-        panel_ints = (vals * weights[None, :]).sum(axis=1) * 0.5 * h
-        self._q = q_edges
-        self._cum = np.concatenate([[0.0], np.cumsum(panel_ints)])
+        h = math.sqrt(max(r_max, 1e-12)) / 4096
+
+        def integrand(q):
+            return 2.0 * np.sqrt(np.maximum(np.asarray(spec.D(q * q), dtype=float), 0.0))
+
+        self._q = h * np.arange(4097)
+        self._cum = np.concatenate([[0.0], np.cumsum(h * bin_averages(integrand, h, 4096))])
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

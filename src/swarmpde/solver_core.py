@@ -33,12 +33,13 @@ convex-combination limit, and the swimmer limit dx^2/(2 dim alpha) is
 never below the diffusion limit since D_face >= alpha.
 
 The bins are updated in place, in one loop over blocks of consecutive
-bins, each about BIN_BLOCK_BYTES of u (``age_discretization.bin_blocks``,
-which the diagnostics samples share), so a block's temporaries stay in
-cache.  The loop runs from the last block to the first: a block is fed
-by the last bin of the block before it, which is then still old.  Each
-block applies the record's flux weights (``spatial_grid.div_flux``),
-takes its feed (dt/alpha) u_prev while its bins are old, and then
+bins, each about BIN_BLOCK_BYTES of u (``bin_blocks``: only the solver
+knows the blocking, and the diagnostics samples read u through the step
+plan's blocks), so a block's temporaries stay in cache.  The loop runs
+from the last block to the first: a block is fed by the last bin of the
+block before it, which is then still old.  Each block applies the
+record's flux weights (``spatial_grid.div_flux``), takes its feed
+(dt/alpha) u_prev while its bins are old, and then
 overwrites them with the Euler update f (1 - dt/alpha - dt mu_i) +
 dt div + (dt/alpha) u_prev in that order of operations.  Every
 operation of the update is elementwise across bins, so the blocks give
@@ -111,7 +112,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .age_discretization import AgeGrid, RegularizedModel, bin_blocks
+from .age_discretization import AgeGrid, RegularizedModel
 from .errors import UnstableStep
 from .model_spec import ModelSpec
 from .spatial_grid import (
@@ -140,6 +141,7 @@ __all__ = [
     "boundary_inflow",
     "step_coefficients",
     "stable_dt",
+    "bin_blocks",
     "step_plan",
     "step",
     "check_step",
@@ -151,6 +153,16 @@ __all__ = [
 
 _NEG_TOL = -1e-12
 _SAFETY = 0.9  # fraction of the stability limit a step may use
+BIN_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
+
+
+def bin_blocks(shape: tuple) -> list:
+    """Ranges (k0, k1) of consecutive bins of a float array of ``shape``
+    (bins first), each about BIN_BLOCK_BYTES, so that elementwise work on
+    one block stays in cache."""
+    I = shape[0]
+    nb = max(1, BIN_BLOCK_BYTES // (8 * math.prod(shape[1:])))
+    return [(k0, min(k0 + nb, I)) for k0 in range(0, I, nb)]
 
 
 @dataclass

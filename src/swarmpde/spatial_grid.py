@@ -351,14 +351,6 @@ def cutoff_plateau(u_max, reg) -> bool:
     return bool(reg.alpha**2 * u_max <= 0.5)
 
 
-def _cutoff_density(u, reg) -> np.ndarray:
-    """The drift's transported density u * theta(alpha^2 u); u itself on
-    the plateau, where the cutoff is not evaluated."""
-    if cutoff_plateau(u.max(), reg):
-        return u
-    return u * reg.theta(reg.alpha**2 * u)
-
-
 def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
              work=None) -> np.ndarray:
     """Divergence of the swarmer flux D_a(biomass) grad u + u Theta E grad biomass.
@@ -368,9 +360,10 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
     ``weights`` are the ``drift_faces`` of ``D_a(lam_total)`` and
     ``E_a(lam_total, v)`` when the caller has built them already; merged
     weights say that u lies on the cutoff plateau, so the drift transports
-    u itself.  Without them the weights are merged exactly when
-    ``cutoff_plateau(u.max(), reg)``.  ``out`` and ``work`` are passed to
-    ``drift_diffusion_div``.
+    u itself; split weights transport u * theta(alpha^2 u), which is u bit
+    for bit at every density on the plateau.  Without them the weights are
+    merged exactly when ``cutoff_plateau(u.max(), reg)``.  ``out`` and
+    ``work`` are passed to ``drift_diffusion_div``.
     """
     u = grid.check_field(u, "u")
     lam = grid.check_field(lam_total, "biomass")
@@ -380,7 +373,7 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
     if weights is None:
         weights = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid,
                               merged=cutoff_plateau(u.max(), reg))
-    q = u if weights.merged else _cutoff_density(u, reg)
+    q = u if weights.merged else u * reg.theta(reg.alpha**2 * u)
     return drift_diffusion_div(u, q, weights, grid, out, work)
 
 

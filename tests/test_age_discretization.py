@@ -18,7 +18,7 @@ from swarmpde.errors import HypothesisViolation, NegativeInitialData
 from swarmpde.solver_core import initial_state, step_plan
 from swarmpde.spatial_grid import SpatialGrid
 
-from conftest import make_spec, per_node_age_average
+from conftest import make_spec, near_per_node, per_bin_age_average, per_node_age_average
 
 # oracle: exact cell average of exp(a) over [0, 0.5] is 2 (e^0.5 - 1)
 EXP_AVg_FIRST_BIN = 2.0 * (math.exp(0.5) - 1.0)
@@ -163,7 +163,7 @@ def test_age_average_exponential_initial():
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
-    u0 = age_average_initial(lambda a: np.exp(-a), np.ones(sgrid.shape), grid, sgrid)
+    u0 = age_average_initial(lambda a: np.exp(-a), np.ones(sgrid.shape), grid)
     expected = (1.0 - math.exp(-alpha)) / alpha
     assert np.allclose(u0[0], expected, atol=1e-12)
 
@@ -172,7 +172,7 @@ def test_age_average_zero():
     spec = make_spec()
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
-    u0 = age_average_initial(np.zeros_like, np.zeros(sgrid.shape), grid, sgrid)
+    u0 = age_average_initial(np.zeros_like, np.zeros(sgrid.shape), grid)
     assert np.all(u0 == 0.0)
 
 
@@ -183,8 +183,7 @@ def test_age_average_clamps_with_warning(caplog):
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     level = 1.0 / (2.0 * alpha**2)
     with caplog.at_level(logging.WARNING):
-        u0 = age_average_initial(lambda a: np.full_like(a, level), np.ones(sgrid.shape),
-                                 grid, sgrid)
+        u0 = age_average_initial(lambda a: np.full_like(a, level), np.ones(sgrid.shape), grid)
     assert np.allclose(u0, 1.0 / (4.0 * alpha**2))
     assert any("clamping" in r.message for r in caplog.records)
 
@@ -194,7 +193,7 @@ def test_age_average_negative_raises():
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
     with pytest.raises(NegativeInitialData):
-        age_average_initial(lambda a: -np.ones_like(a), np.ones(sgrid.shape), grid, sgrid)
+        age_average_initial(lambda a: -np.ones_like(a), np.ones(sgrid.shape), grid)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -211,13 +210,14 @@ def test_age_average_negative_raises():
     kind=st.sampled_from(["cosine_bump", "zero"]),
 )
 @example(shape=(2048,), inv_alpha=16.0, a_max=4.0, amp=0.8, age_scale=0.5,
-         cut=(0.6, 0.4), eps=0.4, k=1, kind="cosine_bump")  # 4 bin blocks
+         cut=(0.6, 0.4), eps=0.4, k=1, kind="cosine_bump")  # 4 of the solver's bin blocks
 @example(shape=(12, 10), inv_alpha=2.0, a_max=2.0, amp=100.0, age_scale=2.0,
          cut=(1.0, 1.0), eps=0.3, k=2, kind="cosine_bump")  # clamped
-def test_age_average_bitwise_equals_per_node(shape, inv_alpha, a_max, amp, age_scale, cut,
-                                             eps, k, kind):
-    # the one vectorized pass over every Gauss node rounds as the per-node
-    # loop does, block by block of bins and through the clamp
+def test_age_average_bitwise_equals_per_bin(shape, inv_alpha, a_max, amp, age_scale, cut,
+                                            eps, k, kind):
+    # set-up's initial bins are the Gauss bin averages of the age profile
+    # times the space profile, through the clip and the clamp; the older
+    # node-by-node sum differs from them by roundoff only
     alpha = 1.0 / inv_alpha
     sgrid = SpatialGrid(extents=(4.0, 3.0)[:len(shape)], cells=shape)
     grid = build_age_grid(make_spec(), alpha, max(a_max, alpha))
@@ -225,8 +225,10 @@ def test_age_average_bitwise_equals_per_node(shape, inv_alpha, a_max, amp, age_s
         kind=kind, u_amp=amp, u_age_scale=age_scale, u_age_cut=(cut[0], cut[0] + cut[1]),
         u_cos_eps=eps, u_cos_k=k))
     age_profile, space, _ = build_initial_data(cfg, sgrid)
-    u0 = age_average_initial(age_profile, space, grid, sgrid)
-    assert np.array_equal(u0, per_node_age_average(age_profile, space, grid, sgrid))
+    u0 = age_average_initial(age_profile, space, grid)
+    assert np.array_equal(u0, per_bin_age_average(age_profile, space, grid))
+    node = per_node_age_average(age_profile, space, grid, sgrid)
+    assert near_per_node(u0, node)
 
 
 # --- initial-size constant ---------------------------------------------------

@@ -18,7 +18,7 @@ from swarmpde.errors import ConfigInvalid
 from swarmpde.model_spec import exponential_family, smoothstep, tabulated_family
 from swarmpde.spatial_grid import SpatialGrid
 
-from conftest import per_node_age_average
+from conftest import near_per_node, per_bin_age_average, per_node_age_average
 
 
 MINIMAL = {
@@ -265,9 +265,11 @@ PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]
              initial={"u_cos_k": 2, "u_cos_eps": 0.3})
 
 
-def test_initial_u0_bitwise_equals_per_node_space_profile():
-    # set-up takes every Gauss node in one call of the age profile; the
-    # reference, built here from the configuration, calls it per node
+def test_initial_u0_bitwise_equals_per_bin_space_profile():
+    # set-up's initial bins are the Gauss bin averages of the age profile
+    # times the space profile; the reference, built here from the
+    # configuration, restates that bin by bin, and the older node-by-node
+    # sum differs from it by roundoff only
     cfg = RunConfig.from_dict(PLANE)
     setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
     ic, sgrid = cfg.initial, setup.sgrid
@@ -276,10 +278,12 @@ def test_initial_u0_bitwise_equals_per_node_space_profile():
 
     def reference_age(a):
         age = np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
-        return ic.u_amp * float(age)
+        return ic.u_amp * age
 
-    expected = per_node_age_average(reference_age, space, setup.agegrid, sgrid)
+    expected = per_bin_age_average(reference_age, space.reshape(sgrid.shape), setup.agegrid)
     assert np.array_equal(setup.u0, expected)
+    node = per_node_age_average(reference_age, space, setup.agegrid, sgrid)
+    assert near_per_node(setup.u0, node)
     assert np.ptp(setup.u0[0]) > 0.0  # the space profile is not constant
 
 
@@ -370,7 +374,7 @@ def test_cmd_run_conservation_violation_fails(tmp_path, monkeypatch, residual):
 
     def leaky_run(setup, **kwargs):
         result = original(setup, **kwargs)
-        result.record.conservation_max = residual
+        result.record.series["conservation_residual"][-1] = residual
         return result
 
     monkeypatch.setattr(cli, "run", leaky_run)

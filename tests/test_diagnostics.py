@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from swarmpde import age_discretization, solver_core
+from swarmpde import solver_core
 from swarmpde.age_discretization import build_age_grid, entropy_phi, regularize
 from swarmpde.diagnostics import (
     ENVELOPE_NAMES,
@@ -216,12 +216,12 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
     assert float(state.lambda_rec.max()) < 1.8  # the recorder keeps zeta1's table
     blocks = []
 
-    def recording_bin_blocks(shape):
-        out = age_discretization.bin_blocks(shape)
+    def recording_bin_blocks(shape, _bin_blocks=solver_core.bin_blocks):
+        out = _bin_blocks(shape)
         blocks.extend(k1 - k0 for k0, k1 in out)
         return out
 
-    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * u[0].nbytes)
+    monkeypatch.setattr(solver_core, "BIN_BLOCK_BYTES", per_block * u[0].nbytes)
     monkeypatch.setattr(solver_core, "bin_blocks", recording_bin_blocks)
     rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5, 0.75))
     plan = step_plan(grid, sgrid)
@@ -258,9 +258,9 @@ def test_recorder_holds_no_block_buffer():
     # less than one bin block (here 8 bins of 64x64 cells, 256 KiB)
     spec, grid, reg, _ = _pieces(alpha=0.125, a_max=1.0)
     sgrid = SpatialGrid(extents=(1.0, 1.0), cells=(64, 64))
-    blocks = age_discretization.bin_blocks((grid.I,) + sgrid.shape)
+    blocks = solver_core.bin_blocks((grid.I,) + sgrid.shape)
     block_bytes = max(k1 - k0 for k0, k1 in blocks) * sgrid.ncells * 8
-    assert block_bytes == age_discretization.BIN_BLOCK_BYTES
+    assert block_bytes == solver_core.BIN_BLOCK_BYTES
     tracemalloc.start()
     try:
         rec = DiagnosticsRecorder(spec, grid, reg, sgrid, tail_A=(0.5,))

@@ -5,6 +5,7 @@ Run as a script, ``python tests/test_imports.py`` prints the code count
 """
 
 import ast
+import hashlib
 import importlib.util
 import io
 import json
@@ -44,18 +45,21 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
-@pytest.fixture(scope="module")
-def loaded_by_a_run(tmp_path_factory):
+_SMALL = {"alpha": 0.125, "a_max": 2.0, "time": {"T": 0.1, "sample_dt": 0.05},
+          "domain": {"dim": 1, "extents": [1.0], "cells": [16]},
+          "diagnostics": {"tail_A": [1.0]}}
+
+
+def _loaded_after(tmp_path, command: str, cfg: dict) -> list:
     """The modules loaded in a fresh process after a whole ``swarmpde
-    run``, judged after the run and not after the import alone, so that a
+    <command>`` on ``cfg`` (written to ``tmp_path``, output there too),
+    judged after the command and not after the import alone, so that a
     lazy import at run time shows."""
-    tmp_path = tmp_path_factory.mktemp("run")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.125, "a_max": 2.0, "time": {"T": 0.1, "sample_dt": 0.05},
-                               "domain": {"dim": 1, "extents": [1.0], "cells": [16]},
-                               "diagnostics": {"tail_A": [1.0]}}), encoding="utf-8")
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     script = ("import json, sys\nfrom swarmpde import cli\n"
-              f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+              f"code = cli.main([{command!r}, '--config', {str(path)!r}, "
+              f"'--out', {str(tmp_path / command)!r}])\n"
               "print(json.dumps([code, sorted(sys.modules)]))")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=300)
@@ -63,6 +67,11 @@ def loaded_by_a_run(tmp_path_factory):
     code, modules = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     return modules
+
+
+@pytest.fixture(scope="module")
+def loaded_by_a_run(tmp_path_factory):
+    return _loaded_after(tmp_path_factory.mktemp("run"), "run", _SMALL)
 
 
 def test_a_run_loads_no_scipy(loaded_by_a_run):
@@ -73,6 +82,24 @@ def test_a_run_loads_no_scipy(loaded_by_a_run):
 def test_a_run_loads_no_numpy_polynomial(loaded_by_a_run):
     # the Gauss-Legendre rules are literal tables, not leggauss calls
     assert [m for m in loaded_by_a_run if m.startswith("numpy.polynomial")] == []
+
+
+def test_only_a_manifest_loads_openssl(loaded_by_a_run, tmp_path):
+    # hashlib loads OpenSSL (_hashlib) for config_hash alone, so the
+    # commands that write no manifest never load it; the hash is unchanged
+    crossval = dict(_SMALL, model={"family": "exponential", "xi0": 0.0},
+                    initial={"u_age_cut": [0.3, 0.6], "u_cos_eps": 0.3, "v_cos_eps": 0.2},
+                    domain={"dim": 1, "extents": [4.0], "cells": [16]})
+    sweep = dict(_SMALL, domain={"dim": 1, "extents": [1.0], "cells": [8]})
+    assert "_hashlib" not in _loaded_after(tmp_path, "sweep", sweep)
+    assert "_hashlib" not in _loaded_after(tmp_path, "crossval", crossval)
+    assert "_hashlib" in loaded_by_a_run
+
+    from swarmpde.config import RunConfig, config_hash
+    canonical = json.dumps(RunConfig.from_dict(_SMALL).to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    assert config_hash(RunConfig.from_dict(_SMALL)) \
+        == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def test_every_module_is_scanned():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from swarmpde import age_discretization, diagnostics, solver_core
+from swarmpde import diagnostics, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
 from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import UnstableStep
@@ -353,7 +353,7 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
         blocks.append(len(u))
         return div_flux(u, *args, **kwargs)
 
-    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
+    monkeypatch.setattr(solver_core, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
     monkeypatch.setattr(solver_core, "div_flux", counting_div_flux)
     plan = step_plan(grid, sgrid)  # the layout is frozen when the plan is built
     assert plan.blocks == tuple((k0, min(k0 + per_block, 8)) for k0 in range(0, 8, per_block))
@@ -395,7 +395,7 @@ def _rough_state(cells, top, seed):
 def test_plan_reused_over_two_steps_matches_reference(monkeypatch, cells, per_block):
     # one plan serves consecutive steps: its scratch carries nothing over
     state, grid, reg, sgrid = _rough_state(cells, top=0.8, seed=13)
-    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
+    monkeypatch.setattr(solver_core, "BIN_BLOCK_BYTES", per_block * state.u[0].nbytes)
     plan = step_plan(grid, sgrid)
     ref = _with_own_u(state)
     for _ in range(2):
@@ -441,7 +441,7 @@ def test_step_and_sample_peak_memory(monkeypatch):
     rng = np.random.default_rng(5)
     u0 = 0.4 / alpha**2 * rng.random((grid.I,) + sgrid.shape)
     state = initial_state(u0, rng.random(sgrid.shape), grid)
-    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", state.u[0].nbytes)
+    monkeypatch.setattr(solver_core, "BIN_BLOCK_BYTES", state.u[0].nbytes)
     plan = step_plan(grid, sgrid)
     recorder = DiagnosticsRecorder(spec, grid, reg, sgrid)
     recorder.sample(state, plan)
@@ -471,7 +471,7 @@ def test_2d_step_allocates_no_u_sized_array(monkeypatch, top):
     rng = np.random.default_rng(3)
     state = initial_state(top / alpha**2 * rng.random((grid.I,) + sgrid.shape),
                           rng.random(sgrid.shape), grid)
-    monkeypatch.setattr(age_discretization, "BIN_BLOCK_BYTES", state.u[0].nbytes)
+    monkeypatch.setattr(solver_core, "BIN_BLOCK_BYTES", state.u[0].nbytes)
     plan = step_plan(grid, sgrid)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     tracemalloc.start()
