@@ -29,7 +29,7 @@ from . import diagnostics as diag
 from . import reduced_system
 from .errors import ConfigInvalid, ConfigMismatch, SwarmPDEError
 from .solver_core import initial_state, run
-from .spatial_grid import field_to_binary, field_to_csv
+from .spatial_grid import field_to_binary, field_to_csv, prolong, sq_l2
 
 logger = logging.getLogger(__name__)
 
@@ -195,10 +195,9 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "reduced.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,l2_Lambda,l2_v,max_Lambda,max_v\n")
-        vol = setup.sgrid.cell_volume
         for s in samples:
-            l2l = math.sqrt(float(np.sum(s.lambda_rec**2)) * vol)
-            l2v = math.sqrt(float(np.sum(s.v**2)) * vol)
+            l2l = math.sqrt(sq_l2(s.lambda_rec, setup.sgrid))
+            l2v = math.sqrt(sq_l2(s.v, setup.sgrid))
             fh.write(f"{s.t:.17g},{l2l:.17g},{l2v:.17g},"
                      f"{float(s.lambda_rec.max()):.17g},{float(s.v.max()):.17g}\n")
     field_to_csv(samples[-1].lambda_rec, setup.sgrid, out_dir / "biomass_final.csv")
@@ -208,11 +207,10 @@ def cmd_reduced(cfg, out_dir: Path) -> int:
 
 def cmd_crossval(cfg, out_dir: Path) -> int:
     rspec = _reduced_spec(cfg)
-    alphas = (cfg.alpha, cfg.alpha / 2.0)
-    for alpha in alphas:
-        reduced_system.refuse_inflow(rspec.xi, alpha)
-    judged = _judged_setups([dataclasses.replace(cfg, alpha=alpha) for alpha in alphas],
-                            out_dir)
+    plan = config_mod.level_plan(cfg, 2, cells_factor=1)
+    for level in plan:
+        reduced_system.refuse_inflow(rspec.xi, level.alpha)
+    judged = _judged_setups(plan, out_dir)
     if judged is None:
         return EXIT_FAIL
     result = reduced_system.cross_validate_setups([setup for setup, _ in judged], rspec)
@@ -228,7 +226,9 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
 
 
 def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
-    judged = _judged_setups(config_mod.build_sweep_plan(cfg, levels=levels), out_dir)
+    if levels < 3:
+        raise ConfigInvalid(["sweep: need at least 3 alpha levels"])
+    judged = _judged_setups(config_mod.level_plan(cfg, levels, cells_factor=2), out_dir)
     if judged is None:
         return EXIT_FAIL
     runs = []
@@ -244,25 +244,15 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
             result.samples, moments, setup.spec, setup.agegrid, setup.sgrid)])
         runs.append((setup.agegrid.alpha, setup, result, residual))
 
-    fine_cells = runs[-1][1].sgrid.cells
-    vol_fine = runs[-1][1].sgrid.cell_volume
-
-    def prolong(values, cells):
-        # the ladder doubles the cells per level, so the meshes nest
-        out = values
-        for ax, (c_from, c_to) in enumerate(zip(cells, fine_cells)):
-            out = np.repeat(out, c_to // c_from, axis=ax)
-        return out
-
-    diffs = []   # per level pair, the L2-in-time Cauchy difference of (biomass, v)
+    # per level pair, the L2-in-time Cauchy difference of (biomass, v), both
+    # levels prolonged onto the finest mesh
+    fine = runs[-1][1].sgrid
+    diffs = []
     times = np.asarray([s.t for s in runs[0][2].samples])
-    for (a1, s1, r1, _), (a2, s2, r2, _) in zip(runs, runs[1:]):
-        sq = np.zeros((2, times.size))
-        for k, (f1, f2) in enumerate(zip(r1.samples, r2.samples)):
-            for j, name in enumerate(("lambda_rec", "v")):
-                d = (prolong(getattr(f1, name), s1.sgrid.cells)
-                     - prolong(getattr(f2, name), s2.sgrid.cells))
-                sq[j, k] = float(np.sum(d ** 2)) * vol_fine
+    for (_, s1, r1, _), (_, s2, r2, _) in zip(runs, runs[1:]):
+        sq = [[sq_l2(prolong(getattr(f1, name), s1.sgrid, fine)
+                     - prolong(getattr(f2, name), s2.sgrid, fine), fine)
+               for f1, f2 in zip(r1.samples, r2.samples)] for name in ("lambda_rec", "v")]
         diffs.append(tuple(math.sqrt(float(np.trapezoid(row, times))) for row in sq))
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,19 +265,16 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
 
     ratios_l, ratios_v = ([b[j] / a[j] if a[j] > 0 else math.nan
                            for a, b in zip(diffs, diffs[1:])] for j in (0, 1))
+    alphas = [r[0] for r in runs]
     residuals = [r[3] for r in runs]
-    res_orders = [
-        math.log2(a / b) if a > 0 and b > 0 else math.nan
-        for a, b in zip(residuals, residuals[1:])
-    ]
     payload = {
-        "alphas": [r[0] for r in runs],
+        "alphas": alphas,
         "diff_Lambda": [d[0] for d in diffs],
         "diff_v": [d[1] for d in diffs],
         "cauchy_ratios_Lambda": ratios_l,
         "cauchy_ratios_v": ratios_v,
         "residuals": residuals,
-        "residual_orders": res_orders,
+        "residual_orders": diag.observed_orders(residuals, alphas),
     }
     _json_dump(payload, out_dir / "sweep.json")
     return EXIT_OK

@@ -50,7 +50,7 @@ __all__ = [
     "hypothesis_report",
     "build_initial_data",
     "build_run_setup",
-    "build_sweep_plan",
+    "level_plan",
 ]
 
 
@@ -366,14 +366,14 @@ def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
     return setup, report
 
 
-def build_sweep_plan(cfg: RunConfig, levels: int) -> list:
-    """Refinement ladder: level k has alpha/2^k and 2^k times the cells per
-    axis, so every level's mesh refines the one before it."""
-    if levels < 3:
-        raise ConfigInvalid(["sweep: need at least 3 alpha levels"])
+def level_plan(cfg: RunConfig, levels: int, cells_factor: int) -> list:
+    """The configurations of a refinement study: level k has alpha/2^k and
+    cells_factor^k times the configured cells per axis.  ``sweep`` uses
+    factor 2, so every level's mesh refines the one before it;
+    ``crossval`` keeps the mesh, factor 1."""
 
     def level(k):
-        cells = tuple(c * 2**k for c in cfg.domain.cells)
+        cells = tuple(c * cells_factor**k for c in cfg.domain.cells)
         return dataclasses.replace(cfg, alpha=cfg.alpha / 2.0**k,
                                    domain=dataclasses.replace(cfg.domain, cells=cells))
     return [level(k) for k in range(levels)]

@@ -61,6 +61,7 @@ from .spatial_grid import (
     face_sq_sums,
     grad_cell,
     laplacian,
+    sq_l2,
 )
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "ENVELOPE_NAMES",
     "make_test_functions",
     "weak_residual",
+    "observed_orders",
 ]
 
 ENVELOPE_NAMES = (
@@ -370,7 +372,6 @@ class DiagnosticsRecorder:
         allocates no array of u's size.
         """
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
-        vol = sgrid.cell_volume
         u, lam = state.u, state.lambda_rec
         d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
         lows, *per_bin = zip(*(
@@ -390,9 +391,9 @@ class DiagnosticsRecorder:
         rows["grad_zeta2_sq"].append(gz2)
         rows["linf_Lambda"].append(float(np.max(np.abs(lam))))
         rows["linf_v"].append(float(np.max(np.abs(state.v))))
-        rows["l2_Lambda"].append(math.sqrt(float(np.sum(lam * lam)) * vol))
-        rows["l2_v"].append(math.sqrt(float(np.sum(state.v * state.v)) * vol))
-        rows["delta_v_sq"].append(float(np.sum(lap_v * lap_v)) * vol)
+        rows["l2_Lambda"].append(math.sqrt(sq_l2(lam, sgrid)))
+        rows["l2_v"].append(math.sqrt(sq_l2(state.v, sgrid)))
+        rows["delta_v_sq"].append(sq_l2(lap_v, sgrid))
         rows["identity_residual"].append(
             float(np.max(np.abs(state.lambda_rec - state.lambda_ev)))
         )
@@ -409,7 +410,8 @@ class DiagnosticsRecorder:
             rows[f"tail_{A:g}"].append(tail_mass(state, A, grid, sgrid, totals))
             rows[f"eta_tail_{A:g}"].append(grid.alpha * float(self._eta_b[A] @ totals))
         if state.t == 0.0 and math.isnan(self._grad_v0):
-            self._grad_v0 = float(face_sq_sums(state.v, sgrid.unit_weights, sgrid)[0]) * vol
+            self._grad_v0 = float(face_sq_sums(state.v, sgrid.unit_weights,
+                                               sgrid)[0]) * sgrid.cell_volume
 
     def finalize(self) -> DiagnosticsRecord:
         series = {k: np.asarray(v, dtype=float) for k, v in self._rows.items()}
@@ -780,3 +782,14 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         signed = sum(terms.values())
         results.append(WeakResidualResult(residual=abs(signed), signed=signed, terms=terms))
     return results[0] if single else results
+
+
+# --------------------------------------------------------------------------
+# refinement
+
+def observed_orders(errors, alphas) -> list:
+    """The observed order of each refinement step k -> k+1 of a level
+    study: log(e_k / e_k+1) / log(alpha_k / alpha_k+1), NaN unless both
+    errors are positive."""
+    return [math.log2(e1 / e2) / math.log2(a1 / a2) if e1 > 0.0 and e2 > 0.0 else math.nan
+            for e1, e2, a1, a2 in zip(errors, errors[1:], alphas, alphas[1:])]

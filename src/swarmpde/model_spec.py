@@ -468,12 +468,14 @@ def validate_hypotheses(
         with np.errstate(all="ignore"):
             return (ratio / base - 1.0) / alphas[None, :]
 
-    lam_v = _check_finite("lam", spec.lam(ages), ages)
-    b_v = _check_finite("b", spec.b(ages), ages)
-    mu_v = _check_finite("mu", spec.mu(ages), ages)
-    D_v = _check_finite("D", spec.D(rs), rs)
-    g_v = _check_finite("g", spec.g(rs), rs)
-    xi_v = _check_finite("xi", spec.xi(rs), rs)
+    # an overflow here is judged by _check_finite, as NonFiniteEvaluation
+    with np.errstate(all="ignore"):
+        lam_v = _check_finite("lam", spec.lam(ages), ages)
+        b_v = _check_finite("b", spec.b(ages), ages)
+        mu_v = _check_finite("mu", spec.mu(ages), ages)
+        D_v = _check_finite("D", spec.D(rs), rs)
+        g_v = _check_finite("g", spec.g(rs), rs)
+        xi_v = _check_finite("xi", spec.xi(rs), rs)
 
     pos = rs > 0.0
     if np.any(D_v[pos] <= 0.0):

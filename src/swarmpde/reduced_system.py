@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigMismatch, refuse
 from .model_spec import ModelSpec, constant_problems
 from .solver_core import RunSetup, TrajectorySample, check_step, initial_state, march, run
-from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean
+from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean, l1, sq_l2
 from . import diagnostics as diag
 
 __all__ = [
@@ -150,29 +150,21 @@ def _ratio(x: float, y: float) -> float:
     return x / y if y > 0.0 else (0.0 if x == 0.0 else math.inf)
 
 
-def _rel_l2(a: np.ndarray, b: np.ndarray, vol: float) -> float:
-    num = math.sqrt(float(np.sum((a - b) ** 2)) * vol)
-    den = math.sqrt(float(np.sum(a * a)) * vol)
-    return _ratio(num, den)
-
-
 def _one_level(setup: RunSetup, rspec: ReducedSpec) -> tuple:
     # only the biomass and the swimmers are compared: the run keeps no bins
-    full = run(dataclasses.replace(setup, store_u=False), record=False)
-    lam0 = full.samples[0].lambda_rec
-    fs = full.samples
-    rs = run_reduced(rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
+    sgrid = setup.sgrid
+    fs = run(dataclasses.replace(setup, store_u=False), record=False).samples
+    rs = run_reduced(rspec, sgrid, fs[0].lambda_rec, setup.v0, setup.T, setup.sample_dt,
                      fixed_dt=setup.fixed_dt)
-    vol = setup.sgrid.cell_volume
 
     def gaps(name: str) -> tuple:
         # the final relative L2 gap of field ``name`` and its largest L1
         # gap over the samples relative to the full run's largest L1 norm
-        e = _rel_l2(getattr(fs[-1], name), getattr(rs[-1], name), vol)
-        l1_diff = max(float(np.sum(np.abs(getattr(f, name) - getattr(r, name)))) * vol
-                      for f, r in zip(fs, rs))
-        l1 = max((float(np.sum(np.abs(getattr(f, name)))) * vol for f in fs), default=0.0)
-        return e, _ratio(l1_diff, l1)
+        f_T, r_T = getattr(fs[-1], name), getattr(rs[-1], name)
+        e = _ratio(math.sqrt(sq_l2(f_T - r_T, sgrid)), math.sqrt(sq_l2(f_T, sgrid)))
+        l1_diff = max(l1(getattr(f, name) - getattr(r, name), sgrid) for f, r in zip(fs, rs))
+        l1_full = max((l1(getattr(f, name), sgrid) for f in fs), default=0.0)
+        return e, _ratio(l1_diff, l1_full)
 
     e_lam, linf_lam = gaps("lambda_rec")
     e_v, linf_v = gaps("v")
@@ -192,11 +184,13 @@ def refuse_inflow(xi: Callable, alpha: float) -> None:
 
 
 def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
-    """Compare full and reduced runs on matched grids over alpha levels.
+    """Compare full and reduced runs over alpha levels.
 
-    ``setups`` maps strictly decreasing alpha values to ready RunSetup
-    objects on a common mesh; the first level provides the headline
-    errors, the refinement gives the measured order.
+    ``setups`` are ready RunSetup objects of strictly decreasing alpha;
+    each level compares its full and reduced runs on its own mesh, so the
+    levels need not share one.  The first level provides the headline
+    errors, the first refinement the observed order
+    (``diagnostics.observed_orders``).
     """
     alphas = [s.agegrid.alpha for s in setups]
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
@@ -217,17 +211,13 @@ def cross_validate_setups(setups, rspec: ReducedSpec) -> CrossValResult:
     results = [_one_level(s, rspec) for s in setups]
     errs = tuple(r[0] for r in results)
     errs_v = tuple(r[1] for r in results)
-
-    def order(errors) -> float:
-        # observed order of the first refinement; NaN without two positive errors
-        if len(errors) >= 2 and errors[0] > 0.0 and errors[1] > 0.0:
-            return math.log2(errors[0] / errors[1]) / math.log2(alphas[0] / alphas[1])
-        return math.nan
-
+    # the observed order of the first refinement, NaN without one
+    order_l = (diag.observed_orders(errs, alphas) + [math.nan])[0]
+    order_v = (diag.observed_orders(errs_v, alphas) + [math.nan])[0]
     return CrossValResult(
         rel_l2_Lambda=errs[0], rel_l2_v=errs_v[0],
         linf_l1_Lambda=results[0][2], linf_l1_v=results[0][3],
         alpha_levels=tuple(alphas),
         errors_by_level=errs, errors_v_by_level=errs_v,
-        order_Lambda=order(errs), order_v=order(errs_v),
+        order_Lambda=order_l, order_v=order_v,
     )

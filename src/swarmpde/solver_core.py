@@ -125,6 +125,7 @@ from .spatial_grid import (
     drift_faces,
     flux_weights,
     harmonic_mean,
+    l1,
     laplacian,
 )
 
@@ -449,12 +450,7 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         abs_sum = 0.0
         for total in abs_rows.tolist():
             abs_sum += total  # bin by bin in order, whatever the blocks
-        cons_scale = max(
-            abs_sum * vol,
-            float(np.abs(lap_v).sum()) * vol,
-            1e-300,
-        )
-        conservation = cons / cons_scale
+        conservation = cons / max(abs_sum * vol, l1(lap_v, sgrid), 1e-300)
 
     # the cutoff acts on some bin exactly when the largest leaves its
     # plateau alpha^2 u <= 1/2; the first such step warns

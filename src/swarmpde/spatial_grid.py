@@ -68,6 +68,9 @@ __all__ = [
     "face_mean",
     "harmonic_mean",
     "conservation_residual",
+    "prolong",
+    "sq_l2",
+    "l1",
     "field_to_csv",
     "field_from_csv",
     "field_to_binary",
@@ -435,8 +438,29 @@ def grad_cell(f, grid: SpatialGrid) -> list:
 def conservation_residual(out: np.ndarray, grid: SpatialGrid) -> float:
     """|sum(out)*vol| relative to the L1 size of the output."""
     total = abs(float(np.sum(out))) * grid.cell_volume
-    scale = float(np.sum(np.abs(out))) * grid.cell_volume
-    return total / max(scale, 1e-300)
+    return total / max(l1(out, grid), 1e-300)
+
+
+# --------------------------------------------------------------------------
+# nested meshes and the norms of a cell field
+
+def prolong(f, grid: SpatialGrid, fine: SpatialGrid) -> np.ndarray:
+    """The cell field ``f`` of ``grid`` on ``fine``, a refinement of it
+    (its cells a multiple of ``grid``'s per axis): each coarse value is
+    repeated over the fine cells it covers."""
+    for ax, (c_from, c_to) in enumerate(zip(grid.cells, fine.cells)):
+        f = np.repeat(f, c_to // c_from, axis=ax)
+    return f
+
+
+def sq_l2(f, grid: SpatialGrid) -> float:
+    """The squared L2 norm of ``f``: the sum of f*f times the cell volume."""
+    return float(np.sum(f * f)) * grid.cell_volume
+
+
+def l1(f, grid: SpatialGrid) -> float:
+    """The L1 norm of ``f``: the sum of |f| times the cell volume."""
+    return float(np.sum(np.abs(f))) * grid.cell_volume
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from swarmpde import cli, config as config_mod, diagnostics, reduced_system, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.cli import main
-from swarmpde.config import RunConfig, build_sweep_plan, parse_config
+from swarmpde.config import RunConfig, level_plan, parse_config
 from swarmpde.errors import ConfigInvalid
 from swarmpde.model_spec import exponential_family, smoothstep, tabulated_family
 from swarmpde.spatial_grid import SpatialGrid
@@ -240,11 +240,14 @@ def test_each_rule_is_refused_by_the_config_and_by_its_owner(tmp_path, over, fie
         owner(_unvalidated(data))
 
 
-def test_sweep_plan_validation():
-    cfg = RunConfig.from_dict(MINIMAL)
-    with pytest.raises(ConfigInvalid):
-        build_sweep_plan(cfg, levels=2)
-    plan = build_sweep_plan(cfg, levels=3)
+def test_sweep_plan_validation(tmp_path):
+    # a sweep of fewer than 3 levels is a config problem (exit 2)
+    cfg = dict(MINIMAL, output={"dir": str(tmp_path / "out")})
+    assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--levels", "2"]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert failure["messages"] == ["sweep: need at least 3 alpha levels"]
+    plan = level_plan(RunConfig.from_dict(MINIMAL), 3, cells_factor=2)
     assert [level.alpha for level in plan] == [0.125, 0.0625, 0.03125]
     assert plan[-1].domain.cells == (64,)
 
@@ -257,8 +260,34 @@ def test_sweep_levels_nest_for_any_depth():
         domain={"dim": 2, "extents": [1.0, 1.0], "cells": [12, 10]},
     ))
     for levels in range(3, 7):
-        cells = [level.domain.cells for level in build_sweep_plan(cfg, levels=levels)]
+        cells = [level.domain.cells for level in level_plan(cfg, levels, cells_factor=2)]
         assert cells == [(12 * 2**k, 10 * 2**k) for k in range(levels)]
+
+
+def test_crossval_level_plan_keeps_the_mesh_and_halves_alpha():
+    # crossval's two levels: the configured mesh at alpha and at alpha/2
+    cfg = RunConfig.from_dict(dict(
+        MINIMAL, alpha=0.3, diagnostics={"tail_A": [2.0]},
+        domain={"dim": 2, "extents": [1.0, 1.0], "cells": [12, 10]},
+    ))
+    plan = level_plan(cfg, 2, cells_factor=1)
+    assert [level.alpha for level in plan] == [0.3, 0.3 / 2.0]
+    assert plan[0] == cfg
+    assert plan[1] == dataclasses.replace(cfg, alpha=0.3 / 2.0)
+
+
+@pytest.mark.parametrize("over", [
+    {"model": {"theta": 1e300}}, {"a_max": 1e300}, {"model": {"tau": 1e-300}},
+    {"alpha": 1e-300},
+], ids=["theta", "a_max", "tau", "alpha"])
+def test_overflow_in_set_up_is_a_typed_failure(tmp_path, over):
+    # a model function that overflows on the sampled box is judged as a
+    # non-finite evaluation (exit 1), not a RuntimeWarning traceback
+    cfg = dict(MINIMAL, **over, output={"dir": str(tmp_path / "out")})
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
+        failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert failure["kind"] == "NonFiniteEvaluation"
 
 
 PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]},
@@ -472,7 +501,8 @@ def test_sweep_keeps_no_bins_and_reads_the_residual_of_stored_bins(tmp_path, mon
     assert all(s.u is None for r in results for s in r.samples)
     residuals = json.loads((tmp_path / "out" / "sweep.json").read_text())["residuals"]
     stored = 0
-    for level_cfg, residual in zip(build_sweep_plan(parse_config(path), levels=3), residuals):
+    for level_cfg, residual in zip(level_plan(parse_config(path), 3, cells_factor=2),
+                                   residuals):
         setup, _ = config_mod.build_run_setup(level_cfg, check_hypotheses=False)
         samples = solver_core.run(setup, record=False).samples
         stored += sum(s.u.nbytes for s in samples)

@@ -23,6 +23,7 @@ from swarmpde.diagnostics import (
     mass_b,
     tail_mass,
     make_test_functions,
+    observed_orders,
     weak_residual,
 )
 from swarmpde.errors import InadmissibleTestFunction, NegativeField
@@ -524,3 +525,18 @@ def test_catalogue_omega_neumann_and_laplacian():
     for k in (1, 2, 3):
         assert math.sin(k * math.pi * 0.0) == 0.0
         assert abs(math.sin(k * math.pi * 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("errors", [(0.0, 0.1), (0.1, 0.0), (-0.1, 0.05), (0.1, math.nan),
+                                    (math.nan, 0.1)])
+def test_observed_order_needs_two_positive_errors(errors):
+    assert math.isnan(observed_orders(errors, (0.5, 0.25))[0])
+
+
+def test_observed_order_scales_with_the_alpha_ratio():
+    # alpha / 2 per step gives log2 of the error ratio, alpha / 4 half of it
+    errors = (0.3, 0.05, 0.02)
+    assert observed_orders(errors, (1.0, 0.5, 0.25)) == [
+        math.log2(0.3 / 0.05), math.log2(0.05 / 0.02)]
+    assert observed_orders(errors[:2], (1.0, 0.25)) == [0.5 * math.log2(0.3 / 0.05)]
+    assert observed_orders(errors[:1], (1.0,)) == []

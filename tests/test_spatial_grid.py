@@ -23,7 +23,10 @@ from swarmpde.spatial_grid import (
     field_to_csv,
     grad_cell,
     harmonic_mean,
+    l1,
     laplacian,
+    prolong,
+    sq_l2,
 )
 
 from conftest import (
@@ -454,3 +457,18 @@ def test_laplacian_kernel_matches_strided(cells, dyadic):
         scale[hi] += term
     assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
     assert np.array_equal(got, ref) == dyadic
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_prolong_onto_a_nested_mesh_keeps_the_norms(rng, factor):
+    # each coarse cell's value covers its fine cells, so the L1 and the L2
+    # norms weighted by the cell volumes do not move
+    coarse = SpatialGrid(extents=(4.0, 3.0), cells=(6, 5))
+    fine = SpatialGrid(extents=(4.0, 3.0), cells=(6 * factor, 5 * factor))
+    f = rng.standard_normal(coarse.shape)
+    g = prolong(f, coarse, fine)
+    assert g.shape == fine.shape
+    assert np.array_equal(g[::factor, ::factor], f)
+    assert l1(g, fine) == pytest.approx(l1(f, coarse), rel=1e-14, abs=0.0)
+    assert sq_l2(g, fine) == pytest.approx(sq_l2(f, coarse), rel=1e-14, abs=0.0)
+    assert np.array_equal(prolong(f, coarse, coarse), f)
