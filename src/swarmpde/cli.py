@@ -1,4 +1,4 @@
-"""Command line entry points: run, reduced, crossval, sweep, validate.
+"""Command line entry points: run, crossval, sweep, validate.
 
 Every command reads one JSON configuration, writes its artifacts under
 the output directory, and encodes success in the exit status: 0 only if
@@ -28,7 +28,7 @@ from . import config as config_mod
 from . import diagnostics as diag
 from . import reduced_system
 from .errors import ConfigInvalid, ConfigMismatch, SwarmPDEError
-from .solver_core import initial_state, run
+from .solver_core import run
 from .spatial_grid import field_to_binary, field_to_csv, prolong, sq_l2
 
 logger = logging.getLogger(__name__)
@@ -170,43 +170,15 @@ def cmd_run(cfg, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _reduced_spec(cfg) -> reduced_system.ReducedSpec:
+def cmd_crossval(cfg, out_dir: Path) -> int:
     # refused from the configuration, before any set-up work
     if cfg.model.family != "exponential":
         # the age structure integrates out only for exponential weights
         raise ConfigMismatch(f"the {cfg.model.family} family has no closed reduced "
-                             "system: reduced and crossval need the exponential family")
-    return reduced_system.reduced_from_model(
+                             "system: crossval needs the exponential family")
+    rspec = reduced_system.reduced_from_model(
         config_mod.build_model_spec(cfg), mu_const=cfg.model.mu, m0=cfg.model.m0,
         tau=cfg.model.tau)
-
-
-def cmd_reduced(cfg, out_dir: Path) -> int:
-    rspec = _reduced_spec(cfg)
-    judged = _judged_setups([cfg], out_dir)
-    if judged is None:
-        return EXIT_FAIL
-    [(setup, _)] = judged
-    lam0 = initial_state(setup.u0, setup.v0, setup.agegrid).lambda_rec
-    samples = reduced_system.run_reduced(
-        rspec, setup.sgrid, lam0, setup.v0, setup.T, setup.sample_dt,
-        fixed_dt=setup.fixed_dt,
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "reduced.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,l2_Lambda,l2_v,max_Lambda,max_v\n")
-        for s in samples:
-            l2l = math.sqrt(sq_l2(s.lambda_rec, setup.sgrid))
-            l2v = math.sqrt(sq_l2(s.v, setup.sgrid))
-            fh.write(f"{s.t:.17g},{l2l:.17g},{l2v:.17g},"
-                     f"{float(s.lambda_rec.max()):.17g},{float(s.v.max()):.17g}\n")
-    field_to_csv(samples[-1].lambda_rec, setup.sgrid, out_dir / "biomass_final.csv")
-    field_to_csv(samples[-1].v, setup.sgrid, out_dir / "swimmer_final.csv")
-    return EXIT_OK
-
-
-def cmd_crossval(cfg, out_dir: Path) -> int:
-    rspec = _reduced_spec(cfg)
     plan = config_mod.level_plan(cfg, 2, cells_factor=1)
     for level in plan:
         reduced_system.refuse_inflow(rspec.xi, level.alpha)
@@ -295,7 +267,7 @@ def main(argv=None) -> int:
         description="age-structured swarmer/swimmer colony simulator",
     )
     parser.add_argument("command",
-                        choices=["run", "reduced", "crossval", "sweep", "validate"])
+                        choices=["run", "crossval", "sweep", "validate"])
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--levels", type=int, default=3,
@@ -313,7 +285,7 @@ def main(argv=None) -> int:
             hint = output.get("dir") if isinstance(output, dict) else None
             if isinstance(hint, str) and hint:
                 out_dir = Path(hint)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):  # as parse_config refuses
             pass
     try:
         cfg = config_mod.parse_config(args.config)
@@ -321,8 +293,6 @@ def main(argv=None) -> int:
             out_dir = Path(cfg.output.dir)
         if args.command == "run":
             return cmd_run(cfg, out_dir)
-        if args.command == "reduced":
-            return cmd_reduced(cfg, out_dir)
         if args.command == "crossval":
             return cmd_crossval(cfg, out_dir)
         if args.command == "sweep":
@@ -333,6 +303,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SwarmPDEError as exc:
         _write_failure(out_dir or Path("."), type(exc).__name__, [str(exc)])
+        return EXIT_FAIL
+    except OSError as exc:
+        # parse_config refuses an unreadable configuration, so this is a write
+        _write_failure(out_dir or Path("."), "output_unwritable", [str(exc)])
         return EXIT_FAIL
 
 

@@ -260,12 +260,10 @@ def _validate(cfg: RunConfig) -> list:
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON configuration file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigInvalid([f"config file {path} does not exist"])
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid([f"invalid JSON: {exc}"]) from exc
+    except (OSError, ValueError, RecursionError) as exc:  # absent, unreadable, not JSON
+        raise ConfigInvalid([f"config file {path} does not load: {exc}"]) from exc
     return RunConfig.from_dict(data)
 
 

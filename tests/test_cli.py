@@ -347,6 +347,51 @@ def test_readme_config_block_lists_every_field():
             assert set(data[f.name]) == {g.name for g in dataclasses.fields(section)}, f.name
 
 
+def test_readme_cli_block_lists_every_command(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("swarmpde ")]
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == choices
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["directory", "not-utf8", "too-deep"])
+@pytest.mark.parametrize("with_out", [False, True], ids=["cwd", "out"])
+def test_an_unreadable_config_is_config_invalid(tmp_path, monkeypatch, content, with_out):
+    # a config that does not read as JSON text is a config problem (exit 2)
+    # with failure.json, in --out or else the cwd, not a traceback
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "out" if with_out else tmp_path
+    extra = ["--out", str(out)] if with_out else []
+    assert main(["validate", "--config", str(path), *extra]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert failure["messages"][0].startswith(f"config file {path} does not load: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_an_output_path_that_is_a_file_is_a_typed_failure(tmp_path, capsys, command):
+    # the output directory cannot be made: exit 1 with the typed payload on
+    # stdout, as when failure.json itself cannot be written
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    cfg = _write(tmp_path, dict(MINIMAL, time={"T": 0.1, "sample_dt": 0.05}))
+    assert main([command, "--config", str(cfg), "--out", str(taken)]) == 1
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["status"] == "error" and payload["kind"] == "output_unwritable"
+    assert str(taken) in payload["messages"][0]
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_cmd_run_zero_data(tmp_path):
     cfg = dict(MINIMAL)
     cfg["initial"] = {"kind": "zero"}
@@ -600,8 +645,12 @@ def test_cmd_reduced_and_crossval(tmp_path):
     cfg["a_max"] = 2.0
     cfg["output"] = {"dir": str(tmp_path / "red")}
     path = _write(tmp_path, cfg)
-    assert main(["reduced", "--config", str(path)]) == 0
-    assert (tmp_path / "red" / "reduced.csv").exists()
+    # the closed system is integrated only where crossval judges it: there
+    # is no reduced command, and asking for one is a usage error
+    with pytest.raises(SystemExit) as refused:
+        main(["reduced", "--config", str(path)])
+    assert refused.value.code == 2
+    assert not (tmp_path / "red").exists()
 
     cfg["output"] = {"dir": str(tmp_path / "cv")}
     path = _write(tmp_path, cfg, "cv.json")
@@ -663,10 +712,7 @@ def test_tables_family_refuses_a_tau_that_is_not_positive(tmp_path, tau):
         tabulated_family({}, tau=tau, g0=None, r_max=8.0)
 
 
-@pytest.mark.parametrize("command, output", [("reduced", "reduced.csv"),
-                                             ("crossval", "crossval.json")])
-def test_reduced_and_crossval_refuse_the_tables_family(tmp_path, monkeypatch, command,
-                                                     output):
+def test_crossval_refuses_the_tables_family(tmp_path, monkeypatch):
     # only the exponential family's weights close the reduced system, so no
     # oracle is built from model constants the tables do not use; the
     # refusal comes from the configuration, before any initial data are
@@ -675,11 +721,11 @@ def test_reduced_and_crossval_refuse_the_tables_family(tmp_path, monkeypatch, co
     monkeypatch.setattr(config_mod, "age_average_initial", lambda *args: calls.append(args))
     cfg = dict(MINIMAL, model={"family": "tables", "xi0": 0.0, "tables": _tables(tmp_path)},
                output={"dir": str(tmp_path / "out")})
-    assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
+    assert main(["crossval", "--config", str(_write(tmp_path, cfg))]) == 1
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure["kind"] == "ConfigMismatch"
     assert "exponential family" in failure["messages"][0]
-    assert not (tmp_path / "out" / output).exists()
+    assert not (tmp_path / "out" / "crossval.json").exists()
     assert calls == []
 
 
@@ -815,14 +861,14 @@ def _count_integrations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command", ["reduced", "sweep", "crossval"])
+@pytest.mark.parametrize("command", ["sweep", "crossval"])
 @pytest.mark.parametrize("model, says", [
     ({"xi_support": [-1.0, 2.0]}, "rates: "),
     ({"xi0": 0.0, "mu": 1e308, "m0": 0.5}, "modulus: "),
 ], ids=["xi_below_zero", "huge_mu"])
 def test_integrating_commands_refuse_failed_hypotheses(tmp_path, monkeypatch, command,
                                                        model, says):
-    # reduced, sweep and crossval judge the data of every setup they build
+    # sweep and crossval judge the data of every setup they build
     # before they integrate anything, and fail as run does: exit 1 naming
     # the failed hypothesis with its witness.  crossval refuses an inflow
     # (xi0 > 0) from the configuration first

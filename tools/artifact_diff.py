@@ -9,7 +9,7 @@ at seeds 0 and 3:
 
 - ``run`` on ``ref1d`` and ``plane2d``,
 - ``sweep --levels 3`` on ``ladder``,
-- ``crossval`` and ``reduced`` on ``oracle``.
+- ``crossval`` on ``oracle``.
 
 Prints "identical" when every pair of output directories holds the same
 files with the same bytes and the commands exit alike.  Otherwise it
@@ -42,7 +42,6 @@ COMMANDS = (
     ("run", "plane2d", []),
     ("sweep", "ladder", ["--levels", "3"]),
     ("crossval", "oracle", []),
-    ("reduced", "oracle", []),
 )
 UNCOMPARED = {"manifest.json": ("wall_time",)}
 
