@@ -147,7 +147,6 @@ def cmd_run(cfg, out_dir: Path) -> int:
     # run writes nothing read from a sample's bins, so it keeps none
     result = run(dataclasses.replace(setup, store_u=False))
     wall = time.monotonic() - t0
-    out_dir.mkdir(parents=True, exist_ok=True)
     record = result.record
     margins = diag.envelope_report(record)
     summary = record.summary_dict(margins)
@@ -186,7 +185,6 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
     if judged is None:
         return EXIT_FAIL
     result = reduced_system.cross_validate_setups([setup for setup, _ in judged], rspec)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(result)
     payload["tolerance"] = cfg.crossval_tolerance
     payload["passed"] = bool(
@@ -227,7 +225,6 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
                for f1, f2 in zip(r1.samples, r2.samples)] for name in ("lambda_rec", "v")]
         diffs.append(tuple(math.sqrt(float(np.trapezoid(row, times))) for row in sq))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("level,alpha,cells,diff_Lambda,diff_v,residual\n")
         for k, (alpha, setup, _, residual) in enumerate(runs):
@@ -254,7 +251,6 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
 
 def cmd_validate(cfg, out_dir: Path) -> int:
     report = config_mod.hypothesis_report(cfg, config_mod.build_model_spec(cfg))
-    out_dir.mkdir(parents=True, exist_ok=True)
     _json_dump(report.to_dict(), out_dir / "hypotheses.json")
     print(json.dumps({"passed": report.all_passed, **report.to_dict()["passed"]},
                      sort_keys=True))
@@ -276,21 +272,19 @@ def main(argv=None) -> int:
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     out_dir = Path(args.out) if args.out else None
-    if out_dir is None:
-        # best-effort output location for failure artifacts when the
-        # configuration itself does not validate
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            output = raw.get("output") if isinstance(raw, dict) else None
+    try:
+        data = config_mod.load_config(args.config)
+        if out_dir is None:
+            # best-effort output location for failure artifacts when the
+            # configuration itself does not validate
+            output = data.get("output") if isinstance(data, dict) else None
             hint = output.get("dir") if isinstance(output, dict) else None
             if isinstance(hint, str) and hint:
                 out_dir = Path(hint)
-        except (OSError, ValueError, RecursionError):  # as parse_config refuses
-            pass
-    try:
-        cfg = config_mod.parse_config(args.config)
-        if out_dir is None:
-            out_dir = Path(cfg.output.dir)
+        cfg = config_mod.RunConfig.from_dict(data)
+        out_dir = out_dir or Path(cfg.output.dir)
+        # made before any set-up, so that an unwritable one costs no work
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         if args.command == "crossval":
@@ -305,7 +299,7 @@ def main(argv=None) -> int:
         _write_failure(out_dir or Path("."), type(exc).__name__, [str(exc)])
         return EXIT_FAIL
     except OSError as exc:
-        # parse_config refuses an unreadable configuration, so this is a write
+        # load_config refuses an unreadable configuration, so this is a write
         _write_failure(out_dir or Path("."), "output_unwritable", [str(exc)])
         return EXIT_FAIL
 

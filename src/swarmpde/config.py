@@ -44,6 +44,7 @@ __all__ = [
     "DiagnosticsConfig",
     "OutputConfig",
     "RunConfig",
+    "load_config",
     "parse_config",
     "config_hash",
     "build_model_spec",
@@ -257,14 +258,18 @@ def _validate(cfg: RunConfig) -> list:
     return p
 
 
+def load_config(path):
+    """The JSON value of a configuration file, not yet validated
+    (``RunConfig.from_dict`` validates it)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # absent, unreadable, not JSON
+        raise ConfigInvalid([f"config file {Path(path)} does not load: {exc}"]) from exc
+
+
 def parse_config(path) -> RunConfig:
     """Load and validate a JSON configuration file."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # absent, unreadable, not JSON
-        raise ConfigInvalid([f"config file {path} does not load: {exc}"]) from exc
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(load_config(path))
 
 
 def config_hash(obj) -> str:

@@ -30,13 +30,15 @@ The weak-formulation residual evaluates the defining integral identity of
 the continuous problem on the discrete trajectory against a catalogue of
 tensor test functions (time bump x age bump x Neumann cosine); it must
 shrink under simultaneous refinement of bin width, mesh and step size.
-It is linear in the bins, and reads them only through two age moments
-per test function (``AgeMoments``), which a run can take as each sample
-is made, so the bins need not be kept.
+It is linear in the bins, and since every function of the catalogue
+shares one age bump it reads them only through two age moments per
+sample (``AgeMoments``), which a run can take as each sample is made, so
+the bins need not be kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -44,7 +46,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .age_discretization import AgeGrid, RegularizedModel, entropy_phi
-from .errors import InadmissibleTestFunction, NegativeField, refuse
+from .errors import InadmissibleTestFunction, NegativeField, NonFiniteEvaluation, refuse
 from .model_spec import (
     ModelSpec,
     Zeta1Evaluator,
@@ -369,46 +371,54 @@ class DiagnosticsRecorder:
         ``plan`` is the run's ``solver_core.StepPlan``: the bins are read
         once, block by block through ``plan.blocks`` (``bin_sums`` into
         ``plan.work``, which no step needs between steps); the sample
-        allocates no array of u's size.
+        allocates no array of u's size.  A row with a value that is not
+        finite (an overflowing state) is refused as ``NonFiniteEvaluation``
+        naming its first such column, before any envelope could read it.
         """
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
         u, lam = state.u, state.lambda_rec
-        d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
-        lows, *per_bin = zip(*(
-            bin_sums(u[k0:k1], sgrid, d_weights, plan.work) for k0, k1 in plan.blocks))
-        sums = _checked(BinSums(min(lows), *map(np.concatenate, per_bin)))
-        totals, max_u = sums.totals, state.max_u
-        z1 = self._zeta1_for(float(lam.max(initial=0.0)))
-        d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, sums)
-        lap_v = laplacian(state.v, sgrid)
-        rows = self._rows
-        rows["t"].append(state.t)
-        rows["mass_b"].append(mass_b(state, grid, sgrid, totals))
-        rows["entropy"].append(entropy(state, grid, sgrid, sums))
-        rows["dissipation_u"].append(d_u)
-        rows["dissipation_E"].append(d_E)
-        rows["grad_zeta1_sq"].append(gz1)
-        rows["grad_zeta2_sq"].append(gz2)
-        rows["linf_Lambda"].append(float(np.max(np.abs(lam))))
-        rows["linf_v"].append(float(np.max(np.abs(state.v))))
-        rows["l2_Lambda"].append(math.sqrt(sq_l2(lam, sgrid)))
-        rows["l2_v"].append(math.sqrt(sq_l2(state.v, sgrid)))
-        rows["delta_v_sq"].append(sq_l2(lap_v, sgrid))
-        rows["identity_residual"].append(
-            float(np.max(np.abs(state.lambda_rec - state.lambda_ev)))
-        )
-        rows["max_u"].append(max_u)
-        rows["min_u"].append(sums.min_u)
-        rows["min_v"].append(float(state.v.min()))
-        rows["min_Lambda"].append(float(lam.min()))
-        rows["kbound_margin"].append(
-            float(comparison_bound(state.t, grid.alpha, reg.Xi)) + 1e-10 - max_u
-        )
-        rows["theta_activations"].append(float(state.theta_activations))
-        rows["conservation_residual"].append(self._cons)
-        for A in self.tail_A:
-            rows[f"tail_{A:g}"].append(tail_mass(state, A, grid, sgrid, totals))
-            rows[f"eta_tail_{A:g}"].append(grid.alpha * float(self._eta_b[A] @ totals))
+        with np.errstate(all="ignore"):  # a non-finite row is refused below
+            d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
+            lows, *per_bin = zip(*(
+                bin_sums(u[k0:k1], sgrid, d_weights, plan.work) for k0, k1 in plan.blocks))
+            sums = _checked(BinSums(min(lows), *map(np.concatenate, per_bin)))
+            totals, max_u = sums.totals, state.max_u
+            z1 = self._zeta1_for(float(lam.max(initial=0.0)))
+            d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, sums)
+            lap_v = laplacian(state.v, sgrid)
+            row = {
+                "t": state.t,
+                "mass_b": mass_b(state, grid, sgrid, totals),
+                "entropy": entropy(state, grid, sgrid, sums),
+                "dissipation_u": d_u,
+                "dissipation_E": d_E,
+                "grad_zeta1_sq": gz1,
+                "grad_zeta2_sq": gz2,
+                "linf_Lambda": float(np.max(np.abs(lam))),
+                "linf_v": float(np.max(np.abs(state.v))),
+                "l2_Lambda": math.sqrt(sq_l2(lam, sgrid)),
+                "l2_v": math.sqrt(sq_l2(state.v, sgrid)),
+                "delta_v_sq": sq_l2(lap_v, sgrid),
+                "identity_residual": float(np.max(np.abs(state.lambda_rec - state.lambda_ev))),
+                "max_u": max_u,
+                "min_u": sums.min_u,
+                "min_v": float(state.v.min()),
+                "min_Lambda": float(lam.min()),
+                "kbound_margin":
+                    float(comparison_bound(state.t, grid.alpha, reg.Xi)) + 1e-10 - max_u,
+                "theta_activations": float(state.theta_activations),
+                "conservation_residual": self._cons,
+            }
+            for A in self.tail_A:
+                row[f"tail_{A:g}"] = tail_mass(state, A, grid, sgrid, totals)
+            for A in self.tail_A:
+                row[f"eta_tail_{A:g}"] = grid.alpha * float(self._eta_b[A] @ totals)
+        for name, value in row.items():
+            if not math.isfinite(value):
+                raise NonFiniteEvaluation(
+                    f"diagnostics column {name} is {value} at t={state.t:g}")
+        for name, value in row.items():
+            self._rows[name].append(value)
         if state.t == 0.0 and math.isnan(self._grad_v0):
             self._grad_v0 = float(face_sq_sums(state.v, sgrid.unit_weights,
                                                sgrid)[0]) * sgrid.cell_volume
@@ -598,23 +608,16 @@ def _falling_bump(hi: float) -> tuple:
 
 def make_test_functions(T: float, age_cap: float, sgrid: SpatialGrid,
                             k_max: int) -> list:
-    """Fixed catalogue: time bump on [0, 0.9T], age bump on [0, 0.8*age_cap],
-    cosine modes up to k_max per axis (tensor cosines in 2D)."""
+    """Fixed catalogue: one time bump on [0, 0.9T] and one age bump on
+    [0, 0.8*age_cap], shared by every function, times the tensor cosines
+    whose modes sum to at most k_max, in lexicographic order."""
     psi, psi_p = _falling_bump(0.9 * T)
     chi, chi_p = _falling_bump(0.8 * age_cap)
-    out = []
-    if sgrid.dim == 1:
-        mode_list = [(k,) for k in range(0, k_max + 1)]
-    else:
-        mode_list = [(k, m) for k in range(0, k_max + 1) for m in range(0, k_max + 1)
-                     if k + m <= k_max]
-    for modes in mode_list:
-        out.append(TestFunction(
-            psi=psi, psi_prime=psi_p, t_support=0.9 * T,
-            chi=chi, chi_prime=chi_p, a_support=0.8 * age_cap,
-            modes=modes, label="x".join(f"k{m}" for m in modes),
-        ))
-    return out
+    return [TestFunction(psi=psi, psi_prime=psi_p, t_support=0.9 * T,
+                         chi=chi, chi_prime=chi_p, a_support=0.8 * age_cap,
+                         modes=modes, label="x".join(f"k{m}" for m in modes))
+            for modes in itertools.product(range(k_max + 1), repeat=sgrid.dim)
+            if sum(modes) <= k_max]
 
 
 @dataclass(frozen=True)
@@ -642,34 +645,37 @@ class AgeMoments:
     """The age moments of the bins that the weak residual of a catalogue
     reads, sample by sample.
 
-    Each test function psi(t) chi(a) omega(x) of ``catalogue`` meets the
-    bins only through two age weightings, both linear in u: C_i, the
-    integral of chi over bin i, and Cp_i - Cmu_i, the jump of chi across
-    bin i less the integral of chi mu over it.  ``weights`` stacks them,
-    an array (functions, 2, I).  ``take`` reduces the bins of one state
-    (anything with a ``u``) to its moments, an array (functions, 2,
-    cells), and appends them to ``values``.  Taken by ``run``'s
-    ``on_sample`` while each sample's bins are live, they let the residual
-    be evaluated from a run that keeps no bins.
+    Every test function psi(t) chi(a) omega(x) of ``catalogue`` shares one
+    time bump (psi, psi', its support) and one age bump (chi, its
+    support); a catalogue that mixes them is refused.  The functions then
+    meet the bins only through two age weightings, both linear in u: C_i,
+    the integral of chi over bin i, and Cp_i - Cmu_i, the jump of chi
+    across bin i less the integral of chi mu over it.  ``weights`` stacks
+    them, an array (2, I).  ``take`` reduces the bins of one state
+    (anything with a ``u``) to its moments, an array (2, cells), and
+    appends them to ``values``.  Taken by ``run``'s ``on_sample`` while
+    each sample's bins are live, they let the residual be evaluated from
+    a run that keeps no bins.
     """
 
     def __init__(self, catalogue: Sequence, spec: ModelSpec, grid: AgeGrid):
         self.catalogue = list(catalogue)
+        if len({(p.psi, p.psi_prime, p.t_support, p.chi, p.a_support)
+                for p in self.catalogue}) != 1:
+            raise InadmissibleTestFunction(
+                "a catalogue's functions must share one time bump and one age bump")
+        chi = self.catalogue[0].chi
         I, alpha = grid.I, grid.alpha
         edges = alpha * np.arange(I + 1)
-        rows = []
-        for p in self.catalogue:
-            Ci = alpha * bin_averages(p.chi, alpha, I)
-            Cpi = np.asarray(p.chi(edges[1:]), dtype=float) \
-                - np.asarray(p.chi(edges[:-1]), dtype=float)
-            Cmui = alpha * bin_averages(
-                lambda a: np.asarray(p.chi(a)) * np.asarray(spec.mu(a)), alpha, I)
-            rows.append((Ci, Cpi - Cmui))
-        self.weights = np.asarray(rows, dtype=float).reshape(len(rows), 2, I)
+        Ci = alpha * bin_averages(chi, alpha, I)
+        Cpi = np.asarray(chi(edges[1:]), dtype=float) - np.asarray(chi(edges[:-1]), dtype=float)
+        Cmui = alpha * bin_averages(
+            lambda a: np.asarray(chi(a)) * np.asarray(spec.mu(a)), alpha, I)
+        self.weights = np.asarray((Ci, Cpi - Cmui), dtype=float)
         self.values = []
 
     def take(self, state) -> None:
-        self.values.append(self.weights @ state.u.reshape(self.weights.shape[2], -1))
+        self.values.append(self.weights @ state.u.reshape(self.weights.shape[1], -1))
 
 
 def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
@@ -691,35 +697,36 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     single-function form takes the moments from each sample's stored bins
     and then runs the same arithmetic.
 
-    One pass over the samples serves every test function: the fields
-    that do not depend on it (D of the biomass, the transform ratios and
-    gradients, the inflow) are evaluated once per sample, and each
-    function's sums are formed as in a call of its own, so a moments
-    entry is bitwise its function's single-function result.
+    One pass over the samples serves every test function: the bumps the
+    catalogue shares are checked and evaluated once, the fields that do
+    not depend on the function (D of the biomass, the transform ratios
+    and gradients, the inflow) once per sample, and each function's sums
+    are formed as in a call of its own, so a moments entry is bitwise
+    its function's single-function result.
     """
     single = isinstance(phi, TestFunction)
-    moments, catalogue = (None, [phi]) if single else (phi, phi.catalogue)
+    moments = AgeMoments([phi], spec, grid) if single else phi
+    catalogue = moments.catalogue
+    p = catalogue[0]  # its bumps are every function's
 
     T_run = float(samples[-1].t)
     a_cap = grid.I * grid.alpha
-    for p in catalogue:
-        if p.t_support > T_run + 1e-12:
-            raise InadmissibleTestFunction(
-                f"time support {p.t_support:g} exceeds the horizon {T_run:g}"
-            )
-        if p.a_support > a_cap + 1e-12:
-            raise InadmissibleTestFunction(
-                f"age support {p.a_support:g} exceeds the covered ages {a_cap:g}"
-            )
-        probe = np.linspace(p.t_support, max(T_run, p.t_support + 1.0), 7)
-        if np.any(np.abs(np.asarray(p.psi(probe), dtype=float)) > 0.0):
-            raise InadmissibleTestFunction("psi does not vanish beyond its support")
-        if len(p.modes) != sgrid.dim:
-            raise InadmissibleTestFunction("omega mode count does not match dim")
-    if moments is None:
+    if p.t_support > T_run + 1e-12:
+        raise InadmissibleTestFunction(
+            f"time support {p.t_support:g} exceeds the horizon {T_run:g}"
+        )
+    if p.a_support > a_cap + 1e-12:
+        raise InadmissibleTestFunction(
+            f"age support {p.a_support:g} exceeds the covered ages {a_cap:g}"
+        )
+    probe = np.linspace(p.t_support, max(T_run, p.t_support + 1.0), 7)
+    if np.any(np.abs(np.asarray(p.psi(probe), dtype=float)) > 0.0):
+        raise InadmissibleTestFunction("psi does not vanish beyond its support")
+    if any(len(q.modes) != sgrid.dim for q in catalogue):
+        raise InadmissibleTestFunction("omega mode count does not match dim")
+    if single:
         if any(s.u is None for s in samples):
             raise ValueError("trajectory was stored without bin fields")
-        moments = AgeMoments(catalogue, spec, grid)
         for s in samples:
             moments.take(s)
     if len(moments.values) != len(samples):
@@ -729,23 +736,17 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
     times = np.asarray([s.t for s in samples], dtype=float)
     R_scale = max(float(np.max([np.max(s.lambda_rec) for s in samples])), 1e-6)
     zeta1_eval = Zeta1Evaluator(spec, 1.5 * R_scale + 1.0)
-
-    def prepare(p):
-        omega = p.omega(sgrid).reshape(-1) * vol
-        gomega = [g.reshape(-1) * vol for g in p.grad_omega(sgrid)]
-        lomega = p.lap_omega(sgrid).reshape(-1) * vol
-        chi0 = float(p.chi(0.0))
-        psi_t = np.asarray(p.psi(times), dtype=float)
-        psip_t = np.asarray(p.psi_prime(times), dtype=float)
-        return omega, gomega, lomega, chi0, psi_t, psip_t
-
-    pre = [prepare(p) for p in catalogue]
-    n = times.size
+    chi0, psi0 = float(p.chi(0.0)), float(p.psi(0.0))
+    psi_t = np.asarray(p.psi(times), dtype=float)
+    psip_t = np.asarray(p.psi_prime(times), dtype=float)
+    omegas = [(q.omega(sgrid).reshape(-1) * vol,
+               [g.reshape(-1) * vol for g in q.grad_omega(sgrid)],
+               q.lap_omega(sgrid).reshape(-1) * vol) for q in catalogue]
     # per test function and sample: transport, inflow, diffusion, drift
-    f = np.zeros((len(catalogue), 4, n))
-    term_initial = [0.0] * len(catalogue)
+    f = np.zeros((len(catalogue), 4, times.size))
 
-    for k, (s, m) in enumerate(zip(samples, moments.values)):
+    # a sample's moments per cell: chi_u = C_i u_i, jump_u = (Cp_i - Cmu_i) u_i
+    for k, (s, (chi_u, jump_u)) in enumerate(zip(samples, moments.values)):
         lam_flat = s.lambda_rec.reshape(-1)
         v_flat = s.v.reshape(-1)
         D_lam = np.asarray(spec.D(lam_flat), dtype=float)
@@ -756,9 +757,8 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
         split = [r2 * g2 - r1 * g1 for g1, g2 in zip(gz1, gz2)]
         inflow = np.where(v_flat > 0.0,
                           np.asarray(spec.xi(v_flat), dtype=float) * v_flat, 0.0)
-        for c, (omega, gomega, lomega, chi0, psi_t, psip_t) in enumerate(pre):
-            psi_k, psip_k = float(psi_t[k]), float(psip_t[k])
-            chi_u, jump_u = m[c]            # per cell: C_i u_i and (Cp_i - Cmu_i) u_i
+        psi_k, psip_k = float(psi_t[k]), float(psip_t[k])
+        for c, (omega, gomega, lomega) in enumerate(omegas):
             chi_omega = float(chi_u @ omega)
             f[c, 0, k] = psip_k * chi_omega + psi_k * float(jump_u @ omega)
             f[c, 1, k] = psi_k * chi0 * float(inflow @ omega)
@@ -767,15 +767,13 @@ def weak_residual(samples: Sequence, phi, spec: ModelSpec, grid: AgeGrid,
             for ax in range(sgrid.dim):
                 W_dot += split[ax] * gomega[ax]
             f[c, 3, k] = -psi_k * float(chi_u @ W_dot)
-            if k == 0:
-                term_initial[c] = float(catalogue[c].psi(0.0)) * chi_omega
 
     results = []
-    for fc, initial in zip(f, term_initial):
+    for fc, (omega, _, _) in zip(f, omegas):
         terms = {
             "transport": float(np.trapezoid(fc[0], times)),
             "inflow": float(np.trapezoid(fc[1], times)),
-            "initial": initial,
+            "initial": psi0 * float(moments.values[0][0] @ omega),
             "diffusion": float(np.trapezoid(fc[2], times)),
             "drift_split": float(np.trapezoid(fc[3], times)),
         }

@@ -57,8 +57,6 @@ class ConfigInvalid(SwarmPDEError):
     """Configuration failed validation; carries all field-level messages."""
 
     def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
 

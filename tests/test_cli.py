@@ -290,6 +290,19 @@ def test_overflow_in_set_up_is_a_typed_failure(tmp_path, over):
         assert failure["kind"] == "NonFiniteEvaluation"
 
 
+def test_an_overflowing_sample_is_a_typed_failure(tmp_path):
+    # v_amp 1e300 passes set-up, but the first sample's L2 norm of v
+    # overflows: the recorder refuses the row (exit 1) before an envelope
+    # could read a NaN margin from it
+    cfg = dict(MINIMAL, initial={"v_amp": 1e300}, output={"dir": str(tmp_path / "out")})
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "NonFiniteEvaluation"
+    assert failure["messages"] == ["diagnostics column l2_v is inf at t=0"]
+
+
 PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]},
              initial={"u_cos_k": 2, "u_cos_eps": 0.3})
 
@@ -378,13 +391,20 @@ def test_an_unreadable_config_is_config_invalid(tmp_path, monkeypatch, content, 
     assert failure["messages"][0].startswith(f"config file {path} does not load: ")
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_an_output_path_that_is_a_file_is_a_typed_failure(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "crossval"])
+def test_an_output_path_that_is_a_file_is_a_typed_failure(tmp_path, monkeypatch, capsys,
+                                                         command):
     # the output directory cannot be made: exit 1 with the typed payload on
-    # stdout, as when failure.json itself cannot be written
+    # stdout, as when failure.json itself cannot be written, found before
+    # any solver runs
+    def no_solver(*args, **kw):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(cli, "run", no_solver)
+    monkeypatch.setattr(reduced_system, "run", no_solver)
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
-    cfg = _write(tmp_path, dict(MINIMAL, time={"T": 0.1, "sample_dt": 0.05}))
+    cfg = _write(tmp_path, dict(CROSSVAL, time={"T": 0.1, "sample_dt": 0.05}))
     assert main([command, "--config", str(cfg), "--out", str(taken)]) == 1
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["status"] == "error" and payload["kind"] == "output_unwritable"

@@ -490,6 +490,53 @@ def test_weak_residual_admissibility():
         weak_residual(result.samples, moments, setup.spec, setup.agegrid, setup.sgrid)
 
 
+def test_age_moments_are_two_cell_fields_per_sample():
+    # the catalogue shares one age bump, so a sample's moments are two
+    # cell fields whatever the number of functions
+    result = _rough_2d_run()
+    setup = result.setup
+    cat = make_test_functions(setup.T, setup.agegrid.a_max, setup.sgrid, k_max=2)
+    assert len(cat) == 6
+    moments = AgeMoments(cat, setup.spec, setup.agegrid)
+    assert moments.weights.shape == (2, setup.agegrid.I)
+    for s in result.samples:
+        moments.take(s)
+    assert [m.shape for m in moments.values] == [(2, setup.sgrid.ncells)] * len(result.samples)
+
+
+@pytest.mark.parametrize("mix", ["age_support", "age_bump", "time_support", "time_bump"])
+def test_age_moments_refuse_a_mixed_catalogue(mix):
+    # every function must share the one time bump and the one age bump
+    # that the moments and the residual evaluate once
+    setup = _reference_run(T=0.2).setup
+    cat = make_test_functions(0.2, setup.agegrid.a_max, setup.sgrid, k_max=1)
+    other = {
+        "age_support": make_test_functions(0.2, setup.agegrid.a_max / 2, setup.sgrid, 1)[1],
+        "age_bump": dataclasses.replace(cat[1], chi=lambda a: 0.5 * cat[1].chi(a)),
+        "time_support": make_test_functions(0.1, setup.agegrid.a_max, setup.sgrid, 1)[1],
+        "time_bump": dataclasses.replace(cat[1], psi_prime=lambda t: 2.0 * cat[1].psi_prime(t)),
+    }[mix]
+    with pytest.raises(InadmissibleTestFunction, match="share one time bump"):
+        AgeMoments([cat[0], other], setup.spec, setup.agegrid)
+
+
+@pytest.mark.parametrize("k_max, modes_1d, modes_2d", [
+    (0, [(0,)], [(0, 0)]),
+    (1, [(0,), (1,)], [(0, 0), (0, 1), (1, 0)]),
+    (2, [(0,), (1,), (2,)], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]),
+    (3, [(0,), (1,), (2,), (3,)],
+     [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]),
+])
+def test_catalogue_modes_in_order(k_max, modes_1d, modes_2d):
+    # the moments form returns one result per function in catalogue order,
+    # and callers pair them with the catalogue by position
+    for sgrid, modes in ((SpatialGrid(extents=(1.0,), cells=(8,)), modes_1d),
+                         (SpatialGrid(extents=(1.0, 2.0), cells=(8, 8)), modes_2d)):
+        cat = make_test_functions(1.0, 2.0, sgrid, k_max=k_max)
+        assert [phi.modes for phi in cat] == modes
+        assert [phi.label for phi in cat] == ["x".join(f"k{m}" for m in ms) for ms in modes]
+
+
 def test_weak_residual_2d_tensor_modes():
     spec = make_spec(xi=steep_switch(0.3))
     grid = build_age_grid(spec, alpha=0.25, a_max=1.0)
