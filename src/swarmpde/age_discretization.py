@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolation, NegativeInitialData, refuse
-from .model_spec import ModelSpec, bin_averages, box_blocks, smoothstep
+from .model_spec import ModelSpec, bin_averages, box_blocks, distinct_sorted, smoothstep
 
 logger = logging.getLogger(__name__)
 
@@ -172,7 +172,7 @@ class RegularizedModel:
         """A sampled upper bound for (1+s)*xi(s) + E(r,s) over the box,
         computed on first read and kept, so a set-up whose run records
         nothing never samples the box."""
-        s = np.unique(np.concatenate([
+        s = distinct_sorted(np.concatenate([
             [0.0],
             self.clamp * 2.0 ** (-np.arange(1, 40, dtype=float)),
             self.clamp * np.arange(1, 513) / 512.0,
@@ -209,21 +209,37 @@ def age_average_initial(age_profile: Callable, space, grid: AgeGrid) -> np.ndarr
     The data are ``age_profile(a) * space``: ``age_profile`` takes an
     array of ages, and ``space`` holds the space profile in the spatial
     grid's shape.  Bin i's values are the bin average of the age profile
-    (``bin_averages``) times the space profile.  Values above the cap
-    1/(4 alpha^2) are clamped with a logged warning; negative values raise.
-    The clip at 0 and the clamp work in place on the one u-sized array.
+    (``bin_averages``) times the space profile: the outer product of the
+    two factors, set-up's one pass over u.  Values below -1e-12 raise,
+    the rest are clipped at 0, and values above the cap 1/(4 alpha^2)
+    are clamped with a logged warning, in place.
+
+    These rules are decided on the factors.  Correctly rounded
+    multiplication is monotone in each factor, so the least and the
+    greatest product are among the four products of the factors'
+    extremes: the sign check reads those four, and the clamp (with its
+    count) runs only when one of them exceeds the cap.  When one of the
+    four is not finite (inf * 0, say), every product is judged instead.
+    The clip runs only when an entry of a factor has its sign bit set,
+    as no other product is below +0.0; it turns a -0.0 product into
+    +0.0 and leaves NaN as is.
     """
     alpha = grid.alpha
-    out = np.multiply.outer(bin_averages(age_profile, alpha, grid.I),
-                            np.asarray(space, dtype=float))
-    if np.any(out < -1e-12):
+    ages = bin_averages(age_profile, alpha, grid.I)
+    space = np.asarray(space, dtype=float)
+    out = np.multiply.outer(ages, space)
+    judged = np.multiply.outer([ages.min(), ages.max()], [space.min(), space.max()])
+    if not np.all(np.isfinite(judged)):
+        judged = out
+    if np.any(judged < -1e-12):
         raise NegativeInitialData(
-            f"initial swarmer data negative (min {float(out.min()):.3e})"
+            f"initial swarmer data negative (min {float(judged.min()):.3e})"
         )
-    np.maximum(out, 0.0, out=out)
+    if np.signbit(ages).any() or np.signbit(space).any():
+        np.maximum(out, 0.0, out=out)
     cap = 1.0 / (4.0 * alpha**2)
-    n_over = int(np.count_nonzero(out > cap))
-    if n_over:
+    if np.any(judged > cap):
+        n_over = int(np.count_nonzero(out > cap))
         logger.warning(
             "initial swarmer data exceeds the cap 1/(4 alpha^2)=%.4g in %d "
             "bin-cells; clamping", cap, n_over,

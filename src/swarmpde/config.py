@@ -301,11 +301,19 @@ def build_model_spec(cfg: RunConfig) -> ModelSpec:
     return tabulated_family(funcs, tau=m.tau, g0=m.g0, r_max=max(8.0, 2.0 / cfg.alpha))
 
 
-def _space_profile(coords: np.ndarray, extents, eps: float, k: int) -> np.ndarray:
-    out = np.ones(coords.shape[0])
-    if eps != 0.0 and k != 0:
-        for ax in range(coords.shape[1]):
-            out = out * (1.0 + eps * np.cos(k * math.pi * coords[:, ax] / extents[ax]))
+def _space_profile(sgrid: SpatialGrid, eps: float, k: int) -> np.ndarray:
+    """The product over the axes of 1 + eps cos(k pi x / L) at the cell
+    centres, in the grid's shape.  Each axis' factor is taken on that
+    axis' centres alone (``axis_centers``) and the factors are multiplied
+    from 1 in axis order, (1 f_0) f_1, the order of a cell-by-cell
+    product, so a profile takes one cosine per centre of each axis, not
+    one per cell."""
+    if eps == 0.0 or k == 0:
+        return np.ones(sgrid.shape)
+    out = np.ones(())
+    for ax in range(sgrid.dim):
+        x = sgrid.axis_centers(ax)
+        out = np.multiply.outer(out, 1.0 + eps * np.cos(k * math.pi * x / sgrid.extents[ax]))
     return out
 
 
@@ -314,8 +322,10 @@ def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
 
     The swarmer data are separable: ``age_profile`` is the amplitude
     times the age profile, taken over an array of ages, and ``space`` is
-    the space profile on the grid's cells, evaluated once.  Returns
-    ``(age_profile, space, v0)``.
+    the space profile in the grid's shape, evaluated once.  Every space
+    profile (``space`` and ``v0``'s) is itself a product of one factor
+    per axis (``_space_profile``), so no array of cell centres is built.
+    Returns ``(age_profile, space, v0)``.
     """
     ic = cfg.initial
     if ic.kind == "zero":
@@ -327,10 +337,9 @@ def build_initial_data(cfg: RunConfig, sgrid: SpatialGrid):
         age = np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
         return ic.u_amp * age
 
-    coords = sgrid.centers()
-    u_space = _space_profile(coords, sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
-    v0 = ic.v_amp * _space_profile(coords, sgrid.extents, ic.v_cos_eps, ic.v_cos_k)
-    return age_profile, u_space.reshape(sgrid.shape), v0.reshape(sgrid.shape)
+    u_space = _space_profile(sgrid, ic.u_cos_eps, ic.u_cos_k)
+    v0 = ic.v_amp * _space_profile(sgrid, ic.v_cos_eps, ic.v_cos_k)
+    return age_profile, u_space, v0
 
 
 def hypothesis_report(cfg: RunConfig, spec: ModelSpec):

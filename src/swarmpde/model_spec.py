@@ -60,6 +60,7 @@ __all__ = [
     "estimate_kappas",
     "diffusivity_slope",
     "box_blocks",
+    "distinct_sorted",
     "smoothstep",
     "smoothstep_prime",
     "bump",
@@ -196,7 +197,15 @@ def _nested_alphas(n: int) -> np.ndarray:
     j_max = int(math.log2(_next_pow2(n)))
     lo = 2.0 ** (-np.arange(1, j_max + 1, dtype=float))
     hi = 1.0 - lo
-    return np.unique(np.concatenate([lo, hi]))
+    return distinct_sorted(np.concatenate([lo, hi]))
+
+
+def distinct_sorted(x) -> np.ndarray:
+    """The values of ``x`` in increasing order, each once: bit for bit
+    ``np.unique`` of a finite array, without the ``numpy.ma`` import that
+    ``np.unique``'s first call in a process makes."""
+    x = np.sort(np.ravel(x))
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def _check_finite(name, values, where):
@@ -295,7 +304,7 @@ def zeta1(spec: ModelSpec, r: float) -> float:
     # geometric break points resolve the degeneracy at 0; a tabulated D
     # has a kink at every knot, so each knot inside (0, r) breaks too
     knots = np.sqrt(np.maximum(getattr(spec.D, "abscissae", ()), 0.0))
-    pts = np.unique(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
+    pts = distinct_sorted(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
     pts = pts[(pts > 0.0) & (pts < qr)]
     lo, hi = np.concatenate([[0.0], pts]), np.append(pts, qr)
     done = np.zeros((2, 0))  # value and error estimate of each closed panel
@@ -368,7 +377,7 @@ def diffusivity_slope(spec: ModelSpec, r, h: float) -> np.ndarray:
 
 
 def _kappa_samples(R: float, n_samples: int):
-    r = np.unique(np.concatenate([
+    r = distinct_sorted(np.concatenate([
         _nested_geometric(R),
         _nested_uniform(R, n_samples)[1:],
     ]))
@@ -543,7 +552,7 @@ def validate_hypotheses(
     rule("diffusivity", "kappa1" in kap.failed, None, "D'/zeta1' blows up on [0, R_max]")
     rule("drift", "kappa2" in kap.failed or "kappa3" in kap.failed, None,
          "E/zeta2' ratios blow up on the sampled box")
-    s_box = np.unique(np.concatenate([[0.0], _nested_uniform(R_max, min(n_samples, 128))]))
+    s_box = distinct_sorted(np.concatenate([[0.0], _nested_uniform(R_max, min(n_samples, 128))]))
     E_pos = False  # whether E > 0 somewhere on the box
     for _, RR, SS, E_box in box_blocks(spec.E, s_box, s_box):
         _check_finite("E", E_box, RR)

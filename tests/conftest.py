@@ -190,17 +190,22 @@ def _clip_and_clamp(out, grid):
     return np.minimum(np.maximum(out, 0.0), 1.0 / (4.0 * grid.alpha**2))
 
 
-def per_bin_age_average(age_profile, space, grid):
-    """Bin averages of age_profile(a) * space, bin by bin: the 8-point
-    Gauss average of the age profile over the bin [k alpha, (k+1) alpha]
-    times the space profile, then clipped at 0 and clamped at the cap
-    1/(4 alpha^2)."""
+def per_bin_products(age_profile, space, grid):
+    """Bin averages of age_profile(a) * space, bin by bin, before any
+    clip or clamp: the 8-point Gauss average of the age profile over the
+    bin [k alpha, (k+1) alpha] times the space profile."""
     edges = grid.alpha * np.arange(grid.I + 1)
     out = np.empty((grid.I,) + np.shape(space))
     for k in range(grid.I):
         a = edges[k] + (GAUSS_NODES + 1.0) * 0.5 * (edges[k + 1] - edges[k])
         out[k] = float(np.sum(np.asarray(age_profile(a)) * GAUSS_WEIGHTS) * 0.5) * space
-    return _clip_and_clamp(out, grid)
+    return out
+
+
+def per_bin_age_average(age_profile, space, grid):
+    """``per_bin_products`` clipped at 0 and clamped at the cap
+    1/(4 alpha^2), every product judged."""
+    return _clip_and_clamp(per_bin_products(age_profile, space, grid), grid)
 
 
 def per_node_age_average(age_profile, space, grid, sgrid):

@@ -1,10 +1,12 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmpde import age_discretization
 from swarmpde.age_discretization import (
     age_average_initial,
     build_age_grid,
@@ -18,7 +20,13 @@ from swarmpde.errors import HypothesisViolation, NegativeInitialData
 from swarmpde.solver_core import initial_state, step_plan
 from swarmpde.spatial_grid import SpatialGrid
 
-from conftest import make_spec, near_per_node, per_bin_age_average, per_node_age_average
+from conftest import (
+    make_spec,
+    near_per_node,
+    per_bin_age_average,
+    per_bin_products,
+    per_node_age_average,
+)
 
 # oracle: exact cell average of exp(a) over [0, 0.5] is 2 (e^0.5 - 1)
 EXP_AVg_FIRST_BIN = 2.0 * (math.exp(0.5) - 1.0)
@@ -229,6 +237,49 @@ def test_age_average_bitwise_equals_per_bin(shape, inv_alpha, a_max, amp, age_sc
     assert np.array_equal(u0, per_bin_age_average(age_profile, space, grid))
     node = per_node_age_average(age_profile, space, grid, sgrid)
     assert near_per_node(u0, node)
+
+
+# entries either factor of the initial bins may hold: signed zeros, the
+# sign check's threshold and values on both sides of it, values above the
+# cap 4 of alpha = 1/4, a subnormal, an overflowing value, and infinities
+# that make NaN products with a zero of the other factor
+_FACTOR_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, -5e-13, -1e-12, -2e-12, -1.0, 5e-324, 3.0, 1e300,
+                     math.inf, -math.inf]),
+    st.floats(-3.0, 10.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ages=st.lists(_FACTOR_ENTRIES, min_size=1, max_size=16),
+       space=st.lists(_FACTOR_ENTRIES, min_size=1, max_size=12))
+@example(ages=[1.0], space=[-0.0, 2.0])  # a -0.0 product, clipped to +0.0
+@example(ages=[-5e-13, 2.0], space=[2.0, 1.0])  # a product at -1e-12 passes
+@example(ages=[math.inf, 1.0], space=[0.0, 10.0])  # inf * 0 beside the cap
+def test_age_average_rules_decided_on_factors(ages, space):
+    # set-up decides the sign check, the clip and the clamp from the two
+    # factors' extremes; the reference judges every product, so the bins
+    # (by bytes, which tell -0.0 from +0.0 and compare NaN bits), the
+    # refusal's message and the clamp's count must all agree with it
+    alpha = 0.25
+    grid = build_age_grid(make_spec(), alpha, alpha * len(ages))
+    table, space = np.array(ages), np.array(space)
+
+    def profile(a):  # the age profile constant on each bin
+        return table[np.minimum((np.asarray(a) / alpha).astype(int), grid.I - 1)]
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(age_discretization.logger, "warning") as warn:
+        raw = per_bin_products(profile, space, grid)
+        if np.any(raw < -1e-12):
+            with pytest.raises(NegativeInitialData) as refused:
+                age_average_initial(profile, space, grid)
+            assert str(refused.value) \
+                == f"initial swarmer data negative (min {float(raw.min()):.3e})"
+            return
+        u0 = age_average_initial(profile, space, grid)
+        assert u0.tobytes() == per_bin_age_average(profile, space, grid).tobytes()
+        n_over = int(np.count_nonzero(np.maximum(raw, 0.0) > 1.0 / (4.0 * alpha**2)))
+    assert [call.args[2] for call in warn.call_args_list] == ([n_over] if n_over else [])
 
 
 # --- initial-size constant ---------------------------------------------------

@@ -303,6 +303,19 @@ def test_an_overflowing_sample_is_a_typed_failure(tmp_path):
     assert failure["messages"] == ["diagnostics column l2_v is inf at t=0"]
 
 
+def test_an_overflowing_model_is_a_typed_failure(tmp_path):
+    # m0 1e300 passes validate and set-up; the first sample's D overflows
+    # and the recorder refuses the row, under warnings as errors too (the
+    # suite runs with error::RuntimeWarning), rather than a step failing
+    cfg = dict(MINIMAL, model={"m0": 1e300}, output={"dir": str(tmp_path / "out")})
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "NonFiniteEvaluation"
+    assert failure["messages"] == ["diagnostics column dissipation_u is nan at t=0"]
+
+
 PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]},
              initial={"u_cos_k": 2, "u_cos_eps": 0.3})
 
@@ -316,13 +329,23 @@ def test_initial_u0_bitwise_equals_per_bin_space_profile():
     setup, _ = config_mod.build_run_setup(cfg, check_hypotheses=False)
     ic, sgrid = cfg.initial, setup.sgrid
     lo, hi = ic.u_age_cut
-    space = config_mod._space_profile(sgrid.centers(), sgrid.extents, ic.u_cos_eps, ic.u_cos_k)
+
+    def per_cell_profile(eps, k):
+        # the space profile cell by cell from the centre array, which
+        # set-up's product of per-axis factors must give bit for bit
+        out = np.ones(sgrid.ncells)
+        for ax, x in enumerate(sgrid.centers().T):
+            out = out * (1.0 + eps * np.cos(k * math.pi * x / sgrid.extents[ax]))
+        return out.reshape(sgrid.shape)
+
+    space = per_cell_profile(ic.u_cos_eps, ic.u_cos_k)
+    assert np.array_equal(setup.v0, ic.v_amp * per_cell_profile(ic.v_cos_eps, ic.v_cos_k))
 
     def reference_age(a):
         age = np.exp(-a / ic.u_age_scale) * (1.0 - smoothstep((a - lo) / (hi - lo)))
         return ic.u_amp * age
 
-    expected = per_bin_age_average(reference_age, space.reshape(sgrid.shape), setup.agegrid)
+    expected = per_bin_age_average(reference_age, space, setup.agegrid)
     assert np.array_equal(setup.u0, expected)
     node = per_node_age_average(reference_age, space, setup.agegrid, sgrid)
     assert near_per_node(setup.u0, node)

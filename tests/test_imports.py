@@ -74,6 +74,16 @@ def loaded_by_a_run(tmp_path_factory):
     return _loaded_after(tmp_path_factory.mktemp("run"), "run", _SMALL)
 
 
+@pytest.fixture(scope="module")
+def loaded_by_sweep_and_crossval(tmp_path_factory):
+    sweep = dict(_SMALL, domain={"dim": 1, "extents": [1.0], "cells": [8]})
+    crossval = dict(_SMALL, model={"family": "exponential", "xi0": 0.0},
+                    initial={"u_age_cut": [0.3, 0.6], "u_cos_eps": 0.3, "v_cos_eps": 0.2},
+                    domain={"dim": 1, "extents": [4.0], "cells": [16]})
+    return {command: _loaded_after(tmp_path_factory.mktemp(command), command, cfg)
+            for command, cfg in (("sweep", sweep), ("crossval", crossval))}
+
+
 def test_a_run_loads_no_scipy(loaded_by_a_run):
     # the runtime needs numpy only
     assert [m for m in loaded_by_a_run if m.split(".")[0] == "scipy"] == []
@@ -84,15 +94,19 @@ def test_a_run_loads_no_numpy_polynomial(loaded_by_a_run):
     assert [m for m in loaded_by_a_run if m.startswith("numpy.polynomial")] == []
 
 
-def test_only_a_manifest_loads_openssl(loaded_by_a_run, tmp_path):
+def test_a_run_loads_no_numpy_ma(loaded_by_a_run, loaded_by_sweep_and_crossval):
+    # np.unique's first call imports numpy.ma; the sampling grids take
+    # their distinct values from model_spec.distinct_sorted instead
+    assert "numpy.ma" not in loaded_by_a_run
+    for command, loaded in loaded_by_sweep_and_crossval.items():
+        assert "numpy.ma" not in loaded, command
+
+
+def test_only_a_manifest_loads_openssl(loaded_by_a_run, loaded_by_sweep_and_crossval):
     # hashlib loads OpenSSL (_hashlib) for config_hash alone, so the
     # commands that write no manifest never load it; the hash is unchanged
-    crossval = dict(_SMALL, model={"family": "exponential", "xi0": 0.0},
-                    initial={"u_age_cut": [0.3, 0.6], "u_cos_eps": 0.3, "v_cos_eps": 0.2},
-                    domain={"dim": 1, "extents": [4.0], "cells": [16]})
-    sweep = dict(_SMALL, domain={"dim": 1, "extents": [1.0], "cells": [8]})
-    assert "_hashlib" not in _loaded_after(tmp_path, "sweep", sweep)
-    assert "_hashlib" not in _loaded_after(tmp_path, "crossval", crossval)
+    for command, loaded in loaded_by_sweep_and_crossval.items():
+        assert "_hashlib" not in loaded, command
     assert "_hashlib" in loaded_by_a_run
 
     from swarmpde.config import RunConfig, config_hash

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from swarmpde.errors import (
@@ -18,6 +19,7 @@ from swarmpde.model_spec import (
     Zeta1Evaluator,
     box_blocks,
     bump,
+    distinct_sorted,
     estimate_kappas,
     exponential_family,
     smoothstep,
@@ -82,6 +84,15 @@ def test_gauss_tables_are_leggauss_bitwise(rule, n):
     # differ on another numpy or BLAS build
     for table, ref in zip(rule, np.polynomial.legendre.leggauss(n)):
         assert table.tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 2.0**-30, 0.25, 0.5, 1.0 - 2.0**-30, 8.0])
+                | st.floats(0.0, 8.0), min_size=1, max_size=64))
+def test_distinct_sorted_is_np_unique_bitwise(values):
+    # the sampling grids' stand-in for np.unique, whose first call
+    # imports numpy.ma; the grids are finite and hold no -0.0
+    assert distinct_sorted(np.array(values)).tobytes() == np.unique(values).tobytes()
 
 
 @pytest.mark.parametrize("rule", [GAUSS8, GAUSS16], ids=["8", "16"])

@@ -9,7 +9,8 @@ at seeds 0 and 3:
 
 - ``run`` on ``ref1d`` and ``plane2d``,
 - ``sweep --levels 3`` on ``ladder``,
-- ``crossval`` on ``oracle``.
+- ``crossval`` on ``oracle``,
+- ``validate`` on all four, which writes ``hypotheses.json``.
 
 Prints "identical" when every pair of output directories holds the same
 files with the same bytes and the commands exit alike.  Otherwise it
@@ -42,6 +43,10 @@ COMMANDS = (
     ("run", "plane2d", []),
     ("sweep", "ladder", ["--levels", "3"]),
     ("crossval", "oracle", []),
+    ("validate", "ref1d", []),
+    ("validate", "plane2d", []),
+    ("validate", "ladder", []),
+    ("validate", "oracle", []),
 )
 UNCOMPARED = {"manifest.json": ("wall_time",)}
 
