@@ -291,10 +291,15 @@ class DiagnosticsRecord:
                 fh.write(",".join(f"{c[k]:.17g}" for c in cols) + "\n")
 
     def summary_dict(self, margins: dict) -> dict:
-        """The run summary; ``margins`` is this record's ``envelope_report``."""
+        """The run summary; ``margins`` is this record's ``envelope_report``.
+        With the series and the constants it holds every value the
+        envelopes read: ``eta_star_inf`` keyed by tail age as the tail
+        columns are, and ``grad_v0_sq``."""
         return {
             "K0": self.K0,
             "constants": {k: self.constants[k] for k in sorted(self.constants)},
+            "eta_star_inf": {f"{A:g}": value for A, value in sorted(self.eta_star_inf.items())},
+            "grad_v0_sq": self.grad_v0_sq,
             "margins": {
                 name: (None if m.skipped else m.margin) for name, m in margins.items()
             },

@@ -53,6 +53,11 @@ class UnstableStep(SwarmPDEError):
     Signals a violated step-size contract; the run is aborted."""
 
 
+class StepBudgetExceeded(SwarmPDEError):
+    """Reaching the horizon would take more steps than the solver's budget
+    (``solver_core.MAX_STEPS``); refused before the steps are taken."""
+
+
 class ConfigInvalid(SwarmPDEError):
     """Configuration failed validation; carries all field-level messages."""
 

@@ -577,7 +577,9 @@ def validate_hypotheses(
 def _constant(c: float) -> Callable:
     # the function that is c at every argument
     def f(s):
-        return np.full_like(np.asarray(s, dtype=float), c)
+        out = np.empty(np.shape(s))
+        out.fill(c)
+        return out
     return f
 
 
@@ -585,8 +587,11 @@ def _drift(e: Callable) -> Callable:
     # E(r, s) = e(r), whatever the swimmer density s
     def E(r, s):
         out = np.asarray(e(r), dtype=float)
-        # broadcast to the shape of s only where r does not have it
-        return out if out.shape == np.shape(s) else out * np.ones_like(np.asarray(s, dtype=float))
+        # broadcast against s only where out's trailing axes are not s's
+        # shape (r may carry leading rows, as the pair of biomasses does)
+        shape = np.shape(s)
+        return (out if out.shape[out.ndim - len(shape):] == shape
+                else out * np.ones_like(np.asarray(s, dtype=float)))
     return E
 
 

@@ -13,9 +13,9 @@ The dedifferentiation weight is normalized to b(0) = 1, so its amplitude
 does not enter the swimmer source.
 
 Only the closed system's equations and step-size bound live here: the
-time loop and the step guard are the full solver's
-(``solver_core.march`` and ``check_step``), so both solvers sample on
-the same times and fail a step in the same words.
+time loop and the step guards are the full solver's
+(``solver_core.march``, ``check_step`` and ``check_budget``), so both
+solvers sample on the same times and fail a step in the same words.
 
 The full and reduced runs of a cross-validation are independent and may
 execute concurrently.
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import ConfigMismatch, refuse
 from .model_spec import ModelSpec, constant_problems
-from .solver_core import RunSetup, TrajectorySample, check_step, initial_state, march, run
+from .solver_core import (RunSetup, TrajectorySample, check_budget, check_step, initial_state,
+                          march, run)
 from .spatial_grid import SpatialGrid, drift_diffusion_div, drift_faces, face_mean, l1, sq_l2
 from . import diagnostics as diag
 
@@ -95,8 +96,8 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
                 sample_dt: float, fixed_dt: Optional[float] = None) -> list:
     """Explicit finite-volume integration of the closed two-field system.
 
-    The time loop and the step guard are the full solver's
-    (``solver_core.march`` and ``check_step``).  The state is a
+    The time loop and the step guards are the full solver's
+    (``solver_core.march``, ``check_step`` and ``check_budget``).  The state is a
     ``TrajectorySample`` whose arrays are written once, so the samples,
     at t = 0 and at every sample time up to ``T``
     (``solver_core.sample_times``), are states: the biomass is
@@ -108,13 +109,18 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
         raise ValueError("initial data must be nonnegative")
     growth = 1.0 / rspec.tau - rspec.m2
     v_coef = rspec.m2 / rspec.m0
+    steps = 0
 
     def advance(s: TrajectorySample, room: float) -> TrajectorySample:
+        nonlocal steps
         lam, v = s.lambda_rec, s.v
         # D and E are evaluated once per step, for the bound and the flux
         D = np.asarray(rspec.D(lam), dtype=float)
         E = np.asarray(rspec.E(lam, v), dtype=float)
-        dt = min(_reduced_dt(lam, D, E, rspec, sgrid), room)
+        bound = _reduced_dt(lam, D, E, rspec, sgrid)
+        check_budget(steps, s.t, T, bound, fixed_dt, "reduced state")
+        steps += 1
+        dt = min(bound, room)
         new_lam = lam + dt * (_reduced_div(lam, D, E, sgrid) + growth * lam)
         gv = np.asarray(rspec.g(v), dtype=float)
         xv = np.where(v > 0.0, np.asarray(rspec.xi(v), dtype=float), 0.0)

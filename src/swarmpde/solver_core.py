@@ -1,25 +1,35 @@
 """Explicit time integration of the regularized age-binned system.
 
-State per step: I swarmer bin densities u_i, the swimmer density v, the
+State per step: I swarmer bin densities u_i, the swimmer density v and
+the biomasses, one array of rows (``SimState.biomass``): row 0 is the
 reconstructed biomass (alpha-weighted bin sum, enforced exactly every
-step) and a shadow biomass integrated from its own evolution equation.
-The shadow uses harmonic face means for its diffusivity where the bin
-system telescopes to arithmetic means, so the sup-norm gap between the
-two is a genuine second-order consistency metric instead of collapsing
-to roundoff.  The shadow and the step's conservation sums feed only the
+step), row 1 a shadow biomass integrated from its own evolution
+equation.  The shadow and the step's conservation sums feed only the
 diagnostics record: a run without one (``run(setup, record=False)``)
-starts from a state without a shadow (``lambda_ev`` None), and its steps
-integrate no shadow and form no conservation sums.
+starts from a state with the reconstructed row alone (``lambda_ev``
+None), and its steps integrate no shadow and form no conservation sums.
 
 Updates are explicit Euler.  Each step starts from one coefficient
-record, ``step_coefficients``: D_alpha and E_alpha of the reconstructed
-biomass are evaluated once, turned into per-axis face diffusivities and
-drift face velocities, and reduced to the step-size bound ``dt_max``
-(``stable_dt`` returns that bound alone).  The face data are then
-turned in place into the bins' flux weights
-(``spatial_grid.flux_weights``), so the coefficients are never rebuilt
-within a step.  The bound keeps every update a convex combination of nonnegative
-quantities; nonnegativity then holds without clipping beyond roundoff.
+record, ``step_coefficients``: D_alpha and E_alpha are evaluated once,
+on both biomasses together, and turned in one pass into per-axis face
+diffusivities and drift face velocities and then, in place, into flux
+weights (``spatial_grid.flux_weights``), so the coefficients are never
+rebuilt within a step.  The two biomasses share that evaluation but not
+their discretization.  The record's weights, which the bins apply, take
+the arithmetic face mean of row 0's D_alpha, the mean to which the bin
+sum telescopes.  The shadow's take the harmonic face mean of row 1's
+D_alpha and transport the reconstructed biomass with the shadow's own
+face velocity, so the sup-norm gap between the two biomasses is a
+genuine second-order consistency metric instead of collapsing to
+roundoff.  The shadow's weights are applied where they are formed: the
+record keeps the shadow's divergence, and the bins' weights in arrays
+of their own, so that no array of the pair outlives the record's pass
+(held through the bins' loop, the pair's face arrays raised the peak
+resident memory of a 128 x 128 run by about 2%, though not its live
+peak).  The step-size bound ``dt_max`` reads row 0 alone
+(``stable_dt`` returns that bound alone).  The bound keeps every update
+a convex combination of nonnegative quantities; nonnegativity then holds
+without clipping beyond roundoff.
 It is 0.9 times the smallest of four limits: the age-transport
 stiffness alpha/2, the per-axis diffusion limit dx^2/(2 dim max D_face)
 (it can bind on anisotropic 2D meshes), the strict convex-combination
@@ -48,10 +58,12 @@ taken per block in forms that do not depend on the blocking: the
 minimum, clip and maximum of the new u, the cutoff-activation count,
 and, when the state carries a shadow, per bin the sum of the divergence
 and the sum of its magnitude, which are added up bin by bin in bin
-order after the loop.  The reads of the old bins beyond a block's feed
-(the source matvecs b*mu u and (lam_star - mu*lam) u, and the last bin,
-the shadow's outflow) come before the loop, and the reconstructed
-biomass is taken from the new bins after it.  Up to 32768 cell-bins
+order after the loop.  The swimmers' and the shadow's sources, which
+read the old bins beyond a block's feed (the matvecs b*mu u and
+(lam_star - mu*lam) u, and the last bin, the shadow's outflow), are
+formed before the loop.  After it row 1 of the new state's biomass
+array takes the shadow's update from the record's shadow divergence,
+and row 0 the reconstruction from the new bins.  Up to 32768 cell-bins
 (every 1D configuration in use) form a single block.
 
 ``run`` builds one ``StepPlan`` (``step_plan``) and passes it to every
@@ -81,7 +93,9 @@ path.
 
 The new fields (u, v and the shadow if there is one) are checked from
 one min and one max each (``check_step``, the guard the reduced solver's
-steps share): NaN and +-inf show in those extremes, so no finiteness
+steps share; its companion ``check_budget`` refuses, before a step, a
+horizon that would take more than ``MAX_STEPS`` steps at the step's
+bound): NaN and +-inf show in those extremes, so no finiteness
 scan is needed; the minima of u and v meet the roundoff tolerance, and
 alpha^2 max u > 1/2 says the cutoff acted and counts activations.  The
 state carries only the count: the cutoff has engaged once it is above 0
@@ -94,7 +108,7 @@ it takes steps no longer than the distance to the next sample time and
 lands the state on it exactly.  A step consumes its input state's u: the
 new state owns that same array, so a sample that keeps the bins copies
 them, and an ``on_sample`` hook that keeps u must copy it.  The other
-arrays of a state (v and both biomasses) are written once, when the
+arrays of a state (v and the biomass array) are written once, when the
 state is made, so a sample shares them instead of copying.
 
 A run is single-threaded in its time loop; independent runs share no
@@ -113,7 +127,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .age_discretization import AgeGrid, RegularizedModel
-from .errors import UnstableStep
+from .errors import StepBudgetExceeded, UnstableStep
 from .model_spec import ModelSpec
 from .spatial_grid import (
     FluxWeights,
@@ -122,10 +136,8 @@ from .spatial_grid import (
     div_flux,
     drift_diffusion_div,
     drift_face_data,
-    drift_faces,
     flux_weights,
     harmonic_mean,
-    l1,
     laplacian,
 )
 
@@ -146,6 +158,7 @@ __all__ = [
     "step_plan",
     "step",
     "check_step",
+    "check_budget",
     "sample_times",
     "march",
     "run",
@@ -155,6 +168,7 @@ __all__ = [
 _NEG_TOL = -1e-12
 _SAFETY = 0.9  # fraction of the stability limit a step may use
 BIN_BLOCK_BYTES = 256 * 1024  # bytes of u per bin block; its temporaries fit a 2 MiB L2
+MAX_STEPS = 10**7  # steps either solver may take to reach its horizon
 
 
 def bin_blocks(shape: tuple) -> list:
@@ -169,24 +183,34 @@ def bin_blocks(shape: tuple) -> list:
 @dataclass
 class SimState:
     """Solver state.  ``step`` updates u in place, so the next state owns
-    this state's u; v and both biomasses are written once, when the state
-    is made, and never after, so samples share them."""
+    this state's u; v and the biomass array are written once, when the
+    state is made, and never after, so samples share them."""
 
     u: np.ndarray            # (I, *cells) swarmer densities per age bin
     v: np.ndarray            # (*cells) swimmer density
-    lambda_rec: np.ndarray   # alpha-weighted bin sum, rebuilt every step
-    lambda_ev: Optional[np.ndarray]  # shadow biomass, integrated independently;
-    #                                  None in a run without a diagnostics record
+    biomass: np.ndarray      # (2, *cells): the reconstructed biomass and the shadow;
+    #                          (1, *cells), no shadow, in a run without a record
     max_u: float             # largest bin density, taken where u is made
     t: float = 0.0
     step_count: int = 0
     theta_activations: int = 0
+
+    @property
+    def lambda_rec(self) -> np.ndarray:
+        """The reconstructed biomass, the alpha-weighted bin sum: row 0."""
+        return self.biomass[0]
+
+    @property
+    def lambda_ev(self) -> Optional[np.ndarray]:
+        """The shadow biomass, integrated independently: row 1, or None."""
+        return self.biomass[1] if len(self.biomass) > 1 else None
 
 
 @dataclass(frozen=True)
 class StepResult:
     min_u: float              # raw minima before the roundoff clip
     min_v: float
+    max_v: float              # raw maximum; max(max_v, 0) after the clip
     conservation_residual: float  # 0.0 for a state without a shadow
 
 
@@ -197,11 +221,17 @@ class StepCoefficients:
     ``weights`` are the bins' ``flux_weights``: from the arithmetic face
     mean of D_alpha and the drift face velocity w = face_mean(E_alpha) *
     grad(biomass), both of the reconstructed biomass; merged when every
-    bin density lies on the cutoff plateau, split otherwise.  ``dt_max``
-    is the step-size bound.
+    bin density lies on the cutoff plateau, split otherwise; for a state
+    without a shadow they keep the biomass array's leading axis of length
+    one, which broadcasts over the bins.  ``shadow_div`` is the shadow
+    biomass' flux divergence, from its split weights: the harmonic face
+    mean of its D_alpha and its own face velocity, transporting the
+    reconstructed biomass; None for a state without a shadow.
+    ``dt_max`` is the step-size bound.
     """
 
     weights: FluxWeights
+    shadow_div: Optional[np.ndarray]
     dt_max: float
 
 
@@ -274,35 +304,53 @@ def _inflow(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
                       sgrid: SpatialGrid) -> StepCoefficients:
-    """The coefficient record of ``state``: face data and the one step-size bound.
+    """The coefficient record of ``state``: flux weights and the one step-size bound.
 
     dt_max = 0.9 * min( alpha/2, dx^2/(2 dim max D_face) per axis,
     1/max(rate, rate_shadow) ) where rate = 1/alpha + M + sum over axes
     of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
-    rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the shadow
-    biomass' limit.  D_alpha and E_alpha are evaluated once.  The bins'
-    flux weights are merged or split after the state's largest bin
-    density (``cutoff_plateau``), in the memory of the face data.
+    rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the biomass
+    equation's limit; all of the reconstructed biomass.  D_alpha and
+    E_alpha are evaluated once, on the state's biomass rows together,
+    whose face data and flux weights are formed together too, in the
+    memory of the face data; the shadow row's face diffusivity is
+    replaced by its harmonic mean first.  The bins' weights are merged
+    or split after the state's largest bin density (``cutoff_plateau``);
+    the shadow's are split, and applied here.
     """
-    lam = state.lambda_rec
-    Da = reg.D_alpha(lam)
-    E_cell = reg.E_alpha(lam, state.v)
-    faces = drift_face_data(Da, E_cell, lam, sgrid)
-    eff_max = float((Da + np.maximum(lam, 0.0) * E_cell).max())
+    bio = state.biomass
+    lam = bio[0]
+    Da = reg.D_alpha(bio)
+    E_cell = reg.E_alpha(bio, state.v)
+    eff_max = float((Da[0] + np.maximum(lam, 0.0) * E_cell[0]).max())
+    faces = drift_face_data(Da, E_cell, bio, sgrid)
     bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
     # the last axis' row-wrap faces carry D = w = 0, which moves neither
     # maximum: D_face >= alpha > 0 and |w| >= 0
     for dx, (D_face, w) in zip(sgrid.dx, faces):
-        d_max = float(D_face.max())
-        w_max = float(np.abs(w).max(initial=0.0))
+        d_max = float(D_face[0].max())
+        w_max = float(np.abs(w[0]).max(initial=0.0))
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
     dt_max = min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
-    weights = flux_weights(faces, sgrid, merged=cutoff_plateau(state.max_u, reg))
-    return StepCoefficients(weights=weights, dt_max=dt_max)
+    plateau = cutoff_plateau(state.max_u, reg)
+    if len(bio) == 1:
+        # no shadow: the one row's weights are the bins', and their
+        # leading axis of length one broadcasts over the bins
+        return StepCoefficients(flux_weights(faces, sgrid, plateau), None, dt_max)
+    # the shadow's diffusivity: harmonic face means (D_a >= alpha > 0),
+    # where the bin sum telescopes to the record's arithmetic ones
+    for ax, (D_face, _) in enumerate(faces):
+        D_face[1] = harmonic_mean(Da[1], sgrid, ax)
+    # release the (2, *cells) D and E before the weights allocate, so that
+    # the allocator can hand their memory to the weights
+    del Da, E_cell
+    weights = flux_weights(faces, sgrid, merged=False)
+    shadow_div = drift_diffusion_div(bio[1], lam, weights.row(1), sgrid)
+    return StepCoefficients(weights.own_row(0, plateau), shadow_div, dt_max)
 
 
 def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
@@ -311,30 +359,24 @@ def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     return step_coefficients(state, grid, reg, sgrid).dt_max
 
 
-def _shadow_div(lam_ev, lam_rec, v, reg, sgrid: SpatialGrid, work) -> np.ndarray:
-    # Independent discretization of the biomass equation: harmonic face
-    # diffusivity (the bin sum telescopes to arithmetic; D_a >= alpha > 0),
-    # drift transporting the reconstructed biomass with the shadow's own
-    # face velocity.
-    faces = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
-                        mean=harmonic_mean)
-    return drift_diffusion_div(lam_ev, lam_rec, faces, sgrid, work=work)
-
-
-def _reconstruct(u: np.ndarray, grid: AgeGrid) -> np.ndarray:
-    return grid.alpha * (grid.lam[: grid.I] @ u.reshape(grid.I, -1)).reshape(u.shape[1:])
+def _reconstruct(u: np.ndarray, grid: AgeGrid, out: np.ndarray) -> None:
+    # the alpha-weighted bin sum, written into the biomass row ``out``
+    row = out.reshape(-1)
+    np.matmul(grid.lam[: grid.I], u.reshape(grid.I, -1), out=row)
+    row *= grid.alpha
 
 
 def initial_state(u0: np.ndarray, v0: np.ndarray, grid: AgeGrid,
                   shadow: bool = True) -> SimState:
-    """The state of the initial data; with ``shadow`` false it carries no
-    shadow biomass (``lambda_ev`` is None)."""
+    """The state of the initial data, whose shadow biomass starts as the
+    reconstructed one; with ``shadow`` false it carries no shadow
+    (``lambda_ev`` is None)."""
     u0 = np.asarray(u0, dtype=float).copy()
     v0 = np.asarray(v0, dtype=float).copy()
-    lam0 = _reconstruct(u0, grid)
-    return SimState(u=u0, v=v0, lambda_rec=lam0,
-                    lambda_ev=lam0.copy() if shadow else None,
-                    max_u=float(u0.max()))
+    biomass = np.empty((2 if shadow else 1,) + u0.shape[1:])
+    _reconstruct(u0, grid, biomass[0])
+    biomass[1:] = biomass[0]
+    return SimState(u=u0, v=v0, biomass=biomass, max_u=float(u0.max()))
 
 
 def step_plan(grid: AgeGrid, sgrid: SpatialGrid) -> StepPlan:
@@ -361,24 +403,29 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     ``plan`` is ``step_plan(grid, sgrid)``; its scratch is overwritten,
     and the new state shares no memory with it.  The step consumes
     ``state.u``: the new bins are written into that array, and the new
-    state owns it.  After ``UnstableStep`` it holds the failed update.  A
-    state without a shadow biomass (``lambda_ev`` None) gives one without:
-    the step then skips the shadow and the conservation sums, and reports
-    a ``conservation_residual`` of 0.0.
+    state owns it.  After ``UnstableStep`` it holds the failed update.
+    The new biomasses are the rows of one new array.  A state without a
+    shadow biomass (``lambda_ev`` None) gives one without: the step then
+    skips the shadow and the conservation sums, and reports a
+    ``conservation_residual`` of 0.0.
     """
     I, alpha = grid.I, grid.alpha
-    u, v = state.u, state.v
-    lam_rec, lam_ev = state.lambda_rec, state.lambda_ev
-    shadow = lam_ev is not None
+    u, v, bio = state.u, state.v, state.biomass
+    lam_rec = bio[0]
+    shadow = len(bio) > 1
     u_rows = u.reshape(I, -1)
 
     xi = reg.xi_alpha(v)
     inflow = _inflow(v, xi)
-    # the sources read the old bins, which the loop overwrites
-    b_source = plan.b_mu @ u_rows
+    # the sources read the old bins, which the loop overwrites; the
+    # swimmers' (g(v) - xi) v + alpha b*mu u is formed in xi's memory
+    source_v = np.subtract(np.asarray(reg.spec.g(v), dtype=float), xi, out=xi)
+    source_v *= v
+    source_v += alpha * (plan.b_mu @ u_rows).reshape(v.shape)
     if shadow:
-        lam_source = plan.lam_source @ u_rows
-        outflow = u[I - 1].copy()
+        source_ev = grid.lam[0] * inflow
+        source_ev += alpha * (plan.lam_source @ u_rows).reshape(v.shape)
+        source_ev -= grid.lam[I] * u[I - 1]  # the last bin's outflow
     # the bins are updated in place, in blocks whose temporaries stay in
     # cache, the last block first: a block is fed by the last bin of the
     # block before it, which is then still old.  Every operation is
@@ -413,27 +460,25 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
         np.maximum(f, 0.0, out=f)
         maxs.append(float(f.max()))
         if shadow:  # the conservation sums, which only the record reads
-            row_sums = d.reshape(k1 - k0, -1).sum(axis=1)
+            rows = d.reshape(k1 - k0, -1)
+            row_sums = rows.sum(axis=1)
             row_sum_max = max(row_sum_max, float(np.abs(row_sums, out=row_sums).max()))
-            np.abs(d, out=d)  # d is scratch: not read again
-            d.reshape(k1 - k0, -1).sum(axis=1, out=abs_rows[k0:k1])
+            np.abs(rows, out=rows)  # d is scratch: not read again
+            rows.sum(axis=1, out=abs_rows[k0:k1])
         if alpha * alpha * maxs[-1] > 0.5:
             activations += int(np.count_nonzero(alpha * alpha * f > 0.5))
 
     lap_v = laplacian(v, sgrid, out=plan.div[:v.size].reshape(v.shape), work=work)
-    source_v = (np.asarray(reg.spec.g(v), dtype=float) - xi) * v
-    source_v += alpha * b_source.reshape(v.shape)
     new_v = v + dt * (alpha * lap_v + source_v)
 
     min_v, max_v = float(new_v.min()), float(new_v.max())
     extremes = mins + maxs + [min_v, max_v]
-    new_ev = None
+    new_bio = np.empty(bio.shape)
     if shadow:
-        div_ev = _shadow_div(lam_ev, lam_rec, v, reg, sgrid, work)
-        source_ev = grid.lam[0] * inflow
-        source_ev += alpha * lam_source.reshape(v.shape)
-        source_ev -= grid.lam[I] * outflow
-        new_ev = lam_ev + dt * (div_ev + source_ev)
+        # lam_ev + dt (div + source)
+        source_ev += coeffs.shadow_div
+        source_ev *= dt
+        new_ev = np.add(bio[1], source_ev, out=new_bio[1])
         extremes += [float(new_ev.min()), float(new_ev.max())]
 
     # u's minima are taken before its clip and its maxima after: the clip
@@ -442,15 +487,18 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     check_step(state.t + dt, extremes, min(min_u, min_v), "state")
     np.maximum(new_v, 0.0, out=new_v)
 
-    new_rec = _reconstruct(u, grid)
+    _reconstruct(u, grid, new_bio[0])
     conservation = 0.0
     if shadow:
         vol = sgrid.cell_volume
-        cons = max(row_sum_max, abs(float(lap_v.sum())), abs(float(div_ev.sum()))) * vol
+        cons = max(row_sum_max, abs(float(lap_v.sum())),
+                   abs(float(coeffs.shadow_div.sum()))) * vol
         abs_sum = 0.0
         for total in abs_rows.tolist():
             abs_sum += total  # bin by bin in order, whatever the blocks
-        conservation = cons / max(abs_sum * vol, l1(lap_v, sgrid), 1e-300)
+        # lap_v's L1 norm, in its scratch: not read again
+        conservation = cons / max(abs_sum * vol, float(np.abs(lap_v, out=lap_v).sum()) * vol,
+                                  1e-300)
 
     # the cutoff acts on some bin exactly when the largest leaves its
     # plateau alpha^2 u <= 1/2; the first such step warns
@@ -461,11 +509,11 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
             state.t + dt,
         )
     new_state = SimState(
-        u=u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev, max_u=max_u,
+        u=u, v=new_v, biomass=new_bio, max_u=max_u,
         t=state.t + dt, step_count=state.step_count + 1,
         theta_activations=state.theta_activations + activations,
     )
-    return new_state, StepResult(min_u=min_u, min_v=min_v,
+    return new_state, StepResult(min_u=min_u, min_v=min_v, max_v=max_v,
                                  conservation_residual=conservation)
 
 
@@ -484,6 +532,24 @@ def check_step(t: float, extremes, low: float, what: str) -> None:
     if low < _NEG_TOL:
         raise UnstableStep(f"{what} fell to {low:.3e} < {_NEG_TOL:g} at t={t:.6g}; "
                            "step-size contract violated")
+
+
+def check_budget(steps: int, t: float, T: float, bound: float, fixed_dt: Optional[float],
+                 what: str) -> None:
+    """Raise ``StepBudgetExceeded`` unless the ``steps`` taken plus the
+    (T - t)/dt still to take fit in MAX_STEPS.
+
+    dt is either solver's step-size ``bound`` at ``t``, capped at
+    ``fixed_dt`` when that is set, and never the shorter step that lands
+    on a sample time; ``what`` names the state in the message.  A zero
+    dt fails; a NaN one passes, for ``check_step`` to refuse the fields
+    that made it.
+    """
+    dt = bound if fixed_dt is None else min(bound, fixed_dt)
+    if T - t > (MAX_STEPS - steps) * dt:
+        raise StepBudgetExceeded(
+            f"{what} at t={t:.6g} needs {(T - t) / dt if dt > 0 else math.inf:.3g} more "
+            f"steps of dt={dt:.3e} to reach T={T:g}, beyond the budget of {MAX_STEPS}")
 
 
 def sample_times(T: float, sample_dt: float) -> np.ndarray:
@@ -534,7 +600,8 @@ def run(setup: RunSetup, record: bool = True,
     step and every sample; the diagnostics recorder samples the initial
     state and every sample time.  The steps update one array of bins in
     place, so a sample copies u, and only when ``setup.store_u`` is set;
-    it shares v and the reconstructed biomass, which are written once.
+    it shares v, which is written once, and the reconstructed biomass,
+    which a recorded run copies from the row beside the shadow.
     ``initial_state`` works on a copy of ``setup.u0``, which the run
     leaves as it was.  With ``record`` false no recorder is built,
     ``RunResult.record`` is None and the state carries no shadow biomass,
@@ -556,19 +623,24 @@ def run(setup: RunSetup, record: bool = True,
             recorder.sample(s, plan)
         if on_sample is not None:
             on_sample(s)
+        # a recorded state's biomass array holds the shadow row too, which
+        # no sample keeps
         return TrajectorySample(t=s.t, u=s.u.copy() if setup.store_u else None, v=s.v,
-                                lambda_rec=s.lambda_rec)
+                                lambda_rec=s.lambda_rec.copy() if record else s.lambda_rec)
 
     clamp_warned = False
 
     def advance(s: SimState, room: float) -> SimState:
         nonlocal clamp_warned
         coeffs = step_coefficients(s, grid, reg, sgrid)
+        check_budget(s.step_count, s.t, setup.T, coeffs.dt_max, setup.fixed_dt, "state")
         s, sres = step(s, min(coeffs.dt_max, room), grid, reg, sgrid, coeffs, plan)
         if recorder is not None:
             recorder.on_step(sres)
         if not clamp_warned:
-            reach = max(float(s.lambda_rec.max()), float(s.v.max()))
+            # v's maximum after the clip is max(sres.max_v, 0); the
+            # biomass is nonnegative, so the 0 does not move the reach
+            reach = max(float(s.lambda_rec.max()), sres.max_v)
             if reach > 0.999 * reg.clamp:
                 logger.warning(
                     "state reached the argument clamp 1/alpha=%.3g; the "

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -316,6 +317,43 @@ def test_an_overflowing_model_is_a_typed_failure(tmp_path):
     assert failure["messages"] == ["diagnostics column dissipation_u is nan at t=0"]
 
 
+def test_a_horizon_beyond_the_step_budget_is_a_typed_failure(tmp_path):
+    # mu = 1e300 passes validation, and the step bound falls like 1/mu:
+    # at dt = 9e-301 the horizon takes about 1e299 steps, so the budget
+    # refuses the first step instead of integrating forever, under run and
+    # under crossval (whose full solver runs first)
+    cfg = dict(MINIMAL, model={"mu": 1e300, "xi0": 0.0}, time={"T": 0.1, "sample_dt": 0.05},
+               output={"dir": str(tmp_path / "out")})
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+    for command in ("run", "crossval"):
+        start = time.monotonic()
+        assert main([command, "--config", str(path)]) == 1
+        assert time.monotonic() - start < 1.0
+        failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+        assert failure["kind"] == "StepBudgetExceeded"
+        assert f"beyond the budget of {solver_core.MAX_STEPS}" in failure["messages"][0]
+        (tmp_path / "out" / "failure.json").unlink()
+
+
+def test_summary_carries_every_record_value_the_envelopes_read(tmp_path, monkeypatch):
+    # eta_star_inf (keyed by tail age as the tail columns are) and
+    # grad_v0_sq are written at full precision: they read back bitwise
+    results = _keep_results(monkeypatch, cli)
+    cfg = dict(MINIMAL, diagnostics={"tail_A": [1.0, 1.5]},
+               output={"dir": str(tmp_path / "out")})
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    [result] = results
+    record = result.record
+    assert record.grad_v0_sq > 0.0
+    assert summary["grad_v0_sq"].hex() == record.grad_v0_sq.hex()
+    assert sorted(summary["eta_star_inf"]) == ["1", "1.5"]
+    for A, value in record.eta_star_inf.items():
+        assert value > 0.0
+        assert summary["eta_star_inf"][f"{A:g}"].hex() == value.hex()
+
+
 PLANE = dict(MINIMAL, domain={"dim": 2, "extents": [4.0, 3.0], "cells": [12, 10]},
              initial={"u_cos_k": 2, "u_cos_eps": 0.3})
 
@@ -624,7 +662,17 @@ def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
     for name in ("DiagnosticsRecorder", "Zeta1Evaluator", "weak_residual",
                  "_safe_ratios", "grad_cell"):
         _count_calls(monkeypatch, counts, diagnostics, name)
-    _count_calls(monkeypatch, counts, solver_core, "_shadow_div")
+    # a step integrates the shadow biomass exactly when its coefficient
+    # record carries the shadow's flux divergence
+    coefficients = solver_core.step_coefficients
+
+    def counting_coefficients(*args):
+        coeffs = coefficients(*args)
+        counts["records"] += 1
+        counts["shadow"] += coeffs.shadow_div is not None
+        return coeffs
+
+    monkeypatch.setattr(solver_core, "step_coefficients", counting_coefficients)
     samples = []
     for owner in (cli, reduced_system):
         def counting_run(setup, _run=owner.run, **kwargs):
@@ -638,7 +686,7 @@ def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
     cfg["output"] = {"dir": str(tmp_path / "sweep")}
     assert main(["sweep", "--config", str(_write(tmp_path, cfg)), "--levels", "3"]) == 0
     assert samples == [7, 7, 7]
-    assert counts["DiagnosticsRecorder"] == counts["_shadow_div"] == 0
+    assert counts["DiagnosticsRecorder"] == counts["shadow"] == 0 < counts["records"]
     assert counts["weak_residual"] == counts["Zeta1Evaluator"] == 3
     assert counts["_safe_ratios"] == sum(samples)
     assert counts["grad_cell"] == 2 * sum(samples)   # zeta1 and zeta2
@@ -649,15 +697,15 @@ def test_sweep_and_crossval_compute_only_what_they_write(tmp_path, monkeypatch):
     cfg["output"] = {"dir": str(tmp_path / "cv")}
     assert main(["crossval", "--config", str(_write(tmp_path, cfg, "cv.json"))]) == 0
     assert len(samples) == 5
-    assert counts["DiagnosticsRecorder"] == counts["_shadow_div"] == 0
+    assert counts["DiagnosticsRecorder"] == counts["shadow"] == 0
 
     # the counters see the recorder that run builds and its shadow, one
-    # shadow divergence per step
+    # record with a shadow divergence per step
     cfg = dict(MINIMAL, output={"dir": str(tmp_path / "run")})
     assert main(["run", "--config", str(_write(tmp_path, cfg, "run.json"))]) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert counts["DiagnosticsRecorder"] == 1
-    assert counts["_shadow_div"] == manifest["steps"] > 0
+    assert counts["shadow"] == manifest["steps"] > 0
 
 
 def test_cmd_run_exponential_margins(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmpde.age_discretization import build_age_grid, regularize
-from swarmpde.errors import ConfigMismatch, UnstableStep
+from swarmpde.errors import ConfigMismatch, StepBudgetExceeded, UnstableStep
 from swarmpde.reduced_system import (
     ReducedSpec,
     cross_validate_setups,
@@ -70,6 +70,19 @@ def test_reduced_non_finite_step_raises(field, bad):
     with pytest.raises(UnstableStep, match="non-finite reduced state"), \
             np.errstate(all="ignore"):
         run_reduced(rspec, sgrid, fields["lam"], fields["v"], 0.1, sample_dt=0.1)
+
+
+@pytest.mark.parametrize("m2, fixed_dt", [(1e300, None), (0.3, 1e-9)],
+                         ids=["huge_decay", "tiny_fixed_step"])
+def test_reduced_step_budget_refuses_the_first_step(m2, fixed_dt):
+    # a bound of about 1e-300 (m2 = 1e300) or a fixed step of 1e-9 would
+    # take more than MAX_STEPS steps to T = 0.1; the landing steps onto
+    # the sample times are shorter, but the budget does not count them
+    rspec = _rspec(m2=m2)
+    sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
+    with pytest.raises(StepBudgetExceeded, match="reduced state at t=0 needs"):
+        run_reduced(rspec, sgrid, np.full(sgrid.shape, 0.7), np.full(sgrid.shape, 0.5), 0.1,
+                    sample_dt=0.05, fixed_dt=fixed_dt)
 
 
 def test_reduced_negative_step_raises():

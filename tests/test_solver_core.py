@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import logging
 import math
 import tracemalloc
 
@@ -8,15 +10,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from swarmpde import diagnostics, solver_core
-from swarmpde.age_discretization import build_age_grid, regularize, theta_cutoff
+from swarmpde.age_discretization import (
+    RegularizedModel,
+    build_age_grid,
+    regularize,
+    theta_cutoff,
+)
 from swarmpde.diagnostics import DiagnosticsRecorder
-from swarmpde.errors import UnstableStep
+from swarmpde.errors import StepBudgetExceeded, UnstableStep
 from swarmpde.model_spec import exponential_family
 from swarmpde.solver_core import (
+    MAX_STEPS,
     RunSetup,
     SimState,
     StepResult,
     boundary_inflow,
+    check_budget,
     initial_state,
     run,
     stable_dt,
@@ -31,6 +40,7 @@ from swarmpde.spatial_grid import (
     drift_faces,
     face_diff,
     face_mean,
+    flux_weights,
     harmonic_mean,
     laplacian,
 )
@@ -211,15 +221,17 @@ def _reference_step(state, dt, grid, reg, sgrid):
     source_v = (np.asarray(reg.spec.g(v), dtype=float) - reg.xi_alpha(v)) * v
     source_v += alpha * np.tensordot(grid.b[:I] * grid.mu[:I], u, axes=(0, 0))
     new_v = v + dt * (alpha * lap_v + source_v)
-    ev_weights = drift_faces(reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v), lam_ev, sgrid,
-                             mean=harmonic_mean)
+    D_ev, E_ev = reg.D_alpha(lam_ev), reg.E_alpha(lam_ev, v)
+    ev_weights = flux_weights([(harmonic_mean(D_ev, sgrid, ax),
+                                face_mean(E_ev, sgrid, ax) * face_diff(lam_ev, sgrid, ax))
+                               for ax in range(sgrid.dim)], sgrid, merged=False)
     div_ev = drift_diffusion_div(lam_ev, lam, ev_weights, sgrid)
     source_ev = grid.lam[0] * inflow
     source_ev += alpha * np.tensordot(grid.lam_star - grid.mu[:I] * grid.lam[:I], u,
                                       axes=(0, 0))
     source_ev -= grid.lam[I] * u[I - 1]
     new_ev = lam_ev + dt * (div_ev + source_ev)
-    min_u, min_v = float(new_u.min()), float(new_v.min())
+    min_u, min_v, max_v = float(new_u.min()), float(new_v.min()), float(new_v.max())
     new_u, new_v = np.maximum(new_u, 0.0), np.maximum(new_v, 0.0)
     new_rec = alpha * np.tensordot(grid.lam[:I], new_u, axes=(0, 0))
     vol = sgrid.cell_volume
@@ -230,7 +242,8 @@ def _reference_step(state, dt, grid, reg, sgrid):
         abs_div += total  # bin by bin, in order
     cons_scale = max(abs_div * vol, float(np.sum(np.abs(lap_v))) * vol, 1e-300)
     activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5))
-    result = StepResult(min_u=min_u, min_v=min_v, conservation_residual=cons / cons_scale)
+    result = StepResult(min_u=min_u, min_v=min_v, max_v=max_v,
+                        conservation_residual=cons / cons_scale)
     return new_u, new_v, new_rec, new_ev, activations, result
 
 
@@ -250,8 +263,9 @@ def test_step_matches_former_formula_within_roundoff(cells, top):
     shape = (grid.I,) + cells
     u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
     seed = initial_state(u0, 0.5 * rng.random(cells), grid)
-    state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
-                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+    state = SimState(u=seed.u, v=seed.v,
+                     biomass=np.stack([seed.lambda_rec,
+                                       seed.lambda_rec * (1.0 + 0.01 * rng.random(cells))]),
                      max_u=seed.max_u)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
@@ -298,8 +312,9 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
     u0.reshape(-1)[3] = top / alpha**2
     assert alpha**2 * u0.max() == top
     seed = initial_state(u0, 0.5 * rng.random(cells), grid)
-    state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
-                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+    state = SimState(u=seed.u, v=seed.v,
+                     biomass=np.stack([seed.lambda_rec,
+                                       seed.lambda_rec * (1.0 + 0.01 * rng.random(cells))]),
                      max_u=seed.max_u,
                      theta_activations=5)
     coeffs = step_coefficients(state, grid, reg, sgrid)
@@ -342,8 +357,9 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
     if hot_bins and per_block < 8:
         assert not all(hot)
     seed = initial_state(u0, 0.5 * rng.random(cells), grid)
-    state = SimState(u=seed.u, v=seed.v, lambda_rec=seed.lambda_rec,
-                     lambda_ev=seed.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+    state = SimState(u=seed.u, v=seed.v,
+                     biomass=np.stack([seed.lambda_rec,
+                                       seed.lambda_rec * (1.0 + 0.01 * rng.random(cells))]),
                      max_u=seed.max_u)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
@@ -384,8 +400,9 @@ def _rough_state(cells, top, seed):
     shape = (grid.I,) + cells
     u0 = top / alpha**2 * rng.random(shape) * (rng.random(shape) > 0.2)
     seed_state = initial_state(u0, 0.5 * rng.random(cells), grid)
-    state = SimState(u=seed_state.u, v=seed_state.v, lambda_rec=seed_state.lambda_rec,
-                     lambda_ev=seed_state.lambda_rec * (1.0 + 0.01 * rng.random(cells)),
+    state = SimState(u=seed_state.u, v=seed_state.v,
+                     biomass=np.stack([seed_state.lambda_rec, seed_state.lambda_rec
+                                       * (1.0 + 0.01 * rng.random(cells))]),
                      max_u=seed_state.max_u)
     return state, grid, reg, sgrid
 
@@ -403,13 +420,33 @@ def test_plan_reused_over_two_steps_matches_reference(monkeypatch, cells, per_bl
         state, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
         new_u, new_v, new_rec, new_ev, activations, ref_res = _reference_step(
             ref, coeffs.dt_max, grid, reg, sgrid)
-        ref = SimState(u=new_u, v=new_v, lambda_rec=new_rec, lambda_ev=new_ev,
+        ref = SimState(u=new_u, v=new_v, biomass=np.stack([new_rec, new_ev]),
                        max_u=float(new_u.max()),
                        theta_activations=ref.theta_activations + activations)
         assert res == ref_res
         for name in ("u", "v", "lambda_rec", "lambda_ev"):
             assert np.array_equal(getattr(state, name), getattr(ref, name))
         assert state.theta_activations == ref.theta_activations > 0
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("top", [0.3, 0.8], ids=["plateau", "cutoff"])
+def test_recorded_step_evaluates_coefficients_once(monkeypatch, cells, top):
+    # the coefficient record evaluates D_alpha and E_alpha once, on both
+    # biomasses together, and carries the shadow's divergence; the step
+    # evaluates neither again
+    state, grid, reg, sgrid = _rough_state(cells, top=top, seed=23)
+    counts = collections.Counter()
+    for name in ("D_alpha", "E_alpha"):
+        def counting(self, *args, _name=name, _original=getattr(RegularizedModel, name)):
+            counts[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(RegularizedModel, name, counting)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    assert coeffs.shadow_div is not None
+    assert coeffs.weights.merged == (top <= 0.5)
+    step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
+    assert counts == {"D_alpha": 1, "E_alpha": 1}
 
 
 def test_step_state_does_not_alias_plan_scratch():
@@ -627,11 +664,75 @@ def test_non_finite_step_raises(field, bad):
     getattr(state, field).reshape(-1)[3] = bad
     # a state without a shadow (a run with no record) is checked alike
     states = [state] if field == "lambda_ev" else [
-        state, dataclasses.replace(state, lambda_ev=None)]
+        state, dataclasses.replace(state, biomass=state.biomass[:1])]
     for s in states:
         with pytest.raises(UnstableStep, match="non-finite"), np.errstate(all="ignore"):
             step(_with_own_u(s), coeffs.dt_max, grid, reg, sgrid, coeffs,
                  step_plan(grid, sgrid))
+
+
+def test_check_budget_counts_steps_taken_and_still_to_take():
+    # steps + (T - t)/dt may reach MAX_STEPS but not exceed it
+    check_budget(0, 0.0, 0.5 * MAX_STEPS, 0.5, None, "state")
+    check_budget(MAX_STEPS - 10, 1.0, 6.0, 0.5, None, "state")
+    check_budget(MAX_STEPS - 10, 1.0, 6.0, 2.0, 0.5, "state")
+    for bound, fixed_dt in ((0.49, None), (2.0, 0.49)):  # the fixed step caps the bound
+        with pytest.raises(StepBudgetExceeded, match=r"state at t=1 needs 10\.2 more steps"):
+            check_budget(MAX_STEPS - 10, 1.0, 6.0, bound, fixed_dt, "state")
+    with pytest.raises(StepBudgetExceeded, match="needs inf more steps of dt=0"):
+        check_budget(0, 0.0, 1.0, 0.0, None, "state")
+    check_budget(0, 0.0, 1.0, math.nan, None, "state")  # check_step refuses the NaN
+
+
+@pytest.mark.parametrize("fixed_dt", [None, 1e-9], ids=["bound", "fixed_step"])
+def test_run_refuses_a_horizon_beyond_the_step_budget(fixed_dt):
+    # a decay rate of 1e300 takes the bound to about 1e-300, a fixed step
+    # of 1e-9 caps it: either way the horizon needs more than MAX_STEPS
+    # steps and the first step is refused.  The landing steps onto the
+    # sample times are shorter than either, but the budget does not count
+    # them: with the bound alone the same run completes
+    mu = 1e300 if fixed_dt is None else 0.3
+    spec = make_spec(mu=lambda a: np.full_like(np.asarray(a, dtype=float), mu))
+    setup = _setup(spec, 0.25, 1.0, 16, u0=0.5 * np.ones((4, 16)), v0=0.4 * np.ones(16),
+                   T=0.1, sample_dt=0.05, fixed_dt=fixed_dt)
+    with pytest.raises(StepBudgetExceeded, match="state at t=0 needs"):
+        run(setup)
+    if fixed_dt is not None:
+        assert run(dataclasses.replace(setup, fixed_dt=None)).steps > 0
+
+
+def test_clamp_warning_fires_once_on_the_step_that_reaches_it(monkeypatch):
+    # alpha = 1/4: the clamp 1/alpha is 4.  Swimmers at 3.9 growing at
+    # rate 2 pass 0.999 * 4 on the second step; the warning is logged on
+    # that step, from the maximum of v the step took, and only once
+    spec = make_spec(g=lambda s: np.full_like(np.asarray(s, dtype=float), 2.0))
+    setup = _setup(spec, 0.25, 1.0, 16, v0=np.full(16, 3.9), T=0.1, sample_dt=0.05)
+    reaches = []
+    original = solver_core.step
+
+    def tracking_step(*args):
+        new, res = original(*args)
+        reaches.append(max(float(new.lambda_rec.max()), float(new.v.max())))
+        return new, res
+
+    monkeypatch.setattr(solver_core, "step", tracking_step)
+    warned_after = []
+
+    class Handler(logging.Handler):
+        def emit(self, record):
+            if "argument clamp" in record.getMessage():
+                warned_after.append(len(reaches))
+
+    handler = Handler()
+    logger = logging.getLogger("swarmpde.solver_core")
+    logger.addHandler(handler)
+    try:
+        result = run(setup)
+    finally:
+        logger.removeHandler(handler)
+    first = next(k for k, reach in enumerate(reaches) if reach > 0.999 * setup.reg.clamp)
+    assert first == 1 and result.steps > first + 1
+    assert warned_after == [first + 1]
 
 
 def test_run_reports_min_u_and_min_v_separately():
@@ -753,7 +854,7 @@ def test_only_a_recorded_run_samples_Xi():
 def test_step_without_shadow_skips_it_bitwise(dim, monkeypatch):
     # a state without a shadow calls no shadow kernel and reports no
     # conservation residual; u, v and the reconstructed biomass are
-    # bitwise those of the step with a shadow
+    # bitwise those of the step with a shadow, each from its own record
     setup = _bump_setup(dim)
     grid, reg, sgrid = setup.agegrid, setup.reg, setup.sgrid
     full = initial_state(setup.u0, setup.v0, grid)
@@ -762,16 +863,20 @@ def test_step_without_shadow_skips_it_bitwise(dim, monkeypatch):
     coeffs = step_coefficients(full, grid, reg, sgrid)
     plan = step_plan(grid, sgrid)
     new_full, res_full = step(full, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
-    calls = []
-    monkeypatch.setattr(solver_core, "_shadow_div", lambda *args: calls.append(args))
-    new_bare, res_bare = step(bare, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+    calls = []  # the bins' and the swimmers' kernels run inside div_flux and laplacian
+    monkeypatch.setattr(solver_core, "drift_diffusion_div", lambda *args, **kw: calls.append(args))
+    # its own record carries the bins' weights alone, with the same bound
+    bare_coeffs = step_coefficients(bare, grid, reg, sgrid)
+    assert bare_coeffs.shadow_div is None and bare_coeffs.dt_max == coeffs.dt_max
+    new_bare, res_bare = step(bare, coeffs.dt_max, grid, reg, sgrid, bare_coeffs, plan)
     assert calls == [] and new_bare.lambda_ev is None
     assert res_full.conservation_residual <= 1e-12
     assert res_bare == dataclasses.replace(res_full, conservation_residual=0.0)
     for name in ("u", "v", "lambda_rec"):
         assert getattr(new_bare, name).tobytes() == getattr(new_full, name).tobytes()
-    assert dataclasses.replace(new_bare, u=None, v=None, lambda_rec=None) == \
-        dataclasses.replace(new_full, u=None, v=None, lambda_rec=None, lambda_ev=None)
+    assert len(new_bare.biomass) == 1
+    assert dataclasses.replace(new_bare, u=None, v=None, biomass=None) == \
+        dataclasses.replace(new_full, u=None, v=None, biomass=None)
 
 
 def test_two_dimensional_run():
@@ -831,9 +936,8 @@ def test_tstar_crossed_is_any_activation_and_warns_once(amp, caplog):
 def _frozen(state):
     # the state with v and both biomasses read-only: a later write raises.
     # u stays writable, since the next step updates it in place
-    for name in ("v", "lambda_rec", "lambda_ev"):
-        if getattr(state, name) is not None:
-            getattr(state, name).flags.writeable = False
+    for name in ("v", "biomass"):
+        getattr(state, name).flags.writeable = False
     return state
 
 
