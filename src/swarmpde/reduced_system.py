@@ -128,8 +128,10 @@ def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
         lows = (float(new_lam.min()), float(new_v.min()))
         check_step(s.t + dt, lows + (float(new_lam.max()), float(new_v.max())), min(lows),
                    "reduced state")
-        return TrajectorySample(t=s.t + dt, u=None, v=np.maximum(new_v, 0.0),
-                                lambda_rec=np.maximum(new_lam, 0.0))
+        for field, low in zip((new_lam, new_v), lows):
+            if not low > 0.0:  # a zero, a -0.0 or a roundoff negative: clip
+                np.maximum(field, 0.0, out=field)
+        return TrajectorySample(t=s.t + dt, u=None, v=new_v, lambda_rec=new_lam)
 
     start = TrajectorySample(t=0.0, u=None, v=v, lambda_rec=lam)
     return march(start, T, sample_dt, fixed_dt, advance, lambda s: s)[0]

@@ -384,15 +384,17 @@ def div_flux(u, lam_total, v, reg, grid: SpatialGrid, weights=None, out=None,
     weights say that u lies on the cutoff plateau, so the drift transports
     u itself; split weights transport u * theta(alpha^2 u), which is u bit
     for bit at every density on the plateau.  Without them the weights are
-    merged exactly when ``cutoff_plateau(u.max(), reg)``.  ``out`` and
-    ``work`` are passed to ``drift_diffusion_div``.
+    merged exactly when ``cutoff_plateau(u.max(), reg)``.  With weights
+    given only ``u`` is read, and checked against the grid; without them
+    the biomass and the swimmers are checked too, and must be unbatched
+    grid fields.  ``out`` and ``work`` are passed to ``drift_diffusion_div``.
     """
     u = grid.check_field(u, "u")
-    lam = grid.check_field(lam_total, "biomass")
-    vv = grid.check_field(v, "v")
-    if lam.shape != grid.shape or vv.shape != grid.shape:
-        raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
     if weights is None:
+        lam = grid.check_field(lam_total, "biomass")
+        vv = grid.check_field(v, "v")
+        if lam.shape != grid.shape or vv.shape != grid.shape:
+            raise GridMismatch("biomass/swimmer fields must be unbatched grid fields")
         weights = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, vv), lam, grid,
                               merged=cutoff_plateau(u.max(), reg))
     q = u if weights.merged else u * reg.theta(reg.alpha**2 * u)

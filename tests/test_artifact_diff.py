@@ -1,6 +1,8 @@
-"""tools/artifact_diff.py compares two output directories file by file.
+"""tools/artifact_diff.py compares two output directories file by file,
+and the artifacts of this checkout with the committed fingerprints.
 
-The directories here are written by hand; no solver runs.
+The directories and fingerprints of the comparison tests are written by
+hand; only the fingerprint test runs the solver.
 """
 
 import importlib.util
@@ -82,3 +84,48 @@ def test_relative_change(artifact_diff):
     assert artifact_diff.rel_change(1.0, math.nan) == math.inf
     assert artifact_diff.rel_change(1.0, math.inf) == math.inf
     assert artifact_diff.rel_change(-2.0, 2.0) == 2.0
+
+
+def test_artifacts_match_the_committed_fingerprints(artifact_diff, tmp_path):
+    # every artifact of the tool's commands at seed 0, bit for bit; a change
+    # that moves one on purpose rewrites the file (--write-fingerprints)
+    expected = json.loads(artifact_diff.FINGERPRINTS.read_text(encoding="utf-8"))
+    assert artifact_diff.fingerprint_mismatches(
+        expected, artifact_diff.fingerprints(tmp_path)) == []
+
+
+PRINTS = {
+    "environment": {"numpy": "2.0.0", "blas": {"name": "openblas"}, "simd": ["X86_V3"]},
+    "rows": {
+        "run ref1d": {"exit": 0, "files": {
+            "diagnostics.csv": {"sha256": "aa", "last_row": {"t": "2", "l2_v": "4",
+                                                             "mass_b": "1"}},
+            "summary.json": {"sha256": "bb"}}},
+        "validate ref1d": {"exit": 0, "files": {"hypotheses.json": {"sha256": "cc"}}},
+    },
+}
+
+
+def test_fingerprint_mismatches_name_the_file_and_the_change(artifact_diff):
+    assert artifact_diff.fingerprint_mismatches(PRINTS, PRINTS) == []
+    moved = json.loads(json.dumps(PRINTS))
+    moved["environment"]["blas"] = {"name": "mkl"}
+    run = moved["rows"]["run ref1d"]
+    run["files"]["diagnostics.csv"] = {"sha256": "ab", "last_row": {"t": "2", "l2_v": "5",
+                                                                   "mass_b": "1.5"}}
+    run["files"]["summary.json"]["sha256"] = "bc"
+    run["files"]["failure.json"] = {"sha256": "dd"}
+    moved["rows"]["validate ref1d"] = {"exit": 1, "files": {}}
+    assert artifact_diff.fingerprint_mismatches(PRINTS, moved) == [
+        "environment blas: {'name': 'mkl'} here, {'name': 'openblas'} in the fingerprints",
+        "run ref1d diagnostics.csv: bytes differ, last row's largest relative change "
+        f"{1 / 3:.3g} (mass_b)",
+        "run ref1d failure.json: only here",
+        "run ref1d summary.json: bytes differ",
+        "validate ref1d: exit status 1 here, 0 in the fingerprints",
+        "validate ref1d hypotheses.json: only in the fingerprints",
+    ]
+    same_row = json.loads(json.dumps(PRINTS))
+    same_row["rows"]["run ref1d"]["files"]["diagnostics.csv"]["sha256"] = "ab"
+    assert artifact_diff.fingerprint_mismatches(PRINTS, same_row) == [
+        "run ref1d diagnostics.csv: bytes differ, last row unchanged"]

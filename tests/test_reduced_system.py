@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmpde import reduced_system
 from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.errors import ConfigMismatch, StepBudgetExceeded, UnstableStep
 from swarmpde.reduced_system import (
@@ -94,6 +95,41 @@ def test_reduced_negative_step_raises():
                        "step-size contract violated"):
         run_reduced(rspec, sgrid, np.full(sgrid.shape, 0.1), np.full(sgrid.shape, 0.5),
                     1.0, sample_dt=1.0)
+
+
+@pytest.mark.parametrize("low", [-1e-13, -0.0, 0.0, 0.125, math.nan],
+                         ids=["roundoff", "minus_zero", "zero", "positive", "nan"])
+@pytest.mark.parametrize("field", ["lambda_rec", "v"])
+def test_reduced_clips_a_field_only_when_its_minimum_is_not_positive(monkeypatch, field,
+                                                                     low):
+    # one step of dt = 1/8 whose raw new ``field`` is ``raw`` bit for bit:
+    # the biomass' from a prescribed divergence raw/dt on -0.0 data, the
+    # swimmers' from -0.0 swimmers fed m2/m0 = 1 times a biomass of
+    # raw/dt.  Out comes max(raw, 0) bit for bit (-0.0 becomes +0.0) when
+    # the raw minimum is not positive, the raw field when it is, and a
+    # NaN is refused
+    raw = np.array([low, 0.25, 0.5, 0.75])
+    dt = 0.125
+    if field == "lambda_rec":
+        lam0, v0, div = np.full(4, -0.0), np.full(4, 0.5), raw / dt
+    else:
+        lam0, v0, div = raw / dt, np.full(4, -0.0), np.full(4, 8.0)
+    monkeypatch.setattr(reduced_system, "_reduced_div", lambda lam, D, E, sgrid: div)
+    rspec = _rspec(m0=0.25, m2=0.25, D=lambda r: np.full_like(np.asarray(r, dtype=float),
+                                                              2.0**-10))
+    sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
+    if math.isnan(low):
+        with pytest.raises(UnstableStep, match="non-finite reduced state"):
+            run_reduced(rspec, sgrid, lam0, v0, dt, sample_dt=dt)
+        return
+    start, end = run_reduced(rspec, sgrid, lam0, v0, dt, sample_dt=dt)
+    assert end.t == dt
+    got = getattr(end, field)
+    assert got.tobytes() == np.maximum(raw, 0.0).tobytes()
+    if low > 0.0:
+        assert got.tobytes() == raw.tobytes()
+    # the clip is taken in place, on the new fields only
+    assert start.lambda_rec.tobytes() == lam0.tobytes() and start.v.tobytes() == v0.tobytes()
 
 
 def test_reduced_spec_validation():

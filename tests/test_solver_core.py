@@ -589,6 +589,56 @@ def test_step_clips_roundoff_below_zero():
     assert res.min_u == raw
 
 
+def _prescribed_step(monkeypatch, raw_u, raw_v):
+    # one step whose raw new bins are ``raw_u`` and raw new swimmers
+    # ``raw_v``, bit for bit: the step's operators are replaced by ones
+    # that return raw_u/dt and raw_v/(dt alpha); with dt and alpha powers
+    # of two, mu = 0 (no swimmer source), v = 0 (no inflow) and -0.0 bins
+    # (every other term of a later bin's update is -0.0), the update adds
+    # only signed zeros to dt times them.  v's update adds +0.0, so its
+    # raw value is never -0.0
+    spec = make_spec(mu=lambda a: np.zeros_like(np.asarray(a, dtype=float)))
+    alpha, dt = 0.5, 0.125
+    grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
+    reg = regularize(spec, alpha)
+    sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
+    state = initial_state(np.full((grid.I, 4), -0.0), np.zeros(4), grid)
+
+    def prescribed_div(f, *args, out, **kwargs):
+        out[...] = raw_u / dt
+        return out
+
+    def prescribed_laplacian(f, sgrid, out, work):
+        out[...] = raw_v / (dt * alpha)
+        return out
+
+    monkeypatch.setattr(solver_core, "div_flux", prescribed_div)
+    monkeypatch.setattr(solver_core, "laplacian", prescribed_laplacian)
+    return step(state, dt, grid, reg, sgrid, step_coefficients(state, grid, reg, sgrid),
+                step_plan(grid, sgrid))
+
+
+@pytest.mark.parametrize("low", [-1e-13, -0.0, 0.0, 0.125, math.nan],
+                         ids=["roundoff", "minus_zero", "zero", "positive", "nan"])
+def test_step_clips_a_field_only_when_its_minimum_is_not_positive(monkeypatch, low):
+    # bin 1 and v take ``low`` in one cell: a bin block or v whose raw
+    # minimum is not positive comes out max(raw, 0) bit for bit (-0.0
+    # becomes +0.0), a positive one as computed, and a NaN is refused
+    raw_u = np.array([[1.0, 1.0, 1.0, 1.0], [low, 0.25, 0.5, 0.75]])
+    raw_v = np.array([low, 0.25, 0.5, 0.75])
+    if math.isnan(low):
+        with pytest.raises(UnstableStep, match="non-finite state"):
+            _prescribed_step(monkeypatch, raw_u, raw_v)
+        return
+    new_state, res = _prescribed_step(monkeypatch, raw_u, raw_v)
+    assert res.min_u == low and res.min_v == low
+    assert math.copysign(1.0, res.min_u) == math.copysign(1.0, low)
+    for got, raw in ((new_state.u, raw_u), (new_state.v, raw_v)):
+        assert got.tobytes() == np.maximum(raw, 0.0).tobytes()
+        if low > 0.0:
+            assert got.tobytes() == raw.tobytes()
+
+
 def test_growth_equals_differentiation_keeps_v():
     # g = xi on the reached range and mu = 0: the swimmer field is steady
     spec = make_spec(

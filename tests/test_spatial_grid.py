@@ -156,6 +156,13 @@ def test_grid_mismatch_raises():
     grid = _grid1d(16)
     with pytest.raises(GridMismatch):
         div_flux(np.zeros(8), np.zeros(16), np.zeros(16), reg, grid)
+    with pytest.raises(GridMismatch, match="unbatched"):
+        div_flux(np.zeros(16), np.zeros((2, 16)), np.zeros(16), reg, grid)
+    # with the weights given only u is read, and it is still checked
+    lam = np.zeros(16)
+    weights = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, lam), lam, grid, merged=True)
+    with pytest.raises(GridMismatch, match=r"u shape \(2, 8\)"):
+        div_flux(np.zeros((2, 8)), lam, lam, reg, grid, weights=weights)
 
 
 def test_positivity_of_explicit_update(rng):

@@ -1,6 +1,7 @@
 """Compare the artifacts of two checkouts, command by command.
 
     python3 tools/artifact_diff.py --checkout ../parent-clone
+    python3 tools/artifact_diff.py --write-fingerprints tests/data/fingerprints.json
 
 Runs each command below in a fresh ``python -m swarmpde.cli`` process,
 once with this checkout's ``src/`` and once with the other's, on the
@@ -17,12 +18,25 @@ files with the same bytes and the commands exit alike.  Otherwise it
 prints, per differing file, the largest relative change of each CSV
 column and of each JSON leaf that moved, and exits 1.  ``manifest.json``'s
 ``wall_time`` is not compared.
+
+``--write-fingerprints F`` instead runs the same commands at seed 0 in
+this process, with this checkout's ``src/``, and writes their
+fingerprints to F (``fingerprints``): per output file its SHA-256 and,
+for a CSV, its last row at ``%.17g``, beside numpy's version, its BLAS
+build and the SIMD extensions its loops dispatch to.  The tier-1 test
+``tests/test_artifact_diff.py`` reruns the commands and compares them
+with the committed ``tests/data/fingerprints.json``
+(``fingerprint_mismatches``); a change that moves an artifact on purpose
+rewrites that file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -33,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
+FINGERPRINTS = ROOT / "tests" / "data" / "fingerprints.json"
 
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
@@ -146,6 +161,98 @@ def compare_dirs(a: Path, b: Path) -> list:
     return lines
 
 
+def environment() -> dict:
+    """numpy's version, its BLAS build and the SIMD extensions its loops
+    dispatch to, on each of which the artifacts' bytes depend."""
+    import numpy as np
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version",
+                                                    "openblas configuration")},
+            "simd": config["SIMD Extensions"]["found"]}
+
+
+def _digest(path: Path) -> str:
+    # the SHA-256 of a file's bytes; of a file with uncompared leaves, of
+    # its other leaves in one canonical form
+    data = path.read_bytes()
+    if skip := UNCOMPARED.get(path.name):
+        kept = {key: value for key, value in json.loads(data).items() if key not in skip}
+        data = json.dumps(kept, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _last_row(path: Path) -> dict:
+    # a CSV's last row by column, each number at %.17g
+    head, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    return {name: cell if (x := _number(cell)) is None else f"{x:.17g}"
+            for name, cell in zip(head, rows[-1] if rows else [])}
+
+
+def fingerprints(work: Path) -> dict:
+    """Run every command of ``COMMANDS`` at seed 0 in this process, with
+    this checkout's ``swarmpde``, in directories under ``work``.  Returns
+    the ``environment`` and, per command, its exit status and, per output
+    file, its SHA-256 and, for a CSV, its last row (``_last_row``)."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from swarmpde.cli import main
+    rows = {}
+    for command, workload, extra in COMMANDS:
+        run_dir = work / f"{command}-{workload}"
+        run_dir.mkdir(parents=True)
+        config = run_dir / "cfg.json"
+        config.write_text(json.dumps(WORKLOADS[workload].config(0)), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):  # validate prints its report
+            code = main([command, "--config", str(config), "--out", str(run_dir / "out"),
+                         *extra])
+        files = {}
+        for path in sorted((run_dir / "out").iterdir()):
+            files[path.name] = {"sha256": _digest(path)}
+            if path.suffix == ".csv":
+                files[path.name]["last_row"] = _last_row(path)
+        rows[f"{command} {workload}"] = {"exit": code, "files": files}
+    return {"environment": environment(), "rows": rows}
+
+
+def fingerprint_mismatches(expected: dict, actual: dict) -> list:
+    """How the fingerprints ``actual`` differ from ``expected``, one line
+    each: every environment entry that differs, then per command its exit
+    status and every file missing on one side or whose SHA-256 moved,
+    with, for a CSV, the largest relative change of its last row.  Empty
+    when they agree."""
+    lines = [f"environment {key}: {actual['environment'].get(key)!r} here, {value!r} "
+             "in the fingerprints" for key, value in expected["environment"].items()
+             if actual["environment"].get(key) != value]
+    for row in [*expected["rows"], *sorted(actual["rows"].keys() - expected["rows"].keys())]:
+        want = expected["rows"].get(row, {"exit": None, "files": {}})
+        got = actual["rows"].get(row, {"exit": None, "files": {}})
+        if got["exit"] != want["exit"]:
+            lines.append(f"{row}: exit status {got['exit']} here, {want['exit']} "
+                         "in the fingerprints")
+        for name in sorted(want["files"].keys() | got["files"].keys()):
+            a, b = got["files"].get(name), want["files"].get(name)
+            if a is None or b is None:
+                side = "here" if b is None else "in the fingerprints"
+                lines.append(f"{row} {name}: only {side}")
+                continue
+            if a["sha256"] == b["sha256"]:
+                continue
+            line = f"{row} {name}: bytes differ"
+            if "last_row" in b:
+                changes = {column: change for column, cell in b["last_row"].items()
+                           if (change := _change(a["last_row"].get(column), cell)) is not None}
+                if changes:
+                    column = max(changes, key=changes.get)
+                    line += (f", last row's largest relative change {changes[column]:.3g} "
+                             f"({column})")
+                else:
+                    line += ", last row unchanged"
+            lines.append(line)
+    return lines
+
+
 def run_command(checkout: Path, argv: list, cfg: dict, work: Path) -> int:
     """Run ``swarmpde <argv>`` of ``checkout`` on ``cfg`` in a fresh
     process, with its config and outputs under ``work``; the exit status."""
@@ -162,9 +269,20 @@ def run_command(checkout: Path, argv: list, cfg: dict, work: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--checkout", required=True, type=Path,
-                        help="the other checkout, whose src/ runs the same commands")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--checkout", type=Path,
+                      help="the other checkout, whose src/ runs the same commands")
+    mode.add_argument("--write-fingerprints", type=Path, metavar="F",
+                      help="write this checkout's fingerprints at seed 0 to F")
     args = parser.parse_args(argv)
+    if args.write_fingerprints is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            prints = fingerprints(Path(tmp))
+        args.write_fingerprints.parent.mkdir(parents=True, exist_ok=True)
+        args.write_fingerprints.write_text(json.dumps(prints, indent=1) + "\n",
+                                           encoding="utf-8")
+        print(f"wrote {args.write_fingerprints}")
+        return 0
     other = args.checkout.resolve()
     differ = False
     with tempfile.TemporaryDirectory() as tmp:
