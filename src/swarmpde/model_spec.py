@@ -586,12 +586,7 @@ def _constant(c: float) -> Callable:
 def _drift(e: Callable) -> Callable:
     # E(r, s) = e(r), whatever the swimmer density s
     def E(r, s):
-        out = np.asarray(e(r), dtype=float)
-        # broadcast against s only where out's trailing axes are not s's
-        # shape (r may carry leading rows, as the pair of biomasses does)
-        shape = np.shape(s)
-        return (out if out.shape[out.ndim - len(shape):] == shape
-                else out * np.ones_like(np.asarray(s, dtype=float)))
+        return np.asarray(e(r), dtype=float)
     return E
 
 

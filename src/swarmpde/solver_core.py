@@ -11,22 +11,19 @@ None), and its steps integrate no shadow and form no conservation sums.
 
 Updates are explicit Euler.  Each step starts from one coefficient
 record, ``step_coefficients``: D_alpha and E_alpha are evaluated once,
-on both biomasses together, and turned in one pass into per-axis face
-diffusivities and drift face velocities and then, in place, into flux
-weights (``spatial_grid.flux_weights``), so the coefficients are never
-rebuilt within a step.  The two biomasses share that evaluation but not
-their discretization.  The record's weights, which the bins apply, take
-the arithmetic face mean of row 0's D_alpha, the mean to which the bin
-sum telescopes.  The shadow's take the harmonic face mean of row 1's
+on both biomasses together, and each biomass then turns its row into
+per-axis face diffusivities and drift face velocities and, in place,
+into flux weights (``spatial_grid.flux_weights``), so the coefficients
+are never rebuilt within a step.  The two biomasses share that
+evaluation but not their discretization.  The bins' weights take the
+arithmetic face mean of row 0's D_alpha, the mean to which the bin sum
+telescopes.  The shadow's take the harmonic face mean of row 1's
 D_alpha and transport the reconstructed biomass with the shadow's own
 face velocity, so the sup-norm gap between the two biomasses is a
 genuine second-order consistency metric instead of collapsing to
-roundoff.  The shadow's weights are applied where they are formed: the
-record keeps the shadow's divergence, and the bins' weights in arrays
-of their own, so that no array of the pair outlives the record's pass
-(held through the bins' loop, the pair's face arrays raised the peak
-resident memory of a 128 x 128 run by about 2%, though not its live
-peak).  The step-size bound ``dt_max`` reads row 0 alone
+roundoff.  The shadow's weights are applied where they are formed, and
+the record keeps only the shadow's divergence, beside the bins'
+weights.  The step-size bound ``dt_max`` reads row 0 alone
 (``stable_dt`` returns that bound alone).  The bound keeps every update
 a convex combination of nonnegative quantities; nonnegativity then holds
 without clipping beyond roundoff.
@@ -144,6 +141,7 @@ from .spatial_grid import (
     div_flux,
     drift_diffusion_div,
     drift_face_data,
+    face_mean,
     flux_weights,
     harmonic_mean,
     laplacian,
@@ -229,13 +227,12 @@ class StepCoefficients:
     ``weights`` are the bins' ``flux_weights``: from the arithmetic face
     mean of D_alpha and the drift face velocity w = face_mean(E_alpha) *
     grad(biomass), both of the reconstructed biomass; merged when every
-    bin density lies on the cutoff plateau, split otherwise; for a state
-    without a shadow they keep the biomass array's leading axis of length
-    one, which broadcasts over the bins.  ``shadow_div`` is the shadow
-    biomass' flux divergence, from its split weights: the harmonic face
-    mean of its D_alpha and its own face velocity, transporting the
-    reconstructed biomass; None for a state without a shadow.
-    ``dt_max`` is the step-size bound.
+    bin density lies on the cutoff plateau, split otherwise; one array
+    per weight, in the flat face layout, which broadcasts over the bins.
+    ``shadow_div`` is the shadow biomass' flux divergence, from its split
+    weights: the harmonic face mean of its D_alpha and its own face
+    velocity, transporting the reconstructed biomass; None for a state
+    without a shadow.  ``dt_max`` is the step-size bound.
     """
 
     weights: FluxWeights
@@ -319,46 +316,40 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
     of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
     rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the biomass
     equation's limit; all of the reconstructed biomass.  D_alpha and
-    E_alpha are evaluated once, on the state's biomass rows together,
-    whose face data and flux weights are formed together too, in the
-    memory of the face data; the shadow row's face diffusivity is
-    replaced by its harmonic mean first.  The bins' weights are merged
-    or split after the state's largest bin density (``cutoff_plateau``);
-    the shadow's are split, and applied here.
+    E_alpha are evaluated once, on the state's biomass rows together.
+    Each row then forms its own face data and flux weights, in the memory
+    of its face data: the shadow's from the harmonic face mean of its
+    D_alpha, split, applied here; the bins' from the arithmetic one,
+    merged or split after the state's largest bin density
+    (``cutoff_plateau``).
     """
     bio = state.biomass
     lam = bio[0]
     Da = reg.D_alpha(bio)
     E_cell = reg.E_alpha(bio, state.v)
     eff_max = float((Da[0] + np.maximum(lam, 0.0) * E_cell[0]).max())
-    faces = drift_face_data(Da, E_cell, bio, sgrid)
+    shadow_div = None
+    if len(bio) > 1:
+        # the shadow's diffusivity: harmonic face means (D_a >= alpha > 0),
+        # where the bin sum telescopes to the arithmetic ones
+        shadow = drift_face_data(Da[1], E_cell[1], bio[1], sgrid, harmonic_mean)
+        shadow_div = drift_diffusion_div(bio[1], lam,
+                                         flux_weights(shadow, sgrid, merged=False), sgrid)
+    faces = drift_face_data(Da[0], E_cell[0], lam, sgrid, face_mean)
     bounds = [reg.alpha / 2.0]
     rate = 1.0 / reg.alpha + grid.M
     rate_shadow = 0.0
     # the last axis' row-wrap faces carry D = w = 0, which moves neither
     # maximum: D_face >= alpha > 0 and |w| >= 0
     for dx, (D_face, w) in zip(sgrid.dx, faces):
-        d_max = float(D_face[0].max())
-        w_max = float(np.abs(w[0]).max(initial=0.0))
+        d_max = float(D_face.max())
+        w_max = float(np.abs(w).max(initial=0.0))
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
     dt_max = min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
-    plateau = cutoff_plateau(state.max_u, reg)
-    if len(bio) == 1:
-        # no shadow: the one row's weights are the bins', and their
-        # leading axis of length one broadcasts over the bins
-        return StepCoefficients(flux_weights(faces, sgrid, plateau), None, dt_max)
-    # the shadow's diffusivity: harmonic face means (D_a >= alpha > 0),
-    # where the bin sum telescopes to the record's arithmetic ones
-    for ax, (D_face, _) in enumerate(faces):
-        D_face[1] = harmonic_mean(Da[1], sgrid, ax)
-    # release the (2, *cells) D and E before the weights allocate, so that
-    # the allocator can hand their memory to the weights
-    del Da, E_cell
-    weights = flux_weights(faces, sgrid, merged=False)
-    shadow_div = drift_diffusion_div(bio[1], lam, weights.row(1), sgrid)
-    return StepCoefficients(weights.own_row(0, plateau), shadow_div, dt_max)
+    weights = flux_weights(faces, sgrid, cutoff_plateau(state.max_u, reg))
+    return StepCoefficients(weights, shadow_div, dt_max)
 
 
 def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,

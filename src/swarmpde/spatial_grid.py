@@ -23,16 +23,16 @@ sum.
 biomass, the reduced system and, with the grid's unit-diffusion weights,
 the ``laplacian``).  Its coefficients depend on the grid fields only, so
 ``drift_faces`` forms them once from the face data
-(``drift_face_data``): the diffusion weight D_face/dx^2 and the two
-halves of the upwind drift weight w/dx.  Fields with leading rows give
-one set of weights per row, formed in the same passes (the solver's two
-biomasses; ``FluxWeights.row`` and ``own_row``).  When the drift transports the
-density itself (the bins on the cutoff plateau, the reduced system) the
-three merge into one weight per side of the face, and an axis costs
-four or five passes over the field.  Every face flux is formed once and
-goes to both of its cells, so the cell sum telescopes.  Each operation
-of the kernel is one contiguous loop per row.  With an output array and
-two work buffers from the caller (the solver's step plan) it allocates
+(``drift_face_data``, which takes the diffusivity's face mean: the
+arithmetic one, or the harmonic one of the solver's shadow biomass): the
+diffusion weight D_face/dx^2 and the two halves of the upwind drift
+weight w/dx.  When the drift transports the density itself (the bins on
+the cutoff plateau, the reduced system) the three merge into one weight
+per side of the face, and an axis costs four or five passes over the
+field.  Every face flux is formed once and goes to both of its cells,
+so the cell sum telescopes.  Each operation of the kernel is one
+contiguous loop per row.  With an output array and two work buffers
+from the caller (the solver's step plan) it allocates
 no array.  ``face_sq_sums`` reduces weighted squared face differences
 per row in the same layout: every squared-gradient sum of the
 diagnostics (the sqrt-gradient and drift dissipations, the gradients of
@@ -215,20 +215,19 @@ def harmonic_mean(f: np.ndarray, grid: SpatialGrid, ax: int) -> np.ndarray:
     return _face_pair(f, grid, ax, lambda lo, hi: 2.0 * lo * hi / (lo + hi))
 
 
-def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid) -> tuple:
-    """Per-axis face data ``(face_mean(D), w)`` of the drift-diffusion flux.
+def drift_face_data(D_cell, E_cell, lam, grid: SpatialGrid, mean) -> tuple:
+    """Per-axis face data ``(mean(D), w)`` of the drift-diffusion flux.
 
-    The drift face velocity is w = face_mean(E) * grad(lam).  Both arrays
-    have the flat face layout of the face helpers, so the row-wrap faces
-    have D = w = 0 and carry no flux.  Fields with leading rows give face
-    data with the same rows; a caller may overwrite a row's D with
-    another face mean before the data become weights.
+    ``mean`` is the diffusivity's face mean, ``face_mean`` or
+    ``harmonic_mean``.  The drift face velocity is w = face_mean(E) *
+    grad(lam).  Both arrays have the flat face layout of the face
+    helpers, so the row-wrap faces have D = w = 0 and carry no flux.
     """
     faces = []
     for ax in range(grid.dim):
         w = face_mean(E_cell, grid, ax)
         w *= face_diff(lam, grid, ax)
-        faces.append((face_mean(D_cell, grid, ax), w))
+        faces.append((mean(D_cell, grid, ax), w))
     return tuple(faces)
 
 
@@ -244,26 +243,11 @@ class FluxWeights:
     B = m - a, and merged weights store (A, B).  The arrays have the
     flat face layout; row-wrap faces have zero weights.  A weight that is
     one number on every face of an axis without row wraps may be that
-    number (``SpatialGrid.unit_weights``).  Weights built from face data
-    with leading rows hold one set of weights per row (``row``).
+    number (``SpatialGrid.unit_weights``).
     """
 
     axes: tuple
     merged: bool
-
-    def row(self, k: int) -> "FluxWeights":
-        """The weights of row k of split weights, views into these."""
-        return FluxWeights(tuple([(a[k], p[k], m[k]) for a, p, m in self.axes]), False)
-
-    def own_row(self, k: int, merged: bool) -> "FluxWeights":
-        """The weights of row k of split weights in arrays of their own,
-        which keep none of these alive: merged, (p + a, m - a), when
-        ``merged``, else copies."""
-        if merged:
-            return FluxWeights(tuple([(p[k] + a[k], m[k] - a[k]) for a, p, m in self.axes]),
-                               True)
-        return FluxWeights(tuple([(a[k].copy(), p[k].copy(), m[k].copy())
-                                  for a, p, m in self.axes]), False)
 
 
 def flux_weights(faces, grid: SpatialGrid, merged: bool) -> FluxWeights:
@@ -272,8 +256,7 @@ def flux_weights(faces, grid: SpatialGrid, merged: bool) -> FluxWeights:
     The weights are formed in the memory of the face data, which they
     overwrite, so building them allocates one face array per axis.  Built
     once from grid fields, they serve every per-bin field that shares the
-    coefficients.  Face data with leading rows give one set of weights
-    per row, formed together.
+    coefficients.
     """
     axes = []
     for dx, (D_face, w) in zip(grid.dx, faces):
@@ -295,7 +278,7 @@ def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, merged: bool = False) ->
     """The ``FluxWeights`` of the drift-diffusion flux with diffusivity
     face_mean(D) and face velocity face_mean(E) * grad(lam), split unless
     ``merged`` (see ``drift_face_data`` and ``flux_weights``)."""
-    return flux_weights(drift_face_data(D_cell, E_cell, lam, grid), grid, merged)
+    return flux_weights(drift_face_data(D_cell, E_cell, lam, grid, face_mean), grid, merged)
 
 
 def drift_diffusion_div(f, q, weights: FluxWeights, grid: SpatialGrid, out=None,

@@ -112,6 +112,21 @@ def test_zero_lam_grid_flagged():
                        alpha=0.25, a_max=1.0)
 
 
+def _const_weight(c):
+    return lambda a: np.full_like(np.asarray(a, dtype=float), c)
+
+
+@pytest.mark.parametrize("part, weight, says", [
+    ("mu", _const_weight(math.nan), "non-finite cell average"),
+    ("b", _const_weight(0.5), "b_i < 1"),
+    ("b", lambda a: 2.0 - 0.5 * np.asarray(a, dtype=float), r"b_i\* < 0"),
+    ("mu", _const_weight(-0.1), "mu_i < 0"),
+], ids=["non_finite", "b_below_one", "b_decreasing", "mu_negative"])
+def test_age_grid_refuses_weights_that_break_a_hypothesis(part, weight, says):
+    with pytest.raises(HypothesisViolation, match=says):
+        build_age_grid(make_spec(**{part: weight}), alpha=0.25, a_max=1.0)
+
+
 # --- regularization ----------------------------------------------------------
 
 def test_regularize_shifts_diffusivity():

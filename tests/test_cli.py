@@ -147,6 +147,9 @@ def test_cli_refuses_a_huge_sample_count(tmp_path, time):
     ({"u_age_cut": [0.6, 0.6]}, "initial.u_age_cut"),
     ({"u_age_cut": [0.8, 0.6]}, "initial.u_age_cut"),
     ({"u_age_cut": [0.6]}, "initial.u_age_cut"),
+    ({"kind": "square"}, "initial.kind"),
+    ({"u_cos_eps": 1.5}, "initial"),
+    ({"v_cos_eps": -1.5}, "initial"),
 ])
 def test_parse_refuses_initial_data_the_builder_cannot_honour(tmp_path, initial, field):
     # collected with the other problems of the file
@@ -154,6 +157,22 @@ def test_parse_refuses_initial_data_the_builder_cannot_honour(tmp_path, initial,
     with pytest.raises(ConfigInvalid) as err:
         parse_config(_write(tmp_path, bad))
     assert sorted(m.split(":")[0] for m in err.value.messages) == ["a_max", field]
+
+
+@pytest.mark.parametrize("data, field", [
+    ([MINIMAL], "configuration root must be a JSON object"),
+    (_set("time.fixed_dt", 0.0), "time.fixed_dt"),
+    (_set("time.fixed_dt", -1e-3), "time.fixed_dt"),
+    (_set("diagnostics.test_k_max", -1), "diagnostics.test_k_max"),
+    ({"output": {"snapshot_stride": 0}}, "output.snapshot_stride"),
+], ids=["root-array", "fixed_dt-zero", "fixed_dt-negative", "test_k_max", "snapshot_stride"])
+def test_parse_refuses_each_config_only_rule(tmp_path, data, field):
+    # the rules no builder owns: one problem, under the field's name
+    if isinstance(data, dict):
+        data = dict(MINIMAL, **data)
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config(_write(tmp_path, data))
+    assert [m.split(":")[0] for m in err.value.messages] == [field]
 
 
 def _unvalidated(data) -> RunConfig:
@@ -719,6 +738,18 @@ def test_cmd_run_exponential_margins(tmp_path):
             assert margin >= 0.0, name
 
 
+def test_cmd_run_without_tail_ages(tmp_path):
+    # no tail ages: the tail margin is skipped, reported as null, and the
+    # record has no tail columns
+    cfg = dict(MINIMAL, diagnostics={"tail_A": []}, output={"dir": str(tmp_path / "out")})
+    assert main(["run", "--config", str(_write(tmp_path, cfg))]) == 0
+    for name in ("summary.json", "manifest.json"):
+        margins = json.loads((tmp_path / "out" / name).read_text())["margins"]
+        assert "tail" in margins and margins["tail"] is None, name
+    header = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[0].split(",")
+    assert not [c for c in header if c.startswith(("tail_", "eta_tail_"))]
+
+
 def test_cmd_validate(tmp_path):
     cfg = dict(MINIMAL)
     cfg["output"] = {"dir": str(tmp_path / "out")}
@@ -855,6 +886,26 @@ def test_cmd_run_refuses_bad_tables(tmp_path, monkeypatch, name, entry, says):
     assert [m.split(":")[0] for m in failure["messages"]] == [f"model.tables.{name}"]
     assert says in failure["messages"][0]
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, code, kind, says", [
+    ("validate", 2, "config_invalid", "table needs two same-length columns with >= 2 rows"),
+    ("crossval", 1, "ConfigMismatch", "age range too short for the tail precondition"),
+], ids=["one_row_table", "short_age_range"])
+def test_cli_refuses_what_only_set_up_finds(tmp_path, command, code, kind, says):
+    # a table that loads but has one row, and a cross-validation whose
+    # ages end before the tail precondition's (a_max = 0.5 at alpha = 1/8)
+    if command == "validate":
+        np.savetxt(tmp_path / "one.csv", [[0.0, 1.0]], delimiter=",")
+        tables = dict(_tables(tmp_path), D=str(tmp_path / "one.csv"))
+        cfg = dict(MINIMAL, model={"family": "tables", "tables": tables})
+    else:
+        cfg = dict(CROSSVAL, a_max=0.5)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main([command, "--config", str(_write(tmp_path, cfg))]) == code
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == kind
+    assert says in failure["messages"][0]
 
 
 def test_cmd_run_refuses_failed_hypotheses(tmp_path):

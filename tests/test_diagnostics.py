@@ -490,6 +490,25 @@ def test_weak_residual_admissibility():
         weak_residual(result.samples, moments, setup.spec, setup.agegrid, setup.sgrid)
 
 
+@pytest.mark.parametrize("damage, error, says", [
+    ("psi", InadmissibleTestFunction, "psi does not vanish beyond its support"),
+    ("bins", ValueError, "trajectory was stored without bin fields"),
+], ids=["psi_beyond_support", "no_bins"])
+def test_weak_residual_refuses_what_it_cannot_integrate(damage, error, says):
+    # a time bump that is not zero past its support, and a single-function
+    # call on samples without the bins its age moments are taken from
+    result = _reference_run(T=0.2)
+    setup = result.setup
+    phi = make_test_functions(0.2, setup.agegrid.a_max, setup.sgrid, k_max=1)[0]
+    samples = result.samples
+    if damage == "psi":
+        phi = dataclasses.replace(phi, psi=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    else:
+        samples = [dataclasses.replace(s, u=None) for s in samples]
+    with pytest.raises(error, match=says):
+        weak_residual(samples, phi, setup.spec, setup.agegrid, setup.sgrid)
+
+
 def test_age_moments_are_two_cell_fields_per_sample():
     # the catalogue shares one age bump, so a sample's moments are two
     # cell fields whatever the number of functions

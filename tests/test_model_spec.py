@@ -287,6 +287,23 @@ def test_validate_zero_lam_fails_h3():
     assert rep.ell0 == 0.0
 
 
+@pytest.mark.parametrize("call, says", [
+    (lambda spec: zeta1(spec, -0.5), "zeta1 requires r >= 0"),
+    (lambda spec: estimate_kappas(spec, 0.0, 64), "R must be positive"),
+    (lambda spec: estimate_kappas(spec, -1.0, 64), "R must be positive"),
+    (lambda spec: validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=32),
+     "n_samples must be >= 64"),
+    (lambda spec: validate_hypotheses(spec, R_max=0.0, A_max=2.0, n_samples=64),
+     "R_max and A_max must be positive"),
+    (lambda spec: validate_hypotheses(spec, R_max=2.0, A_max=-1.0, n_samples=64),
+     "R_max and A_max must be positive"),
+], ids=["zeta1-negative_r", "kappas-zero_R", "kappas-negative_R", "validate-few_samples",
+        "validate-zero_R_max", "validate-negative_A_max"])
+def test_arguments_out_of_range_are_refused(call, says):
+    with pytest.raises(ValueError, match=says):
+        call(make_spec())
+
+
 def test_validate_constant_b_fails_h2():
     spec = make_spec(b=lambda a: np.ones_like(np.asarray(a, dtype=float)))
     rep = validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=64)

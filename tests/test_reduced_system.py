@@ -73,6 +73,15 @@ def test_reduced_non_finite_step_raises(field, bad):
         run_reduced(rspec, sgrid, fields["lam"], fields["v"], 0.1, sample_dt=0.1)
 
 
+@pytest.mark.parametrize("field", ["lam", "v"])
+def test_reduced_refuses_negative_initial_data(field):
+    sgrid = SpatialGrid(extents=(1.0,), cells=(8,))
+    data = {"lam": np.full(sgrid.shape, 0.7), "v": np.full(sgrid.shape, 0.5)}
+    data[field][3] = -1e-9
+    with pytest.raises(ValueError, match="initial data must be nonnegative"):
+        run_reduced(_rspec(), sgrid, data["lam"], data["v"], 0.1, sample_dt=0.1)
+
+
 @pytest.mark.parametrize("m2, fixed_dt", [(1e300, None), (0.3, 1e-9)],
                          ids=["huge_decay", "tiny_fixed_step"])
 def test_reduced_step_budget_refuses_the_first_step(m2, fixed_dt):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from swarmpde import diagnostics, solver_core
+from swarmpde import diagnostics, solver_core, spatial_grid
 from swarmpde.age_discretization import (
     RegularizedModel,
     build_age_grid,
@@ -447,6 +447,56 @@ def test_recorded_step_evaluates_coefficients_once(monkeypatch, cells, top):
     assert coeffs.weights.merged == (top <= 0.5)
     step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
     assert counts == {"D_alpha": 1, "E_alpha": 1}
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("top", [0.3, 0.8], ids=["plateau", "cutoff"])
+@pytest.mark.parametrize("shadow", [True, False], ids=["recorded", "unrecorded"])
+def test_record_weights_are_the_bins_alone(cells, top, shadow):
+    # with a shadow or without, the record's weights are one field's: the
+    # bins' drift_faces, each array in the flat face layout of its axis
+    # with no leading row axis
+    state, grid, reg, sgrid = _rough_state(cells, top=top, seed=29)
+    if not shadow:
+        state = dataclasses.replace(state, biomass=state.biomass[:1])
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    assert (coeffs.shadow_div is not None) == shadow
+    lam = state.lambda_rec
+    ref = drift_faces(reg.D_alpha(lam), reg.E_alpha(lam, state.v), lam, sgrid,
+                      merged=top <= 0.5)
+    assert coeffs.weights.merged == ref.merged
+    for s, axis, ref_axis in zip(sgrid.face_strides, coeffs.weights.axes, ref.axes,
+                                 strict=True):
+        assert len(axis) == len(ref_axis)
+        for w, w_ref in zip(axis, ref_axis):
+            assert w.shape == (sgrid.ncells - s,)
+            assert np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
+def test_recorded_step_forms_no_face_mean_it_discards(monkeypatch, cells):
+    # per axis a recorded step forms one harmonic face mean, of the
+    # shadow's D_alpha, and arithmetic ones of single fields only: row 0's
+    # D_alpha and each biomass' E_alpha
+    state, grid, reg, sgrid = _rough_state(cells, top=0.3, seed=31)
+    means = []
+    originals = {name: getattr(spatial_grid, name) for name in ("face_mean", "harmonic_mean")}
+    for name, original in originals.items():
+        def recording(f, g, ax, _name=name, _original=original):
+            means.append((_name, np.array(f)))
+            return _original(f, g, ax)
+        for module in (solver_core, spatial_grid):
+            monkeypatch.setattr(module, name, recording, raising=False)
+    coeffs = step_coefficients(state, grid, reg, sgrid)
+    step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
+    harmonic = [f for name, f in means if name == "harmonic_mean"]
+    arithmetic = [f for name, f in means if name == "face_mean"]
+    assert len(harmonic) == sgrid.dim and len(arithmetic) == 3 * sgrid.dim
+    assert all(f.shape == cells for f in harmonic + arithmetic)
+    D_ev = reg.D_alpha(state.lambda_ev)
+    assert all(np.array_equal(f, D_ev) for f in harmonic)
+    D = reg.D_alpha(state.lambda_rec)
+    assert sum(np.array_equal(f, D) for f in arithmetic) == sgrid.dim
 
 
 def test_step_state_does_not_alias_plan_scratch():

@@ -230,6 +230,33 @@ def test_field_roundtrip_csv_binary(tmp_path, rng):
     assert np.allclose(back_csv, values, rtol=0, atol=0)  # %.17g round-trips
 
 
+@pytest.mark.parametrize("damage, error, says", [
+    ("cells", GridMismatch, "CSV carries 24 cells, grid has 12"),
+    ("magic", ValueError, "not a field dump"),
+    ("version", ValueError, "unsupported dump version 2"),
+])
+def test_field_readers_refuse_a_file_they_cannot_read(tmp_path, rng, damage, error, says):
+    # a CSV read on a grid of another cell count, and a dump whose magic
+    # or version is not this format's
+    grid = SpatialGrid(extents=(1.0, 0.5), cells=(6, 4))
+    values = rng.normal(size=grid.shape)
+    path = tmp_path / "f"
+    if damage == "cells":
+        field_to_csv(values, grid, path)
+        with pytest.raises(error, match=says):
+            field_from_csv(path, _grid1d(12))
+        return
+    field_to_binary(values, grid, path)
+    raw = bytearray(path.read_bytes())
+    if damage == "magic":
+        raw[:4] = b"SWPX"
+    else:
+        raw[4] = 2  # the low byte of the little-endian version after the magic
+    path.write_bytes(bytes(raw))
+    with pytest.raises(error, match=says):
+        field_from_binary(path)
+
+
 def _strided_weights(weights, grid):
     """The flat per-axis weights on the grid's face shapes: the row-wrap
     faces of the last axis dropped."""
@@ -365,7 +392,7 @@ def test_drift_faces_flat_layout(cells):
     # the weights are D/dx^2 and the upwind halves of w/dx, merged into
     # one weight per side of the face when q is f
     grid, _, _, D_cell, E_cell, lam = _kernel_data(cells, bins=1)
-    faces = drift_face_data(D_cell, E_cell, lam, grid)
+    faces = drift_face_data(D_cell, E_cell, lam, grid, face_mean)
     split = drift_faces(D_cell, E_cell, lam, grid)
     merged = drift_faces(D_cell, E_cell, lam, grid, merged=True)
     strided = strided_faces(D_cell, E_cell, lam, grid)
