@@ -312,7 +312,14 @@ class DiagnosticsRecord:
 
 
 class DiagnosticsRecorder:
-    """Accumulates per-sample diagnostics during a run."""
+    """Accumulates per-sample diagnostics during a run.
+
+    It sees only the sampled states: the statistics of the steps between
+    samples (the running minima of the raw u and v, the conservation
+    residual's running maximum, the activation count) ride on each state
+    (``solver_core.SimState``), and ``finalize`` takes the run's minima
+    from the last sample.
+    """
 
     def __init__(self, spec: ModelSpec, grid: AgeGrid, reg: RegularizedModel,
                  sgrid: SpatialGrid, tail_A: Sequence[float] = ()):
@@ -332,9 +339,7 @@ class DiagnosticsRecorder:
         for A in self.tail_A:
             eta, self._eta_star[A] = _eta_weights(grid, A)
             self._eta_b[A] = eta[:grid.I] * grid.b[:grid.I]
-        self._min_u = math.inf
-        self._min_v = math.inf
-        self._cons = 0.0
+        self._min_run = (math.inf, math.inf)  # the last sample's min_u_run, min_v_run
         self._grad_v0 = math.nan
         self._zeta1_rmax = 2.0
         self._zeta1 = Zeta1Evaluator(spec, self._zeta1_rmax)
@@ -365,20 +370,18 @@ class DiagnosticsRecorder:
             self._zeta1 = Zeta1Evaluator(self.spec, self._zeta1_rmax)
         return self._zeta1
 
-    def on_step(self, sres) -> None:
-        self._min_u = min(self._min_u, sres.min_u)
-        self._min_v = min(self._min_v, sres.min_v)
-        self._cons = max(self._cons, sres.conservation_residual)
-
     def sample(self, state, plan) -> None:
         """Record one sample of ``state``.
 
         ``plan`` is the run's ``solver_core.StepPlan``: the bins are read
         once, block by block through ``plan.blocks`` (``bin_sums`` into
         ``plan.work``, which no step needs between steps); the sample
-        allocates no array of u's size.  A row with a value that is not
-        finite (an overflowing state) is refused as ``NonFiniteEvaluation``
-        naming its first such column, before any envelope could read it.
+        allocates no array of u's size.  The ``theta_activations`` and
+        ``conservation_residual`` columns are the state's own running
+        values, as of the steps that led to it.  A row with a value that
+        is not finite (an overflowing state) is refused as
+        ``NonFiniteEvaluation`` naming its first such column, before any
+        envelope could read it.
         """
         grid, reg, sgrid = self.grid, self.reg, self.sgrid
         u, lam = state.u, state.lambda_rec
@@ -412,7 +415,7 @@ class DiagnosticsRecorder:
                 "kbound_margin":
                     float(comparison_bound(state.t, grid.alpha, reg.Xi)) + 1e-10 - max_u,
                 "theta_activations": float(state.theta_activations),
-                "conservation_residual": self._cons,
+                "conservation_residual": state.conservation_max,
             }
             for A in self.tail_A:
                 row[f"tail_{A:g}"] = tail_mass(state, A, grid, sgrid, totals)
@@ -424,6 +427,7 @@ class DiagnosticsRecorder:
                     f"diagnostics column {name} is {value} at t={state.t:g}")
         for name, value in row.items():
             self._rows[name].append(value)
+        self._min_run = (state.min_u_run, state.min_v_run)
         if state.t == 0.0 and math.isnan(self._grad_v0):
             self._grad_v0 = float(face_sq_sums(state.v, sgrid.unit_weights,
                                                sgrid)[0]) * sgrid.cell_volume
@@ -446,13 +450,14 @@ class DiagnosticsRecorder:
         # plus the first-bin weights
         K0 = float(series["mass_b"][0] + series["entropy"][0] + self.grid.b[0]
                    + self.grid.lam[0] + series["linf_Lambda"][0] + series["linf_v"][0])
+        min_u, min_v = self._min_run
         return DiagnosticsRecord(
             series=series,
             eta_star_inf=dict(self._eta_star),
             constants=constants,
             K0=K0,
-            min_u_run=self._min_u if math.isfinite(self._min_u) else 0.0,
-            min_v_run=self._min_v if math.isfinite(self._min_v) else 0.0,
+            min_u_run=min_u if math.isfinite(min_u) else 0.0,
+            min_v_run=min_v if math.isfinite(min_v) else 0.0,
             grad_v0_sq=self._grad_v0 if math.isfinite(self._grad_v0) else 0.0,
         )
 

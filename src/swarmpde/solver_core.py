@@ -94,10 +94,16 @@ steps share; its companion ``check_budget`` refuses, before a step, a
 horizon that would take more than ``MAX_STEPS`` steps at the step's
 bound): NaN and +-inf show in those extremes, so no finiteness
 scan is needed; the minima of u and v meet the roundoff tolerance, and
-alpha^2 max u > 1/2 says the cutoff acted and counts activations.  The
-state carries only the count: the cutoff has engaged once it is above 0
-(``RunResult.tstar_crossed``), and the step that first raises it logs a
-warning.
+alpha^2 max u > 1/2 says the cutoff acted and counts activations.
+
+A step returns the new state alone, and the state carries what the run
+and the recorder read of the steps that led to it: the step and
+cutoff-activation counts (the cutoff has engaged once the count is above
+0, ``RunResult.tstar_crossed``), the running minima of the raw u and v,
+the running maximum of the conservation residual and whether the
+biomass or v has come within 0.999 of the argument clamp 1/alpha.  The
+step that first engages the cutoff logs a warning, and so does the step
+that first reaches the clamp, so each is logged once per run.
 
 The same raw minima decide the roundoff clip max(x, 0) of each bin block
 and of v.  A field whose minimum is > 0 is left as computed, which is
@@ -151,7 +157,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimState",
-    "StepResult",
     "StepCoefficients",
     "StepPlan",
     "TrajectorySample",
@@ -190,7 +195,14 @@ def bin_blocks(shape: tuple) -> list:
 class SimState:
     """Solver state.  ``step`` updates u in place, so the next state owns
     this state's u; v and the biomass array are written once, when the
-    state is made, and never after, so samples share them."""
+    state is made, and never after, so samples share them.
+
+    The fields after ``t`` are the statistics of the steps that led to
+    the state, which ``step`` carries forward: the step count, the
+    cutoff-activation count, the running minima of the raw (unclipped)
+    new u and v, the running maximum of the conservation residual (0.0
+    without a shadow) and whether the argument clamp has been reached.
+    """
 
     u: np.ndarray            # (I, *cells) swarmer densities per age bin
     v: np.ndarray            # (*cells) swimmer density
@@ -200,6 +212,10 @@ class SimState:
     t: float = 0.0
     step_count: int = 0
     theta_activations: int = 0
+    min_u_run: float = math.inf
+    min_v_run: float = math.inf
+    conservation_max: float = 0.0
+    clamp_reached: bool = False
 
     @property
     def lambda_rec(self) -> np.ndarray:
@@ -210,14 +226,6 @@ class SimState:
     def lambda_ev(self) -> Optional[np.ndarray]:
         """The shadow biomass, integrated independently: row 1, or None."""
         return self.biomass[1] if len(self.biomass) > 1 else None
-
-
-@dataclass(slots=True)
-class StepResult:
-    min_u: float              # raw minima before the roundoff clip
-    min_v: float
-    max_v: float              # raw maximum; max(max_v, 0) after the clip
-    conservation_residual: float  # 0.0 for a state without a shadow
 
 
 @dataclass(slots=True)
@@ -394,8 +402,8 @@ def step_plan(grid: AgeGrid, sgrid: SpatialGrid) -> StepPlan:
 
 
 def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
-         sgrid: SpatialGrid, coeffs: StepCoefficients, plan: StepPlan) -> tuple:
-    """One explicit Euler update of the full system.
+         sgrid: SpatialGrid, coeffs: StepCoefficients, plan: StepPlan) -> SimState:
+    """One explicit Euler update of the full system: the new state.
 
     ``coeffs`` is ``step_coefficients`` of ``state``; the bin flux uses
     its flux weights, and nonnegativity requires dt <= its ``dt_max``.
@@ -403,10 +411,13 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     and the new state shares no memory with it.  The step consumes
     ``state.u``: the new bins are written into that array, and the new
     state owns it.  After ``UnstableStep`` it holds the failed update.
-    The new biomasses are the rows of one new array.  A state without a
-    shadow biomass (``lambda_ev`` None) gives one without: the step then
-    skips the shadow and the conservation sums, and reports a
-    ``conservation_residual`` of 0.0.
+    The new biomasses are the rows of one new array.  The new state
+    carries ``state``'s step statistics forward with this step's (see
+    ``SimState``); the step that first engages the cutoff or first
+    reaches the argument clamp logs a warning.  A state without a shadow
+    biomass (``lambda_ev`` None) gives one without: the step then skips
+    the shadow and the conservation sums, and its ``conservation_max``
+    stays 0.0.
     """
     I, alpha = grid.I, grid.alpha
     u, v, bio = state.u, state.v, state.biomass
@@ -504,18 +515,22 @@ def step(state: SimState, dt: float, grid: AgeGrid, reg: RegularizedModel,
     # the cutoff acts on some bin exactly when the largest leaves its
     # plateau alpha^2 u <= 1/2; the first such step warns
     if activations and not state.theta_activations:
-        logger.warning(
-            "bin density crossed 1/(2 alpha^2) at t=%.6g; the cutoff keeps "
-            "the scheme defined but the biomass identity is no longer exact",
-            state.t + dt,
-        )
-    new_state = SimState(
+        logger.warning("bin density crossed 1/(2 alpha^2) at t=%.6g; the cutoff keeps the scheme "
+                       "defined but the biomass identity is no longer exact", state.t + dt)
+    # v's maximum after the clip is max(max_v, 0); the biomass is
+    # nonnegative, so the 0 does not move the reach.  The first step that
+    # reaches the clamp warns
+    clamp = state.clamp_reached or max(float(new_bio[0].max()), max_v) > 0.999 * reg.clamp
+    if clamp and not state.clamp_reached:
+        logger.warning("state reached the argument clamp 1/alpha=%.3g; the regularized "
+                       "coefficients are no longer exact", reg.clamp)
+    return SimState(
         u=u, v=new_v, biomass=new_bio, max_u=max_u,
         t=state.t + dt, step_count=state.step_count + 1,
         theta_activations=state.theta_activations + activations,
+        min_u_run=min(state.min_u_run, min_u), min_v_run=min(state.min_v_run, min_v),
+        conservation_max=max(state.conservation_max, conservation), clamp_reached=clamp,
     )
-    return new_state, StepResult(min_u=min_u, min_v=min_v, max_v=max_v,
-                                 conservation_residual=conservation)
 
 
 def check_step(t: float, extremes, low: float, what: str) -> None:
@@ -599,10 +614,13 @@ def run(setup: RunSetup, record: bool = True,
     the distance to the next sample time, so samples land exactly on the
     cadence grid and runs are deterministic.  One step plan serves every
     step and every sample; the diagnostics recorder samples the initial
-    state and every sample time.  The steps update one array of bins in
-    place, so a sample copies u, and only when ``setup.store_u`` is set;
-    it shares v, which is written once, and the reconstructed biomass,
-    which a recorded run copies from the row beside the shadow.
+    state and every sample time, and reads the steps' statistics off the
+    sampled states.  A step is ``step_coefficients``, ``check_budget``
+    and the module's ``step``, which logs the run's warnings.  The steps
+    update one array of bins in place, so a sample copies u, and only
+    when ``setup.store_u`` is set; it shares v, which is written once,
+    and the reconstructed biomass, which a recorded run copies from the
+    row beside the shadow.
     ``initial_state`` works on a copy of ``setup.u0``, which the run
     leaves as it was.  With ``record`` false no recorder is built,
     ``RunResult.record`` is None and the state carries no shadow biomass,
@@ -629,26 +647,10 @@ def run(setup: RunSetup, record: bool = True,
         return TrajectorySample(t=s.t, u=s.u.copy() if setup.store_u else None, v=s.v,
                                 lambda_rec=s.lambda_rec.copy() if record else s.lambda_rec)
 
-    clamp_warned = False
-
     def advance(s: SimState, room: float) -> SimState:
-        nonlocal clamp_warned
         coeffs = step_coefficients(s, grid, reg, sgrid)
         check_budget(s.step_count, s.t, setup.T, coeffs.dt_max, setup.fixed_dt, "state")
-        s, sres = step(s, min(coeffs.dt_max, room), grid, reg, sgrid, coeffs, plan)
-        if recorder is not None:
-            recorder.on_step(sres)
-        if not clamp_warned:
-            # v's maximum after the clip is max(sres.max_v, 0); the
-            # biomass is nonnegative, so the 0 does not move the reach
-            reach = max(float(s.lambda_rec.max()), sres.max_v)
-            if reach > 0.999 * reg.clamp:
-                logger.warning(
-                    "state reached the argument clamp 1/alpha=%.3g; the "
-                    "regularized coefficients are no longer exact", reg.clamp,
-                )
-                clamp_warned = True
-        return s
+        return step(s, min(coeffs.dt_max, room), grid, reg, sgrid, coeffs, plan)
 
     samples, state = march(initial_state(setup.u0, setup.v0, grid, shadow=record),
                            setup.T, setup.sample_dt, setup.fixed_dt, advance, sample)

@@ -13,8 +13,10 @@ update a convex combination, which is what preserves nonnegativity.
 Every face quantity has one layout, the flat rows of the flux kernel:
 the fields' grid axes are flattened to ``ncells`` cells, and face k of
 an axis with flat stride s lies between cells k and k + s
-(``SpatialGrid.face_rows``).  On the last axis of a 2D grid the faces
-between the end of one row and the start of the next are row wraps:
+(``SpatialGrid.face_strides``), so every face array of the axis is
+``pair(f[..., :ncells - s], f[..., s:])`` of its cells.  On the last
+axis of a 2D grid the faces between the end of one row and the start of
+the next are row wraps (``SpatialGrid.face_wraps``):
 every face helper (``face_diff``, ``face_mean``, ``harmonic_mean``)
 returns exactly +0.0 there, so they carry no flux and add nothing to a
 sum.
@@ -44,6 +46,7 @@ disjoint outputs and work buffers are safe.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,6 +95,11 @@ def box_problems(dim: int, extents, cells) -> list:
         p.append(("cells", "need at least 2 cells per axis"))
     if not all(e > 0.0 for e in extents):
         p.append(("extents", "must be positive"))
+    # the operators divide by dx^2; tested only on a box that keeps the
+    # other rules, so the test itself divides by no zero
+    if not p and not all(dx * dx > 0.0 and math.isfinite(1.0 / (dx * dx))
+                         for dx in (e / c for e, c in zip(extents, cells))):
+        p.append(("extents", "too small for the cells: 1/dx^2 is not finite"))
     return p
 
 
@@ -132,17 +140,12 @@ class SpatialGrid:
         return tuple(int(np.prod(self.cells[ax + 1:])) for ax in range(self.dim))
 
     @cached_property
-    def face_rows(self) -> tuple:
-        """Per axis, the index tuples (lo, hi, wrap) of the flat face
-        layout on fields whose grid axes are flattened to ``ncells``
-        cells: the cells left and right of every face, and the row-wrap
-        faces (None but on the last axis in 2D)."""
-        N, n = self.ncells, self.cells[-1]
-        return tuple(
-            ((..., slice(None, N - s)), (..., slice(s, None)),
-             (..., slice(n - 1, None, n)) if s == 1 and self.dim > 1 else None)
-            for s in self.face_strides
-        )
+    def face_wraps(self) -> tuple:
+        """Per axis, the index of the row-wrap faces in the flat face
+        layout, or None: an axis has them only as the last axis in 2D."""
+        n = self.cells[-1]
+        return tuple((..., slice(n - 1, None, n)) if s == 1 and self.dim > 1 else None
+                     for s in self.face_strides)
 
     @cached_property
     def unit_weights(self) -> tuple:
@@ -150,7 +153,7 @@ class SpatialGrid:
         number on an axis without row wraps, else an array in the flat
         face layout that is zero on the wraps."""
         weights = []
-        for dx, (_, _, wrap) in zip(self.dx, self.face_rows):
+        for dx, wrap in zip(self.dx, self.face_wraps):
             a = 1.0 / (dx * dx)
             if wrap is not None:
                 a = np.full(self.ncells - 1, a)
@@ -182,18 +185,13 @@ class SpatialGrid:
         return values
 
 
-def _rows(f: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """``f`` with its grid axes flattened to one axis of ``ncells`` cells."""
-    return f.reshape(f.shape[:f.ndim - grid.dim] + (grid.ncells,))
-
-
 def _face_pair(f: np.ndarray, grid: SpatialGrid, ax: int, pair) -> np.ndarray:
-    """``pair(f[lo], f[hi])`` of the cells left and right of axis ax's
-    faces, in the flat face layout, with +0.0 on the row wraps."""
-    lo, hi, wrap = grid.face_rows[ax]
-    if grid.dim > 1:
-        f = _rows(f, grid)
-    out = pair(f[lo], f[hi])
+    """``pair`` of the cells left and right of axis ax's faces, in the
+    flat face layout, with +0.0 on the row wraps."""
+    s, wrap = grid.face_strides[ax], grid.face_wraps[ax]
+    if grid.dim > 1:  # the grid axes flattened to one axis of ncells cells
+        f = f.reshape(f.shape[:f.ndim - grid.dim] + (grid.ncells,))
+    out = pair(f[..., :grid.ncells - s], f[..., s:])
     if wrap is not None:
         out[wrap] = 0.0
     return out
@@ -502,13 +500,24 @@ def field_to_binary(values, grid: SpatialGrid, path) -> None:
 
 
 def field_from_binary(path):
+    """The field and grid of a ``field_to_binary`` dump.  A ``ValueError``
+    refuses a file that is not a dump of this version, a header cut
+    short, and data that are not exactly one float64 per header cell."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a field dump")
-        version, dim = struct.unpack("<II", fh.read(8))
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError("not a field dump")
+    try:
+        version, dim = struct.unpack_from("<II", raw, 4)
         if version != 1:
             raise ValueError(f"unsupported dump version {version}")
-        cells = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        extents = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(cells).copy()
+        cells = struct.unpack_from(f"<{dim}I", raw, 12)
+        extents = struct.unpack_from(f"<{dim}d", raw, 12 + 4 * dim)
+    except struct.error:
+        raise ValueError(f"{path}: header cut short at {len(raw)} bytes") from None
+    head, count = 12 + 12 * dim, math.prod(cells)
+    if len(raw) != head + 8 * count:
+        raise ValueError(f"{path}: {len(raw) - head} bytes of data where the header's "
+                         f"{count} float64 values need {8 * count}")
+    values = np.frombuffer(raw, dtype="<f8", offset=head).reshape(cells).copy()
     return values, SpatialGrid(extents=extents, cells=cells)

@@ -239,6 +239,7 @@ def _box_owner(cfg):
     ({"domain": {"dim": 1, "extents": [1.0, 1.0], "cells": [16]}}, "domain.extents",
      _box_owner),
     ({"domain": {"dim": 1, "extents": [0.0], "cells": [16]}}, "domain.extents", _box_owner),
+    ({"domain": {"dim": 1, "extents": [1e-300], "cells": [8]}}, "domain.extents", _box_owner),
     ({"domain": {"dim": 1, "extents": [1.0], "cells": [1]}}, "domain.cells", _box_owner),
     ({"diagnostics": {"tail_A": [0.4]}}, "diagnostics.tail_A", _tail_owners),
     # two ages that name one pair of record columns, tail_2 and eta_tail_2
@@ -246,7 +247,8 @@ def _box_owner(cfg):
     ({"diagnostics": {"tail_A": [2.0, 2.0000001]}}, "diagnostics.tail_A", _tail_recorder),
 ], ids=["m0", "tau", "tau-with-g0", "mu", "D0", "theta", "drift", "xi0-negative",
         "xi0-above-1/tau", "xi0-above-g0", "xi_support-decreasing", "xi_support-short",
-        "alpha-0", "alpha-1", "a_max", "dim", "extents-length", "extents-zero", "cells",
+        "alpha-0", "alpha-1", "a_max", "dim", "extents-length", "extents-zero", "extents-tiny",
+        "cells",
         "tail_A", "tail_A-repeated", "tail_A-same-name"])
 def test_each_rule_is_refused_by_the_config_and_by_its_owner(tmp_path, over, field, owner):
     # every parameter rule has one owner: parse_config reports it under the
@@ -258,6 +260,18 @@ def test_each_rule_is_refused_by_the_config_and_by_its_owner(tmp_path, over, fie
     assert {m.split(":")[0] for m in err.value.messages} == {field}
     with pytest.raises(ValueError, match=f"(^|; ){field.split('.')[-1]}: "):
         owner(_unvalidated(data))
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "crossval"])
+def test_a_cell_width_the_operators_cannot_divide_by_is_config_invalid(tmp_path, command):
+    # 1/dx^2 overflows for a cell 1.25e-301 wide: every command refuses the
+    # box from the configuration (exit 2), before any operator divides by it
+    cfg = dict(CROSSVAL, domain={"dim": 1, "extents": [1e-300], "cells": [8]},
+               output={"dir": str(tmp_path / "out")})
+    assert main([command, "--config", str(_write(tmp_path, cfg))]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert [m.split(":")[0] for m in failure["messages"]] == ["domain.extents"]
 
 
 def test_sweep_plan_validation(tmp_path):

@@ -23,7 +23,6 @@ from swarmpde.solver_core import (
     MAX_STEPS,
     RunSetup,
     SimState,
-    StepResult,
     boundary_inflow,
     check_budget,
     initial_state,
@@ -190,8 +189,14 @@ def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v
     dt = coeffs.dt_max
     assert dt == stable_dt(state, grid, reg, sgrid)
     assert dt == min(_old_bounds(state, grid, reg, sgrid))
-    _, res = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
-    assert res.min_u >= -1e-12 and res.min_v >= -1e-12
+    new_state = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
+    assert new_state.min_u_run >= -1e-12 and new_state.min_v_run >= -1e-12
+
+
+def _stats(state):
+    # the step statistics a state carries: the running minima of the raw
+    # u and v and the running maximum of the conservation residual
+    return state.min_u_run, state.min_v_run, state.conservation_max
 
 
 def _with_own_u(state):
@@ -231,7 +236,7 @@ def _reference_step(state, dt, grid, reg, sgrid):
                                       axes=(0, 0))
     source_ev -= grid.lam[I] * u[I - 1]
     new_ev = lam_ev + dt * (div_ev + source_ev)
-    min_u, min_v, max_v = float(new_u.min()), float(new_v.min()), float(new_v.max())
+    min_u, min_v = float(new_u.min()), float(new_v.min())
     new_u, new_v = np.maximum(new_u, 0.0), np.maximum(new_v, 0.0)
     new_rec = alpha * np.tensordot(grid.lam[:I], new_u, axes=(0, 0))
     vol = sgrid.cell_volume
@@ -242,9 +247,7 @@ def _reference_step(state, dt, grid, reg, sgrid):
         abs_div += total  # bin by bin, in order
     cons_scale = max(abs_div * vol, float(np.sum(np.abs(lap_v))) * vol, 1e-300)
     activations = int(np.count_nonzero(alpha * alpha * new_u > 0.5))
-    result = StepResult(min_u=min_u, min_v=min_v, max_v=max_v,
-                        conservation_residual=cons / cons_scale)
-    return new_u, new_v, new_rec, new_ev, activations, result
+    return new_u, new_v, new_rec, new_ev, activations, (min_u, min_v, cons / cons_scale)
 
 
 @pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
@@ -269,8 +272,8 @@ def test_step_matches_former_formula_within_roundoff(cells, top):
                      max_u=seed.max_u)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
-    new_state, _ = step(_with_own_u(state), dt, grid, reg, sgrid, coeffs,
-                        step_plan(grid, sgrid))
+    new_state = step(_with_own_u(state), dt, grid, reg, sgrid, coeffs,
+                     step_plan(grid, sgrid))
     I, u, v, lam, lam_ev = grid.I, state.u, state.v, state.lambda_rec, state.lambda_ev
     eps = np.finfo(float).eps
 
@@ -319,8 +322,8 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
                      theta_activations=5)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
-    new_state, res = step(_with_own_u(state), dt, grid, reg, sgrid, coeffs,
-                          step_plan(grid, sgrid))
+    new_state = step(_with_own_u(state), dt, grid, reg, sgrid, coeffs,
+                     step_plan(grid, sgrid))
     new_u, new_v, new_rec, new_ev, activations, ref = _reference_step(
         state, dt, grid, reg, sgrid)
     assert np.array_equal(new_state.u, new_u)
@@ -331,7 +334,7 @@ def test_step_with_record_matches_reference_bitwise(cells, top):
     assert new_state.max_u == new_u.max() and seed.max_u == u0.max()
     assert new_state.theta_activations == 5 + activations
     assert np.all(theta_cutoff(alpha**2 * state.u) == 1.0) == (top <= 0.5)
-    assert res == ref
+    assert _stats(new_state) == ref
 
 
 @pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
@@ -374,7 +377,7 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
     plan = step_plan(grid, sgrid)  # the layout is frozen when the plan is built
     assert plan.blocks == tuple((k0, min(k0 + per_block, 8)) for k0 in range(0, 8, per_block))
     assert all(len(buf) == per_block * sgrid.ncells for buf in plan.work)
-    new_state, res = step(_with_own_u(state), dt, grid, reg, sgrid, coeffs, plan)
+    new_state = step(_with_own_u(state), dt, grid, reg, sgrid, coeffs, plan)
     # the last block first: each block's feed reads the old last bin of the one before
     assert blocks == [min(per_block, 8 - k0) for k0 in range(0, 8, per_block)][::-1]
     new_u, new_v, new_rec, new_ev, activations, ref = _reference_step(
@@ -385,7 +388,7 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
     assert np.array_equal(new_state.lambda_ev, new_ev)
     assert new_state.theta_activations == activations
     assert (activations > 0) == (hot_bins > 0)
-    assert res == ref
+    assert _stats(new_state) == ref
 
 
 def _rough_state(cells, top, seed):
@@ -417,13 +420,15 @@ def test_plan_reused_over_two_steps_matches_reference(monkeypatch, cells, per_bl
     ref = _with_own_u(state)
     for _ in range(2):
         coeffs = step_coefficients(state, grid, reg, sgrid)
-        state, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
-        new_u, new_v, new_rec, new_ev, activations, ref_res = _reference_step(
+        state = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+        new_u, new_v, new_rec, new_ev, activations, (min_u, min_v, cons) = _reference_step(
             ref, coeffs.dt_max, grid, reg, sgrid)
         ref = SimState(u=new_u, v=new_v, biomass=np.stack([new_rec, new_ev]),
                        max_u=float(new_u.max()),
-                       theta_activations=ref.theta_activations + activations)
-        assert res == ref_res
+                       theta_activations=ref.theta_activations + activations,
+                       min_u_run=min(ref.min_u_run, min_u), min_v_run=min(ref.min_v_run, min_v),
+                       conservation_max=max(ref.conservation_max, cons))
+        assert _stats(state) == _stats(ref)
         for name in ("u", "v", "lambda_rec", "lambda_ev"):
             assert np.array_equal(getattr(state, name), getattr(ref, name))
         assert state.theta_activations == ref.theta_activations > 0
@@ -503,7 +508,7 @@ def test_step_state_does_not_alias_plan_scratch():
     state, grid, reg, sgrid = _rough_state((10, 7), top=0.3, seed=17)
     plan = step_plan(grid, sgrid)
     coeffs = step_coefficients(state, grid, reg, sgrid)
-    new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+    new_state = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
     fields = {name: getattr(new_state, name).copy()
               for name in ("u", "v", "lambda_rec", "lambda_ev")}
     for scratch in (plan.div,) + plan.work:
@@ -535,7 +540,7 @@ def test_step_and_sample_peak_memory(monkeypatch):
     coeffs = step_coefficients(state, grid, reg, sgrid)
     tracemalloc.start()
     try:
-        new_state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+        new_state = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
         recorder.sample(new_state, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -592,8 +597,8 @@ def test_step_near_cap_keeps_negative_tolerance(alpha, cells, near, seed):
                                                                          size=shape)
     state = initial_state(u0, rng.random(cells) / alpha, grid)
     coeffs = step_coefficients(state, grid, reg, sgrid)
-    _, res = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
-    assert res.min_u >= -1e-12 and res.min_v >= -1e-12
+    new_state = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
+    assert new_state.min_u_run >= -1e-12 and new_state.min_v_run >= -1e-12
 
 
 def test_step_hand_example():
@@ -608,15 +613,15 @@ def test_step_hand_example():
     reg = regularize(spec, alpha)
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     state = initial_state(np.zeros((1, 4)), np.full(4, 2.0), grid)
-    new_state, _ = step(state, 0.1, grid, reg, sgrid,
-                          step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))
+    new_state = step(state, 0.1, grid, reg, sgrid,
+                     step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))
     assert np.allclose(new_state.u[0], 0.2, atol=1e-15)
     assert new_state.t == 0.1
 
 
 def test_step_clips_roundoff_below_zero():
     # an Euler update that lands in [-1e-12, 0) is roundoff: the new bin
-    # density is exactly 0 there, StepResult.min_u keeps the raw value
+    # density is exactly 0 there, the state's min_u_run keeps the raw value
     # and the step is not refused.  dt is far above the bound on purpose
     spec = make_spec(mu=lambda a: np.zeros_like(np.asarray(a, dtype=float)))
     alpha = 0.5
@@ -632,11 +637,11 @@ def test_step_clips_roundoff_below_zero():
     # f (1 - dt/alpha - dt mu) + dt d + (dt/alpha) u_prev with d = u_prev = mu = 0
     raw = f * (1.0 - dt / alpha - dt * 0.0) + dt * 0.0 + (dt / alpha) * 0.0
     assert -1e-12 <= raw < 0.0
-    new_state, res = step(state, dt, grid, reg, sgrid,
-                          step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))
+    new_state = step(state, dt, grid, reg, sgrid,
+                     step_coefficients(state, grid, reg, sgrid), step_plan(grid, sgrid))
     assert np.all(new_state.u[0] == 0.0)
     assert np.all(new_state.u[1] > 0.0)
-    assert res.min_u == raw
+    assert new_state.min_u_run == raw
 
 
 def _prescribed_step(monkeypatch, raw_u, raw_v):
@@ -680,9 +685,9 @@ def test_step_clips_a_field_only_when_its_minimum_is_not_positive(monkeypatch, l
         with pytest.raises(UnstableStep, match="non-finite state"):
             _prescribed_step(monkeypatch, raw_u, raw_v)
         return
-    new_state, res = _prescribed_step(monkeypatch, raw_u, raw_v)
-    assert res.min_u == low and res.min_v == low
-    assert math.copysign(1.0, res.min_u) == math.copysign(1.0, low)
+    new_state = _prescribed_step(monkeypatch, raw_u, raw_v)
+    assert new_state.min_u_run == low and new_state.min_v_run == low
+    assert math.copysign(1.0, new_state.min_u_run) == math.copysign(1.0, low)
     for got, raw in ((new_state.u, raw_u), (new_state.v, raw_v)):
         assert got.tobytes() == np.maximum(raw, 0.0).tobytes()
         if low > 0.0:
@@ -703,7 +708,7 @@ def test_growth_equals_differentiation_keeps_v():
     plan = step_plan(grid, sgrid)
     for _ in range(20):
         coeffs = step_coefficients(state, grid, reg, sgrid)
-        state, _ = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+        state = step(state, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
     assert np.allclose(state.v, 2.0, atol=1e-13)
 
 
@@ -745,8 +750,8 @@ def test_unstable_step_raises():
     plan = step_plan(grid, sgrid)
     with pytest.raises(UnstableStep):
         for _ in range(50):
-            state, _ = step(state, 0.05, grid, reg, sgrid,
-                            step_coefficients(state, grid, reg, sgrid), plan)
+            state = step(state, 0.05, grid, reg, sgrid,
+                         step_coefficients(state, grid, reg, sgrid), plan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -811,9 +816,9 @@ def test_clamp_warning_fires_once_on_the_step_that_reaches_it(monkeypatch):
     original = solver_core.step
 
     def tracking_step(*args):
-        new, res = original(*args)
+        new = original(*args)
         reaches.append(max(float(new.lambda_rec.max()), float(new.v.max())))
-        return new, res
+        return new
 
     monkeypatch.setattr(solver_core, "step", tracking_step)
     warned_after = []
@@ -832,7 +837,8 @@ def test_clamp_warning_fires_once_on_the_step_that_reaches_it(monkeypatch):
         logger.removeHandler(handler)
     first = next(k for k, reach in enumerate(reaches) if reach > 0.999 * setup.reg.clamp)
     assert first == 1 and result.steps > first + 1
-    assert warned_after == [first + 1]
+    # logged inside the step, before the wrapper appends its reach
+    assert warned_after == [first]
 
 
 def test_run_reports_min_u_and_min_v_separately():
@@ -962,21 +968,20 @@ def test_step_without_shadow_skips_it_bitwise(dim, monkeypatch):
     assert bare.lambda_ev is None
     coeffs = step_coefficients(full, grid, reg, sgrid)
     plan = step_plan(grid, sgrid)
-    new_full, res_full = step(full, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
+    new_full = step(full, coeffs.dt_max, grid, reg, sgrid, coeffs, plan)
     calls = []  # the bins' and the swimmers' kernels run inside div_flux and laplacian
     monkeypatch.setattr(solver_core, "drift_diffusion_div", lambda *args, **kw: calls.append(args))
     # its own record carries the bins' weights alone, with the same bound
     bare_coeffs = step_coefficients(bare, grid, reg, sgrid)
     assert bare_coeffs.shadow_div is None and bare_coeffs.dt_max == coeffs.dt_max
-    new_bare, res_bare = step(bare, coeffs.dt_max, grid, reg, sgrid, bare_coeffs, plan)
+    new_bare = step(bare, coeffs.dt_max, grid, reg, sgrid, bare_coeffs, plan)
     assert calls == [] and new_bare.lambda_ev is None
-    assert res_full.conservation_residual <= 1e-12
-    assert res_bare == dataclasses.replace(res_full, conservation_residual=0.0)
+    assert new_full.conservation_max <= 1e-12 and new_bare.conservation_max == 0.0
     for name in ("u", "v", "lambda_rec"):
         assert getattr(new_bare, name).tobytes() == getattr(new_full, name).tobytes()
     assert len(new_bare.biomass) == 1
     assert dataclasses.replace(new_bare, u=None, v=None, biomass=None) == \
-        dataclasses.replace(new_full, u=None, v=None, biomass=None)
+        dataclasses.replace(new_full, u=None, v=None, biomass=None, conservation_max=0.0)
 
 
 def test_two_dimensional_run():
@@ -1033,6 +1038,24 @@ def test_tstar_crossed_is_any_activation_and_warns_once(amp, caplog):
     assert len(crossed) == (1 if activations else 0)
 
 
+def test_step_statistics_ride_on_the_state_without_a_recorder():
+    # the steps' statistics are the state's own: an unrecorded run's final
+    # state carries the recorded run's running minima, step count and
+    # activation count, and no conservation residual (it has no shadow)
+    bump = 1.0 + 0.2 * np.cos(np.linspace(0.0, math.pi, 16))
+    setup = _setup(make_spec(xi=steep_switch(0.4)), 0.25, 1.0, 16,
+                   u0=12.0 * np.tile(bump, (4, 1)), v0=0.4 * bump, T=0.1, sample_dt=0.05)
+    recorded = run(setup)
+    sampled = []
+    bare = run(setup, record=False, on_sample=sampled.append)
+    final, record = sampled[-1], recorded.record
+    assert final.t == setup.T and final.lambda_ev is None
+    assert (final.min_u_run, final.min_v_run) == (record.min_u_run, record.min_v_run)
+    assert final.step_count == bare.steps == recorded.steps > 0
+    assert final.theta_activations == record.theta_activations > 0
+    assert final.conservation_max == 0.0 < record.conservation_max
+
+
 def _frozen(state):
     # the state with v and both biomasses read-only: a later write raises.
     # u stays writable, since the next step updates it in place
@@ -1076,9 +1099,9 @@ def test_step_updates_bins_in_place(monkeypatch, case):
     in_place = []
 
     def frozen_step(*args):
-        new, res = original_step(*args)
+        new = original_step(*args)
         in_place.append(new.u is args[0].u)
-        return _frozen(new), res
+        return _frozen(new)
 
     monkeypatch.setattr(solver_core, "step", frozen_step)
     frozen, frozen_values, bins = integrate()

@@ -234,10 +234,15 @@ def test_field_roundtrip_csv_binary(tmp_path, rng):
     ("cells", GridMismatch, "CSV carries 24 cells, grid has 12"),
     ("magic", ValueError, "not a field dump"),
     ("version", ValueError, "unsupported dump version 2"),
+    ("cut-8", ValueError, "184 bytes of data where the header's 24 float64 values need 192"),
+    ("cut-4", ValueError, "188 bytes of data where the header's 24 float64 values need 192"),
+    ("long-8", ValueError, "200 bytes of data where the header's 24 float64 values need 192"),
+    ("cut-header", ValueError, "header cut short at 20 bytes"),
 ])
 def test_field_readers_refuse_a_file_they_cannot_read(tmp_path, rng, damage, error, says):
     # a CSV read on a grid of another cell count, and a dump whose magic
-    # or version is not this format's
+    # or version is not this format's, whose data are cut or run long, or
+    # whose header is cut; a refused dump is named in the message
     grid = SpatialGrid(extents=(1.0, 0.5), cells=(6, 4))
     values = rng.normal(size=grid.shape)
     path = tmp_path / "f"
@@ -250,11 +255,17 @@ def test_field_readers_refuse_a_file_they_cannot_read(tmp_path, rng, damage, err
     raw = bytearray(path.read_bytes())
     if damage == "magic":
         raw[:4] = b"SWPX"
-    else:
+    elif damage == "version":
         raw[4] = 2  # the low byte of the little-endian version after the magic
+    elif damage == "long-8":
+        raw += bytes(8)
+    else:  # the header is 12 + 12 * dim = 36 bytes
+        raw = raw[:{"cut-8": -8, "cut-4": -4, "cut-header": 20}[damage]]
     path.write_bytes(bytes(raw))
-    with pytest.raises(error, match=says):
+    with pytest.raises(error, match=says) as err:
         field_from_binary(path)
+    if damage not in ("magic", "version"):
+        assert str(path) in str(err.value)
 
 
 def _strided_weights(weights, grid):
