@@ -298,6 +298,10 @@ def main(argv=None) -> int:
     except SwarmPDEError as exc:
         _write_failure(out_dir or Path("."), type(exc).__name__, [str(exc)])
         return EXIT_FAIL
+    except MemoryError as exc:
+        # numpy raises its own subclass; the kind names the builtin
+        _write_failure(out_dir or Path("."), "MemoryError", [str(exc)])
+        return EXIT_FAIL
     except OSError as exc:
         # load_config refuses an unreadable configuration, so this is a write
         _write_failure(out_dir or Path("."), "output_unwritable", [str(exc)])

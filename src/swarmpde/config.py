@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .age_discretization import age_average_initial, age_grid_problems, build_age_grid, regularize
-from .diagnostics import tail_problems
+from .diagnostics import catalogue_problems, tail_problems
 from .errors import ConfigInvalid
 from .model_spec import (
     ModelSpec,
@@ -210,10 +210,14 @@ def _exponential_args(m: ModelConfig) -> dict:
 def _validate(cfg: RunConfig) -> list:
     p = []
     m = cfg.model
-    # each owner's rules, under the section its fields sit in
-    owned = [("", age_grid_problems(cfg.alpha, cfg.a_max)),
-             ("domain.", box_problems(cfg.domain.dim, cfg.domain.extents, cfg.domain.cells)),
+    # each owner's rules, under the section its fields sit in; the
+    # catalogue's are judged on a box that keeps its own
+    box = box_problems(cfg.domain.dim, cfg.domain.extents, cfg.domain.cells)
+    owned = [("", age_grid_problems(cfg.alpha, cfg.a_max)), ("domain.", box),
              ("diagnostics.", tail_problems(cfg.diagnostics.tail_A, cfg.alpha))]
+    if not box:
+        owned.append(("diagnostics.",
+                      catalogue_problems(cfg.diagnostics.test_k_max, cfg.domain.cells)))
     if m.family == "exponential":
         owned.append(("model.", exponential_problems(**_exponential_args(m))))
     elif m.family == "tables":
@@ -251,8 +255,6 @@ def _validate(cfg: RunConfig) -> list:
         p.append("initial.u_age_scale: must be positive")
     if not (len(ic.u_age_cut) == 2 and ic.u_age_cut[0] < ic.u_age_cut[1]):
         p.append("initial.u_age_cut: must be an increasing pair")
-    if cfg.diagnostics.test_k_max < 0:
-        p.append("diagnostics.test_k_max: must be >= 0")
     if cfg.output.snapshot_stride < 1:
         p.append("output.snapshot_stride: must be >= 1")
     return p

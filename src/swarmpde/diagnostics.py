@@ -17,12 +17,13 @@ the integrals of the densities, of their entropy density and of the
 face form of their sqrt-gradient dissipation, plus the raw minimum (the
 largest density is the state's own ``max_u``).  It checks the sign of
 the densities once and takes every weighted sum over bins on the
-per-bin vectors, so it allocates no array of the densities' size.  The
-standalone ``entropy`` and ``dissipation`` run ``bin_sums`` on all bins
-as one block; every per-bin sum runs over that bin's cells alone, so the
-sample is bitwise equal to them whatever the blocks.  The b-weighted
-mass and the age tails are linear in the per-bin integrals
-(``bin_totals``), as in the standalone ``mass_b`` and ``tail_mass``.
+per-bin vectors, so it allocates no array of the densities' size:
+``entropy`` and ``dissipation`` read the per-bin sums they are given.
+Every per-bin sum runs over that bin's cells alone, so the sums are
+bitwise those of one ``bin_sums`` pass over all bins, whatever the
+blocks.  The b-weighted mass and the age tails are linear in the
+per-bin integrals (``bin_totals``), as in the standalone ``mass_b`` and
+``tail_mass``.
 Every sampled value, the tails included, is one column of the record's
 one table (``series``), which ``to_csv`` writes as it stands.
 
@@ -81,6 +82,7 @@ __all__ = [
     "dissipation",
     "tail_mass",
     "tail_problems",
+    "catalogue_problems",
     "comparison_bound",
     "envelope_report",
     "ENVELOPE_NAMES",
@@ -101,46 +103,34 @@ ENVELOPE_NAMES = (
 class BinSums(NamedTuple):
     """One pass over bins of ``u``: the raw minimum and per bin the
     integral of u (``bin_totals``), of the entropy density phi(u clipped
-    at 0) and, if asked for, the face form of the sqrt-gradient
-    dissipation."""
+    at 0) and the face form of the sqrt-gradient dissipation."""
 
     min_u: float
     totals: np.ndarray
     entropy: np.ndarray
-    dissipation: Optional[np.ndarray]
+    dissipation: np.ndarray
 
 
-def bin_sums(u, sgrid: SpatialGrid, d_weights=None, work=None) -> BinSums:
+def bin_sums(u, sgrid: SpatialGrid, d_weights, work) -> BinSums:
     """The ``BinSums`` of the bins ``u`` (all of them or a block of them).
 
     Every reduction runs per bin over that bin's cells, so the sums of a
     block are bitwise the matching entries of the whole array's.  The
-    dissipation, taken when ``d_weights`` (``diffusion_weights`` of
-    D_alpha) is given, is per bin the sum over faces of
+    dissipation is per bin the sum over faces of
     (delta sqrt(r))^2 face_mean(D_alpha)/dx^2 of the clipped r
-    (``face_sq_sums``).  ``work``, if given, is a pair of flat float
-    buffers of at least ``u.size`` elements; with it no u-sized array is
-    allocated.  The caller checks ``min_u``.
+    (``face_sq_sums`` with ``d_weights``, the ``diffusion_weights`` of
+    D_alpha).  ``work`` is a pair of flat float buffers of at least
+    ``u.size`` elements, so no u-sized array is allocated.  The caller
+    checks ``min_u``.
     """
     rows = u.reshape(u.shape[0], -1)
-    if work is None:
-        work = (np.empty(rows.size), np.empty(rows.size))
     r = work[0][:rows.size].reshape(rows.shape)
     low = float(rows.min())
     totals = bin_totals(rows, sgrid)
     np.maximum(rows, 0.0, out=r)
     ent = entropy_phi(r, out=work[1][:rows.size].reshape(rows.shape)).sum(axis=1)
-    diss = None
-    if d_weights is not None:
-        diss = face_sq_sums(np.sqrt(r, out=r), d_weights, sgrid, work=work[1])
-    return BinSums(low, totals, ent * sgrid.cell_volume,
-                   None if diss is None else diss * sgrid.cell_volume)
-
-
-def _checked(sums: BinSums) -> BinSums:
-    if sums.min_u < -1e-12:
-        raise NegativeField(f"bin densities must be >= 0 (min {sums.min_u:.3e})")
-    return sums
+    diss = face_sq_sums(np.sqrt(r, out=r), d_weights, sgrid, work=work[1])
+    return BinSums(low, totals, ent * sgrid.cell_volume, diss * sgrid.cell_volume)
 
 
 def bin_totals(u, sgrid: SpatialGrid) -> np.ndarray:
@@ -158,19 +148,14 @@ def mass_b(state, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
             + float(state.v.sum()) * sgrid.cell_volume)
 
 
-def entropy(state, grid: AgeGrid, sgrid: SpatialGrid, sums=None) -> float:
-    """lam-weighted entropy sum_i alpha lam_i integral phi(u_i).
-
-    ``sums`` are the ``bin_sums`` of the bins, taken if not given; given,
-    the caller has checked the sign of the densities.
-    """
-    if sums is None:
-        sums = _checked(bin_sums(state.u, sgrid))
+def entropy(sums: BinSums, grid: AgeGrid) -> float:
+    """lam-weighted entropy sum_i alpha lam_i integral phi(u_i), from the
+    ``bin_sums`` of the bins; the caller has checked their sign."""
     return grid.alpha * float(grid.lam[:grid.I] @ sums.entropy)
 
 
 def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
-                zeta1_eval: Callable, spec: ModelSpec, sums=None) -> tuple:
+                zeta1_eval: Callable, spec: ModelSpec, sums: BinSums) -> tuple:
     """Instantaneous dissipation integrands.
 
     Returns (d_u, d_E, gz1, gz2): the lam-weighted sqrt-gradient term with
@@ -179,14 +164,11 @@ def dissipation(state, grid: AgeGrid, reg: RegularizedModel, sgrid: SpatialGrid,
     the biomass.  All four are face sums (``face_sq_sums``): the face
     means of D_alpha and of E_alpha weigh the first two, the grid's unit
     weights the last two.  Transform gradients difference the transformed
-    cell values, matching how the limit objects are defined.  ``sums``,
-    if given, are the ``bin_sums`` of the bins with the dissipation
-    taken; the caller has then checked their sign.
+    cell values, matching how the limit objects are defined.  ``sums``
+    are the ``bin_sums`` of the bins; the caller has checked their sign.
     """
     I, vol = grid.I, sgrid.cell_volume
     lam = state.lambda_rec
-    if sums is None:
-        sums = _checked(bin_sums(state.u, sgrid, diffusion_weights(reg.D_alpha(lam), sgrid)))
     d_u = grid.alpha * float(grid.lam[:I] @ sums.dissipation)
     E_weights = diffusion_weights(reg.E_alpha(lam, state.v), sgrid)
     d_E = float(face_sq_sums(lam, E_weights, sgrid)[0]) * vol
@@ -205,6 +187,18 @@ def tail_problems(tail_A, alpha: float) -> list:
     return ([("tail_A", f"{A:g} is below 4*alpha") for A in tail_A if not A >= 4.0 * alpha]
             + [("tail_A", f"{n} repeats the column name tail_{n}")
                for k, n in enumerate(names) if n in names[:k]])
+
+
+def catalogue_problems(k_max: int, cells) -> list:
+    """(config field, message) for a test-function mode bound below 0 or
+    at or above an axis' cell count: on n cell centres the cosine of mode
+    n is zero and one of mode k > n is minus that of mode 2n - k, so such
+    modes add nothing; ``make_test_functions`` refuses them."""
+    if k_max < 0:
+        return [("test_k_max", "must be >= 0")]
+    if k_max >= min(cells):
+        return [("test_k_max", f"must be below every axis' cell count ({min(cells)})")]
+    return []
 
 
 def tail_mass(state, A: float, grid: AgeGrid, sgrid: SpatialGrid, totals=None) -> float:
@@ -322,7 +316,7 @@ class DiagnosticsRecorder:
     """
 
     def __init__(self, spec: ModelSpec, grid: AgeGrid, reg: RegularizedModel,
-                 sgrid: SpatialGrid, tail_A: Sequence[float] = ()):
+                 sgrid: SpatialGrid, tail_A: Sequence[float]):
         self.spec, self.grid, self.reg, self.sgrid = spec, grid, reg, sgrid
         ages = tuple(float(A) for A in tail_A)
         refuse(tail_problems(ages, grid.alpha))
@@ -389,7 +383,9 @@ class DiagnosticsRecorder:
             d_weights = diffusion_weights(reg.D_alpha(lam), sgrid)
             lows, *per_bin = zip(*(
                 bin_sums(u[k0:k1], sgrid, d_weights, plan.work) for k0, k1 in plan.blocks))
-            sums = _checked(BinSums(min(lows), *map(np.concatenate, per_bin)))
+            sums = BinSums(min(lows), *map(np.concatenate, per_bin))
+            if sums.min_u < -1e-12:
+                raise NegativeField(f"bin densities must be >= 0 (min {sums.min_u:.3e})")
             totals, max_u = sums.totals, state.max_u
             z1 = self._zeta1_for(float(lam.max(initial=0.0)))
             d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, self.spec, sums)
@@ -397,7 +393,7 @@ class DiagnosticsRecorder:
             row = {
                 "t": state.t,
                 "mass_b": mass_b(state, grid, sgrid, totals),
-                "entropy": entropy(state, grid, sgrid, sums),
+                "entropy": entropy(sums, grid),
                 "dissipation_u": d_u,
                 "dissipation_E": d_E,
                 "grad_zeta1_sq": gz1,
@@ -621,6 +617,7 @@ def make_test_functions(T: float, age_cap: float, sgrid: SpatialGrid,
     """Fixed catalogue: one time bump on [0, 0.9T] and one age bump on
     [0, 0.8*age_cap], shared by every function, times the tensor cosines
     whose modes sum to at most k_max, in lexicographic order."""
+    refuse(catalogue_problems(k_max, sgrid.cells))
     psi, psi_p = _falling_bump(0.9 * T)
     chi, chi_p = _falling_bump(0.8 * age_cap)
     return [TestFunction(psi=psi, psi_prime=psi_p, t_support=0.9 * T,

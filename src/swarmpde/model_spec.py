@@ -636,18 +636,10 @@ def exponential_problems(m0: float, tau: float, mu_const: float, D0: float, thet
     return p
 
 
-def exponential_family(
-    m0: float = 1.0,
-    tau: float = 1.0,
-    mu_const: float = 0.3,
-    D0: float = 0.1,
-    theta: float = 2.0,
-    xi0: float = 0.4,
-    xi_support: tuple = (0.2, 2.0),
-    g0: float | None = None,
-    drift: str = "dprime",
-) -> ModelSpec:
-    """Reference family used throughout the simulation literature.
+def exponential_family(m0: float, tau: float, mu_const: float, D0: float, theta: float,
+                       xi0: float, xi_support: tuple, g0, drift: str) -> ModelSpec:
+    """Reference family used throughout the simulation literature; its
+    parameters' defaults are ``config.ModelConfig``'s.
 
     lam(a) = m0*exp(a/tau), b(a) = exp(a/tau), mu constant, D(r) = D0*r^theta
     with the drift coefficient E = D' (or zero), g constant, and a smooth

@@ -93,7 +93,7 @@ def _reduced_dt(lam, D, E, rspec: ReducedSpec, sgrid: SpatialGrid) -> float:
 
 
 def run_reduced(rspec: ReducedSpec, sgrid: SpatialGrid, lam0, v0, T: float,
-                sample_dt: float, fixed_dt: Optional[float] = None) -> list:
+                sample_dt: float, fixed_dt: Optional[float]) -> list:
     """Explicit finite-volume integration of the closed two-field system.
 
     The time loop and the step guards are the full solver's

@@ -23,10 +23,11 @@ face velocity, so the sup-norm gap between the two biomasses is a
 genuine second-order consistency metric instead of collapsing to
 roundoff.  The shadow's weights are applied where they are formed, and
 the record keeps only the shadow's divergence, beside the bins'
-weights.  The step-size bound ``dt_max`` reads row 0 alone
-(``stable_dt`` returns that bound alone).  The bound keeps every update
-a convex combination of nonnegative quantities; nonnegativity then holds
-without clipping beyond roundoff.
+weights.  The step-size bound ``dt_max`` reads row 0 alone;
+``step_coefficients`` takes it from ``stable_dt``, the one place it is
+formed.  The bound keeps every update a convex combination of
+nonnegative quantities; nonnegativity then holds without clipping
+beyond roundoff.
 It is 0.9 times the smallest of four limits: the age-transport
 stiffness alpha/2, the per-axis diffusion limit dx^2/(2 dim max D_face)
 (it can bind on anisotropic 2D meshes), the strict convex-combination
@@ -317,19 +318,15 @@ def _inflow(v: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
                       sgrid: SpatialGrid) -> StepCoefficients:
-    """The coefficient record of ``state``: flux weights and the one step-size bound.
+    """The coefficient record of ``state``: flux weights and the one
+    step-size bound (``stable_dt``, of the reconstructed biomass).
 
-    dt_max = 0.9 * min( alpha/2, dx^2/(2 dim max D_face) per axis,
-    1/max(rate, rate_shadow) ) where rate = 1/alpha + M + sum over axes
-    of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
-    rate_shadow = sum of 2 max(D_a + biomass*E)/dx^2 is the biomass
-    equation's limit; all of the reconstructed biomass.  D_alpha and
-    E_alpha are evaluated once, on the state's biomass rows together.
-    Each row then forms its own face data and flux weights, in the memory
-    of its face data: the shadow's from the harmonic face mean of its
-    D_alpha, split, applied here; the bins' from the arithmetic one,
-    merged or split after the state's largest bin density
-    (``cutoff_plateau``).
+    D_alpha and E_alpha are evaluated once, on the state's biomass rows
+    together.  Each row then forms its own face data and flux weights,
+    in the memory of its face data: the shadow's from the harmonic face
+    mean of its D_alpha, split, applied here; the bins' from the
+    arithmetic one, merged or split after the state's largest bin
+    density (``cutoff_plateau``).
     """
     bio = state.biomass
     lam = bio[0]
@@ -344,8 +341,23 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
         shadow_div = drift_diffusion_div(bio[1], lam,
                                          flux_weights(shadow, sgrid, merged=False), sgrid)
     faces = drift_face_data(Da[0], E_cell[0], lam, sgrid, face_mean)
-    bounds = [reg.alpha / 2.0]
-    rate = 1.0 / reg.alpha + grid.M
+    dt_max = stable_dt(faces, eff_max, grid, sgrid)
+    weights = flux_weights(faces, sgrid, cutoff_plateau(state.max_u, reg))
+    return StepCoefficients(weights, shadow_div, dt_max)
+
+
+def stable_dt(faces: tuple, eff_max: float, grid: AgeGrid, sgrid: SpatialGrid) -> float:
+    """The step-size bound of the reconstructed biomass' per-axis face
+    data ``faces`` (D_face, w) and its largest effective diffusivity
+    ``eff_max`` = max(D_a + biomass*E):
+
+    dt_max = 0.9 * min( alpha/2, dx^2/(2 dim max D_face) per axis,
+    1/max(rate, rate_shadow) ) where rate = 1/alpha + M + sum over axes
+    of 2 max D_face/dx^2 + 2 max|w|/dx bounds every bin's loss rate and
+    rate_shadow = sum of 2 eff_max/dx^2 is the biomass equation's limit.
+    """
+    bounds = [grid.alpha / 2.0]
+    rate = 1.0 / grid.alpha + grid.M
     rate_shadow = 0.0
     # the last axis' row-wrap faces carry D = w = 0, which moves neither
     # maximum: D_face >= alpha > 0 and |w| >= 0
@@ -355,15 +367,7 @@ def step_coefficients(state: SimState, grid: AgeGrid, reg: RegularizedModel,
         bounds.append(dx * dx / (2.0 * sgrid.dim * d_max))
         rate += 2.0 * d_max / (dx * dx) + 2.0 * w_max / dx
         rate_shadow += 2.0 * eff_max / (dx * dx)
-    dt_max = min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
-    weights = flux_weights(faces, sgrid, cutoff_plateau(state.max_u, reg))
-    return StepCoefficients(weights, shadow_div, dt_max)
-
-
-def stable_dt(state: SimState, grid: AgeGrid, reg: RegularizedModel,
-              sgrid: SpatialGrid) -> float:
-    """The one step-size bound of ``state`` (see ``step_coefficients``)."""
-    return step_coefficients(state, grid, reg, sgrid).dt_max
+    return min(_SAFETY * min(bounds), _SAFETY / max(rate, rate_shadow))
 
 
 def _reconstruct(u: np.ndarray, grid: AgeGrid, out: np.ndarray) -> None:

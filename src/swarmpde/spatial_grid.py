@@ -77,7 +77,6 @@ __all__ = [
     "sq_l2",
     "l1",
     "field_to_csv",
-    "field_from_csv",
     "field_to_binary",
     "field_from_binary",
 ]
@@ -93,6 +92,8 @@ def box_problems(dim: int, extents, cells) -> list:
           for name, values in (("extents", extents), ("cells", cells)) if len(values) != dim]
     if any(c < 2 for c in cells):
         p.append(("cells", "need at least 2 cells per axis"))
+    if math.prod(cells) > np.iinfo(np.intp).max // 8:
+        p.append(("cells", "too many: a float64 field of them exceeds the address space"))
     if not all(e > 0.0 for e in extents):
         p.append(("extents", "must be positive"))
     # the operators divide by dx^2; tested only on a box that keeps the
@@ -272,7 +273,7 @@ def flux_weights(faces, grid: SpatialGrid, merged: bool) -> FluxWeights:
     return FluxWeights(axes=tuple(axes), merged=merged)
 
 
-def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, merged: bool = False) -> FluxWeights:
+def drift_faces(D_cell, E_cell, lam, grid: SpatialGrid, merged: bool) -> FluxWeights:
     """The ``FluxWeights`` of the drift-diffusion flux with diffusivity
     face_mean(D) and face velocity face_mean(E) * grad(lam), split unless
     ``merged`` (see ``drift_face_data`` and ``flux_weights``)."""
@@ -478,14 +479,6 @@ def field_to_csv(values, grid: SpatialGrid, path) -> None:
         for idx in range(grid.ncells):
             parts = [str(idx)] + [f"{c:.17g}" for c in coords[idx]] + [f"{flat[idx]:.17g}"]
             fh.write(",".join(parts) + "\n")
-
-
-def field_from_csv(path, grid: SpatialGrid) -> np.ndarray:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    values = np.asarray(data["value"], dtype=float)
-    if values.size != grid.ncells:
-        raise GridMismatch(f"CSV carries {values.size} cells, grid has {grid.ncells}")
-    return values.reshape(grid.shape)
 
 
 def field_to_binary(values, grid: SpatialGrid, path) -> None:

@@ -3,7 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from swarmpde.config import ModelConfig, RunConfig, build_model_spec
+from swarmpde.diagnostics import bin_sums
 from swarmpde.model_spec import ModelSpec, smoothstep
+from swarmpde.spatial_grid import diffusion_weights
+
+
+def exponential_spec(**model):
+    """The exponential family as a config builds it: ``ModelConfig``'s
+    values, the fields named in ``model`` set to theirs."""
+    return build_model_spec(RunConfig(model=ModelConfig(**model)))
+
+
+def whole_bin_sums(u, sgrid, d_weights):
+    """``diagnostics.bin_sums`` of all bins of ``u`` as one block."""
+    return bin_sums(u, sgrid, d_weights, (np.empty(u.size), np.empty(u.size)))
+
+
+def state_sums(state, reg, sgrid):
+    """``whole_bin_sums`` of the bins of ``state``, the dissipation weighed
+    by D_alpha of its reconstructed biomass, as a sample takes them."""
+    weights = diffusion_weights(reg.D_alpha(state.lambda_rec), sgrid)
+    return whole_bin_sums(state.u, sgrid, weights)
 
 
 def power_zeta(D0, theta):

@@ -301,7 +301,7 @@ def test_age_average_rules_decided_on_factors(ages, space):
 
 def _K0(spec, u0, v0, grid, sgrid):
     """The K0 of a record whose one sample is the initial state."""
-    recorder = DiagnosticsRecorder(spec, grid, regularize(spec, grid.alpha), sgrid)
+    recorder = DiagnosticsRecorder(spec, grid, regularize(spec, grid.alpha), sgrid, ())
     recorder.sample(initial_state(u0, v0, grid), step_plan(grid, sgrid))
     return recorder.finalize().K0
 

@@ -10,16 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 
 from swarmpde import cli, config as config_mod, diagnostics, reduced_system, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.cli import main
 from swarmpde.config import RunConfig, level_plan, parse_config
 from swarmpde.errors import ConfigInvalid
-from swarmpde.model_spec import exponential_family, smoothstep, tabulated_family
+from swarmpde.model_spec import smoothstep, tabulated_family
 from swarmpde.spatial_grid import SpatialGrid
 
-from conftest import near_per_node, per_bin_age_average, per_node_age_average
+from conftest import (
+    exponential_spec,
+    near_per_node,
+    per_bin_age_average,
+    per_node_age_average,
+)
 
 
 MINIMAL = {
@@ -163,9 +169,8 @@ def test_parse_refuses_initial_data_the_builder_cannot_honour(tmp_path, initial,
     ([MINIMAL], "configuration root must be a JSON object"),
     (_set("time.fixed_dt", 0.0), "time.fixed_dt"),
     (_set("time.fixed_dt", -1e-3), "time.fixed_dt"),
-    (_set("diagnostics.test_k_max", -1), "diagnostics.test_k_max"),
     ({"output": {"snapshot_stride": 0}}, "output.snapshot_stride"),
-], ids=["root-array", "fixed_dt-zero", "fixed_dt-negative", "test_k_max", "snapshot_stride"])
+], ids=["root-array", "fixed_dt-zero", "fixed_dt-negative", "snapshot_stride"])
 def test_parse_refuses_each_config_only_rule(tmp_path, data, field):
     # the rules no builder owns: one problem, under the field's name
     if isinstance(data, dict):
@@ -188,25 +193,25 @@ def _unvalidated(data) -> RunConfig:
 
 
 def _age_grid(cfg):
-    build_age_grid(exponential_family(), cfg.alpha, cfg.a_max)
+    build_age_grid(exponential_spec(tau=1.0), cfg.alpha, cfg.a_max)
 
 
 def _alpha_owners(cfg):
     # the age grid and the regularized model both keep the rule on alpha
     with pytest.raises(ValueError, match="(^|; )alpha: "):
         _age_grid(cfg)
-    regularize(exponential_family(), cfg.alpha)
+    regularize(exponential_spec(tau=1.0), cfg.alpha)
 
 
 def _tail_recorder(cfg):
-    spec, sgrid = exponential_family(), SpatialGrid(extents=(1.0,), cells=(16,))
+    spec, sgrid = exponential_spec(tau=1.0), SpatialGrid(extents=(1.0,), cells=(16,))
     grid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     diagnostics.DiagnosticsRecorder(spec, grid, regularize(spec, cfg.alpha), sgrid,
                                     cfg.diagnostics.tail_A)
 
 
 def _tail_owners(cfg):
-    spec, sgrid = exponential_family(), SpatialGrid(extents=(1.0,), cells=(16,))
+    spec, sgrid = exponential_spec(tau=1.0), SpatialGrid(extents=(1.0,), cells=(16,))
     grid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     state = solver_core.initial_state(np.zeros((grid.I,) + sgrid.shape),
                                       np.zeros(sgrid.shape), grid)
@@ -217,6 +222,11 @@ def _tail_owners(cfg):
 
 def _box_owner(cfg):
     SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
+
+
+def _catalogue_owner(cfg):
+    sgrid = SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
+    diagnostics.make_test_functions(cfg.time.T, cfg.a_max, sgrid, cfg.diagnostics.test_k_max)
 
 
 @pytest.mark.parametrize("over, field, owner", [
@@ -241,15 +251,23 @@ def _box_owner(cfg):
     ({"domain": {"dim": 1, "extents": [0.0], "cells": [16]}}, "domain.extents", _box_owner),
     ({"domain": {"dim": 1, "extents": [1e-300], "cells": [8]}}, "domain.extents", _box_owner),
     ({"domain": {"dim": 1, "extents": [1.0], "cells": [1]}}, "domain.cells", _box_owner),
+    # 2^64 float64 values are beyond numpy's address space
+    ({"domain": {"dim": 1, "extents": [1.0], "cells": [2**64]}}, "domain.cells", _box_owner),
     ({"diagnostics": {"tail_A": [0.4]}}, "diagnostics.tail_A", _tail_owners),
     # two ages that name one pair of record columns, tail_2 and eta_tail_2
     ({"diagnostics": {"tail_A": [2.0, 2.0]}}, "diagnostics.tail_A", _tail_recorder),
     ({"diagnostics": {"tail_A": [2.0, 2.0000001]}}, "diagnostics.tail_A", _tail_recorder),
+    ({"diagnostics": {"tail_A": [], "test_k_max": -1}}, "diagnostics.test_k_max",
+     _catalogue_owner),
+    # on 16 cells the cosine of mode 16 is zero at every centre
+    ({"diagnostics": {"tail_A": [], "test_k_max": 16}}, "diagnostics.test_k_max",
+     _catalogue_owner),
 ], ids=["m0", "tau", "tau-with-g0", "mu", "D0", "theta", "drift", "xi0-negative",
         "xi0-above-1/tau", "xi0-above-g0", "xi_support-decreasing", "xi_support-short",
         "alpha-0", "alpha-1", "a_max", "dim", "extents-length", "extents-zero", "extents-tiny",
-        "cells",
-        "tail_A", "tail_A-repeated", "tail_A-same-name"])
+        "cells", "cells-beyond-address-space",
+        "tail_A", "tail_A-repeated", "tail_A-same-name", "test_k_max-negative",
+        "test_k_max-at-cells"])
 def test_each_rule_is_refused_by_the_config_and_by_its_owner(tmp_path, over, field, owner):
     # every parameter rule has one owner: parse_config reports it under the
     # field's name, and the owner refuses the same values with a ValueError
@@ -348,6 +366,20 @@ def test_an_overflowing_model_is_a_typed_failure(tmp_path):
     failure = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert failure["kind"] == "NonFiniteEvaluation"
     assert failure["messages"] == ["diagnostics column dissipation_u is nan at t=0"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "crossval"])
+def test_running_out_of_memory_is_a_typed_failure(tmp_path, monkeypatch, command):
+    # numpy's subclass of MemoryError, raised in set-up, exits 1 with a
+    # failure.json whose kind is MemoryError; no array is really allocated
+    def out_of_memory(cfg):
+        raise _ArrayMemoryError((2**40,), np.dtype(float))
+
+    monkeypatch.setattr(config_mod, "build_run_setup", out_of_memory)
+    cfg = dict(CROSSVAL, output={"dir": str(tmp_path / "out")})
+    assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "MemoryError"
 
 
 def test_a_horizon_beyond_the_step_budget_is_a_typed_failure(tmp_path):
@@ -1054,7 +1086,7 @@ def test_every_level_is_judged_before_any_is_integrated(tmp_path, monkeypatch, c
     # only the last level's data fail: no level is integrated
     calls = _count_integrations(monkeypatch)
     bad = config_mod.validate_hypotheses(
-        exponential_family(m0=0.5, mu_const=1e308, xi0=0.0), R_max=8.0, A_max=2.0,
+        exponential_spec(m0=0.5, tau=1.0, mu=1e308, xi0=0.0), R_max=8.0, A_max=2.0,
         n_samples=128)
     assert not bad.all_passed
     judged = []

@@ -15,7 +15,6 @@ from swarmpde.diagnostics import (
     TestFunction,
     _cumulative_trapezoid,
     _eta_weights,
-    bin_sums,
     comparison_bound,
     dissipation,
     entropy,
@@ -31,7 +30,7 @@ from swarmpde.model_spec import Zeta1Evaluator
 from swarmpde.solver_core import RunSetup, initial_state, run, step_plan
 from swarmpde.spatial_grid import SpatialGrid, diffusion_weights
 
-from conftest import grad_sq, make_spec, steep_switch
+from conftest import grad_sq, make_spec, state_sums, steep_switch, whole_bin_sums
 
 
 def _pieces(alpha=0.25, a_max=1.0, cells=16, spec=None):
@@ -61,17 +60,19 @@ def test_mass_unit_bins():
 
 
 def test_entropy_values():
-    _, grid, _, sgrid = _pieces()
-    assert entropy(_state(grid, sgrid, u_val=1.0), grid, sgrid) == 0.0
+    _, grid, reg, sgrid = _pieces()
+    assert entropy(state_sums(_state(grid, sgrid, u_val=1.0), reg, sgrid), grid) == 0.0
     expected = grid.alpha * float(np.sum(grid.lam[: grid.I]))
-    assert entropy(_state(grid, sgrid), grid, sgrid) == pytest.approx(expected, rel=1e-13)
+    assert entropy(state_sums(_state(grid, sgrid), reg, sgrid), grid) \
+        == pytest.approx(expected, rel=1e-13)
 
 
 def test_dissipation_zero_on_constants():
     spec, grid, reg, sgrid = _pieces()
     z1 = Zeta1Evaluator(spec, 4.0)
     state = _state(grid, sgrid, u_val=0.7, v_val=0.3)
-    d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec)
+    d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec,
+                                     state_sums(state, reg, sgrid))
     assert d_u == 0.0 and d_E == 0.0 and gz1 == 0.0 and gz2 == 0.0
 
 
@@ -82,14 +83,16 @@ def test_dissipation_nonnegative_random(rng):
         u = rng.uniform(0.0, 2.0, size=(grid.I,) + sgrid.shape)
         v = rng.uniform(0.0, 1.0, size=sgrid.shape)
         state = initial_state(u, v, grid)
-        vals = dissipation(state, grid, reg, sgrid, z1, spec)
+        sums = state_sums(state, reg, sgrid)
+        vals = dissipation(state, grid, reg, sgrid, z1, spec, sums)
         assert all(x >= 0.0 for x in vals)
-        assert entropy(state, grid, sgrid) >= 0.0
+        assert entropy(sums, grid) >= 0.0
 
 
 def test_dissipation_checks_sign_once_and_keeps_values(rng):
-    # the bin densities' sign is checked once, on their raw minimum; the
-    # four terms are face forms: per bin, the sum over faces of
+    # the bin densities' sign is checked once, on their raw minimum, by
+    # the sample that takes their sums; the four terms are face forms: per
+    # bin, the sum over faces of
     # (delta sqrt(u))^2 face_mean(D_alpha)/dx^2 of the clipped densities,
     # weighted by alpha lam_i; the sum over faces of (delta lam)^2
     # face_mean(E_alpha)/dx^2; the sums of (delta zeta(lam))^2/dx^2
@@ -116,10 +119,13 @@ def test_dissipation_checks_sign_once_and_keeps_values(rng):
         face_sum(np.asarray(spec.zeta2(lam), dtype=float),
                  np.full(sgrid.cells[0] - 1, 1.0 / (dx * dx))),
     )
-    assert dissipation(state, grid, reg, sgrid, z1, spec) == expected
+    assert dissipation(state, grid, reg, sgrid, z1, spec,
+                       state_sums(state, reg, sgrid)) == expected
+    rec, plan = DiagnosticsRecorder(spec, grid, reg, sgrid, ()), step_plan(grid, sgrid)
+    rec.sample(state, plan)
     state.u[1, 3] = -1e-9
     with pytest.raises(NegativeField):
-        dissipation(state, grid, reg, sgrid, z1, spec)
+        rec.sample(state, plan)
 
 
 def _zeroed_state(rng, grid, cells):
@@ -146,7 +152,8 @@ def test_face_form_dissipation_matches_cell_form(rng, cells):
     for _ in range(10):
         state = _zeroed_state(rng, grid, cells)
         lam = state.lambda_rec
-        got = dissipation(state, grid, reg, sgrid, z1, spec)
+        sums = state_sums(state, reg, sgrid)
+        got = dissipation(state, grid, reg, sgrid, z1, spec, sums)
         gsq = grad_sq(np.sqrt(state.u), sgrid)
         cell_form = (
             float(np.sum(np.tensordot(grid.alpha * grid.lam[: grid.I], gsq, axes=(0, 0))
@@ -158,9 +165,7 @@ def test_face_form_dissipation_matches_cell_form(rng, cells):
         for face, cell in zip(got, cell_form):
             assert face > 0.0
             assert abs(face - cell) <= 1e-13 * cell
-        per_bin = bin_sums(state.u, sgrid,
-                           diffusion_weights(reg.D_alpha(state.lambda_rec), sgrid)).dissipation
-        assert per_bin[1] == 0.0  # an empty bin has no gradient
+        assert sums.dissipation[1] == 0.0  # an empty bin has no gradient
 
 
 def test_entropy_phi_exact_at_zero_and_one():
@@ -171,9 +176,9 @@ def test_entropy_phi_exact_at_zero_and_one():
     grid = build_age_grid(make_spec(), alpha=0.25, a_max=1.0)
     for cells in ((16,), (10, 7)):
         sgrid = SpatialGrid(extents=(1.0, 2.0)[:len(cells)], cells=cells)
-        assert entropy(_state(grid, sgrid, u_val=1.0), grid, sgrid) == 0.0
-        sums = bin_sums(np.ones((grid.I,) + cells), sgrid)
+        sums = whole_bin_sums(np.ones((grid.I,) + cells), sgrid, sgrid.unit_weights)
         assert np.all(sums.entropy == 0.0)
+        assert entropy(sums, grid) == 0.0
 
 
 def test_bin_sums_sqrt_gradient_linear_profile():
@@ -181,26 +186,17 @@ def test_bin_sums_sqrt_gradient_linear_profile():
     sgrid = SpatialGrid(extents=(1.0,), cells=(32,))
     x = sgrid.axis_centers(0)
     weights = diffusion_weights(np.ones(sgrid.shape), sgrid)
-    sums = bin_sums(np.stack([x**2, 4.0 * x**2, np.zeros(32)]), sgrid, weights)
+    sums = whole_bin_sums(np.stack([x**2, 4.0 * x**2, np.zeros(32)]), sgrid, weights)
     assert np.allclose(sums.dissipation, np.array([1.0, 4.0, 0.0]) * 31 * sgrid.cell_volume,
                        rtol=1e-12)
     assert sums.dissipation[2] == 0.0
 
 
-def test_entropy_and_dissipation_reject_negative_densities():
-    spec, grid, reg, sgrid = _pieces()
-    state = _state(grid, sgrid, u_val=-1.0)
-    with pytest.raises(NegativeField):
-        entropy(state, grid, sgrid)
-    with pytest.raises(NegativeField):
-        dissipation(state, grid, reg, sgrid, Zeta1Evaluator(spec, 4.0), spec)
-
-
 @pytest.mark.parametrize("cells", [(16,), (10, 7)], ids=["1d", "2d"])
 @pytest.mark.parametrize("per_block", [1, 3, 8], ids=["one_bin", "remainder", "all_bins"])
 def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, per_block):
-    # the sample's one pass over bin blocks gives bitwise the standalone
-    # entropy and dissipation (one block of all bins), for 8 bins in
+    # the sample's one pass over bin blocks gives bitwise the entropy and
+    # dissipation of one bin_sums pass over all bins, for 8 bins in
     # blocks of 1, of 3 with a remainder of 2, or all in one block; its
     # masses and tails come from the per-bin totals the standalone mass_b
     # and tail_mass share
@@ -234,8 +230,9 @@ def test_sample_matches_per_quantity_formulas_bitwise(monkeypatch, rng, cells, p
     record = rec.finalize()
     row = {name: values[0] for name, values in record.series.items()}
     z1 = Zeta1Evaluator(spec, 2.0)
-    d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec)
-    assert row["entropy"] == entropy(state, grid, sgrid)
+    sums = state_sums(state, reg, sgrid)
+    d_u, d_E, gz1, gz2 = dissipation(state, grid, reg, sgrid, z1, spec, sums)
+    assert row["entropy"] == entropy(sums, grid)
     assert row["mass_b"] == mass_b(state, grid, sgrid)
     assert (row["dissipation_u"], row["dissipation_E"]) == (d_u, d_E)
     assert (row["grad_zeta1_sq"], row["grad_zeta2_sq"]) == (gz1, gz2)
@@ -318,14 +315,15 @@ def test_mass_additive_over_subdomains(rng):
                           for sl in (slice(None), slice(None, 8), slice(8, None)))
     for quantity in (
         lambda s, g: mass_b(s, grid, g),
-        lambda s, g: entropy(s, grid, g),
+        lambda s, g: entropy(whole_bin_sums(s.u, g, g.unit_weights), grid),
         lambda s, g: tail_mass(s, 1.0, grid, g),
     ):
         total = quantity(whole, sgrid)
         assert quantity(left, half) + quantity(right, half) == pytest.approx(
             total, rel=1e-13, abs=1e-300)
-    parts = [bin_sums(s.u, g) for s, g in ((left, half), (right, half))]
-    sums = bin_sums(u, sgrid)
+    parts = [whole_bin_sums(s.u, g, g.unit_weights)
+             for s, g in ((left, half), (right, half))]
+    sums = whole_bin_sums(u, sgrid, sgrid.unit_weights)
     for name in ("totals", "entropy"):
         assert np.allclose(getattr(parts[0], name) + getattr(parts[1], name),
                            getattr(sums, name), rtol=1e-13, atol=0.0)

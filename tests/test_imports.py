@@ -1,7 +1,8 @@
 """AST scans of the package source, and its code-line counter.
 
 Run as a script, ``python tests/test_imports.py`` prints the code count
-(``code_lines``) of each module of ``src/swarmpde`` and their total.
+(``code_lines``) of each module of ``src/swarmpde`` and their total, and
+the number of the package's defaulted parameters (``_defaulted_parameters``).
 """
 
 import ast
@@ -270,10 +271,11 @@ def test_scan_flags_an_unpassed_parameter():
 
 def test_every_default_is_relied_on():
     # a default that every call overrides is a second value of the same
-    # knob; tests count as callers here, since some defaults serve only a
-    # gate (div_flux's weights=None)
+    # knob, and one that only unit tests rely on serves nothing the
+    # program runs; the acceptance gates count as callers, since some
+    # defaults serve only a gate (div_flux's weights=None)
     callers = sorted(MODULES) + sorted((ROOT / "perfbench").glob("*.py")) \
-        + sorted((ROOT / "tests").glob("*.py"))
+        + sorted((ROOT / "tools").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     parse = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in callers}
     defining = {p.stem: parse[p] for p in MODULES}
     assert _unrelied_defaults(defining, list(parse.values())) == []
@@ -384,3 +386,5 @@ if __name__ == "__main__":
     for name, n in counts.items():
         print(f"{n:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total")
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    print(f"{len(_defaulted_parameters(trees)):6d}  defaulted parameters")

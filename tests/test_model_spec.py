@@ -21,7 +21,6 @@ from swarmpde.model_spec import (
     bump,
     distinct_sorted,
     estimate_kappas,
-    exponential_family,
     smoothstep,
     tabulated_family,
     tabulated_function,
@@ -29,7 +28,7 @@ from swarmpde.model_spec import (
     zeta1,
 )
 
-from conftest import make_spec, power_zeta, whole_box_Xi
+from conftest import exponential_spec, make_spec, power_zeta, whole_box_Xi
 
 # oracle: closed-form antiderivatives of sqrt(D(r)/r)
 #   D(r) = r    -> integrand 1      -> zeta1(r) = r
@@ -197,7 +196,7 @@ def test_zeta1_names_the_first_inadmissible_node():
 
 def _gate_spec():
     # the acceptance gates' model (tau = 2, mu = 0.3, D = 0.1 r^2, E = D')
-    return exponential_family(tau=2.0, mu_const=0.3, D0=0.1, theta=2.0, xi0=0.4)
+    return exponential_spec()
 
 
 def _tables_spec():
@@ -395,15 +394,14 @@ def test_kappas_finite_for_power_family(rng):
     for _ in range(6):
         D0 = float(rng.uniform(0.05, 1.0))
         theta = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        spec = exponential_family(D0=D0, theta=theta, xi0=0.0)
+        spec = exponential_spec(tau=1.0, D0=D0, theta=theta, xi0=0.0)
         kap = estimate_kappas(spec, float(rng.uniform(0.5, 4.0)), 128)
         assert kap.failed == ()
         assert all(math.isfinite(k) for k in (kap.kappa1, kap.kappa2, kap.kappa3))
 
 
 def test_exponential_family_hypotheses_pass():
-    spec = exponential_family(m0=1.0, tau=2.0, mu_const=0.3, D0=0.1, theta=2.0,
-                              xi0=0.4, xi_support=(0.2, 2.0))
+    spec = exponential_spec()
     rep = validate_hypotheses(spec, R_max=8.0, A_max=4.0, n_samples=128)
     assert rep.all_passed
 

@@ -70,7 +70,8 @@ def test_reduced_non_finite_step_raises(field, bad):
     fields[field][3] = bad
     with pytest.raises(UnstableStep, match="non-finite reduced state"), \
             np.errstate(all="ignore"):
-        run_reduced(rspec, sgrid, fields["lam"], fields["v"], 0.1, sample_dt=0.1)
+        run_reduced(rspec, sgrid, fields["lam"], fields["v"], 0.1, sample_dt=0.1,
+                    fixed_dt=None)
 
 
 @pytest.mark.parametrize("field", ["lam", "v"])
@@ -79,7 +80,8 @@ def test_reduced_refuses_negative_initial_data(field):
     data = {"lam": np.full(sgrid.shape, 0.7), "v": np.full(sgrid.shape, 0.5)}
     data[field][3] = -1e-9
     with pytest.raises(ValueError, match="initial data must be nonnegative"):
-        run_reduced(_rspec(), sgrid, data["lam"], data["v"], 0.1, sample_dt=0.1)
+        run_reduced(_rspec(), sgrid, data["lam"], data["v"], 0.1, sample_dt=0.1,
+                    fixed_dt=None)
 
 
 @pytest.mark.parametrize("m2, fixed_dt", [(1e300, None), (0.3, 1e-9)],
@@ -103,7 +105,7 @@ def test_reduced_negative_step_raises():
     with pytest.raises(UnstableStep, match=r"reduced state fell to -\S+ < -1e-12 at t=\S+; "
                        "step-size contract violated"):
         run_reduced(rspec, sgrid, np.full(sgrid.shape, 0.1), np.full(sgrid.shape, 0.5),
-                    1.0, sample_dt=1.0)
+                    1.0, sample_dt=1.0, fixed_dt=None)
 
 
 @pytest.mark.parametrize("low", [-1e-13, -0.0, 0.0, 0.125, math.nan],
@@ -129,9 +131,9 @@ def test_reduced_clips_a_field_only_when_its_minimum_is_not_positive(monkeypatch
     sgrid = SpatialGrid(extents=(1.0,), cells=(4,))
     if math.isnan(low):
         with pytest.raises(UnstableStep, match="non-finite reduced state"):
-            run_reduced(rspec, sgrid, lam0, v0, dt, sample_dt=dt)
+            run_reduced(rspec, sgrid, lam0, v0, dt, sample_dt=dt, fixed_dt=None)
         return
-    start, end = run_reduced(rspec, sgrid, lam0, v0, dt, sample_dt=dt)
+    start, end = run_reduced(rspec, sgrid, lam0, v0, dt, sample_dt=dt, fixed_dt=None)
     assert end.t == dt
     got = getattr(end, field)
     assert got.tobytes() == np.maximum(raw, 0.0).tobytes()

@@ -18,7 +18,6 @@ from swarmpde.age_discretization import (
 )
 from swarmpde.diagnostics import DiagnosticsRecorder
 from swarmpde.errors import StepBudgetExceeded, UnstableStep
-from swarmpde.model_spec import exponential_family
 from swarmpde.solver_core import (
     MAX_STEPS,
     RunSetup,
@@ -27,7 +26,6 @@ from swarmpde.solver_core import (
     check_budget,
     initial_state,
     run,
-    stable_dt,
     step,
     step_coefficients,
     step_plan,
@@ -45,6 +43,7 @@ from swarmpde.spatial_grid import (
 )
 
 from conftest import (
+    exponential_spec,
     face_term_scale,
     make_spec,
     steep_switch,
@@ -94,7 +93,8 @@ def test_stable_dt_formula():
     state = initial_state(np.zeros((grid.I, 4)), np.zeros(4), grid)
     dx = 2.0
     assert 1.0 / (1.0 / alpha + 0.3 + 2.0 * alpha / dx**2) > alpha / 2.0
-    assert stable_dt(state, grid, reg, sgrid) == pytest.approx(0.9 * alpha / 2.0, rel=1e-12)
+    dt_max = step_coefficients(state, grid, reg, sgrid).dt_max
+    assert dt_max == pytest.approx(0.9 * alpha / 2.0, rel=1e-12)
 
 
 def test_stable_dt_quadruples_with_dx():
@@ -111,7 +111,7 @@ def test_stable_dt_quadruples_with_dx():
         state = initial_state(np.ones((grid.I, cells)), np.zeros(cells), grid)
         lam = float(state.lambda_rec[0])
         dx = 1.0 / cells
-        dt = stable_dt(state, grid, reg, sgrid)
+        dt = step_coefficients(state, grid, reg, sgrid).dt_max
         assert dt == pytest.approx(0.9 * dx**2 / (2.0 * (1.0 + lam)), rel=1e-12)
         dts.append(dt)
     assert dts[1] / dts[0] == pytest.approx(4.0, rel=1e-12)
@@ -128,7 +128,8 @@ def test_stable_dt_zero_state():
     state = initial_state(np.zeros((grid.I, 10)), np.zeros(10), grid)
     dx = 0.1
     expected = 0.9 / (1.0 / alpha + 0.3 + 2.0 * alpha / dx**2)
-    assert stable_dt(state, grid, reg, sgrid) == pytest.approx(expected, rel=1e-12)
+    dt_max = step_coefficients(state, grid, reg, sgrid).dt_max
+    assert dt_max == pytest.approx(expected, rel=1e-12)
 
 
 def test_stable_dt_anisotropic_2d():
@@ -142,7 +143,8 @@ def test_stable_dt_anisotropic_2d():
     dx0 = 0.1
     expected = 0.9 * dx0**2 / (2.0 * 2 * 1.0)
     assert 1.0 / (1.0 / alpha + 0.3 + 2.0 / dx0**2 + 2.0 / 1.0) > dx0**2 / 4.0
-    assert stable_dt(state, grid, reg, sgrid) == pytest.approx(expected, rel=1e-12)
+    dt_max = step_coefficients(state, grid, reg, sgrid).dt_max
+    assert dt_max == pytest.approx(expected, rel=1e-12)
 
 
 def _old_bounds(state, grid, reg, sgrid):
@@ -177,7 +179,7 @@ def _old_bounds(state, grid, reg, sgrid):
 def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v_amp, seed):
     # rough cellwise data with empty cells is the worst case for the
     # convex-combination condition; amplitudes reach the initial cap
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
     reg = regularize(spec, alpha)
     sgrid = SpatialGrid(extents=(4.0,) * dim, cells=(cells,) + (cells + 3,) * (dim - 1))
@@ -187,7 +189,6 @@ def test_stable_dt_is_old_minimum_and_keeps_positivity(alpha, dim, cells, amp, v
     state = initial_state(u0, v_amp * rng.random(sgrid.shape), grid)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     dt = coeffs.dt_max
-    assert dt == stable_dt(state, grid, reg, sgrid)
     assert dt == min(_old_bounds(state, grid, reg, sgrid))
     new_state = step(state, dt, grid, reg, sgrid, coeffs, step_plan(grid, sgrid))
     assert new_state.min_u_run >= -1e-12 and new_state.min_v_run >= -1e-12
@@ -257,7 +258,7 @@ def test_step_matches_former_formula_within_roundoff(cells, top):
     # a donor mask, u + dt (div - (u - u_prev)/alpha - mu u)): v is
     # bitwise the same, u and the shadow biomass agree within a few ulp
     # of each cell's summed absolute terms
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
     reg = regularize(spec, alpha)
@@ -304,7 +305,7 @@ def test_step_matches_former_formula_within_roundoff(cells, top):
 @pytest.mark.parametrize("top", [0.3, 0.5, 0.8], ids=["plateau", "edge", "cutoff"])
 def test_step_with_record_matches_reference_bitwise(cells, top):
     # top is alpha^2 max(u): below, exactly at and above the cutoff plateau
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
     reg = regularize(spec, alpha)
@@ -344,7 +345,7 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
     # the block size decides only how the bins are grouped: 8 bins in one
     # block, blocks of 3 bins with a remainder of 2, or one bin per block.
     # mu grows with age so that every bin has its own decay rate
-    spec = dataclasses.replace(exponential_family(tau=2.0, D0=0.1, theta=2.0),
+    spec = dataclasses.replace(exponential_spec(),
                                mu=lambda a: 0.1 + 0.2 * np.asarray(a, dtype=float))
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
@@ -394,7 +395,7 @@ def test_bin_blocks_match_whole_array_bitwise(monkeypatch, cells, hot_bins, per_
 def _rough_state(cells, top, seed):
     # alpha = 1/4, 8 bins whose largest alpha^2 u is ``top``; the shadow
     # biomass is off the reconstructed one
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     alpha = 0.25
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
     reg = regularize(spec, alpha)
@@ -524,7 +525,7 @@ def test_step_and_sample_peak_memory(monkeypatch):
     # and the sample reduces u in the plan's block buffers.  One bin per
     # block keeps the block temporaries small; the measured peak is 0.29 u
     # (1.28 u when a step made a new u)
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     alpha = 1 / 32
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
     assert grid.I == 64
@@ -535,7 +536,7 @@ def test_step_and_sample_peak_memory(monkeypatch):
     state = initial_state(u0, rng.random(sgrid.shape), grid)
     monkeypatch.setattr(solver_core, "BIN_BLOCK_BYTES", state.u[0].nbytes)
     plan = step_plan(grid, sgrid)
-    recorder = DiagnosticsRecorder(spec, grid, reg, sgrid)
+    recorder = DiagnosticsRecorder(spec, grid, reg, sgrid, ())
     recorder.sample(state, plan)
     coeffs = step_coefficients(state, grid, reg, sgrid)
     tracemalloc.start()
@@ -554,7 +555,7 @@ def test_2d_step_allocates_no_u_sized_array(monkeypatch, top):
     # entry by block-, cell- and face-sized temporaries only.  One bin per
     # block keeps the block temporaries small; the measured rise is 0.54 u
     # on and off the cutoff plateau, and was 1.44 u when a step made a new u
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     alpha = 1 / 16
     grid = build_age_grid(spec, alpha=alpha, a_max=2.0)
     assert grid.I == 32
@@ -587,7 +588,7 @@ def test_step_near_cap_keeps_negative_tolerance(alpha, cells, near, seed):
     # bin densities up to the cap 1/alpha^2 (1024 at alpha = 1/32) next to
     # empty and nearly empty cells: the absolute tolerance on negative
     # values must not trip
-    spec = exponential_family(tau=2.0, D0=0.1, theta=2.0)
+    spec = exponential_spec()
     grid = build_age_grid(spec, alpha=alpha, a_max=1.0)
     reg = regularize(spec, alpha)
     sgrid = SpatialGrid(extents=(4.0,), cells=(cells,))
@@ -1001,27 +1002,33 @@ def test_two_dimensional_run():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_run_never_steps_above_dt_max(dim, monkeypatch):
     # every step's dt is at most the dt_max of the coefficient record of
-    # the state it starts from; in 2D a fixed step is set that binds on
-    # some steps while the bound binds on others
+    # the state it starts from, which is the module's stable_dt, called
+    # once per step; in 2D a fixed step is set that binds on some steps
+    # while the bound binds on others
     if dim == 1:
         setup = _setup(make_spec(xi=steep_switch(0.4)), 0.25, 1.0, 16,
                        u0=0.6 * np.ones((4, 16)), v0=0.4 * np.ones(16),
                        T=0.5, sample_dt=0.05)
     else:
         setup = dataclasses.replace(_bump_setup(2), fixed_dt=0.006)
-    steps = []
+    steps, bounds = [], []
+
+    def counted_bound(*args, _stable_dt=solver_core.stable_dt):
+        bounds.append(_stable_dt(*args))
+        return bounds[-1]
 
     def checked_step(state, dt, grid, reg, sgrid, coeffs, plan):
-        steps.append((dt, coeffs.dt_max, stable_dt(state, grid, reg, sgrid)))
+        steps.append((dt, coeffs.dt_max))
         return step(state, dt, grid, reg, sgrid, coeffs, plan)
 
+    monkeypatch.setattr(solver_core, "stable_dt", counted_bound)
     monkeypatch.setattr(solver_core, "step", checked_step)
     result = run(setup)
-    assert len(steps) == result.steps > 0
-    assert all(dt <= dt_max == bound for dt, dt_max, bound in steps)
-    assert any(dt == dt_max for dt, dt_max, _ in steps)
+    assert len(steps) == len(bounds) == result.steps > 0
+    assert all(dt <= dt_max == bound for (dt, dt_max), bound in zip(steps, bounds))
+    assert any(dt == dt_max for dt, dt_max in steps)
     if dim == 2:
-        assert any(dt == setup.fixed_dt < dt_max for dt, dt_max, _ in steps)
+        assert any(dt == setup.fixed_dt < dt_max for dt, dt_max in steps)
 
 
 @pytest.mark.parametrize("amp", [0.6, 12.0], ids=["plateau", "cutoff"])
