@@ -18,13 +18,8 @@ class NonFiniteEvaluation(SwarmPDEError):
 
 
 class DegenerateDiffusion(SwarmPDEError):
-    """D vanishes at some r > 0; this regime is not supported."""
-
-
-class QuadratureDivergence(SwarmPDEError):
-    """The diffusivity transform is not computable: D is negative or not
-    finite at a quadrature node, or the adaptive quadrature leaves an
-    error above 1e-10 (sqrt(D(r)/r) not integrable near 0)."""
+    """D vanishes at some r > 0, or is negative; this regime is not
+    supported."""
 
 
 class RatioUndefined(SwarmPDEError):

@@ -43,7 +43,6 @@ import numpy as np
 from .errors import (
     DegenerateDiffusion,
     NonFiniteEvaluation,
-    QuadratureDivergence,
     RatioUndefined,
     refuse,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "HypothesisReport",
     "Kappas",
     "validate_hypotheses",
-    "zeta1",
     "zeta1_prime",
     "Zeta1Evaluator",
     "bin_averages",
@@ -251,18 +249,12 @@ def _symmetric_rule(nodes, weights):
     return rule
 
 
-# 8- and 16-point Gauss-Legendre rules (nodes, weights) on [-1, 1], bit
-# for bit numpy 2.4.6's leggauss, which would import numpy.polynomial into
-# every process and make a LAPACK eigenvalue call
+# the 8-point Gauss-Legendre rule (nodes, weights) on [-1, 1], bit for bit
+# numpy 2.4.6's leggauss, which would import numpy.polynomial into every
+# process and make a LAPACK eigenvalue call
 GAUSS8 = _symmetric_rule(
     [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
     [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
-GAUSS16 = _symmetric_rule(
-    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
-    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
-_G_NODES = np.concatenate([GAUSS8[0], GAUSS16[0]])  # both rules' nodes, G8's first
 
 
 def bin_averages(f: Callable, h: float, count: int) -> np.ndarray:
@@ -281,61 +273,6 @@ def bin_averages(f: Callable, h: float, count: int) -> np.ndarray:
     return (vals * GAUSS8[1][None, :]).sum(axis=1) * 0.5
 
 
-def zeta1(spec: ModelSpec, r: float) -> float:
-    """Diffusivity transform: integral of sqrt(D(s)/s) from 0 to r.
-
-    The substitution s = q*q removes the 1/sqrt(s) factor, so the
-    integrand 2 sqrt(D(q*q)) is continuous for any admissible D.
-    Adaptive Gauss quadrature (QUADPACK's strategy, Piessens et al. 1983)
-    resolves the remaining degeneracy near 0: each round evaluates D
-    once, on the 8- and 16-point Gauss-Legendre nodes of every open
-    panel, takes |G16 - G8| as a panel's error and halves the panels
-    whose error exceeds their length's share of the tolerance
-    max(1e-12, 1e-12 |total|), within a budget of 400 panels beyond the
-    break points.  A total that is not finite, or an error left above
-    1e-10, raises ``QuadratureDivergence``.
-    """
-    r = float(r)
-    if r < 0.0:
-        raise ValueError("zeta1 requires r >= 0")
-    if r == 0.0:
-        return 0.0
-    qr = math.sqrt(r)
-    # geometric break points resolve the degeneracy at 0; a tabulated D
-    # has a kink at every knot, so each knot inside (0, r) breaks too
-    knots = np.sqrt(np.maximum(getattr(spec.D, "abscissae", ()), 0.0))
-    pts = distinct_sorted(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
-    pts = pts[(pts > 0.0) & (pts < qr)]
-    lo, hi = np.concatenate([[0.0], pts]), np.append(pts, qr)
-    done = np.zeros((2, 0))  # value and error estimate of each closed panel
-    while True:
-        half = 0.5 * (hi - lo)[:, None]
-        q = 0.5 * (lo + hi)[:, None] + half * _G_NODES  # a row per open panel
-        with np.errstate(all="ignore"):
-            d = np.broadcast_to(np.asarray(spec.D(q * q), dtype=float), q.shape)
-        k = np.argmin((d >= 0.0) & (d < math.inf))  # the first inadmissible node, if any
-        if not 0.0 <= d.flat[k] < math.inf:
-            raise QuadratureDivergence(
-                f"D({float((q * q).flat[k])!r}) = {float(d.flat[k])!r} not admissible")
-        f = 2.0 * np.sqrt(d) * half
-        g16 = f[:, 8:] @ GAUSS16[1]
-        err = np.abs(g16 - f[:, :8] @ GAUSS8[1])
-        total, err_sum = done[0].sum() + g16.sum(), done[1].sum() + err.sum()
-        tol = max(1e-12, 1e-12 * abs(total))
-        split = err > tol * (hi - lo) / qr
-        if err_sum <= tol or not np.any(split) \
-                or done.shape[1] + lo.size + np.count_nonzero(split) > 400 + pts.size:
-            break
-        done = np.concatenate([done, [g16[~split], err[~split]]], axis=1)
-        mid = 0.5 * (lo + hi)[split]
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-    if not math.isfinite(total) or err_sum > 1e-10:
-        raise QuadratureDivergence(
-            f"quadrature error {err_sum:.2e} above tolerance for r={r!r}"
-        )
-    return float(total)
-
-
 def zeta1_prime(spec: ModelSpec, r):
     """sqrt(D(r)/r), with the r=0 value taken as the limit from the right."""
     r = np.asarray(r, dtype=float)
@@ -346,13 +283,16 @@ def zeta1_prime(spec: ModelSpec, r):
 
 
 class Zeta1Evaluator:
-    """Vectorized zeta1 on [0, r_max] via a cumulative fine-grid table.
+    """The diffusivity transform zeta1(r), the integral of sqrt(D(s)/s)
+    from 0 to r, vectorized on [0, r_max] via a cumulative fine-grid table.
 
-    The substituted integrand 2 sqrt(D(q*q)) is integrated over 4096
-    equal panels of [0, sqrt(r_max)], each as its width times its
-    ``bin_averages`` cell average; linear interpolation between panel
-    edges.  Accuracy is far below the diagnostic tolerances that consume
-    it; the scalar ``zeta1`` entry point keeps the strict 1e-10 contract.
+    For a non-decreasing D the integral is finite, at most 2 sqrt(r D(r)),
+    so ``validate_hypotheses`` needs no quadrature to certify it.  The
+    substitution s = q*q removes the 1/sqrt(s) factor: the integrand
+    2 sqrt(D(q*q)) is integrated over 4096 equal panels of
+    [0, sqrt(r_max)], each as its width times its ``bin_averages`` cell
+    average; linear interpolation between panel edges.  Accuracy is far
+    below the diagnostic tolerances that consume it.
     """
 
     def __init__(self, spec: ModelSpec, r_max: float):
@@ -439,8 +379,13 @@ def validate_hypotheses(
 
     The sampling grid is geometric near 0 (to probe the degeneracy of D)
     and uniform elsewhere, and is nested under doubling of ``n_samples``.
-    Each inequality is one call of the witness rule (see the module
-    docstring); the report is deterministic for fixed resolution.
+    The radii also take the knots in (0, R_max] of a tabulated D (its
+    ``abscissae``): D is linear between consecutive radii, so its
+    finiteness, sign and monotonicity on [0, R_max] are decided exactly.
+    A non-decreasing D makes the transform zeta1 finite (see
+    ``Zeta1Evaluator``), so no rule integrates it.  Each inequality is one
+    call of the witness rule (see the module docstring); the report is
+    deterministic for fixed resolution.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be >= 64")
@@ -467,7 +412,9 @@ def validate_hypotheses(
     ages = _nested_uniform(A_max, n_samples)
     alphas = _nested_alphas(n_samples)
     a_pos = ages[ages > 0.0]
-    rs = np.concatenate([[0.0], _kappa_samples(R_max, n_samples)])
+    knots = np.asarray(getattr(spec.D, "abscissae", ()), dtype=float)
+    rs = distinct_sorted(np.concatenate([[0.0], _kappa_samples(R_max, n_samples),
+                                         knots[(knots > 0.0) & (knots <= R_max)]]))
 
     def growth(fun, shifted):
         # the growth ratio (fun(a') / fun(a) - 1) / alpha of the weight fun
@@ -487,11 +434,12 @@ def validate_hypotheses(
         xi_v = _check_finite("xi", spec.xi(rs), rs)
 
     pos = rs > 0.0
-    if np.any(D_v[pos] <= 0.0):
-        r_bad = rs[pos][np.asarray(D_v[pos] <= 0.0)][0]
+    bad = (D_v < 0.0) | (pos & (D_v <= 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise DegenerateDiffusion(
-            f"D({float(r_bad)!r}) = 0 with r > 0; fully/interval-degenerate diffusion "
-            "is not supported"
+            f"D({float(rs[k])!r}) = {float(D_v[k])!r}: D must be positive for r > 0 and "
+            "nonnegative at 0; fully/interval-degenerate diffusion is not supported"
         )
 
     # rate functions: xi vanishes on s <= 0 and is squeezed by g on s >= 0
@@ -533,15 +481,11 @@ def validate_hypotheses(
         rule("modulus", not math.isfinite(beta0), None, "mu*b/lam non-finite")
         rule("modulus", mu_v < -1e-14, ages, "mu < 0")
 
-    # diffusivity: non-decreasing, positive for r>0, transform integrable,
-    # D'/zeta1' bounded on [0, R_max]
+    # diffusivity: non-decreasing and positive for r>0 (so its transform
+    # is finite), D'/zeta1' bounded on [0, R_max]
     dD = np.diff(D_v)
     rule("diffusivity", (dD < -1e-12 * max(1.0, float(np.max(np.abs(D_v))))) & (dD == dD.min()),
          rs, "D not non-decreasing")
-    try:
-        zeta1(spec, R_max)
-    except QuadratureDivergence as exc:
-        rule("diffusivity", True, R_max, f"sqrt(D(r)/r) not integrable near 0: {exc}")
 
     # drift: E nonnegative and squeezed by zeta2'
     try:
@@ -693,8 +637,8 @@ def tabulated_family(tables: dict, tau: float, g0, r_max: float) -> ModelSpec:
     lam, b, mu and D are required.  The drift coefficient is E(r, s) =
     E(r) from its table, or zero; xi is its table's on s > 0 and 0
     elsewhere, or zero; g is its table, or the constant g0 (by default
-    1/tau).  zeta2 is the transform induced by D (``zeta1``), tabulated on
-    [0, r_max].
+    1/tau).  zeta2 is the transform zeta1 induced by D
+    (``Zeta1Evaluator``), tabulated on [0, r_max].
     """
     refuse(tabulated_problems(tau))
     proxy = SimpleNamespace(D=tables["D"])
@@ -722,12 +666,17 @@ def tabulated_function(abscissae, values) -> Callable:
     """Piecewise-linear function from a (abscissa, value) table.
 
     Values are held constant beyond the table range.  The returned
-    function carries the table's ``abscissae``, where it has its kinks.
+    function carries the table's ``abscissae``, where it has its kinks
+    (``validate_hypotheses`` samples a tabulated D there).  Entries must
+    be finite: a NaN abscissa would pass the increasing check, since NaN
+    compares false.
     """
     xs = np.asarray(abscissae, dtype=float)
     ys = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("table needs two same-length columns with >= 2 rows")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("table entries must be finite")
     if np.any(np.diff(xs) <= 0.0):
         raise ValueError("table abscissae must be strictly increasing")
 

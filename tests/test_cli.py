@@ -934,6 +934,25 @@ def test_cmd_run_refuses_bad_tables(tmp_path, monkeypatch, name, entry, says):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("name, column, row, value", [
+    ("D", 0, 64, math.nan), ("lam", 1, 3, math.inf),
+], ids=["nan_abscissa", "infinite_value"])
+def test_validate_refuses_a_table_with_a_non_finite_entry(tmp_path, name, column, row, value):
+    # a NaN abscissa passes the increasing check (NaN compares false), and
+    # neither entry need land near a sample: both are refused as they load
+    tables = _tables(tmp_path)
+    xy = np.loadtxt(tables[name], delimiter=",", ndmin=2)
+    xy[row, column] = value
+    np.savetxt(tables[name], xy, delimiter=",")
+    cfg = dict(MINIMAL, model={"family": "tables", "tables": tables},
+               output={"dir": str(tmp_path / "out")})
+    assert main(["validate", "--config", str(_write(tmp_path, cfg))]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert [m.split(":")[0] for m in failure["messages"]] == [f"model.tables.{name}"]
+    assert "table entries must be finite" in failure["messages"][0]
+
+
 @pytest.mark.parametrize("command, code, kind, says", [
     ("validate", 2, "config_invalid", "table needs two same-length columns with >= 2 rows"),
     ("crossval", 1, "ConfigMismatch", "age range too short for the tail precondition"),

@@ -138,8 +138,9 @@ _DEFS = _FUNCS + (ast.ClassDef,)
 
 
 def _unreferenced_definitions(trees: dict) -> list:
-    """Top-level functions and classes that no module of ``trees`` (name
-    -> parsed module) references outside their own body and no
+    """Top-level functions, classes and constants (names a top-level
+    assignment binds, dunder names aside) that no module of ``trees``
+    (name -> parsed module) loads outside their own definition and no
     ``__all__`` exports."""
     defined, referenced, exported = [], set(), set()
     for name, tree in trees.items():
@@ -149,8 +150,14 @@ def _unreferenced_definitions(trees: dict) -> list:
             if isinstance(stmt, _DEFS):
                 defined.append(f"{name}.{stmt.name}")
                 own = stmt.name  # its references to itself do not count
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [f"{name}.{node.id}" for t in targets for node in ast.walk(t)
+                            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                            and not node.id.startswith("__")]
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and node.id != own:
+                if isinstance(node, ast.Name) and node.id != own \
+                        and not isinstance(node.ctx, ast.Store):
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute) and node.attr != own:
                     referenced.add(node.attr)
@@ -166,12 +173,13 @@ def test_every_definition_is_referenced_or_exported():
 
 def test_scan_flags_an_unreferenced_definition():
     trees = {
-        "a": ast.parse("__all__ = ['api']\ndef api(): return _helper()\n"
+        "a": ast.parse("__all__ = ['api', 'TABLE']\ndef api(): return _helper()\n"
                        "def _helper(): return 1\ndef dead(): return dead()\n"
-                       "class Unused: pass\n"),
-        "b": ast.parse("from . import a\ndef used_elsewhere(): pass\nx = a.used_elsewhere\n"),
+                       "class Unused: pass\nTABLE = 1\n_RULE = 2\n_UNUSED, _USED = 3, 4\n"),
+        "b": ast.parse("from . import a\ndef used_elsewhere(): pass\n"
+                       "x = a.used_elsewhere(a._RULE)\nprint(x, a._USED)\n"),
     }
-    assert _unreferenced_definitions(trees) == ["a.Unused", "a.dead"]
+    assert _unreferenced_definitions(trees) == ["a.Unused", "a._UNUSED", "a.dead"]
 
 
 def test_every_perfbench_hook_resolves(monkeypatch):

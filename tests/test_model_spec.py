@@ -1,21 +1,18 @@
 import math
-import warnings
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from swarmpde.errors import (
     DegenerateDiffusion,
     NonFiniteEvaluation,
-    QuadratureDivergence,
     RatioUndefined,
 )
 from swarmpde.age_discretization import regularize
 from swarmpde.model_spec import (
     GAUSS8,
-    GAUSS16,
     Zeta1Evaluator,
     box_blocks,
     bump,
@@ -25,7 +22,6 @@ from swarmpde.model_spec import (
     tabulated_family,
     tabulated_function,
     validate_hypotheses,
-    zeta1,
 )
 
 from conftest import exponential_spec, make_spec, power_zeta, whole_box_Xi
@@ -34,6 +30,12 @@ from conftest import exponential_spec, make_spec, power_zeta, whole_box_Xi
 #   D(r) = r    -> integrand 1      -> zeta1(r) = r
 #   D(r) = r^3  -> integrand s      -> zeta1(r) = r^2/2
 #   D(r) = D0 r^theta -> 2 sqrt(D0) r^((theta+1)/2) / (theta+1)
+
+
+def zeta1(spec, r):
+    """The transform at r from a ``Zeta1Evaluator`` table ending at r: the
+    sum of its panels' Gauss averages, with no interpolation."""
+    return float(Zeta1Evaluator(spec, r)(r))
 
 
 def test_zeta1_linear_diffusivity():
@@ -69,16 +71,10 @@ def test_zeta1_monotone(rng):
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_zeta1_divergence_raises():
-    spec = make_spec(D=lambda r: 1.0 / np.maximum(np.asarray(r, dtype=float), 1e-300))
-    with pytest.raises(QuadratureDivergence):
-        zeta1(spec, 1.0)
-
-
-@pytest.mark.parametrize("rule, n", [(GAUSS8, 8), (GAUSS16, 16)], ids=["8", "16"])
+@pytest.mark.parametrize("rule, n", [(GAUSS8, 8)], ids=["8"])
 def test_gauss_tables_are_leggauss_bitwise(rule, n):
-    # the literal tables stand in for numpy's leggauss, which the
-    # runtime no longer calls; they were taken from numpy 2.4.6, and
+    # the literal table stands in for numpy's leggauss, which the
+    # runtime no longer calls; it was taken from numpy 2.4.6, and
     # leggauss's last bits (an eigvalsh call and one Newton step) may
     # differ on another numpy or BLAS build
     for table, ref in zip(rule, np.polynomial.legendre.leggauss(n)):
@@ -94,7 +90,7 @@ def test_distinct_sorted_is_np_unique_bitwise(values):
     assert distinct_sorted(np.array(values)).tobytes() == np.unique(values).tobytes()
 
 
-@pytest.mark.parametrize("rule", [GAUSS8, GAUSS16], ids=["8", "16"])
+@pytest.mark.parametrize("rule", [GAUSS8], ids=["8"])
 def test_gauss_tables_integrate_every_degree_below_2n_exactly(rule):
     # the rule itself, whatever numpy build is at hand
     x, w = rule
@@ -106,87 +102,11 @@ def test_gauss_tables_integrate_every_degree_below_2n_exactly(rule):
 
 
 def test_zeta1_evaluator_matches_quadrature():
+    # between its panel edges too, against the closed form of D = 0.1 r^2
     spec = make_spec(D=lambda r: 0.1 * np.maximum(r, 0.0) ** 2)
-    ev = Zeta1Evaluator(spec, 4.0)
+    ev, (z, _) = Zeta1Evaluator(spec, 4.0), power_zeta(0.1, 2.0)
     for r in (0.0, 0.01, 0.5, 1.7, 3.9):
-        assert float(ev(r)) == pytest.approx(zeta1(spec, r), abs=5e-7)
-
-
-def test_zeta1_tabulated_diffusivity_integrable():
-    # a piecewise-linear D has a kink at every node; with 129 nodes on
-    # [0, 16] the quadrature must still meet its 1e-10 error bound
-    r = np.linspace(0.0, 16.0, 129)
-    spec = make_spec(D=tabulated_function(r, 0.1 * r**2))
-    assert zeta1(spec, 8.0) == pytest.approx(float(Zeta1Evaluator(spec, 8.0)(8.0)), abs=1e-8)
-
-
-def _quadpack_zeta1(spec, r):
-    """The reference transform: QUADPACK's adaptive quadrature
-    (``scipy.integrate.quad``) of the same integrand over the same break
-    points and budget, raising QuadratureDivergence where it fails."""
-    qr = math.sqrt(r)
-
-    def integrand(q):
-        d = float(spec.D(q * q))
-        if not math.isfinite(d) or d < 0.0:
-            raise QuadratureDivergence(f"D({q * q!r}) = {d!r} not admissible")
-        return 2.0 * math.sqrt(d)
-
-    knots = np.sqrt(np.maximum(getattr(spec.D, "abscissae", ()), 0.0))
-    pts = np.unique(np.concatenate([qr * 2.0 ** -np.arange(1.0, 24.0), knots]))
-    pts = pts[(pts > 0.0) & (pts < qr)]
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, err = integrate.quad(integrand, 0.0, qr, points=pts, limit=400 + pts.size,
-                                    epsabs=1e-12, epsrel=1e-12)
-    if not math.isfinite(value) or err > 1e-10:
-        raise QuadratureDivergence(f"quadrature error {err:.2e} above tolerance for r={r!r}")
-    return value
-
-
-def test_zeta1_agrees_with_quadpack(rng):
-    cases = [(make_spec(D=lambda r: np.asarray(r, dtype=float)), r) for r in (0.3, 1.0, 2.5)]
-    cases.append((make_spec(D=lambda r: np.asarray(r, dtype=float) ** 3), 1.3))
-    for _ in range(8):
-        D0, theta = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.0, 4.0))
-        cases.append((make_spec(D=lambda r, D0=D0, th=theta: D0 * np.maximum(r, 0.0) ** th),
-                      float(rng.uniform(0.1, 16.0))))
-    knots = np.linspace(0.0, 16.0, 129)
-    cases.append((make_spec(D=tabulated_function(knots, 0.1 * knots**2)), 8.0))
-    for spec, r in cases:
-        assert abs(zeta1(spec, r) - _quadpack_zeta1(spec, r)) <= 1e-10
-
-
-def _nan_off_grid(r):
-    # D(r) = r, except NaN on (1, 2) away from the 1/32 grid
-    r = np.asarray(r, dtype=float)
-    off = np.abs(r * 32.0 - np.round(r * 32.0)) / 32.0
-    return np.where((r > 1.0) & (r < 2.0) & (off > 1e-5), np.nan, r)
-
-
-@pytest.mark.parametrize("D, message", [
-    (lambda r: 1.0 / np.maximum(np.asarray(r, dtype=float), 1e-300), "quadrature error "),
-    (lambda r: np.maximum(np.asarray(r, dtype=float), 1e-300) ** -2.0, "quadrature error "),
-    (_nan_off_grid, "D("),
-    (lambda r: np.asarray(r, dtype=float) - 1.0, "D("),
-    (lambda r: np.where(np.asarray(r) > 1.5, np.inf, 1.0), "D("),
-], ids=["one-over-r", "one-over-r-squared", "nan-between-samples", "negative", "infinite"])
-def test_zeta1_diverges_where_quadpack_does(D, message):
-    spec = make_spec(D=D)
-    with pytest.raises(QuadratureDivergence):
-        _quadpack_zeta1(spec, 2.0)
-    with pytest.raises(QuadratureDivergence) as err:
-        zeta1(spec, 2.0)
-    assert str(err.value).startswith(message)
-
-
-def test_zeta1_names_the_first_inadmissible_node():
-    # D < 0 on (0, 1): the first node of the first panel is the smallest
-    spec = make_spec(D=lambda r: np.asarray(r, dtype=float) - 1.0)
-    with pytest.raises(QuadratureDivergence, match=r"^D\((\S+)\) = (\S+) not admissible$") as err:
-        zeta1(spec, 2.0)
-    s = float(str(err.value)[2:].split(")")[0])
-    assert 0.0 < s < 1e-13 and str(err.value).endswith(f"= {s - 1.0!r} not admissible")
+        assert float(ev(r)) == pytest.approx(float(z(r)), abs=5e-7)
 
 
 # --- blocked boxes ----------------------------------------------------------
@@ -287,7 +207,6 @@ def test_validate_zero_lam_fails_h3():
 
 
 @pytest.mark.parametrize("call, says", [
-    (lambda spec: zeta1(spec, -0.5), "zeta1 requires r >= 0"),
     (lambda spec: estimate_kappas(spec, 0.0, 64), "R must be positive"),
     (lambda spec: estimate_kappas(spec, -1.0, 64), "R must be positive"),
     (lambda spec: validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=32),
@@ -296,7 +215,7 @@ def test_validate_zero_lam_fails_h3():
      "R_max and A_max must be positive"),
     (lambda spec: validate_hypotheses(spec, R_max=2.0, A_max=-1.0, n_samples=64),
      "R_max and A_max must be positive"),
-], ids=["zeta1-negative_r", "kappas-zero_R", "kappas-negative_R", "validate-few_samples",
+], ids=["kappas-zero_R", "kappas-negative_R", "validate-few_samples",
         "validate-zero_R_max", "validate-negative_A_max"])
 def test_arguments_out_of_range_are_refused(call, says):
     with pytest.raises(ValueError, match=says):
@@ -323,6 +242,18 @@ def test_validate_degenerate_diffusion_raises():
     message = str(err.value)
     assert "np." not in message
     assert float(message[len("D("):message.index(")")]) > 0.0
+
+
+@pytest.mark.parametrize("xs, ys, r, d", [
+    ([0.0, 1.005, 1.01, 1.02, 2.0], [0.0, 1.005, -0.05, 1.02, 2.0], 1.01, -0.05),
+    ([0.0, 1e-12, 2.0], [-1e-3, 1e-12, 2.0], 0.0, -1e-3),
+], ids=["negative-dip-between-samples", "negative-at-0"])
+def test_validate_refuses_a_negative_tabulated_diffusivity_at_its_knot(xs, ys, r, d):
+    # D < 0 only between two samples' radii (1, 1.03125), or only on
+    # (0, 1e-12) below the smallest sample: the knots show it, with its value
+    spec = make_spec(D=tabulated_function(xs, ys))
+    with pytest.raises(DegenerateDiffusion, match="^" + re.escape(f"D({r!r}) = {d!r}: ")):
+        validate_hypotheses(spec, R_max=2.0, A_max=2.0, n_samples=64)
 
 
 def test_validate_sampling_monotone():
@@ -406,6 +337,14 @@ def test_exponential_family_hypotheses_pass():
     assert rep.all_passed
 
 
+def test_a_large_D0_passes_all_six_hypotheses():
+    # D = 1e11 r^2 at R_max = 4 (alpha = 1/4): its transform is finite, at
+    # most 2 sqrt(r D(r)); an absolute quadrature tolerance once failed it
+    rep = validate_hypotheses(exponential_spec(D0=1e11), R_max=4.0, A_max=4.0, n_samples=256)
+    assert rep.passed == dict.fromkeys(
+        ("rates", "weight_b", "weight_mass", "modulus", "diffusivity", "drift"), True)
+
+
 def test_tabulated_function_interpolates():
     f = tabulated_function([0.0, 1.0, 2.0], [1.0, 3.0, 3.0])
     assert float(f(0.5)) == pytest.approx(2.0)
@@ -451,14 +390,6 @@ def _ones(r, s):
     return np.ones(np.broadcast(np.asarray(r), np.asarray(s)).shape)
 
 
-def _nan_between_samples(r):
-    # D(r) = r, except NaN on (1, 2) away from the 1/32 sample grid (and
-    # from the difference steps around it), where only the quadrature looks
-    r = _arr(r)
-    off = np.abs(r * 32.0 - np.round(r * 32.0)) / 32.0
-    return np.where((r > 1.0) & (r < 2.0) & (off > 1e-5), np.nan, r)
-
-
 _RULE_CASES = [
     pytest.param(dict(xi=lambda s: np.full_like(_arr(s), 0.01)),
                  {"rates": (-0.03125, "xi(s) != 0 for s <= 0")}, id="rates-xi-nonzero-below-0"),
@@ -494,9 +425,12 @@ _RULE_CASES = [
     pytest.param(dict(D=tabulated_function([0.0, 1.0, 1.5, 1.53125, 2.0],
                                            [0.0, 1.0, 0.9, 0.3, 2.0])),
                  {"diffusivity": (1.5, "D not non-decreasing")}, id="diffusivity-decreasing"),
-    pytest.param(dict(D=_nan_between_samples),
-                 {"diffusivity": (2.0, "sqrt(D(r)/r) not integrable near 0: D(")},
-                 id="diffusivity-quadrature"),
+    # D = r but for a dip on the knots 1.005 to 1.02, inside the samples'
+    # interval (1, 1.03125), where only the knots show it
+    pytest.param(dict(D=tabulated_function([0.0, 1.005, 1.01, 1.02, 2.0],
+                                           [0.0, 1.005, 0.5, 1.02, 2.0])),
+                 {"diffusivity": (1.005, "D not non-decreasing")},
+                 id="diffusivity-decreasing-between-samples"),
     pytest.param(dict(D=lambda r: np.where(_arr(r) > 2.0, np.inf, np.maximum(_arr(r), 0.0))),
                  {"diffusivity": (None, "D'/zeta1' blows up on [0, R_max]")},
                  id="diffusivity-kappa1"),
@@ -521,7 +455,7 @@ _RULE_CASES = [
 ]
 
 # messages that carry an evaluated value past their fixed start
-_MESSAGE_PREFIXES = ("sqrt(D(r)/r) not integrable near 0: D(", "zeta2' vanishes at r=")
+_MESSAGE_PREFIXES = ("zeta2' vanishes at r=",)
 
 
 @pytest.mark.parametrize("parts, failed", _RULE_CASES)
