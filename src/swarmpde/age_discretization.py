@@ -103,13 +103,19 @@ def age_grid_problems(alpha: float, a_max: float) -> list:
     return p
 
 
+def bin_count(alpha: float, a_max: float) -> int:
+    """The number of bins I of ``build_age_grid``'s grid: as many bins of
+    width alpha as cover [0, a_max], and at most 1/alpha^2."""
+    return min(int(math.floor(1.0 / alpha**2 + 1e-12)), int(math.ceil(a_max / alpha - 1e-12)))
+
+
 def build_age_grid(spec: ModelSpec, alpha: float, a_max: float) -> AgeGrid:
     """Cell-average the age weights over I bins and measure the constants.
 
     Both bounds on I are at least 1 under ``age_grid_problems``' rules.
     """
     refuse(age_grid_problems(alpha, a_max))
-    I = min(int(math.floor(1.0 / alpha**2 + 1e-12)), int(math.ceil(a_max / alpha - 1e-12)))
+    I = bin_count(alpha, a_max)
 
     lam = bin_averages(spec.lam, alpha, I + 1)
     b = bin_averages(spec.b, alpha, I + 1)

@@ -1,14 +1,33 @@
 """Command line entry points: run, crossval, sweep, validate.
 
-Every command reads one JSON configuration, writes its artifacts under
-the output directory, and encodes success in the exit status: 0 only if
-no error was raised, the sampled hypotheses hold, the operators
-conserved mass to roundoff and the biomass identity held before the
-cutoff engaged (``run``) and no envelope margin came out negative, so CI
-can consume runs without parsing logs.  Every command that integrates
-judges the hypotheses on each setup it builds before it integrates any
-of them, and fails as ``run`` does.  Failures are mirrored as a
-machine-readable failure.json.
+Every command reads one JSON configuration and writes its artifacts
+under the output directory.  A command either completes, exit status 0,
+or stops on a failed check (``errors.CheckFailed``) or a raised error;
+``main`` alone turns either into the exit status and failure.json,
+``{"status": "error", "kind": ..., "messages": [...]}``, also printed on
+stdout, so CI can consume runs without parsing logs.  The kinds:
+
+- ``config_invalid``, exit 2: the configuration does not load or breaks
+  a rule (``sweep --levels`` below 3 too);
+- ``hypothesis_violation``, exit 1: the sampled data assumptions fail.
+  ``validate`` writes hypotheses.json first; ``run``, ``crossval`` and
+  ``sweep`` judge every setup they build before they integrate any;
+- ``invariant_violation``, exit 1: ``run``'s operators did not conserve
+  mass to roundoff, or the biomass identity broke before the cutoff
+  engaged;
+- ``envelope_violation``, exit 1: a ``run`` envelope margin is negative
+  or NaN (judged after the invariants);
+- ``crossval_violation``, exit 1: a ``crossval`` relative L2 error
+  exceeds ``crossval_tolerance`` (crossval.json is written first, with
+  ``passed: false``);
+- the class name of any other package error, exit 1:
+  ``NonFiniteEvaluation``, ``DegenerateDiffusion``, ``RatioUndefined``,
+  ``HypothesisViolation``, ``NegativeInitialData``, ``GridMismatch``,
+  ``NegativeField``, ``UnstableStep``, ``StepBudgetExceeded``,
+  ``ConfigMismatch`` or ``InadmissibleTestFunction``;
+- ``MemoryError``, exit 1;
+- ``output_unwritable``, exit 1: the output directory or an artifact
+  cannot be written.
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ import numpy as np
 from . import config as config_mod
 from . import diagnostics as diag
 from . import reduced_system
-from .errors import ConfigInvalid, ConfigMismatch, SwarmPDEError
+from .errors import CheckFailed, ConfigInvalid, ConfigMismatch, SwarmPDEError, fail_if
 from .solver_core import run
 from .spatial_grid import field_to_binary, field_to_csv, prolong, sq_l2
 
@@ -51,7 +70,7 @@ def _json_dump(data, path) -> None:
     )
 
 
-def _write_failure(out_dir: Path, kind: str, messages) -> dict:
+def _write_failure(out_dir: Path, kind: str, messages) -> None:
     payload = {"status": "error", "kind": kind, "messages": list(messages)}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -59,7 +78,6 @@ def _write_failure(out_dir: Path, kind: str, messages) -> dict:
     except OSError:
         pass
     print(json.dumps(payload, sort_keys=True))
-    return payload
 
 
 def _manifest(cfg, result, report, margins, wall_time) -> dict:
@@ -105,27 +123,6 @@ def _broken_invariants(record) -> list:
     return bad
 
 
-def _failed_hypotheses(report) -> list:
-    witnesses = report.to_dict()["witnesses"]
-    return [f"{name}: {witnesses[name]}"
-            for name, ok in sorted(report.passed.items()) if not ok]
-
-
-def _judged_setups(cfgs, out_dir: Path):
-    # every config's (RunSetup, HypothesisReport), all built and judged
-    # before anything is integrated; None once the failure of the first
-    # whose data fail the hypotheses is written: the envelopes are built
-    # from the sampled constants, which mean nothing for such data
-    judged = []
-    for cfg in cfgs:
-        setup, report = config_mod.build_run_setup(cfg)
-        if not report.all_passed:
-            _write_failure(out_dir, "hypothesis_violation", _failed_hypotheses(report))
-            return None
-        judged.append((setup, report))
-    return judged
-
-
 def _write_snapshots(result, cfg, out_dir: Path) -> None:
     stride = cfg.output.snapshot_stride
     sgrid = result.setup.sgrid
@@ -138,12 +135,9 @@ def _write_snapshots(result, cfg, out_dir: Path) -> None:
             field_to_binary(values, sgrid, out_dir / f"{name}_{tag}.bin")
 
 
-def cmd_run(cfg, out_dir: Path) -> int:
+def cmd_run(cfg, out_dir: Path) -> None:
     t0 = time.monotonic()
-    judged = _judged_setups([cfg], out_dir)
-    if judged is None:
-        return EXIT_FAIL
-    [(setup, report)] = judged
+    setup, report = config_mod.build_run_setup(cfg)
     # run writes nothing read from a sample's bins, so it keeps none
     result = run(dataclasses.replace(setup, store_u=False))
     wall = time.monotonic() - t0
@@ -158,18 +152,11 @@ def cmd_run(cfg, out_dir: Path) -> int:
     _json_dump(summary, out_dir / "summary.json")
     if cfg.output.write_snapshots:
         _write_snapshots(result, cfg, out_dir)
-    broken = _broken_invariants(record)
-    if broken:
-        _write_failure(out_dir, "invariant_violation", broken)
-        return EXIT_FAIL
-    bad = _negative_margins(margins)
-    if bad:
-        _write_failure(out_dir, "envelope_violation", bad)
-        return EXIT_FAIL
-    return EXIT_OK
+    fail_if("invariant_violation", _broken_invariants(record))
+    fail_if("envelope_violation", _negative_margins(margins))
 
 
-def cmd_crossval(cfg, out_dir: Path) -> int:
+def cmd_crossval(cfg, out_dir: Path) -> None:
     # refused from the configuration, before any set-up work
     if cfg.model.family != "exponential":
         # the age structure integrates out only for exponential weights
@@ -181,28 +168,27 @@ def cmd_crossval(cfg, out_dir: Path) -> int:
     plan = config_mod.level_plan(cfg, 2, cells_factor=1)
     for level in plan:
         reduced_system.refuse_inflow(rspec.xi, level.alpha)
-    judged = _judged_setups(plan, out_dir)
-    if judged is None:
-        return EXIT_FAIL
-    result = reduced_system.cross_validate_setups([setup for setup, _ in judged], rspec)
+    # every level is built and judged before any is integrated
+    result = reduced_system.cross_validate_setups(
+        [config_mod.build_run_setup(level)[0] for level in plan], rspec)
     payload = dataclasses.asdict(result)
-    payload["tolerance"] = cfg.crossval_tolerance
-    payload["passed"] = bool(
-        result.rel_l2_Lambda <= cfg.crossval_tolerance
-        and result.rel_l2_v <= cfg.crossval_tolerance
-    )
+    payload["tolerance"] = tol = cfg.crossval_tolerance
+    # a NaN error fails too
+    bad = [f"{name}: {payload[name]:.3e} > tolerance {tol:g}"
+           for name in ("rel_l2_Lambda", "rel_l2_v") if not payload[name] <= tol]
+    payload["passed"] = not bad
     _json_dump(payload, out_dir / "crossval.json")
-    return EXIT_OK if payload["passed"] else EXIT_FAIL
+    fail_if("crossval_violation", bad)
 
 
-def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
+def cmd_sweep(cfg, out_dir: Path, levels: int) -> None:
     if levels < 3:
         raise ConfigInvalid(["sweep: need at least 3 alpha levels"])
-    judged = _judged_setups(config_mod.level_plan(cfg, levels, cells_factor=2), out_dir)
-    if judged is None:
-        return EXIT_FAIL
+    # every level is built and judged before any is integrated
+    setups = [config_mod.build_run_setup(level)[0]
+              for level in config_mod.level_plan(cfg, levels, cells_factor=2)]
     runs = []
-    for setup, _ in judged:
+    for setup in setups:
         # the weak residual reads each sample's age moments, taken while its
         # bins are live, so the level keeps no bins
         moments = diag.AgeMoments(diag.make_test_functions(
@@ -246,15 +232,14 @@ def cmd_sweep(cfg, out_dir: Path, levels: int) -> int:
         "residual_orders": diag.observed_orders(residuals, alphas),
     }
     _json_dump(payload, out_dir / "sweep.json")
-    return EXIT_OK
 
 
-def cmd_validate(cfg, out_dir: Path) -> int:
+def cmd_validate(cfg, out_dir: Path) -> None:
     report = config_mod.hypothesis_report(cfg, config_mod.build_model_spec(cfg))
     _json_dump(report.to_dict(), out_dir / "hypotheses.json")
     print(json.dumps({"passed": report.all_passed, **report.to_dict()["passed"]},
                      sort_keys=True))
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    fail_if("hypothesis_violation", report.failures())
 
 
 def main(argv=None) -> int:
@@ -286,26 +271,26 @@ def main(argv=None) -> int:
         # made before any set-up, so that an unwritable one costs no work
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        if args.command == "crossval":
-            return cmd_crossval(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.levels)
-        return cmd_validate(cfg, out_dir)
-    except ConfigInvalid as exc:
-        _write_failure(out_dir or Path("."), "config_invalid", exc.messages)
-        return EXIT_CONFIG
+            cmd_run(cfg, out_dir)
+        elif args.command == "crossval":
+            cmd_crossval(cfg, out_dir)
+        elif args.command == "sweep":
+            cmd_sweep(cfg, out_dir, args.levels)
+        else:
+            cmd_validate(cfg, out_dir)
+        return EXIT_OK
+    except CheckFailed as exc:
+        kind, messages = exc.kind, exc.messages
     except SwarmPDEError as exc:
-        _write_failure(out_dir or Path("."), type(exc).__name__, [str(exc)])
-        return EXIT_FAIL
+        kind, messages = type(exc).__name__, [str(exc)]
     except MemoryError as exc:
         # numpy raises its own subclass; the kind names the builtin
-        _write_failure(out_dir or Path("."), "MemoryError", [str(exc)])
-        return EXIT_FAIL
+        kind, messages = "MemoryError", [str(exc)]
     except OSError as exc:
         # load_config refuses an unreadable configuration, so this is a write
-        _write_failure(out_dir or Path("."), "output_unwritable", [str(exc)])
-        return EXIT_FAIL
+        kind, messages = "output_unwritable", [str(exc)]
+    _write_failure(out_dir or Path("."), kind, messages)
+    return EXIT_CONFIG if kind == "config_invalid" else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -20,9 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .age_discretization import age_average_initial, age_grid_problems, build_age_grid, regularize
+from .age_discretization import (
+    age_average_initial,
+    age_grid_problems,
+    bin_count,
+    build_age_grid,
+    regularize,
+)
 from .diagnostics import catalogue_problems, tail_problems
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, fail_if
 from .model_spec import (
     ModelSpec,
     exponential_family,
@@ -59,6 +65,12 @@ __all__ = [
 _TABLE_NAMES = ("lam", "b", "mu", "D", "E", "xi", "g")
 # the most sample times T / sample_dt a run may ask for
 MAX_SAMPLES = 1_000_000
+# the bytes a run's bins may take, refused before any is allocated, and
+# the copies of them live at once: the setup's initial bins and the
+# state's (tracemalloc's peak of a run grows by 2.0 bytes per byte of
+# bins, measured over 1-2 MiB of bins in 1D and 2-4 MiB in 2D)
+MEMORY_BUDGET = 2 * 2**30
+LIVE_U_COPIES = 2
 
 
 @dataclass(frozen=True)
@@ -355,17 +367,26 @@ def hypothesis_report(cfg: RunConfig, spec: ModelSpec):
 def build_run_setup(cfg: RunConfig, check_hypotheses: bool = True):
     """Assemble every pipeline object for a run.
 
-    Returns (RunSetup, HypothesisReport or None).  The hypotheses are
-    judged by ``hypothesis_report``, which also rejects fully degenerate
-    diffusion.  A failing report comes back with no RunSetup: nothing,
-    the age grid included, is built from data that fail the hypotheses.
+    Returns (RunSetup, HypothesisReport), the report None without
+    ``check_hypotheses``.  The hypotheses are judged by
+    ``hypothesis_report``, which also rejects fully degenerate diffusion;
+    data that fail them raise ``CheckFailed`` of kind
+    ``hypothesis_violation`` with the report's failures, before anything,
+    the age grid included, is built from them.  Then an age grid whose
+    bins would take more than ``MEMORY_BUDGET`` bytes, ``LIVE_U_COPIES``
+    times bins x cells x 8, raises ``ConfigInvalid`` naming ``alpha``,
+    before anything is allocated.
     """
     spec = build_model_spec(cfg)
     report = None
     if check_hypotheses:
         report = hypothesis_report(cfg, spec)
-        if not report.all_passed:
-            return None, report
+        fail_if("hypothesis_violation", report.failures())
+    bins, ncells = bin_count(cfg.alpha, cfg.a_max), math.prod(cfg.domain.cells)
+    if LIVE_U_COPIES * bins * ncells * 8 > MEMORY_BUDGET:
+        raise ConfigInvalid([f"alpha: {bins} age bins x {ncells} cells need {LIVE_U_COPIES} "
+                             f"copies of {bins * ncells * 8 / 2**30:.3g} GiB of bins, above "
+                             f"the budget of {MEMORY_BUDGET / 2**30:g} GiB"])
     sgrid = SpatialGrid(extents=cfg.domain.extents, cells=cfg.domain.cells)
     agegrid = build_age_grid(spec, cfg.alpha, cfg.a_max)
     reg = regularize(spec, cfg.alpha)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and ``refuse``, which turns
-a parameter owner's rule violations into one ``ValueError``."""
+"""Exception types shared across the package; ``refuse``, which turns a
+parameter owner's rule violations into one ``ValueError``; and
+``fail_if``, which turns a check's failures into one ``CheckFailed``."""
 
 
 def refuse(problems) -> None:
@@ -53,12 +54,27 @@ class StepBudgetExceeded(SwarmPDEError):
     (``solver_core.MAX_STEPS``); refused before the steps are taken."""
 
 
-class ConfigInvalid(SwarmPDEError):
+class CheckFailed(SwarmPDEError):
+    """A check failed: ``kind`` names it in failure.json and ``messages``
+    say each thing that failed it."""
+
+    def __init__(self, kind: str, messages):
+        self.kind = kind
+        self.messages = list(messages)
+        super().__init__("; ".join(self.messages))
+
+
+def fail_if(kind: str, messages) -> None:
+    """Raise CheckFailed(kind, messages) if there are any messages."""
+    if messages:
+        raise CheckFailed(kind, messages)
+
+
+class ConfigInvalid(CheckFailed):
     """Configuration failed validation; carries all field-level messages."""
 
     def __init__(self, messages):
-        self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
+        super().__init__("config_invalid", messages)
 
 
 class ConfigMismatch(SwarmPDEError):

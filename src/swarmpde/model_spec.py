@@ -151,6 +151,11 @@ class HypothesisReport:
     def all_passed(self) -> bool:
         return all(self.passed.values())
 
+    def failures(self) -> list:
+        """``name: witness`` of each failed name, in name order."""
+        return [f"{name}: {self.witnesses[name]}"
+                for name, ok in sorted(self.passed.items()) if not ok]
+
     def to_dict(self) -> dict:
         return {**vars(self), "passed": dict(sorted(self.passed.items())),
                 "witnesses": {k: str(v) for k, v in sorted(self.witnesses.items())}}

@@ -5,11 +5,13 @@ The directories and fingerprints of the comparison tests are written by
 hand; only the fingerprint test runs the solver.
 """
 
+import copy
 import importlib.util
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,3 +131,17 @@ def test_fingerprint_mismatches_name_the_file_and_the_change(artifact_diff):
     same_row["rows"]["run ref1d"]["files"]["diagnostics.csv"]["sha256"] = "ab"
     assert artifact_diff.fingerprint_mismatches(PRINTS, same_row) == [
         "run ref1d diagnostics.csv: bytes differ, last row unchanged"]
+
+
+def test_a_build_without_simd_dispatch_names_the_difference(artifact_diff, monkeypatch):
+    # numpy reports no "found" SIMD entry when every extension beyond its
+    # baseline is disabled (NPY_DISABLE_CPU_FEATURES): no extensions, not
+    # a KeyError
+    config = copy.deepcopy(np.show_config(mode="dicts"))
+    config["SIMD Extensions"].pop("found", None)
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": config)
+    here = artifact_diff.environment()
+    assert here["simd"] == []
+    expected = dict(PRINTS, environment=dict(here, simd=["X86_V3"]))
+    assert artifact_diff.fingerprint_mismatches(expected, dict(PRINTS, environment=here)) == [
+        "environment simd: [] here, ['X86_V3'] in the fingerprints"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy._core._exceptions import _ArrayMemoryError
 
-from swarmpde import cli, config as config_mod, diagnostics, reduced_system, solver_core
+from swarmpde import cli, config as config_mod, diagnostics, errors, reduced_system, solver_core
 from swarmpde.age_discretization import build_age_grid, regularize
 from swarmpde.cli import main
 from swarmpde.config import RunConfig, level_plan, parse_config
@@ -495,6 +495,20 @@ def test_readme_cli_block_lists_every_command(capsys):
     assert done.value.code == 0
     choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
     assert listed == choices
+
+
+def test_readme_and_cli_docstring_list_every_failure_kind():
+    # the kinds main writes: the checks', every other package error's class
+    # name, MemoryError and output_unwritable
+    kinds = ["config_invalid", "hypothesis_violation", "invariant_violation",
+             "envelope_violation", "crossval_violation", "MemoryError", "output_unwritable"]
+    kinds += [c.__name__ for c in vars(errors).values() if isinstance(c, type)
+              and issubclass(c, errors.SwarmPDEError)
+              and not issubclass(c, errors.CheckFailed) and c is not errors.SwarmPDEError]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Exit status 0", 1)[1].split("\n\n", 2)[1]
+    assert [k for k in kinds if f"`{k}`" not in listed] == []
+    assert [k for k in kinds if f"``{k}``" not in cli.__doc__] == []
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000],
@@ -1122,6 +1136,76 @@ def test_every_level_is_judged_before_any_is_integrated(tmp_path, monkeypatch, c
     assert failure["kind"] == "hypothesis_violation"
     assert [m.split(":")[0] for m in failure["messages"]] == ["modulus"]
     assert judged == [8.0 * 2**k for k in range(levels)]
+    assert calls == []
+
+
+def test_a_crossval_beyond_its_tolerance_writes_failure_json(tmp_path):
+    # crossval.json still reads passed: false, and the failure names each
+    # relative error above the tolerance
+    cfg = dict(CROSSVAL, crossval_tolerance=1e-12, output={"dir": str(tmp_path / "out")})
+    assert main(["crossval", "--config", str(_write(tmp_path, cfg))]) == 1
+    payload = json.loads((tmp_path / "out" / "crossval.json").read_text())
+    assert payload["passed"] is False
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "crossval_violation"
+    assert failure["messages"] == [
+        f"{name}: {payload[name]:.3e} > tolerance 1e-12" for name in ("rel_l2_Lambda",
+                                                                     "rel_l2_v")]
+
+
+def test_validate_fails_as_run_does(tmp_path):
+    # data that fail a hypothesis: validate writes hypotheses.json and the
+    # failure.json that run writes for the same configuration
+    cfg = dict(MINIMAL, model={"xi_support": [-1.0, 2.0]})
+    for command in ("validate", "run"):
+        cfg["output"] = {"dir": str(tmp_path / command)}
+        assert main([command, "--config", str(_write(tmp_path, cfg))]) == 1
+    assert sorted(p.name for p in (tmp_path / "validate").iterdir()) == [
+        "failure.json", "hypotheses.json"]
+    validated, ran = (json.loads((tmp_path / command / "failure.json").read_text())
+                      for command in ("validate", "run"))
+    assert validated == ran
+    assert ran["kind"] == "hypothesis_violation" and ran["messages"][0].startswith("rates: ")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_age_grid_too_large_for_memory_is_config_invalid(tmp_path, monkeypatch, command):
+    # 4e6 bins x 128 cells of float64 take about 4 GB per copy of the bins:
+    # refused after the hypotheses, before any grid is built
+    grids = []
+    monkeypatch.setattr(config_mod, "build_age_grid", lambda *args: grids.append(args))
+    cfg = dict(MINIMAL, alpha=1e-6, a_max=4.0, diagnostics={"tail_A": []},
+               domain={"dim": 1, "extents": [1.0], "cells": [128]},
+               output={"dir": str(tmp_path / "out")})
+    assert main([command, "--config", str(_write(tmp_path, cfg))]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["kind"] == "config_invalid"
+    assert failure["messages"] == [
+        "alpha: 4000000 age bins x 128 cells need 2 copies of 3.81 GiB of bins, above the "
+        "budget of 2 GiB"]
+    assert grids == []
+
+
+def test_the_memory_budget_counts_every_live_copy_of_the_bins(monkeypatch):
+    # MINIMAL has 16 bins of 16 cells: two copies of 2048 bytes
+    cfg = RunConfig.from_dict(MINIMAL)
+    monkeypatch.setattr(config_mod, "MEMORY_BUDGET", 2 * 16 * 16 * 8)
+    config_mod.build_run_setup(cfg, check_hypotheses=False)
+    monkeypatch.setattr(config_mod, "MEMORY_BUDGET", 2 * 16 * 16 * 8 - 1)
+    with pytest.raises(ConfigInvalid) as err:
+        config_mod.build_run_setup(cfg, check_hypotheses=False)
+    assert [m.split(":")[0] for m in err.value.messages] == ["alpha"]
+
+
+def test_every_sweep_level_is_held_to_the_memory_budget(tmp_path, monkeypatch):
+    # the levels have 16, 32 and 64 bins of 16, 32 and 64 cells; only the
+    # last exceeds a budget of two copies of the middle one's bins
+    calls = _count_integrations(monkeypatch)
+    monkeypatch.setattr(config_mod, "MEMORY_BUDGET", 2 * 32 * 32 * 8)
+    cfg = dict(MINIMAL, output={"dir": str(tmp_path / "out")})
+    assert main(["sweep", "--config", str(_write(tmp_path, cfg))]) == 2
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["messages"][0].startswith("alpha: 64 age bins x 64 cells need 2 copies")
     assert calls == []
 
 

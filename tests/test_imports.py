@@ -339,6 +339,43 @@ def test_scan_flags_a_private_import():
     assert _private_imports(trees) == ["a: b._hidden", "a: cc._inner"]
 
 
+def _failure_paths(trees: dict) -> list:
+    """``module.function: calls _write_failure`` for every call of
+    ``_write_failure`` in the modules of ``trees``, and ``module.cmd_*:
+    returns a value`` for every command that returns one: a command that
+    fails raises, and the one call in ``cli.main`` writes failure.json."""
+    found = []
+    for name, tree in trees.items():
+        for fn in (node for node in ast.walk(tree) if isinstance(node, _FUNCS)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "_write_failure" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{name}.{fn.name}: calls _write_failure")
+                elif fn.name.startswith("cmd_") and isinstance(node, ast.Return) \
+                        and node.value is not None:
+                    found.append(f"{name}.{fn.name}: returns a value")
+    return sorted(found)
+
+
+def test_only_main_writes_failure_json():
+    # one failure path: every failed check raises, and the handler in
+    # cli.main turns it into the exit status and failure.json
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in MODULES}
+    assert _failure_paths(trees) == ["cli.main: calls _write_failure"]
+
+
+def test_scan_flags_a_second_failure_path():
+    trees = {"cli": ast.parse(
+        "def main():\n    _write_failure(out, kind, messages)\n    return 1\n"
+        "def cmd_a(cfg):\n    if cfg:\n        return EXIT_FAIL\n"
+        "def cmd_b(cfg):\n    return\n"
+        "def helper(out):\n    cli._write_failure(out, 'x', [])\n")}
+    assert _failure_paths(trees) == ["cli.cmd_a: returns a value",
+                                     "cli.helper: calls _write_failure",
+                                     "cli.main: calls _write_failure"]
+
+
 # tokens that hold no code: a line that has only these is not a code line
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

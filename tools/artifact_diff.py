@@ -170,7 +170,9 @@ def environment() -> dict:
     return {"numpy": np.__version__,
             "blas": {key: blas.get(key) for key in ("name", "version",
                                                     "openblas configuration")},
-            "simd": config["SIMD Extensions"]["found"]}
+            # a build that dispatches to no extension beyond its baseline
+            # reports no "found" entry
+            "simd": config["SIMD Extensions"].get("found", [])}
 
 
 def _digest(path: Path) -> str:
